@@ -273,10 +273,9 @@ class Subgroup:
         return [self.owner.element(list(c)) for c in self.lattice.columns()]
 
     def sort_key(self):
-        return (
-            self.order() if self.is_finite() else float("inf"),
-            tuple(self.lattice.columns()),
-        )
+        """Finite subgroups by order, then infinite ones; ties by lattice."""
+        order = self.order()
+        return (order is None, order or 0, tuple(self.lattice.columns()))
 
 
 class GroupHom:
@@ -411,10 +410,6 @@ class GroupHom:
             raise ValueError("homomorphism is not an isomorphism")
         return inv
 
-    def conjugate(self, other: "GroupHom") -> "GroupHom":
-        """self^{-1} o other o self (for transporting automorphisms)."""
-        return self.inverse().compose(other).compose(self)
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -493,14 +488,6 @@ def quotient_by(g: FgAbGroup, e: Subgroup) -> tuple[FgAbGroup, GroupHom]:
     q = pres.group
     hom = GroupHom(g, q, pres.projection_matrix)
     return q, hom
-
-
-def quotient_presentation(g: FgAbGroup, e: Subgroup) -> tuple[Presentation, GroupHom]:
-    """Like quotient_by but also returns the presentation (with section)."""
-    if e.owner != g:
-        raise NotASubgroup("subgroup belongs to a different group")
-    pres = group_from_presentation(g.ngens, e.lattice)
-    return pres, GroupHom(g, pres.group, pres.projection_matrix)
 
 
 # ---------------------------------------------------------------------------

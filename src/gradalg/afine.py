@@ -31,7 +31,7 @@ from .abgroup import (
     quotient_by,
     torsion_and_free,
 )
-from .algcore import MultilinearOp, StructureAlgebra, Subspace
+from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, memoized
 from .errors import (
     AxiomFailure,
     DegenerateRetryExhausted,
@@ -47,7 +47,6 @@ from .exactla import (
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
-    subspace_coords,
 )
 from .grading import (
     GradedDerivations,
@@ -67,23 +66,6 @@ _MAX_GENERIC_RETRIES = 40
 # ---------------------------------------------------------------------------
 # Cartan subalgebras and toral parts
 # ---------------------------------------------------------------------------
-
-
-def _lie_structure_on(space: Subspace, n: int) -> StructureAlgebra:
-    """Commutator Lie algebra on a commutator-closed space of matrices
-    (flattened n x n, basis = space columns)."""
-    mats = [mat_from_flat(list(v), n, n) for v in space.vectors()]
-    tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = space.coords(comm.flatten())
-            if coords is None:
-                raise AxiomFailure("matrix space is not closed under commutator")
-            vec = {t: c for t, c in enumerate(coords) if c}
-            if vec:
-                tensor[(i, j)] = vec
-    return StructureAlgebra("commutators", len(mats), [MultilinearOp("bracket", 2, tensor)], ["lie"])
 
 
 def _is_nilpotent_subalgebra(alg: StructureAlgebra, basis: Subspace) -> bool:
@@ -124,6 +106,15 @@ def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
     return Subspace(n, nullspace(RatMatrix(rows)))
 
 
+def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:
+    """A Cartan subalgebra: closed under the bracket, nilpotent, and
+    equal to its own normalizer."""
+    closed = all(
+        sub.contains(alg.bracket(a, b)) for a in sub.vectors() for b in sub.vectors()
+    )
+    return closed and _is_nilpotent_subalgebra(alg, sub) and _normalizer(alg, sub) == sub
+
+
 def _element_candidates(d: int, rng: random.Random):
     """Candidate elements whose adjoint nilspace may be a Cartan
     subalgebra: sparse deterministic combinations first (these tend to
@@ -161,19 +152,8 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
             continue
         adx = alg.ad_matrix(x)
         nil = Subspace(d, nullspace(adx.power(d)))
-        if nil.dim == 0:
-            continue
         # nilspace of a generic element is a Cartan subalgebra; verify
-        closed = all(
-            nil.contains(alg.bracket(a, b))
-            for a in nil.vectors()
-            for b in nil.vectors()
-        )
-        if not closed:
-            continue
-        if not _is_nilpotent_subalgebra(alg, nil):
-            continue
-        if _normalizer(alg, nil) != nil:
+        if nil.dim == 0 or not _is_cartan(alg, nil):
             continue
         produced = True
         yield nil
@@ -202,25 +182,23 @@ class ToralData:
     trank: int
 
     def toral_matrices(self) -> list[RatMatrix]:
-        n2 = self.toral.dim_ambient
-        n = int(round(n2**0.5))
+        n = self.derivations.grading.dimension
         return [mat_from_flat(list(v), n, n) for v in self.toral.vectors()]
 
 
-def toral_rank(
-    grading: Grading,
-    seed: int = DEFAULT_SEED,
-    derivations: GradedDerivations | None = None,
-) -> ToralData:
+@memoized
+def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     """Toral data of a grading: D_e, a Cartan subalgebra of it, and the
     span t of the semisimple parts of the Cartan basis; trank = dim t."""
     n = grading.dimension
-    gd = derivations if derivations is not None else graded_derivations(grading)
+    gd = graded_derivations(grading)
     d_e = gd.identity_part
     if d_e.dim == 0:
         empty = Subspace.from_vectors(n * n, [])
         return ToralData(gd, d_e, empty, empty, 0)
-    lie = _lie_structure_on(d_e, n)
+    lie = algebra_from_matrices(
+        "commutators", [mat_from_flat(list(v), n, n) for v in d_e.vectors()]
+    )
     rng = random.Random(seed)
     cartan = toral = None
     nonsplit: NonSplitError | None = None
@@ -271,17 +249,11 @@ class AlmostFineCertificate:
     dim_d_e: int | None
 
 
-def is_almost_fine(
-    grading: Grading,
-    seed: int = DEFAULT_SEED,
-    uab: UabResult | None = None,
-    toral: ToralData | None = None,
-) -> AlmostFineCertificate:
+def is_almost_fine(grading: Grading, seed: int = DEFAULT_SEED) -> AlmostFineCertificate:
     """A grading is almost fine when the free rank of its universal
     abelian group equals its toral rank."""
-    u = uab if uab is not None else universal_abelian_group(grading)
-    td = toral if toral is not None else toral_rank(grading, seed=seed)
-    rank_u = u.group.free_rank
+    rank_u = universal_abelian_group(grading).group.free_rank
+    td = toral_rank(grading, seed=seed)
     verdict = rank_u == td.trank
     dim_de = None
     if "aut_reductive" in grading.algebra.flags:
@@ -339,16 +311,12 @@ class RefinementResult:
     certificate: AlmostFineCertificate
 
 
-def canonical_refinement(
-    grading: Grading,
-    seed: int = DEFAULT_SEED,
-    toral: ToralData | None = None,
-) -> RefinementResult:
+def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> RefinementResult:
     """Refine a grading by the joint eigenspace decomposition of its
     components under the toral part of D_e, graded by G x (weight lattice).
 
     The result is almost fine with the same toral rank (verified)."""
-    td = toral if toral is not None else toral_rank(grading, seed=seed)
+    td = toral_rank(grading, seed=seed)
     n = grading.dimension
     r = td.trank
     tmats = td.toral_matrices()
@@ -406,7 +374,7 @@ def canonical_refinement(
     if induce(refined, proj).component_dims() != grading.component_dims():
         raise NotARefinement("projection does not recover the original grading")
     td2 = toral_rank(refined, seed=seed)
-    cert = is_almost_fine(refined, seed=seed, toral=td2)
+    cert = is_almost_fine(refined, seed=seed)
     if not cert.almost_fine or td2.trank != td.trank:
         raise AxiomFailure(
             "canonical refinement is not almost fine of equal toral rank"
@@ -433,6 +401,32 @@ class CoarseningEntry:
 def _subgroup_image(e: Subgroup, w: GroupHom) -> Subgroup:
     gens = [w(x) for x in e.canonical_generators()]
     return Subgroup.from_generators(e.owner, gens)
+
+
+def _orbits(items: Sequence, key, act, generators: Sequence[GroupHom]) -> list[list]:
+    """Partition ``items`` into orbits under ``act(item, w)`` for w among
+    the generators, following only images that are themselves items
+    (matched by ``key``).  Each orbit starts with the first of its items,
+    and orbits come in the order of their first items."""
+    position = {key(x): i for i, x in enumerate(items)}
+    placed = [False] * len(items)
+    orbits = []
+    for i, x in enumerate(items):
+        if placed[i]:
+            continue
+        placed[i] = True
+        orbit = [x]
+        frontier = [x]
+        while frontier:
+            cur = frontier.pop()
+            for w in generators:
+                j = position.get(key(act(cur, w)))
+                if j is not None and not placed[j]:
+                    placed[j] = True
+                    orbit.append(items[j])
+                    frontier.append(items[j])
+        orbits.append(orbit)
+    return orbits
 
 
 def enumerate_af_coarsenings(
@@ -481,26 +475,13 @@ def enumerate_af_coarsenings(
                 continue
             survivors.append((e, qhom, coarse, "per-candidate"))
     # orbit labelling under the supplied automorphisms of U
-    lattice_to_pos = {e.lattice: i for i, (e, *_rest) in enumerate(survivors)}
-    orbit_of = [-1] * len(survivors)
-    next_orbit = 0
-    for i, (e, *_rest) in enumerate(survivors):
-        if orbit_of[i] != -1:
-            continue
-        orbit_of[i] = next_orbit
-        frontier = [e]
-        while frontier:
-            cur = frontier.pop()
-            for w in weyl_generators:
-                img = _subgroup_image(cur, w)
-                j = lattice_to_pos.get(img.lattice)
-                if j is not None and orbit_of[j] == -1:
-                    orbit_of[j] = next_orbit
-                    frontier.append(img)
-        next_orbit += 1
+    orbits = _orbits(
+        [e for e, *_rest in survivors], lambda e: e.lattice, _subgroup_image, weyl_generators
+    )
+    orbit_of = {e.lattice: k for k, orbit in enumerate(orbits) for e in orbit}
     return [
-        CoarseningEntry(e, qhom, coarse, cert, orbit_of[i])
-        for i, (e, qhom, coarse, cert) in enumerate(survivors)
+        CoarseningEntry(e, qhom, coarse, cert, orbit_of[e.lattice])
+        for e, qhom, coarse, cert in survivors
     ]
 
 
@@ -551,34 +532,17 @@ def classify_gradings(
         uab = universal_abelian_group(grading)
         ugr = uab.universal_grading()
         homs = enumerate_homs(uab.group, group, cap=cap)
-        admissible = [a for a in homs if is_admissible(a, uab)]
 
         def key(a: GroupHom) -> tuple:
             return tuple(
                 a(a.domain.generator(i)).coords for i in range(a.domain.ngens)
             )
 
-        remaining = {key(a): a for a in admissible}
-        orbit_id = 0
-        while remaining:
-            start_key = min(remaining)
-            orbit = {start_key: remaining[start_key]}
-            frontier = [remaining[start_key]]
-            while frontier:
-                a = frontier.pop()
-                for w in weyl:
-                    b = a.compose(w)
-                    k = key(b)
-                    if k in remaining and k not in orbit:
-                        orbit[k] = remaining[k]
-                        frontier.append(remaining[k])
-            rep = orbit[min(orbit)]
+        admissible = sorted((a for a in homs if is_admissible(a, uab)), key=key)
+        # the representative of an orbit is its member with the least key
+        for orbit_id, orbit in enumerate(_orbits(admissible, key, GroupHom.compose, weyl)):
+            rep = orbit[0]
             out.append(
-                ClassificationEntry(
-                    idx, rep, induce(ugr, rep), orbit_id, len(orbit)
-                )
+                ClassificationEntry(idx, rep, induce(ugr, rep), orbit_id, len(orbit))
             )
-            for k in orbit:
-                del remaining[k]
-            orbit_id += 1
     return out

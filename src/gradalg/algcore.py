@@ -9,18 +9,20 @@ centralizers, the Killing form, and a simplicity test.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import wraps
+from itertools import chain, islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
     RatMatrix,
     column_echelon,
+    mat_from_flat,
     nullspace,
     rank,
-    rational_solve,
     subspace_contains,
     subspace_coords,
     subspace_intersection,
@@ -28,6 +30,23 @@ from .exactla import (
 )
 
 Q = Fraction
+
+
+def memoized(fn):
+    """Compute ``fn(obj, ...)`` once per immutable ``obj`` and argument
+    values; the result is kept in ``obj._memo`` under (fn, arguments)."""
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def cached(obj, *args, **kwargs):
+        bound = signature.bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *tuple(bound.arguments.values())[1:])
+        if key not in obj._memo:
+            obj._memo[key] = fn(obj, *args, **kwargs)
+        return obj._memo[key]
+
+    return cached
 
 
 class MultilinearOp:
@@ -82,7 +101,7 @@ class MultilinearOp:
 class StructureAlgebra:
     """A finite-dimensional algebra over Q with verified flags."""
 
-    __slots__ = ("name", "dimension", "operations", "flags")
+    __slots__ = ("name", "dimension", "operations", "flags", "_memo")
 
     def __init__(
         self,
@@ -106,6 +125,7 @@ class StructureAlgebra:
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "operations", operations)
         object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "_memo", {})
         if "lie" in flags:
             self._verify_lie()
         if "associative" in flags:
@@ -283,7 +303,10 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
                 )
             key = tuple(int(x) for x in entry[:arity])
             j = int(entry[arity])
-            c = Q(entry[arity + 1]) if isinstance(entry[arity + 1], str) else Q(entry[arity + 1])
+            try:
+                c = Q(entry[arity + 1])
+            except ArithmeticError:  # a zero denominator or an infinite float
+                raise ValueError(f"structure constant {entry[arity + 1]!r} is not rational") from None
             tensor.setdefault(key, {})
             tensor[key][j] = tensor[key].get(j, Q(0)) + c
         ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
@@ -316,11 +339,10 @@ def algebra_from_matrices(
 ) -> StructureAlgebra:
     """Abstract algebra from a faithful matrix realization: structure
     constants of the commutator (kind="lie") or matrix product
-    (kind="associative") expressed in the span of ``matrices``."""
-    if not matrices:
-        raise ValueError("need at least one matrix")
+    (kind="associative") expressed in the span of ``matrices``
+    (VerificationFailure when the span is not closed)."""
     n = len(matrices)
-    flat = RatMatrix.from_columns([m.flatten() for m in matrices], rows=matrices[0].rows * matrices[0].cols)
+    flat = RatMatrix([m.flatten() for m in matrices]).transpose()
     if rank(flat) != n:
         raise ValueError("matrices are linearly dependent")
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
@@ -332,7 +354,9 @@ def algebra_from_matrices(
                 prod_m = matrices[i] * matrices[j]
             coords = subspace_coords(flat, prod_m.flatten())
             if coords is None:
-                raise ValueError(f"span is not closed under the product ({i}, {j})")
+                raise VerificationFailure(
+                    f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
+                )
             vec = {t: c for t, c in enumerate(coords) if c}
             if vec:
                 tensor[(i, j)] = vec
@@ -373,12 +397,17 @@ def subalgebra_structure(
 # ---------------------------------------------------------------------------
 
 
+#: equation rows per block of an incremental kernel computation
+_ROWS_PER_BLOCK = 48
+
+
 def _incremental_kernel(
     nunknowns: int,
-    row_blocks: Iterable[list[list[Fraction]]],
+    rows: Iterable[list[Fraction]],
     initial: RatMatrix | None = None,
 ) -> RatMatrix:
-    """Kernel of a tall stacked system, one row block at a time.
+    """Kernel of a tall system given by nonzero rows, one block of rows at
+    a time.
 
     Maintains a basis N of the running solution space (``initial`` columns,
     default the full space) and replaces each block E by the small system
@@ -386,16 +415,12 @@ def _incremental_kernel(
     the full unknown count.
     """
     n_basis = RatMatrix.identity(nunknowns) if initial is None else initial
-    if n_basis.cols == 0:
-        return RatMatrix.zeros(nunknowns, 0)
-    for block in row_blocks:
-        if n_basis.cols == 0:
+    rows = iter(rows)
+    while n_basis.cols:
+        block = list(islice(rows, _ROWS_PER_BLOCK))
+        if not block:
             break
-        rows = [r for r in block if any(r)]
-        if not rows:
-            continue
-        e = RatMatrix(rows)
-        small = e * n_basis
+        small = RatMatrix(block) * n_basis
         if small.is_zero():
             continue
         ker = nullspace(small)
@@ -403,11 +428,10 @@ def _incremental_kernel(
     return column_echelon(n_basis) if n_basis.cols else RatMatrix.zeros(nunknowns, 0)
 
 
-def _leibniz_row_blocks(a: StructureAlgebra, block_size: int = 48):
-    """Equation rows (in the n^2 unknowns D[r, c], index r*n + c) forcing
-    D to satisfy the Leibniz rule for every operation, yielded in blocks."""
+def _leibniz_rows(a: StructureAlgebra):
+    """Nonzero equation rows (in the n^2 unknowns D[r, c], index r*n + c)
+    forcing D to satisfy the Leibniz rule for every operation."""
     n = a.dimension
-    block: list[list[Fraction]] = []
     for op in a.operations:
         for key in product(range(n), repeat=op.arity):
             val = op.basis_value(key, n)
@@ -436,17 +460,11 @@ def _leibniz_row_blocks(a: StructureAlgebra, block_size: int = 48):
                     if vec[j]:
                         row[b * n + it] -= vec[j]
                 if any(row):
-                    block.append(row)
-                    if len(block) >= block_size:
-                        yield block
-                        block = []
-    if block:
-        yield block
+                    yield row
 
 
-def _stabilizer_row_blocks(n: int, constraints: Sequence[Subspace], block_size: int = 48):
-    """Rows forcing D to preserve each constraint subspace."""
-    block: list[list[Fraction]] = []
+def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
+    """Nonzero rows forcing D to preserve each constraint subspace."""
     for w in constraints:
         if w.dim == 0 or w.dim == n:
             continue
@@ -464,12 +482,7 @@ def _stabilizer_row_blocks(n: int, constraints: Sequence[Subspace], block_size: 
                         if wvec[c]:
                             row[r * n + c] += qvec[r] * wvec[c]
                 if any(row):
-                    block.append(row)
-                    if len(block) >= block_size:
-                        yield block
-                        block = []
-    if block:
-        yield block
+                    yield row
 
 
 @dataclass(frozen=True)
@@ -485,14 +498,6 @@ class DerivationAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def matrices(self) -> list[RatMatrix]:
-        from .exactla import mat_from_flat
-
-        n2 = self.space.dim_ambient
-        n = int(round(n2**0.5))
-        assert n * n == n2
-        return [mat_from_flat(list(v), n, n) for v in self.space.vectors()]
-
 
 def derivation_algebra(
     a: StructureAlgebra, constraints: Sequence[Subspace] | None = None
@@ -501,35 +506,10 @@ def derivation_algebra(
     every operation), intersected with the stabilizer of each constraint
     subspace; closed under commutator."""
     n = a.dimension
-
-    def blocks():
-        yield from _leibniz_row_blocks(a)
-        if constraints:
-            yield from _stabilizer_row_blocks(n, constraints)
-
-    basis = _incremental_kernel(n * n, blocks())
-    space = Subspace(n * n, basis)
-    mats = []
-    from .exactla import mat_from_flat
-
-    for v in space.vectors():
-        mats.append(mat_from_flat(list(v), n, n))
-    tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = space.coords(comm.flatten())
-            if coords is None:
-                raise VerificationFailure(
-                    "derivation space is not closed under commutator", witness=(i, j)
-                )
-            vec = {t: c for t, c in enumerate(coords) if c}
-            if vec:
-                tensor[(i, j)] = vec
-    alg = StructureAlgebra(
-        f"Der({a.name})", len(mats), [MultilinearOp("bracket", 2, tensor)], ["lie"]
-    )
-    return DerivationAlgebra(space, alg)
+    rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints or ()))
+    space = Subspace(n * n, _incremental_kernel(n * n, rows))
+    mats = [mat_from_flat(list(v), n, n) for v in space.vectors()]
+    return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", mats))
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +536,16 @@ def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
     return Subspace(n, nullspace(RatMatrix(rows)))
 
 
-def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool, bool]:
+@memoized
+def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j); returns
-    (gram, is_nondegenerate, is_semisimple)."""
+    (gram, is_nondegenerate), which in characteristic 0 is also whether
+    the algebra is semisimple."""
     _require_lie(a)
     n = a.dimension
     ads = [a.ad_matrix(a.basis_vector(i)) for i in range(n)]
     gram = RatMatrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
-    nondeg = rank(gram) == n
-    return gram, nondeg, nondeg
+    return gram, rank(gram) == n
 
 
 def _ideal_closure(a: StructureAlgebra, seed: Sequence[Fraction]) -> Subspace:
@@ -589,8 +570,7 @@ def centroid_dimension(a: StructureAlgebra) -> int:
     _require_lie(a)
     n = a.dimension
 
-    def blocks():
-        block = []
+    def rows():
         for i in range(n):
             adi = a.ad_matrix(a.basis_vector(i))
             # C * adi - adi * C = 0, row (j, c): sum over a of
@@ -604,14 +584,9 @@ def centroid_dimension(a: StructureAlgebra) -> int:
                         if adi[j, t]:
                             row[t * n + c] -= adi[j, t]
                     if any(row):
-                        block.append(row)
-                        if len(block) >= 48:
-                            yield block
-                            block = []
-        if block:
-            yield block
+                        yield row
 
-    return _incremental_kernel(n * n, blocks()).cols
+    return _incremental_kernel(n * n, rows()).cols
 
 
 def is_simple(a: StructureAlgebra) -> bool:
@@ -622,7 +597,7 @@ def is_simple(a: StructureAlgebra) -> bool:
     split algebra is simple iff its centroid is one-dimensional.
     """
     _require_lie(a)
-    _, nondeg, _ = killing_form(a)
+    _, nondeg = killing_form(a)
     if not nondeg:
         raise ValueError("simplicity test requires a nondegenerate Killing form")
     n = a.dimension

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .abgroup import FgAbGroup, GroupElement, GroupHom
-from .algcore import StructureAlgebra, algebra_from_matrices
+from .abgroup import FgAbGroup, GroupHom
+from .algcore import algebra_from_matrices
 from .errors import UnknownCatalogEntry
 from .exactla import IntMatrix, RatMatrix, subspace_coords
-from .grading import Grading, UabResult, universal_abelian_group, validate_grading
+from .grading import Grading
 
 Q = Fraction
 
@@ -56,15 +56,6 @@ class CatalogEntry:
     algebra_maps: Mapping[str, RatMatrix] = field(default_factory=dict)
     #: recorded expected facts, re-checked by the test suite
     expected: Mapping[str, object] = field(default_factory=dict)
-
-    def weyl_on_uab(self, uab: UabResult | None = None) -> list[GroupHom]:
-        """Transport the group-level Weyl generators to automorphisms of
-        the universal group (requires alpha to be an isomorphism)."""
-        u = uab if uab is not None else universal_abelian_group(self.grading)
-        if not self.weyl_on_group:
-            return []
-        alpha_inv = u.alpha.inverse()
-        return [alpha_inv.compose(w).compose(u.alpha) for w in self.weyl_on_group]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +115,7 @@ def _cartan_sl(n: int) -> CatalogEntry:
 
     degrees = [g.element(root_coords(i, j)) for i, j in pairs]
     degrees += [g.identity()] * (n - 1)
-    grading = validate_grading(alg, g, degrees)
+    grading = Grading(alg, g, degrees)
     # simple reflections on the root lattice: s_k(a_j) = a_j - <a_j, a_k> a_k
     weyl = []
     for k in range(n - 1):
@@ -165,7 +156,7 @@ def _pauli_m2() -> CatalogEntry:
     )
     g = FgAbGroup(0, [2, 2])
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
-    grading = validate_grading(alg, g, degrees)
+    grading = Grading(alg, g, degrees)
     swap = GroupHom(g, g, IntMatrix([[0, 1], [1, 0]]))
     maps = {
         # 1 -> 1, x -> z, y -> -y, z -> x (conjugation by the Hadamard matrix)
@@ -227,7 +218,7 @@ def _b2_skew() -> CatalogEntry:
         "b2-skew", coarse, kind="lie", extra_flags=["aut_reductive"]
     )
     g3 = FgAbGroup(0, [2, 2, 2])
-    grading = validate_grading(alg, g3, [g3.element(list(d)) for d in coarse_deg])
+    grading = Grading(alg, g3, [g3.element(list(d)) for d in coarse_deg])
     # express the finer basis in the abstract coordinates
     flat = RatMatrix.from_columns([m.flatten() for m in coarse], rows=16)
     cols = []
@@ -237,7 +228,7 @@ def _b2_skew() -> CatalogEntry:
         cols.append(c)
     basis_change = RatMatrix.from_columns(cols, rows=10)
     g4 = FgAbGroup(0, [2, 2, 2, 2])
-    refinement = validate_grading(
+    refinement = Grading(
         alg, g4, [g4.element(list(d)) for d in fine_deg], basis_change
     )
     return CatalogEntry(
@@ -266,7 +257,7 @@ def _b2_skew_assoc() -> CatalogEntry:
                 degs.append(((i - j) % 2, *_QUAT_DEG[d]))
     alg = algebra_from_matrices("b2-skew-assoc", mats, kind="associative")
     g3 = FgAbGroup(0, [2, 2, 2])
-    grading = validate_grading(alg, g3, [g3.element(list(d)) for d in degs])
+    grading = Grading(alg, g3, [g3.element(list(d)) for d in degs])
     return CatalogEntry(
         "b2-skew-assoc",
         grading,
@@ -298,7 +289,7 @@ def _a3_fine() -> CatalogEntry:
         "a3-fine", mats, kind="lie", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2, 2, 2, 2])
-    grading = validate_grading(alg, g, [g.element(d) for d in degs])
+    grading = Grading(alg, g, [g.element(d) for d in degs])
     # (a, b1, b2, b3) -> (a + b1, b1, b2, b3): fixes the support pointwise
     # up to permutation and swaps the two degrees with zero component
     w = GroupHom(
@@ -342,7 +333,7 @@ def _sl3_involution() -> CatalogEntry:
     )
     g = FgAbGroup(0, [2])
     degrees = [g.element([0])] * 3 + [g.element([1])] * 5
-    grading = validate_grading(alg, g, degrees)
+    grading = Grading(alg, g, degrees)
     return CatalogEntry(
         "sl3-involution",
         grading,

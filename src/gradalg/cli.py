@@ -22,12 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .abgroup import FgAbGroup, GroupHom, enumerate_homs, torsion_and_free
+from .abgroup import DEFAULT_CAP, FgAbGroup, GroupHom
 from .afine import (
+    DEFAULT_SEED,
     canonical_refinement,
     classify_gradings,
     enumerate_af_coarsenings,
@@ -48,8 +49,8 @@ from .errors import (
     VerificationFailure,
 )
 from .exactla import IntMatrix, RatMatrix
-from .grading import Grading, graded_derivations, induce, universal_abelian_group, validate_grading
-from .lieroot import extract_root_system, is_non_special, root_graded_structure
+from .grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
+from .lieroot import extract_root_system, root_graded_structure
 
 Q = Fraction
 
@@ -88,6 +89,8 @@ def _frac(x) -> Fraction:
 
 
 def _group_from_dict(d: Mapping, where: str) -> FgAbGroup:
+    if not isinstance(d, Mapping):
+        raise ParseError(f"{where}: group literal must be a JSON object")
     try:
         return FgAbGroup(int(d.get("free_rank", 0)), [int(x) for x in d.get("invariants", [])])
     except (TypeError, ValueError, GradAlgError) as exc:
@@ -128,11 +131,26 @@ def grading_to_dict(name: str, algebra_name: str, gr: Grading) -> dict:
     return d
 
 
+def _entries(doc: Mapping, key: str) -> list[Mapping]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+        raise ParseError(f"field {key!r} must be a list of JSON objects")
+    return entries
+
+
+def _algebra_from(spec: Mapping, where: str) -> StructureAlgebra:
+    try:
+        return build_algebra(spec)
+    except GradAlgError as exc:
+        raise ValidationError(f"{where}: {exc}")
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ParseError(f"{where}: {exc}")
+
+
 def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
     """Merge one or more parsed JSON documents into a cross-linked
     workspace; diagnostics name the offending field."""
     algebras: dict[str, StructureAlgebra] = {}
-    algebra_names: dict[int, str] = {}
     gradings: dict[str, Grading] = {}
     order: list[str] = []
     homs: dict[str, GroupHom] = {}
@@ -141,16 +159,10 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
     for doc in docs:
         if not isinstance(doc, Mapping):
             raise ParseError("workspace document must be a JSON object")
-        for aspec in doc.get("algebras", []):
-            try:
-                alg = build_algebra(aspec)
-            except GradAlgError as exc:
-                raise ValidationError(f"algebra {aspec.get('name', '?')!r}: {exc}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"algebra {aspec.get('name', '?')!r}: {exc}")
+        for aspec in _entries(doc, "algebras"):
+            alg = _algebra_from(aspec, f"algebra {aspec.get('name', '?')!r}")
             algebras[alg.name] = alg
-            algebra_names[id(alg)] = alg.name
-        for gspec in doc.get("gradings", []):
+        for gspec in _entries(doc, "gradings"):
             gname = gspec.get("name", f"grading{len(gradings)}")
             ref = gspec.get("algebra")
             if isinstance(ref, str):
@@ -161,9 +173,8 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                     )
                 alg = algebras[ref]
             elif isinstance(ref, Mapping):
-                alg = build_algebra(ref)
+                alg = _algebra_from(ref, f"grading {gname!r}: field 'algebra'")
                 algebras.setdefault(alg.name, alg)
-                algebra_names[id(alg)] = alg.name
             else:
                 raise ParseError(f"grading {gname!r}: missing 'algebra' field")
             group = _group_from_dict(gspec.get("group", {}), f"grading {gname!r}")
@@ -175,12 +186,12 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             if "basis_change" in gspec:
                 bc = _ratmatrix_from(gspec["basis_change"], f"grading {gname!r}")
             try:
-                gr = validate_grading(alg, group, degrees, bc)
+                gr = Grading(alg, group, degrees, bc)
             except GradAlgError as exc:
                 raise ValidationError(f"grading {gname!r}: {exc}")
             gradings[gname] = gr
             order.append(gname)
-        for hspec in doc.get("homs", []):
+        for hspec in _entries(doc, "homs"):
             hname = hspec.get("name", f"hom{len(homs)}")
             dom = _group_from_dict(hspec.get("domain", {}), f"hom {hname!r}")
             cod = _group_from_dict(hspec.get("codomain", {}), f"hom {hname!r}")
@@ -191,7 +202,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                 raise ValidationError(f"hom {hname!r}: {exc}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"hom {hname!r}: bad 'matrix': {exc}")
-        for wspec in doc.get("weyl", []):
+        for wspec in _entries(doc, "weyl"):
             target = wspec.get("grading")
             if target not in gradings:
                 raise CrossRefError(
@@ -208,10 +219,11 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             if not hom.is_isomorphism():
                 raise ValidationError(f"weyl for {target!r}: matrix is not an automorphism")
             weyl.setdefault(target, []).append(hom)
-        assertions.update(doc.get("assertions", {}))
-    ws = WorkspaceDoc(algebras, gradings, order, homs, weyl, assertions)
-    ws._algebra_names = algebra_names  # type: ignore[attr-defined]
-    return ws
+        asserted = doc.get("assertions", {})
+        if not isinstance(asserted, Mapping):
+            raise ParseError("field 'assertions' must be a JSON object")
+        assertions.update(asserted)
+    return WorkspaceDoc(algebras, gradings, order, homs, weyl, assertions)
 
 
 def _load_docs(paths: Sequence[str]) -> list[Mapping]:
@@ -241,25 +253,19 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _algebra_name_of(ws: WorkspaceDoc, gr: Grading) -> str:
-    return getattr(ws, "_algebra_names", {}).get(id(gr.algebra), gr.algebra.name)
-
-
 def _group_str(g: FgAbGroup) -> str:
     parts = ["Z"] * g.free_rank + [f"Z{d}" for d in g.invariants]
     return " x ".join(parts) if parts else "0"
 
 
-def _weyl_on_uab(ws, name, gr, uab):
-    gens = ws.weyl.get(name, [])
-    if not gens:
-        return []
-    if not uab.alpha.is_isomorphism():
+def _pick_lie_grading(ws: WorkspaceDoc, args) -> tuple[str, Grading]:
+    name, gr = ws.pick_grading(args.grading)
+    if "lie" not in gr.algebra.flags:
         raise ValidationError(
-            f"weyl generators for {name!r} need the grading group to be universal"
+            f"{args.command} needs a Lie algebra, but the algebra "
+            f"{gr.algebra.name!r} of grading {name!r} lacks the 'lie' flag"
         )
-    inv = uab.alpha.inverse()
-    return [inv.compose(w).compose(uab.alpha) for w in gens]
+    return name, gr
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +282,14 @@ def _cmd_validate(ws: WorkspaceDoc, args) -> None:
         report["gradings"].append(
             {
                 "name": name,
-                "algebra": _algebra_name_of(ws, gr),
+                "algebra": gr.algebra.name,
                 "group": group_to_dict(gr.group),
                 "support_size": len(gr.support),
                 "component_dims": dims,
             }
         )
         lines.append(
-            f"{name}: valid grading of {_algebra_name_of(ws, gr)} by "
+            f"{name}: valid grading of {gr.algebra.name} by "
             f"{_group_str(gr.group)}, support {len(gr.support)}"
         )
     report["algebras"] = sorted(ws.algebras)
@@ -362,7 +368,7 @@ def _cmd_refine_canonical(ws, args) -> None:
     name, gr = ws.pick_grading(args.grading)
     res = canonical_refinement(gr, seed=args.seed)
     refined_name = f"{name}*"
-    gdict = grading_to_dict(refined_name, _algebra_name_of(ws, gr), res.refined)
+    gdict = grading_to_dict(refined_name, gr.algebra.name, res.refined)
     report = {
         "grading": name,
         "refined": gdict,
@@ -383,11 +389,9 @@ def _cmd_refine_canonical(ws, args) -> None:
 
 def _cmd_coarsen_enum(ws, args) -> None:
     name, gr = ws.pick_grading(args.grading)
-    uab = universal_abelian_group(gr)
-    weyl = _weyl_on_uab(ws, name, gr, uab)
     entries = enumerate_af_coarsenings(
         gr,
-        weyl_generators=weyl,
+        weyl_generators=weyl_on_uab(gr, ws.weyl.get(name, [])),
         universal_only=args.universal_only,
         cap=args.cap,
         seed=args.seed,
@@ -423,7 +427,7 @@ def _cmd_induce(ws, args) -> None:
             f"the grading group {_group_str(gr.group)}"
         )
     out = induce(gr, alpha)
-    gdict = grading_to_dict(f"{name}|{args.hom}", _algebra_name_of(ws, gr), out)
+    gdict = grading_to_dict(f"{name}|{args.hom}", gr.algebra.name, out)
     report = {"grading": gdict, "support_size": len(out.support)}
     _emit(
         report,
@@ -461,11 +465,10 @@ def _cmd_classify(ws, args) -> None:
         raise ParseError(f"--target: invalid JSON: {exc.msg}")
     if not target.is_finite:
         raise ValidationError("classification target group must be finite")
-    catalog = []
-    for name in ws.grading_order:
-        gr = ws.gradings[name]
-        uab = universal_abelian_group(gr)
-        catalog.append((gr, _weyl_on_uab(ws, name, gr, uab)))
+    catalog = [
+        (ws.gradings[name], weyl_on_uab(ws.gradings[name], ws.weyl.get(name, [])))
+        for name in ws.grading_order
+    ]
     entries = classify_gradings(catalog, target, cap=args.cap)
     complete = bool(args.assert_weyl_complete or ws.assertions.get("weyl_complete"))
     report = {
@@ -495,7 +498,7 @@ def _cmd_classify(ws, args) -> None:
 
 
 def _cmd_rootsys(ws, args) -> None:
-    name, gr = ws.pick_grading(args.grading)
+    name, gr = _pick_lie_grading(ws, args)
     wd, rep = extract_root_system(gr, seed=args.seed)
     basis = RatMatrix.from_columns([list(a) for a in rep.simple_roots], rows=wd.cartan.dim)
     from .exactla import rational_solve
@@ -524,7 +527,7 @@ def _cmd_rootsys(ws, args) -> None:
 
 
 def _cmd_root_graded(ws, args) -> None:
-    name, gr = ws.pick_grading(args.grading)
+    name, gr = _pick_lie_grading(ws, args)
     if args.refined is not None:
         if args.refined not in ws.gradings:
             raise CrossRefError(f"no grading named {args.refined!r}")
@@ -622,8 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("files", nargs="+", help="workspace JSON files ('-' for stdin)")
             sp.add_argument("--grading", help="grading name (default: first in the workspace)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=0, help="generic-element seed")
-        sp.add_argument("--cap", type=int, default=10**4, help="enumeration cap")
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generic-element seed")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
 
     for name in _COMMANDS:
         sp = sub.add_parser(name)

@@ -420,46 +420,6 @@ def poly_normalize(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(p)
 
 
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = list(poly_normalize(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Q(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(q), tuple(a)
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, poly_normalize(r)
-    return a
-
-
-def squarefree_part(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    p = poly_normalize(poly)
-    g = poly_gcd(p, poly_derivative(p))
-    if len(g) <= 1:
-        return p
-    q, r = poly_divmod(p, g)
-    assert not r
-    return poly_normalize(q)
-
-
 def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
     """All roots of ``poly`` if they are rational, else None.
 
@@ -922,7 +882,3 @@ def integer_solve(m: IntMatrix, v: Sequence[int]) -> list[int] | None:
 
 def lattice_contains(h: IntMatrix, v: Sequence[int]) -> bool:
     return hnf_solve(h, v) is not None
-
-
-def lattice_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return column_hnf(a.hstack(b))

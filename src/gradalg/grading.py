@@ -21,16 +21,18 @@ from .algcore import (
     StructureAlgebra,
     Subspace,
     _incremental_kernel,
-    _leibniz_row_blocks,
+    _leibniz_rows,
+    memoized,
 )
 from .errors import (
     AxiomFailure,
     IncompatibleDegrees,
     NotAutomorphism,
     ShapeError,
+    ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, inverse, mat_from_flat, rank
+from .exactla import IntMatrix, RatMatrix, inverse, rank
 
 Q = Fraction
 
@@ -41,7 +43,8 @@ class Grading:
     ``degrees[i]`` is the degree of the i-th column of ``basis_change``
     (default: the i-th standard basis vector).  Construction validates
     compatibility with every operation and caches the support and the
-    structure tensors rewritten in the homogeneous basis.
+    structure tensors rewritten in the homogeneous basis.  Invariants
+    computed from a grading are memoized on it (``_memo``).
     """
 
     __slots__ = (
@@ -52,6 +55,7 @@ class Grading:
         "homog_algebra",
         "support",
         "_components",
+        "_memo",
     )
 
     def __init__(
@@ -112,6 +116,7 @@ class Grading:
             cols = [basis_change.column(i) for i in range(n) if degrees[i] == g]
             comps[g] = Subspace.from_vectors(n, cols)
         object.__setattr__(self, "_components", comps)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Grading is immutable")
@@ -156,16 +161,6 @@ class Grading:
     def component_dims(self) -> dict[tuple[int, ...], int]:
         """Degree coords -> component dimension (plain data, for reports)."""
         return {g.coords: c.dim for g, c in self._components.items()}
-
-
-def validate_grading(
-    algebra: StructureAlgebra,
-    group: FgAbGroup,
-    degrees: Sequence[GroupElement],
-    basis_change: RatMatrix | None = None,
-) -> Grading:
-    """Validate and construct a grading (IncompatibleDegrees on failure)."""
-    return Grading(algebra, group, degrees, basis_change)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +216,7 @@ class UabResult:
         return hom
 
 
+@memoized
 def universal_abelian_group(grading: Grading) -> UabResult:
     """Present the universal abelian group on the support of the grading."""
     support = list(grading.support)
@@ -266,6 +262,22 @@ def universal_abelian_group(grading: Grading) -> UabResult:
     return UabResult(grading, u, tuple(support), iota, alpha, pres)
 
 
+def weyl_on_uab(grading: Grading, weyl: Sequence[GroupHom]) -> list[GroupHom]:
+    """Transport automorphisms of the grading group to automorphisms of
+    the universal group along alpha (ValidationError unless alpha is an
+    isomorphism)."""
+    if not weyl:
+        return []
+    uab = universal_abelian_group(grading)
+    if not uab.alpha.is_isomorphism():
+        raise ValidationError(
+            "weyl generators need the grading group to be universal "
+            "(alpha: U_ab -> G is not an isomorphism)"
+        )
+    inv = uab.alpha.inverse()
+    return [inv.compose(w).compose(uab.alpha) for w in weyl]
+
+
 # ---------------------------------------------------------------------------
 # Induced gradings
 # ---------------------------------------------------------------------------
@@ -304,6 +316,7 @@ class GradedDerivations:
         return sum(s.dim for s in self.by_degree.values())
 
 
+@memoized
 def graded_derivations(grading: Grading) -> GradedDerivations:
     """Compute D_g for every candidate degree g.
 
@@ -337,7 +350,7 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
                 by_degree[g] = Subspace.from_vectors(n * n, [])
             continue
         initial = RatMatrix.from_columns(cols, rows=n * n)
-        basis = _incremental_kernel(n * n, _leibniz_row_blocks(homog), initial=initial)
+        basis = _incremental_kernel(n * n, _leibniz_rows(homog), initial=initial)
         space = Subspace(n * n, basis)
         if space.dim or g == ident:
             by_degree[g] = space
@@ -427,8 +440,3 @@ def _induced_uab_map(src: Grading, dst: Grading, gamma: Mapping) -> GroupHom:
         if w(u_src.iota[s]) != u_dst.iota[gamma[s]]:
             raise VerificationFailure("induced universal map disagrees on the support")
     return w
-
-
-def endo_matrix(space_dim: int, flat: Sequence[Fraction]) -> RatMatrix:
-    """Reshape an n^2 flat vector back into an endomorphism matrix."""
-    return mat_from_flat(list(flat), space_dim, space_dim)

@@ -19,14 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup, torsion_and_free
-from .afine import (
-    DEFAULT_SEED,
-    _MAX_GENERIC_RETRIES,
-    _is_nilpotent_subalgebra,
-    _normalizer,
-    cartan_candidates,
-    toral_rank,
-)
+from .afine import DEFAULT_SEED, _MAX_GENERIC_RETRIES, _is_cartan, cartan_candidates, toral_rank
 from .algcore import StructureAlgebra, Subspace, centralizer, is_simple, killing_form, subalgebra_structure
 from .errors import (
     AxiomFailure,
@@ -38,7 +31,7 @@ from .errors import (
     VerificationFailure,
 )
 from .exactla import RatMatrix, nullspace, rational_solve
-from .grading import Grading, UabResult, universal_abelian_group
+from .grading import Grading, universal_abelian_group
 
 Q = Fraction
 
@@ -319,7 +312,7 @@ def _cartan_matrix_from_numbers(simple, numbers) -> tuple:
 def is_non_special(grading: Grading, seed: int = DEFAULT_SEED) -> bool:
     """True when the identity component is nonzero; cross-checked against
     the toral rank, which is positive exactly then (semisimple, char 0)."""
-    _, nondeg, _ = killing_form(grading.algebra)
+    _, nondeg = killing_form(grading.algebra)
     if not nondeg:
         raise VerificationFailure("Killing form is degenerate: not semisimple")
     nonzero = grading.identity_component().dim > 0
@@ -829,13 +822,4 @@ def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
     h_small = Subspace.from_vectors(
         l_e.dim, [list(l_e.coords(list(v))) for v in h.vectors()]
     )
-    closed = all(
-        h_small.contains(small.bracket(list(a), list(b)))
-        for a in h_small.vectors()
-        for b in h_small.vectors()
-    )
-    if not closed:
-        return False
-    if not _is_nilpotent_subalgebra(small, h_small):
-        return False
-    return _normalizer(small, h_small) == h_small
+    return _is_cartan(small, h_small)

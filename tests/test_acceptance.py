@@ -18,7 +18,7 @@ from gradalg.afine import (
 )
 from gradalg.algcore import is_simple, killing_form
 from gradalg.catalog import get_catalog
-from gradalg.grading import universal_abelian_group
+from gradalg.grading import universal_abelian_group, weyl_on_uab
 from gradalg.lieroot import (
     extract_root_system,
     is_non_special,
@@ -44,7 +44,7 @@ def test_criterion_1_b2_replay():
         entry = get_catalog("b2-skew")
         gr = entry.grading
         assert gr.algebra.dimension == 10
-        _, nondeg, _ = killing_form(gr.algebra)
+        _, nondeg = killing_form(gr.algebra)
         assert nondeg and is_simple(gr.algebra)
         assert gr.group == FgAbGroup(0, (2, 2, 2))
         assert gr.identity_component().dim == 0
@@ -64,7 +64,7 @@ def test_criterion_2_a3_replay():
         uab = universal_abelian_group(gr)
         assert uab.group == FgAbGroup(0, (2, 2, 2, 2))
         assert gr.identity_component().dim == 0
-        weyl = entry.weyl_on_uab(uab)
+        weyl = weyl_on_uab(gr, entry.weyl_on_group)
         results = enumerate_af_coarsenings(gr, weyl_generators=weyl)
         nontrivial = [r for r in results if r.subgroup.order() == 2]
         assert len(nontrivial) == 2
@@ -86,7 +86,7 @@ def test_criterion_3_cartan_gradings():
             assert uab.group == FgAbGroup(n - 1, ())
             td = toral_rank(gr)
             assert td.d_e.dim == n - 1 and td.trank == n - 1
-            assert is_almost_fine(gr, uab=uab, toral=td).almost_fine
+            assert is_almost_fine(gr).almost_fine
             wd, rep = extract_root_system(gr)
             assert rep.type_label == f"A{n - 1}"
             assert len(rep.phi) == n * (n - 1)
@@ -155,7 +155,7 @@ def test_criterion_7_classification_smoke():
         for name in ("cartan-sl2", "pauli-m2"):
             entry = get_catalog(name)
             uab = universal_abelian_group(entry.grading)
-            sources.append((entry.grading, entry.weyl_on_uab(uab)))
+            sources.append((entry.grading, weyl_on_uab(entry.grading, entry.weyl_on_group)))
             uabs.append(uab)
         for invariants in ([2], [2, 2]):
             g = FgAbGroup(0, invariants)

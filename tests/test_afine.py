@@ -15,7 +15,7 @@ from gradalg.afine import (
 )
 from gradalg.catalog import get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix
-from gradalg.grading import induce, universal_abelian_group, validate_grading
+from gradalg.grading import Grading, induce, universal_abelian_group, weyl_on_uab
 
 from helpers import build_m2_splitpauli, build_sl2_efh
 
@@ -25,14 +25,14 @@ import random
 def cartan_sl2():
     alg = build_sl2_efh()
     z = FgAbGroup(1, ())
-    return validate_grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])])
+    return Grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])])
 
 
 def pauli_m2():
     alg = build_m2_splitpauli()
     g = FgAbGroup(0, [2, 2])
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
-    return validate_grading(alg, g, degrees)
+    return Grading(alg, g, degrees)
 
 
 def parity_sl2():
@@ -187,7 +187,7 @@ class TestEnumerateCoarsenings:
     def test_a3_fine_orbits(self):
         entry = get_catalog("a3-fine")
         uab = universal_abelian_group(entry.grading)
-        weyl = entry.weyl_on_uab(uab)
+        weyl = weyl_on_uab(entry.grading, entry.weyl_on_group)
         results = enumerate_af_coarsenings(entry.grading, weyl_generators=weyl)
         assert len(results) == 3
         nontrivial = [r for r in results if r.subgroup.order() == 2]
@@ -219,7 +219,7 @@ class TestClassification:
     def test_pauli_into_z2z2(self):
         entry = get_catalog("pauli-m2")
         uab = universal_abelian_group(entry.grading)
-        weyl = entry.weyl_on_uab(uab)
+        weyl = weyl_on_uab(entry.grading, entry.weyl_on_group)
         g = FgAbGroup(0, [2, 2])
         results = classify_gradings([(entry.grading, weyl)], g)
         # admissible maps are exactly the 6 automorphisms of Z2 x Z2
@@ -244,7 +244,7 @@ class TestClassification:
     def test_weyl_orbit_fuses_sl2(self):
         entry = get_catalog("cartan-sl2")
         uab = universal_abelian_group(entry.grading)
-        weyl = entry.weyl_on_uab(uab)
+        weyl = weyl_on_uab(entry.grading, entry.weyl_on_group)
         g = FgAbGroup(0, [4])
         with_weyl = classify_gradings([(entry.grading, weyl)], g)
         without = classify_gradings([(entry.grading, [])], g)

@@ -20,8 +20,8 @@ from gradalg.algcore import (
     killing_form,
     subalgebra_structure,
 )
-from gradalg.errors import FlagViolation, ShapeError
-from gradalg.exactla import RatMatrix
+from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
+from gradalg.exactla import RatMatrix, mat_from_flat
 
 from helpers import (
     build_m2,
@@ -130,8 +130,8 @@ class TestDerivations:
         der = derivation_algebra(alg)
         assert der.dim == 3
         assert der.dim == sympy_derivation_dim(alg)
-        for m in der.matrices():
-            assert leibniz_holds(alg, m)
+        for v in der.space.vectors():
+            assert leibniz_holds(alg, mat_from_flat(v, 3, 3))
         # ad of every basis vector lies in the derivation space
         for i in range(3):
             assert der.space.contains(alg.ad_matrix(alg.basis_vector(i)).flatten())
@@ -164,7 +164,7 @@ class TestDerivations:
         alg = build_sl(3)
         der = derivation_algebra(alg)
         assert der.dim == 8
-        mats = der.matrices()
+        mats = [mat_from_flat(v, 8, 8) for v in der.space.vectors()]
         for i in range(der.dim):
             for j in range(der.dim):
                 comm = mats[i] * mats[j] - mats[j] * mats[i]
@@ -189,9 +189,9 @@ class TestCentralizer:
 class TestKillingForm:
     def test_sl2(self):
         alg = build_sl2_efh()
-        gram, nondeg, semisimple = killing_form(alg)
+        gram, nondeg = killing_form(alg)
         assert gram[1, 1] == 8  # K(h, h)
-        assert nondeg and semisimple
+        assert nondeg
         # symmetry and invariance on all basis triples
         n = alg.dimension
         assert gram == gram.transpose()
@@ -209,11 +209,11 @@ class TestKillingForm:
 
     def test_abelian_degenerate(self):
         alg = StructureAlgebra("ab2", 2, [MultilinearOp("bracket", 2, {})], ["lie"])
-        gram, nondeg, semisimple = killing_form(alg)
-        assert gram.is_zero() and not nondeg and not semisimple
+        gram, nondeg = killing_form(alg)
+        assert gram.is_zero() and not nondeg
 
     def test_sl3_nondegenerate(self):
-        _, nondeg, _ = killing_form(build_sl(3))
+        _, nondeg = killing_form(build_sl(3))
         assert nondeg
 
 
@@ -249,6 +249,15 @@ class TestSimplicity:
         mixed = [x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)]
         alg = algebra_from_matrices("mixed", mixed, kind="lie")
         assert not is_simple(alg)
+
+
+class TestAlgebraFromMatrices:
+    def test_span_not_closed(self):
+        # e and f alone: [e, f] = h leaves their span
+        e = RatMatrix([[0, 1], [0, 0]])
+        f = RatMatrix([[0, 0], [1, 0]])
+        with pytest.raises(VerificationFailure):
+            algebra_from_matrices("e-f", [e, f], kind="lie")
 
 
 class TestSubalgebraStructure:

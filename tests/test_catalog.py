@@ -7,7 +7,7 @@ from gradalg.afine import is_almost_fine, toral_rank
 from gradalg.algcore import is_simple
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.errors import UnknownCatalogEntry
-from gradalg.grading import check_graded_map, universal_abelian_group
+from gradalg.grading import check_graded_map, universal_abelian_group, weyl_on_uab
 
 
 def test_names_and_unknown():
@@ -41,7 +41,7 @@ def test_expected_toral_facts(name):
     entry = get_catalog(name)
     td = toral_rank(entry.grading)
     assert td.trank == entry.expected["trank"]
-    cert = is_almost_fine(entry.grading, toral=td)
+    cert = is_almost_fine(entry.grading)
     assert cert.almost_fine == entry.expected["almost_fine"]
 
 
@@ -81,7 +81,7 @@ def test_sl2_algebra_map_matches_weyl_generator():
         entry.algebra_maps["weyl-flip"], entry.grading, entry.grading
     )
     uab = universal_abelian_group(entry.grading)
-    (w,) = entry.weyl_on_uab(uab)
+    (w,) = weyl_on_uab(entry.grading, entry.weyl_on_group)
     for s in uab.support_order:
         assert report.uab_map(uab.iota[s]) == w(uab.iota[s])
 
@@ -91,5 +91,5 @@ def test_weyl_generators_are_automorphisms():
         entry = get_catalog(name)
         for w in entry.weyl_on_group:
             assert w.is_isomorphism()
-        for w in entry.weyl_on_uab():
+        for w in weyl_on_uab(entry.grading, entry.weyl_on_group):
             assert w.is_isomorphism()

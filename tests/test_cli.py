@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from gradalg.algcore import StructureAlgebra
 from gradalg.cli import catalog_workspace, main, parse_workspace
+from gradalg.grading import Grading
 
 
 def write_ws(tmp_path, doc, name="ws.json"):
@@ -70,6 +72,26 @@ class TestParseErrors:
         f = write_ws(tmp_path, catalog_workspace("cartan-sl2"))
         code, _, err = run(capsys, "trank", f, "--grading", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("section", ["algebras", "gradings", "homs", "weyl"])
+    def test_non_object_entry(self, tmp_path, capsys, section):
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, {section: [1]}))
+        assert code == 1
+        assert section in err and "Traceback" not in err
+
+    def test_zero_denominator_structure_constant(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl2")
+        doc["algebras"][0]["operations"][0]["entries"][0][-1] = "1/0"
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "structure constant" in err and "1/0" in err
+
+    @pytest.mark.parametrize("command", ["rootsys", "root-graded"])
+    def test_root_commands_need_a_lie_algebra(self, tmp_path, capsys, command):
+        f = write_ws(tmp_path, catalog_workspace("pauli-m2"))
+        code, _, err = run(capsys, command, f)
+        assert code == 1
+        assert "'lie' flag" in err
 
 
 class TestHappyPaths:
@@ -218,3 +240,40 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestInvariantsComputedOnce:
+    """Per-grading invariants are memoized on the Grading (and the Killing
+    form on the algebra); every memo entry is one real computation."""
+
+    @staticmethod
+    def computations(monkeypatch, capsys, argv):
+        made = []
+        for cls in (Grading, StructureAlgebra):
+            def recording(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                made.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        code, _, _ = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code == 0
+        counts = {}
+        for obj in made:
+            for fn, *_args in obj._memo:
+                counts[fn.__name__] = counts.get(fn.__name__, 0) + 1
+        return counts
+
+    def test_root_graded(self, tmp_path, capsys, monkeypatch):
+        f = write_ws(tmp_path, catalog_workspace("sl3-involution"))
+        counts = self.computations(monkeypatch, capsys, ["root-graded", f])
+        # one grading and its canonical refinement; sl3 and the grading
+        # subalgebra
+        assert counts["toral_rank"] == 2
+        assert counts["graded_derivations"] == 2
+        assert counts["killing_form"] == 2
+
+    def test_coarsen_enum(self, tmp_path, capsys, monkeypatch):
+        f = write_ws(tmp_path, catalog_workspace("cartan-sl3"))
+        counts = self.computations(monkeypatch, capsys, ["coarsen-enum", f])
+        assert counts["universal_abelian_group"] == 1

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 import sympy
+
+import gradalg
 
 from gradalg.errors import (
     NonSplitError,
@@ -405,3 +408,11 @@ class TestHermite:
             k = integer_kernel(m)
             assert (m * k).is_zero()
             assert k.cols == 4 - rank(m.to_rational())
+
+
+def test_sources_use_no_floating_point():
+    # exactness is the contract: no float conversions anywhere in the package
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for token in ("**0.5", "float(", "round("):
+            assert token not in text, f"{path.name} uses {token}"

@@ -10,15 +10,13 @@ from sympy.matrices.normalforms import smith_normal_form as sym_snf
 from gradalg.abgroup import FgAbGroup, GroupHom
 from gradalg.algcore import derivation_algebra
 from gradalg.errors import IncompatibleDegrees, NotAutomorphism, ShapeError
-from gradalg.exactla import IntMatrix, RatMatrix
+from gradalg.exactla import IntMatrix, RatMatrix, mat_from_flat
 from gradalg.grading import (
     Grading,
     check_graded_map,
-    endo_matrix,
     graded_derivations,
     induce,
     universal_abelian_group,
-    validate_grading,
 )
 
 from helpers import build_m2_splitpauli, build_sl2_efh
@@ -28,14 +26,14 @@ def cartan_sl2():
     alg = build_sl2_efh()
     z = FgAbGroup(1, ())
     degrees = [z.element([1]), z.element([0]), z.element([-1])]
-    return validate_grading(alg, z, degrees)
+    return Grading(alg, z, degrees)
 
 
 def pauli_m2():
     alg = build_m2_splitpauli()
     g = FgAbGroup(0, [2, 2])
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
-    return validate_grading(alg, g, degrees)
+    return Grading(alg, g, degrees)
 
 
 class TestValidate:
@@ -48,7 +46,7 @@ class TestValidate:
         alg = build_sl2_efh()
         z = FgAbGroup(1, ())
         with pytest.raises(IncompatibleDegrees) as exc:
-            validate_grading(alg, z, [z.element([1]), z.element([1]), z.element([-1])])
+            Grading(alg, z, [z.element([1]), z.element([1]), z.element([-1])])
         assert exc.value.witness is not None
 
     def test_pauli_valid(self):
@@ -61,7 +59,7 @@ class TestValidate:
         z2 = FgAbGroup(0, [2])
         # homogeneous basis: h (even), e+f, e-f (odd)
         c = RatMatrix.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]])
-        gr = validate_grading(
+        gr = Grading(
             alg, z2, [z2.element([0]), z2.element([1]), z2.element([1])], basis_change=c
         )
         assert gr.component(z2.element([0])).dim == 1
@@ -69,7 +67,7 @@ class TestValidate:
         assert gr.component(z2.element([1])).contains([1, 0, 1])
         # inconsistent parity assignment must fail
         with pytest.raises(IncompatibleDegrees):
-            validate_grading(
+            Grading(
                 alg, z2, [z2.element([1]), z2.element([0]), z2.element([0])], basis_change=c
             )
 
@@ -78,7 +76,7 @@ class TestValidate:
         z = FgAbGroup(1, ())
         c = RatMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
         with pytest.raises(ShapeError):
-            validate_grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])], c)
+            Grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])], c)
 
 
 class TestUniversalGroup:
@@ -183,9 +181,9 @@ class TestGradedDerivations:
             for h, sh in items:
                 target = gd.by_degree.get(g + h)
                 for a in sg.vectors():
-                    ma = endo_matrix(n, a)
+                    ma = mat_from_flat(a, n, n)
                     for b in sh.vectors():
-                        mb = endo_matrix(n, b)
+                        mb = mat_from_flat(b, n, n)
                         comm = (ma * mb - mb * ma).flatten()
                         if any(comm):
                             assert target is not None and target.contains(comm)

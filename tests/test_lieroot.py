@@ -14,7 +14,7 @@ from gradalg.errors import (
     SectionInvalid,
     VerificationFailure,
 )
-from gradalg.grading import universal_abelian_group, validate_grading
+from gradalg.grading import Grading, universal_abelian_group
 from gradalg.lieroot import (
     analyze_root_system,
     extract_root_system,
@@ -27,7 +27,7 @@ from gradalg.lieroot import (
 
 def trivial_grading(alg):
     g = FgAbGroup(0, ())
-    return validate_grading(alg, g, [g.identity()] * alg.dimension)
+    return Grading(alg, g, [g.identity()] * alg.dimension)
 
 
 class TestNonSpecial:
@@ -142,7 +142,7 @@ class TestExtractRootSystem:
                 degrees.append(z2.element([int(x) for x in w]))
         from gradalg.exactla import RatMatrix
 
-        gr = validate_grading(
+        gr = Grading(
             alg, z2, degrees, RatMatrix.from_columns(cols, rows=10)
         )
         wd2, rep = extract_root_system(gr)
