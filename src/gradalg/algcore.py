@@ -10,6 +10,7 @@ centralizers, the Killing form, and a simplicity test.
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -283,30 +284,53 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
+#: an exact rational literal in a JSON document: "p" or "p/q"
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def int_field(x, field: str) -> int:
+    """An integer field of a JSON document: a JSON integer, never a bool
+    or a float (ValueError naming the field otherwise)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{field} {x!r} is not a JSON integer")
+    return x
+
+
+def rational_field(x, field: str) -> Fraction:
+    """A rational field of a JSON document: a JSON integer or a "p/q"
+    string with q > 0 (ValueError naming the field otherwise)."""
+    if isinstance(x, str) and _RATIONAL_LITERAL.fullmatch(x):
+        return Q(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Q(x)
+    raise ValueError(
+        f"{field} {x!r} is not rational: give a JSON integer or a \"p/q\" string, q > 0"
+    )
+
+
 def build_algebra(spec: Mapping) -> StructureAlgebra:
     """Build a StructureAlgebra from a plain dict:
     { "name", "dimension", "flags": {...}, "operations":
       [ {"name", "arity", "entries": [[i_1, ..., i_k, j, "p/q"], ...]}, ...] }.
-    Flags given as a mapping of flag name to boolean.  Asserted lie /
-    associative flags are verified (FlagViolation on failure)."""
+    Flags given as a mapping of flag name to boolean.  Dimension, arity and
+    indices must be integers, structure constants integers or "p/q"
+    strings (ValueError otherwise).  Asserted lie / associative flags are
+    verified (FlagViolation on failure)."""
     name = spec.get("name", "algebra")
-    dimension = int(spec["dimension"])
+    dimension = int_field(spec["dimension"], "dimension")
     flags = [k for k, v in dict(spec.get("flags", {})).items() if v]
     ops = []
     for opspec in spec.get("operations", []):
-        arity = int(opspec["arity"])
+        arity = int_field(opspec["arity"], "arity")
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for entry in opspec["entries"]:
             if len(entry) != arity + 2:
                 raise ShapeError(
                     f"entry of length {len(entry)} in an arity-{arity} operation"
                 )
-            key = tuple(int(x) for x in entry[:arity])
-            j = int(entry[arity])
-            try:
-                c = Q(entry[arity + 1])
-            except ArithmeticError:  # a zero denominator or an infinite float
-                raise ValueError(f"structure constant {entry[arity + 1]!r} is not rational") from None
+            key = tuple(int_field(x, "entry index") for x in entry[:arity])
+            j = int_field(entry[arity], "entry index")
+            c = rational_field(entry[arity + 1], "structure constant")
             tensor.setdefault(key, {})
             tensor[key][j] = tensor[key].get(j, Q(0)) + c
         ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
@@ -401,70 +425,83 @@ def subalgebra_structure(
 _ROWS_PER_BLOCK = 48
 
 
-def _incremental_kernel(
-    nunknowns: int,
-    rows: Iterable[list[Fraction]],
-    initial: RatMatrix | None = None,
-) -> RatMatrix:
-    """Kernel of a tall system given by nonzero rows, one block of rows at
-    a time.
+def _combine_rows(
+    coeffs: Mapping[int, Fraction], rows: Sequence[Mapping[int, Fraction]]
+) -> dict[int, Fraction]:
+    """The sparse row sum over k of coeffs[k] * rows[k]."""
+    out: dict[int, Fraction] = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
 
-    Maintains a basis N of the running solution space (``initial`` columns,
-    default the full space) and replaces each block E by the small system
-    E*N, so the cost tracks the shrinking solution dimension instead of
-    the full unknown count.
+
+def _incremental_kernel(nunknowns: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:
+    """Kernel of a tall system given by sparse rows ``{unknown index:
+    coefficient}``, one block of rows at a time.
+
+    Maintains a basis N of the running solution space (at first the whole
+    space; kept as sparse rows) and replaces each block E of rows by the
+    small system E*N, so the cost tracks the row sparsity and the
+    shrinking solution dimension instead of the full unknown count.  The
+    result is in canonical column echelon form.
     """
-    n_basis = RatMatrix.identity(nunknowns) if initial is None else initial
+    n_rows: list[dict[int, Fraction]] = [{k: Q(1)} for k in range(nunknowns)]
+    width = nunknowns
     rows = iter(rows)
-    while n_basis.cols:
+    while width:
         block = list(islice(rows, _ROWS_PER_BLOCK))
         if not block:
             break
-        small = RatMatrix(block) * n_basis
-        if small.is_zero():
+        small = [_combine_rows(row, n_rows) for row in block]
+        if not any(small):
             continue
-        ker = nullspace(small)
-        n_basis = n_basis * ker if ker.cols else RatMatrix.zeros(nunknowns, 0)
-    return column_echelon(n_basis) if n_basis.cols else RatMatrix.zeros(nunknowns, 0)
+        ker = nullspace(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in small]))
+        ker_rows = [{j: x for j, x in enumerate(line) if x} for line in ker.data]
+        n_rows = [_combine_rows(line, ker_rows) for line in n_rows]
+        width = ker.cols
+    if not width:
+        return RatMatrix.zeros(nunknowns, 0)
+    return column_echelon(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in n_rows]))
 
 
 def _leibniz_rows(a: StructureAlgebra):
-    """Nonzero equation rows (in the n^2 unknowns D[r, c], index r*n + c)
-    forcing D to satisfy the Leibniz rule for every operation."""
+    """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
+    unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
+    operation: one row per basis key (i_1, ..., i_k) and output index j,
+
+        sum_a D[j, a] op(key)_a - sum_t sum_b D[b, i_t] op(key, e_b in slot t)_j = 0.
+    """
     n = a.dimension
     for op in a.operations:
+        # slot t, the key without slot t -> [(b, op(key with e_b in slot t))]
+        by_slot: list[dict[tuple[int, ...], list[tuple[int, Mapping[int, Fraction]]]]] = [
+            {} for _ in range(op.arity)
+        ]
+        for key2, vec in op.tensor.items():
+            for t in range(op.arity):
+                by_slot[t].setdefault(key2[:t] + key2[t + 1 :], []).append((key2[t], vec))
         for key in product(range(n), repeat=op.arity):
-            val = op.basis_value(key, n)
-            # skip keys where both sides are trivially zero
-            interesting = any(val)
-            rhs_terms: list[tuple[int, tuple[int, ...], tuple[Fraction, ...]]] = []
-            for t, it in enumerate(key):
-                for b in range(n):
-                    key2 = key[:t] + (b,) + key[t + 1 :]
-                    v2 = op.tensor.get(key2)
-                    if v2:
-                        vec = op.basis_value(key2, n)
-                        rhs_terms.append((t, (b, it), vec))
-                        interesting = True
-            if not interesting:
+            val = op.tensor.get(key, {})
+            rhs_terms = [
+                (b * n + it, vec)
+                for t, it in enumerate(key)
+                for b, vec in by_slot[t].get(key[:t] + key[t + 1 :], ())
+            ]
+            if not val and not rhs_terms:
                 continue
             for j in range(n):
-                row = [Q(0)] * (n * n)
-                # LHS: (D val)_j = sum_a D[j, a] val_a
-                for aidx, c in enumerate(val):
-                    if c:
-                        row[j * n + aidx] += c
-                # RHS: sum over slots t and basis vectors b of
-                # D[b, i_t] * op(..., e_b in slot t, ...)_j
-                for _t, (b, it), vec in rhs_terms:
-                    if vec[j]:
-                        row[b * n + it] -= vec[j]
-                if any(row):
+                row: dict[int, Fraction] = {j * n + aidx: c for aidx, c in val.items()}
+                for idx, vec in rhs_terms:
+                    if j in vec:
+                        row[idx] = row.get(idx, 0) - vec[j]
+                row = {k: c for k, c in row.items() if c}
+                if row:
                     yield row
 
 
 def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
-    """Nonzero rows forcing D to preserve each constraint subspace."""
+    """Nonzero sparse rows forcing D to preserve each constraint subspace."""
     for w in constraints:
         if w.dim == 0 or w.dim == n:
             continue
@@ -474,14 +511,14 @@ def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
             qvec = ann.column(qj)
             for cj in range(w.basis.cols):
                 wvec = w.basis.column(cj)
-                row = [Q(0)] * (n * n)
-                for r in range(n):
-                    if qvec[r] == 0:
-                        continue
-                    for c in range(n):
-                        if wvec[c]:
-                            row[r * n + c] += qvec[r] * wvec[c]
-                if any(row):
+                row = {
+                    r * n + c: qvec[r] * wvec[c]
+                    for r in range(n)
+                    if qvec[r]
+                    for c in range(n)
+                    if wvec[c]
+                }
+                if row:
                     yield row
 
 
@@ -499,15 +536,22 @@ class DerivationAlgebra:
         return self.space.dim
 
 
+def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) -> Subspace:
+    """All derivations of ``a`` (maps satisfying the k-ary Leibniz rule for
+    every operation) that preserve each constraint subspace, as a subspace
+    of End(A) in n^2 coordinates (row-major)."""
+    n = a.dimension
+    rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints))
+    return Subspace(n * n, _incremental_kernel(n * n, rows))
+
+
 def derivation_algebra(
     a: StructureAlgebra, constraints: Sequence[Subspace] | None = None
 ) -> DerivationAlgebra:
-    """All derivations of ``a`` (maps satisfying the k-ary Leibniz rule for
-    every operation), intersected with the stabilizer of each constraint
-    subspace; closed under commutator."""
+    """The derivation space of ``a`` (see ``derivation_space``) with its Lie
+    structure under the commutator."""
     n = a.dimension
-    rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints or ()))
-    space = Subspace(n * n, _incremental_kernel(n * n, rows))
+    space = derivation_space(a, constraints or ())
     mats = [mat_from_flat(list(v), n, n) for v in space.vectors()]
     return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", mats))
 
@@ -577,13 +621,14 @@ def centroid_dimension(a: StructureAlgebra) -> int:
             # C[j,a] adi[a,c] - adi[j,a] C[a,c] = 0
             for j in range(n):
                 for c in range(n):
-                    row = [Q(0)] * (n * n)
+                    row: dict[int, Fraction] = {}
                     for t in range(n):
                         if adi[t, c]:
-                            row[j * n + t] += adi[t, c]
+                            row[j * n + t] = row.get(j * n + t, 0) + adi[t, c]
                         if adi[j, t]:
-                            row[t * n + c] -= adi[j, t]
-                    if any(row):
+                            row[t * n + c] = row.get(t * n + c, 0) - adi[j, t]
+                    row = {k: v for k, v in row.items() if v}
+                    if row:
                         yield row
 
     return _incremental_kernel(n * n, rows()).cols

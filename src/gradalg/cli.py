@@ -13,6 +13,9 @@ A workspace is a JSON document (file argument, or ``-`` for stdin):
       "assertions": { "weyl_complete": bool }
     }
 
+Names are strings.  Integer fields take JSON integers only (no floats or
+booleans); rational fields take JSON integers or "p/q" strings.
+
 Exit codes: 0 success, 1 input/validation error, 2 unsupported input
 (irrational spectra), 3 cap exceeded, 4 internal consistency failure.
 """
@@ -36,7 +39,7 @@ from .afine import (
     is_almost_fine,
     toral_rank,
 )
-from .algcore import StructureAlgebra, algebra_to_dict, build_algebra
+from .algcore import StructureAlgebra, algebra_to_dict, build_algebra, int_field, rational_field
 from .catalog import catalog_names, get_catalog
 from .errors import (
     AxiomFailure,
@@ -51,9 +54,6 @@ from .errors import (
 from .exactla import IntMatrix, RatMatrix
 from .grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 from .lieroot import extract_root_system, root_graded_structure
-
-Q = Fraction
-
 
 # ---------------------------------------------------------------------------
 # Workspace documents
@@ -81,18 +81,14 @@ class WorkspaceDoc:
         return first, self.gradings[first]
 
 
-def _frac(x) -> Fraction:
-    try:
-        return Q(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {x!r}: {exc}") from None
-
-
 def _group_from_dict(d: Mapping, where: str) -> FgAbGroup:
     if not isinstance(d, Mapping):
         raise ParseError(f"{where}: group literal must be a JSON object")
     try:
-        return FgAbGroup(int(d.get("free_rank", 0)), [int(x) for x in d.get("invariants", [])])
+        return FgAbGroup(
+            int_field(d.get("free_rank", 0), "free_rank"),
+            [int_field(x, "invariant") for x in d.get("invariants", [])],
+        )
     except (TypeError, ValueError, GradAlgError) as exc:
         raise ParseError(f"{where}: bad group literal: {exc}") from None
 
@@ -103,7 +99,7 @@ def group_to_dict(g: FgAbGroup) -> dict:
 
 def _ratmatrix_from(rows, where: str) -> RatMatrix:
     try:
-        return RatMatrix([[_frac(x) for x in row] for row in rows])
+        return RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
     except GradAlgError:
         raise
     except Exception as exc:
@@ -138,12 +134,25 @@ def _entries(doc: Mapping, key: str) -> list[Mapping]:
     return entries
 
 
+def _int_matrix(rows) -> IntMatrix:
+    return IntMatrix([[int_field(x, "entry") for x in row] for row in rows])
+
+
+def _name(spec: Mapping, field: str, default: str | None, where: str) -> str | None:
+    """A name field: a JSON string, or ``default`` when absent."""
+    if field not in spec:
+        return default
+    if not isinstance(spec[field], str):
+        raise ParseError(f"{where}: field {field!r} must be a string, not {spec[field]!r}")
+    return spec[field]
+
+
 def _algebra_from(spec: Mapping, where: str) -> StructureAlgebra:
     try:
         return build_algebra(spec)
     except GradAlgError as exc:
         raise ValidationError(f"{where}: {exc}")
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}")
 
 
@@ -163,7 +172,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             alg = _algebra_from(aspec, f"algebra {aspec.get('name', '?')!r}")
             algebras[alg.name] = alg
         for gspec in _entries(doc, "gradings"):
-            gname = gspec.get("name", f"grading{len(gradings)}")
+            gname = _name(gspec, "name", f"grading{len(gradings)}", "grading")
             ref = gspec.get("algebra")
             if isinstance(ref, str):
                 if ref not in algebras:
@@ -175,16 +184,24 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             elif isinstance(ref, Mapping):
                 alg = _algebra_from(ref, f"grading {gname!r}: field 'algebra'")
                 algebras.setdefault(alg.name, alg)
-            else:
+            elif ref is None:
                 raise ParseError(f"grading {gname!r}: missing 'algebra' field")
+            else:
+                raise ParseError(
+                    f"grading {gname!r}: field 'algebra' must be an algebra name "
+                    f"or an algebra object, not {ref!r}"
+                )
             group = _group_from_dict(gspec.get("group", {}), f"grading {gname!r}")
             try:
-                degrees = [group.element([int(x) for x in v]) for v in gspec["degrees"]]
+                degrees = [
+                    group.element([int_field(x, "degree entry") for x in v])
+                    for v in gspec["degrees"]
+                ]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"grading {gname!r}: bad 'degrees': {exc}")
             bc = None
             if "basis_change" in gspec:
-                bc = _ratmatrix_from(gspec["basis_change"], f"grading {gname!r}")
+                bc = _ratmatrix_from(gspec["basis_change"], f"grading {gname!r}: 'basis_change'")
             try:
                 gr = Grading(alg, group, degrees, bc)
             except GradAlgError as exc:
@@ -192,26 +209,24 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             gradings[gname] = gr
             order.append(gname)
         for hspec in _entries(doc, "homs"):
-            hname = hspec.get("name", f"hom{len(homs)}")
+            hname = _name(hspec, "name", f"hom{len(homs)}", "hom")
             dom = _group_from_dict(hspec.get("domain", {}), f"hom {hname!r}")
             cod = _group_from_dict(hspec.get("codomain", {}), f"hom {hname!r}")
             try:
-                m = IntMatrix([[int(x) for x in row] for row in hspec["matrix"]])
-                homs[hname] = GroupHom(dom, cod, m)
+                homs[hname] = GroupHom(dom, cod, _int_matrix(hspec["matrix"]))
             except GradAlgError as exc:
                 raise ValidationError(f"hom {hname!r}: {exc}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"hom {hname!r}: bad 'matrix': {exc}")
         for wspec in _entries(doc, "weyl"):
-            target = wspec.get("grading")
+            target = _name(wspec, "grading", None, "weyl entry")
             if target not in gradings:
                 raise CrossRefError(
                     f"weyl entry: field 'grading' references unknown grading {target!r}"
                 )
             g = gradings[target].group
             try:
-                m = IntMatrix([[int(x) for x in row] for row in wspec["matrix"]])
-                hom = GroupHom(g, g, m)
+                hom = GroupHom(g, g, _int_matrix(wspec["matrix"]))
             except GradAlgError as exc:
                 raise ValidationError(f"weyl for {target!r}: {exc}")
             except (KeyError, TypeError, ValueError) as exc:

@@ -318,45 +318,68 @@ class GradedDerivations:
 
 @memoized
 def graded_derivations(grading: Grading) -> GradedDerivations:
-    """Compute D_g for every candidate degree g.
+    """Compute D_g for every candidate degree g in one sparse pass.
 
-    Degrees of derivation components are differences of support elements,
-    and the entry patterns of distinct degrees are disjoint, so the
-    per-degree systems are exactly the degree-blocks of the full Leibniz
-    system and their direct sum is the whole derivation algebra.
+    In the homogeneous basis the unknown D[r, c] (flat index r*n + c) has
+    degree deg r - deg c, and every Leibniz row (key, j) involves unknowns
+    of the single degree deg j - sum(deg key).  So the rows are generated
+    once, each is routed to its degree and re-indexed there, and D_g is
+    the kernel of the rows of degree g on its own unknowns
+    {(r, c) : deg r = g + deg c}, embedded back into n^2 coordinates.
+    The candidate degrees are the differences of support elements; the
+    D_g are independent and their direct sum is the whole derivation
+    algebra.  A row mixing two degrees contradicts the grading
+    (AxiomFailure).
     """
     homog = grading.homog_algebra
     n = homog.dimension
     degrees = grading.degrees
+    ident = grading.group.identity()
     candidates = sorted(
-        {s - t for s in grading.support for t in grading.support},
+        {s - t for s in grading.support for t in grading.support} | {ident},
         key=lambda g: g.coords,
     )
-    ident = grading.group.identity()
-    if ident not in candidates:
-        candidates.insert(0, ident)
+    # flat unknown index -> (candidate number, index among that degree's unknowns)
+    unknowns: list[list[int]] = [[] for _ in candidates]
+    number = {g: i for i, g in enumerate(candidates)}
+    where: list[tuple[int, int]] = []
+    for r in range(n):
+        for c in range(n):
+            d = number[degrees[r] - degrees[c]]
+            where.append((d, len(unknowns[d])))
+            unknowns[d].append(r * n + c)
+    routed: list[list[dict[int, Fraction]]] = [[] for _ in candidates]
+    for row in _leibniz_rows(homog):
+        d = where[next(iter(row))][0]
+        local = {}
+        for idx, coeff in row.items():
+            e, k = where[idx]
+            if e != d:
+                raise AxiomFailure(
+                    f"a Leibniz row mixes the derivation degrees "
+                    f"{candidates[d].coords} and {candidates[e].coords}"
+                )
+            local[k] = coeff
+        routed[d].append(local)
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
-    for g in candidates:
-        cols = []
-        for r in range(n):
-            for c in range(n):
-                if degrees[r] == g + degrees[c]:
-                    v = [Q(0)] * (n * n)
-                    v[r * n + c] = Q(1)
-                    cols.append(v)
-        if not cols:
+    for g, idxs, rows in zip(candidates, unknowns, routed):
+        if not idxs:
             if g == ident:
                 by_degree[g] = Subspace.from_vectors(n * n, [])
             continue
-        initial = RatMatrix.from_columns(cols, rows=n * n)
-        basis = _incremental_kernel(n * n, _leibniz_rows(homog), initial=initial)
-        space = Subspace(n * n, basis)
+        kernel = _incremental_kernel(len(idxs), rows)
+        vectors = []
+        for col in kernel.columns():
+            v = [Q(0)] * (n * n)
+            for idx, x in zip(idxs, col):
+                v[idx] = x
+            vectors.append(v)
+        space = Subspace.from_vectors(n * n, vectors)
         if space.dim or g == ident:
             by_degree[g] = space
         if space.dim:
             sigma.append(g)
-    sigma.sort(key=lambda g: g.coords)
     return GradedDerivations(
         grading, by_degree, by_degree[ident], tuple(sigma)
     )

@@ -1,8 +1,14 @@
 """Command-line interface: parsing, dispatch, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalg.algcore import StructureAlgebra
 from gradalg.cli import catalog_workspace, main, parse_workspace
@@ -92,6 +98,98 @@ class TestParseErrors:
         code, _, err = run(capsys, command, f)
         assert code == 1
         assert "'lie' flag" in err
+
+
+    def test_unhashable_weyl_grading_reference(self, tmp_path, capsys):
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, {"weyl": [{"grading": [1]}]}))
+        assert code == 1
+        assert "'grading'" in err and "string" in err
+
+    def test_unhashable_grading_name(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["name"] = ["g"]
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "'name'" in err and "string" in err
+
+    def test_algebra_reference_of_the_wrong_type(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["algebra"] = 5
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "'algebra' must be an algebra name or an algebra object" in err
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("gradings", 0, "degrees", 0), [float("inf")], "degree entry"),
+            (("gradings", 0, "degrees"), [[1.9], [-1.9], [0.2]], "degree entry"),
+            (("gradings", 0, "degrees", 0), [True], "degree entry"),
+            (("gradings", 0, "group", "free_rank"), True, "free_rank"),
+            (("weyl", 0, "matrix"), [[-1.0]], "matrix"),
+            (("algebras", 0, "dimension"), 3.0, "dimension"),
+            (("algebras", 0, "operations", 0, "arity"), 2.0, "arity"),
+            (("algebras", 0, "operations", 0, "entries", 0, 0), 0.0, "entry index"),
+            (("algebras", 0, "operations", 0, "entries", 0, -1), 1.0, "structure constant"),
+            (("algebras", 0, "operations", 0, "entries", 0, -1), "1.0", "structure constant"),
+            (("gradings", 0, "basis_change"), [[1.1, 0, 0], [0, 1, 0], [0, 0, 1]], "basis_change"),
+        ],
+    )
+    def test_non_integer_numbers(self, tmp_path, capsys, path, value, field):
+        # each value was read (truncated, rounded to a binary fraction or
+        # taken as 1) or raised a traceback; all must exit 1 naming the field
+        doc = catalog_workspace("cartan-sl2")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code, _, err = run(capsys, "ugroup", write_ws(tmp_path, doc))
+        assert code == 1
+        assert field in err and "Traceback" not in err
+
+    def test_float_structure_constant_without_flags(self, tmp_path, capsys):
+        # 1.1 keeps the degrees compatible, so only the number is wrong
+        doc = catalog_workspace("cartan-sl2")
+        doc["algebras"][0]["flags"] = {}
+        doc["algebras"][0]["operations"][0]["entries"][0][-1] = 1.1
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "structure constant 1.1" in err
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, outermost first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli-m2")}
+_FUZZ_VALUES = ([1], [[0.5]], 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
+
+
+class TestFuzzedWorkspaces:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_validate_ends_with_an_exit_code(self, data):
+        doc = copy.deepcopy(_FUZZ_SOURCES[data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            value = data.draw(st.sampled_from(_FUZZ_VALUES + ("drop",)))
+            if value == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+            f.write(json.dumps(doc))
+            f.flush()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["validate", f.name])
+        assert code in range(5)
 
 
 class TestHappyPaths:

@@ -1,15 +1,18 @@
 """Gradings: validation, universal groups, induced gradings, derivations,
 graded-map verification."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
+from gradalg import grading
 from gradalg.abgroup import FgAbGroup, GroupHom
-from gradalg.algcore import derivation_algebra
-from gradalg.errors import IncompatibleDegrees, NotAutomorphism, ShapeError
+from gradalg.algcore import Subspace, derivation_algebra, derivation_space
+from gradalg.catalog import get_catalog
+from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError
 from gradalg.exactla import IntMatrix, RatMatrix, mat_from_flat
 from gradalg.grading import (
     Grading,
@@ -19,7 +22,13 @@ from gradalg.grading import (
     universal_abelian_group,
 )
 
-from helpers import build_m2_splitpauli, build_sl2_efh
+from helpers import (
+    build_m2_splitpauli,
+    build_sl2_efh,
+    dense_graded_derivations,
+    graded_parts,
+    signed_permutation,
+)
 
 
 def cartan_sl2():
@@ -187,6 +196,61 @@ class TestGradedDerivations:
                         comm = (ma * mb - mb * ma).flatten()
                         if any(comm):
                             assert target is not None and target.contains(comm)
+
+
+class TestRoutedDerivations:
+    """graded_derivations solves each degree on its own unknowns; it must
+    agree with the dense per-degree solve and with oracles that use
+    neither."""
+
+    @pytest.mark.parametrize(
+        "name", ["cartan-sl2", "cartan-sl3", "sl3-involution", "b2-skew", "pauli-m2"]
+    )
+    def test_agrees_with_dense_path_under_basis_permutations(self, name):
+        rng = random.Random(name)
+        base = get_catalog(name).grading
+        for trial in range(11):
+            gr = signed_permutation(base, rng) if trial else base
+            assert graded_parts(graded_derivations(gr)) == graded_parts(
+                dense_graded_derivations(gr)
+            ), f"{name} trial {trial}"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cartan-sl2", "cartan-sl3", "cartan-sl4", "pauli-m2", "b2-skew",
+            "a3-fine", "sl3-involution", "b2-skew-assoc",
+        ],
+    )
+    def test_catalog_against_whole_derivation_space(self, name):
+        gr = get_catalog(name).grading
+        homog = gr.homog_algebra
+        n = gr.dimension
+        gd = graded_derivations(gr)
+        der = derivation_space(homog)
+        # the D_g span Der(A) and their dimensions add up: a direct sum
+        vectors = [v for s in gd.by_degree.values() for v in s.vectors()]
+        assert gd.total_dim() == der.dim
+        assert Subspace.from_vectors(n * n, vectors) == der
+        # D_e: the derivations preserving every component
+        components = [
+            Subspace.from_vectors(n, [[int(k == i) for k in range(n)] for i in gr.indices_of_degree(g)])
+            for g in gr.support
+        ]
+        assert gd.identity_part == derivation_space(homog, components)
+        # D_g maps A_h into A_{g+h}: only entries (r, c) with deg r = g + deg c
+        for g, space in gd.by_degree.items():
+            for v in space.vectors():
+                for idx, x in enumerate(v):
+                    r, c = divmod(idx, n)
+                    assert not x or gr.degrees[r] == g + gr.degrees[c]
+
+    def test_row_mixing_degrees_is_axiom_failure(self, monkeypatch):
+        gr = cartan_sl2()
+        # D[0, 0] has degree 0 and D[0, 1] has degree deg e - deg h = 1
+        monkeypatch.setattr(grading, "_leibniz_rows", lambda a: iter([{0: Q(1), 1: Q(1)}]))
+        with pytest.raises(AxiomFailure, match="mixes"):
+            graded_derivations(gr)
 
 
 class TestCheckGradedMap:

@@ -14,9 +14,9 @@ from gradalg.afine import canonical_refinement, is_almost_fine, toral_rank
 from gradalg.algcore import StructureAlgebra, MultilinearOp, derivation_algebra
 from gradalg.catalog import get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix, nullspace, smith_normal_form
-from gradalg.grading import Grading, universal_abelian_group
+from gradalg.grading import Grading, graded_derivations, universal_abelian_group
 
-from helpers import build_sl2_efh
+from helpers import build_sl2_efh, dense_graded_derivations, graded_parts
 
 
 class TestSmithNormalForm:
@@ -101,7 +101,9 @@ class TestDerivationsOracle:
                 assert computed.contains(list(oracle.column(j))), f"trial {trial}"
 
 
-def _random_graded_algebra(rng: random.Random):
+def _random_graded_algebra(rng: random.Random, ternary: bool = False):
+    """A random graded algebra with one binary operation, plus a ternary
+    one when ``ternary``."""
     n = rng.randint(3, 6)
     style = rng.randrange(3)
     if style == 0:
@@ -124,7 +126,18 @@ def _random_graded_algebra(rng: random.Random):
         c = Q(rng.randint(-2, 2))
         if c:
             tensor.setdefault((i, j), {})[k] = c
-    alg = StructureAlgebra("fuzz", n, [MultilinearOp("mul", 2, tensor)], [])
+    ops = [MultilinearOp("mul", 2, tensor)]
+    if ternary:
+        triple = {}
+        for _ in range(3 * n):
+            key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            target = degrees[key[0]] + degrees[key[1]] + degrees[key[2]]
+            ks = [k for k in range(n) if degrees[k] == target]
+            c = Q(rng.randint(-2, 2))
+            if ks and c:
+                triple.setdefault(key, {})[rng.choice(ks)] = c
+        ops.append(MultilinearOp("triple", 3, triple))
+    alg = StructureAlgebra("fuzz", n, ops, [])
     return Grading(alg, group, degrees)
 
 
@@ -148,6 +161,26 @@ class TestUniversalGroupSection:
                 assert u.alpha(u.iota[s]) == s
                 trials += 1
         assert trials >= 200
+
+
+class TestRoutedDerivationsOracle:
+    """graded_derivations against the dense per-degree solve."""
+
+    def test_random_gradings(self):
+        rng = random.Random(2718)
+        for trial in range(200):
+            gr = _random_graded_algebra(rng)
+            assert graded_parts(graded_derivations(gr)) == graded_parts(
+                dense_graded_derivations(gr)
+            ), f"trial {trial}"
+
+    def test_random_gradings_with_a_ternary_operation(self):
+        rng = random.Random(31415)
+        for trial in range(60):
+            gr = _random_graded_algebra(rng, ternary=True)
+            assert graded_parts(graded_derivations(gr)) == graded_parts(
+                dense_graded_derivations(gr)
+            ), f"trial {trial}"
 
 
 class TestAlmostFineStability:
