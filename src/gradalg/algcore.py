@@ -24,6 +24,7 @@ from .exactla import (
     mat_from_flat,
     nullspace,
     rank,
+    rref,
     subspace_contains,
     subspace_coords,
     subspace_intersection,
@@ -82,18 +83,23 @@ class MultilinearOp:
         return tuple(out)
 
     def apply(self, vectors: Sequence[Sequence[Fraction]], dim: int) -> tuple[Fraction, ...]:
-        """Evaluate the operation on coordinate vectors."""
+        """Evaluate the operation on coordinate vectors.
+
+        One tensor lookup per tuple of nonzero argument coordinates: the
+        cost is a scan of each argument plus the product of the arguments'
+        nonzero counts, independent of the number of tensor entries (on
+        basis vectors, a single lookup)."""
         if len(vectors) != self.arity:
             raise ShapeError("wrong number of arguments")
         out = [Q(0)] * dim
-        for key, vec in self.tensor.items():
-            coeff = Q(1)
-            for t, i in enumerate(key):
-                coeff *= vectors[t][i]
-                if coeff == 0:
-                    break
-            if coeff == 0:
+        supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+        for args in product(*supports):
+            vec = self.tensor.get(tuple(i for i, _ in args))
+            if vec is None:
                 continue
+            coeff = Q(1)
+            for _, x in args:
+                coeff *= x
             for j, c in vec.items():
                 out[j] += coeff * c
         return tuple(out)
@@ -364,11 +370,20 @@ def algebra_from_matrices(
     """Abstract algebra from a faithful matrix realization: structure
     constants of the commutator (kind="lie") or matrix product
     (kind="associative") expressed in the span of ``matrices``
-    (VerificationFailure when the span is not closed)."""
+    (VerificationFailure when the span is not closed).
+
+    One elimination serves every product: with M the matrix whose rows are
+    the flattened ``matrices``, rref([M | I]) = [R | E] has E M = R, and R
+    has pivot columns P.  A flat matrix v lies in the span iff
+    v = sum_i v[P_i] R_i, and then its coordinates are x = E^T v[P]."""
     n = len(matrices)
-    flat = RatMatrix([m.flatten() for m in matrices]).transpose()
-    if rank(flat) != n:
+    flat = RatMatrix([m.flatten() for m in matrices])
+    size = flat.cols
+    reduced, pivots = rref(flat.hstack(RatMatrix.identity(n)))
+    if any(p >= size for p in pivots):
         raise ValueError("matrices are linearly dependent")
+    span_rows = [{c: x for c, x in enumerate(row[:size]) if x} for row in reduced.data]
+    coord_rows = [{k: x for k, x in enumerate(row[size:]) if x} for row in reduced.data]
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
@@ -376,14 +391,15 @@ def algebra_from_matrices(
                 prod_m = matrices[i] * matrices[j] - matrices[j] * matrices[i]
             else:
                 prod_m = matrices[i] * matrices[j]
-            coords = subspace_coords(flat, prod_m.flatten())
-            if coords is None:
+            v = prod_m.flatten()
+            at_pivots = {t: v[p] for t, p in enumerate(pivots) if v[p]}
+            if _combine_rows(at_pivots, span_rows) != {c: x for c, x in enumerate(v) if x}:
                 raise VerificationFailure(
                     f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
                 )
-            vec = {t: c for t, c in enumerate(coords) if c}
+            vec = _combine_rows(at_pivots, coord_rows)
             if vec:
-                tensor[(i, j)] = vec
+                tensor[(i, j)] = dict(sorted(vec.items()))
     flags = [kind] + list(extra_flags)
     return StructureAlgebra(name, n, [MultilinearOp("bracket" if kind == "lie" else "product", 2, tensor)], flags)
 

@@ -48,6 +48,7 @@ from .errors import (
     GradAlgError,
     NonSplitError,
     ParseError,
+    ShapeError,
     ValidationError,
     VerificationFailure,
 )
@@ -197,7 +198,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                     group.element([int_field(x, "degree entry") for x in v])
                     for v in gspec["degrees"]
                 ]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ShapeError) as exc:
                 raise ParseError(f"grading {gname!r}: bad 'degrees': {exc}")
             bc = None
             if "basis_change" in gspec:

@@ -288,7 +288,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
     aug, pivots = rref(m.hstack(RatMatrix.identity(m.rows)))
-    if len(pivots) != m.rows:
+    # [m | I] always has full rank; m is singular iff a pivot lands in I
+    if any(p >= m.cols for p in pivots):
         raise ShapeError("matrix is singular")
     return aug.submatrix(range(m.rows), range(m.cols, 2 * m.cols))
 

@@ -20,6 +20,7 @@ from .algcore import (
     MultilinearOp,
     StructureAlgebra,
     Subspace,
+    _combine_rows,
     _incremental_kernel,
     _leibniz_rows,
     memoized,
@@ -45,6 +46,12 @@ class Grading:
     compatibility with every operation and caches the support and the
     structure tensors rewritten in the homogeneous basis.  Invariants
     computed from a grading are memoized on it (``_memo``).
+
+    The re-basing is sparse: one elimination inverts the basis change C
+    (and rejects a singular one), each operation is evaluated on the
+    columns of C through ``MultilinearOp.apply``, whose cost follows the
+    columns' nonzeros, and C^-1 is applied through its nonzero columns.
+    For the identity basis change this costs one tensor lookup per key.
     """
 
     __slots__ = (
@@ -74,20 +81,24 @@ class Grading:
                 raise ShapeError("degree from a different group")
         if basis_change is None:
             basis_change = RatMatrix.identity(n)
-        if basis_change.shape != (n, n) or rank(basis_change) != n:
-            raise ShapeError("basis change must be an invertible n x n matrix")
-        cinv = inverse(basis_change)
+        not_invertible = "basis change must be an invertible n x n matrix"
+        if basis_change.shape != (n, n):
+            raise ShapeError(not_invertible)
+        try:
+            cinv = inverse(basis_change)  # the one elimination; raises when singular
+        except ShapeError:
+            raise ShapeError(not_invertible) from None
+        cols = basis_change.columns()
+        cinv_cols = [{r: x for r, x in enumerate(col) if x} for col in cinv.columns()]
         homog_ops = []
         for op in algebra.operations:
             tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
             for key in product(range(n), repeat=op.arity):
-                val = op.apply([basis_change.column(i) for i in key], n)
-                if not any(val):
-                    continue
-                out = cinv.matvec(val)
-                vec = {j: c for j, c in enumerate(out) if c}
+                val = op.apply([cols[i] for i in key], n)
+                # C^-1 val, summed over the nonzero entries of val only
+                vec = _combine_rows({i: v for i, v in enumerate(val) if v}, cinv_cols)
                 if vec:
-                    tensor[key] = vec
+                    tensor[key] = dict(sorted(vec.items()))
             homog_ops.append(MultilinearOp(op.name, op.arity, tensor))
         homog = StructureAlgebra(algebra.name, n, homog_ops, algebra.flags)
         # compatibility: every nonzero entry lands in the product degree
@@ -113,8 +124,7 @@ class Grading:
         object.__setattr__(self, "support", tuple(support))
         comps: dict[GroupElement, Subspace] = {}
         for g in support:
-            cols = [basis_change.column(i) for i in range(n) if degrees[i] == g]
-            comps[g] = Subspace.from_vectors(n, cols)
+            comps[g] = Subspace.from_vectors(n, [cols[i] for i in range(n) if degrees[i] == g])
         object.__setattr__(self, "_components", comps)
         object.__setattr__(self, "_memo", {})
 

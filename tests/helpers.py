@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as Q
 from itertools import product
 
+from gradalg.abgroup import FgAbGroup
 from gradalg.algcore import MultilinearOp, StructureAlgebra, Subspace, algebra_from_matrices
-from gradalg.exactla import RatMatrix, nullspace
+from gradalg.exactla import RatMatrix, inverse, nullspace, subspace_coords
 from gradalg.grading import GradedDerivations, Grading
 
 
@@ -61,6 +62,60 @@ def build_sl2_plus_sl2() -> StructureAlgebra:
     f = RatMatrix([[0, 0], [1, 0]])
     mats = [emb(m, 0) for m in (e, h, f)] + [emb(m, 2) for m in (e, h, f)]
     return algebra_from_matrices("sl2+sl2", mats, kind="lie")
+
+
+def dense_apply(op: MultilinearOp, vectors, dim: int) -> tuple:
+    """Oracle for ``MultilinearOp.apply``: one pass over every tensor entry,
+    whatever the arguments."""
+    out = [Q(0)] * dim
+    for key, vec in op.tensor.items():
+        coeff = Q(1)
+        for t, i in enumerate(key):
+            coeff *= vectors[t][i]
+            if coeff == 0:
+                break
+        if coeff == 0:
+            continue
+        for j, c in vec.items():
+            out[j] += coeff * c
+    return tuple(out)
+
+
+def dense_rebase(alg: StructureAlgebra, basis_change: RatMatrix) -> list[dict]:
+    """Oracle for ``Grading.homog_algebra``: each operation's tensor in the
+    basis of the columns of C, from ``dense_apply`` on every key and a dense
+    C^-1."""
+    n = alg.dimension
+    cinv = inverse(basis_change)
+    tensors = []
+    for op in alg.operations:
+        tensor = {}
+        for key in product(range(n), repeat=op.arity):
+            val = dense_apply(op, [basis_change.column(i) for i in key], n)
+            vec = {j: c for j, c in enumerate(cinv.matvec(val)) if c}
+            if vec:
+                tensor[key] = vec
+        tensors.append(tensor)
+    return tensors
+
+
+def pairwise_matrix_tensor(matrices, kind: str):
+    """Oracle for ``algebra_from_matrices``: one rational solve per ordered
+    pair.  Returns (tensor, None), or (None, (i, j)) for the first pair
+    whose product leaves the span."""
+    flat = RatMatrix([m.flatten() for m in matrices]).transpose()
+    tensor = {}
+    for i, j in product(range(len(matrices)), repeat=2):
+        prod_m = matrices[i] * matrices[j]
+        if kind == "lie":
+            prod_m = prod_m - matrices[j] * matrices[i]
+        coords = subspace_coords(flat, prod_m.flatten())
+        if coords is None:
+            return None, (i, j)
+        vec = {t: c for t, c in enumerate(coords) if c}
+        if vec:
+            tensor[(i, j)] = vec
+    return tensor, None
 
 
 def leibniz_holds(alg: StructureAlgebra, d: RatMatrix) -> bool:
@@ -171,3 +226,43 @@ def signed_permutation(grading: Grading, rng: random.Random) -> Grading:
         degrees[pos[i]] = d
     alg = StructureAlgebra(homog.name, n, ops, homog.flags)
     return Grading(alg, grading.group, degrees)
+
+
+def random_graded_algebra(rng: random.Random, ternary: bool = False):
+    """A random graded algebra with one binary operation, plus a ternary
+    one when ``ternary``."""
+    n = rng.randint(3, 6)
+    style = rng.randrange(3)
+    if style == 0:
+        group = FgAbGroup(1, ())
+        degrees = [group.element([rng.randint(-2, 2)]) for _ in range(n)]
+    elif style == 1:
+        group = FgAbGroup(0, [rng.choice([2, 3, 4])])
+        degrees = [group.element([rng.randrange(4)]) for _ in range(n)]
+    else:
+        group = FgAbGroup(0, [2, 2])
+        degrees = [group.element([rng.randrange(2), rng.randrange(2)]) for _ in range(n)]
+    tensor = {}
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        target = degrees[i] + degrees[j]
+        ks = [k for k in range(n) if degrees[k] == target]
+        if not ks:
+            continue
+        k = rng.choice(ks)
+        c = Q(rng.randint(-2, 2))
+        if c:
+            tensor.setdefault((i, j), {})[k] = c
+    ops = [MultilinearOp("mul", 2, tensor)]
+    if ternary:
+        triple = {}
+        for _ in range(3 * n):
+            key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            target = degrees[key[0]] + degrees[key[1]] + degrees[key[2]]
+            ks = [k for k in range(n) if degrees[k] == target]
+            c = Q(rng.randint(-2, 2))
+            if ks and c:
+                triple.setdefault(key, {})[rng.choice(ks)] = c
+        ops.append(MultilinearOp("triple", 3, triple))
+    alg = StructureAlgebra("fuzz", n, ops, [])
+    return Grading(alg, group, degrees)

@@ -26,8 +26,6 @@ from gradalg.lieroot import (
     verify_phi_grading,
 )
 
-import test_properties as props
-
 
 @contextlib.contextmanager
 def criterion(label):
@@ -131,21 +129,6 @@ def test_criterion_5_root_graded_structure():
             if not any(u)
         )
         assert id_dim == 1
-
-
-def test_criterion_6_property_suites():
-    with criterion("6a: Smith normal form invariants (200 random matrices)"):
-        props.TestSmithNormalForm().test_random_matrices()
-    with criterion("6b: derivations match the dense Leibniz oracle"):
-        props.TestDerivationsOracle().test_random_algebras()
-    with criterion("6c: universal-group section alpha o iota = inclusion"):
-        props.TestUniversalGroupSection().test_alpha_iota_is_inclusion()
-    with criterion("6d: refinements of almost-fine gradings stay almost fine"):
-        props.TestAlmostFineStability().test_refinements_preserve_almost_fine()
-    with criterion("6e: canonical refinement is torus-independent"):
-        props.TestCanonicalRefinementTorusIndependence().test_two_seeds_agree()
-    with criterion("6f: subgroup counts match brute force up to order 64"):
-        props.TestSubgroupEnumeration().test_all_orders_up_to_64()
 
 
 def test_criterion_7_classification_smoke():

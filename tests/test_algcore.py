@@ -1,11 +1,13 @@
 """Structure algebras: flags, derivations, Killing form, simplicity."""
 
+import random
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
 import sympy
 
+from gradalg import catalog
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
@@ -21,7 +23,7 @@ from gradalg.algcore import (
     subalgebra_structure,
 )
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, mat_from_flat
+from gradalg.exactla import RatMatrix, mat_from_flat, rank
 
 from helpers import (
     build_m2,
@@ -29,7 +31,11 @@ from helpers import (
     build_sl,
     build_sl2_efh,
     build_sl2_plus_sl2,
+    dense_apply,
+    e_matrix,
     leibniz_holds,
+    pairwise_matrix_tensor,
+    sl_matrices,
 )
 
 
@@ -251,13 +257,165 @@ class TestSimplicity:
         assert not is_simple(alg)
 
 
+def _rational(rng):
+    return Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+
+def _argument(rng, dim, kind):
+    if kind == "zero":
+        return tuple(Q(0) for _ in range(dim))
+    if kind == "dense":
+        return tuple(_rational(rng) for _ in range(dim))
+    support = rng.sample(range(dim), rng.randint(1, min(2, dim)))
+    return tuple(_rational(rng) if i in support else Q(0) for i in range(dim))
+
+
+class TestSparseApply:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_agrees_with_whole_tensor_loop(self, arity):
+        rng = random.Random(arity)
+        for _ in range(40):
+            dim = rng.randint(1, 5)
+            density = rng.choice((0.1, 0.5, 1.0))
+            tensor = {
+                key: {j: _rational(rng) for j in rng.sample(range(dim), rng.randint(1, dim))}
+                for key in product(range(dim), repeat=arity)
+                if rng.random() < density
+            }
+            op = MultilinearOp("op", arity, tensor)
+            for kinds in [(k,) * arity for k in ("sparse", "dense", "zero")] + [
+                tuple(rng.choice(("sparse", "dense", "zero")) for _ in range(arity))
+            ]:
+                args = [_argument(rng, dim, k) for k in kinds]
+                assert op.apply(args, dim) == dense_apply(op, args, dim)
+
+
+def _flag_failure(dim, tensor, flag):
+    """(message, witness) of the FlagViolation the flag check raises, or
+    None when the flag holds."""
+    try:
+        StructureAlgebra("broken", dim, [MultilinearOp("op", 2, tensor)], [flag])
+    except FlagViolation as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def _corrupted(alg, rng, keep_antisymmetry):
+    """A copy of alg's binary tensor with one structure constant changed
+    (and, to keep antisymmetry, the one at the swapped key as well)."""
+    tensor = {k: dict(v) for k, v in alg.binary_op().tensor.items()}
+    key = rng.choice(sorted(tensor))
+    j = rng.choice(sorted(tensor[key]))
+    delta = _rational(rng)
+    tensor[key][j] += delta
+    if keep_antisymmetry and key[0] != key[1]:
+        swapped = tensor.setdefault(key[::-1], {})
+        swapped[j] = swapped.get(j, Q(0)) - delta
+    return tensor
+
+
+def build_m(d):
+    mats = [e_matrix(d, i, j) for i in range(d) for j in range(d)]
+    return algebra_from_matrices(f"m{d}", mats, kind="associative")
+
+
+class TestFlagChecksAgainstWholeTensorLoop:
+    """The flag checks report the same message and witness whether the
+    tensor is evaluated by its nonzeros or by the whole-tensor loop."""
+
+    @pytest.mark.parametrize(
+        "build, flag, keep_antisymmetry",
+        [
+            (lambda: build_sl(3), "lie", False),
+            (lambda: build_sl(3), "lie", True),
+            (build_sl2_plus_sl2, "lie", True),
+            (build_m2, "associative", False),
+            (lambda: build_m(3), "associative", False),
+        ],
+    )
+    def test_same_failure(self, monkeypatch, build, flag, keep_antisymmetry):
+        alg = build()
+        rng = random.Random(alg.dimension)
+        corrupted = [_corrupted(alg, rng, keep_antisymmetry) for _ in range(6)]
+        sparse = [_flag_failure(alg.dimension, t, flag) for t in corrupted]
+        monkeypatch.setattr(MultilinearOp, "apply", dense_apply)
+        assert sparse == [_flag_failure(alg.dimension, t, flag) for t in corrupted]
+        # a changed constant can leave an isomorphic algebra; most do not
+        failures = [f for f in sparse if f is not None]
+        assert len(failures) >= 3
+        if flag == "lie":
+            kind = "Jacobi" if keep_antisymmetry else "antisymmetric"
+            assert all(kind in message for message, _ in failures)
+
+
+def _closed_spans(rng):
+    """(name, matrices, kind): closed spans in random bases, each basis
+    vector a random combination of a standard basis."""
+    def mix(mats):
+        m = len(mats)
+        while True:
+            t = RatMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+            if rank(t) == m:
+                break
+        return [
+            sum((mats[k].scale(t[k, i]) for k in range(1, m)), mats[0].scale(t[0, i]))
+            for i in range(m)
+        ]
+
+    for d in (2, 3):
+        gl = [e_matrix(d, i, j) for i in range(d) for j in range(d)]
+        upper = [e_matrix(d, i, j) for i in range(d) for j in range(i, d)]
+        yield f"gl{d}", mix(gl), "lie"
+        yield f"sl{d}", mix(sl_matrices(d)), "lie"
+        yield f"b{d}", mix(upper), "lie"
+        yield f"m{d}", mix(gl), "associative"
+        yield f"t{d}", mix(upper), "associative"
+
+
 class TestAlgebraFromMatrices:
     def test_span_not_closed(self):
         # e and f alone: [e, f] = h leaves their span
         e = RatMatrix([[0, 1], [0, 0]])
         f = RatMatrix([[0, 0], [1, 0]])
-        with pytest.raises(VerificationFailure):
+        with pytest.raises(VerificationFailure) as exc:
             algebra_from_matrices("e-f", [e, f], kind="lie")
+        assert exc.value.witness == pairwise_matrix_tensor([e, f], "lie")[1] == (0, 1)
+
+    def test_first_pair_outside_the_span_is_the_witness(self):
+        # span(E_00, E_01, E_10): E_01 E_10 = E_00 stays inside, E_10 E_01 = E_11 does not
+        mats = [e_matrix(2, 0, 0), e_matrix(2, 0, 1), e_matrix(2, 1, 0)]
+        for kind in ("lie", "associative"):
+            with pytest.raises(VerificationFailure) as exc:
+                algebra_from_matrices("partial", mats, kind=kind)
+            assert exc.value.witness == pairwise_matrix_tensor(mats, kind)[1]
+
+    def test_dependent_matrices(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            algebra_from_matrices("dep", [e_matrix(2, 0, 1), e_matrix(2, 0, 1).scale(2)])
+
+    def test_empty(self):
+        assert algebra_from_matrices("zero", []).dimension == 0
+
+    def test_random_closed_spans(self):
+        for name, mats, kind in _closed_spans(random.Random(7)):
+            alg = algebra_from_matrices(name, mats, kind=kind)
+            assert alg.binary_op().tensor == pairwise_matrix_tensor(mats, kind)[0], name
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_builders(self, monkeypatch, name):
+        calls = []
+        real = catalog.algebra_from_matrices
+
+        def recording(alg_name, matrices, kind="lie", extra_flags=()):
+            alg = real(alg_name, matrices, kind, extra_flags)
+            calls.append((alg, list(matrices), kind))
+            return alg
+
+        monkeypatch.setattr(catalog, "algebra_from_matrices", recording)
+        catalog._BUILDERS[name]()
+        assert calls
+        for alg, matrices, kind in calls:
+            assert alg.binary_op().tensor == pairwise_matrix_tensor(matrices, kind)[0]
 
 
 class TestSubalgebraStructure:

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,25 @@ class TestParseErrors:
         assert code == 1
         assert field in err and "Traceback" not in err
 
+    def test_degree_of_the_wrong_length(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["degrees"] = [[1, 0], [-1], [0]]
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "grading 'cartan-sl2': bad 'degrees': coordinate length mismatch" in err
+
+    @pytest.mark.parametrize(
+        "name, failure", [("cartan-sl3", "antisymmetric"), ("pauli-m2", "associativity")]
+    )
+    def test_perturbed_structure_constant(self, tmp_path, capsys, name, failure):
+        doc = catalog_workspace(name)
+        for k, entry in enumerate(doc["algebras"][0]["operations"][0]["entries"]):
+            perturbed = copy.deepcopy(doc)
+            perturbed["algebras"][0]["operations"][0]["entries"][k][-1] = _perturbed(entry[-1], 1)
+            code, _, err = run(capsys, "validate", write_ws(tmp_path, perturbed))
+            assert code == 1
+            assert failure in err and "Traceback" not in err
+
     def test_float_structure_constant_without_flags(self, tmp_path, capsys):
         # 1.1 keeps the degrees compatible, so only the number is wrong
         doc = catalog_workspace("cartan-sl2")
@@ -165,6 +185,11 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _perturbed(constant, delta):
+    """A structure constant "p/q" moved by delta."""
+    return str(Fraction(constant) + delta)
+
+
 _FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli-m2")}
 _FUZZ_VALUES = ([1], [[0.5]], 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
 
@@ -172,9 +197,15 @@ _FUZZ_VALUES = ([1], [[0.5]], 1.5, True, False, float("inf"), float("-inf"), Non
 class TestFuzzedWorkspaces:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_validate_ends_with_an_exit_code(self, data):
+    def test_commands_end_with_an_exit_code(self, data):
+        command = data.draw(st.sampled_from(["validate", "ugroup", "der"]))
         doc = copy.deepcopy(_FUZZ_SOURCES[data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
-        for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            # one structure constant off: the flag checks must reject it cleanly
+            entries = doc["algebras"][0]["operations"][0]["entries"]
+            entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+            entry[-1] = _perturbed(entry[-1], data.draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
+        for _ in range(data.draw(st.integers(0, 3))):
             path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
             parent = doc
             for key in path[:-1]:
@@ -188,7 +219,7 @@ class TestFuzzedWorkspaces:
             f.write(json.dumps(doc))
             f.flush()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["validate", f.name])
+                code = main([command, f.name])
         assert code in range(5)
 
 

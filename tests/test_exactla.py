@@ -141,6 +141,11 @@ class TestSolving:
             assert a * inverse(a) == RatMatrix.identity(4)
             count += 1
 
+    def test_inverse_of_singular_matrix_raises(self):
+        for m in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+            with pytest.raises(ShapeError, match="singular"):
+                inverse(RatMatrix(m))
+
     def test_solve_unique(self):
         a = RatMatrix([[2, 0], [0, 3]])
         x = solve_unique(a, RatMatrix([[4], [9]]))

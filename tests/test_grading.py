@@ -10,10 +10,16 @@ from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
 from gradalg import grading
 from gradalg.abgroup import FgAbGroup, GroupHom
-from gradalg.algcore import Subspace, derivation_algebra, derivation_space
+from gradalg.algcore import (
+    MultilinearOp,
+    StructureAlgebra,
+    Subspace,
+    derivation_algebra,
+    derivation_space,
+)
 from gradalg.catalog import get_catalog
 from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError
-from gradalg.exactla import IntMatrix, RatMatrix, mat_from_flat
+from gradalg.exactla import IntMatrix, RatMatrix, inverse, mat_from_flat, rank
 from gradalg.grading import (
     Grading,
     check_graded_map,
@@ -26,7 +32,9 @@ from helpers import (
     build_m2_splitpauli,
     build_sl2_efh,
     dense_graded_derivations,
+    dense_rebase,
     graded_parts,
+    random_graded_algebra,
     signed_permutation,
 )
 
@@ -84,8 +92,68 @@ class TestValidate:
         alg = build_sl2_efh()
         z = FgAbGroup(1, ())
         c = RatMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="invertible n x n"):
             Grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])], c)
+
+
+def _tensors(alg):
+    return [op.tensor for op in alg.operations]
+
+
+def _random_basis_change(rng, n):
+    """An invertible n x n rational matrix that is not a signed permutation."""
+    while True:
+        c = RatMatrix([[rng.choice([-1, 0, 0, 1, Q(1, 2)]) for _ in range(n)] for _ in range(n)])
+        if rank(c) == n and any(sum(1 for x in row if x) > 1 for row in c.data):
+            return c
+
+
+def _regraded(gr, c):
+    """The grading with homogeneous basis the columns of c: the algebra is
+    gr's homogeneous algebra rewritten in the basis of the columns of c^-1."""
+    homog = gr.homog_algebra
+    ops = [
+        MultilinearOp(op.name, op.arity, t)
+        for op, t in zip(homog.operations, dense_rebase(homog, inverse(c)))
+    ]
+    alg = StructureAlgebra(homog.name, homog.dimension, ops, homog.flags)
+    return Grading(alg, gr.group, gr.degrees, c)
+
+
+class TestSparseRebasing:
+    """The homogeneous tensors equal the dense re-basing: every key through
+    the whole-tensor loop and a dense C^-1."""
+
+    def test_b2_skew_fine(self):
+        fine = get_catalog("b2-skew").companions["fine"]
+        assert fine.basis_change != RatMatrix.identity(fine.dimension)
+        assert _tensors(fine.homog_algebra) == dense_rebase(fine.algebra, fine.basis_change)
+
+    @pytest.mark.parametrize("name", ["cartan-sl2", "cartan-sl3", "pauli-m2", "sl3-involution"])
+    def test_random_basis_changes_of_catalog_gradings(self, name):
+        gr = get_catalog(name).grading
+        rng = random.Random(name)
+        for _ in range(3):
+            c = _random_basis_change(rng, gr.dimension)
+            regraded = _regraded(gr, c)
+            assert _tensors(regraded.homog_algebra) == dense_rebase(regraded.algebra, c)
+            assert _tensors(regraded.homog_algebra) == _tensors(gr.homog_algebra)
+
+    def test_random_basis_changes_with_a_ternary_operation(self):
+        rng = random.Random(41)
+        for _ in range(5):
+            gr = random_graded_algebra(rng, ternary=True)
+            c = _random_basis_change(rng, gr.dimension)
+            regraded = _regraded(gr, c)
+            assert _tensors(regraded.homog_algebra) == dense_rebase(regraded.algebra, c)
+            assert _tensors(regraded.homog_algebra) == _tensors(gr.homog_algebra)
+
+    def test_not_square_basis_change_rejected(self):
+        alg = build_sl2_efh()
+        z = FgAbGroup(1, ())
+        degrees = [z.element([1]), z.element([0]), z.element([-1])]
+        with pytest.raises(ShapeError, match="invertible n x n"):
+            Grading(alg, z, degrees, RatMatrix.identity(2))
 
 
 class TestUniversalGroup:

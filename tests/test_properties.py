@@ -16,7 +16,7 @@ from gradalg.catalog import get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix, nullspace, smith_normal_form
 from gradalg.grading import Grading, graded_derivations, universal_abelian_group
 
-from helpers import build_sl2_efh, dense_graded_derivations, graded_parts
+from helpers import build_sl2_efh, dense_graded_derivations, graded_parts, random_graded_algebra
 
 
 class TestSmithNormalForm:
@@ -101,46 +101,6 @@ class TestDerivationsOracle:
                 assert computed.contains(list(oracle.column(j))), f"trial {trial}"
 
 
-def _random_graded_algebra(rng: random.Random, ternary: bool = False):
-    """A random graded algebra with one binary operation, plus a ternary
-    one when ``ternary``."""
-    n = rng.randint(3, 6)
-    style = rng.randrange(3)
-    if style == 0:
-        group = FgAbGroup(1, ())
-        degrees = [group.element([rng.randint(-2, 2)]) for _ in range(n)]
-    elif style == 1:
-        group = FgAbGroup(0, [rng.choice([2, 3, 4])])
-        degrees = [group.element([rng.randrange(4)]) for _ in range(n)]
-    else:
-        group = FgAbGroup(0, [2, 2])
-        degrees = [group.element([rng.randrange(2), rng.randrange(2)]) for _ in range(n)]
-    tensor = {}
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        target = degrees[i] + degrees[j]
-        ks = [k for k in range(n) if degrees[k] == target]
-        if not ks:
-            continue
-        k = rng.choice(ks)
-        c = Q(rng.randint(-2, 2))
-        if c:
-            tensor.setdefault((i, j), {})[k] = c
-    ops = [MultilinearOp("mul", 2, tensor)]
-    if ternary:
-        triple = {}
-        for _ in range(3 * n):
-            key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            target = degrees[key[0]] + degrees[key[1]] + degrees[key[2]]
-            ks = [k for k in range(n) if degrees[k] == target]
-            c = Q(rng.randint(-2, 2))
-            if ks and c:
-                triple.setdefault(key, {})[rng.choice(ks)] = c
-        ops.append(MultilinearOp("triple", 3, triple))
-    alg = StructureAlgebra("fuzz", n, ops, [])
-    return Grading(alg, group, degrees)
-
-
 class TestUniversalGroupSection:
     def test_alpha_iota_is_inclusion(self):
         rng = random.Random(13)
@@ -155,7 +115,7 @@ class TestUniversalGroupSection:
                 assert u.alpha(u.iota[s]) == s
                 trials += 1
         while trials < 200:
-            gr = _random_graded_algebra(rng)
+            gr = random_graded_algebra(rng)
             u = universal_abelian_group(gr)
             for s in gr.support:
                 assert u.alpha(u.iota[s]) == s
@@ -169,7 +129,7 @@ class TestRoutedDerivationsOracle:
     def test_random_gradings(self):
         rng = random.Random(2718)
         for trial in range(200):
-            gr = _random_graded_algebra(rng)
+            gr = random_graded_algebra(rng)
             assert graded_parts(graded_derivations(gr)) == graded_parts(
                 dense_graded_derivations(gr)
             ), f"trial {trial}"
@@ -177,7 +137,7 @@ class TestRoutedDerivationsOracle:
     def test_random_gradings_with_a_ternary_operation(self):
         rng = random.Random(31415)
         for trial in range(60):
-            gr = _random_graded_algebra(rng, ternary=True)
+            gr = random_graded_algebra(rng, ternary=True)
             assert graded_parts(graded_derivations(gr)) == graded_parts(
                 dense_graded_derivations(gr)
             ), f"trial {trial}"
