@@ -194,33 +194,43 @@ _FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli
 _FUZZ_VALUES = ([1], [[0.5]], 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
 
 
+def _fuzzed_exit_code(data, command):
+    """Run command on a mutated catalog workspace and return its exit code."""
+    doc = copy.deepcopy(_FUZZ_SOURCES[data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
+    if data.draw(st.booleans()):
+        # one structure constant off: the flag checks must reject it cleanly
+        entries = doc["algebras"][0]["operations"][0]["entries"]
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        entry[-1] = _perturbed(entry[-1], data.draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = data.draw(st.sampled_from(_FUZZ_VALUES + ("drop",)))
+        if value == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+        f.write(json.dumps(doc))
+        f.flush()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main([command, f.name])
+
+
 class TestFuzzedWorkspaces:
-    @settings(max_examples=200, deadline=None)
+    # 200 examples in total over the two tests
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_validate_ends_with_an_exit_code(self, data):
+        assert _fuzzed_exit_code(data, "validate") in range(5)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_commands_end_with_an_exit_code(self, data):
-        command = data.draw(st.sampled_from(["validate", "ugroup", "der"]))
-        doc = copy.deepcopy(_FUZZ_SOURCES[data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
-        if data.draw(st.booleans()):
-            # one structure constant off: the flag checks must reject it cleanly
-            entries = doc["algebras"][0]["operations"][0]["entries"]
-            entry = entries[data.draw(st.integers(0, len(entries) - 1))]
-            entry[-1] = _perturbed(entry[-1], data.draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
-        for _ in range(data.draw(st.integers(0, 3))):
-            path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            value = data.draw(st.sampled_from(_FUZZ_VALUES + ("drop",)))
-            if value == "drop":
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
-            f.write(json.dumps(doc))
-            f.flush()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, f.name])
-        assert code in range(5)
+        command = data.draw(st.sampled_from(["ugroup", "der"]))
+        assert _fuzzed_exit_code(data, command) in range(5)
 
 
 class TestHappyPaths:
