@@ -20,7 +20,6 @@ from .exactla import (
     IntMatrix,
     column_hnf,
     hnf_solve,
-    int_det,
     inverse,
     smith_normal_form,
 )
@@ -122,9 +121,6 @@ class FgAbGroup:
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup.from_generators(self, self.generators())
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup.from_generators(self, [])
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,10 @@ class Subgroup:
         if k == 0:
             return 1
         r = self.owner.free_rank
-        block = IntMatrix(
-            [[self.lattice[r + i, j] for j in range(self.lattice.cols)] for i in range(k)]
-        )
-        # lattice contains diag(d_i), hence the torsion block is square
-        # of full rank after dropping all-zero free rows.
-        d = abs(int_det(block))
+        # The lattice contains diag(d_i) and, the subgroup being finite, has
+        # zero free rows; so its column HNF is k x k lower-triangular on the
+        # torsion rows, and the index of the lattice is its diagonal product.
+        d = prod(self.lattice[r + i, i] for i in range(k))
         total = prod(self.owner.invariants)
         assert d != 0 and total % d == 0
         return total // d
@@ -428,9 +422,6 @@ class Presentation:
         if self.group.ngens == 0:
             return self.group.identity()
         return self.group.element(self.projection_matrix.matvec([int(x) for x in vec]))
-
-    def generator_image(self, i: int) -> GroupElement:
-        return self.group.element(self.projection_matrix.column(i))
 
     def section(self, g: GroupElement) -> tuple[int, ...]:
         """A generator vector mapping onto g."""

@@ -25,8 +25,6 @@ from .exactla import (
     nullspace,
     rank,
     rref,
-    subspace_contains,
-    subspace_coords,
     subspace_intersection,
     subspace_sum,
 )
@@ -223,14 +221,18 @@ class StructureAlgebra:
 class Subspace:
     """Subspace of an algebra's underlying space, canonical column basis."""
 
-    __slots__ = ("dim_ambient", "basis")
+    __slots__ = ("dim_ambient", "basis", "_pivots", "_columns")
 
     def __init__(self, dim_ambient: int, basis: RatMatrix):
         if basis.rows != dim_ambient:
             raise ShapeError("basis rows must equal the ambient dimension")
         basis = column_echelon(basis) if basis.cols else RatMatrix.zeros(dim_ambient, 0)
+        columns = [{r: x for r, x in enumerate(col) if x} for col in basis.columns()]
         object.__setattr__(self, "dim_ambient", dim_ambient)
         object.__setattr__(self, "basis", basis)
+        # the pivot row of a canonical basis column is its first nonzero
+        object.__setattr__(self, "_pivots", [next(iter(col)) for col in columns])
+        object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -253,13 +255,17 @@ class Subspace:
         return self.basis.columns()
 
     def contains(self, vec: Sequence) -> bool:
-        return subspace_contains(self.basis, vec)
+        return self.coords(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors())
 
     def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
-        return subspace_coords(self.basis, vec)
+        """Coordinates of ``vec`` in the basis columns, or None if outside."""
+        if len(vec) != self.dim_ambient:
+            raise ShapeError("vector length must equal the ambient dimension")
+        x = _pivot_coords([Q(c) for c in vec], self._pivots, self._columns)
+        return None if x is None else tuple(x.get(t, Q(0)) for t in range(self.dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim_ambient != other.dim_ambient:
@@ -374,8 +380,9 @@ def algebra_from_matrices(
 
     One elimination serves every product: with M the matrix whose rows are
     the flattened ``matrices``, rref([M | I]) = [R | E] has E M = R, and R
-    has pivot columns P.  A flat matrix v lies in the span iff
-    v = sum_i v[P_i] R_i, and then its coordinates are x = E^T v[P]."""
+    has pivot columns P.  The rows of R are the canonical basis of the span,
+    so ``_pivot_coords`` reads the coordinates v[P] of a flat matrix v in
+    them, and its coordinates in ``matrices`` are x = E^T v[P]."""
     n = len(matrices)
     flat = RatMatrix([m.flatten() for m in matrices])
     size = flat.cols
@@ -391,9 +398,8 @@ def algebra_from_matrices(
                 prod_m = matrices[i] * matrices[j] - matrices[j] * matrices[i]
             else:
                 prod_m = matrices[i] * matrices[j]
-            v = prod_m.flatten()
-            at_pivots = {t: v[p] for t, p in enumerate(pivots) if v[p]}
-            if _combine_rows(at_pivots, span_rows) != {c: x for c, x in enumerate(v) if x}:
+            at_pivots = _pivot_coords(prod_m.flatten(), pivots, span_rows)
+            if at_pivots is None:
                 raise VerificationFailure(
                     f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
                 )
@@ -419,12 +425,9 @@ def subalgebra_structure(
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for key in product(range(m), repeat=op.arity):
             val = op.apply([basis.column(i) for i in key], a.dimension)
-            if not any(val):
-                continue
-            coords = s.coords(val)
-            if coords is None:
+            vec = _pivot_coords(val, s._pivots, s._columns)
+            if vec is None:
                 raise ValueError("subspace is not closed under an operation")
-            vec = {t: c for t, c in enumerate(coords) if c}
             if vec:
                 tensor[key] = vec
         ops.append(MultilinearOp(op.name, op.arity, tensor))
@@ -450,6 +453,19 @@ def _combine_rows(
         for j, x in rows[k].items():
             out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
+
+
+def _pivot_coords(
+    vec: Sequence[Fraction], pivots: Sequence[int], basis: Sequence[Mapping[int, Fraction]]
+) -> dict[int, Fraction] | None:
+    """Sparse coordinates of ``vec`` in a canonical basis (sparse vectors;
+    vector t is 1 at its pivot ``pivots[t]`` and every other one is 0
+    there), or None when ``vec`` is outside its span: x_t = vec[pivots[t]],
+    and ``vec`` is in the span iff vec = sum_t x_t basis[t]."""
+    x = {t: vec[p] for t, p in enumerate(pivots) if vec[p]}
+    if _combine_rows(x, basis) != {i: c for i, c in enumerate(vec) if c}:
+        return None
+    return x
 
 
 def _incremental_kernel(nunknowns: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:

@@ -35,7 +35,7 @@ from typing import Mapping
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
 from .errors import UnknownCatalogEntry
-from .exactla import IntMatrix, RatMatrix, subspace_coords
+from .exactla import IntMatrix, RatMatrix, solve
 from .grading import Grading
 
 Q = Fraction
@@ -221,12 +221,8 @@ def _b2_skew() -> CatalogEntry:
     grading = Grading(alg, g3, [g3.element(list(d)) for d in coarse_deg])
     # express the finer basis in the abstract coordinates
     flat = RatMatrix.from_columns([m.flatten() for m in coarse], rows=16)
-    cols = []
-    for m in fine:
-        c = subspace_coords(flat, m.flatten())
-        assert c is not None
-        cols.append(c)
-    basis_change = RatMatrix.from_columns(cols, rows=10)
+    basis_change = solve(flat, RatMatrix.from_columns([m.flatten() for m in fine], rows=16))
+    assert basis_change is not None
     g4 = FgAbGroup(0, [2, 2, 2, 2])
     refinement = Grading(
         alg, g4, [g4.element(list(d)) for d in fine_deg], basis_change

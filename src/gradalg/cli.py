@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix
+from .exactla import IntMatrix, RatMatrix, solve
 from .grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 from .lieroot import extract_root_system, root_graded_structure
 
@@ -517,11 +517,9 @@ def _cmd_rootsys(ws, args) -> None:
     name, gr = _pick_lie_grading(ws, args)
     wd, rep = extract_root_system(gr, seed=args.seed)
     basis = RatMatrix.from_columns([list(a) for a in rep.simple_roots], rows=wd.cartan.dim)
-    from .exactla import rational_solve
 
     def coords(a):
-        sol = rational_solve(basis, RatMatrix.column_vector(list(a)))
-        return [_fracstr(sol.particular[i, 0]) for i in range(len(rep.simple_roots))]
+        return [_fracstr(x) for x in solve(basis, RatMatrix.column_vector(list(a))).column(0)]
 
     report = {
         "grading": name,
@@ -673,7 +671,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2),
+        # which exits 1 like any other bad input
+        return 1 if exc.code else 0
     try:
         if args.command == "catalog":
             _cmd_catalog(args)

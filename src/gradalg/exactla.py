@@ -245,98 +245,33 @@ def column_echelon(m: RatMatrix) -> RatMatrix:
     return RatMatrix.from_columns(cols, rows=m.rows)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Affine solution set of A X = B: a particular solution (or None if
-    inconsistent) and a canonical basis of the kernel of A."""
-
-    particular: RatMatrix | None
-    nullspace: RatMatrix
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-
-def rational_solve(a: RatMatrix, b: RatMatrix) -> SolveResult:
-    """Exact solution description of the linear system A X = B."""
+def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
+    """The unique X with A X = B, or None when the system is inconsistent,
+    from one rref of [A | B].  Raises ShapeError when the columns of A are
+    dependent (the A block of that rref has fewer pivots than columns)."""
     if a.rows != b.rows:
         raise ShapeError("A and B must have equal row counts")
     aug, pivots = rref(a.hstack(b))
-    ns = nullspace(a)
+    if pivots[: a.cols] != tuple(range(a.cols)):
+        raise ShapeError("columns of A are dependent")
     # Inconsistent iff some pivot falls in the B block.
-    if any(p >= a.cols for p in pivots):
-        return SolveResult(None, ns)
-    part = [[Q(0)] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(b.cols):
-            part[p][j] = aug[i, a.cols + j]
-    return SolveResult(RatMatrix(part), ns)
-
-
-def solve_unique(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Solve A X = B expecting a unique solution; raises on failure."""
-    res = rational_solve(a, b)
-    if not res.consistent:
-        raise ShapeError("inconsistent system where a solution was expected")
-    if res.nullspace.cols:
-        raise ShapeError("underdetermined system where uniqueness was expected")
-    return res.particular
+    if len(pivots) > a.cols:
+        return None
+    return aug.submatrix(range(a.cols), range(a.cols, a.cols + b.cols))
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    aug, pivots = rref(m.hstack(RatMatrix.identity(m.rows)))
-    # [m | I] always has full rank; m is singular iff a pivot lands in I
-    if any(p >= m.cols for p in pivots):
-        raise ShapeError("matrix is singular")
-    return aug.submatrix(range(m.rows), range(m.cols, 2 * m.cols))
-
-
-def det(m: RatMatrix) -> Fraction:
-    if not m.is_square():
-        raise ShapeError("determinant of a non-square matrix")
-    a = [list(row) for row in m.data]
-    n = m.rows
-    d = Q(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Q(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
+    try:
+        return solve(m, RatMatrix.identity(m.rows))
+    except ShapeError:
+        raise ShapeError("matrix is singular") from None
 
 
 # ---------------------------------------------------------------------------
 # Subspace helpers (columns = basis vectors)
 # ---------------------------------------------------------------------------
-
-
-def subspace_contains(basis: RatMatrix, vec: Sequence) -> bool:
-    if basis.cols == 0:
-        return all(_frac(x) == 0 for x in vec)
-    return rational_solve(basis, RatMatrix.column_vector(list(vec))).consistent
-
-
-def subspace_coords(basis: RatMatrix, vec: Sequence) -> tuple[Fraction, ...] | None:
-    """Coordinates of ``vec`` in ``basis`` columns, or None if outside."""
-    if basis.cols == 0:
-        return () if all(_frac(x) == 0 for x in vec) else None
-    res = rational_solve(basis, RatMatrix.column_vector(list(vec)))
-    if not res.consistent or res.nullspace.cols:
-        if not res.consistent:
-            return None
-        raise ShapeError("basis columns are dependent")
-    return res.particular.column(0)
 
 
 def subspace_sum(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -362,23 +297,6 @@ def subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def charpoly(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier."""
-    if not m.is_square():
-        raise ShapeError("charpoly of a non-square matrix")
-    n = m.rows
-    coeffs = [Q(0)] * (n + 1)
-    coeffs[n] = Q(1)
-    mk = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            mk = mk + RatMatrix.identity(n).scale(c)
-    return tuple(coeffs)
-
-
 def minimal_polynomial(m: RatMatrix) -> tuple[Fraction, ...]:
     """Monic minimal polynomial via the first dependency among powers of M."""
     if not m.is_square():
@@ -390,11 +308,11 @@ def minimal_polynomial(m: RatMatrix) -> tuple[Fraction, ...]:
     flat = [p.flatten() for p in powers]
     for d in range(1, n + 2):
         # Is M^d a combination of lower powers?
+        # I, M, ..., M^(d-1) are independent, or d-1 would have returned
         a = RatMatrix.from_columns(flat[:d], rows=n * n)
-        res = rational_solve(a, RatMatrix.column_vector(flat[d]))
-        if res.consistent:
-            c = res.particular.column(0)
-            return tuple(-x for x in c) + (Q(1),)
+        x = solve(a, RatMatrix.column_vector(flat[d]))
+        if x is not None:
+            return tuple(-c for c in x.column(0)) + (Q(1),)
     raise AssertionError("unreachable: minimal polynomial has degree <= n")
 
 
@@ -453,7 +371,9 @@ def _eigen_split(basis: RatMatrix, op: RatMatrix) -> list[tuple[Fraction, RatMat
     ``op`` must preserve the space; raises if the restriction is not
     diagonalizable with rational spectrum.
     """
-    restricted = solve_unique(basis, op * basis)
+    restricted = solve(basis, op * basis)
+    if restricted is None:
+        raise ShapeError("operator does not preserve the space")
     mp = minimal_polynomial(restricted)
     roots = rational_roots(mp)
     if roots is None:
@@ -633,12 +553,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
-
-
-def int_det(m: IntMatrix) -> int:
-    d = det(m.to_rational())
-    assert d.denominator == 1
-    return d.numerator
 
 
 @dataclass(frozen=True)
@@ -880,6 +794,3 @@ def integer_solve(m: IntMatrix, v: Sequence[int]) -> list[int] | None:
                 z[i] = uv[i] // di
     return list(snf.V.matvec(z))
 
-
-def lattice_contains(h: IntMatrix, v: Sequence[int]) -> bool:
-    return hnf_solve(h, v) is not None

@@ -30,7 +30,7 @@ from .errors import (
     SectionInvalid,
     VerificationFailure,
 )
-from .exactla import RatMatrix, nullspace, rational_solve
+from .exactla import RatMatrix, nullspace, solve
 from .grading import Grading, universal_abelian_group
 
 Q = Fraction
@@ -591,10 +591,10 @@ def root_graded_structure(
                 f"component of degree {s.coords} is not inside one weight space"
             )
         w = hit[0]
-        sol = rational_solve(basis_mat, RatMatrix.column_vector(list(w)))
-        if sol.particular is None:
+        sol = solve(basis_mat, RatMatrix.column_vector(list(w)))
+        if sol is None:
             raise VerificationFailure(f"weight {w} outside the root lattice")
-        coords = [sol.particular[i, 0] for i in range(r)]
+        coords = sol.column(0)
         if any(c.denominator != 1 for c in coords):
             raise VerificationFailure(f"weight {w} has non-integral root coordinates")
         pi_images[s] = zphi.element([int(c) for c in coords])
@@ -665,8 +665,7 @@ def root_graded_structure(
 
     def fval(a: Weight) -> tuple:
         # dominance proxy: coordinates in the simple basis
-        sol = rational_solve(basis_mat, RatMatrix.column_vector(list(a)))
-        return tuple(sol.particular[i, 0] for i in range(r))
+        return solve(basis_mat, RatMatrix.column_vector(list(a))).column(0)
 
     lam_a = max(phi_prime, key=lambda a: (sum(fval(a)), fval(a)))
     numbers = {}

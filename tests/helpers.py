@@ -1,12 +1,14 @@
 """Shared constructions for the test suite."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
 
 from gradalg.abgroup import FgAbGroup
 from gradalg.algcore import MultilinearOp, StructureAlgebra, Subspace, algebra_from_matrices
-from gradalg.exactla import RatMatrix, inverse, nullspace, subspace_coords
+from gradalg.errors import ShapeError
+from gradalg.exactla import RatMatrix, inverse, nullspace, rref
 from gradalg.grading import GradedDerivations, Grading
 
 
@@ -97,6 +99,45 @@ def dense_rebase(alg: StructureAlgebra, basis_change: RatMatrix) -> list[dict]:
                 tensor[key] = vec
         tensors.append(tensor)
     return tensors
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Affine solution set of A X = B: a particular solution (or None if
+    inconsistent) and a canonical basis of the kernel of A."""
+
+    particular: RatMatrix | None
+    nullspace: RatMatrix
+
+
+def rational_solve(a: RatMatrix, b: RatMatrix) -> SolveResult:
+    """Oracle for ``exactla.solve``: the full solution description of
+    A X = B from an rref of [A | B] and a separate ``nullspace(A)``."""
+    if a.rows != b.rows:
+        raise ShapeError("A and B must have equal row counts")
+    aug, pivots = rref(a.hstack(b))
+    ns = nullspace(a)
+    # Inconsistent iff some pivot falls in the B block.
+    if any(p >= a.cols for p in pivots):
+        return SolveResult(None, ns)
+    part = [[Q(0)] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        for j in range(b.cols):
+            part[p][j] = aug[i, a.cols + j]
+    return SolveResult(RatMatrix(part), ns)
+
+
+def subspace_coords(basis: RatMatrix, vec) -> tuple | None:
+    """Oracle for ``Subspace.coords``: coordinates of ``vec`` in the columns
+    of ``basis`` by a rational solve, or None if outside their span."""
+    if basis.cols == 0:
+        return () if all(Q(x) == 0 for x in vec) else None
+    res = rational_solve(basis, RatMatrix.column_vector(list(vec)))
+    if res.particular is None:
+        return None
+    if res.nullspace.cols:
+        raise ShapeError("basis columns are dependent")
+    return res.particular.column(0)
 
 
 def pairwise_matrix_tensor(matrices, kind: str):

@@ -213,6 +213,23 @@ class TestSubgroups:
         assert not e.is_finite()
         assert e.order() is None
 
+    def test_order_counts_elements(self):
+        # order() reads the HNF diagonal; elements() closes under generators
+        for invs in [[2, 2, 2], [2, 4], [3, 9], [2, 2, 4]]:
+            g = FgAbGroup(0, invs)
+            for s in enumerate_subgroups(g.full_subgroup()):
+                assert s.order() == len(s.elements()), (invs, s)
+        rng = random.Random(7)
+        for free, invs in [(1, [2, 6]), (2, [2, 2, 4])]:
+            g = FgAbGroup(free, invs)
+            for _ in range(20):
+                gens = [
+                    g.element([0] * free + [rng.randrange(d) for d in invs])
+                    for _ in range(rng.randint(0, 3))
+                ]
+                s = Subgroup.from_generators(g, gens)
+                assert s.order() == len(s.elements()), (free, invs, gens)
+
 
 class TestEnumerateSubgroups:
     def test_z2(self):

@@ -36,6 +36,7 @@ from helpers import (
     leibniz_holds,
     pairwise_matrix_tensor,
     sl_matrices,
+    subspace_coords,
 )
 
 
@@ -128,6 +129,31 @@ class TestSubspace:
         assert a.add(c).dim == 3
         assert a.coords([2, 2, 5]) is not None
         assert a.coords([1, 0, 0]) is None
+
+    def test_coords_and_contains_against_solve_oracle(self):
+        # coords and contains read the canonical basis; the oracle solves
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            gens = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(0, n))]
+            s = Subspace.from_vectors(n, gens)
+            coeffs = [rng.randint(-2, 2) for _ in gens]
+            inside = [sum((c * g[i] for c, g in zip(coeffs, gens)), Q(0)) for i in range(n)]
+            outside = [rng.randint(-3, 3) for _ in range(n)]
+            for vec in (inside, outside, [0] * n, s.vectors()[0] if s.dim else [1] * n):
+                expected = subspace_coords(s.basis, vec)
+                assert s.coords(vec) == expected
+                assert s.contains(vec) == (expected is not None)
+                if expected is not None:
+                    assert all(type(x) is Q for x in s.coords(vec))
+        zero, full = Subspace.from_vectors(3, []), Subspace.full(3)
+        assert zero.coords([0, 0, 0]) == () and zero.coords([0, 1, 0]) is None
+        assert full.coords([1, Q(1, 2), -3]) == (Q(1), Q(1, 2), Q(-3))
+        with pytest.raises(ShapeError):
+            full.coords([1, 2])
+        with pytest.raises(ShapeError):
+            zero.contains([0, 0])
 
 
 class TestDerivations:

@@ -369,6 +369,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "rootsys", f)
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trank", "--seed", "abc", "ws.json"], "invalid int value"),
+            (["frobnicate"], "invalid choice"),
+            (["trank"], "the following arguments are required: files"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_1(self, capsys, argv, message):
+        # exit 2 means "unsupported over Q"; a usage error is bad input
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "usage: gradalg" in err and message in err
+
+    def test_help_is_0(self, capsys):
+        code, out, _ = run(capsys, "-h")
+        assert code == 0
+        assert "usage: gradalg" in out
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
