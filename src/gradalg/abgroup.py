@@ -598,19 +598,16 @@ def enumerate_homs(
     """All homomorphisms G -> H for finite H, canonically ordered."""
     if not h.is_finite:
         raise ValueError("homomorphism enumeration requires a finite codomain")
-    elems = h.elements()
-    choices: list[list[GroupElement]] = []
+    # a generator of order d (0 when free) goes into the d-torsion of H,
+    # which has prod_j gcd(d, h_j) elements: counted before H is listed
+    orders = (0,) * g.free_rank + g.invariants
     total = 1
-    for i in range(g.ngens):
-        if i < g.free_rank:
-            opts = elems
-        else:
-            d = g.invariants[i - g.free_rank]
-            opts = [x for x in elems if x.order() is not None and d % x.order() == 0]
-        choices.append(opts)
-        total *= len(opts)
+    for d in orders:
+        total *= prod(gcd(d, e) for e in h.invariants)
         if total > cap:
             raise CapExceeded(f"{total}+ homomorphisms exceeds cap {cap}")
+    elems = h.elements()
+    choices = [[x for x in elems if d % x.order() == 0] if d else elems for d in orders]
     out = []
     for images in itertools.product(*choices):
         out.append(GroupHom.from_gen_images(g, h, list(images)))

@@ -376,21 +376,10 @@ def algebra_from_matrices(
     """Abstract algebra from a faithful matrix realization: structure
     constants of the commutator (kind="lie") or matrix product
     (kind="associative") expressed in the span of ``matrices``
-    (VerificationFailure when the span is not closed).
-
-    One elimination serves every product: with M the matrix whose rows are
-    the flattened ``matrices``, rref([M | I]) = [R | E] has E M = R, and R
-    has pivot columns P.  The rows of R are the canonical basis of the span,
-    so ``_pivot_coords`` reads the coordinates v[P] of a flat matrix v in
-    them, and its coordinates in ``matrices`` are x = E^T v[P]."""
+    (VerificationFailure when the span is not closed).  One elimination,
+    in ``_coordinate_reader``, serves every product."""
     n = len(matrices)
-    flat = RatMatrix([m.flatten() for m in matrices])
-    size = flat.cols
-    reduced, pivots = rref(flat.hstack(RatMatrix.identity(n)))
-    if any(p >= size for p in pivots):
-        raise ValueError("matrices are linearly dependent")
-    span_rows = [{c: x for c, x in enumerate(row[:size]) if x} for row in reduced.data]
-    coord_rows = [{k: x for k, x in enumerate(row[size:]) if x} for row in reduced.data]
+    coords = _coordinate_reader(RatMatrix([m.flatten() for m in matrices]))
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
@@ -398,41 +387,51 @@ def algebra_from_matrices(
                 prod_m = matrices[i] * matrices[j] - matrices[j] * matrices[i]
             else:
                 prod_m = matrices[i] * matrices[j]
-            at_pivots = _pivot_coords(prod_m.flatten(), pivots, span_rows)
-            if at_pivots is None:
+            vec = coords(prod_m.flatten())
+            if vec is None:
                 raise VerificationFailure(
                     f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
                 )
-            vec = _combine_rows(at_pivots, coord_rows)
             if vec:
-                tensor[(i, j)] = dict(sorted(vec.items()))
+                tensor[(i, j)] = vec
     flags = [kind] + list(extra_flags)
     return StructureAlgebra(name, n, [MultilinearOp("bracket" if kind == "lie" else "product", 2, tensor)], flags)
 
 
 def subalgebra_structure(
-    a: StructureAlgebra, s: Subspace, name: str | None = None, flags: Iterable[str] | None = None
-) -> tuple[StructureAlgebra, RatMatrix]:
-    """Induced algebra on a subspace closed under all operations.
+    a: StructureAlgebra, basis: RatMatrix, name: str | None = None, flags: Iterable[str] | None = None
+) -> StructureAlgebra:
+    """The algebra ``a`` re-based on the columns of ``basis``: a
+    ``Subspace.basis``, or an invertible basis change.  Its structure
+    constants are each operation on every tuple of basis columns, read in
+    coordinates of those columns (ValueError when the columns are
+    linearly dependent or their span is not closed under an operation).
+    The flags (default: those of ``a``) are verified on the result.
 
-    Returns the abstract algebra on the subspace basis together with the
-    inclusion matrix (columns = subspace basis in ambient coordinates).
-    """
-    basis = s.basis
-    m = basis.cols
+    The result is memoized on ``a`` per (basis, name, flags), so the
+    gradings, inductions and coarsenings sharing an algebra and a basis
+    share one re-based, flag-checked copy."""
+    use_flags = a.flags if flags is None else frozenset(flags)
+    return _rebased(a, basis, name or f"{a.name}-sub", use_flags)
+
+
+@memoized
+def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset) -> StructureAlgebra:
+    if basis.rows != a.dimension:
+        raise ShapeError("basis rows must equal the algebra's dimension")
+    coords = _coordinate_reader(basis.transpose())
+    cols = basis.columns()
     ops = []
     for op in a.operations:
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for key in product(range(m), repeat=op.arity):
-            val = op.apply([basis.column(i) for i in key], a.dimension)
-            vec = _pivot_coords(val, s._pivots, s._columns)
+        for key in product(range(basis.cols), repeat=op.arity):
+            vec = coords(op.apply([cols[i] for i in key], a.dimension))
             if vec is None:
                 raise ValueError("subspace is not closed under an operation")
             if vec:
                 tensor[key] = vec
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    use_flags = a.flags if flags is None else frozenset(flags)
-    return StructureAlgebra(name or f"{a.name}-sub", m, ops, use_flags), basis
+    return StructureAlgebra(name, basis.cols, ops, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +465,30 @@ def _pivot_coords(
     if _combine_rows(x, basis) != {i: c for i, c in enumerate(vec) if c}:
         return None
     return x
+
+
+def _coordinate_reader(rows: RatMatrix):
+    """The map from a vector to its sparse coordinates (sorted by index) in
+    the rows of ``rows``, or None when it is outside their span
+    (ValueError when the rows are linearly dependent).
+
+    One elimination serves every vector: with M = ``rows``,
+    rref([M | I]) = [R | E] has E M = R, and R has pivot columns P.  The
+    rows of R are the canonical basis of the span, so ``_pivot_coords``
+    reads the coordinates v[P] of a vector v in them, and its coordinates
+    in the rows of M are x = E^T v[P]."""
+    size = rows.cols
+    reduced, pivots = rref(rows.hstack(RatMatrix.identity(rows.rows)))
+    if any(p >= size for p in pivots):
+        raise ValueError("the basis vectors are linearly dependent")
+    span_rows = [{c: x for c, x in enumerate(row[:size]) if x} for row in reduced.data]
+    coord_rows = [{k: x for k, x in enumerate(row[size:]) if x} for row in reduced.data]
+
+    def coords(vec: Sequence[Fraction]) -> dict[int, Fraction] | None:
+        at_pivots = _pivot_coords(vec, pivots, span_rows)
+        return None if at_pivots is None else dict(sorted(_combine_rows(at_pivots, coord_rows).items()))
+
+    return coords
 
 
 def _incremental_kernel(nunknowns: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:
@@ -624,23 +647,6 @@ def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     return gram, rank(gram) == n
 
 
-def _ideal_closure(a: StructureAlgebra, seed: Sequence[Fraction]) -> Subspace:
-    """Smallest ideal containing the seed vector."""
-    n = a.dimension
-    span = Subspace.from_vectors(n, [list(seed)])
-    frontier = [tuple(seed)]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for i in range(n):
-                w = a.bracket(a.basis_vector(i), v)
-                if any(w) and not span.contains(w):
-                    span = Subspace(n, span.basis.hstack(RatMatrix.column_vector(list(w))))
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return span
-
-
 def centroid_dimension(a: StructureAlgebra) -> int:
     """Dimension of {C in End(A) : C[x, y] = [x, Cy] for all x, y}."""
     _require_lie(a)
@@ -669,16 +675,13 @@ def centroid_dimension(a: StructureAlgebra) -> int:
 def is_simple(a: StructureAlgebra) -> bool:
     """Simplicity of a Lie algebra with nondegenerate Killing form.
 
-    Fast negative path: if a basis vector generates a proper ideal the
-    algebra is not simple.  Otherwise the centroid decides: a semisimple
-    split algebra is simple iff its centroid is one-dimensional.
+    The centroid decides: a semisimple split algebra is simple iff its
+    centroid is one-dimensional, since a proper ideal I and its
+    complement I^perp give the two projections as independent centroid
+    elements (Jacobson, Lie Algebras, ch. X).
     """
     _require_lie(a)
     _, nondeg = killing_form(a)
     if not nondeg:
         raise ValueError("simplicity test requires a nondegenerate Killing form")
-    n = a.dimension
-    for i in range(n):
-        if _ideal_closure(a, a.basis_vector(i)).dim < n:
-            return False
     return centroid_dimension(a) == 1

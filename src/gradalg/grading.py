@@ -17,13 +17,12 @@ from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, group_from_presentation
 from .algcore import (
-    MultilinearOp,
     StructureAlgebra,
     Subspace,
-    _combine_rows,
     _incremental_kernel,
     _leibniz_rows,
     memoized,
+    subalgebra_structure,
 )
 from .errors import (
     AxiomFailure,
@@ -33,7 +32,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, inverse, rank
+from .exactla import IntMatrix, RatMatrix, rank
 
 Q = Fraction
 
@@ -47,11 +46,10 @@ class Grading:
     structure tensors rewritten in the homogeneous basis.  Invariants
     computed from a grading are memoized on it (``_memo``).
 
-    The re-basing is sparse: one elimination inverts the basis change C
-    (and rejects a singular one), each operation is evaluated on the
-    columns of C through ``MultilinearOp.apply``, whose cost follows the
-    columns' nonzeros, and C^-1 is applied through its nonzero columns.
-    For the identity basis change this costs one tensor lookup per key.
+    The rewritten algebra is ``subalgebra_structure(algebra, C)`` for the
+    basis change C, which is memoized on the algebra: gradings sharing an
+    algebra and a basis change (the inductions, coarsenings and universal
+    grading of one grading) share one re-based, flag-checked copy.
     """
 
     __slots__ = (
@@ -85,22 +83,9 @@ class Grading:
         if basis_change.shape != (n, n):
             raise ShapeError(not_invertible)
         try:
-            cinv = inverse(basis_change)  # the one elimination; raises when singular
-        except ShapeError:
+            homog = subalgebra_structure(algebra, basis_change, name=algebra.name)
+        except ValueError:  # dependent columns
             raise ShapeError(not_invertible) from None
-        cols = basis_change.columns()
-        cinv_cols = [{r: x for r, x in enumerate(col) if x} for col in cinv.columns()]
-        homog_ops = []
-        for op in algebra.operations:
-            tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for key in product(range(n), repeat=op.arity):
-                val = op.apply([cols[i] for i in key], n)
-                # C^-1 val, summed over the nonzero entries of val only
-                vec = _combine_rows({i: v for i, v in enumerate(val) if v}, cinv_cols)
-                if vec:
-                    tensor[key] = dict(sorted(vec.items()))
-            homog_ops.append(MultilinearOp(op.name, op.arity, tensor))
-        homog = StructureAlgebra(algebra.name, n, homog_ops, algebra.flags)
         # compatibility: every nonzero entry lands in the product degree
         for op in homog.operations:
             for key, vec in op.tensor.items():
@@ -122,6 +107,7 @@ class Grading:
         object.__setattr__(self, "homog_algebra", homog)
         support = sorted({d for d in degrees}, key=lambda g: g.coords)
         object.__setattr__(self, "support", tuple(support))
+        cols = basis_change.columns()
         comps: dict[GroupElement, Subspace] = {}
         for g in support:
             comps[g] = Subspace.from_vectors(n, [cols[i] for i in range(n) if degrees[i] == g])

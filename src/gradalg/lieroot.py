@@ -366,10 +366,10 @@ def extract_root_system(
 
 def _cartan_candidates_of(alg: StructureAlgebra, sub: Subspace, seed: int):
     """Cartan subalgebras of a bracket-closed subspace, in ambient coords."""
-    small, incl = subalgebra_structure(alg, sub, name="identity-part", flags=["lie"])
+    small = subalgebra_structure(alg, sub.basis, name="identity-part", flags=["lie"])
     for h_small in cartan_candidates(small, random.Random(seed)):
         yield Subspace.from_vectors(
-            alg.dimension, [list(incl.matvec(list(v))) for v in h_small.vectors()]
+            alg.dimension, [list(sub.basis.matvec(list(v))) for v in h_small.vectors()]
         )
 
 
@@ -402,8 +402,8 @@ def verify_phi_grading(
     if not g_sub.contains_subspace(h):
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
-        g_alg, incl = subalgebra_structure(alg, g_sub, name="grading-subalgebra", flags=["lie"])
-    except Exception as exc:  # not closed under the bracket
+        g_alg = subalgebra_structure(alg, g_sub.basis, name="grading-subalgebra", flags=["lie"])
+    except ValueError as exc:  # not closed under the bracket
         return PhiGradingCheck(False, (("i", f"not a subalgebra: {exc}"),), (), ())
     try:
         simple = is_simple(g_alg)
@@ -655,7 +655,7 @@ def root_graded_structure(
         raise VerificationFailure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
-    g_alg, _ = subalgebra_structure(alg, g_sub, name="grading-subalgebra", flags=["lie"])
+    g_alg = subalgebra_structure(alg, g_sub.basis, name="grading-subalgebra", flags=["lie"])
     pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
     g_plus_vecs: list[list[Fraction]] = []
     for a in pos_prime:
@@ -817,7 +817,7 @@ def root_graded_structure(
 def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
     if h.dim == 0 or not l_e.contains_subspace(h):
         return False
-    small, _ = subalgebra_structure(alg, l_e, name="identity-part", flags=["lie"])
+    small = subalgebra_structure(alg, l_e.basis, name="identity-part", flags=["lie"])
     h_small = Subspace.from_vectors(
         l_e.dim, [list(l_e.coords(list(v))) for v in h.vectors()]
     )

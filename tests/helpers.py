@@ -6,9 +6,16 @@ from fractions import Fraction as Q
 from itertools import product
 
 from gradalg.abgroup import FgAbGroup
-from gradalg.algcore import MultilinearOp, StructureAlgebra, Subspace, algebra_from_matrices
+from gradalg.algcore import (
+    MultilinearOp,
+    StructureAlgebra,
+    Subspace,
+    algebra_from_matrices,
+    centroid_dimension,
+    killing_form,
+)
 from gradalg.errors import ShapeError
-from gradalg.exactla import RatMatrix, inverse, nullspace, rref
+from gradalg.exactla import RatMatrix, nullspace, rref
 from gradalg.grading import GradedDerivations, Grading
 
 
@@ -66,6 +73,48 @@ def build_sl2_plus_sl2() -> StructureAlgebra:
     return algebra_from_matrices("sl2+sl2", mats, kind="lie")
 
 
+def build_sl2_plus_sl3() -> StructureAlgebra:
+    """sl2 + sl3 as block-diagonal 5 x 5 matrices."""
+
+    def block(m: RatMatrix, pos: int) -> RatMatrix:
+        out = [[Q(0)] * 5 for _ in range(5)]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[pos + i][pos + j] = m[i, j]
+        return RatMatrix(out)
+
+    mats = [block(m, 0) for m in sl_matrices(2)] + [block(m, 2) for m in sl_matrices(3)]
+    return algebra_from_matrices("sl2+sl3", mats, kind="lie")
+
+
+def _ideal_closure(a: StructureAlgebra, seed) -> Subspace:
+    """Smallest ideal containing the seed vector."""
+    n = a.dimension
+    span = Subspace.from_vectors(n, [list(seed)])
+    frontier = [tuple(seed)]
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            for i in range(n):
+                w = a.bracket(a.basis_vector(i), v)
+                if any(w) and not span.contains(w):
+                    span = Subspace(n, span.basis.hstack(RatMatrix.column_vector(list(w))))
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return span
+
+
+def is_simple_by_ideal_closures(a: StructureAlgebra) -> bool:
+    """Oracle for ``is_simple``: not simple when a basis vector generates a
+    proper ideal, otherwise simple iff the centroid is one-dimensional."""
+    if not killing_form(a)[1]:
+        raise ValueError("simplicity test requires a nondegenerate Killing form")
+    n = a.dimension
+    if any(_ideal_closure(a, a.basis_vector(i)).dim < n for i in range(n)):
+        return False
+    return centroid_dimension(a) == 1
+
+
 def dense_apply(op: MultilinearOp, vectors, dim: int) -> tuple:
     """Oracle for ``MultilinearOp.apply``: one pass over every tensor entry,
     whatever the arguments."""
@@ -83,18 +132,17 @@ def dense_apply(op: MultilinearOp, vectors, dim: int) -> tuple:
     return tuple(out)
 
 
-def dense_rebase(alg: StructureAlgebra, basis_change: RatMatrix) -> list[dict]:
-    """Oracle for ``Grading.homog_algebra``: each operation's tensor in the
-    basis of the columns of C, from ``dense_apply`` on every key and a dense
-    C^-1."""
-    n = alg.dimension
-    cinv = inverse(basis_change)
+def dense_rebase(alg: StructureAlgebra, basis: RatMatrix) -> list[dict]:
+    """Oracle for ``subalgebra_structure`` and ``Grading.homog_algebra``:
+    each operation's tensor in the basis of the columns of ``basis``, from
+    ``dense_apply`` on every key and one rational solve per value."""
+    n = basis.cols
     tensors = []
     for op in alg.operations:
         tensor = {}
         for key in product(range(n), repeat=op.arity):
-            val = dense_apply(op, [basis_change.column(i) for i in key], n)
-            vec = {j: c for j, c in enumerate(cinv.matvec(val)) if c}
+            val = dense_apply(op, [basis.column(i) for i in key], alg.dimension)
+            vec = {j: c for j, c in enumerate(subspace_coords(basis, val)) if c}
             if vec:
                 tensor[key] = vec
         tensors.append(tensor)

@@ -326,6 +326,26 @@ class TestHoms:
         with pytest.raises(CapExceeded):
             enumerate_homs(FgAbGroup(5, ()), FgAbGroup(0, [8, 8]), cap=100)
 
+    @pytest.mark.parametrize(
+        "g, h, cap, total",
+        [
+            (FgAbGroup(1, ()), FgAbGroup(0, [300000]), 10**4, 300000),
+            (FgAbGroup(5, ()), FgAbGroup(0, [8, 8]), 100, 4096),
+            (FgAbGroup(1, [2, 4]), FgAbGroup(0, [4, 8]), 100, 128),
+            (FgAbGroup(0, [2, 4]), FgAbGroup(0, [4, 10**12]), 10, 64),
+        ],
+    )
+    def test_cap_is_checked_before_listing_the_target(self, monkeypatch, g, h, cap, total):
+        listed = FgAbGroup.elements
+
+        def elements(group):
+            assert group.order() <= cap, "listed a target larger than the cap"
+            return listed(group)
+
+        monkeypatch.setattr(FgAbGroup, "elements", elements)
+        with pytest.raises(CapExceeded, match=rf"^{total}\+ homomorphisms exceeds cap {cap}$"):
+            enumerate_homs(g, h, cap=cap)
+
 
 class TestRoundTrip:
     def test_presentation_of_hom_kernel_reproduces_image(self):

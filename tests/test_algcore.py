@@ -31,8 +31,11 @@ from helpers import (
     build_sl,
     build_sl2_efh,
     build_sl2_plus_sl2,
+    build_sl2_plus_sl3,
     dense_apply,
+    dense_rebase,
     e_matrix,
+    is_simple_by_ideal_closures,
     leibniz_holds,
     pairwise_matrix_tensor,
     sl_matrices,
@@ -263,6 +266,22 @@ class TestSimplicity:
         with pytest.raises(ValueError):
             is_simple(alg)
 
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in catalog.catalog_names() if "lie" in catalog.get_catalog(n).grading.algebra.flags],
+    )
+    def test_catalog_agrees_with_ideal_closures(self, name):
+        alg = catalog.get_catalog(name).grading.algebra
+        assert is_simple(alg) == is_simple_by_ideal_closures(alg)
+
+    @pytest.mark.parametrize(
+        "build, simple",
+        [(build_sl2_efh, True), (build_sl2_plus_sl2, False), (build_sl2_plus_sl3, False)],
+    )
+    def test_agrees_with_ideal_closures(self, build, simple):
+        alg = build()
+        assert is_simple(alg) == is_simple_by_ideal_closures(alg) == simple
+
     def test_mixed_basis_sum(self):
         # basis vectors straddle the two ideals: closure from any basis
         # vector is everything, yet the algebra is not simple
@@ -449,15 +468,56 @@ class TestSubalgebraStructure:
         alg = build_sl(3)
         # diagonal part: last two basis vectors in sl_matrices order
         h = Subspace.from_vectors(8, [[0] * 6 + [1, 0], [0] * 6 + [0, 1]])
-        sub, incl = subalgebra_structure(alg, h, flags=["lie"])
+        sub = subalgebra_structure(alg, h.basis, flags=["lie"])
         assert sub.dimension == 2
         assert not sub.binary_op().tensor  # abelian
 
     def test_not_closed_raises(self):
         alg = build_sl2_efh()
         s = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])  # span(e, h)
-        sub, _ = subalgebra_structure(alg, s, flags=["lie"])
+        sub = subalgebra_structure(alg, s.basis, flags=["lie"])
         assert sub.dimension == 2
         t = Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]])  # span(e, f)
         with pytest.raises(ValueError):
-            subalgebra_structure(alg, t, flags=["lie"])
+            subalgebra_structure(alg, t.basis, flags=["lie"])
+
+    def test_non_canonical_bases(self):
+        alg = build_sl(3)
+        # a Cartan subalgebra (sl_matrices order: E_ij, then the diagonal
+        # h1, h2 at 6 and 7), and the Borel subalgebra h + E_01, E_02, E_12
+        cartan = RatMatrix.from_columns([[0] * 6 + [1, 1], [0] * 6 + [2, Q(-1, 3)]])
+        unit = [alg.basis_vector(i) for i in (0, 1, 3, 6, 7)]
+        mix = [[1, 0, 2, 1, 0], [0, 1, 0, -1, 0], [1, 1, 0, 0, Q(1, 2)], [0, 0, 1, 0, 3], [1, 0, 0, 0, 1]]
+        borel = RatMatrix.from_columns(
+            [[sum(c * u[r] for c, u in zip(row, unit)) for r in range(8)] for row in mix]
+        )
+        for basis in (cartan, borel):
+            sub = subalgebra_structure(alg, basis, flags=["lie"])
+            assert sub.dimension == basis.cols
+            assert [op.tensor for op in sub.operations] == dense_rebase(alg, basis)
+        assert subalgebra_structure(alg, borel, flags=["lie"]).binary_op().tensor
+
+    def test_zero_columns(self):
+        alg = build_sl(3)
+        sub = subalgebra_structure(alg, RatMatrix.zeros(8, 0), name="zero")
+        assert sub.dimension == 0 and sub.name == "zero" and sub.flags == alg.flags
+        assert not sub.binary_op().tensor
+
+    def test_memoized_per_basis_with_flags_normalized(self, monkeypatch):
+        alg, other = build_sl2_efh(), build_sl2_efh()
+        checks = []
+        verify = StructureAlgebra._verify_lie
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", lambda a: checks.append(a) or verify(a))
+        basis = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]).basis
+        sub = subalgebra_structure(alg, basis, flags=["lie"])
+        assert sub.flags == frozenset({"lie"})
+        assert subalgebra_structure(alg, RatMatrix(basis.data), flags=("lie",)) is sub
+        assert checks == [sub]
+        assert subalgebra_structure(alg, basis, flags=[]) is not sub
+        assert subalgebra_structure(other, basis, flags=["lie"]) is not sub
+        assert len(checks) == 2
+
+    def test_dependent_columns(self):
+        basis = RatMatrix.from_columns([[1, 0, 0], [2, 0, 0]])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            subalgebra_structure(build_sl2_efh(), basis)

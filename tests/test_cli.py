@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gradalg.algcore import StructureAlgebra
 from gradalg.cli import catalog_workspace, main, parse_workspace
+from gradalg.exactla import RatMatrix
 from gradalg.grading import Grading
 
 
@@ -307,6 +308,33 @@ class TestHappyPaths:
         rep = json.loads(out)
         assert code == 0
         assert sum(e["orbit_size"] for e in rep["entries"]) == 4
+
+    def test_classify_rebases_each_algebra_and_basis_once(self, tmp_path, capsys, monkeypatch):
+        f = write_ws(tmp_path, catalog_workspace("cartan-sl3"))
+        pairs, gradings, rebased, depth = set(), [], [], [0]
+        grading_init, algebra_init = Grading.__init__, StructureAlgebra.__init__
+
+        def counting_grading_init(self, algebra, group, degrees, basis_change=None):
+            identity = RatMatrix.identity(algebra.dimension)
+            pairs.add((algebra, identity if basis_change is None else basis_change))
+            gradings.append(self)
+            depth[0] += 1
+            try:
+                grading_init(self, algebra, group, degrees, basis_change)
+            finally:
+                depth[0] -= 1
+
+        def counting_algebra_init(self, *args, **kwargs):
+            if depth[0]:
+                rebased.append(self)
+            algebra_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grading, "__init__", counting_grading_init)
+        monkeypatch.setattr(StructureAlgebra, "__init__", counting_algebra_init)
+        code, _, _ = run(capsys, "classify", f, "--target", '{"invariants": [2, 2]}', "--json")
+        assert code == 0
+        assert len(pairs) < len(gradings)
+        assert len(rebased) <= len(pairs)
 
     def test_induce_and_admissible(self, tmp_path, capsys):
         doc = catalog_workspace("cartan-sl2")

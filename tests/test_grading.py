@@ -122,7 +122,7 @@ def _regraded(gr, c):
 
 class TestSparseRebasing:
     """The homogeneous tensors equal the dense re-basing: every key through
-    the whole-tensor loop and a dense C^-1."""
+    the whole-tensor loop and a rational solve per value."""
 
     def test_b2_skew_fine(self):
         fine = get_catalog("b2-skew").companions["fine"]
@@ -154,6 +154,29 @@ class TestSparseRebasing:
         degrees = [z.element([1]), z.element([0]), z.element([-1])]
         with pytest.raises(ShapeError, match="invertible n x n"):
             Grading(alg, z, degrees, RatMatrix.identity(2))
+
+
+class TestSharedRebasing:
+    """Gradings on one algebra and one basis change share the re-based,
+    flag-checked homogeneous algebra."""
+
+    def test_induce(self):
+        gr = cartan_sl2()
+        z2 = FgAbGroup(0, [2])
+        parity = GroupHom(gr.group, z2, IntMatrix([[1]]))
+        assert induce(gr, parity).homog_algebra is gr.homog_algebra
+
+    def test_universal_grading(self):
+        for gr in (cartan_sl2(), get_catalog("b2-skew").companions["fine"]):
+            uab = universal_abelian_group(gr)
+            assert uab.universal_grading().homog_algebra is gr.homog_algebra
+
+    def test_distinct_basis_changes_are_not_shared(self):
+        gr = cartan_sl2()
+        c = RatMatrix.from_columns([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+        other = Grading(gr.algebra, gr.group, gr.degrees, c)
+        assert other.homog_algebra is not gr.homog_algebra
+        assert _tensors(other.homog_algebra) == dense_rebase(gr.algebra, c)
 
 
 class TestUniversalGroup:

@@ -189,6 +189,17 @@ class TestVerifyPhiGrading:
         assert not check.ok
         assert check.failures[0][0] == "i"
 
+    def test_not_closed_subspace(self):
+        gr = get_catalog("cartan-sl3").grading
+        h = gr.identity_component()
+        # [E_01, E_12] = E_02 leaves h + span(E_01, E_12)
+        g_sub = h.add(Subspace.from_vectors(8, [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]))
+        check = verify_phi_grading(gr.algebra, g_sub, h)
+        assert not check.ok
+        assert check.failures == (
+            ("i", "not a subalgebra: subspace is not closed under an operation"),
+        )
+
 
 class TestRootGradedStructure:
     def test_sl3_self(self):
