@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, NotASubgroup, ShapeError
 from .exactla import (
@@ -547,11 +547,7 @@ def _subgroups_of_p_component(
     ]
 
 
-def enumerate_subgroups(
-    h: Subgroup,
-    predicate: Callable[[Subgroup], bool] | None = None,
-    cap: int = DEFAULT_CAP,
-) -> list[Subgroup]:
+def enumerate_subgroups(h: Subgroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
     """All subgroups of the finite subgroup ``h``, canonically ordered.
 
     Works p-primary component by p-primary component and takes products,
@@ -580,8 +576,7 @@ def enumerate_subgroups(
         if sub.lattice in seen:
             continue
         seen.add(sub.lattice)
-        if predicate is None or predicate(sub):
-            out.append(sub)
+        out.append(sub)
     out.sort(key=Subgroup.sort_key)
     return out
 

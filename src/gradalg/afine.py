@@ -31,7 +31,7 @@ from .abgroup import (
     quotient_by,
     torsion_and_free,
 )
-from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, memoized
+from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, bracket_span, memoized
 from .errors import (
     AxiomFailure,
     DegenerateRetryExhausted,
@@ -74,13 +74,7 @@ def _is_nilpotent_subalgebra(alg: StructureAlgebra, basis: Subspace) -> bool:
     for _ in range(alg.dimension + 1):
         if current.dim == 0:
             return True
-        vecs = []
-        for x in basis.vectors():
-            for y in current.vectors():
-                z = alg.bracket(x, y)
-                if any(z):
-                    vecs.append(z)
-        nxt = Subspace.from_vectors(alg.dimension, vecs)
+        nxt = bracket_span(alg, basis.vectors(), current.vectors())
         if nxt.dim == current.dim and nxt == current:
             return False
         current = nxt
@@ -109,9 +103,7 @@ def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
 def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:
     """A Cartan subalgebra: closed under the bracket, nilpotent, and
     equal to its own normalizer."""
-    closed = all(
-        sub.contains(alg.bracket(a, b)) for a in sub.vectors() for b in sub.vectors()
-    )
+    closed = sub.contains_subspace(bracket_span(alg, sub.vectors(), sub.vectors()))
     return closed and _is_nilpotent_subalgebra(alg, sub) and _normalizer(alg, sub) == sub
 
 
@@ -168,6 +160,23 @@ def cartan_subalgebra(alg: StructureAlgebra, rng: random.Random) -> Subspace:
     return next(iter(cartan_candidates(alg, rng)))
 
 
+def split_cartan(small: StructureAlgebra, basis: RatMatrix, seed: int, split):
+    """The first Cartan subalgebra H of ``small`` from the candidates of
+    ``cartan_candidates(small, random.Random(seed))``, taken to ambient
+    coordinates by the columns of ``basis``, on which ``split(H)`` does not
+    raise NonSplitError; returns (H, split(H)).  When every candidate is
+    non-split, the last NonSplitError is re-raised (and when there is no
+    candidate at all, ``cartan_candidates`` raises DegenerateRetryExhausted)."""
+    nonsplit = None
+    for h_small in cartan_candidates(small, random.Random(seed)):
+        h = Subspace.from_vectors(basis.rows, [basis.matvec(list(v)) for v in h_small.vectors()])
+        try:
+            return h, split(h)
+        except NonSplitError as exc:
+            nonsplit = exc
+    raise nonsplit
+
+
 @dataclass(frozen=True)
 class ToralData:
     """Toral part of the degree-preserving derivations of a grading."""
@@ -199,32 +208,13 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     lie = algebra_from_matrices(
         "commutators", [mat_from_flat(list(v), n, n) for v in d_e.vectors()]
     )
-    rng = random.Random(seed)
-    cartan = toral = None
-    nonsplit: NonSplitError | None = None
-    for cartan_small in cartan_candidates(lie, rng):
-        # back to ambient endomorphism coordinates
-        cartan_vecs = [
-            d_e.basis.matvec(c) for c in cartan_small.vectors()
-        ]
-        candidate = Subspace.from_vectors(n * n, cartan_vecs)
-        try:
-            toral_vecs = []
-            for v in candidate.vectors():
-                s = semisimple_part(mat_from_flat(list(v), n, n))
-                if not s.is_zero():
-                    toral_vecs.append(s.flatten())
-        except NonSplitError as exc:
-            # this Cartan subalgebra is not split; try the next candidate
-            nonsplit = exc
-            continue
-        cartan = candidate
-        toral = Subspace.from_vectors(n * n, toral_vecs)
-        break
-    if cartan is None:
-        raise nonsplit if nonsplit is not None else DegenerateRetryExhausted(
-            "no Cartan subalgebra of the derivations was found"
-        )
+
+    def toral_part(cartan: Subspace) -> Subspace:
+        # the span of the semisimple parts; NonSplitError when a spectrum is irrational
+        parts = [semisimple_part(mat_from_flat(list(v), n, n)) for v in cartan.vectors()]
+        return Subspace.from_vectors(n * n, [s.flatten() for s in parts if not s.is_zero()])
+
+    cartan, toral = split_cartan(lie, d_e.basis, seed, toral_part)
     mats = [mat_from_flat(list(v), n, n) for v in toral.vectors()]
     for i, a in enumerate(mats):
         if not d_e.contains(a.flatten()):

@@ -4,7 +4,7 @@ An algebra is a rational vector space with any number of multilinear
 operations, each stored as a sparse structure tensor.  Asserted flags
 (lie, associative) are verified exactly at construction time.  On top of
 this: derivation algebras (optionally preserving a family of subspaces),
-centralizers, the Killing form, and a simplicity test.
+bracket spans, centralizers, the Killing form, and a simplicity test.
 """
 
 from __future__ import annotations
@@ -168,50 +168,43 @@ class StructureAlgebra:
     # -- flag verification --------------------------------------------------
 
     def _verify_lie(self):
-        op = self.binary_op()
+        t = self.binary_op().tensor
         n = self.dimension
         for i in range(n):
             for j in range(i, n):
-                ij = op.basis_value((i, j), n)
-                ji = op.basis_value((j, i), n)
-                if any(a + b for a, b in zip(ij, ji)):
+                if t.get((i, j), {}) != {l: -c for l, c in t.get((j, i), {}).items()}:
                     raise FlagViolation(
                         f"bracket is not antisymmetric on basis pair ({i}, {j})",
                         witness=(i, j),
                     )
-        basis = [self.basis_vector(i) for i in range(n)]
+        # right[k][l] = [e_l, e_k], so [[e_i, e_j], e_k] = _combine_rows(t[(i, j)], right[k])
+        right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                xy = op.basis_value((i, j), n)
                 for k in range(j + 1, n):
-                    yz = op.basis_value((j, k), n)
-                    zx = op.basis_value((k, i), n)
-                    total = [
-                        a + b + c
-                        for a, b, c in zip(
-                            op.apply([xy, basis[k]], n),
-                            op.apply([yz, basis[i]], n),
-                            op.apply([zx, basis[j]], n),
-                        )
+                    terms = [
+                        _combine_rows(t.get(key, {}), right[c])
+                        for key, c in (((i, j), k), ((j, k), i), ((k, i), j))
                     ]
-                    if any(total):
+                    # the Jacobi sum: terms[0] + terms[1] + terms[2]
+                    if _combine_rows({0: 1, 1: 1, 2: 1}, terms):
                         raise FlagViolation(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})",
                             witness=(i, j, k),
                         )
 
     def _verify_associative(self):
-        op = self.binary_op()
+        t = self.binary_op().tensor
         n = self.dimension
-        basis = [self.basis_vector(i) for i in range(n)]
+        # (e_i e_j) e_k = _combine_rows(t[(i, j)], right[k]) and
+        # e_i (e_j e_k) = _combine_rows(t[(j, k)], left[i])
+        right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
+        left = [[t.get((i, l), {}) for l in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                ij = op.basis_value((i, j), n)
+                ij = t.get((i, j), {})
                 for k in range(n):
-                    jk = op.basis_value((j, k), n)
-                    lhs = op.apply([ij, basis[k]], n)
-                    rhs = op.apply([basis[i], jk], n)
-                    if lhs != rhs:
+                    if _combine_rows(ij, right[k]) != _combine_rows(t.get((j, k), {}), left[i]):
                         raise FlagViolation(
                             f"associativity fails on basis triple ({i}, {j}, {k})",
                             witness=(i, j, k),
@@ -619,6 +612,16 @@ def derivation_algebra(
 def _require_lie(a: StructureAlgebra):
     if "lie" not in a.flags:
         raise ValueError("operation requires the lie flag")
+
+
+def bracket_span(
+    a: StructureAlgebra, xs: Iterable[Sequence[Fraction]], ys: Iterable[Sequence[Fraction]]
+) -> Subspace:
+    """The span of [x, y] for x in ``xs`` and y in ``ys``."""
+    ys = list(ys)
+    return Subspace.from_vectors(
+        a.dimension, [z for x in xs for y in ys if any(z := a.bracket(x, y))]
+    )
 
 
 def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:

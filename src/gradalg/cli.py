@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, solve
+from .exactla import IntMatrix, RatMatrix
 from .grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 from .lieroot import extract_root_system, root_graded_structure
 
@@ -516,11 +516,6 @@ def _cmd_classify(ws, args) -> None:
 def _cmd_rootsys(ws, args) -> None:
     name, gr = _pick_lie_grading(ws, args)
     wd, rep = extract_root_system(gr, seed=args.seed)
-    basis = RatMatrix.from_columns([list(a) for a in rep.simple_roots], rows=wd.cartan.dim)
-
-    def coords(a):
-        return [_fracstr(x) for x in solve(basis, RatMatrix.column_vector(list(a))).column(0)]
-
     report = {
         "grading": name,
         "type": rep.type_label,
@@ -532,7 +527,8 @@ def _cmd_rootsys(ws, args) -> None:
             "irreducible": rep.irreducible,
         },
         "roots": [
-            {"simple_coords": coords(a), "dim": wd.spaces[a].dim} for a in rep.phi
+            {"simple_coords": [_fracstr(x) for x in rep.root_coords[a]], "dim": wd.spaces[a].dim}
+            for a in rep.phi
         ],
         "zero_weight_dim": wd.zero_space().dim,
     }

@@ -19,18 +19,25 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup, torsion_and_free
-from .afine import DEFAULT_SEED, _MAX_GENERIC_RETRIES, _is_cartan, cartan_candidates, toral_rank
-from .algcore import StructureAlgebra, Subspace, centralizer, is_simple, killing_form, subalgebra_structure
+from .afine import DEFAULT_SEED, _MAX_GENERIC_RETRIES, _is_cartan, split_cartan, toral_rank
+from .algcore import (
+    StructureAlgebra,
+    Subspace,
+    bracket_span,
+    centralizer,
+    is_simple,
+    killing_form,
+    subalgebra_structure,
+)
 from .errors import (
     AxiomFailure,
     DegenerateRetryExhausted,
     IdentityComponentNotCartan,
-    NonSplitError,
     NotARefinement,
     SectionInvalid,
     VerificationFailure,
 )
-from .exactla import RatMatrix, nullspace, solve
+from .exactla import RatMatrix, solve
 from .grading import Grading, universal_abelian_group
 
 Q = Fraction
@@ -86,14 +93,9 @@ def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposit
     for a in weights:
         for b in weights:
             target = spaces.get(_wadd(a, b))
-            for x in spaces[a].vectors():
-                for y in spaces[b].vectors():
-                    z = alg.bracket(list(x), list(y))
-                    if any(z):
-                        if target is None or not target.contains(z):
-                            raise AxiomFailure(
-                                f"[L({a}), L({b})] escapes L({_wadd(a, b)})"
-                            )
+            span = bracket_span(alg, spaces[a].vectors(), spaces[b].vectors())
+            if span.dim and (target is None or not target.contains_subspace(span)):
+                raise AxiomFailure(f"[L({a}), L({b})] escapes L({_wadd(a, b)})")
     return WeightDecomposition(h, weights, spaces, phi)
 
 
@@ -138,6 +140,9 @@ def _cartan_number(alpha: Weight, beta: Weight, phi: frozenset) -> int | None:
 
 @dataclass(frozen=True)
 class RootSystemReport:
+    """The root-system facts of a finite set of nonzero weights, each
+    computed once by ``analyze_root_system``."""
+
     phi: tuple[Weight, ...]
     reflection_closure: bool
     integral_cartan: bool
@@ -147,6 +152,12 @@ class RootSystemReport:
     type_label: str | None
     simple_roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
+    #: (alpha, beta) -> <beta, alpha> from root strings, for every pair
+    #: whose number is an integer
+    numbers: Mapping[tuple[Weight, Weight], int]
+    #: root -> its coordinates in the simple roots; filled only when
+    #: type_label is set (and then for every root)
+    root_coords: Mapping[Weight, tuple[Fraction, ...]]
 
     @property
     def rank(self) -> int:
@@ -275,7 +286,6 @@ def analyze_root_system(
     positive = tuple(
         a for a in phi if sum(c * x for c, x in zip(f, a)) > 0
     )
-    pos_set = set(positive)
     simple = tuple(
         a
         for a in positive
@@ -283,17 +293,25 @@ def analyze_root_system(
     )
     label = None
     if integral and reflective:
+        base = _match_cartan_matrix(_cartan_matrix_from_numbers(simple, numbers))
+        r = len(simple)
         if reduced:
-            label = _match_cartan_matrix(_cartan_matrix_from_numbers(simple, numbers))
-        else:
-            # the non-doubled roots must form B_r (A1 when r = 1)
-            base = _match_cartan_matrix(_cartan_matrix_from_numbers(simple, numbers))
-            r = len(simple)
-            expected = "A1" if r == 1 else f"B{r}"
-            if base == expected:
-                label = f"BC{r}"
+            label = base
+        elif base == ("A1" if r == 1 else f"B{r}"):
+            # the non-doubled roots form B_r (A1 when r = 1)
+            label = f"BC{r}"
+    root_coords = {}
+    if label is not None:
+        dim = len(phi[0])
+        sol = solve(
+            RatMatrix.from_columns(list(simple), rows=dim),
+            RatMatrix.from_columns(list(phi), rows=dim),
+        )
+        if sol is not None:
+            root_coords = {a: sol.column(k) for k, a in enumerate(phi)}
     return RootSystemReport(
-        phi, reflective, integral, irreducible, reduced, label, simple, positive
+        phi, reflective, integral, irreducible, reduced, label, simple, positive,
+        numbers, root_coords,
     )
 
 
@@ -309,12 +327,15 @@ def _cartan_matrix_from_numbers(simple, numbers) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _require_semisimple(alg: StructureAlgebra) -> None:
+    if not killing_form(alg)[1]:
+        raise VerificationFailure("Killing form is degenerate: not semisimple")
+
+
 def is_non_special(grading: Grading, seed: int = DEFAULT_SEED) -> bool:
     """True when the identity component is nonzero; cross-checked against
     the toral rank, which is positive exactly then (semisimple, char 0)."""
-    _, nondeg = killing_form(grading.algebra)
-    if not nondeg:
-        raise VerificationFailure("Killing form is degenerate: not semisimple")
+    _require_semisimple(grading.algebra)
     nonzero = grading.identity_component().dim > 0
     trank = toral_rank(grading, seed=seed).trank
     if nonzero != (trank >= 1):
@@ -337,21 +358,8 @@ def extract_root_system(
         )
     alg = grading.algebra
     l_e = grading.identity_component()
-    h = wd = None
-    nonsplit: NonSplitError | None = None
-    for candidate in _cartan_candidates_of(alg, l_e, seed):
-        try:
-            wd = weight_decomposition(alg, candidate)
-        except NonSplitError as exc:
-            # not a split Cartan subalgebra; probe the next candidate
-            nonsplit = exc
-            continue
-        h = candidate
-        break
-    if h is None:
-        raise nonsplit if nonsplit is not None else DegenerateRetryExhausted(
-            "no Cartan subalgebra of the identity component was found"
-        )
+    small = subalgebra_structure(alg, l_e.basis, name="identity-part", flags=["lie"])
+    h, wd = split_cartan(small, l_e.basis, seed, lambda h: weight_decomposition(alg, h))
     # the zero weight space must meet L_e exactly in H
     meet = wd.zero_space().intersect(l_e)
     if meet != h:
@@ -364,15 +372,6 @@ def extract_root_system(
     return wd, report
 
 
-def _cartan_candidates_of(alg: StructureAlgebra, sub: Subspace, seed: int):
-    """Cartan subalgebras of a bracket-closed subspace, in ambient coords."""
-    small = subalgebra_structure(alg, sub.basis, name="identity-part", flags=["lie"])
-    for h_small in cartan_candidates(small, random.Random(seed)):
-        yield Subspace.from_vectors(
-            alg.dimension, [list(sub.basis.matvec(list(v))) for v in h_small.vectors()]
-        )
-
-
 # ---------------------------------------------------------------------------
 # Phi-graded verification
 # ---------------------------------------------------------------------------
@@ -380,11 +379,16 @@ def _cartan_candidates_of(alg: StructureAlgebra, sub: Subspace, seed: int):
 
 @dataclass(frozen=True)
 class PhiGradingCheck:
+    """The verdict of ``verify_phi_grading``, with the root-system report
+    of Phi' (the weights of the grading subalgebra) when condition (i) got
+    as far as building it."""
+
     ok: bool
     #: (condition name, human-readable witness) for each failure
     failures: tuple[tuple[str, str], ...]
     phi_prime: tuple[Weight, ...]
     phi: tuple[Weight, ...]
+    report: RootSystemReport | None = None
 
 
 def verify_phi_grading(
@@ -398,6 +402,7 @@ def verify_phi_grading(
     failures: list[tuple[str, str]] = []
     phi_prime: tuple[Weight, ...] = ()
     phi: tuple[Weight, ...] = ()
+    rep: RootSystemReport | None = None
     n = alg.dimension
     if not g_sub.contains_subspace(h):
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
@@ -429,23 +434,18 @@ def verify_phi_grading(
             if w not in allowed:
                 failures.append(("ii", f"weight {w} outside Phi' and its doubles"))
         # (iii) L(0) = sum over nonzero weights of [L(a), L(-a)]
-        span: list = []
+        total = Subspace.from_vectors(n, [])
         for a in phi:
-            na = _wneg(a)
-            if na not in wd.spaces:
-                continue
-            for x in wd.spaces[a].vectors():
-                for y in wd.spaces[na].vectors():
-                    z = alg.bracket(list(x), list(y))
-                    if any(z):
-                        span.append(z)
-        total = Subspace.from_vectors(n, span)
+            if _wneg(a) in wd.spaces:
+                total = total.add(
+                    bracket_span(alg, wd.spaces[a].vectors(), wd.spaces[_wneg(a)].vectors())
+                )
         if total != wd.zero_space():
             failures.append(
                 ("iii", f"sum of [L(a), L(-a)] has dim {total.dim}, "
                         f"L(0) has dim {wd.zero_space().dim}")
             )
-    return PhiGradingCheck(not failures, tuple(failures), phi_prime, phi)
+    return PhiGradingCheck(not failures, tuple(failures), phi_prime, phi, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -478,49 +478,14 @@ class RootGradedDecomposition:
         return dg * da + ds * db + dw * dc + self.pieces[3].dim == self.g_sub.dim_ambient
 
 
-def _highest_weight_space(
-    alg: StructureAlgebra, wd: WeightDecomposition, g_plus: Subspace, lam: Weight
-) -> Subspace:
-    """{x in L(lam) : [g_plus, x] = 0}."""
-    n = alg.dimension
-    space = wd.spaces[lam]
-    # unknowns: coefficients on space basis; stack ad(p) restricted to space
-    mat_rows = []
-    for p in g_plus.vectors():
-        adp = alg.ad_matrix(list(p))
-        images = [adp.matvec(list(v)) for v in space.vectors()]
-        for r in range(n):
-            mat_rows.append([images[j][r] for j in range(space.dim)])
-    if not mat_rows:
-        return space
-    ns = nullspace(RatMatrix(mat_rows))
-    vecs = []
-    for j in range(ns.cols):
-        coeff = ns.column(j)
-        v = [Q(0)] * n
-        for t, bv in enumerate(space.vectors()):
-            for r in range(n):
-                v[r] += coeff[t] * bv[r]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
-
-
 def _module_under(alg: StructureAlgebra, g_sub: Subspace, seed_space: Subspace) -> Subspace:
     """g_sub-submodule generated by seed_space."""
     cur = seed_space
-    changed = True
-    while changed:
-        changed = False
-        extra = []
-        for p in g_sub.vectors():
-            for v in cur.vectors():
-                z = alg.bracket(list(p), list(v))
-                if any(z) and not cur.contains(z):
-                    extra.append(z)
-        if extra:
-            cur = cur.add(Subspace.from_vectors(alg.dimension, extra))
-            changed = True
-    return cur
+    while True:
+        nxt = cur.add(bracket_span(alg, g_sub.vectors(), cur.vectors()))
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def _length_classes(
@@ -557,6 +522,7 @@ def root_graded_structure(
     """
     alg = grading.algebra
     n = alg.dimension
+    _require_semisimple(alg)
     if not is_simple(alg):
         raise VerificationFailure("the ambient algebra is not simple")
     if not refined.is_refinement_of(grading):
@@ -580,9 +546,7 @@ def root_graded_structure(
     uab = universal_abelian_group(refined)
     # pi: each refined component lies in a single weight space
     zphi = FgAbGroup(r, ())
-    basis_mat = RatMatrix.from_columns([list(a) for a in delta_basis], rows=h.dim)
     pi_images: dict[GroupElement, GroupElement] = {}
-    weight_of_class: dict[GroupElement, Weight] = {}
     for s in refined.support:
         comp = refined.component(s)
         hit = [w for w in wd.weights if wd.spaces[w].contains_subspace(comp)]
@@ -591,14 +555,12 @@ def root_graded_structure(
                 f"component of degree {s.coords} is not inside one weight space"
             )
         w = hit[0]
-        sol = solve(basis_mat, RatMatrix.column_vector(list(w)))
-        if sol is None:
+        coords = report.root_coords.get(w) if any(w) else (Q(0),) * r
+        if coords is None:
             raise VerificationFailure(f"weight {w} outside the root lattice")
-        coords = sol.column(0)
         if any(c.denominator != 1 for c in coords):
             raise VerificationFailure(f"weight {w} has non-integral root coordinates")
         pi_images[s] = zphi.element([int(c) for c in coords])
-        weight_of_class[uab.iota[s]] = w
     pi = uab.hom_from_support_images(zphi, pi_images)
     if not pi.is_surjective():
         raise VerificationFailure("pi is not surjective onto the root lattice")
@@ -663,36 +625,31 @@ def root_graded_structure(
         g_plus_vecs.extend(list(v) for v in inter.vectors())
     g_plus = Subspace.from_vectors(n, g_plus_vecs)
 
-    def fval(a: Weight) -> tuple:
+    def dominance(a: Weight) -> tuple:
         # dominance proxy: coordinates in the simple basis
-        return solve(basis_mat, RatMatrix.column_vector(list(a))).column(0)
+        return sum(report.root_coords[a]), report.root_coords[a]
 
-    lam_a = max(phi_prime, key=lambda a: (sum(fval(a)), fval(a)))
-    numbers = {}
-    phiset = frozenset(phi_prime)
-    for a in phi_prime:
-        for b in phi_prime:
-            nn = _cartan_number(a, b, phiset)
-            if nn is not None:
-                numbers[(a, b)] = nn
+    lam_a = max(phi_prime, key=dominance)
     lam_b: Weight | None = None
     lam_c: Weight | None = None
     merged = False
     if doubled:
-        lam_b = max(doubled, key=lambda a: (sum(fval(a)), fval(a)))
+        lam_b = max(doubled, key=dominance)
         if r == 1:
             merged = True  # the natural module is the adjoint one: C joins B
         else:
             lam_c = _wscale(Q(1, 2), lam_b)
     else:
-        lengths = _length_classes(phi_prime, numbers)
+        lengths = _length_classes(phi_prime, check.report.numbers)
         if len(set(lengths.values())) > 1:
             short = min(set(lengths.values()))
             lam_b = max(
                 (a for a in phi_prime if lengths[a] == short),
-                key=lambda a: (sum(fval(a)), fval(a)),
+                key=dominance,
             )
-    m_a = _highest_weight_space(alg, wd, g_plus, lam_a)
+    # highest-weight vectors: {x in L(lam) : [g_plus, x] = 0}
+    top = centralizer(alg, g_plus)
+    m_a = top.intersect(wd.spaces[lam_a])
     piece_a = _module_under(alg, g_sub, m_a)
     dim_a = m_a.dim
     if dim_a == 0 or piece_a.dim % dim_a:
@@ -705,7 +662,7 @@ def root_graded_structure(
     piece_b = piece_c = None
     dim_s = dim_b = dim_w = dim_c = 0
     if lam_b is not None:
-        m_b = _highest_weight_space(alg, wd, g_plus, lam_b)
+        m_b = top.intersect(wd.spaces[lam_b])
         if m_b.dim:
             piece_b = _module_under(alg, g_sub, m_b)
             dim_b = m_b.dim
@@ -713,7 +670,7 @@ def root_graded_structure(
                 raise VerificationFailure("s-isotypic piece has inconsistent dimension")
             dim_s = piece_b.dim // dim_b
     if lam_c is not None:
-        m_c = _highest_weight_space(alg, wd, g_plus, lam_c)
+        m_c = top.intersect(wd.spaces[lam_c])
         # highest-weight vectors of weight lam_c inside the adjoint piece
         # belong to g x A; keep only the complement
         fresh = [
@@ -740,7 +697,7 @@ def root_graded_structure(
     # multiplicity degree tables over the torsion of U
     def table_for(lam: Weight, m_space: Subspace):
         # u_lam from the section, extended linearly over Z Phi
-        coords = fval(lam)
+        coords = report.root_coords[lam]
         u_lam = uab.group.identity()
         for c, u in zip(coords, section):
             u_lam = u_lam + int(c) * u
@@ -789,13 +746,7 @@ def root_graded_structure(
     if d.intersect(h).dim:
         raise VerificationFailure("centralizer of the grading subalgebra meets H")
     zero = wd.zero_space()
-    brackets = []
-    for x in zero.vectors():
-        for y in zero.vectors():
-            z = alg.bracket(list(x), list(y))
-            if any(z):
-                brackets.append(z)
-    derived0 = Subspace.from_vectors(n, brackets)
+    derived0 = bracket_span(alg, zero.vectors(), zero.vectors())
     if derived0.intersect(h).dim:
         raise VerificationFailure("[L(0), L(0)] meets H: induced grading not special")
     return RootGradedDecomposition(

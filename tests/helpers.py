@@ -14,7 +14,7 @@ from gradalg.algcore import (
     centroid_dimension,
     killing_form,
 )
-from gradalg.errors import ShapeError
+from gradalg.errors import FlagViolation, ShapeError
 from gradalg.exactla import RatMatrix, nullspace, rref
 from gradalg.grading import GradedDerivations, Grading
 
@@ -130,6 +130,62 @@ def dense_apply(op: MultilinearOp, vectors, dim: int) -> tuple:
         for j, c in vec.items():
             out[j] += coeff * c
     return tuple(out)
+
+
+def dense_verify_lie(self: StructureAlgebra) -> None:
+    """Oracle for ``StructureAlgebra._verify_lie``: antisymmetry and Jacobi
+    from dense length-n tuples, one ``apply`` per term of each triple."""
+    op = self.binary_op()
+    n = self.dimension
+    for i in range(n):
+        for j in range(i, n):
+            ij = op.basis_value((i, j), n)
+            ji = op.basis_value((j, i), n)
+            if any(a + b for a, b in zip(ij, ji)):
+                raise FlagViolation(
+                    f"bracket is not antisymmetric on basis pair ({i}, {j})",
+                    witness=(i, j),
+                )
+    basis = [self.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            xy = op.basis_value((i, j), n)
+            for k in range(j + 1, n):
+                yz = op.basis_value((j, k), n)
+                zx = op.basis_value((k, i), n)
+                total = [
+                    a + b + c
+                    for a, b, c in zip(
+                        op.apply([xy, basis[k]], n),
+                        op.apply([yz, basis[i]], n),
+                        op.apply([zx, basis[j]], n),
+                    )
+                ]
+                if any(total):
+                    raise FlagViolation(
+                        f"Jacobi identity fails on basis triple ({i}, {j}, {k})",
+                        witness=(i, j, k),
+                    )
+
+
+def dense_verify_associative(self: StructureAlgebra) -> None:
+    """Oracle for ``StructureAlgebra._verify_associative``: both sides of
+    each triple as dense length-n tuples from two ``apply`` calls."""
+    op = self.binary_op()
+    n = self.dimension
+    basis = [self.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ij = op.basis_value((i, j), n)
+            for k in range(n):
+                jk = op.basis_value((j, k), n)
+                lhs = op.apply([ij, basis[k]], n)
+                rhs = op.apply([basis[i], jk], n)
+                if lhs != rhs:
+                    raise FlagViolation(
+                        f"associativity fails on basis triple ({i}, {j}, {k})",
+                        witness=(i, j, k),
+                    )
 
 
 def dense_rebase(alg: StructureAlgebra, basis: RatMatrix) -> list[dict]:

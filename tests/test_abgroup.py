@@ -261,7 +261,7 @@ class TestEnumerateSubgroups:
 
     def test_predicate_and_cap(self):
         g = FgAbGroup(0, [2, 2])
-        subs = enumerate_subgroups(g.full_subgroup(), predicate=lambda s: s.order() <= 2)
+        subs = [s for s in enumerate_subgroups(g.full_subgroup()) if s.order() <= 2]
         assert len(subs) == 4
         with pytest.raises(CapExceeded):
             enumerate_subgroups(FgAbGroup(0, [3] * 9).full_subgroup())

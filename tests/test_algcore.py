@@ -34,6 +34,8 @@ from helpers import (
     build_sl2_plus_sl3,
     dense_apply,
     dense_rebase,
+    dense_verify_associative,
+    dense_verify_lie,
     e_matrix,
     is_simple_by_ideal_closures,
     leibniz_holds,
@@ -365,8 +367,8 @@ def build_m(d):
 
 
 class TestFlagChecksAgainstWholeTensorLoop:
-    """The flag checks report the same message and witness whether the
-    tensor is evaluated by its nonzeros or by the whole-tensor loop."""
+    """The flag checks, which contract the nonzero structure constants,
+    report the same verdict, message and witness as the dense oracles."""
 
     @pytest.mark.parametrize(
         "build, flag, keep_antisymmetry",
@@ -383,7 +385,8 @@ class TestFlagChecksAgainstWholeTensorLoop:
         rng = random.Random(alg.dimension)
         corrupted = [_corrupted(alg, rng, keep_antisymmetry) for _ in range(6)]
         sparse = [_flag_failure(alg.dimension, t, flag) for t in corrupted]
-        monkeypatch.setattr(MultilinearOp, "apply", dense_apply)
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
         assert sparse == [_flag_failure(alg.dimension, t, flag) for t in corrupted]
         # a changed constant can leave an isomorphic algebra; most do not
         failures = [f for f in sparse if f is not None]

@@ -230,7 +230,7 @@ class TestFuzzedWorkspaces:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_commands_end_with_an_exit_code(self, data):
-        command = data.draw(st.sampled_from(["ugroup", "der"]))
+        command = data.draw(st.sampled_from(["ugroup", "der", "rootsys", "root-graded"]))
         assert _fuzzed_exit_code(data, command) in range(5)
 
 
@@ -396,6 +396,34 @@ class TestExitCodes:
         f = write_ws(tmp_path, catalog_workspace("a3-fine"))
         code, _, err = run(capsys, "rootsys", f)
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["rootsys", "root-graded"])
+    @pytest.mark.parametrize(
+        "entries", [[[0, 1, 1, "1"], [1, 0, 1, "-1"]], []], ids=["solvable", "abelian"]
+    )
+    def test_not_semisimple_is_4(self, tmp_path, capsys, command, entries):
+        # [e0, e1] = e1 graded by Z, and the abelian algebra on the same degrees
+        doc = {
+            "algebras": [
+                {
+                    "name": "b",
+                    "dimension": 2,
+                    "flags": {"lie": True},
+                    "operations": [{"name": "bracket", "arity": 2, "entries": entries}],
+                }
+            ],
+            "gradings": [
+                {
+                    "name": "z",
+                    "algebra": "b",
+                    "group": {"free_rank": 1, "invariants": []},
+                    "degrees": [[0], [1]],
+                }
+            ],
+        }
+        code, _, err = run(capsys, command, write_ws(tmp_path, doc))
+        assert code == 4
+        assert "Killing form is degenerate: not semisimple" in err
 
     @pytest.mark.parametrize(
         "argv, message",
