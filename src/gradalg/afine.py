@@ -42,11 +42,13 @@ from .exactla import (
     IntMatrix,
     RatMatrix,
     column_hnf,
+    combine_rows,
     hnf_solve,
     mat_from_flat,
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
+    sparse_nullspace,
 )
 from .grading import (
     GradedDerivations,
@@ -82,22 +84,12 @@ def _is_nilpotent_subalgebra(alg: StructureAlgebra, basis: Subspace) -> bool:
 
 
 def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
-    """{y : [y, sub] subset of sub} inside the algebra."""
-    n = alg.dimension
-    if sub.dim == 0:
-        return Subspace.full(n)
-    ann = nullspace(sub.basis.transpose())  # functionals vanishing on sub
-    rows = []
-    for v in sub.vectors():
-        adv = alg.ad_matrix(v)  # y -> [v, y]; [y, v] = -[v, y]
-        for j in range(ann.cols):
-            q = ann.column(j)
-            row = [sum(-q[r] * adv[r, c] for r in range(n)) for c in range(n)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace.full(n)
-    return Subspace(n, nullspace(RatMatrix(rows)))
+    """{y : [y, sub] subset of sub} inside the algebra: the y with
+    q([v, y]) = 0 for every v in sub and every functional q vanishing on
+    sub."""
+    ann = sub.annihilator()
+    rows = (combine_rows(q, ad) for ad in map(alg.ad_rows, sub.vectors()) for q in ann)
+    return Subspace(alg.dimension, sparse_nullspace(alg.dimension, rows))
 
 
 def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:

@@ -14,17 +14,19 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
     RatMatrix,
-    column_echelon,
+    combine_rows,
+    gauss_jordan,
     mat_from_flat,
-    nullspace,
     rank,
-    rref,
+    kernel_vectors,
+    sparse_nullspace,
+    sparse_rows,
     subspace_intersection,
     subspace_sum,
 )
@@ -159,11 +161,20 @@ class StructureAlgebra:
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Q(1) if j == i else Q(0) for j in range(self.dimension))
 
+    def ad_rows(self, x: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+        """The sparse rows of ``ad_matrix(x)``: row j holds the coefficient
+        of y_i in bracket(x, y)_j, from the nonzero structure constants."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.dimension)]
+        for (k, i), vec in self.binary_op().tensor.items():
+            if x[k]:
+                for j, c in vec.items():
+                    rows[j][i] = rows[j].get(i, 0) + x[k] * c
+        return [{i: c for i, c in row.items() if c} for row in rows]
+
     def ad_matrix(self, x: Sequence[Fraction]) -> RatMatrix:
         """Matrix of y -> bracket(x, y) on the basis."""
         n = self.dimension
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(n)]
-        return RatMatrix.from_columns(cols, rows=n)
+        return RatMatrix([[row.get(i, 0) for i in range(n)] for row in self.ad_rows(x)])
 
     # -- flag verification --------------------------------------------------
 
@@ -177,17 +188,17 @@ class StructureAlgebra:
                         f"bracket is not antisymmetric on basis pair ({i}, {j})",
                         witness=(i, j),
                     )
-        # right[k][l] = [e_l, e_k], so [[e_i, e_j], e_k] = _combine_rows(t[(i, j)], right[k])
+        # right[k][l] = [e_l, e_k], so [[e_i, e_j], e_k] = combine_rows(t[(i, j)], right[k])
         right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     terms = [
-                        _combine_rows(t.get(key, {}), right[c])
+                        combine_rows(t.get(key, {}), right[c])
                         for key, c in (((i, j), k), ((j, k), i), ((k, i), j))
                     ]
                     # the Jacobi sum: terms[0] + terms[1] + terms[2]
-                    if _combine_rows({0: 1, 1: 1, 2: 1}, terms):
+                    if combine_rows({0: 1, 1: 1, 2: 1}, terms):
                         raise FlagViolation(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})",
                             witness=(i, j, k),
@@ -196,15 +207,15 @@ class StructureAlgebra:
     def _verify_associative(self):
         t = self.binary_op().tensor
         n = self.dimension
-        # (e_i e_j) e_k = _combine_rows(t[(i, j)], right[k]) and
-        # e_i (e_j e_k) = _combine_rows(t[(j, k)], left[i])
+        # (e_i e_j) e_k = combine_rows(t[(i, j)], right[k]) and
+        # e_i (e_j e_k) = combine_rows(t[(j, k)], left[i])
         right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
         left = [[t.get((i, l), {}) for l in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 ij = t.get((i, j), {})
                 for k in range(n):
-                    if _combine_rows(ij, right[k]) != _combine_rows(t.get((j, k), {}), left[i]):
+                    if combine_rows(ij, right[k]) != combine_rows(t.get((j, k), {}), left[i]):
                         raise FlagViolation(
                             f"associativity fails on basis triple ({i}, {j}, {k})",
                             witness=(i, j, k),
@@ -219,12 +230,12 @@ class Subspace:
     def __init__(self, dim_ambient: int, basis: RatMatrix):
         if basis.rows != dim_ambient:
             raise ShapeError("basis rows must equal the ambient dimension")
-        basis = column_echelon(basis) if basis.cols else RatMatrix.zeros(dim_ambient, 0)
-        columns = [{r: x for r, x in enumerate(col) if x} for col in basis.columns()]
+        # the reduced echelon basis of the column span, {pivot row: column}
+        reduced = gauss_jordan(sparse_rows(basis.columns()), dim_ambient)
+        columns = list(reduced.values())
         object.__setattr__(self, "dim_ambient", dim_ambient)
-        object.__setattr__(self, "basis", basis)
-        # the pivot row of a canonical basis column is its first nonzero
-        object.__setattr__(self, "_pivots", [next(iter(col)) for col in columns])
+        object.__setattr__(self, "basis", RatMatrix.from_sparse_columns(columns, dim_ambient))
+        object.__setattr__(self, "_pivots", list(reduced))
         object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, name, value):
@@ -232,8 +243,6 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, dim_ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
-        if not vectors:
-            return cls(dim_ambient, RatMatrix.zeros(dim_ambient, 0))
         return cls(dim_ambient, RatMatrix.from_columns(list(vectors), rows=dim_ambient))
 
     @classmethod
@@ -259,6 +268,11 @@ class Subspace:
             raise ShapeError("vector length must equal the ambient dimension")
         x = _pivot_coords([Q(c) for c in vec], self._pivots, self._columns)
         return None if x is None else tuple(x.get(t, Q(0)) for t in range(self.dim))
+
+    def annihilator(self) -> list[dict[int, Fraction]]:
+        """A basis of the functionals vanishing on the subspace, as sparse
+        vectors q with sum_r q[r] w[r] = 0 for every w in it."""
+        return list(kernel_vectors(self._columns, self.dim_ambient))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim_ambient != other.dim_ambient:
@@ -317,15 +331,23 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     """Build a StructureAlgebra from a plain dict:
     { "name", "dimension", "flags": {...}, "operations":
       [ {"name", "arity", "entries": [[i_1, ..., i_k, j, "p/q"], ...]}, ...] }.
-    Flags given as a mapping of flag name to boolean.  Dimension, arity and
-    indices must be integers, structure constants integers or "p/q"
-    strings (ValueError otherwise).  Asserted lie / associative flags are
-    verified (FlagViolation on failure)."""
+    Flags given as a mapping of flag name to boolean.  The name must be a
+    string, the dimension a nonnegative integer, the operations a list,
+    arity and indices integers, structure constants integers or "p/q"
+    strings (ValueError naming the field otherwise).  Asserted lie /
+    associative flags are verified (FlagViolation on failure)."""
     name = spec.get("name", "algebra")
+    if not isinstance(name, str):
+        raise ValueError(f"name {name!r} is not a string")
     dimension = int_field(spec["dimension"], "dimension")
+    if dimension < 0:
+        raise ValueError(f"dimension {dimension} is negative")
+    operations = spec.get("operations", [])
+    if not isinstance(operations, list):
+        raise ValueError(f"operations {operations!r} is not a list")
     flags = [k for k, v in dict(spec.get("flags", {})).items() if v]
     ops = []
-    for opspec in spec.get("operations", []):
+    for opspec in operations:
         arity = int_field(opspec["arity"], "arity")
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for entry in opspec["entries"]:
@@ -372,7 +394,7 @@ def algebra_from_matrices(
     (VerificationFailure when the span is not closed).  One elimination,
     in ``_coordinate_reader``, serves every product."""
     n = len(matrices)
-    coords = _coordinate_reader(RatMatrix([m.flatten() for m in matrices]))
+    coords = _coordinate_reader([m.flatten() for m in matrices])
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
@@ -412,8 +434,8 @@ def subalgebra_structure(
 def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset) -> StructureAlgebra:
     if basis.rows != a.dimension:
         raise ShapeError("basis rows must equal the algebra's dimension")
-    coords = _coordinate_reader(basis.transpose())
     cols = basis.columns()
+    coords = _coordinate_reader(cols)
     ops = []
     for op in a.operations:
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
@@ -428,23 +450,8 @@ def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset)
 
 
 # ---------------------------------------------------------------------------
-# Kernel machinery: intersect a large homogeneous system incrementally
+# Coordinates and equation rows
 # ---------------------------------------------------------------------------
-
-
-#: equation rows per block of an incremental kernel computation
-_ROWS_PER_BLOCK = 48
-
-
-def _combine_rows(
-    coeffs: Mapping[int, Fraction], rows: Sequence[Mapping[int, Fraction]]
-) -> dict[int, Fraction]:
-    """The sparse row sum over k of coeffs[k] * rows[k]."""
-    out: dict[int, Fraction] = {}
-    for k, c in coeffs.items():
-        for j, x in rows[k].items():
-            out[j] = out.get(j, 0) + c * x
-    return {j: x for j, x in out.items() if x}
 
 
 def _pivot_coords(
@@ -455,62 +462,34 @@ def _pivot_coords(
     there), or None when ``vec`` is outside its span: x_t = vec[pivots[t]],
     and ``vec`` is in the span iff vec = sum_t x_t basis[t]."""
     x = {t: vec[p] for t, p in enumerate(pivots) if vec[p]}
-    if _combine_rows(x, basis) != {i: c for i, c in enumerate(vec) if c}:
+    if combine_rows(x, basis) != {i: c for i, c in enumerate(vec) if c}:
         return None
     return x
 
 
-def _coordinate_reader(rows: RatMatrix):
+def _coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
     """The map from a vector to its sparse coordinates (sorted by index) in
-    the rows of ``rows``, or None when it is outside their span
-    (ValueError when the rows are linearly dependent).
+    ``vectors``, or None when it is outside their span (ValueError when
+    they are linearly dependent).
 
-    One elimination serves every vector: with M = ``rows``,
-    rref([M | I]) = [R | E] has E M = R, and R has pivot columns P.  The
-    rows of R are the canonical basis of the span, so ``_pivot_coords``
-    reads the coordinates v[P] of a vector v in them, and its coordinates
-    in the rows of M are x = E^T v[P]."""
-    size = rows.cols
-    reduced, pivots = rref(rows.hstack(RatMatrix.identity(rows.rows)))
-    if any(p >= size for p in pivots):
+    One elimination serves every vector: with M the matrix of rows
+    ``vectors``, the reduced echelon form of [M | I] is [R | E] with
+    E M = R.  ``_pivot_coords`` reads the coordinates y of a vector v in
+    the rows of R, the canonical basis of the span, and x = E^T y."""
+    size = len(vectors[0]) if vectors else 0
+    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(sparse_rows(vectors)))
+    reduced = gauss_jordan(augmented, size + len(vectors))
+    if any(p >= size for p in reduced):
         raise ValueError("the basis vectors are linearly dependent")
-    span_rows = [{c: x for c, x in enumerate(row[:size]) if x} for row in reduced.data]
-    coord_rows = [{k: x for k, x in enumerate(row[size:]) if x} for row in reduced.data]
+    pivots = list(reduced)
+    span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
+    coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
 
     def coords(vec: Sequence[Fraction]) -> dict[int, Fraction] | None:
         at_pivots = _pivot_coords(vec, pivots, span_rows)
-        return None if at_pivots is None else dict(sorted(_combine_rows(at_pivots, coord_rows).items()))
+        return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
 
     return coords
-
-
-def _incremental_kernel(nunknowns: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:
-    """Kernel of a tall system given by sparse rows ``{unknown index:
-    coefficient}``, one block of rows at a time.
-
-    Maintains a basis N of the running solution space (at first the whole
-    space; kept as sparse rows) and replaces each block E of rows by the
-    small system E*N, so the cost tracks the row sparsity and the
-    shrinking solution dimension instead of the full unknown count.  The
-    result is in canonical column echelon form.
-    """
-    n_rows: list[dict[int, Fraction]] = [{k: Q(1)} for k in range(nunknowns)]
-    width = nunknowns
-    rows = iter(rows)
-    while width:
-        block = list(islice(rows, _ROWS_PER_BLOCK))
-        if not block:
-            break
-        small = [_combine_rows(row, n_rows) for row in block]
-        if not any(small):
-            continue
-        ker = nullspace(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in small]))
-        ker_rows = [{j: x for j, x in enumerate(line) if x} for line in ker.data]
-        n_rows = [_combine_rows(line, ker_rows) for line in n_rows]
-        width = ker.cols
-    if not width:
-        return RatMatrix.zeros(nunknowns, 0)
-    return column_echelon(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in n_rows]))
 
 
 def _leibniz_rows(a: StructureAlgebra):
@@ -551,23 +530,10 @@ def _leibniz_rows(a: StructureAlgebra):
 def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
     """Nonzero sparse rows forcing D to preserve each constraint subspace."""
     for w in constraints:
-        if w.dim == 0 or w.dim == n:
-            continue
-        # rows of ann annihilate the subspace: ann * basis = 0
-        ann = nullspace(w.basis.transpose())  # columns q with basis^T q = 0
-        for qj in range(ann.cols):
-            qvec = ann.column(qj)
-            for cj in range(w.basis.cols):
-                wvec = w.basis.column(cj)
-                row = {
-                    r * n + c: qvec[r] * wvec[c]
-                    for r in range(n)
-                    if qvec[r]
-                    for c in range(n)
-                    if wvec[c]
-                }
-                if row:
-                    yield row
+        # D preserves W iff q(D w) = 0 for every w in W and q vanishing on W
+        for q in w.annihilator():
+            for wvec in w._columns:
+                yield {r * n + c: x * y for r, x in q.items() for c, y in wvec.items()}
 
 
 @dataclass(frozen=True)
@@ -590,7 +556,7 @@ def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) 
     of End(A) in n^2 coordinates (row-major)."""
     n = a.dimension
     rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints))
-    return Subspace(n * n, _incremental_kernel(n * n, rows))
+    return Subspace(n * n, sparse_nullspace(n * n, rows))
 
 
 def derivation_algebra(
@@ -627,26 +593,26 @@ def bracket_span(
 def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
     """{x in A : [x, v] = 0 for all v in S}."""
     _require_lie(a)
-    n = a.dimension
-    rows = []
-    for v in s.vectors():
-        adv = a.ad_matrix(v)
-        # [x, v] = -adv x = 0
-        rows.extend(adv.data)
-    if not rows:
-        return Subspace.full(n)
-    return Subspace(n, nullspace(RatMatrix(rows)))
+    # [x, v] = -(ad v) x = 0
+    rows = (row for v in s.vectors() for row in a.ad_rows(v))
+    return Subspace(a.dimension, sparse_nullspace(a.dimension, rows))
 
 
 @memoized
 def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j); returns
     (gram, is_nondegenerate), which in characteristic 0 is also whether
-    the algebra is semisimple."""
+    the algebra is semisimple.  The trace is summed over the sparse
+    ``ad_rows`` of the basis, that is over the nonzero structure constants:
+    K(e_i, e_j) = sum over k, l of c_ik^l c_jl^k."""
     _require_lie(a)
     n = a.dimension
-    ads = [a.ad_matrix(a.basis_vector(i)) for i in range(n)]
-    gram = RatMatrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
+    ads = [a.ad_rows(a.basis_vector(i)) for i in range(n)]
+
+    def trace(adi, adj):  # of ad e_i ad e_j: ad_i[l][k] ad_j[k][l] over ad_i[l][k] != 0
+        return sum(x * adj[k].get(l, 0) for l, row in enumerate(adi) for k, x in row.items())
+
+    gram = RatMatrix([[trace(adi, adj) for adj in ads] for adi in ads])
     return gram, rank(gram) == n
 
 
@@ -657,22 +623,17 @@ def centroid_dimension(a: StructureAlgebra) -> int:
 
     def rows():
         for i in range(n):
-            adi = a.ad_matrix(a.basis_vector(i))
-            # C * adi - adi * C = 0, row (j, c): sum over a of
-            # C[j,a] adi[a,c] - adi[j,a] C[a,c] = 0
+            ad = a.ad_rows(a.basis_vector(i))
+            # C ad - ad C = 0, row (j, c): sum over t of C[j, t] ad[t][c] - ad[j][t] C[t, c]
             for j in range(n):
                 for c in range(n):
-                    row: dict[int, Fraction] = {}
-                    for t in range(n):
-                        if adi[t, c]:
-                            row[j * n + t] = row.get(j * n + t, 0) + adi[t, c]
-                        if adi[j, t]:
-                            row[t * n + c] = row.get(t * n + c, 0) - adi[j, t]
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        yield row
+                    row = {j * n + t: ad[t][c] for t in range(n) if c in ad[t]}
+                    for t, x in ad[j].items():
+                        row[t * n + c] = row.get(t * n + c, 0) - x
+                    yield row
 
-    return _incremental_kernel(n * n, rows()).cols
+    # the kernel dimension: unknowns minus rank
+    return n * n - len(gauss_jordan(rows(), n * n))
 
 
 def is_simple(a: StructureAlgebra) -> bool:

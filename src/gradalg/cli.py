@@ -101,8 +101,6 @@ def group_to_dict(g: FgAbGroup) -> dict:
 def _ratmatrix_from(rows, where: str) -> RatMatrix:
     try:
         return RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
-    except GradAlgError:
-        raise
     except Exception as exc:
         raise ParseError(f"{where}: bad matrix: {exc}") from None
 

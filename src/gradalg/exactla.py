@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals and integers.
 
-Dense matrices with arbitrary-precision entries, reduced echelon forms,
+Dense matrices with arbitrary-precision entries; one sparse Gauss-Jordan
+elimination behind every echelon form, kernel and solve over Q;
 Smith/Hermite normal forms with transformation matrices, simultaneous
 eigenspace decompositions of commuting rational matrices, and the
 Jordan-Chevalley semisimple part.  Everything is exact; non-rational
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import sympy
 
@@ -71,6 +72,11 @@ class RatMatrix:
         return cls([[c[i] for c in cols] for i in range(rows)])
 
     @classmethod
+    def from_sparse_columns(cls, cols: Sequence[Mapping[int, Fraction]], rows: int) -> "RatMatrix":
+        """The matrix with the sparse columns ``{row: entry}``."""
+        return cls([[c.get(i, 0) for c in cols] for i in range(rows)])
+
+    @classmethod
     def column_vector(cls, entries: Sequence) -> "RatMatrix":
         return cls([[x] for x in entries])
 
@@ -86,9 +92,6 @@ class RatMatrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -191,47 +194,102 @@ def mat_from_flat(entries: Sequence, rows: int, cols: int) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
+def gauss_jordan(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> dict[int, dict[int, Fraction]]:
+    """The reduced row echelon form of a stream of sparse rows
+    ``{column: coefficient}`` in ``ncols`` columns, as {pivot column:
+    row}, sorted by pivot: the one Gauss-Jordan elimination over Q.
+
+    Each row read is reduced against the rows kept so far, each 1 at its
+    pivot, 0 at every other pivot and 0 left of its pivot.  If it does not
+    vanish, its first column becomes a pivot: it is scaled to 1 there and
+    that column is cleared from the kept rows.  Reading stops once every
+    column has a pivot.  The result is the unique reduced echelon basis of
+    the row space, whatever the order of the rows."""
+    reduced: dict[int, dict[int, Fraction]] = {}
+    rows = iter(rows)
+    while len(reduced) < ncols and (row := next(rows, None)) is not None:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in reduced]:
+            _subtract(row, row.pop(p), reduced[p], p)
+        if row:
+            pivot = min(row)
+            inv = 1 / Q(row[pivot])
+            row = {c: x * inv for c, x in row.items()}
+            for other in reduced.values():
+                if pivot in other:
+                    _subtract(other, other.pop(pivot), row, pivot)
+            reduced[pivot] = row
+    return {p: reduced[p] for p in sorted(reduced)}
+
+
+def _subtract(target: dict[int, Fraction], f: Fraction, row: Mapping[int, Fraction], skip: int):
+    """target -= f * row in place, but for column ``skip``."""
+    for c, x in row.items():
+        if c != skip:
+            if y := target.get(c, 0) - f * x:
+                target[c] = y
+            else:
+                target.pop(c, None)
+
+
+def combine_rows(
+    coeffs: Mapping[int, Fraction], rows: Sequence[Mapping[int, Fraction]]
+) -> dict[int, Fraction]:
+    """The sparse row sum over k of coeffs[k] * rows[k]."""
+    out: dict[int, Fraction] = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+def sparse_rows(data: Iterable[Sequence[Fraction]]):
+    """Each dense row of ``data`` as its nonzero entries {column: entry}."""
+    return ({c: x for c, x in enumerate(row) if x} for row in data)
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return RatMatrix(a), tuple(pivots)
+    reduced = gauss_jordan(sparse_rows(m.data), m.cols)
+    rows = list(reduced.values()) + [{}] * (m.rows - len(reduced))
+    return RatMatrix([[row.get(c, 0) for c in range(m.cols)] for row in rows]), tuple(reduced)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return len(gauss_jordan(sparse_rows(m.data), m.cols))
+
+
+def kernel_vectors(rows: Iterable[Mapping[int, Fraction]], ncols: int):
+    """A sparse basis of the kernel of the sparse rows ``{column:
+    coefficient}`` in ``ncols`` unknowns, from their reduced echelon form:
+    for each free column f, the vector that is 1 at f, 0 at the other free
+    columns and -row[f] at each row's pivot."""
+    reduced = gauss_jordan(rows, ncols)
+    for f in range(ncols):
+        if f not in reduced:
+            vec = {p: -row[f] for p, row in reduced.items() if f in row}
+            vec[f] = Q(1)
+            yield vec
+
+
+def _echelon_basis(vectors: Iterable[Mapping[int, Fraction]], dim: int) -> RatMatrix:
+    """The canonical basis of the span of sparse vectors of length ``dim``,
+    as the columns of a matrix."""
+    return RatMatrix.from_sparse_columns(list(gauss_jordan(vectors, dim).values()), dim)
+
+
+def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:
+    """Basis of the kernel of the system of sparse rows ``{column:
+    coefficient}`` in ``ncols`` unknowns, as columns in canonical (reduced
+    column echelon) form.  The rows are read as a stream and no longer
+    once the kernel is zero."""
+    return _echelon_basis(kernel_vectors(rows, ncols), ncols)
 
 
 def nullspace(a: RatMatrix) -> RatMatrix:
     """Basis of the right kernel of ``a`` as columns in a canonical
     (reduced column echelon) form."""
-    r, pivots = rref(a)
-    free = [c for c in range(a.cols) if c not in pivots]
-    cols = []
-    for fc in free:
-        v = [Q(0)] * a.cols
-        v[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i, fc]
-        cols.append(v)
-    return column_echelon(RatMatrix.from_columns(cols, rows=a.cols)) if cols else RatMatrix.zeros(a.cols, 0)
+    return sparse_nullspace(a.cols, sparse_rows(a.data))
 
 
 def column_echelon(m: RatMatrix) -> RatMatrix:
@@ -240,24 +298,24 @@ def column_echelon(m: RatMatrix) -> RatMatrix:
     The result is the unique reduced basis of the column space, so two
     subspaces are equal iff their column_echelon forms are equal.
     """
-    r, pivots = rref(m.transpose())
-    cols = [r.row(i) for i in range(len(pivots))]
-    return RatMatrix.from_columns(cols, rows=m.rows)
+    return _echelon_basis(sparse_rows(zip(*m.data)), m.rows)
 
 
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """The unique X with A X = B, or None when the system is inconsistent,
-    from one rref of [A | B].  Raises ShapeError when the columns of A are
-    dependent (the A block of that rref has fewer pivots than columns)."""
+    from one elimination of [A | B].  Raises ShapeError when the columns of
+    A are dependent (the A block of that elimination has fewer pivots than
+    columns)."""
     if a.rows != b.rows:
         raise ShapeError("A and B must have equal row counts")
-    aug, pivots = rref(a.hstack(b))
+    reduced = gauss_jordan(sparse_rows(ra + rb for ra, rb in zip(a.data, b.data)), a.cols + b.cols)
+    pivots = tuple(reduced)
     if pivots[: a.cols] != tuple(range(a.cols)):
         raise ShapeError("columns of A are dependent")
     # Inconsistent iff some pivot falls in the B block.
     if len(pivots) > a.cols:
         return None
-    return aug.submatrix(range(a.cols), range(a.cols, a.cols + b.cols))
+    return RatMatrix([[row.get(a.cols + j, 0) for j in range(b.cols)] for row in reduced.values()])
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -279,17 +337,14 @@ def subspace_sum(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Canonical basis of the intersection of two column spaces."""
+    """Canonical basis of the intersection of two column spaces: A x over
+    the kernel vectors (x, y) of [A | B], for which A x = B (-y)."""
     if a.cols == 0 or b.cols == 0:
         return RatMatrix.zeros(a.rows, 0)
-    ker = nullspace(a.hstack(b.scale(-1)))
-    cols = []
-    for j in range(ker.cols):
-        coeffs = ker.column(j)[: a.cols]
-        cols.append(a.matvec(coeffs))
-    if not cols:
-        return RatMatrix.zeros(a.rows, 0)
-    return column_echelon(RatMatrix.from_columns(cols, rows=a.rows))
+    kernel = kernel_vectors(sparse_rows(ra + rb for ra, rb in zip(a.data, b.data)), a.cols + b.cols)
+    a_columns = list(sparse_rows(zip(*a.data)))
+    meets = (combine_rows({k: x for k, x in v.items() if k < a.cols}, a_columns) for v in kernel)
+    return _echelon_basis(meets, a.rows)
 
 
 # ---------------------------------------------------------------------------

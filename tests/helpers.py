@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
+from itertools import islice, product
 
 from gradalg.abgroup import FgAbGroup
 from gradalg.algcore import (
@@ -15,8 +15,106 @@ from gradalg.algcore import (
     killing_form,
 )
 from gradalg.errors import FlagViolation, ShapeError
-from gradalg.exactla import RatMatrix, nullspace, rref
+from gradalg.exactla import RatMatrix, combine_rows
 from gradalg.grading import GradedDerivations, Grading
+
+
+def dense_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Oracle for ``exactla.rref``: Gauss-Jordan on dense Fraction rows,
+    one column at a time."""
+    a = [list(row) for row in m.data]
+    rows, cols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return RatMatrix(a), tuple(pivots)
+
+
+def dense_column_echelon(m: RatMatrix) -> RatMatrix:
+    """Oracle for ``exactla.column_echelon``: the nonzero rows of the dense
+    rref of the transpose, as columns."""
+    r, pivots = dense_rref(m.transpose())
+    return RatMatrix.from_columns(r.data[: len(pivots)], rows=m.rows)
+
+
+def dense_nullspace(a: RatMatrix) -> RatMatrix:
+    """Oracle for ``exactla.nullspace``: one kernel vector per free column
+    of the dense rref, brought to canonical form by ``dense_column_echelon``."""
+    r, pivots = dense_rref(a)
+    cols = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [Q(0)] * a.cols
+        v[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i, fc]
+        cols.append(v)
+    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.cols)) if cols else RatMatrix.zeros(a.cols, 0)
+
+
+def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Oracle for ``exactla.subspace_intersection``: A x over a dense
+    kernel basis (x, y) of [A | -B]."""
+    if a.cols == 0 or b.cols == 0:
+        return RatMatrix.zeros(a.rows, 0)
+    ker = dense_nullspace(a.hstack(b.scale(-1)))
+    cols = [a.matvec(ker.column(j)[: a.cols]) for j in range(ker.cols)]
+    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else RatMatrix.zeros(a.rows, 0)
+
+
+#: equation rows per block of ``blocked_kernel``
+ROWS_PER_BLOCK = 48
+
+
+def blocked_kernel(nunknowns: int, rows) -> RatMatrix:
+    """Oracle for ``exactla.sparse_nullspace``: a basis N of the running
+    solution space (sparse rows, at first the identity), cut down by the
+    dense kernel of E N for each block E of ``ROWS_PER_BLOCK`` rows."""
+    n_rows = [{k: Q(1)} for k in range(nunknowns)]
+    width = nunknowns
+    rows = iter(rows)
+    while width:
+        block = list(islice(rows, ROWS_PER_BLOCK))
+        if not block:
+            break
+        small = [combine_rows(row, n_rows) for row in block]
+        if not any(small):
+            continue
+        ker = dense_nullspace(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in small]))
+        ker_rows = [{j: x for j, x in enumerate(line) if x} for line in ker.data]
+        n_rows = [combine_rows(line, ker_rows) for line in n_rows]
+        width = ker.cols
+    if not width:
+        return RatMatrix.zeros(nunknowns, 0)
+    return dense_column_echelon(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in n_rows]))
+
+
+def dense_ad(a: StructureAlgebra, x) -> RatMatrix:
+    """Oracle for ``StructureAlgebra.ad_matrix``: column j is bracket(x, e_j)."""
+    n = a.dimension
+    return RatMatrix.from_columns([a.bracket(x, a.basis_vector(j)) for j in range(n)], rows=n)
+
+
+def dense_killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
+    """Oracle for ``killing_form``: trace(ad e_i ad e_j) from n^2 products
+    of dense ad matrices, and nondegeneracy from a dense rref."""
+    n = a.dimension
+    ads = [dense_ad(a, a.basis_vector(i)) for i in range(n)]
+    gram = RatMatrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
+    return gram, len(dense_rref(gram)[1]) == n
 
 
 def e_matrix(n: int, i: int, j: int, c=1) -> RatMatrix:
@@ -219,8 +317,8 @@ def rational_solve(a: RatMatrix, b: RatMatrix) -> SolveResult:
     A X = B from an rref of [A | B] and a separate ``nullspace(A)``."""
     if a.rows != b.rows:
         raise ShapeError("A and B must have equal row counts")
-    aug, pivots = rref(a.hstack(b))
-    ns = nullspace(a)
+    aug, pivots = dense_rref(a.hstack(b))
+    ns = dense_nullspace(a)
     # Inconsistent iff some pivot falls in the B block.
     if any(p >= a.cols for p in pivots):
         return SolveResult(None, ns)
@@ -329,7 +427,7 @@ def dense_graded_derivations(grading: Grading) -> GradedDerivations:
                 by_degree[g] = Subspace.from_vectors(n * n, [])
             continue
         system = [sub for sub in ([row[i] for i in idx] for row in rows) if any(sub)]
-        kernel = nullspace(RatMatrix(system)) if system else RatMatrix.identity(len(idx))
+        kernel = dense_nullspace(RatMatrix(system)) if system else RatMatrix.identity(len(idx))
         vectors = []
         for col in kernel.columns():
             v = [Q(0)] * (n * n)

@@ -32,7 +32,9 @@ from helpers import (
     build_sl2_efh,
     build_sl2_plus_sl2,
     build_sl2_plus_sl3,
+    dense_ad,
     dense_apply,
+    dense_killing_form,
     dense_rebase,
     dense_verify_associative,
     dense_verify_lie,
@@ -254,6 +256,47 @@ class TestKillingForm:
         assert nondeg
 
 
+def build_gl2() -> StructureAlgebra:
+    return algebra_from_matrices("gl2", [e_matrix(2, i, j) for i in range(2) for j in range(2)])
+
+
+def build_affine_line() -> StructureAlgebra:
+    """The two-dimensional Lie algebra [e0, e1] = e1."""
+    tensor = {(0, 1): {1: Q(1)}, (1, 0): {1: Q(-1)}}
+    return StructureAlgebra("aff1", 2, [MultilinearOp("bracket", 2, tensor)], ["lie"])
+
+
+LIE_CATALOG = [n for n in catalog.catalog_names() if "lie" in catalog.get_catalog(n).grading.algebra.flags]
+
+
+class TestKillingFormAgainstDenseProducts:
+    """killing_form from the structure constants against trace(ad e_i ad e_j)
+    from dense ad matrices, with ad_matrix against brackets of basis vectors."""
+
+    def check(self, alg):
+        assert killing_form(alg) == dense_killing_form(alg)
+        rng = random.Random(alg.dimension)
+        for x in [alg.basis_vector(i) for i in range(alg.dimension)] + [
+            [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dimension)]
+        ]:
+            assert alg.ad_matrix(x) == dense_ad(alg, x)
+
+    @pytest.mark.parametrize("name", LIE_CATALOG)
+    def test_catalog(self, name):
+        self.check(catalog.get_catalog(name).grading.algebra)
+
+    @pytest.mark.parametrize(
+        "build", [build_sl2_plus_sl2, build_sl2_plus_sl3, build_gl2, build_affine_line]
+    )
+    def test_sums_and_non_semisimple(self, build):
+        self.check(build())
+
+    def test_non_semisimple_is_degenerate(self):
+        for build in (build_gl2, build_affine_line):
+            gram, nondeg = killing_form(build())
+            assert not nondeg and not gram.is_zero()
+
+
 class TestSimplicity:
     def test_sl2_simple(self):
         assert is_simple(build_sl2_efh())
@@ -268,10 +311,7 @@ class TestSimplicity:
         with pytest.raises(ValueError):
             is_simple(alg)
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in catalog.catalog_names() if "lie" in catalog.get_catalog(n).grading.algebra.flags],
-    )
+    @pytest.mark.parametrize("name", LIE_CATALOG)
     def test_catalog_agrees_with_ideal_closures(self, name):
         alg = catalog.get_catalog(name).grading.algebra
         assert is_simple(alg) == is_simple_by_ideal_closures(alg)

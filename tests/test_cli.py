@@ -149,6 +149,28 @@ class TestParseErrors:
         assert code == 1
         assert field in err and "Traceback" not in err
 
+    def test_ragged_basis_change(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["basis_change"] = [[1, 0], [0]]
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "grading 'cartan-sl2': 'basis_change': bad matrix: ragged rows" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dimension", -1, "dimension -1 is negative"),
+            ("name", ["x"], "name ['x'] is not a string"),
+            ("operations", {"bracket": {"arity": 2, "entries": []}}, "operations {'bracket'"),
+        ],
+    )
+    def test_malformed_algebra_field(self, tmp_path, capsys, field, value, message):
+        spec = {"name": "a", "dimension": 1, "operations": []}
+        spec[field] = value
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, {"algebras": [spec]}))
+        assert code == 1
+        assert message in err and "Traceback" not in err
+
     def test_degree_of_the_wrong_length(self, tmp_path, capsys):
         doc = catalog_workspace("cartan-sl2")
         doc["gradings"][0]["degrees"] = [[1, 0], [-1], [0]]

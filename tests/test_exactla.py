@@ -15,6 +15,7 @@ from gradalg.errors import (
     NotDiagonalizableError,
     ShapeError,
 )
+from gradalg import grading
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
@@ -32,11 +33,21 @@ from gradalg.exactla import (
     simultaneous_eigenspaces,
     smith_normal_form,
     solve,
+    sparse_nullspace,
+    sparse_rows,
     subspace_intersection,
     subspace_sum,
 )
 
-from helpers import rational_solve
+from helpers import (
+    ROWS_PER_BLOCK,
+    blocked_kernel,
+    dense_column_echelon,
+    dense_nullspace,
+    dense_rref,
+    dense_subspace_intersection,
+    rational_solve,
+)
 
 
 def rand_rat_matrix(rng, rows, cols, lo=-20, hi=20):
@@ -60,6 +71,35 @@ def rand_independent_columns(rng, rows, cols, lo=-20, hi=20):
 
 def in_span(basis, vec):
     return solve(basis, RatMatrix.column_vector(list(vec))) is not None
+
+
+def random_ranked_matrix(rng, rows, cols, k=None):
+    """A random rational matrix of rank at most k (default: random): a
+    product of a rows x k and a k x cols factor, dense or sparse, with
+    small or large entries; then maybe a zero row and a repeated row."""
+    if k is None:
+        k = rng.randint(0, min(rows, cols))
+    zero_share = rng.choice((0.0, 0.7))
+    large = rng.random() < 0.25
+
+    def entry():
+        if rng.random() < zero_share:
+            return Q(0)
+        if large:
+            return Q(rng.randint(-10**25, 10**25), rng.randint(1, 10**15))
+        return Q(rng.randint(-5, 5), rng.randint(1, 3))
+
+    if k and cols:
+        left = RatMatrix([[entry() for _ in range(k)] for _ in range(rows)])
+        right = RatMatrix([[entry() for _ in range(cols)] for _ in range(k)])
+        data = [list(r) for r in (left * right).data]
+    else:
+        data = [[Q(0)] * cols for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [Q(0)] * cols
+    if rows > 1 and rng.random() < 0.3:
+        data[rng.randrange(rows)] = list(data[rng.randrange(rows)])
+    return RatMatrix(data)
 
 
 class TestRatMatrixBasics:
@@ -148,17 +188,16 @@ class TestSolving:
             solve(RatMatrix([[1, 1]]), RatMatrix([[1]]))
 
     def test_solve_against_oracle(self):
-        # solve is one rref of [A | B]; the oracle adds a separate nullspace(A)
+        # solve is one elimination of [A | B]; the oracle adds a separate nullspace(A)
         rng = random.Random(19)
         seen = set()
-        for _ in range(60):
+        for _ in range(200):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-            k = rng.randint(1, min(rows, cols))  # rank of A is at most k
-            a = rand_rat_matrix(rng, rows, k, -4, 4) * rand_rat_matrix(rng, k, cols, -4, 4)
+            a = random_ranked_matrix(rng, rows, cols)
             if rng.random() < 0.5:
-                b = a * rand_rat_matrix(rng, cols, rng.randint(1, 3), -4, 4)
+                b = a * random_ranked_matrix(rng, cols, rng.randint(1, 3))
             else:
-                b = rand_rat_matrix(rng, rows, rng.randint(1, 3), -4, 4)
+                b = random_ranked_matrix(rng, rows, rng.randint(1, 3))
             expected = rational_solve(a, b)
             dependent = expected.nullspace.cols > 0
             seen.add((dependent, expected.particular is None))
@@ -169,6 +208,68 @@ class TestSolving:
                 assert solve(a, b) == expected.particular
         # independent or dependent columns, consistent or not
         assert len(seen) == 4
+
+
+class TestEliminationAgainstDenseOracles:
+    """Every elimination entry point against the dense oracles in helpers
+    (the dense row loop and the 48-row blocked kernel)."""
+
+    def test_random_matrices_of_every_rank(self):
+        rng = random.Random(8128)
+        ranks = set()
+        for trial in range(320):
+            k = trial % 8
+            m = random_ranked_matrix(rng, rng.randint(max(k, 1), 7), rng.randint(k, 7), k)
+            reduced, pivots = dense_rref(m)
+            ranks.add(len(pivots))
+            assert rref(m) == (reduced, pivots), f"trial {trial}"
+            assert rank(m) == len(pivots), f"trial {trial}"
+            kernel = dense_nullspace(m)
+            assert nullspace(m) == kernel, f"trial {trial}"
+            assert sparse_nullspace(m.cols, sparse_rows(m.data)) == kernel, f"trial {trial}"
+            assert blocked_kernel(m.cols, sparse_rows(m.data)) == kernel, f"trial {trial}"
+            assert column_echelon(m) == dense_column_echelon(m), f"trial {trial}"
+        assert ranks == set(range(8))
+
+    def test_tall_streams_span_several_blocks(self):
+        rng = random.Random(496)
+        for trial in range(40):
+            rows = rng.randint(ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK)
+            m = random_ranked_matrix(rng, rows, rng.randint(1, 9))
+            expected = blocked_kernel(m.cols, sparse_rows(m.data))
+            assert sparse_nullspace(m.cols, sparse_rows(m.data)) == expected, f"trial {trial}"
+            assert nullspace(m) == expected == dense_nullspace(m), f"trial {trial}"
+
+    def test_no_rows_and_no_columns(self):
+        assert rref(RatMatrix([])) == (RatMatrix([]), ())
+        assert sparse_nullspace(3, []) == blocked_kernel(3, []) == RatMatrix.identity(3)
+        empty = RatMatrix([[], []])
+        assert rref(empty) == dense_rref(empty) == (empty, ())
+        assert nullspace(empty) == dense_nullspace(empty) == RatMatrix.zeros(0, 0)
+        assert column_echelon(empty) == dense_column_echelon(empty) == RatMatrix.zeros(2, 0)
+
+    def test_subspace_intersection(self):
+        rng = random.Random(137)
+        for trial in range(200):
+            rows = rng.randint(1, 6)
+            a = random_ranked_matrix(rng, rows, rng.randint(0, 4))
+            b = random_ranked_matrix(rng, rows, rng.randint(0, 4))
+            assert subspace_intersection(a, b) == dense_subspace_intersection(a, b), f"trial {trial}"
+
+    def test_streamed_kernel_stops_reading_once_the_kernel_is_zero(self):
+        read = []
+
+        def rows():
+            for row in ({0: Q(1), 1: Q(2)}, {1: Q(1)}, {0: Q(3)}, {1: Q(1), 2: Q(-1)}):
+                read.append(row)
+                yield row
+            raise AssertionError("read past the row that made the kernel zero")
+
+        assert sparse_nullspace(3, rows()).cols == 0
+        assert len(read) == 4
+        # graded_derivations solves each degree under this name
+        read.clear()
+        assert grading._incremental_kernel(3, rows()).cols == 0
 
 
 class TestSubspaces:

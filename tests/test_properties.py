@@ -15,10 +15,16 @@ from gradalg.abgroup import FgAbGroup, enumerate_subgroups
 from gradalg.afine import canonical_refinement, is_almost_fine, toral_rank
 from gradalg.algcore import StructureAlgebra, MultilinearOp, derivation_algebra
 from gradalg.catalog import get_catalog
-from gradalg.exactla import IntMatrix, RatMatrix, nullspace, smith_normal_form
+from gradalg.exactla import IntMatrix, RatMatrix, smith_normal_form
 from gradalg.grading import Grading, graded_derivations, universal_abelian_group
 
-from helpers import build_sl2_efh, dense_graded_derivations, graded_parts, random_graded_algebra
+from helpers import (
+    build_sl2_efh,
+    dense_graded_derivations,
+    dense_nullspace,
+    graded_parts,
+    random_graded_algebra,
+)
 
 
 class TestSmithNormalForm:
@@ -85,7 +91,7 @@ def _dense_derivations(alg: StructureAlgebra) -> RatMatrix:
                     right = alg.bracket(ei, es)
                     row[s * n + j] -= right[r]
                 rows.append(row)
-    return nullspace(RatMatrix(rows))
+    return dense_nullspace(RatMatrix(rows))
 
 
 class TestDerivationsOracle:
