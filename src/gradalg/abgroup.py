@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, NotASubgroup, ShapeError
+from .errors import AxiomFailure, CapExceeded, NotASubgroup, ShapeError
 from .exactla import (
     IntMatrix,
     column_hnf,
     hnf_solve,
+    integer_kernel,
+    integer_solve,
     inverse,
     smith_normal_form,
 )
@@ -242,7 +244,8 @@ class Subgroup:
         # torsion rows, and the index of the lattice is its diagonal product.
         d = prod(self.lattice[r + i, i] for i in range(k))
         total = prod(self.owner.invariants)
-        assert d != 0 and total % d == 0
+        if d == 0 or total % d:
+            raise AxiomFailure("subgroup index does not divide the group order")
         return total // d
 
     def elements(self) -> list[GroupElement]:
@@ -361,8 +364,6 @@ class GroupHom:
             return self.domain.full_subgroup()
         rel = self.codomain.relation_lattice()
         m = self.matrix.hstack(rel) if rel.cols else self.matrix
-        from .exactla import integer_kernel
-
         ker = integer_kernel(m)
         gens = [
             self.domain.element([ker[i, j] for i in range(self.domain.ngens)])
@@ -382,8 +383,6 @@ class GroupHom:
     def inverse(self) -> "GroupHom":
         """Inverse of an isomorphism: pick a preimage of each canonical
         codomain generator by an integer solve modulo the relations."""
-        from .exactla import integer_solve
-
         dn, cn = self.domain.ngens, self.codomain.ngens
         rel = self.domain.relation_lattice()
         crel = self.codomain.relation_lattice()
@@ -452,7 +451,8 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presen
     section_cols = []
     for i in rows:
         col = uinv.column(i)
-        assert all(x.denominator == 1 for x in col)
+        if any(x.denominator != 1 for x in col):
+            raise AxiomFailure("inverse of a unimodular matrix is not integral")
         section_cols.append([x.numerator for x in col])
     section = IntMatrix.from_columns(section_cols, rows=n)
     return Presentation(g, proj, section)

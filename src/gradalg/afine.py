@@ -305,23 +305,13 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     # eigen-decompose every component in homogeneous coordinates
     pieces: list[tuple[GroupElement, tuple[Fraction, ...], list[tuple[Fraction, ...]]]] = []
     for g in grading.support:
-        idx = grading.indices_of_degree(g)
-        restr = [m.submatrix(idx, idx) for m in tmats]
-        for weight, basis in simultaneous_eigenspaces(restr, dim=len(idx)):
-            cols = []
-            for j in range(basis.cols):
-                v = [Q(0)] * n
-                for pos, i in enumerate(idx):
-                    v[i] = basis[pos, j]
-                cols.append(tuple(v))
-            pieces.append((g, weight, cols))
+        coords = RatMatrix.from_sparse_columns([{i: 1} for i in grading.indices_of_degree(g)], n)
+        for weight, basis in simultaneous_eigenspaces(tmats, coords):
+            pieces.append((g, weight, basis.columns()))
     # canonical weight lattice from the observed weights
     all_weights = sorted({w for _, w, _ in pieces})
     if r:
-        denom = 1
-        for w in all_weights:
-            for x in w:
-                denom = lcm(denom, x.denominator)
+        denom = lcm(*(x.denominator for w in all_weights for x in w))
         scaled = [[int(x * denom) for x in w] for w in all_weights]
         lattice = column_hnf(IntMatrix.from_columns(scaled, rows=r))
         if lattice.cols != r:
@@ -329,7 +319,8 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         coords_of = {}
         for w, s in zip(all_weights, scaled):
             c = hnf_solve(lattice, s)
-            assert c is not None
+            if c is None:
+                raise AxiomFailure("observed weight outside the weight lattice")
             coords_of[w] = tuple(c)
     else:
         coords_of = {(): ()}
@@ -337,14 +328,11 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     degrees: list[GroupElement] = []
     new_cols: list[tuple[Fraction, ...]] = []
     weight_by_degree: dict[GroupElement, tuple[int, ...]] = {}
-    for g, w, cols in sorted(
-        pieces, key=lambda p: (p[0].coords, p[1])
-    ):
+    for g, w, cols in sorted(pieces, key=lambda p: (p[0].coords, p[1])):
         deg = _product_element(gp, g, coords_of[w], r)
         weight_by_degree[deg] = coords_of[w]
-        for v in cols:
-            degrees.append(deg)
-            new_cols.append(v)
+        degrees += [deg] * len(cols)
+        new_cols += cols
     if len(new_cols) != n:
         raise AxiomFailure("eigenspace pieces do not fill the algebra")
     p = RatMatrix.from_columns(new_cols, rows=n)

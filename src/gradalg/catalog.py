@@ -34,7 +34,7 @@ from typing import Mapping
 
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
-from .errors import UnknownCatalogEntry
+from .errors import AxiomFailure, UnknownCatalogEntry
 from .exactla import IntMatrix, RatMatrix, solve
 from .grading import Grading
 
@@ -222,7 +222,8 @@ def _b2_skew() -> CatalogEntry:
     # express the finer basis in the abstract coordinates
     flat = RatMatrix.from_columns([m.flatten() for m in coarse], rows=16)
     basis_change = solve(flat, RatMatrix.from_columns([m.flatten() for m in fine], rows=16))
-    assert basis_change is not None
+    if basis_change is None:
+        raise AxiomFailure("b2-skew: the fine basis is not in the span of the coarse one")
     g4 = FgAbGroup(0, [2, 2, 2, 2])
     refinement = Grading(
         alg, g4, [g4.element(list(d)) for d in fine_deg], basis_change

@@ -2,9 +2,10 @@
 
 Dense matrices with arbitrary-precision entries; one sparse Gauss-Jordan
 elimination behind every echelon form, kernel and solve over Q;
-Smith/Hermite normal forms with transformation matrices, simultaneous
-eigenspace decompositions of commuting rational matrices, and the
-Jordan-Chevalley semisimple part.  Everything is exact; non-rational
+Smith/Hermite normal forms with transformation matrices; and one spectral
+routine, the generalized eigenspaces of a rational matrix, behind the
+simultaneous eigenspace decompositions of commuting rational matrices and
+the Jordan-Chevalley semisimple part.  Everything is exact; non-rational
 spectra raise NonSplitError instead of being approximated.
 """
 
@@ -17,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import sympy
 
 from .errors import (
+    AxiomFailure,
     NonSplitError,
     NotCommutingError,
     NotDiagonalizableError,
@@ -164,20 +166,18 @@ class RatMatrix:
             raise ShapeError("row mismatch in hstack")
         return RatMatrix([ra + rb for ra, rb in zip(self.data, other.data)])
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix([[self.data[i][j] for j in col_idx] for i in row_idx])
-
     def power(self, k: int) -> "RatMatrix":
         if not self.is_square():
             raise ShapeError("power of a non-square matrix")
-        result = RatMatrix.identity(self.rows)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return RatMatrix.identity(self.rows) if result is None else result
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.data for x in row)
@@ -353,35 +353,21 @@ def subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def minimal_polynomial(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial via the first dependency among powers of M."""
+    """Monic minimal polynomial of M, from one elimination of the system
+    sum_k c_k M^k = 0 in c_0..c_n, one equation per entry (i, j): its pivots
+    are the powers independent of the lower ones, so its first free column
+    is the degree d, and that column's kernel vector is the monic
+    polynomial.  Row i of M^k is built sparse, as row i of M^(k-1) times M."""
     if not m.is_square():
         raise ShapeError("minimal polynomial of a non-square matrix")
     n = m.rows
-    powers = [RatMatrix.identity(n)]
+    rows = list(sparse_rows(m.data))
+    powers = [[{i: Q(1)} for i in range(n)]]
     for _ in range(n):
-        powers.append(m * powers[-1])
-    flat = [p.flatten() for p in powers]
-    for d in range(1, n + 2):
-        # Is M^d a combination of lower powers?
-        # I, M, ..., M^(d-1) are independent, or d-1 would have returned
-        a = RatMatrix.from_columns(flat[:d], rows=n * n)
-        x = solve(a, RatMatrix.column_vector(flat[d]))
-        if x is not None:
-            return tuple(-c for c in x.column(0)) + (Q(1),)
-    raise AssertionError("unreachable: minimal polynomial has degree <= n")
-
-
-def poly_eval_matrix(poly: Sequence[Fraction], m: RatMatrix) -> RatMatrix:
-    acc = RatMatrix.zeros(m.rows, m.cols)
-    for c in reversed(list(poly)):
-        acc = acc * m if not acc.is_zero() else acc
-        if c:
-            acc = acc + RatMatrix.identity(m.rows).scale(c)
-    return acc
-
-
-def poly_derivative(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(Q(k) * poly[k] for k in range(1, len(poly)))
+        powers.append([combine_rows(row, rows) for row in powers[-1]])
+    system = ({k: p[i][j] for k, p in enumerate(powers) if j in p[i]} for i in range(n) for j in range(n))
+    vec = next(kernel_vectors(system, n + 1))
+    return tuple(vec.get(k, Q(0)) for k in range(max(vec) + 1))
 
 
 def poly_normalize(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -416,101 +402,90 @@ def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Simultaneous eigenspaces and Jordan-Chevalley
+# Spectra: generalized eigenspaces, simultaneous eigenspaces, Jordan-Chevalley
 # ---------------------------------------------------------------------------
 
 
-def _eigen_split(basis: RatMatrix, op: RatMatrix) -> list[tuple[Fraction, RatMatrix]]:
-    """Split the column space of ``basis`` into eigenspaces of ``op``.
+def _spectrum(m: RatMatrix, message: str) -> tuple[list[Fraction], int]:
+    """The distinct eigenvalues of M, all rational (else NonSplitError with
+    ``message``), and k = deg - #roots + 1 for its minimal polynomial: k
+    bounds every root's multiplicity, and k = 1 iff M is diagonalizable."""
+    mp = minimal_polynomial(m)
+    roots = rational_roots(mp)
+    if roots is None:
+        raise NonSplitError(message)
+    return roots, len(mp) - len(roots)
 
-    ``op`` must preserve the space; raises if the restriction is not
-    diagonalizable with rational spectrum.
-    """
+
+def _generalized_eigenspaces(
+    m: RatMatrix, roots: Sequence[Fraction], k: int
+) -> list[tuple[Fraction, RatMatrix]]:
+    """ker (M - lam)^k, as a canonical basis, for each eigenvalue lam of M,
+    with the ``roots`` and ``k`` of ``_spectrum(M)``."""
+    one = RatMatrix.identity(m.rows)
+    spaces = [(lam, nullspace((m - one.scale(lam)).power(k))) for lam in roots]
+    if sum(space.cols for _, space in spaces) != m.rows:
+        raise AxiomFailure("generalized eigenspaces do not fill the space")
+    return spaces
+
+
+def _eigen_split(basis: RatMatrix, op: RatMatrix) -> list[tuple[Fraction, RatMatrix]]:
+    """Split the column space of ``basis``, which ``op`` must preserve, into
+    eigenspaces of ``op``; raises if the restriction is not diagonalizable
+    with rational spectrum."""
     restricted = solve(basis, op * basis)
     if restricted is None:
         raise ShapeError("operator does not preserve the space")
-    mp = minimal_polynomial(restricted)
-    roots = rational_roots(mp)
-    if roots is None:
-        raise NonSplitError("operator has an irrational eigenvalue")
-    if len(roots) < len(mp) - 1:
+    roots, k = _spectrum(restricted, "operator has an irrational eigenvalue")
+    if k > 1:
         raise NotDiagonalizableError("minimal polynomial has a repeated root")
-    pieces = []
-    total = 0
-    for lam in roots:
-        shifted = restricted - RatMatrix.identity(restricted.rows).scale(lam)
-        ker = nullspace(shifted)
-        if ker.cols == 0:
-            continue
-        pieces.append((lam, column_echelon(basis * ker)))
-        total += ker.cols
-    if total != basis.cols:
-        raise NotDiagonalizableError("eigenspaces do not fill the space")
-    return pieces
+    spaces = _generalized_eigenspaces(restricted, roots, k)
+    return [(lam, column_echelon(basis * ker)) for lam, ker in spaces]
 
 
 def simultaneous_eigenspaces(
-    ops: Sequence[RatMatrix], dim: int | None = None
+    ops: Sequence[RatMatrix], basis: RatMatrix | None = None
 ) -> list[tuple[tuple[Fraction, ...], RatMatrix]]:
-    """Joint eigenspace decomposition of commuting diagonalizable matrices.
+    """Joint eigenspace decomposition of commuting diagonalizable matrices
+    on the column space of ``basis``, which every op must preserve (the
+    whole space by default).
 
     Returns (weight vector, canonical subspace basis) pairs sorted by
-    weight; the subspaces are a direct-sum decomposition of the full space.
+    weight; the subspaces are a direct-sum decomposition of the space.
     """
     ops = list(ops)
-    if not ops:
-        if dim is None:
-            raise ShapeError("ambient dimension needed when there are no operators")
-        return [((), RatMatrix.identity(dim))]
-    n = ops[0].rows
-    for op in ops:
-        if not op.is_square() or op.rows != n:
-            raise ShapeError("operators must be square of equal size")
+    if basis is None:
+        if not ops:
+            raise ShapeError("a basis is needed when there are no operators")
+        basis = RatMatrix.identity(ops[0].rows)
+    if any(not op.is_square() or op.rows != basis.rows for op in ops):
+        raise ShapeError("operators must be square of equal size")
+    images = [op * basis for op in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if ops[i] * ops[j] != ops[j] * ops[i]:
+            if ops[i] * images[j] != ops[j] * images[i]:
                 raise NotCommutingError(f"operators {i} and {j} do not commute")
-    spaces: list[tuple[tuple[Fraction, ...], RatMatrix]] = [((), RatMatrix.identity(n))]
+    spaces = [((), column_echelon(basis))]
     for op in ops:
-        refined = []
-        for weight, basis in spaces:
-            for lam, piece in _eigen_split(basis, op):
-                refined.append((weight + (lam,), piece))
-        spaces = refined
+        spaces = [(w + (lam,), piece) for w, space in spaces for lam, piece in _eigen_split(space, op)]
     return sorted(spaces, key=lambda t: t[0])
 
 
 def semisimple_part(m: RatMatrix) -> RatMatrix:
     """Semisimple summand of the Jordan-Chevalley decomposition M = S + N.
 
-    S is a polynomial in M; requires the characteristic polynomial to split
-    over the rationals (NonSplitError otherwise).  Newton iteration on the
-    squarefree part of the minimal polynomial.
+    S acts as lam on the generalized eigenspace of each eigenvalue lam, so
+    S B = B D for the matrix B of their bases and the diagonal D of their
+    eigenvalues: one solve.  Requires the characteristic polynomial to
+    split over the rationals (NonSplitError otherwise).
     """
     if not m.is_square():
         raise ShapeError("semisimple part of a non-square matrix")
-    mp = minimal_polynomial(m)
-    roots = rational_roots(mp)
-    if roots is None:
-        raise NonSplitError("spectrum is not rational")
-    # squarefree split polynomial with the same roots: prod (x - r)
-    pred: tuple[Fraction, ...] = (Q(1),)
-    for r in roots:
-        pred = tuple(
-            (pred[k - 1] if k >= 1 else Q(0)) - r * (pred[k] if k < len(pred) else Q(0))
-            for k in range(len(pred) + 1)
-        )
-    dp = poly_derivative(pred)
-    s = m
-    for _ in range(m.rows.bit_length() + 1):
-        val = poly_eval_matrix(pred, s)
-        if val.is_zero():
-            return s
-        dval = poly_eval_matrix(dp, s)
-        s = s - inverse(dval) * val
-    if not poly_eval_matrix(pred, s).is_zero():
-        raise AssertionError("Newton iteration failed to converge")
-    return s
+    spaces = _generalized_eigenspaces(m, *_spectrum(m, "spectrum is not rational"))
+    b = [col for _, space in spaces for col in space.columns()]
+    bd = [tuple(lam * x for x in col) for lam, space in spaces for col in space.columns()]
+    # S B = B D  <=>  B^T S^T = (B D)^T, and the columns of B^T are independent
+    return solve(RatMatrix(b), RatMatrix(bd)).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +714,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 # Clear the fill-in in row i.
                 q = a[i][i + 1] // a[i][i]
                 add_col(i, i + 1, -q)
-                assert a[i][i + 1] == 0
+                if a[i][i + 1]:
+                    raise AxiomFailure("Smith normal form: fill-in left in row")
                 if a[i][i] < 0:
                     negate_row(i)
                 if a[i + 1][i + 1] < 0:

@@ -37,7 +37,7 @@ from .errors import (
     SectionInvalid,
     VerificationFailure,
 )
-from .exactla import RatMatrix, solve
+from .exactla import RatMatrix, simultaneous_eigenspaces, solve
 from .grading import Grading, universal_abelian_group
 
 Q = Fraction
@@ -80,12 +80,10 @@ class WeightDecomposition:
 def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposition:
     """Decompose the algebra under the adjoint action of an abelian
     subspace h (NonSplitError when a spectrum is irrational)."""
-    from .exactla import simultaneous_eigenspaces
-
     n = alg.dimension
     ops = [alg.ad_matrix(list(v)) for v in h.vectors()]
     spaces: dict[Weight, Subspace] = {}
-    for w, basis in simultaneous_eigenspaces(ops, dim=n):
+    for w, basis in simultaneous_eigenspaces(ops, RatMatrix.identity(n)):
         spaces[w] = Subspace(n, basis)
     weights = tuple(sorted(spaces))
     phi = tuple(w for w in weights if any(w))

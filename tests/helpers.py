@@ -14,8 +14,21 @@ from gradalg.algcore import (
     centroid_dimension,
     killing_form,
 )
-from gradalg.errors import FlagViolation, ShapeError
-from gradalg.exactla import RatMatrix, combine_rows
+from gradalg.errors import (
+    FlagViolation,
+    NonSplitError,
+    NotDiagonalizableError,
+    ShapeError,
+)
+from gradalg.exactla import (
+    RatMatrix,
+    column_echelon,
+    combine_rows,
+    inverse,
+    nullspace,
+    rational_roots,
+    solve,
+)
 from gradalg.grading import GradedDerivations, Grading
 
 
@@ -115,6 +128,88 @@ def dense_killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     ads = [dense_ad(a, a.basis_vector(i)) for i in range(n)]
     gram = RatMatrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
     return gram, len(dense_rref(gram)[1]) == n
+
+
+def submatrix(m: RatMatrix, row_idx, col_idx) -> RatMatrix:
+    return RatMatrix([[m[i, j] for j in col_idx] for i in row_idx])
+
+
+def per_degree_minimal_polynomial(m: RatMatrix) -> tuple:
+    """Oracle for ``exactla.minimal_polynomial``: one solve per degree d,
+    asking whether M^d is a combination of I, M, ..., M^(d-1)."""
+    n = m.rows
+    powers = [RatMatrix.identity(n)]
+    for _ in range(n):
+        powers.append(m * powers[-1])
+    flat = [p.flatten() for p in powers]
+    for d in range(1, n + 2):
+        a = RatMatrix.from_columns(flat[:d], rows=n * n)
+        x = solve(a, RatMatrix.column_vector(flat[d]))
+        if x is not None:
+            return tuple(-c for c in x.column(0)) + (Q(1),)
+    raise ValueError("no minimal polynomial of degree <= n")
+
+
+def poly_eval_matrix(poly, m: RatMatrix) -> RatMatrix:
+    acc = RatMatrix.zeros(m.rows, m.cols)
+    for c in reversed(list(poly)):
+        acc = acc * m if not acc.is_zero() else acc
+        if c:
+            acc = acc + RatMatrix.identity(m.rows).scale(c)
+    return acc
+
+
+def poly_derivative(poly) -> tuple:
+    return tuple(Q(k) * poly[k] for k in range(1, len(poly)))
+
+
+def newton_semisimple_part(m: RatMatrix) -> RatMatrix:
+    """Oracle for ``exactla.semisimple_part``: Newton iteration
+    S <- S - p'(S)^-1 p(S) from S = M on the squarefree polynomial p with
+    the roots of the minimal polynomial."""
+    roots = rational_roots(per_degree_minimal_polynomial(m))
+    if roots is None:
+        raise NonSplitError("spectrum is not rational")
+    pred = (Q(1),)
+    for r in roots:
+        pred = tuple(
+            (pred[k - 1] if k >= 1 else Q(0)) - r * (pred[k] if k < len(pred) else Q(0))
+            for k in range(len(pred) + 1)
+        )
+    dp = poly_derivative(pred)
+    s = m
+    for _ in range(m.rows.bit_length() + 1):
+        val = poly_eval_matrix(pred, s)
+        if val.is_zero():
+            return s
+        s = s - inverse(poly_eval_matrix(dp, s)) * val
+    if not poly_eval_matrix(pred, s).is_zero():
+        raise ValueError("Newton iteration failed to converge")
+    return s
+
+
+def kernel_eigen_split(basis: RatMatrix, op: RatMatrix) -> list:
+    """Oracle for ``exactla._eigen_split``: the kernel of op - lam on the
+    space, for each root lam of the restriction's minimal polynomial."""
+    restricted = solve(basis, op * basis)
+    if restricted is None:
+        raise ShapeError("operator does not preserve the space")
+    mp = per_degree_minimal_polynomial(restricted)
+    roots = rational_roots(mp)
+    if roots is None:
+        raise NonSplitError("operator has an irrational eigenvalue")
+    if len(roots) < len(mp) - 1:
+        raise NotDiagonalizableError("minimal polynomial has a repeated root")
+    pieces = []
+    total = 0
+    for lam in roots:
+        ker = nullspace(restricted - RatMatrix.identity(restricted.rows).scale(lam))
+        if ker.cols:
+            pieces.append((lam, column_echelon(basis * ker)))
+            total += ker.cols
+    if total != basis.cols:
+        raise NotDiagonalizableError("eigenspaces do not fill the space")
+    return pieces
 
 
 def e_matrix(n: int, i: int, j: int, c=1) -> RatMatrix:

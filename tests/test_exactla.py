@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, solving, normal forms, spectra."""
 
+import ast
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -10,6 +11,7 @@ import sympy
 import gradalg
 
 from gradalg.errors import (
+    GradAlgError,
     NonSplitError,
     NotCommutingError,
     NotDiagonalizableError,
@@ -19,6 +21,7 @@ from gradalg import grading
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
+    _eigen_split,
     column_echelon,
     column_hnf,
     hnf_solve,
@@ -46,7 +49,11 @@ from helpers import (
     dense_nullspace,
     dense_rref,
     dense_subspace_intersection,
+    kernel_eigen_split,
+    newton_semisimple_part,
+    per_degree_minimal_polynomial,
     rational_solve,
+    submatrix,
 )
 
 
@@ -408,8 +415,10 @@ class TestSimultaneousEigenspaces:
             simultaneous_eigenspaces([RatMatrix([[0, -1], [1, 0]])])
 
     def test_no_ops_gives_whole_space(self):
-        pieces = simultaneous_eigenspaces([], dim=3)
-        assert len(pieces) == 1 and pieces[0][1].cols == 3
+        pieces = simultaneous_eigenspaces([], RatMatrix.identity(3))
+        assert pieces == [((), RatMatrix.identity(3))]
+        with pytest.raises(ShapeError):
+            simultaneous_eigenspaces([])
 
     def test_against_sympy_eigenvects(self):
         rng = random.Random(37)
@@ -423,6 +432,145 @@ class TestSimultaneousEigenspaces:
                 for lam, mult, _ in to_sympy(m).eigenvects()
             }
             assert {w[0]: b.cols for w, b in pieces} == expected
+
+
+EIGENVALUES = (Q(-2), Q(-1), Q(0), Q(1), Q(2), Q(1, 2), Q(-3, 2))
+SQRT2 = "sqrt2"  # the 2x2 companion block of x^2 - 2
+
+
+def jordan_form(blocks) -> RatMatrix:
+    """Block-diagonal matrix of Jordan blocks (lam, size) and SQRT2 blocks."""
+    n = sum(2 if b == SQRT2 else b[1] for b in blocks)
+    rows = [[Q(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        if b == SQRT2:
+            rows[at][at + 1], rows[at + 1][at] = Q(2), Q(1)
+            at += 2
+            continue
+        lam, size = b
+        for i in range(at, at + size):
+            rows[i][i] = lam
+            if i + 1 < at + size:
+                rows[i][i + 1] = Q(1)
+        at += size
+    return RatMatrix(rows)
+
+
+def random_jordan_blocks(rng, size, lams=EIGENVALUES, max_block=6):
+    blocks = []
+    while size:
+        k = rng.randint(1, min(size, max_block))
+        blocks.append((rng.choice(lams), k))
+        size -= k
+    return blocks
+
+
+def random_spectral_blocks(rng, kind):
+    """Blocks of total size 1-6 of one kind of spectrum."""
+    if kind == "repeated":
+        # (lam, a) + (lam, b) with b < a, and mu of multiplicity 1 < k = a
+        lam, mu = rng.sample(EIGENVALUES, 2)
+        a = rng.randint(2, 4)
+        b = rng.randint(1, min(a - 1, 5 - a))
+        return [(lam, a), (lam, b), (mu, 1)]
+    if kind == "nilpotent":
+        return random_jordan_blocks(rng, rng.randint(1, 6), lams=(Q(0),))
+    if kind == "diagonalizable":
+        return random_jordan_blocks(rng, rng.randint(1, 6), max_block=1)
+    if kind == "irrational":
+        return [SQRT2] + random_jordan_blocks(rng, rng.randint(0, 4))
+    return random_jordan_blocks(rng, rng.randint(1, 6))
+
+
+def rand_rational_invertible(rng, n):
+    while True:
+        p = RatMatrix([[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            return p
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the GradAlgError it raised."""
+    try:
+        return f(*args)
+    except GradAlgError as exc:
+        return type(exc), str(exc)
+
+
+class TestSpectraAgainstOracles:
+    """The generalized-eigenspace routine against the per-degree minimal
+    polynomial, the Newton semisimple part and the per-root kernel split,
+    on random rational conjugates P J P^-1 of Jordan forms J."""
+
+    @pytest.mark.parametrize(
+        "seed, kind",
+        enumerate(("repeated", "nilpotent", "diagonalizable", "irrational", "mixed")),
+    )
+    def test_random_conjugated_jordan_forms(self, seed, kind):
+        rng = random.Random(61 + seed)
+        for _ in range(25):
+            j = jordan_form(random_spectral_blocks(rng, kind))
+            p = rand_rational_invertible(rng, j.rows)
+            m = p * j * inverse(p)
+            assert minimal_polynomial(m) == per_degree_minimal_polynomial(m)
+            s = outcome(semisimple_part, m)
+            assert s == outcome(newton_semisimple_part, m)
+            split = outcome(_eigen_split, RatMatrix.identity(m.rows), m)
+            assert split == outcome(kernel_eigen_split, RatMatrix.identity(m.rows), m)
+            assert outcome(_eigen_split, p, m) == outcome(kernel_eigen_split, p, m)
+            if kind == "repeated":
+                assert s != m
+                assert split == (NotDiagonalizableError, "minimal polynomial has a repeated root")
+            elif kind == "nilpotent":
+                assert s == RatMatrix.zeros(m.rows, m.rows)
+            elif kind == "diagonalizable":
+                assert s == m
+            elif kind == "irrational":
+                assert s == (NonSplitError, "spectrum is not rational")
+
+    def test_zero_by_zero_operators(self):
+        empty = RatMatrix([])
+        assert minimal_polynomial(empty) == (Q(1),)
+        assert semisimple_part(empty) == empty
+        for basis in (None, empty):
+            assert sum(b.cols for _, b in simultaneous_eigenspaces([empty], basis)) == 0
+
+
+class TestSubspaceSplit:
+    def test_coordinate_subspace_matches_restricted_split(self):
+        # ops = T D_k T^-1 with T preserving span(e_i : i in idx): they
+        # commute, are diagonalizable and preserve that coordinate subspace
+        rng = random.Random(67)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            idx = sorted(rng.sample(range(n), rng.randint(1, n)))
+            while True:
+                t = RatMatrix(
+                    [
+                        [0 if i not in idx and j in idx else rng.randint(-3, 3) for j in range(n)]
+                        for i in range(n)
+                    ]
+                )
+                if rank(t) == n:
+                    break
+            ops = [
+                t * RatMatrix.diagonal([rng.choice((-1, 0, 2)) for _ in range(n)]) * inverse(t)
+                for _ in range(rng.randint(0, 3))
+            ]
+            coords = RatMatrix.from_sparse_columns([{i: 1} for i in idx], n)
+            restricted = [submatrix(op, idx, idx) for op in ops]
+            expected = [
+                (w, RatMatrix([[b[idx.index(i), j] if i in idx else 0 for j in range(b.cols)] for i in range(n)]))
+                for w, b in simultaneous_eigenspaces(restricted, RatMatrix.identity(len(idx)))
+            ]
+            assert simultaneous_eigenspaces(ops, coords) == expected
+
+    def test_unpreserved_basis_raises(self):
+        op = RatMatrix([[1, 0], [1, 2]])
+        with pytest.raises(ShapeError, match="operator does not preserve the space"):
+            simultaneous_eigenspaces([op], RatMatrix([[1], [0]]))
+        assert simultaneous_eigenspaces([op], RatMatrix([[0], [1]])) == [((Q(2),), RatMatrix([[0], [1]]))]
 
 
 class TestSmithNormalForm:
@@ -519,3 +667,12 @@ def test_sources_use_no_floating_point():
         text = path.read_text()
         for token in ("**0.5", "float(", "round("):
             assert token not in text, f"{path.name} uses {token}"
+
+
+def test_sources_use_no_bare_asserts():
+    # cross-checks raise GradAlgError subclasses, so `python -O` keeps them
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "AssertionError" not in text, f"{path.name} uses AssertionError"
+        tree = ast.parse(text)
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
