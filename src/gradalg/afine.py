@@ -89,7 +89,7 @@ def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
     sub."""
     ann = sub.annihilator()
     rows = (combine_rows(q, ad) for ad in map(alg.ad_rows, sub.vectors()) for q in ann)
-    return Subspace(alg.dimension, sparse_nullspace(alg.dimension, rows))
+    return sparse_nullspace(alg.dimension, rows)
 
 
 def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:
@@ -135,7 +135,7 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
         if not any(x):
             continue
         adx = alg.ad_matrix(x)
-        nil = Subspace(d, nullspace(adx.power(d)))
+        nil = nullspace(adx.power(d))
         # nilspace of a generic element is a Cartan subalgebra; verify
         if nil.dim == 0 or not _is_cartan(alg, nil):
             continue
@@ -204,7 +204,7 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     def toral_part(cartan: Subspace) -> Subspace:
         # the span of the semisimple parts; NonSplitError when a spectrum is irrational
         parts = [semisimple_part(mat_from_flat(list(v), n, n)) for v in cartan.vectors()]
-        return Subspace.from_vectors(n * n, [s.flatten() for s in parts if not s.is_zero()])
+        return Subspace.from_vectors(n * n, [s.flatten() for s in parts])
 
     cartan, toral = split_cartan(lie, d_e.basis, seed, toral_part)
     mats = [mat_from_flat(list(v), n, n) for v in toral.vectors()]
@@ -305,9 +305,10 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     # eigen-decompose every component in homogeneous coordinates
     pieces: list[tuple[GroupElement, tuple[Fraction, ...], list[tuple[Fraction, ...]]]] = []
     for g in grading.support:
-        coords = RatMatrix.from_sparse_columns([{i: 1} for i in grading.indices_of_degree(g)], n)
-        for weight, basis in simultaneous_eigenspaces(tmats, coords):
-            pieces.append((g, weight, basis.columns()))
+        # the unit vectors of the component's indices are its canonical basis
+        component = Subspace(n, {i: {i: Q(1)} for i in grading.indices_of_degree(g)})
+        for weight, space in simultaneous_eigenspaces(tmats, component):
+            pieces.append((g, weight, space.vectors()))
     # canonical weight lattice from the observed weights
     all_weights = sorted({w for _, w, _ in pieces})
     if r:

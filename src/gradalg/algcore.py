@@ -5,6 +5,8 @@ operations, each stored as a sparse structure tensor.  Asserted flags
 (lie, associative) are verified exactly at construction time.  On top of
 this: derivation algebras (optionally preserving a family of subspaces),
 bracket spans, centralizers, the Killing form, and a simplicity test.
+Subspaces are ``exactla.Subspace``, re-exported here: each canonical basis
+is the result of one ``gauss_jordan``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from typing import Iterable, Mapping, Sequence
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
     RatMatrix,
+    Subspace,
     combine_rows,
+    coordinate_reader,
     gauss_jordan,
     mat_from_flat,
     rank,
-    kernel_vectors,
     sparse_nullspace,
-    sparse_rows,
-    subspace_intersection,
-    subspace_sum,
 )
 
 Q = Fraction
@@ -222,82 +222,6 @@ class StructureAlgebra:
                         )
 
 
-class Subspace:
-    """Subspace of an algebra's underlying space, canonical column basis."""
-
-    __slots__ = ("dim_ambient", "basis", "_pivots", "_columns")
-
-    def __init__(self, dim_ambient: int, basis: RatMatrix):
-        if basis.rows != dim_ambient:
-            raise ShapeError("basis rows must equal the ambient dimension")
-        # the reduced echelon basis of the column span, {pivot row: column}
-        reduced = gauss_jordan(sparse_rows(basis.columns()), dim_ambient)
-        columns = list(reduced.values())
-        object.__setattr__(self, "dim_ambient", dim_ambient)
-        object.__setattr__(self, "basis", RatMatrix.from_sparse_columns(columns, dim_ambient))
-        object.__setattr__(self, "_pivots", list(reduced))
-        object.__setattr__(self, "_columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def from_vectors(cls, dim_ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
-        return cls(dim_ambient, RatMatrix.from_columns(list(vectors), rows=dim_ambient))
-
-    @classmethod
-    def full(cls, dim_ambient: int) -> "Subspace":
-        return cls(dim_ambient, RatMatrix.identity(dim_ambient))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return self.basis.columns()
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.coords(vec) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.vectors())
-
-    def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
-        """Coordinates of ``vec`` in the basis columns, or None if outside."""
-        if len(vec) != self.dim_ambient:
-            raise ShapeError("vector length must equal the ambient dimension")
-        x = _pivot_coords([Q(c) for c in vec], self._pivots, self._columns)
-        return None if x is None else tuple(x.get(t, Q(0)) for t in range(self.dim))
-
-    def annihilator(self) -> list[dict[int, Fraction]]:
-        """A basis of the functionals vanishing on the subspace, as sparse
-        vectors q with sum_r q[r] w[r] = 0 for every w in it."""
-        return list(kernel_vectors(self._columns, self.dim_ambient))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim_ambient != other.dim_ambient:
-            raise ShapeError("ambient mismatch")
-        return Subspace(self.dim_ambient, subspace_intersection(self.basis, other.basis))
-
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.dim_ambient != other.dim_ambient:
-            raise ShapeError("ambient mismatch")
-        return Subspace(self.dim_ambient, subspace_sum(self.basis, other.basis))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.dim_ambient == other.dim_ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim_ambient, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Subspace(ambient={self.dim_ambient}, dim={self.dim})"
-
-
 # ---------------------------------------------------------------------------
 # Construction from a plain description
 # ---------------------------------------------------------------------------
@@ -331,11 +255,12 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     """Build a StructureAlgebra from a plain dict:
     { "name", "dimension", "flags": {...}, "operations":
       [ {"name", "arity", "entries": [[i_1, ..., i_k, j, "p/q"], ...]}, ...] }.
-    Flags given as a mapping of flag name to boolean.  The name must be a
-    string, the dimension a nonnegative integer, the operations a list,
-    arity and indices integers, structure constants integers or "p/q"
-    strings (ValueError naming the field otherwise).  Asserted lie /
-    associative flags are verified (FlagViolation on failure)."""
+    The name must be a string, the dimension a nonnegative integer, the
+    flags an object of booleans, the operations a list of objects, their
+    entries a list of lists, arity and indices integers, structure
+    constants integers or "p/q" strings (ValueError naming the field
+    otherwise).  Asserted lie / associative flags are verified
+    (FlagViolation on failure)."""
     name = spec.get("name", "algebra")
     if not isinstance(name, str):
         raise ValueError(f"name {name!r} is not a string")
@@ -345,12 +270,21 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     operations = spec.get("operations", [])
     if not isinstance(operations, list):
         raise ValueError(f"operations {operations!r} is not a list")
-    flags = [k for k, v in dict(spec.get("flags", {})).items() if v]
+    flags = spec.get("flags", {})
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise ValueError(f"flags {flags!r} is not an object of booleans")
     ops = []
     for opspec in operations:
+        if not isinstance(opspec, dict):
+            raise ValueError(f"operation {opspec!r} is not an object")
         arity = int_field(opspec["arity"], "arity")
+        entries = opspec["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries {entries!r} is not a list")
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for entry in opspec["entries"]:
+        for entry in entries:
+            if not isinstance(entry, list):
+                raise ValueError(f"entry {entry!r} is not a list")
             if len(entry) != arity + 2:
                 raise ShapeError(
                     f"entry of length {len(entry)} in an arity-{arity} operation"
@@ -361,7 +295,7 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
             tensor.setdefault(key, {})
             tensor[key][j] = tensor[key].get(j, Q(0)) + c
         ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
-    return StructureAlgebra(name, dimension, ops, flags)
+    return StructureAlgebra(name, dimension, ops, [k for k, v in flags.items() if v])
 
 
 def algebra_to_dict(a: StructureAlgebra) -> dict:
@@ -392,9 +326,9 @@ def algebra_from_matrices(
     constants of the commutator (kind="lie") or matrix product
     (kind="associative") expressed in the span of ``matrices``
     (VerificationFailure when the span is not closed).  One elimination,
-    in ``_coordinate_reader``, serves every product."""
+    in ``coordinate_reader``, serves every product."""
     n = len(matrices)
-    coords = _coordinate_reader([m.flatten() for m in matrices])
+    coords = coordinate_reader([m.flatten() for m in matrices])
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
@@ -423,11 +357,15 @@ def subalgebra_structure(
     linearly dependent or their span is not closed under an operation).
     The flags (default: those of ``a``) are verified on the result.
 
-    The result is memoized on ``a`` per (basis, name, flags), so the
-    gradings, inductions and coarsenings sharing an algebra and a basis
-    share one re-based, flag-checked copy."""
+    The identity basis with the name and flags of ``a`` gives ``a``
+    itself.  Any other result is memoized on ``a`` per (basis, name,
+    flags), so the gradings, inductions and coarsenings sharing an algebra
+    and a basis share one re-based, flag-checked copy."""
     use_flags = a.flags if flags is None else frozenset(flags)
-    return _rebased(a, basis, name or f"{a.name}-sub", use_flags)
+    use_name = name or f"{a.name}-sub"
+    if (use_name, use_flags) == (a.name, a.flags) and basis == RatMatrix.identity(a.dimension):
+        return a
+    return _rebased(a, basis, use_name, use_flags)
 
 
 @memoized
@@ -435,7 +373,7 @@ def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset)
     if basis.rows != a.dimension:
         raise ShapeError("basis rows must equal the algebra's dimension")
     cols = basis.columns()
-    coords = _coordinate_reader(cols)
+    coords = coordinate_reader(cols)
     ops = []
     for op in a.operations:
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
@@ -450,46 +388,8 @@ def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset)
 
 
 # ---------------------------------------------------------------------------
-# Coordinates and equation rows
+# Equation rows
 # ---------------------------------------------------------------------------
-
-
-def _pivot_coords(
-    vec: Sequence[Fraction], pivots: Sequence[int], basis: Sequence[Mapping[int, Fraction]]
-) -> dict[int, Fraction] | None:
-    """Sparse coordinates of ``vec`` in a canonical basis (sparse vectors;
-    vector t is 1 at its pivot ``pivots[t]`` and every other one is 0
-    there), or None when ``vec`` is outside its span: x_t = vec[pivots[t]],
-    and ``vec`` is in the span iff vec = sum_t x_t basis[t]."""
-    x = {t: vec[p] for t, p in enumerate(pivots) if vec[p]}
-    if combine_rows(x, basis) != {i: c for i, c in enumerate(vec) if c}:
-        return None
-    return x
-
-
-def _coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
-    """The map from a vector to its sparse coordinates (sorted by index) in
-    ``vectors``, or None when it is outside their span (ValueError when
-    they are linearly dependent).
-
-    One elimination serves every vector: with M the matrix of rows
-    ``vectors``, the reduced echelon form of [M | I] is [R | E] with
-    E M = R.  ``_pivot_coords`` reads the coordinates y of a vector v in
-    the rows of R, the canonical basis of the span, and x = E^T y."""
-    size = len(vectors[0]) if vectors else 0
-    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(sparse_rows(vectors)))
-    reduced = gauss_jordan(augmented, size + len(vectors))
-    if any(p >= size for p in reduced):
-        raise ValueError("the basis vectors are linearly dependent")
-    pivots = list(reduced)
-    span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
-    coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
-
-    def coords(vec: Sequence[Fraction]) -> dict[int, Fraction] | None:
-        at_pivots = _pivot_coords(vec, pivots, span_rows)
-        return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
-
-    return coords
 
 
 def _leibniz_rows(a: StructureAlgebra):
@@ -532,7 +432,7 @@ def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
     for w in constraints:
         # D preserves W iff q(D w) = 0 for every w in W and q vanishing on W
         for q in w.annihilator():
-            for wvec in w._columns:
+            for wvec in w.sparse_vectors():
                 yield {r * n + c: x * y for r, x in q.items() for c, y in wvec.items()}
 
 
@@ -556,7 +456,7 @@ def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) 
     of End(A) in n^2 coordinates (row-major)."""
     n = a.dimension
     rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints))
-    return Subspace(n * n, sparse_nullspace(n * n, rows))
+    return sparse_nullspace(n * n, rows)
 
 
 def derivation_algebra(
@@ -585,9 +485,7 @@ def bracket_span(
 ) -> Subspace:
     """The span of [x, y] for x in ``xs`` and y in ``ys``."""
     ys = list(ys)
-    return Subspace.from_vectors(
-        a.dimension, [z for x in xs for y in ys if any(z := a.bracket(x, y))]
-    )
+    return Subspace.from_vectors(a.dimension, [z for x in xs for y in ys if any(z := a.bracket(x, y))])
 
 
 def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
@@ -595,7 +493,7 @@ def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
     _require_lie(a)
     # [x, v] = -(ad v) x = 0
     rows = (row for v in s.vectors() for row in a.ad_rows(v))
-    return Subspace(a.dimension, sparse_nullspace(a.dimension, rows))
+    return sparse_nullspace(a.dimension, rows)
 
 
 @memoized

@@ -628,13 +628,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def cap(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"cap must be at least 1, not {text}")
+        return int(text)
+
     def common(sp, files=True):
         if files:
             sp.add_argument("files", nargs="+", help="workspace JSON files ('-' for stdin)")
             sp.add_argument("--grading", help="grading name (default: first in the workspace)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generic-element seed")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
+        sp.add_argument("--cap", type=cap, default=DEFAULT_CAP, help="enumeration cap (at least 1)")
 
     for name in _COMMANDS:
         sp = sub.add_parser(name)

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals and integers.
 
 Dense matrices with arbitrary-precision entries; one sparse Gauss-Jordan
-elimination behind every echelon form, kernel and solve over Q;
-Smith/Hermite normal forms with transformation matrices; and one spectral
-routine, the generalized eigenspaces of a rational matrix, behind the
-simultaneous eigenspace decompositions of commuting rational matrices and
-the Jordan-Chevalley semisimple part.  Everything is exact; non-rational
-spectra raise NonSplitError instead of being approximated.
+elimination behind every echelon form, kernel and solve over Q; one
+subspace type, ``Subspace``, whose canonical basis is the result of one
+such elimination taken as it is, and which every kernel, sum,
+intersection and eigenspace is; Smith/Hermite normal forms with
+transformation matrices; and one spectral routine, the generalized
+eigenspaces of a rational matrix, behind the simultaneous eigenspace
+decompositions of commuting rational matrices and the Jordan-Chevalley
+semisimple part.  Everything is exact; non-rational spectra raise
+NonSplitError instead of being approximated.
 """
 
 from __future__ import annotations
@@ -161,11 +164,6 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ShapeError("row mismatch in hstack")
-        return RatMatrix([ra + rb for ra, rb in zip(self.data, other.data)])
-
     def power(self, k: int) -> "RatMatrix":
         if not self.is_square():
             raise ShapeError("power of a non-square matrix")
@@ -272,35 +270,6 @@ def kernel_vectors(rows: Iterable[Mapping[int, Fraction]], ncols: int):
             yield vec
 
 
-def _echelon_basis(vectors: Iterable[Mapping[int, Fraction]], dim: int) -> RatMatrix:
-    """The canonical basis of the span of sparse vectors of length ``dim``,
-    as the columns of a matrix."""
-    return RatMatrix.from_sparse_columns(list(gauss_jordan(vectors, dim).values()), dim)
-
-
-def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> RatMatrix:
-    """Basis of the kernel of the system of sparse rows ``{column:
-    coefficient}`` in ``ncols`` unknowns, as columns in canonical (reduced
-    column echelon) form.  The rows are read as a stream and no longer
-    once the kernel is zero."""
-    return _echelon_basis(kernel_vectors(rows, ncols), ncols)
-
-
-def nullspace(a: RatMatrix) -> RatMatrix:
-    """Basis of the right kernel of ``a`` as columns in a canonical
-    (reduced column echelon) form."""
-    return sparse_nullspace(a.cols, sparse_rows(a.data))
-
-
-def column_echelon(m: RatMatrix) -> RatMatrix:
-    """Canonical reduced column echelon form with zero columns dropped.
-
-    The result is the unique reduced basis of the column space, so two
-    subspaces are equal iff their column_echelon forms are equal.
-    """
-    return _echelon_basis(sparse_rows(zip(*m.data)), m.rows)
-
-
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     """The unique X with A X = B, or None when the system is inconsistent,
     from one elimination of [A | B].  Raises ShapeError when the columns of
@@ -328,23 +297,154 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Subspace helpers (columns = basis vectors)
+# Subspaces: canonical bases, kernels, coordinates
 # ---------------------------------------------------------------------------
 
 
-def subspace_sum(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return column_echelon(a.hstack(b))
+def _pivot_coords(vec: Mapping, pivots: Sequence[int], basis: Sequence[Mapping]) -> dict | None:
+    """Sparse coordinates of the sparse vector ``vec`` in a canonical basis
+    (vector t is 1 at its pivot ``pivots[t]``, every other one 0 there):
+    x_t = vec[pivots[t]], or None when vec != sum_t x_t basis[t] (outside the span)."""
+    x = {t: vec[p] for t, p in enumerate(pivots) if p in vec}
+    return x if combine_rows(x, basis) == vec else None
 
 
-def subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Canonical basis of the intersection of two column spaces: A x over
-    the kernel vectors (x, y) of [A | B], for which A x = B (-y)."""
-    if a.cols == 0 or b.cols == 0:
-        return RatMatrix.zeros(a.rows, 0)
-    kernel = kernel_vectors(sparse_rows(ra + rb for ra, rb in zip(a.data, b.data)), a.cols + b.cols)
-    a_columns = list(sparse_rows(zip(*a.data)))
-    meets = (combine_rows({k: x for k, x in v.items() if k < a.cols}, a_columns) for v in kernel)
-    return _echelon_basis(meets, a.rows)
+def _sparse_vector(vec: Sequence) -> dict[int, Fraction]:
+    return {i: q for i, c in enumerate(vec) if (q := _frac(c))}
+
+
+class Subspace:
+    """A subspace of Q^n with its canonical basis, the reduced column echelon
+    basis: each vector is 1 at its pivot (its first nonzero coordinate) and
+    0 at the others' pivots, so equal subspaces have equal bases.  That
+    basis is the {pivot: vector} result of one ``gauss_jordan``, taken as
+    it is: of spanning vectors (``span``, ``from_vectors``, ``add``) or of
+    kernel vectors (``sparse_nullspace``, ``nullspace``, ``intersect``)."""
+
+    __slots__ = ("dim_ambient", "basis", "_pivots", "_columns")
+
+    def __init__(self, dim_ambient: int, reduced: Mapping[int, Mapping[int, Fraction]]):
+        """The subspace with the canonical basis ``reduced``, {pivot: vector} from gauss_jordan."""
+        columns = list(reduced.values())
+        object.__setattr__(self, "dim_ambient", dim_ambient)
+        object.__setattr__(self, "basis", RatMatrix.from_sparse_columns(columns, dim_ambient))
+        object.__setattr__(self, "_pivots", list(reduced))
+        object.__setattr__(self, "_columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def span(cls, dim_ambient: int, vectors: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """The span of sparse vectors {coordinate: entry} in Q^``dim_ambient``."""
+        return cls(dim_ambient, gauss_jordan(vectors, dim_ambient))
+
+    @classmethod
+    def from_vectors(cls, dim_ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of dense vectors of length ``dim_ambient``."""
+        vectors = list(vectors)
+        if any(len(v) != dim_ambient for v in vectors):
+            raise ShapeError("vector length must equal the ambient dimension")
+        return cls.span(dim_ambient, map(_sparse_vector, vectors))
+
+    @classmethod
+    def full(cls, dim_ambient: int) -> "Subspace":
+        return cls(dim_ambient, {i: {i: Q(1)} for i in range(dim_ambient)})
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
+
+    def vectors(self) -> list[tuple[Fraction, ...]]:
+        return self.basis.columns()
+
+    def sparse_vectors(self) -> list[dict[int, Fraction]]:
+        """The canonical basis as sparse vectors {coordinate: entry}."""
+        return list(self._columns)
+
+    def contains(self, vec: Sequence) -> bool:
+        return self.coords(vec) is not None
+
+    def contains_subspace(self, other: "Subspace") -> bool:
+        self._check_ambient(other)
+        return all(_pivot_coords(w, self._pivots, self._columns) is not None for w in other._columns)
+
+    def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
+        """Coordinates of ``vec`` in the basis columns, or None if outside."""
+        if len(vec) != self.dim_ambient:
+            raise ShapeError("vector length must equal the ambient dimension")
+        x = _pivot_coords(_sparse_vector(vec), self._pivots, self._columns)
+        return None if x is None else tuple(x.get(t, Q(0)) for t in range(self.dim))
+
+    def annihilator(self) -> list[dict[int, Fraction]]:
+        """A basis of the functionals vanishing on the subspace, as sparse
+        vectors q with sum_r q[r] w[r] = 0 for every w in it."""
+        return list(kernel_vectors(self._columns, self.dim_ambient))
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """The span of A x over the kernel vectors (x, y) of [A | B], for
+        the canonical bases A and B, since A x = B (-y)."""
+        self._check_ambient(other)
+        system: list[dict[int, Fraction]] = [{} for _ in range(self.dim_ambient)]
+        for t, col in enumerate(self._columns + other._columns):
+            for i, x in col.items():
+                system[i][t] = x
+        kernel = kernel_vectors(system, self.dim + other.dim)
+        meets = (combine_rows({t: x for t, x in v.items() if t < self.dim}, self._columns) for v in kernel)
+        return Subspace.span(self.dim_ambient, meets)
+
+    def add(self, other: "Subspace") -> "Subspace":
+        self._check_ambient(other)
+        return Subspace.span(self.dim_ambient, self._columns + other._columns)
+
+    def _check_ambient(self, other: "Subspace"):
+        if self.dim_ambient != other.dim_ambient:
+            raise ShapeError("ambient mismatch")
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Subspace) and self.dim_ambient == other.dim_ambient
+        return same and self._columns == other._columns
+
+    def __hash__(self) -> int:
+        # equal subspaces have equal pivots
+        return hash((self.dim_ambient, tuple(self._pivots)))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient={self.dim_ambient}, dim={self.dim})"
+
+
+def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
+    """The kernel of the sparse rows ``{column: coefficient}`` in ``ncols`` unknowns: one elimination
+    of the rows, read as a stream and no longer once the kernel is zero, and one of its vectors."""
+    return Subspace.span(ncols, kernel_vectors(rows, ncols))
+
+
+def nullspace(a: RatMatrix) -> Subspace:
+    """The right kernel of ``a``."""
+    return sparse_nullspace(a.cols, sparse_rows(a.data))
+
+
+def coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
+    """The map from a vector to its sparse coordinates (sorted by index) in
+    ``vectors``, or None when it is outside their span (ValueError when
+    they are linearly dependent).  One elimination serves every vector:
+    with M the matrix of rows ``vectors``, the reduced echelon form of
+    [M | I] is [R | E] with E M = R; ``_pivot_coords`` reads the
+    coordinates y of v in the rows of R, and x = E^T y."""
+    size = len(vectors[0]) if vectors else 0
+    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(sparse_rows(vectors)))
+    reduced = gauss_jordan(augmented, size + len(vectors))
+    if any(p >= size for p in reduced):
+        raise ValueError("the basis vectors are linearly dependent")
+    pivots = list(reduced)
+    span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
+    coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
+
+    def coords(vec: Sequence[Fraction]) -> dict[int, Fraction] | None:
+        at_pivots = _pivot_coords(_sparse_vector(vec), pivots, span_rows)
+        return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
+
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -417,55 +517,56 @@ def _spectrum(m: RatMatrix, message: str) -> tuple[list[Fraction], int]:
     return roots, len(mp) - len(roots)
 
 
-def _generalized_eigenspaces(
-    m: RatMatrix, roots: Sequence[Fraction], k: int
-) -> list[tuple[Fraction, RatMatrix]]:
-    """ker (M - lam)^k, as a canonical basis, for each eigenvalue lam of M,
-    with the ``roots`` and ``k`` of ``_spectrum(M)``."""
+def _generalized_eigenspaces(m: RatMatrix, roots: Sequence, k: int) -> list[tuple[Fraction, Subspace]]:
+    """ker (M - lam)^k for each eigenvalue lam of M, with the ``roots`` and
+    ``k`` of ``_spectrum(M)``."""
     one = RatMatrix.identity(m.rows)
     spaces = [(lam, nullspace((m - one.scale(lam)).power(k))) for lam in roots]
-    if sum(space.cols for _, space in spaces) != m.rows:
+    if sum(space.dim for _, space in spaces) != m.rows:
         raise AxiomFailure("generalized eigenspaces do not fill the space")
     return spaces
 
 
-def _eigen_split(basis: RatMatrix, op: RatMatrix) -> list[tuple[Fraction, RatMatrix]]:
-    """Split the column space of ``basis``, which ``op`` must preserve, into
-    eigenspaces of ``op``; raises if the restriction is not diagonalizable
-    with rational spectrum."""
-    restricted = solve(basis, op * basis)
+def _eigen_split(space: Subspace, op: RatMatrix) -> list[tuple[Fraction, Subspace]]:
+    """Split ``space``, which ``op`` must preserve, into eigenspaces of
+    ``op``; raises if the restriction is not diagonalizable with rational
+    spectrum.  Each eigenspace is the span of the space's basis applied to
+    a kernel vector of the restriction."""
+    restricted = solve(space.basis, op * space.basis)
     if restricted is None:
         raise ShapeError("operator does not preserve the space")
     roots, k = _spectrum(restricted, "operator has an irrational eigenvalue")
     if k > 1:
         raise NotDiagonalizableError("minimal polynomial has a repeated root")
-    spaces = _generalized_eigenspaces(restricted, roots, k)
-    return [(lam, column_echelon(basis * ker)) for lam, ker in spaces]
+    return [
+        (lam, Subspace.span(space.dim_ambient, (combine_rows(v, space._columns) for v in ker._columns)))
+        for lam, ker in _generalized_eigenspaces(restricted, roots, k)
+    ]
 
 
 def simultaneous_eigenspaces(
-    ops: Sequence[RatMatrix], basis: RatMatrix | None = None
-) -> list[tuple[tuple[Fraction, ...], RatMatrix]]:
+    ops: Sequence[RatMatrix], space: Subspace | None = None
+) -> list[tuple[tuple[Fraction, ...], Subspace]]:
     """Joint eigenspace decomposition of commuting diagonalizable matrices
-    on the column space of ``basis``, which every op must preserve (the
-    whole space by default).
+    on ``space``, which every op must preserve (the whole space by
+    default).
 
-    Returns (weight vector, canonical subspace basis) pairs sorted by
-    weight; the subspaces are a direct-sum decomposition of the space.
+    Returns (weight vector, subspace) pairs sorted by weight; the
+    subspaces are a direct-sum decomposition of ``space``.
     """
     ops = list(ops)
-    if basis is None:
+    if space is None:
         if not ops:
-            raise ShapeError("a basis is needed when there are no operators")
-        basis = RatMatrix.identity(ops[0].rows)
-    if any(not op.is_square() or op.rows != basis.rows for op in ops):
+            raise ShapeError("a space is needed when there are no operators")
+        space = Subspace.full(ops[0].rows)
+    if any(not op.is_square() or op.rows != space.dim_ambient for op in ops):
         raise ShapeError("operators must be square of equal size")
-    images = [op * basis for op in ops]
+    images = [op * space.basis for op in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if ops[i] * images[j] != ops[j] * images[i]:
                 raise NotCommutingError(f"operators {i} and {j} do not commute")
-    spaces = [((), column_echelon(basis))]
+    spaces = [((), space)]
     for op in ops:
         spaces = [(w + (lam,), piece) for w, space in spaces for lam, piece in _eigen_split(space, op)]
     return sorted(spaces, key=lambda t: t[0])
@@ -482,8 +583,8 @@ def semisimple_part(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ShapeError("semisimple part of a non-square matrix")
     spaces = _generalized_eigenspaces(m, *_spectrum(m, "spectrum is not rational"))
-    b = [col for _, space in spaces for col in space.columns()]
-    bd = [tuple(lam * x for x in col) for lam, space in spaces for col in space.columns()]
+    b = [col for _, space in spaces for col in space.vectors()]
+    bd = [tuple(lam * x for x in col) for lam, space in spaces for col in space.vectors()]
     # S B = B D  <=>  B^T S^T = (B D)^T, and the columns of B^T are independent
     return solve(RatMatrix(b), RatMatrix(bd)).transpose()
 

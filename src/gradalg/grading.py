@@ -25,9 +25,13 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, rank
-# perfbench/tracer.py counts the per-degree solves of graded_derivations under this name
-from .exactla import sparse_nullspace as _incremental_kernel
+from .exactla import IntMatrix, RatMatrix, rank, sparse_nullspace
+
+
+def _incremental_kernel(ncols: int, rows) -> RatMatrix:
+    """The canonical kernel basis of one degree's rows.  perfbench/tracer.py counts
+    the per-degree solves of graded_derivations by this name and reads its column count."""
+    return sparse_nullspace(ncols, rows).basis
 
 
 class Grading:
@@ -359,7 +363,8 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
             continue
         kernel = _incremental_kernel(len(idxs), rows)
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
-        space = Subspace(n * n, RatMatrix.from_sparse_columns(embedded, n * n))
+        # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index
+        space = Subspace(n * n, {min(col): col for col in embedded})
         if space.dim or g == ident:
             by_degree[g] = space
         if space.dim:

@@ -27,6 +27,7 @@ from .algcore import (
     centralizer,
     is_simple,
     killing_form,
+    memoized,
     subalgebra_structure,
 )
 from .errors import (
@@ -77,14 +78,13 @@ class WeightDecomposition:
         return self.spaces.get(zero, Subspace.from_vectors(self.cartan.dim_ambient, []))
 
 
+@memoized
 def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposition:
     """Decompose the algebra under the adjoint action of an abelian
-    subspace h (NonSplitError when a spectrum is irrational)."""
-    n = alg.dimension
+    subspace h (NonSplitError when a spectrum is irrational); memoized on
+    the algebra per h."""
     ops = [alg.ad_matrix(list(v)) for v in h.vectors()]
-    spaces: dict[Weight, Subspace] = {}
-    for w, basis in simultaneous_eigenspaces(ops, RatMatrix.identity(n)):
-        spaces[w] = Subspace(n, basis)
+    spaces = dict(simultaneous_eigenspaces(ops, Subspace.full(alg.dimension)))
     weights = tuple(sorted(spaces))
     phi = tuple(w for w in weights if any(w))
     # bracket-weight compatibility is part of the contract: check it
@@ -415,8 +415,7 @@ def verify_phi_grading(
     if not simple:
         failures.append(("i", "grading subalgebra is not simple"))
     else:
-        h_small_vecs = [g_sub.coords(list(v)) for v in h.vectors()]
-        h_small = Subspace.from_vectors(g_sub.dim, [list(v) for v in h_small_vecs])
+        h_small = Subspace.from_vectors(g_sub.dim, [g_sub.coords(v) for v in h.vectors()])
         wd_g = weight_decomposition(g_alg, h_small)
         phi_prime = wd_g.phi
         if wd_g.zero_space() != h_small:
@@ -596,11 +595,8 @@ def root_graded_structure(
                     f"section element {u.coords} does not lie over simple root {i}"
                 )
     u_prime = Subgroup.from_generators(uab.group, section)
-    g_vecs: list[list[Fraction]] = []
-    for u, s in support_classes.items():
-        if u_prime.contains(u):
-            g_vecs.extend(list(v) for v in refined.component(s).vectors())
-    g_sub = Subspace.from_vectors(n, g_vecs)
+    g_parts = (refined.component(s) for u, s in support_classes.items() if u_prime.contains(u))
+    g_sub = Subspace.span(n, (w for part in g_parts for w in part.sparse_vectors()))
     check = verify_phi_grading(alg, g_sub, h, seed=seed)
     if not check.ok:
         raise VerificationFailure(
@@ -617,11 +613,7 @@ def root_graded_structure(
         )
     g_alg = subalgebra_structure(alg, g_sub.basis, name="grading-subalgebra", flags=["lie"])
     pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
-    g_plus_vecs: list[list[Fraction]] = []
-    for a in pos_prime:
-        inter = wd.spaces[a].intersect(g_sub)
-        g_plus_vecs.extend(list(v) for v in inter.vectors())
-    g_plus = Subspace.from_vectors(n, g_plus_vecs)
+    g_plus = Subspace.span(n, (w for a in pos_prime for w in wd.spaces[a].intersect(g_sub).sparse_vectors()))
 
     def dominance(a: Weight) -> tuple:
         # dominance proxy: coordinates in the simple basis
@@ -671,10 +663,7 @@ def root_graded_structure(
         m_c = top.intersect(wd.spaces[lam_c])
         # highest-weight vectors of weight lam_c inside the adjoint piece
         # belong to g x A; keep only the complement
-        fresh = [
-            list(v) for v in m_c.vectors() if not piece_a.contains(list(v))
-        ]
-        m_c = Subspace.from_vectors(n, fresh)
+        m_c = Subspace.from_vectors(n, [v for v in m_c.vectors() if not piece_a.contains(v)])
         if m_c.dim:
             piece_c = _module_under(alg, g_sub, m_c)
             dim_c = m_c.dim
@@ -767,7 +756,5 @@ def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
     if h.dim == 0 or not l_e.contains_subspace(h):
         return False
     small = subalgebra_structure(alg, l_e.basis, name="identity-part", flags=["lie"])
-    h_small = Subspace.from_vectors(
-        l_e.dim, [list(l_e.coords(list(v))) for v in h.vectors()]
-    )
+    h_small = Subspace.from_vectors(l_e.dim, [l_e.coords(v) for v in h.vectors()])
     return _is_cartan(small, h_small)

@@ -22,10 +22,8 @@ from gradalg.errors import (
 )
 from gradalg.exactla import (
     RatMatrix,
-    column_echelon,
     combine_rows,
     inverse,
-    nullspace,
     rational_roots,
     solve,
 )
@@ -57,9 +55,14 @@ def dense_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix(a), tuple(pivots)
 
 
+def hstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The matrix [A | B]."""
+    return RatMatrix([ra + rb for ra, rb in zip(a.data, b.data)])
+
+
 def dense_column_echelon(m: RatMatrix) -> RatMatrix:
-    """Oracle for ``exactla.column_echelon``: the nonzero rows of the dense
-    rref of the transpose, as columns."""
+    """Oracle for the canonical basis of ``exactla.Subspace``: the nonzero
+    rows of the dense rref of the transpose, as columns."""
     r, pivots = dense_rref(m.transpose())
     return RatMatrix.from_columns(r.data[: len(pivots)], rows=m.rows)
 
@@ -79,11 +82,11 @@ def dense_nullspace(a: RatMatrix) -> RatMatrix:
 
 
 def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Oracle for ``exactla.subspace_intersection``: A x over a dense
-    kernel basis (x, y) of [A | -B]."""
+    """Oracle for ``exactla.Subspace.intersect`` on column spaces: A x over
+    a dense kernel basis (x, y) of [A | -B]."""
     if a.cols == 0 or b.cols == 0:
         return RatMatrix.zeros(a.rows, 0)
-    ker = dense_nullspace(a.hstack(b.scale(-1)))
+    ker = dense_nullspace(hstack(a, b.scale(-1)))
     cols = [a.matvec(ker.column(j)[: a.cols]) for j in range(ker.cols)]
     return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else RatMatrix.zeros(a.rows, 0)
 
@@ -203,9 +206,9 @@ def kernel_eigen_split(basis: RatMatrix, op: RatMatrix) -> list:
     pieces = []
     total = 0
     for lam in roots:
-        ker = nullspace(restricted - RatMatrix.identity(restricted.rows).scale(lam))
+        ker = dense_nullspace(restricted - RatMatrix.identity(restricted.rows).scale(lam))
         if ker.cols:
-            pieces.append((lam, column_echelon(basis * ker)))
+            pieces.append((lam, dense_column_echelon(basis * ker)))
             total += ker.cols
     if total != basis.cols:
         raise NotDiagonalizableError("eigenspaces do not fill the space")
@@ -291,7 +294,7 @@ def _ideal_closure(a: StructureAlgebra, seed) -> Subspace:
             for i in range(n):
                 w = a.bracket(a.basis_vector(i), v)
                 if any(w) and not span.contains(w):
-                    span = Subspace(n, span.basis.hstack(RatMatrix.column_vector(list(w))))
+                    span = span.add(Subspace.from_vectors(n, [w]))
                     new_frontier.append(w)
         frontier = new_frontier
     return span
@@ -412,7 +415,7 @@ def rational_solve(a: RatMatrix, b: RatMatrix) -> SolveResult:
     A X = B from an rref of [A | B] and a separate ``nullspace(A)``."""
     if a.rows != b.rows:
         raise ShapeError("A and B must have equal row counts")
-    aug, pivots = dense_rref(a.hstack(b))
+    aug, pivots = dense_rref(hstack(a, b))
     ns = dense_nullspace(a)
     # Inconsistent iff some pivot falls in the B block.
     if any(p >= a.cols for p in pivots):

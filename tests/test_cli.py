@@ -162,6 +162,11 @@ class TestParseErrors:
             ("dimension", -1, "dimension -1 is negative"),
             ("name", ["x"], "name ['x'] is not a string"),
             ("operations", {"bracket": {"arity": 2, "entries": []}}, "operations {'bracket'"),
+            ("flags", {"lie": "no"}, "flags {'lie': 'no'} is not an object of booleans"),
+            ("flags", ["lie"], "flags ['lie'] is not an object of booleans"),
+            ("operations", [{"arity": 2, "entries": 5}], "entries 5 is not a list"),
+            ("operations", [{"arity": 2, "entries": [5]}], "entry 5 is not a list"),
+            ("operations", [5], "operation 5 is not an object"),
         ],
     )
     def test_malformed_algebra_field(self, tmp_path, capsys, field, value, message):
@@ -461,6 +466,17 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "usage: gradalg" in err and message in err
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [(["classify", "--target", '{"invariants": [2, 2]}'], "-5"), (["coarsen-enum"], "0")],
+    )
+    def test_cap_below_1_is_a_usage_error(self, tmp_path, capsys, argv, cap):
+        # not a cap that every enumeration exceeds (exit 3)
+        f = write_ws(tmp_path, catalog_workspace("cartan-sl3"))
+        code, _, err = run(capsys, *argv, f, "--cap", cap)
+        assert code == 1
+        assert "usage: gradalg" in err and f"cap must be at least 1, not {cap}" in err
 
     def test_help_is_0(self, capsys):
         code, out, _ = run(capsys, "-h")

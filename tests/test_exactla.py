@@ -17,12 +17,12 @@ from gradalg.errors import (
     NotDiagonalizableError,
     ShapeError,
 )
-from gradalg import grading
+from gradalg import exactla, grading
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
+    Subspace,
     _eigen_split,
-    column_echelon,
     column_hnf,
     hnf_solve,
     integer_kernel,
@@ -38,8 +38,6 @@ from gradalg.exactla import (
     solve,
     sparse_nullspace,
     sparse_rows,
-    subspace_intersection,
-    subspace_sum,
 )
 
 from helpers import (
@@ -78,6 +76,10 @@ def rand_independent_columns(rng, rows, cols, lo=-20, hi=20):
 
 def in_span(basis, vec):
     return solve(basis, RatMatrix.column_vector(list(vec))) is not None
+
+
+def column_space(m):
+    return Subspace.from_vectors(m.rows, m.columns())
 
 
 def random_ranked_matrix(rng, rows, cols, k=None):
@@ -144,8 +146,8 @@ class TestSolving:
 
     def test_simple_nullspace(self):
         ns = nullspace(RatMatrix([[1, 1]]))
-        assert ns.cols == 1
-        assert RatMatrix([[1, 1]]) * ns == RatMatrix.zeros(1, 1)
+        assert ns.dim == 1
+        assert RatMatrix([[1, 1]]) * ns.basis == RatMatrix.zeros(1, 1)
 
     def test_inconsistent(self):
         assert solve(RatMatrix([[1], [1]]), RatMatrix([[0], [1]])) is None
@@ -168,7 +170,7 @@ class TestSolving:
         rng = random.Random(13)
         for _ in range(25):
             a = rand_rat_matrix(rng, 3, 5)
-            ours = nullspace(a)
+            ours = nullspace(a).basis
             theirs = to_sympy(a).nullspace()
             assert ours.cols == len(theirs)
             for v in theirs:
@@ -218,8 +220,9 @@ class TestSolving:
 
 
 class TestEliminationAgainstDenseOracles:
-    """Every elimination entry point against the dense oracles in helpers
-    (the dense row loop and the 48-row blocked kernel)."""
+    """Every elimination entry point, and the canonical basis of every
+    Subspace constructor, against the dense oracles in helpers (the dense
+    row loop and the 48-row blocked kernel)."""
 
     def test_random_matrices_of_every_rank(self):
         rng = random.Random(8128)
@@ -232,10 +235,10 @@ class TestEliminationAgainstDenseOracles:
             assert rref(m) == (reduced, pivots), f"trial {trial}"
             assert rank(m) == len(pivots), f"trial {trial}"
             kernel = dense_nullspace(m)
-            assert nullspace(m) == kernel, f"trial {trial}"
-            assert sparse_nullspace(m.cols, sparse_rows(m.data)) == kernel, f"trial {trial}"
+            assert nullspace(m).basis == kernel, f"trial {trial}"
+            assert sparse_nullspace(m.cols, sparse_rows(m.data)).basis == kernel, f"trial {trial}"
             assert blocked_kernel(m.cols, sparse_rows(m.data)) == kernel, f"trial {trial}"
-            assert column_echelon(m) == dense_column_echelon(m), f"trial {trial}"
+            assert column_space(m).basis == dense_column_echelon(m), f"trial {trial}"
         assert ranks == set(range(8))
 
     def test_tall_streams_span_several_blocks(self):
@@ -244,16 +247,17 @@ class TestEliminationAgainstDenseOracles:
             rows = rng.randint(ROWS_PER_BLOCK + 1, 3 * ROWS_PER_BLOCK)
             m = random_ranked_matrix(rng, rows, rng.randint(1, 9))
             expected = blocked_kernel(m.cols, sparse_rows(m.data))
-            assert sparse_nullspace(m.cols, sparse_rows(m.data)) == expected, f"trial {trial}"
-            assert nullspace(m) == expected == dense_nullspace(m), f"trial {trial}"
+            assert sparse_nullspace(m.cols, sparse_rows(m.data)).basis == expected, f"trial {trial}"
+            assert nullspace(m).basis == expected == dense_nullspace(m), f"trial {trial}"
 
     def test_no_rows_and_no_columns(self):
         assert rref(RatMatrix([])) == (RatMatrix([]), ())
-        assert sparse_nullspace(3, []) == blocked_kernel(3, []) == RatMatrix.identity(3)
+        assert sparse_nullspace(3, []).basis == blocked_kernel(3, []) == RatMatrix.identity(3)
+        assert sparse_nullspace(3, []) == Subspace.full(3)
         empty = RatMatrix([[], []])
         assert rref(empty) == dense_rref(empty) == (empty, ())
-        assert nullspace(empty) == dense_nullspace(empty) == RatMatrix.zeros(0, 0)
-        assert column_echelon(empty) == dense_column_echelon(empty) == RatMatrix.zeros(2, 0)
+        assert nullspace(empty).basis == dense_nullspace(empty) == RatMatrix.zeros(0, 0)
+        assert column_space(empty).basis == dense_column_echelon(empty) == RatMatrix.zeros(2, 0)
 
     def test_subspace_intersection(self):
         rng = random.Random(137)
@@ -261,7 +265,8 @@ class TestEliminationAgainstDenseOracles:
             rows = rng.randint(1, 6)
             a = random_ranked_matrix(rng, rows, rng.randint(0, 4))
             b = random_ranked_matrix(rng, rows, rng.randint(0, 4))
-            assert subspace_intersection(a, b) == dense_subspace_intersection(a, b), f"trial {trial}"
+            meet = column_space(a).intersect(column_space(b))
+            assert meet.basis == dense_subspace_intersection(a, b), f"trial {trial}"
 
     def test_streamed_kernel_stops_reading_once_the_kernel_is_zero(self):
         read = []
@@ -272,7 +277,7 @@ class TestEliminationAgainstDenseOracles:
                 yield row
             raise AssertionError("read past the row that made the kernel zero")
 
-        assert sparse_nullspace(3, rows()).cols == 0
+        assert sparse_nullspace(3, rows()).dim == 0
         assert len(read) == 4
         # graded_derivations solves each degree under this name
         read.clear()
@@ -283,27 +288,54 @@ class TestSubspaces:
     def test_column_echelon_canonical(self):
         a = RatMatrix.from_columns([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         b = RatMatrix.from_columns([[1, 3, 4], [0, 2, 2]])
-        assert column_echelon(a) == column_echelon(b)
+        assert column_space(a) == column_space(b)
+        assert column_space(a).basis == column_space(b).basis == RatMatrix.from_columns([[1, 0, 1], [0, 1, 1]])
 
     def test_intersection_and_sum(self):
-        a = RatMatrix.from_columns([[1, 0, 0], [0, 1, 0]])
-        b = RatMatrix.from_columns([[0, 1, 0], [0, 0, 1]])
-        inter = subspace_intersection(a, b)
-        assert inter.cols == 1
-        assert in_span(inter, [0, 1, 0])
-        assert subspace_sum(a, b).cols == 3
+        a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+        b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+        inter = a.intersect(b)
+        assert inter.dim == 1
+        assert in_span(inter.basis, [0, 1, 0])
+        assert a.add(b) == Subspace.full(3)
 
     def test_intersection_random(self):
         rng = random.Random(23)
         for _ in range(20):
-            a = column_echelon(rand_rat_matrix(rng, 5, 3))
-            b = column_echelon(rand_rat_matrix(rng, 5, 3))
-            inter = subspace_intersection(a, b)
-            for j in range(inter.cols):
-                v = inter.column(j)
-                assert in_span(a, v) and in_span(b, v)
+            a = column_space(rand_rat_matrix(rng, 5, 3))
+            b = column_space(rand_rat_matrix(rng, 5, 3))
+            inter = a.intersect(b)
+            for v in inter.vectors():
+                assert in_span(a.basis, v) and in_span(b.basis, v)
             # dim(A) + dim(B) = dim(A+B) + dim(A∩B)
-            assert a.cols + b.cols == subspace_sum(a, b).cols + inter.cols
+            assert a.dim + b.dim == a.add(b).dim + inter.dim
+
+    def test_one_elimination_per_canonical_basis(self, monkeypatch):
+        # a canonical basis is the result of one gauss_jordan, taken as it is;
+        # a kernel adds one elimination of its system
+        calls = []
+        real = exactla.gauss_jordan
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(exactla, "gauss_jordan", counting)
+        m = RatMatrix([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
+
+        def eliminations(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        a = Subspace.from_vectors(4, [[1, 2, 0, 1], [0, 0, 1, 1]])
+        b = Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 0, 1, 1]])
+        assert eliminations(lambda: Subspace.from_vectors(4, m.data)) == 1
+        assert eliminations(lambda: a.add(b)) == 1
+        assert eliminations(lambda: nullspace(m)) == 2
+        assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data))) == 2
+        assert eliminations(lambda: a.intersect(b)) == 2
+        assert eliminations(lambda: Subspace.full(4)) == 0
 
 
 class TestPolynomials:
@@ -389,7 +421,7 @@ class TestSimultaneousEigenspaces:
             ad.append(coords.column(0))
         ad_h = RatMatrix.from_columns(ad, rows=8)
         pieces = simultaneous_eigenspaces([ad_h])
-        got = {w[0]: b.cols for w, b in pieces}
+        got = {w[0]: b.dim for w, b in pieces}
         assert got == {Q(-2): 1, Q(-1): 2, Q(0): 2, Q(1): 2, Q(2): 1}
 
     def test_two_commuting(self):
@@ -398,7 +430,7 @@ class TestSimultaneousEigenspaces:
         pieces = simultaneous_eigenspaces([a, b])
         weights = sorted(w for w, _ in pieces)
         assert weights == [(Q(1), Q(3)), (Q(1), Q(4)), (Q(2), Q(4))]
-        assert all(sp.cols == 1 for _, sp in pieces)
+        assert all(sp.dim == 1 for _, sp in pieces)
 
     def test_noncommuting_raises(self):
         a = RatMatrix([[0, 1], [0, 0]])
@@ -415,8 +447,8 @@ class TestSimultaneousEigenspaces:
             simultaneous_eigenspaces([RatMatrix([[0, -1], [1, 0]])])
 
     def test_no_ops_gives_whole_space(self):
-        pieces = simultaneous_eigenspaces([], RatMatrix.identity(3))
-        assert pieces == [((), RatMatrix.identity(3))]
+        pieces = simultaneous_eigenspaces([], Subspace.full(3))
+        assert pieces == [((), Subspace.full(3))]
         with pytest.raises(ShapeError):
             simultaneous_eigenspaces([])
 
@@ -431,7 +463,7 @@ class TestSimultaneousEigenspaces:
                 Q(sympy.Rational(lam)): mult
                 for lam, mult, _ in to_sympy(m).eigenvects()
             }
-            assert {w[0]: b.cols for w, b in pieces} == expected
+            assert {w[0]: b.dim for w, b in pieces} == expected
 
 
 EIGENVALUES = (Q(-2), Q(-1), Q(0), Q(1), Q(2), Q(1, 2), Q(-3, 2))
@@ -498,6 +530,12 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def eigen_split_bases(basis, op):
+    """``_eigen_split`` on the column space of ``basis``, with each piece
+    as its canonical basis matrix, as ``kernel_eigen_split`` gives it."""
+    return [(lam, piece.basis) for lam, piece in _eigen_split(column_space(basis), op)]
+
+
 class TestSpectraAgainstOracles:
     """The generalized-eigenspace routine against the per-degree minimal
     polynomial, the Newton semisimple part and the per-root kernel split,
@@ -516,9 +554,9 @@ class TestSpectraAgainstOracles:
             assert minimal_polynomial(m) == per_degree_minimal_polynomial(m)
             s = outcome(semisimple_part, m)
             assert s == outcome(newton_semisimple_part, m)
-            split = outcome(_eigen_split, RatMatrix.identity(m.rows), m)
+            split = outcome(eigen_split_bases, RatMatrix.identity(m.rows), m)
             assert split == outcome(kernel_eigen_split, RatMatrix.identity(m.rows), m)
-            assert outcome(_eigen_split, p, m) == outcome(kernel_eigen_split, p, m)
+            assert outcome(eigen_split_bases, p, m) == outcome(kernel_eigen_split, p, m)
             if kind == "repeated":
                 assert s != m
                 assert split == (NotDiagonalizableError, "minimal polynomial has a repeated root")
@@ -533,8 +571,8 @@ class TestSpectraAgainstOracles:
         empty = RatMatrix([])
         assert minimal_polynomial(empty) == (Q(1),)
         assert semisimple_part(empty) == empty
-        for basis in (None, empty):
-            assert sum(b.cols for _, b in simultaneous_eigenspaces([empty], basis)) == 0
+        for space in (None, Subspace.full(0)):
+            assert sum(b.dim for _, b in simultaneous_eigenspaces([empty], space)) == 0
 
 
 class TestSubspaceSplit:
@@ -558,19 +596,20 @@ class TestSubspaceSplit:
                 t * RatMatrix.diagonal([rng.choice((-1, 0, 2)) for _ in range(n)]) * inverse(t)
                 for _ in range(rng.randint(0, 3))
             ]
-            coords = RatMatrix.from_sparse_columns([{i: 1} for i in idx], n)
+            coords = Subspace.from_vectors(n, [[int(i == k) for i in range(n)] for k in idx])
             restricted = [submatrix(op, idx, idx) for op in ops]
             expected = [
                 (w, RatMatrix([[b[idx.index(i), j] if i in idx else 0 for j in range(b.cols)] for i in range(n)]))
-                for w, b in simultaneous_eigenspaces(restricted, RatMatrix.identity(len(idx)))
+                for w, b in ((w, s.basis) for w, s in simultaneous_eigenspaces(restricted, Subspace.full(len(idx))))
             ]
-            assert simultaneous_eigenspaces(ops, coords) == expected
+            assert [(w, s.basis) for w, s in simultaneous_eigenspaces(ops, coords)] == expected
 
     def test_unpreserved_basis_raises(self):
         op = RatMatrix([[1, 0], [1, 2]])
         with pytest.raises(ShapeError, match="operator does not preserve the space"):
-            simultaneous_eigenspaces([op], RatMatrix([[1], [0]]))
-        assert simultaneous_eigenspaces([op], RatMatrix([[0], [1]])) == [((Q(2),), RatMatrix([[0], [1]]))]
+            simultaneous_eigenspaces([op], Subspace.from_vectors(2, [[1, 0]]))
+        line = Subspace.from_vectors(2, [[0, 1]])
+        assert simultaneous_eigenspaces([op], line) == [((Q(2),), line)]
 
 
 class TestSmithNormalForm:

@@ -16,6 +16,7 @@ from gradalg.algcore import (
     Subspace,
     derivation_algebra,
     derivation_space,
+    subalgebra_structure,
 )
 from gradalg.catalog import get_catalog
 from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError
@@ -170,6 +171,15 @@ class TestSharedRebasing:
         for gr in (cartan_sl2(), get_catalog("b2-skew").companions["fine"]):
             uab = universal_abelian_group(gr)
             assert uab.universal_grading().homog_algebra is gr.homog_algebra
+
+    def test_identity_basis_change_reuses_the_algebra(self):
+        gr = cartan_sl2()
+        assert gr.homog_algebra is gr.algebra
+        assert Grading(gr.algebra, gr.group, gr.degrees, RatMatrix.identity(3)).homog_algebra is gr.algebra
+        # another name or other flags still give a re-based, checked copy
+        for kwargs in ({"name": "other"}, {"flags": ()}):
+            copy = subalgebra_structure(gr.algebra, RatMatrix.identity(3), **kwargs)
+            assert copy is not gr.algebra and _tensors(copy) == _tensors(gr.algebra)
 
     def test_distinct_basis_changes_are_not_shared(self):
         gr = cartan_sl2()

@@ -5,10 +5,12 @@ from fractions import Fraction as Q
 import pytest
 import sympy
 
+from gradalg import lieroot
 from gradalg.abgroup import FgAbGroup
 from gradalg.afine import canonical_refinement
 from gradalg.algcore import Subspace
 from gradalg.catalog import get_catalog
+from gradalg.cli import catalog_workspace, parse_workspace
 from gradalg.errors import (
     IdentityComponentNotCartan,
     SectionInvalid,
@@ -273,6 +275,22 @@ class TestRootGradedStructure:
 
 
 class TestWeightDecomposition:
+    def test_each_algebra_and_h_decomposed_once(self, monkeypatch):
+        # verify_phi_grading asks again for the decomposition of L under the
+        # h that root_graded_structure has just split
+        runs = []
+        split = lieroot.simultaneous_eigenspaces
+
+        def counting(ops, space=None):
+            runs.append(len(ops))
+            return split(ops, space)
+
+        monkeypatch.setattr(lieroot, "simultaneous_eigenspaces", counting)
+        gr = parse_workspace([catalog_workspace("cartan-sl4")]).gradings["cartan-sl4"]
+        refined = canonical_refinement(gr).refined
+        root_graded_structure(gr, refined)
+        assert len(runs) == 2
+
     def test_bracket_compatibility_is_enforced(self):
         gr = get_catalog("cartan-sl3").grading
         wd = weight_decomposition(gr.algebra, gr.identity_component())
