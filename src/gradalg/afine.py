@@ -43,12 +43,14 @@ from .exactla import (
     RatMatrix,
     column_hnf,
     combine_rows,
+    flat_operator,
+    flat_vector,
     hnf_solve,
-    mat_from_flat,
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
     sparse_nullspace,
+    sparse_product,
 )
 from .grading import (
     GradedDerivations,
@@ -76,7 +78,7 @@ def _is_nilpotent_subalgebra(alg: StructureAlgebra, basis: Subspace) -> bool:
     for _ in range(alg.dimension + 1):
         if current.dim == 0:
             return True
-        nxt = bracket_span(alg, basis.vectors(), current.vectors())
+        nxt = bracket_span(alg, basis.sparse_vectors(), current.sparse_vectors())
         if nxt.dim == current.dim and nxt == current:
             return False
         current = nxt
@@ -88,38 +90,31 @@ def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
     q([v, y]) = 0 for every v in sub and every functional q vanishing on
     sub."""
     ann = sub.annihilator()
-    rows = (combine_rows(q, ad) for ad in map(alg.ad_rows, sub.vectors()) for q in ann)
+    rows = (combine_rows(q, ad) for ad in map(alg.ad_rows, sub.sparse_vectors()) for q in ann)
     return sparse_nullspace(alg.dimension, rows)
 
 
 def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:
     """A Cartan subalgebra: closed under the bracket, nilpotent, and
     equal to its own normalizer."""
-    closed = sub.contains_subspace(bracket_span(alg, sub.vectors(), sub.vectors()))
+    closed = sub.contains_subspace(bracket_span(alg, sub.sparse_vectors(), sub.sparse_vectors()))
     return closed and _is_nilpotent_subalgebra(alg, sub) and _normalizer(alg, sub) == sub
 
 
 def _element_candidates(d: int, rng: random.Random):
-    """Candidate elements whose adjoint nilspace may be a Cartan
-    subalgebra: sparse deterministic combinations first (these tend to
-    have rational spectra), then random vectors."""
-
-    def vec(pairs):
-        x = [Q(0)] * d
-        for i, c in pairs:
-            x[i] = Q(c)
-        return x
-
+    """Candidate elements, as sparse vectors, whose adjoint nilspace may
+    be a Cartan subalgebra: sparse deterministic combinations first (these
+    tend to have rational spectra), then random vectors."""
     for i in range(d):
-        yield vec([(i, 1)])
+        yield {i: Q(1)}
     for i in range(d):
         for j in range(i + 1, d):
-            yield vec([(i, 1), (j, 1)])
-            yield vec([(i, 1), (j, -1)])
-            yield vec([(i, 2), (j, 1)])
+            yield {i: Q(1), j: Q(1)}
+            yield {i: Q(1), j: Q(-1)}
+            yield {i: Q(2), j: Q(1)}
     for attempt in range(_MAX_GENERIC_RETRIES):
         bound = 3 + attempt
-        yield [Q(rng.randint(-bound, bound)) for _ in range(d)]
+        yield {i: Q(c) for i, c in enumerate([rng.randint(-bound, bound) for _ in range(d)]) if c}
 
 
 def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
@@ -128,11 +123,11 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
     elements, lazily and in a deterministic order."""
     d = alg.dimension
     if d == 0:
-        yield Subspace.from_vectors(0, [])
+        yield Subspace(0, {})
         return
     produced = False
     for x in _element_candidates(d, rng):
-        if not any(x):
+        if not x:
             continue
         adx = alg.ad_matrix(x)
         nil = nullspace(adx.power(d))
@@ -152,16 +147,18 @@ def cartan_subalgebra(alg: StructureAlgebra, rng: random.Random) -> Subspace:
     return next(iter(cartan_candidates(alg, rng)))
 
 
-def split_cartan(small: StructureAlgebra, basis: RatMatrix, seed: int, split):
-    """The first Cartan subalgebra H of ``small`` from the candidates of
+def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
+    """The first Cartan subalgebra H of ``small``, the algebra on the
+    canonical basis of ``space``, from the candidates of
     ``cartan_candidates(small, random.Random(seed))``, taken to ambient
-    coordinates by the columns of ``basis``, on which ``split(H)`` does not
-    raise NonSplitError; returns (H, split(H)).  When every candidate is
+    coordinates by that basis, on which ``split(H)`` does not raise
+    NonSplitError; returns (H, split(H)).  When every candidate is
     non-split, the last NonSplitError is re-raised (and when there is no
     candidate at all, ``cartan_candidates`` raises DegenerateRetryExhausted)."""
     nonsplit = None
+    basis = space.sparse_vectors()
     for h_small in cartan_candidates(small, random.Random(seed)):
-        h = Subspace.from_vectors(basis.rows, [basis.matvec(list(v)) for v in h_small.vectors()])
+        h = Subspace.span(space.dim_ambient, (combine_rows(v, basis) for v in h_small.sparse_vectors()))
         try:
             return h, split(h)
         except NonSplitError as exc:
@@ -182,9 +179,10 @@ class ToralData:
     toral: Subspace
     trank: int
 
-    def toral_matrices(self) -> list[RatMatrix]:
+    def toral_matrices(self) -> list[list[dict[int, Fraction]]]:
+        """The canonical basis of t as operators, by sparse rows."""
         n = self.derivations.grading.dimension
-        return [mat_from_flat(list(v), n, n) for v in self.toral.vectors()]
+        return [flat_operator(v, n) for v in self.toral.sparse_vectors()]
 
 
 @memoized
@@ -195,24 +193,22 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     gd = graded_derivations(grading)
     d_e = gd.identity_part
     if d_e.dim == 0:
-        empty = Subspace.from_vectors(n * n, [])
+        empty = Subspace(n * n, {})
         return ToralData(gd, d_e, empty, empty, 0)
-    lie = algebra_from_matrices(
-        "commutators", [mat_from_flat(list(v), n, n) for v in d_e.vectors()]
-    )
+    lie = algebra_from_matrices("commutators", [flat_operator(v, n) for v in d_e.sparse_vectors()])
 
     def toral_part(cartan: Subspace) -> Subspace:
         # the span of the semisimple parts; NonSplitError when a spectrum is irrational
-        parts = [semisimple_part(mat_from_flat(list(v), n, n)) for v in cartan.vectors()]
-        return Subspace.from_vectors(n * n, [s.flatten() for s in parts])
+        parts = [semisimple_part(flat_operator(v, n)) for v in cartan.sparse_vectors()]
+        return Subspace.span(n * n, map(flat_vector, parts))
 
-    cartan, toral = split_cartan(lie, d_e.basis, seed, toral_part)
-    mats = [mat_from_flat(list(v), n, n) for v in toral.vectors()]
+    cartan, toral = split_cartan(lie, d_e, seed, toral_part)
+    mats = [flat_operator(v, n) for v in toral.sparse_vectors()]
     for i, a in enumerate(mats):
-        if not d_e.contains(a.flatten()):
+        if not d_e.contains(flat_vector(a)):
             raise AxiomFailure("semisimple part left the derivation algebra")
         for b in mats[i + 1 :]:
-            if a * b != b * a:
+            if sparse_product(a, b) != sparse_product(b, a):
                 raise AxiomFailure("toral part is not commutative")
     return ToralData(gd, d_e, cartan, toral, toral.dim)
 
@@ -303,12 +299,12 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     r = td.trank
     tmats = td.toral_matrices()
     # eigen-decompose every component in homogeneous coordinates
-    pieces: list[tuple[GroupElement, tuple[Fraction, ...], list[tuple[Fraction, ...]]]] = []
+    pieces: list[tuple[GroupElement, tuple[Fraction, ...], list[dict[int, Fraction]]]] = []
     for g in grading.support:
         # the unit vectors of the component's indices are its canonical basis
         component = Subspace(n, {i: {i: Q(1)} for i in grading.indices_of_degree(g)})
         for weight, space in simultaneous_eigenspaces(tmats, component):
-            pieces.append((g, weight, space.vectors()))
+            pieces.append((g, weight, space.sparse_vectors()))
     # canonical weight lattice from the observed weights
     all_weights = sorted({w for _, w, _ in pieces})
     if r:
@@ -327,7 +323,7 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         coords_of = {(): ()}
     gp, proj = _product_with_free(grading.group, r)
     degrees: list[GroupElement] = []
-    new_cols: list[tuple[Fraction, ...]] = []
+    new_cols: list[dict[int, Fraction]] = []
     weight_by_degree: dict[GroupElement, tuple[int, ...]] = {}
     for g, w, cols in sorted(pieces, key=lambda p: (p[0].coords, p[1])):
         deg = _product_element(gp, g, coords_of[w], r)
@@ -336,7 +332,7 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         new_cols += cols
     if len(new_cols) != n:
         raise AxiomFailure("eigenspace pieces do not fill the algebra")
-    p = RatMatrix.from_columns(new_cols, rows=n)
+    p = RatMatrix.from_sparse_columns(new_cols, n)
     refined = Grading(
         grading.algebra, gp, degrees, grading.basis_change * p
     )

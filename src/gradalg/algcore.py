@@ -25,10 +25,11 @@ from .exactla import (
     Subspace,
     combine_rows,
     coordinate_reader,
+    flat_operator,
+    flat_vector,
     gauss_jordan,
-    mat_from_flat,
-    rank,
     sparse_nullspace,
+    sparse_product,
 )
 
 Q = Fraction
@@ -76,24 +77,17 @@ class MultilinearOp:
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearOp is immutable")
 
-    def basis_value(self, key: tuple[int, ...], dim: int) -> tuple[Fraction, ...]:
-        out = [Q(0)] * dim
-        for j, c in self.tensor.get(tuple(key), {}).items():
-            out[j] = c
-        return tuple(out)
-
-    def apply(self, vectors: Sequence[Sequence[Fraction]], dim: int) -> tuple[Fraction, ...]:
-        """Evaluate the operation on coordinate vectors.
+    def apply(self, vectors: Sequence[Mapping[int, Fraction]]) -> dict[int, Fraction]:
+        """Evaluate the operation on sparse coordinate vectors.
 
         One tensor lookup per tuple of nonzero argument coordinates: the
-        cost is a scan of each argument plus the product of the arguments'
-        nonzero counts, independent of the number of tensor entries (on
-        basis vectors, a single lookup)."""
+        cost is the product of the arguments' nonzero counts, independent
+        of the number of tensor entries (on basis vectors, a single
+        lookup)."""
         if len(vectors) != self.arity:
             raise ShapeError("wrong number of arguments")
-        out = [Q(0)] * dim
-        supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
-        for args in product(*supports):
+        out: dict[int, Fraction] = {}
+        for args in product(*(v.items() for v in vectors)):
             vec = self.tensor.get(tuple(i for i, _ in args))
             if vec is None:
                 continue
@@ -101,8 +95,8 @@ class MultilinearOp:
             for _, x in args:
                 coeff *= x
             for j, c in vec.items():
-                out[j] += coeff * c
-        return tuple(out)
+                out[j] = out.get(j, 0) + coeff * c
+        return {j: x for j, x in out.items() if x}
 
 
 class StructureAlgebra:
@@ -155,23 +149,24 @@ class StructureAlgebra:
             )
         return binops[0]
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.binary_op().apply([x, y], self.dimension)
+    def bracket(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        return self.binary_op().apply([x, y])
 
-    def basis_vector(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.dimension))
+    def basis_vector(self, i: int) -> dict[int, Fraction]:
+        return {i: Q(1)}
 
-    def ad_rows(self, x: Sequence[Fraction]) -> list[dict[int, Fraction]]:
-        """The sparse rows of ``ad_matrix(x)``: row j holds the coefficient
-        of y_i in bracket(x, y)_j, from the nonzero structure constants."""
+    def ad_rows(self, x: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
+        """The sparse rows of y -> bracket(x, y) for a sparse x: row j holds
+        the coefficient of y_i in bracket(x, y)_j, from the nonzero
+        structure constants."""
         rows: list[dict[int, Fraction]] = [{} for _ in range(self.dimension)]
         for (k, i), vec in self.binary_op().tensor.items():
-            if x[k]:
+            if k in x:
                 for j, c in vec.items():
                     rows[j][i] = rows[j].get(i, 0) + x[k] * c
         return [{i: c for i, c in row.items() if c} for row in rows]
 
-    def ad_matrix(self, x: Sequence[Fraction]) -> RatMatrix:
+    def ad_matrix(self, x: Mapping[int, Fraction]) -> RatMatrix:
         """Matrix of y -> bracket(x, y) on the basis."""
         n = self.dimension
         return RatMatrix([[row.get(i, 0) for i in range(n)] for row in self.ad_rows(x)])
@@ -318,25 +313,26 @@ def algebra_to_dict(a: StructureAlgebra) -> dict:
 
 def algebra_from_matrices(
     name: str,
-    matrices: Sequence[RatMatrix],
+    matrices: Sequence[Sequence[Mapping[int, Fraction]]],
     kind: str = "lie",
     extra_flags: Iterable[str] = (),
 ) -> StructureAlgebra:
-    """Abstract algebra from a faithful matrix realization: structure
-    constants of the commutator (kind="lie") or matrix product
-    (kind="associative") expressed in the span of ``matrices``
-    (VerificationFailure when the span is not closed).  One elimination,
-    in ``coordinate_reader``, serves every product."""
+    """Abstract algebra from a faithful realization by square operators,
+    each given by its sparse rows: structure constants of the commutator
+    (kind="lie") or product (kind="associative") expressed in the span of
+    ``matrices`` (VerificationFailure when the span is not closed).  One
+    elimination, in ``coordinate_reader`` on the flat vectors, serves
+    every product."""
     n = len(matrices)
-    coords = coordinate_reader([m.flatten() for m in matrices])
+    size = len(matrices[0]) ** 2 if matrices else 0
+    coords = coordinate_reader(size, [flat_vector(m) for m in matrices])
     tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
+            prod_m = flat_vector(sparse_product(matrices[i], matrices[j]))
             if kind == "lie":
-                prod_m = matrices[i] * matrices[j] - matrices[j] * matrices[i]
-            else:
-                prod_m = matrices[i] * matrices[j]
-            vec = coords(prod_m.flatten())
+                prod_m = combine_rows({0: 1, 1: -1}, [prod_m, flat_vector(sparse_product(matrices[j], matrices[i]))])
+            vec = coords(prod_m)
             if vec is None:
                 raise VerificationFailure(
                     f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
@@ -348,14 +344,18 @@ def algebra_from_matrices(
 
 
 def subalgebra_structure(
-    a: StructureAlgebra, basis: RatMatrix, name: str | None = None, flags: Iterable[str] | None = None
+    a: StructureAlgebra,
+    columns: Sequence[Mapping[int, Fraction]],
+    name: str | None = None,
+    flags: Iterable[str] | None = None,
 ) -> StructureAlgebra:
-    """The algebra ``a`` re-based on the columns of ``basis``: a
-    ``Subspace.basis``, or an invertible basis change.  Its structure
-    constants are each operation on every tuple of basis columns, read in
-    coordinates of those columns (ValueError when the columns are
-    linearly dependent or their span is not closed under an operation).
-    The flags (default: those of ``a``) are verified on the result.
+    """The algebra ``a`` re-based on the sparse vectors ``columns``: the
+    canonical basis of a subspace, or the columns of an invertible basis
+    change.  Its structure constants are each operation on every tuple of
+    basis vectors, read in coordinates of those vectors (ValueError when
+    they are linearly dependent or their span is not closed under an
+    operation).  The flags (default: those of ``a``) are verified on the
+    result.
 
     The identity basis with the name and flags of ``a`` gives ``a``
     itself.  Any other result is memoized on ``a`` per (basis, name,
@@ -363,28 +363,31 @@ def subalgebra_structure(
     and a basis share one re-based, flag-checked copy."""
     use_flags = a.flags if flags is None else frozenset(flags)
     use_name = name or f"{a.name}-sub"
-    if (use_name, use_flags) == (a.name, a.flags) and basis == RatMatrix.identity(a.dimension):
+    frozen = tuple(tuple(sorted(col.items())) for col in columns)
+    identity = len(frozen) == a.dimension and all(col == ((i, 1),) for i, col in enumerate(frozen))
+    if (use_name, use_flags) == (a.name, a.flags) and identity:
         return a
-    return _rebased(a, basis, use_name, use_flags)
+    return _rebased(a, frozen, use_name, use_flags)
 
 
 @memoized
-def _rebased(a: StructureAlgebra, basis: RatMatrix, name: str, flags: frozenset) -> StructureAlgebra:
-    if basis.rows != a.dimension:
-        raise ShapeError("basis rows must equal the algebra's dimension")
-    cols = basis.columns()
-    coords = coordinate_reader(cols)
+def _rebased(a: StructureAlgebra, frozen: tuple, name: str, flags: frozenset) -> StructureAlgebra:
+    """``subalgebra_structure`` on the columns ``frozen`` as sorted item tuples."""
+    if any(not 0 <= i < a.dimension for col in frozen for i, _ in col):
+        raise ShapeError("basis entries must lie in the algebra's dimension")
+    cols = [dict(col) for col in frozen]
+    coords = coordinate_reader(a.dimension, cols)
     ops = []
     for op in a.operations:
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for key in product(range(basis.cols), repeat=op.arity):
-            vec = coords(op.apply([cols[i] for i in key], a.dimension))
+        for key in product(range(len(cols)), repeat=op.arity):
+            vec = coords(op.apply([cols[i] for i in key]))
             if vec is None:
                 raise ValueError("subspace is not closed under an operation")
             if vec:
                 tensor[key] = vec
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    return StructureAlgebra(name, basis.cols, ops, flags)
+    return StructureAlgebra(name, len(cols), ops, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +469,7 @@ def derivation_algebra(
     structure under the commutator."""
     n = a.dimension
     space = derivation_space(a, constraints or ())
-    mats = [mat_from_flat(list(v), n, n) for v in space.vectors()]
+    mats = [flat_operator(v, n) for v in space.sparse_vectors()]
     return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", mats))
 
 
@@ -481,26 +484,26 @@ def _require_lie(a: StructureAlgebra):
 
 
 def bracket_span(
-    a: StructureAlgebra, xs: Iterable[Sequence[Fraction]], ys: Iterable[Sequence[Fraction]]
+    a: StructureAlgebra, xs: Iterable[Mapping[int, Fraction]], ys: Iterable[Mapping[int, Fraction]]
 ) -> Subspace:
-    """The span of [x, y] for x in ``xs`` and y in ``ys``."""
+    """The span of [x, y] for sparse x in ``xs`` and y in ``ys``."""
     ys = list(ys)
-    return Subspace.from_vectors(a.dimension, [z for x in xs for y in ys if any(z := a.bracket(x, y))])
+    return Subspace.span(a.dimension, (a.bracket(x, y) for x in xs for y in ys))
 
 
 def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
     """{x in A : [x, v] = 0 for all v in S}."""
     _require_lie(a)
     # [x, v] = -(ad v) x = 0
-    rows = (row for v in s.vectors() for row in a.ad_rows(v))
+    rows = (row for v in s.sparse_vectors() for row in a.ad_rows(v))
     return sparse_nullspace(a.dimension, rows)
 
 
 @memoized
-def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
-    """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j); returns
-    (gram, is_nondegenerate), which in characteristic 0 is also whether
-    the algebra is semisimple.  The trace is summed over the sparse
+def killing_form(a: StructureAlgebra) -> tuple[list[dict[int, Fraction]], bool]:
+    """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j) as sparse rows;
+    returns (gram, is_nondegenerate), which in characteristic 0 is also
+    whether the algebra is semisimple.  The trace is summed over the sparse
     ``ad_rows`` of the basis, that is over the nonzero structure constants:
     K(e_i, e_j) = sum over k, l of c_ik^l c_jl^k."""
     _require_lie(a)
@@ -510,8 +513,8 @@ def killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     def trace(adi, adj):  # of ad e_i ad e_j: ad_i[l][k] ad_j[k][l] over ad_i[l][k] != 0
         return sum(x * adj[k].get(l, 0) for l, row in enumerate(adi) for k, x in row.items())
 
-    gram = RatMatrix([[trace(adi, adj) for adj in ads] for adi in ads])
-    return gram, rank(gram) == n
+    gram = [{j: x for j, adj in enumerate(ads) if (x := trace(adi, adj))} for adi in ads]
+    return gram, len(gauss_jordan(gram, n)) == n
 
 
 def centroid_dimension(a: StructureAlgebra) -> int:

@@ -35,7 +35,7 @@ from typing import Mapping
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
 from .errors import AxiomFailure, UnknownCatalogEntry
-from .exactla import IntMatrix, RatMatrix, solve
+from .exactla import IntMatrix, RatMatrix, coordinate_reader, flat_vector, sparse_rows
 from .grading import Grading
 
 Q = Fraction
@@ -81,6 +81,11 @@ def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(out)
 
 
+def _operators(mats: list[RatMatrix]) -> list[list[dict[int, Fraction]]]:
+    """The matrix realizations as the sparse rows the algebra layer works on."""
+    return [list(sparse_rows(m.data)) for m in mats]
+
+
 # split quaternions, realized inside M_2(Q)
 _QUAT = {
     "1": RatMatrix.identity(2),
@@ -102,7 +107,7 @@ def _cartan_sl(n: int) -> CatalogEntry:
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
         mats.append(_e(n, i, i) + _e(n, i + 1, i + 1, -1))
-    alg = algebra_from_matrices(f"sl{n}", mats, kind="lie", extra_flags=["aut_reductive"])
+    alg = algebra_from_matrices(f"sl{n}", _operators(mats), kind="lie", extra_flags=["aut_reductive"])
     g = FgAbGroup(n - 1, ())
 
     def root_coords(i: int, j: int) -> list[int]:
@@ -152,7 +157,7 @@ def _cartan_sl(n: int) -> CatalogEntry:
 def _pauli_m2() -> CatalogEntry:
     mats = [_QUAT["1"], _QUAT["j"], _QUAT["k"], _QUAT["i"]]  # 1, x, y, z
     alg = algebra_from_matrices(
-        "pauli-m2", mats, kind="associative", extra_flags=["aut_reductive"]
+        "pauli-m2", _operators(mats), kind="associative", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2, 2])
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
@@ -215,15 +220,16 @@ def _b2_bases():
 def _b2_skew() -> CatalogEntry:
     coarse, coarse_deg, fine, fine_deg = _b2_bases()
     alg = algebra_from_matrices(
-        "b2-skew", coarse, kind="lie", extra_flags=["aut_reductive"]
+        "b2-skew", _operators(coarse), kind="lie", extra_flags=["aut_reductive"]
     )
     g3 = FgAbGroup(0, [2, 2, 2])
     grading = Grading(alg, g3, [g3.element(list(d)) for d in coarse_deg])
     # express the finer basis in the abstract coordinates
-    flat = RatMatrix.from_columns([m.flatten() for m in coarse], rows=16)
-    basis_change = solve(flat, RatMatrix.from_columns([m.flatten() for m in fine], rows=16))
-    if basis_change is None:
+    coords = coordinate_reader(16, [flat_vector(m) for m in _operators(coarse)])
+    cols = [coords(flat_vector(m)) for m in _operators(fine)]
+    if None in cols:
         raise AxiomFailure("b2-skew: the fine basis is not in the span of the coarse one")
+    basis_change = RatMatrix.from_sparse_columns(cols, len(coarse))
     g4 = FgAbGroup(0, [2, 2, 2, 2])
     refinement = Grading(
         alg, g4, [g4.element(list(d)) for d in fine_deg], basis_change
@@ -252,7 +258,7 @@ def _b2_skew_assoc() -> CatalogEntry:
             for d in ("1", "i", "j", "k"):
                 mats.append(_kron(_e(2, i, j), _QUAT[d]))
                 degs.append(((i - j) % 2, *_QUAT_DEG[d]))
-    alg = algebra_from_matrices("b2-skew-assoc", mats, kind="associative")
+    alg = algebra_from_matrices("b2-skew-assoc", _operators(mats), kind="associative")
     g3 = FgAbGroup(0, [2, 2, 2])
     grading = Grading(alg, g3, [g3.element(list(d)) for d in degs])
     return CatalogEntry(
@@ -283,7 +289,7 @@ def _a3_fine() -> CatalogEntry:
         mats.append(_e(n, i, i) + _e(n, i + 1, i + 1, -1))
         degs.append([1, 0, 0, 0])
     alg = algebra_from_matrices(
-        "a3-fine", mats, kind="lie", extra_flags=["aut_reductive"]
+        "a3-fine", _operators(mats), kind="lie", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2, 2, 2, 2])
     grading = Grading(alg, g, [g.element(d) for d in degs])
@@ -326,7 +332,7 @@ def _sl3_involution() -> CatalogEntry:
         _e(3, 0, 0) + _e(3, 1, 1, -2) + _e(3, 2, 2),
     ]
     alg = algebra_from_matrices(
-        "sl3-involution", even + odd, kind="lie", extra_flags=["aut_reductive"]
+        "sl3-involution", _operators(even + odd), kind="lie", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2])
     degrees = [g.element([0])] * 3 + [g.element([1])] * 5

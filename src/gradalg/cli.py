@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .abgroup import DEFAULT_CAP, FgAbGroup, GroupHom
@@ -244,13 +245,15 @@ def _load_docs(paths: Sequence[str]) -> list[Mapping]:
     docs = []
     for p in paths:
         try:
-            text = sys.stdin.read() if p == "-" else open(p).read()
-        except OSError as exc:
+            text = sys.stdin.read() if p == "-" else Path(p).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {p}: {exc}")
         try:
             docs.append(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except RecursionError:
+            raise ParseError(f"{p}: JSON nested too deeply")
     return docs
 
 
@@ -477,6 +480,8 @@ def _cmd_classify(ws, args) -> None:
         target = _group_from_dict(json.loads(args.target), "--target")
     except json.JSONDecodeError as exc:
         raise ParseError(f"--target: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise ParseError("--target: JSON nested too deeply")
     if not target.is_finite:
         raise ValidationError("classification target group must be finite")
     catalog = [

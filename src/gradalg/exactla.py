@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals and integers.
 
-Dense matrices with arbitrary-precision entries; one sparse Gauss-Jordan
-elimination behind every echelon form, kernel and solve over Q; one
-subspace type, ``Subspace``, whose canonical basis is the result of one
-such elimination taken as it is, and which every kernel, sum,
-intersection and eigenspace is; Smith/Hermite normal forms with
-transformation matrices; and one spectral routine, the generalized
-eigenspaces of a rational matrix, behind the simultaneous eigenspace
-decompositions of commuting rational matrices and the Jordan-Chevalley
-semisimple part.  Everything is exact; non-rational spectra raise
+One vector format and one operator format: a vector is a sparse dict
+``{index: Fraction}`` with no zero entries, and an operator is the list of
+its sparse rows ``{column: Fraction}``.  One sparse Gauss-Jordan
+elimination is behind every echelon form, kernel and solve over Q; one
+subspace type, ``Subspace``, keeps the canonical basis that one such
+elimination gives, as sparse columns, and every kernel, sum,
+intersection and eigenspace is one.  One spectral routine, the
+generalized eigenspaces of an operator, is behind the simultaneous
+eigenspace decompositions of commuting operators and the Jordan-Chevalley
+semisimple part.  Smith/Hermite normal forms come with transformation
+matrices.  The dense ``RatMatrix`` is for matrices that enter or leave
+the program.  Everything is exact; non-rational spectra raise
 NonSplitError instead of being approximated.
 """
 
@@ -58,10 +61,6 @@ class RatMatrix:
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -80,15 +79,6 @@ class RatMatrix:
     def from_sparse_columns(cls, cols: Sequence[Mapping[int, Fraction]], rows: int) -> "RatMatrix":
         """The matrix with the sparse columns ``{row: entry}``."""
         return cls([[c.get(i, 0) for c in cols] for i in range(rows)])
-
-    @classmethod
-    def column_vector(cls, entries: Sequence) -> "RatMatrix":
-        return cls([[x] for x in entries])
-
-    @classmethod
-    def diagonal(cls, entries: Sequence) -> "RatMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -146,21 +136,6 @@ class RatMatrix:
             ]
         )
 
-    def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
-        v = [_frac(x) for x in v]
-        if len(v) != self.cols:
-            raise ShapeError("shape mismatch in matvec")
-        return tuple(sum(a * b for a, b in zip(row, v) if a and b) for row in self.data)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.data))) if self.data else RatMatrix([])
-
-    def trace(self) -> Fraction:
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Q(0))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -176,15 +151,6 @@ class RatMatrix:
             if k:
                 base = base * base
         return RatMatrix.identity(self.rows) if result is None else result
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(x for row in self.data for x in row)
-
-
-def mat_from_flat(entries: Sequence, rows: int, cols: int) -> RatMatrix:
-    if len(entries) != rows * cols:
-        raise ShapeError("flat length mismatch")
-    return RatMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +210,34 @@ def combine_rows(
 def sparse_rows(data: Iterable[Sequence[Fraction]]):
     """Each dense row of ``data`` as its nonzero entries {column: entry}."""
     return ({c: x for c, x in enumerate(row) if x} for row in data)
+
+
+def sparse_product(a: Sequence[Mapping[int, Fraction]], b: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """The sparse rows of the product A B of two operators given by sparse rows."""
+    return [combine_rows(row, b) for row in a]
+
+
+def transpose(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """The sparse rows of the transpose: the columns of ``rows``, sparse."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def flat_vector(rows: Sequence[Mapping[int, Fraction]]) -> dict[int, Fraction]:
+    """An n x n operator as a sparse vector of Q^(n^2), entry (r, c) at r*n + c."""
+    n = len(rows)
+    return {r * n + c: x for r, row in enumerate(rows) for c, x in row.items()}
+
+
+def flat_operator(vec: Mapping[int, Fraction], n: int) -> list[dict[int, Fraction]]:
+    """The n x n operator whose ``flat_vector`` is ``vec``."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for k, x in vec.items():
+        rows[k // n][k % n] = x
+    return rows
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -309,27 +303,22 @@ def _pivot_coords(vec: Mapping, pivots: Sequence[int], basis: Sequence[Mapping])
     return x if combine_rows(x, basis) == vec else None
 
 
-def _sparse_vector(vec: Sequence) -> dict[int, Fraction]:
-    return {i: q for i, c in enumerate(vec) if (q := _frac(c))}
-
-
 class Subspace:
     """A subspace of Q^n with its canonical basis, the reduced column echelon
     basis: each vector is 1 at its pivot (its first nonzero coordinate) and
     0 at the others' pivots, so equal subspaces have equal bases.  That
-    basis is the {pivot: vector} result of one ``gauss_jordan``, taken as
-    it is: of spanning vectors (``span``, ``from_vectors``, ``add``) or of
-    kernel vectors (``sparse_nullspace``, ``nullspace``, ``intersect``)."""
+    basis is the {pivot: sparse vector} result of one ``gauss_jordan``,
+    taken as it is: of spanning vectors (``span``, ``add``) or of kernel
+    vectors (``sparse_nullspace``, ``nullspace``, ``intersect``).  The zero
+    space of Q^n is ``Subspace(n, {})``."""
 
-    __slots__ = ("dim_ambient", "basis", "_pivots", "_columns")
+    __slots__ = ("dim_ambient", "_pivots", "_columns")
 
     def __init__(self, dim_ambient: int, reduced: Mapping[int, Mapping[int, Fraction]]):
         """The subspace with the canonical basis ``reduced``, {pivot: vector} from gauss_jordan."""
-        columns = list(reduced.values())
         object.__setattr__(self, "dim_ambient", dim_ambient)
-        object.__setattr__(self, "basis", RatMatrix.from_sparse_columns(columns, dim_ambient))
         object.__setattr__(self, "_pivots", list(reduced))
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_columns", list(reduced.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -340,14 +329,6 @@ class Subspace:
         return cls(dim_ambient, gauss_jordan(vectors, dim_ambient))
 
     @classmethod
-    def from_vectors(cls, dim_ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        """The span of dense vectors of length ``dim_ambient``."""
-        vectors = list(vectors)
-        if any(len(v) != dim_ambient for v in vectors):
-            raise ShapeError("vector length must equal the ambient dimension")
-        return cls.span(dim_ambient, map(_sparse_vector, vectors))
-
-    @classmethod
     def full(cls, dim_ambient: int) -> "Subspace":
         return cls(dim_ambient, {i: {i: Q(1)} for i in range(dim_ambient)})
 
@@ -355,26 +336,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return self.basis.columns()
-
     def sparse_vectors(self) -> list[dict[int, Fraction]]:
         """The canonical basis as sparse vectors {coordinate: entry}."""
         return list(self._columns)
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec: Mapping[int, Fraction]) -> bool:
         return self.coords(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(_pivot_coords(w, self._pivots, self._columns) is not None for w in other._columns)
+        return all(self.contains(w) for w in other._columns)
 
-    def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
-        """Coordinates of ``vec`` in the basis columns, or None if outside."""
-        if len(vec) != self.dim_ambient:
-            raise ShapeError("vector length must equal the ambient dimension")
-        x = _pivot_coords(_sparse_vector(vec), self._pivots, self._columns)
-        return None if x is None else tuple(x.get(t, Q(0)) for t in range(self.dim))
+    def coords(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        """Sparse coordinates {t: x_t} of the sparse vector ``vec`` in the
+        canonical basis, or None if it is outside the subspace."""
+        return _pivot_coords(vec, self._pivots, self._columns)
 
     def annihilator(self) -> list[dict[int, Fraction]]:
         """A basis of the functionals vanishing on the subspace, as sparse
@@ -385,10 +361,7 @@ class Subspace:
         """The span of A x over the kernel vectors (x, y) of [A | B], for
         the canonical bases A and B, since A x = B (-y)."""
         self._check_ambient(other)
-        system: list[dict[int, Fraction]] = [{} for _ in range(self.dim_ambient)]
-        for t, col in enumerate(self._columns + other._columns):
-            for i, x in col.items():
-                system[i][t] = x
+        system = transpose(self._columns + other._columns, self.dim_ambient)
         kernel = kernel_vectors(system, self.dim + other.dim)
         meets = (combine_rows({t: x for t, x in v.items() if t < self.dim}, self._columns) for v in kernel)
         return Subspace.span(self.dim_ambient, meets)
@@ -424,15 +397,15 @@ def nullspace(a: RatMatrix) -> Subspace:
     return sparse_nullspace(a.cols, sparse_rows(a.data))
 
 
-def coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
-    """The map from a vector to its sparse coordinates (sorted by index) in
-    ``vectors``, or None when it is outside their span (ValueError when
-    they are linearly dependent).  One elimination serves every vector:
-    with M the matrix of rows ``vectors``, the reduced echelon form of
-    [M | I] is [R | E] with E M = R; ``_pivot_coords`` reads the
-    coordinates y of v in the rows of R, and x = E^T y."""
-    size = len(vectors[0]) if vectors else 0
-    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(sparse_rows(vectors)))
+def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Fraction]]):
+    """The map from a sparse vector of Q^``size`` to its sparse coordinates
+    (sorted by index) in the sparse ``vectors``, or None when it is outside
+    their span (ValueError when they are linearly dependent).  One
+    elimination serves every vector: with M the matrix of rows ``vectors``,
+    the reduced echelon form of [M | I] is [R | E] with E M = R;
+    ``_pivot_coords`` reads the coordinates y of v in the rows of R, and
+    x = E^T y."""
+    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(vectors))
     reduced = gauss_jordan(augmented, size + len(vectors))
     if any(p >= size for p in reduced):
         raise ValueError("the basis vectors are linearly dependent")
@@ -440,8 +413,8 @@ def coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
     span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
     coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
 
-    def coords(vec: Sequence[Fraction]) -> dict[int, Fraction] | None:
-        at_pivots = _pivot_coords(_sparse_vector(vec), pivots, span_rows)
+    def coords(vec: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        at_pivots = _pivot_coords(vec, pivots, span_rows)
         return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
 
     return coords
@@ -452,19 +425,17 @@ def coordinate_reader(vectors: Sequence[Sequence[Fraction]]):
 # ---------------------------------------------------------------------------
 
 
-def minimal_polynomial(m: RatMatrix) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of M, from one elimination of the system
-    sum_k c_k M^k = 0 in c_0..c_n, one equation per entry (i, j): its pivots
-    are the powers independent of the lower ones, so its first free column
-    is the degree d, and that column's kernel vector is the monic
-    polynomial.  Row i of M^k is built sparse, as row i of M^(k-1) times M."""
-    if not m.is_square():
-        raise ShapeError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    rows = list(sparse_rows(m.data))
+def minimal_polynomial(m: Sequence[Mapping[int, Fraction]]) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of the operator M with sparse rows ``m``,
+    from one elimination of the system sum_k c_k M^k = 0 in c_0..c_n, one
+    equation per entry (i, j): its pivots are the powers independent of
+    the lower ones, so its first free column is the degree d, and that
+    column's kernel vector is the monic polynomial.  Row i of M^k is built
+    sparse, as row i of M^(k-1) times M."""
+    n = len(m)
     powers = [[{i: Q(1)} for i in range(n)]]
     for _ in range(n):
-        powers.append([combine_rows(row, rows) for row in powers[-1]])
+        powers.append(sparse_product(powers[-1], m))
     system = ({k: p[i][j] for k, p in enumerate(powers) if j in p[i]} for i in range(n) for j in range(n))
     vec = next(kernel_vectors(system, n + 1))
     return tuple(vec.get(k, Q(0)) for k in range(max(vec) + 1))
@@ -506,10 +477,11 @@ def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(m: RatMatrix, message: str) -> tuple[list[Fraction], int]:
-    """The distinct eigenvalues of M, all rational (else NonSplitError with
-    ``message``), and k = deg - #roots + 1 for its minimal polynomial: k
-    bounds every root's multiplicity, and k = 1 iff M is diagonalizable."""
+def _spectrum(m: Sequence[Mapping[int, Fraction]], message: str) -> tuple[list[Fraction], int]:
+    """The distinct eigenvalues of the operator M, all rational (else
+    NonSplitError with ``message``), and k = deg - #roots + 1 for its
+    minimal polynomial: k bounds every root's multiplicity, and k = 1 iff
+    M is diagonalizable."""
     mp = minimal_polynomial(m)
     roots = rational_roots(mp)
     if roots is None:
@@ -517,24 +489,36 @@ def _spectrum(m: RatMatrix, message: str) -> tuple[list[Fraction], int]:
     return roots, len(mp) - len(roots)
 
 
-def _generalized_eigenspaces(m: RatMatrix, roots: Sequence, k: int) -> list[tuple[Fraction, Subspace]]:
-    """ker (M - lam)^k for each eigenvalue lam of M, with the ``roots`` and
-    ``k`` of ``_spectrum(M)``."""
-    one = RatMatrix.identity(m.rows)
-    spaces = [(lam, nullspace((m - one.scale(lam)).power(k))) for lam in roots]
-    if sum(space.dim for _, space in spaces) != m.rows:
+def _generalized_eigenspaces(m: Sequence[Mapping[int, Fraction]], roots: Sequence, k: int) -> list[tuple[Fraction, Subspace]]:
+    """ker (M - lam)^k for each eigenvalue lam of the operator M, with the
+    ``roots`` and ``k`` of ``_spectrum(M)``."""
+    n = len(m)
+    spaces = []
+    for lam in roots:
+        shifted = [combine_rows({0: Q(1), 1: -lam}, [row, {i: Q(1)}]) for i, row in enumerate(m)]
+        power = shifted
+        for _ in range(k - 1):
+            power = sparse_product(power, shifted)
+        spaces.append((lam, sparse_nullspace(n, power)))
+    if sum(space.dim for _, space in spaces) != n:
         raise AxiomFailure("generalized eigenspaces do not fill the space")
     return spaces
 
 
-def _eigen_split(space: Subspace, op: RatMatrix) -> list[tuple[Fraction, Subspace]]:
-    """Split ``space``, which ``op`` must preserve, into eigenspaces of
-    ``op``; raises if the restriction is not diagonalizable with rational
-    spectrum.  Each eigenspace is the span of the space's basis applied to
-    a kernel vector of the restriction."""
-    restricted = solve(space.basis, op * space.basis)
-    if restricted is None:
-        raise ShapeError("operator does not preserve the space")
+def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) -> list[tuple[Fraction, Subspace]]:
+    """Split ``space``, which the operator with sparse columns
+    ``op_columns`` must preserve, into its eigenspaces; raises if the
+    restriction is not diagonalizable with rational spectrum.  Column t of
+    the restriction is the image of basis vector t read at the basis's
+    pivots, and each eigenspace is the span of the basis applied to a
+    kernel vector of the restriction."""
+    restricted = []
+    for v in space._columns:
+        x = _pivot_coords(combine_rows(v, op_columns), space._pivots, space._columns)
+        if x is None:
+            raise ShapeError("operator does not preserve the space")
+        restricted.append(x)
+    restricted = transpose(restricted, space.dim)
     roots, k = _spectrum(restricted, "operator has an irrational eigenvalue")
     if k > 1:
         raise NotDiagonalizableError("minimal polynomial has a repeated root")
@@ -545,48 +529,51 @@ def _eigen_split(space: Subspace, op: RatMatrix) -> list[tuple[Fraction, Subspac
 
 
 def simultaneous_eigenspaces(
-    ops: Sequence[RatMatrix], space: Subspace | None = None
+    ops: Sequence[Sequence[Mapping[int, Fraction]]], space: Subspace | None = None
 ) -> list[tuple[tuple[Fraction, ...], Subspace]]:
-    """Joint eigenspace decomposition of commuting diagonalizable matrices
-    on ``space``, which every op must preserve (the whole space by
-    default).
+    """Joint eigenspace decomposition of commuting diagonalizable
+    operators, each given by its sparse rows, on ``space``, which every op
+    must preserve (the whole space by default).
 
     Returns (weight vector, subspace) pairs sorted by weight; the
     subspaces are a direct-sum decomposition of ``space``.
     """
-    ops = list(ops)
     if space is None:
         if not ops:
             raise ShapeError("a space is needed when there are no operators")
-        space = Subspace.full(ops[0].rows)
-    if any(not op.is_square() or op.rows != space.dim_ambient for op in ops):
+        space = Subspace.full(len(ops[0]))
+    n = space.dim_ambient
+    if any(len(op) != n or any(c >= n for row in op for c in row) for op in ops):
         raise ShapeError("operators must be square of equal size")
-    images = [op * space.basis for op in ops]
+    columns = [transpose(op, n) for op in ops]
+    images = [[combine_rows(v, cols) for v in space._columns] for cols in columns]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if ops[i] * images[j] != ops[j] * images[i]:
+            if [combine_rows(w, columns[i]) for w in images[j]] != [combine_rows(w, columns[j]) for w in images[i]]:
                 raise NotCommutingError(f"operators {i} and {j} do not commute")
     spaces = [((), space)]
-    for op in ops:
-        spaces = [(w + (lam,), piece) for w, space in spaces for lam, piece in _eigen_split(space, op)]
+    for cols in columns:
+        spaces = [(w + (lam,), piece) for w, space in spaces for lam, piece in _eigen_split(space, cols)]
     return sorted(spaces, key=lambda t: t[0])
 
 
-def semisimple_part(m: RatMatrix) -> RatMatrix:
-    """Semisimple summand of the Jordan-Chevalley decomposition M = S + N.
+def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Semisimple summand S of the Jordan-Chevalley decomposition M = S + N
+    of the operator with sparse rows ``m``, as sparse rows.
 
     S acts as lam on the generalized eigenspace of each eigenvalue lam, so
-    S B = B D for the matrix B of their bases and the diagonal D of their
-    eigenvalues: one solve.  Requires the characteristic polynomial to
-    split over the rationals (NonSplitError otherwise).
+    column i of S is sum_t lam_t x_t b_t for the coordinates x of e_i in
+    the basis b of those eigenspaces, all read by one coordinate reader.
+    Requires the characteristic polynomial to split over the rationals
+    (NonSplitError otherwise).
     """
-    if not m.is_square():
-        raise ShapeError("semisimple part of a non-square matrix")
+    n = len(m)
     spaces = _generalized_eigenspaces(m, *_spectrum(m, "spectrum is not rational"))
-    b = [col for _, space in spaces for col in space.vectors()]
-    bd = [tuple(lam * x for x in col) for lam, space in spaces for col in space.vectors()]
-    # S B = B D  <=>  B^T S^T = (B D)^T, and the columns of B^T are independent
-    return solve(RatMatrix(b), RatMatrix(bd)).transpose()
+    basis = [v for _, space in spaces for v in space._columns]
+    lams = [lam for lam, space in spaces for _ in space._columns]
+    coords = coordinate_reader(n, basis)
+    columns = [combine_rows({t: lams[t] * x for t, x in coords({i: Q(1)}).items()}, basis) for i in range(n)]
+    return transpose(columns, n)
 
 
 # ---------------------------------------------------------------------------

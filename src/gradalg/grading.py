@@ -25,13 +25,13 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, rank, sparse_nullspace
+from .exactla import IntMatrix, RatMatrix, combine_rows, rank, sparse_nullspace, sparse_rows
 
 
 def _incremental_kernel(ncols: int, rows) -> RatMatrix:
-    """The canonical kernel basis of one degree's rows.  perfbench/tracer.py counts
-    the per-degree solves of graded_derivations by this name and reads its column count."""
-    return sparse_nullspace(ncols, rows).basis
+    """The canonical kernel basis of one degree's rows, as a dense matrix.  perfbench/tracer.py
+    counts the per-degree solves of graded_derivations by this name and reads its column count."""
+    return RatMatrix.from_sparse_columns(sparse_nullspace(ncols, rows).sparse_vectors(), ncols)
 
 
 class Grading:
@@ -79,8 +79,9 @@ class Grading:
         not_invertible = "basis change must be an invertible n x n matrix"
         if basis_change.shape != (n, n):
             raise ShapeError(not_invertible)
+        cols = list(sparse_rows(zip(*basis_change.data)))
         try:
-            homog = subalgebra_structure(algebra, basis_change, name=algebra.name)
+            homog = subalgebra_structure(algebra, cols, name=algebra.name)
         except ValueError:  # dependent columns
             raise ShapeError(not_invertible) from None
         # compatibility: every nonzero entry lands in the product degree
@@ -104,10 +105,9 @@ class Grading:
         object.__setattr__(self, "homog_algebra", homog)
         support = sorted({d for d in degrees}, key=lambda g: g.coords)
         object.__setattr__(self, "support", tuple(support))
-        cols = basis_change.columns()
         comps: dict[GroupElement, Subspace] = {}
         for g in support:
-            comps[g] = Subspace.from_vectors(n, [cols[i] for i in range(n) if degrees[i] == g])
+            comps[g] = Subspace.span(n, [cols[i] for i in range(n) if degrees[i] == g])
         object.__setattr__(self, "_components", comps)
         object.__setattr__(self, "_memo", {})
 
@@ -128,7 +128,7 @@ class Grading:
         """Component of degree g in the original coordinates."""
         if g in self._components:
             return self._components[g]
-        return Subspace.from_vectors(self.dimension, [])
+        return Subspace(self.dimension, {})
 
     def components(self) -> dict[GroupElement, Subspace]:
         return dict(self._components)
@@ -359,7 +359,7 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
     for g, idxs, rows in zip(candidates, unknowns, routed):
         if not idxs:
             if g == ident:
-                by_degree[g] = Subspace.from_vectors(n * n, [])
+                by_degree[g] = Subspace(n * n, {})
             continue
         kernel = _incremental_kernel(len(idxs), rows)
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
@@ -390,20 +390,21 @@ class GradedMapReport:
     uab_map: GroupHom | None
 
 
-def _verify_automorphism(phi: RatMatrix, algebra: StructureAlgebra):
+def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dict[int, Fraction]]:
+    """The sparse columns of phi, verified to be those of an automorphism:
+    invertible, with phi(op(e_key)) = op(phi(e_key)) on every basis key."""
     n = algebra.dimension
     if phi.shape != (n, n) or rank(phi) != n:
         raise NotAutomorphism("map is not invertible", witness=None)
+    cols = list(sparse_rows(zip(*phi.data)))
     for op in algebra.operations:
         for key in product(range(n), repeat=op.arity):
-            val = op.basis_value(key, n)
-            lhs = phi.matvec(val)
-            rhs = op.apply([phi.column(i) for i in key], n)
-            if tuple(lhs) != tuple(rhs):
+            if combine_rows(op.tensor.get(key, {}), cols) != op.apply([cols[i] for i in key]):
                 raise NotAutomorphism(
                     f"map fails to preserve operation {op.name} on basis tuple {key}",
                     witness=(op.name, key),
                 )
+    return cols
 
 
 def check_graded_map(phi: RatMatrix, src: Grading, dst: Grading) -> GradedMapReport:
@@ -413,10 +414,10 @@ def check_graded_map(phi: RatMatrix, src: Grading, dst: Grading) -> GradedMapRep
         raise ShapeError("gradings live on algebras of different dimension")
     if src.group != dst.group:
         raise ShapeError("gradings use different groups")
-    _verify_automorphism(phi, src.algebra)
+    cols = _automorphism_columns(phi, src.algebra)
     gamma: dict[GroupElement, GroupElement] = {}
     for s in src.support:
-        image_vectors = [phi.matvec(v) for v in src.component(s).vectors()]
+        image_vectors = [combine_rows(v, cols) for v in src.component(s).sparse_vectors()]
         target = None
         for t in dst.support:
             if all(dst.component(t).contains(v) for v in image_vectors):

@@ -75,7 +75,7 @@ class WeightDecomposition:
 
     def zero_space(self) -> Subspace:
         zero = tuple([Q(0)] * self.cartan.dim)
-        return self.spaces.get(zero, Subspace.from_vectors(self.cartan.dim_ambient, []))
+        return self.spaces.get(zero, Subspace(self.cartan.dim_ambient, {}))
 
 
 @memoized
@@ -83,7 +83,7 @@ def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposit
     """Decompose the algebra under the adjoint action of an abelian
     subspace h (NonSplitError when a spectrum is irrational); memoized on
     the algebra per h."""
-    ops = [alg.ad_matrix(list(v)) for v in h.vectors()]
+    ops = [alg.ad_rows(v) for v in h.sparse_vectors()]
     spaces = dict(simultaneous_eigenspaces(ops, Subspace.full(alg.dimension)))
     weights = tuple(sorted(spaces))
     phi = tuple(w for w in weights if any(w))
@@ -91,7 +91,7 @@ def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposit
     for a in weights:
         for b in weights:
             target = spaces.get(_wadd(a, b))
-            span = bracket_span(alg, spaces[a].vectors(), spaces[b].vectors())
+            span = bracket_span(alg, spaces[a].sparse_vectors(), spaces[b].sparse_vectors())
             if span.dim and (target is None or not target.contains_subspace(span)):
                 raise AxiomFailure(f"[L({a}), L({b})] escapes L({_wadd(a, b)})")
     return WeightDecomposition(h, weights, spaces, phi)
@@ -356,8 +356,8 @@ def extract_root_system(
         )
     alg = grading.algebra
     l_e = grading.identity_component()
-    small = subalgebra_structure(alg, l_e.basis, name="identity-part", flags=["lie"])
-    h, wd = split_cartan(small, l_e.basis, seed, lambda h: weight_decomposition(alg, h))
+    small = subalgebra_structure(alg, l_e.sparse_vectors(), name="identity-part", flags=["lie"])
+    h, wd = split_cartan(small, l_e, seed, lambda h: weight_decomposition(alg, h))
     # the zero weight space must meet L_e exactly in H
     meet = wd.zero_space().intersect(l_e)
     if meet != h:
@@ -405,7 +405,7 @@ def verify_phi_grading(
     if not g_sub.contains_subspace(h):
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
-        g_alg = subalgebra_structure(alg, g_sub.basis, name="grading-subalgebra", flags=["lie"])
+        g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
     except ValueError as exc:  # not closed under the bracket
         return PhiGradingCheck(False, (("i", f"not a subalgebra: {exc}"),), (), ())
     try:
@@ -415,7 +415,7 @@ def verify_phi_grading(
     if not simple:
         failures.append(("i", "grading subalgebra is not simple"))
     else:
-        h_small = Subspace.from_vectors(g_sub.dim, [g_sub.coords(v) for v in h.vectors()])
+        h_small = Subspace.span(g_sub.dim, (g_sub.coords(v) for v in h.sparse_vectors()))
         wd_g = weight_decomposition(g_alg, h_small)
         phi_prime = wd_g.phi
         if wd_g.zero_space() != h_small:
@@ -431,11 +431,11 @@ def verify_phi_grading(
             if w not in allowed:
                 failures.append(("ii", f"weight {w} outside Phi' and its doubles"))
         # (iii) L(0) = sum over nonzero weights of [L(a), L(-a)]
-        total = Subspace.from_vectors(n, [])
+        total = Subspace(n, {})
         for a in phi:
             if _wneg(a) in wd.spaces:
                 total = total.add(
-                    bracket_span(alg, wd.spaces[a].vectors(), wd.spaces[_wneg(a)].vectors())
+                    bracket_span(alg, wd.spaces[a].sparse_vectors(), wd.spaces[_wneg(a)].sparse_vectors())
                 )
         if total != wd.zero_space():
             failures.append(
@@ -479,7 +479,7 @@ def _module_under(alg: StructureAlgebra, g_sub: Subspace, seed_space: Subspace) 
     """g_sub-submodule generated by seed_space."""
     cur = seed_space
     while True:
-        nxt = cur.add(bracket_span(alg, g_sub.vectors(), cur.vectors()))
+        nxt = cur.add(bracket_span(alg, g_sub.sparse_vectors(), cur.sparse_vectors()))
         if nxt == cur:
             return cur
         cur = nxt
@@ -611,7 +611,7 @@ def root_graded_structure(
         raise VerificationFailure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
-    g_alg = subalgebra_structure(alg, g_sub.basis, name="grading-subalgebra", flags=["lie"])
+    g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
     pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
     g_plus = Subspace.span(n, (w for a in pos_prime for w in wd.spaces[a].intersect(g_sub).sparse_vectors()))
 
@@ -663,7 +663,7 @@ def root_graded_structure(
         m_c = top.intersect(wd.spaces[lam_c])
         # highest-weight vectors of weight lam_c inside the adjoint piece
         # belong to g x A; keep only the complement
-        m_c = Subspace.from_vectors(n, [v for v in m_c.vectors() if not piece_a.contains(v)])
+        m_c = Subspace.span(n, (v for v in m_c.sparse_vectors() if not piece_a.contains(v)))
         if m_c.dim:
             piece_c = _module_under(alg, g_sub, m_c)
             dim_c = m_c.dim
@@ -733,7 +733,7 @@ def root_graded_structure(
     if d.intersect(h).dim:
         raise VerificationFailure("centralizer of the grading subalgebra meets H")
     zero = wd.zero_space()
-    derived0 = bracket_span(alg, zero.vectors(), zero.vectors())
+    derived0 = bracket_span(alg, zero.sparse_vectors(), zero.sparse_vectors())
     if derived0.intersect(h).dim:
         raise VerificationFailure("[L(0), L(0)] meets H: induced grading not special")
     return RootGradedDecomposition(
@@ -755,6 +755,6 @@ def root_graded_structure(
 def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
     if h.dim == 0 or not l_e.contains_subspace(h):
         return False
-    small = subalgebra_structure(alg, l_e.basis, name="identity-part", flags=["lie"])
-    h_small = Subspace.from_vectors(l_e.dim, [l_e.coords(v) for v in h.vectors()])
+    small = subalgebra_structure(alg, l_e.sparse_vectors(), name="identity-part", flags=["lie"])
+    h_small = Subspace.span(l_e.dim, (l_e.coords(v) for v in h.sparse_vectors()))
     return _is_cartan(small, h_small)

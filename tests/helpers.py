@@ -26,8 +26,102 @@ from gradalg.exactla import (
     inverse,
     rational_roots,
     solve,
+    sparse_rows,
 )
 from gradalg.grading import GradedDerivations, Grading
+
+
+# ---------------------------------------------------------------------------
+# Dense views of gradalg's sparse formats, for oracles and readable tests
+# ---------------------------------------------------------------------------
+
+
+def sparse(vec) -> dict:
+    """A dense vector in gradalg's format: {index: entry}, no zero entries."""
+    return {i: Q(x) for i, x in enumerate(vec) if x}
+
+
+def dense(vec, n: int) -> tuple:
+    """A sparse vector as a dense tuple of length n."""
+    return tuple(Q(vec.get(i, 0)) for i in range(n))
+
+
+def op_rows(m: RatMatrix) -> list[dict]:
+    """A dense matrix in gradalg's operator format: its sparse rows."""
+    return list(sparse_rows(m.data))
+
+
+def rows_matrix(rows) -> RatMatrix:
+    """The dense square matrix of an operator given by sparse rows."""
+    return RatMatrix([[row.get(j, 0) for j in range(len(rows))] for row in rows])
+
+
+def basis_matrix(space: Subspace) -> RatMatrix:
+    """The canonical basis of a subspace as the columns of a dense matrix."""
+    return RatMatrix.from_sparse_columns(space.sparse_vectors(), space.dim_ambient)
+
+
+def vectors(space: Subspace) -> list[tuple]:
+    """The canonical basis of a subspace as dense tuples."""
+    return [dense(v, space.dim_ambient) for v in space.sparse_vectors()]
+
+
+def span_of(n: int, vecs) -> Subspace:
+    """The span of dense vectors of length n."""
+    vecs = list(vecs)
+    if any(len(v) != n for v in vecs):
+        raise ShapeError("vector length must equal the ambient dimension")
+    return Subspace.span(n, map(sparse, vecs))
+
+
+def flatten(m: RatMatrix) -> tuple:
+    """The entries of a dense matrix, row by row."""
+    return tuple(x for row in m.data for x in row)
+
+
+def mat_from_flat(entries, rows: int, cols: int) -> RatMatrix:
+    """The dense matrix whose ``flatten`` is ``entries``."""
+    return RatMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
+
+
+def zeros(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)])
+
+
+def diagonal(entries) -> RatMatrix:
+    n = len(entries)
+    return RatMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def column_vector(entries) -> RatMatrix:
+    return RatMatrix([[x] for x in entries])
+
+
+def matvec(m: RatMatrix, v) -> tuple:
+    """The dense product M v."""
+    return tuple(sum((a * Q(b) for a, b in zip(row, v)), Q(0)) for row in m.data)
+
+
+def mat_transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix(list(zip(*m.data))) if m.data else RatMatrix([])
+
+
+def trace(m: RatMatrix):
+    return sum((m[i, i] for i in range(min(m.rows, m.cols))), Q(0))
+
+
+def is_zero(m: RatMatrix) -> bool:
+    return all(x == 0 for row in m.data for x in row)
+
+
+def basis_value(op: MultilinearOp, key, n: int) -> tuple:
+    """op(e_key) as a dense tuple of length n."""
+    return dense(op.tensor.get(tuple(key), {}), n)
+
+
+def unit(i: int, n: int) -> tuple:
+    """The dense standard basis vector e_i of length n."""
+    return tuple(Q(int(j == i)) for j in range(n))
 
 
 def dense_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -63,7 +157,7 @@ def hstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def dense_column_echelon(m: RatMatrix) -> RatMatrix:
     """Oracle for the canonical basis of ``exactla.Subspace``: the nonzero
     rows of the dense rref of the transpose, as columns."""
-    r, pivots = dense_rref(m.transpose())
+    r, pivots = dense_rref(mat_transpose(m))
     return RatMatrix.from_columns(r.data[: len(pivots)], rows=m.rows)
 
 
@@ -78,17 +172,17 @@ def dense_nullspace(a: RatMatrix) -> RatMatrix:
         for i, pc in enumerate(pivots):
             v[pc] = -r[i, fc]
         cols.append(v)
-    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.cols)) if cols else RatMatrix.zeros(a.cols, 0)
+    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.cols)) if cols else zeros(a.cols, 0)
 
 
 def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Oracle for ``exactla.Subspace.intersect`` on column spaces: A x over
     a dense kernel basis (x, y) of [A | -B]."""
     if a.cols == 0 or b.cols == 0:
-        return RatMatrix.zeros(a.rows, 0)
+        return zeros(a.rows, 0)
     ker = dense_nullspace(hstack(a, b.scale(-1)))
-    cols = [a.matvec(ker.column(j)[: a.cols]) for j in range(ker.cols)]
-    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else RatMatrix.zeros(a.rows, 0)
+    cols = [matvec(a, ker.column(j)[: a.cols]) for j in range(ker.cols)]
+    return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else zeros(a.rows, 0)
 
 
 #: equation rows per block of ``blocked_kernel``
@@ -114,22 +208,23 @@ def blocked_kernel(nunknowns: int, rows) -> RatMatrix:
         n_rows = [combine_rows(line, ker_rows) for line in n_rows]
         width = ker.cols
     if not width:
-        return RatMatrix.zeros(nunknowns, 0)
+        return zeros(nunknowns, 0)
     return dense_column_echelon(RatMatrix([[line.get(j, Q(0)) for j in range(width)] for line in n_rows]))
 
 
 def dense_ad(a: StructureAlgebra, x) -> RatMatrix:
-    """Oracle for ``StructureAlgebra.ad_matrix``: column j is bracket(x, e_j)."""
+    """Oracle for ``StructureAlgebra.ad_rows`` and ``ad_matrix`` at a dense
+    x: column j is ``dense_apply`` of the bracket on (x, e_j)."""
     n = a.dimension
-    return RatMatrix.from_columns([a.bracket(x, a.basis_vector(j)) for j in range(n)], rows=n)
+    return RatMatrix.from_columns([dense_apply(a.binary_op(), [x, unit(j, n)], n) for j in range(n)], rows=n)
 
 
 def dense_killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     """Oracle for ``killing_form``: trace(ad e_i ad e_j) from n^2 products
     of dense ad matrices, and nondegeneracy from a dense rref."""
     n = a.dimension
-    ads = [dense_ad(a, a.basis_vector(i)) for i in range(n)]
-    gram = RatMatrix([[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)])
+    ads = [dense_ad(a, unit(i, n)) for i in range(n)]
+    gram = RatMatrix([[trace(ads[i] * ads[j]) for j in range(n)] for i in range(n)])
     return gram, len(dense_rref(gram)[1]) == n
 
 
@@ -144,19 +239,19 @@ def per_degree_minimal_polynomial(m: RatMatrix) -> tuple:
     powers = [RatMatrix.identity(n)]
     for _ in range(n):
         powers.append(m * powers[-1])
-    flat = [p.flatten() for p in powers]
+    flat = [flatten(p) for p in powers]
     for d in range(1, n + 2):
         a = RatMatrix.from_columns(flat[:d], rows=n * n)
-        x = solve(a, RatMatrix.column_vector(flat[d]))
+        x = solve(a, column_vector(flat[d]))
         if x is not None:
             return tuple(-c for c in x.column(0)) + (Q(1),)
     raise ValueError("no minimal polynomial of degree <= n")
 
 
 def poly_eval_matrix(poly, m: RatMatrix) -> RatMatrix:
-    acc = RatMatrix.zeros(m.rows, m.cols)
+    acc = zeros(m.rows, m.cols)
     for c in reversed(list(poly)):
-        acc = acc * m if not acc.is_zero() else acc
+        acc = acc * m if not is_zero(acc) else acc
         if c:
             acc = acc + RatMatrix.identity(m.rows).scale(c)
     return acc
@@ -183,10 +278,10 @@ def newton_semisimple_part(m: RatMatrix) -> RatMatrix:
     s = m
     for _ in range(m.rows.bit_length() + 1):
         val = poly_eval_matrix(pred, s)
-        if val.is_zero():
+        if is_zero(val):
             return s
         s = s - inverse(poly_eval_matrix(dp, s)) * val
-    if not poly_eval_matrix(pred, s).is_zero():
+    if not is_zero(poly_eval_matrix(pred, s)):
         raise ValueError("Newton iteration failed to converge")
     return s
 
@@ -228,8 +323,13 @@ def sl_matrices(n: int) -> list[RatMatrix]:
     return out
 
 
+def from_matrices(name: str, mats, kind: str = "lie") -> StructureAlgebra:
+    """``algebra_from_matrices`` on dense matrices."""
+    return algebra_from_matrices(name, [op_rows(m) for m in mats], kind=kind)
+
+
 def build_sl(n: int) -> StructureAlgebra:
-    return algebra_from_matrices(f"sl{n}", sl_matrices(n), kind="lie")
+    return from_matrices(f"sl{n}", sl_matrices(n))
 
 
 def build_sl2_efh() -> StructureAlgebra:
@@ -237,12 +337,12 @@ def build_sl2_efh() -> StructureAlgebra:
     e = RatMatrix([[0, 1], [0, 0]])
     h = RatMatrix([[1, 0], [0, -1]])
     f = RatMatrix([[0, 0], [1, 0]])
-    return algebra_from_matrices("sl2", [e, h, f], kind="lie")
+    return from_matrices("sl2", [e, h, f])
 
 
 def build_m2() -> StructureAlgebra:
     mats = [e_matrix(2, i, j) for i in range(2) for j in range(2)]
-    return algebra_from_matrices("m2", mats, kind="associative")
+    return from_matrices("m2", mats, kind="associative")
 
 
 def build_m2_splitpauli() -> StructureAlgebra:
@@ -251,7 +351,7 @@ def build_m2_splitpauli() -> StructureAlgebra:
     x = RatMatrix([[0, 1], [1, 0]])
     y = RatMatrix([[0, 1], [-1, 0]])
     z = RatMatrix([[1, 0], [0, -1]])
-    return algebra_from_matrices("m2-pauli", [one, x, y, z], kind="associative")
+    return from_matrices("m2-pauli", [one, x, y, z], kind="associative")
 
 
 def build_sl2_plus_sl2() -> StructureAlgebra:
@@ -266,7 +366,7 @@ def build_sl2_plus_sl2() -> StructureAlgebra:
     h = RatMatrix([[1, 0], [0, -1]])
     f = RatMatrix([[0, 0], [1, 0]])
     mats = [emb(m, 0) for m in (e, h, f)] + [emb(m, 2) for m in (e, h, f)]
-    return algebra_from_matrices("sl2+sl2", mats, kind="lie")
+    return from_matrices("sl2+sl2", mats)
 
 
 def build_sl2_plus_sl3() -> StructureAlgebra:
@@ -280,21 +380,21 @@ def build_sl2_plus_sl3() -> StructureAlgebra:
         return RatMatrix(out)
 
     mats = [block(m, 0) for m in sl_matrices(2)] + [block(m, 2) for m in sl_matrices(3)]
-    return algebra_from_matrices("sl2+sl3", mats, kind="lie")
+    return from_matrices("sl2+sl3", mats)
 
 
 def _ideal_closure(a: StructureAlgebra, seed) -> Subspace:
-    """Smallest ideal containing the seed vector."""
+    """Smallest ideal containing the sparse seed vector."""
     n = a.dimension
-    span = Subspace.from_vectors(n, [list(seed)])
-    frontier = [tuple(seed)]
+    span = Subspace.span(n, [seed])
+    frontier = [seed]
     while frontier:
         new_frontier = []
         for v in frontier:
             for i in range(n):
                 w = a.bracket(a.basis_vector(i), v)
-                if any(w) and not span.contains(w):
-                    span = span.add(Subspace.from_vectors(n, [w]))
+                if w and not span.contains(w):
+                    span = span.add(Subspace.span(n, [w]))
                     new_frontier.append(w)
         frontier = new_frontier
     return span
@@ -330,31 +430,31 @@ def dense_apply(op: MultilinearOp, vectors, dim: int) -> tuple:
 
 def dense_verify_lie(self: StructureAlgebra) -> None:
     """Oracle for ``StructureAlgebra._verify_lie``: antisymmetry and Jacobi
-    from dense length-n tuples, one ``apply`` per term of each triple."""
+    from dense length-n tuples, one ``dense_apply`` per term of each triple."""
     op = self.binary_op()
     n = self.dimension
     for i in range(n):
         for j in range(i, n):
-            ij = op.basis_value((i, j), n)
-            ji = op.basis_value((j, i), n)
+            ij = basis_value(op, (i, j), n)
+            ji = basis_value(op, (j, i), n)
             if any(a + b for a, b in zip(ij, ji)):
                 raise FlagViolation(
                     f"bracket is not antisymmetric on basis pair ({i}, {j})",
                     witness=(i, j),
                 )
-    basis = [self.basis_vector(i) for i in range(n)]
+    basis = [unit(i, n) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            xy = op.basis_value((i, j), n)
+            xy = basis_value(op, (i, j), n)
             for k in range(j + 1, n):
-                yz = op.basis_value((j, k), n)
-                zx = op.basis_value((k, i), n)
+                yz = basis_value(op, (j, k), n)
+                zx = basis_value(op, (k, i), n)
                 total = [
                     a + b + c
                     for a, b, c in zip(
-                        op.apply([xy, basis[k]], n),
-                        op.apply([yz, basis[i]], n),
-                        op.apply([zx, basis[j]], n),
+                        dense_apply(op, [xy, basis[k]], n),
+                        dense_apply(op, [yz, basis[i]], n),
+                        dense_apply(op, [zx, basis[j]], n),
                     )
                 ]
                 if any(total):
@@ -366,17 +466,17 @@ def dense_verify_lie(self: StructureAlgebra) -> None:
 
 def dense_verify_associative(self: StructureAlgebra) -> None:
     """Oracle for ``StructureAlgebra._verify_associative``: both sides of
-    each triple as dense length-n tuples from two ``apply`` calls."""
+    each triple as dense length-n tuples from two ``dense_apply`` calls."""
     op = self.binary_op()
     n = self.dimension
-    basis = [self.basis_vector(i) for i in range(n)]
+    basis = [unit(i, n) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            ij = op.basis_value((i, j), n)
+            ij = basis_value(op, (i, j), n)
             for k in range(n):
-                jk = op.basis_value((j, k), n)
-                lhs = op.apply([ij, basis[k]], n)
-                rhs = op.apply([basis[i], jk], n)
+                jk = basis_value(op, (j, k), n)
+                lhs = dense_apply(op, [ij, basis[k]], n)
+                rhs = dense_apply(op, [basis[i], jk], n)
                 if lhs != rhs:
                     raise FlagViolation(
                         f"associativity fails on basis triple ({i}, {j}, {k})",
@@ -432,7 +532,7 @@ def subspace_coords(basis: RatMatrix, vec) -> tuple | None:
     of ``basis`` by a rational solve, or None if outside their span."""
     if basis.cols == 0:
         return () if all(Q(x) == 0 for x in vec) else None
-    res = rational_solve(basis, RatMatrix.column_vector(list(vec)))
+    res = rational_solve(basis, column_vector(list(vec)))
     if res.particular is None:
         return None
     if res.nullspace.cols:
@@ -444,13 +544,13 @@ def pairwise_matrix_tensor(matrices, kind: str):
     """Oracle for ``algebra_from_matrices``: one rational solve per ordered
     pair.  Returns (tensor, None), or (None, (i, j)) for the first pair
     whose product leaves the span."""
-    flat = RatMatrix([m.flatten() for m in matrices]).transpose()
+    flat = mat_transpose(RatMatrix([flatten(m) for m in matrices]))
     tensor = {}
     for i, j in product(range(len(matrices)), repeat=2):
         prod_m = matrices[i] * matrices[j]
         if kind == "lie":
             prod_m = prod_m - matrices[j] * matrices[i]
-        coords = subspace_coords(flat, prod_m.flatten())
+        coords = subspace_coords(flat, flatten(prod_m))
         if coords is None:
             return None, (i, j)
         vec = {t: c for t, c in enumerate(coords) if c}
@@ -464,16 +564,16 @@ def leibniz_holds(alg: StructureAlgebra, d: RatMatrix) -> bool:
     from itertools import product
 
     n = alg.dimension
-    basis = [alg.basis_vector(i) for i in range(n)]
+    basis = [unit(i, n) for i in range(n)]
     for op in alg.operations:
         for key in product(range(n), repeat=op.arity):
-            val = op.basis_value(key, n)
-            lhs = d.matvec(val)
+            val = basis_value(op, key, n)
+            lhs = matvec(d, val)
             rhs = [Q(0)] * n
             for t in range(op.arity):
                 args = [basis[i] for i in key]
-                args[t] = d.matvec(args[t])
-                term = op.apply(args, n)
+                args[t] = matvec(d, args[t])
+                term = dense_apply(op, args, n)
                 rhs = [a + b for a, b in zip(rhs, term)]
             if list(lhs) != list(rhs):
                 return False
@@ -486,13 +586,13 @@ def dense_leibniz_rows(alg: StructureAlgebra):
     n = alg.dimension
     for op in alg.operations:
         for key in product(range(n), repeat=op.arity):
-            val = op.basis_value(key, n)
+            val = basis_value(op, key, n)
             rhs_terms = []
             for t, it in enumerate(key):
                 for b in range(n):
                     key2 = key[:t] + (b,) + key[t + 1 :]
                     if op.tensor.get(key2):
-                        rhs_terms.append((b, it, op.basis_value(key2, n)))
+                        rhs_terms.append((b, it, basis_value(op, key2, n)))
             for j in range(n):
                 row = [Q(0)] * (n * n)
                 for aidx, c in enumerate(val):
@@ -522,17 +622,17 @@ def dense_graded_derivations(grading: Grading) -> GradedDerivations:
         idx = [r * n + c for r in range(n) for c in range(n) if degrees[r] == g + degrees[c]]
         if not idx:
             if g == ident:
-                by_degree[g] = Subspace.from_vectors(n * n, [])
+                by_degree[g] = Subspace(n * n, {})
             continue
         system = [sub for sub in ([row[i] for i in idx] for row in rows) if any(sub)]
         kernel = dense_nullspace(RatMatrix(system)) if system else RatMatrix.identity(len(idx))
-        vectors = []
+        embedded = []
         for col in kernel.columns():
             v = [Q(0)] * (n * n)
             for i, x in zip(idx, col):
                 v[i] = x
-            vectors.append(v)
-        space = Subspace.from_vectors(n * n, vectors)
+            embedded.append(v)
+        space = span_of(n * n, embedded)
         if space.dim or g == ident:
             by_degree[g] = space
         if space.dim:

@@ -1,6 +1,8 @@
 """Toral rank, almost-fine certificates, canonical refinement, coarsening
 enumeration, and classification."""
 
+from fractions import Fraction as Q
+
 import pytest
 
 from gradalg.abgroup import FgAbGroup, GroupHom, Subgroup, torsion_and_free
@@ -17,7 +19,7 @@ from gradalg.catalog import get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix
 from gradalg.grading import Grading, induce, universal_abelian_group, weyl_on_uab
 
-from helpers import build_m2_splitpauli, build_sl2_efh
+from helpers import build_m2_splitpauli, build_sl2_efh, matvec, rows_matrix, sparse, vectors
 
 import random
 
@@ -45,8 +47,8 @@ class TestCartanSubalgebra:
         h = cartan_subalgebra(alg, random.Random(0))
         assert h.dim == 1
         # self-centralizing inside sl2: brackets with h-basis land outside
-        v = list(h.vectors()[0])
-        assert any(alg.bracket(v, b) != [0, 0, 0] for b in ([1, 0, 0], [0, 0, 1]))
+        (v,) = h.sparse_vectors()
+        assert any(alg.bracket(v, b) for b in ({0: Q(1)}, {2: Q(1)}))
 
     def test_seed_independent_dimension(self):
         alg = build_sl2_efh()
@@ -78,11 +80,13 @@ class TestToralRank:
     def test_toral_matrices_commute_and_preserve_components(self):
         gr = parity_sl2()
         td = toral_rank(gr)
-        for m in td.toral_matrices():
+        mats = [rows_matrix(m) for m in td.toral_matrices()]
+        for i, m in enumerate(mats):
+            assert all(m * other == other * m for other in mats[i + 1 :])
             for g in gr.support:
                 comp = gr.component(g)
-                for v in comp.vectors():
-                    assert comp.contains(list(m.matvec(list(v))))
+                for v in vectors(comp):
+                    assert comp.contains(sparse(matvec(m, v)))
 
 
 class TestAlmostFine:

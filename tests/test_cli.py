@@ -66,6 +66,23 @@ class TestParseErrors:
         assert code == 1
         assert "line" in err
 
+    def test_workspace_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"algebras": [{"name": "caf\u00e9"}]}'.encode("latin-1"))
+        code, _, err = run(capsys, "validate", str(p))
+        assert code == 1 and str(p) in err
+
+    def test_workspace_nested_too_deeply(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        code, _, err = run(capsys, "validate", str(p))
+        assert code == 1 and f"{p}: JSON nested too deeply" in err
+
+    def test_target_nested_too_deeply(self, tmp_path, capsys):
+        f = write_ws(tmp_path, catalog_workspace("cartan-sl2"))
+        code, _, err = run(capsys, "classify", f, "--target", "[" * 5000 + "]" * 5000)
+        assert code == 1 and "--target: JSON nested too deeply" in err
+
     def test_incompatible_degrees(self, tmp_path, capsys):
         doc = catalog_workspace("cartan-sl2")
         doc["gradings"][0]["degrees"][0] = [5]  # breaks [e, f] = h
