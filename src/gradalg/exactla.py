@@ -17,11 +17,10 @@ NonSplitError instead of being approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import sympy
 
 from .errors import (
     AxiomFailure,
@@ -452,24 +451,65 @@ def poly_normalize(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
-    """All roots of ``poly`` if they are rational, else None.
+    """The distinct roots of ``poly``, sorted, if it splits over Q into
+    linear factors; else None.  Multiplicities are ignored.
 
-    Returns the distinct roots (multiplicities ignored).
+    Clearing denominators gives integers a_i, and y = a_d x turns f into
+    the monic integer g(y) = sum_i a_i a_d^(d-1-i) y^i, whose rational
+    roots are integers (Gauss).  Integer Newton steps from above find
+    them one at a time, largest first; each root is divided out exactly.
+
+    Suppose f splits.  Then every root of g is an integer r_j with
+    |r_j| < B, the Fujiwara bound 2 max_i |g_(d-i)|^(1/i) rounded up to a
+    power of two.  Let r be the largest root left.  By Rolle no root of
+    g' or g'' exceeds r, so above r g > 0, g' > 0 and g is convex, and the
+    real Newton iterate N = y - g/g' from y > r satisfies r <= N < y.  Hence
+    the step y <- min(ceil(N), y - 1) keeps the integer y >= r and
+    decreases it until g(y) = 0 at y = r exactly.  After the root is
+    divided out, the next root is <= r, so the search goes on from y.
+    Since g'/g = sum_j 1/(y - r_j) <= deg/(y - r) for the deg roots r_j
+    left, N - r <= (y - r)(1 - 1/deg); so while y - r > deg each step
+    cuts y - r - deg by the factor 1 - 1/deg at least, and after that
+    each step lowers y by 1 at least.  From y - r < 2B one search thus
+    takes at most deg (bit_length(2B) + 1) steps.  So g(y) < 0,
+    g'(y) <= 0, y < -B and a longer search never happen when f splits,
+    and each of them returns None.  A root is returned only when exact
+    evaluation gives g(y) = 0, and the search ends at degree 0 only when
+    g is the product of the linear factors found.
     """
     p = poly_normalize(poly)
     if len(p) <= 1:
         return []
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    d = len(p) - 1
+    lead = math.lcm(*(c.denominator for c in p))
+    g = [int(c * lead) * lead ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+    bound = 2 << max((abs(c).bit_length() + i - 1) // i for i, c in enumerate(reversed(g[:-1]), 1))
+    budget = (2 * bound).bit_length() + 1
     roots = []
-    for fac, _mult in factors:
-        if fac.degree() > 1:
-            return None
-        if fac.degree() == 1:
-            a1, a0 = fac.all_coeffs()
-            roots.append(Q(int(sympy.numer(-a0 / a1)), int(sympy.denom(-a0 / a1))))
-    return sorted(set(roots))
+    y = bound
+    while len(g) > 1:
+        steps = (len(g) - 1) * budget
+        while True:
+            value = slope = 0
+            for c in reversed(g):
+                slope = slope * y + value
+                value = value * y + c
+            if value == 0:
+                break
+            if value < 0 or slope <= 0 or steps == 0:
+                return None
+            y -= max(value // slope, 1)
+            if y < -bound:
+                return None
+            steps -= 1
+        roots.append(y)
+        quotient = [0] * (len(g) - 1)
+        carry = 0
+        for i in range(len(g) - 1, 0, -1):
+            carry = g[i] + carry * y
+            quotient[i - 1] = carry
+        g = quotient
+    return sorted({Q(r, lead) for r in roots})
 
 
 # ---------------------------------------------------------------------------

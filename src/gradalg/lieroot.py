@@ -117,22 +117,33 @@ def _proportional(beta: Weight, alpha: Weight) -> Fraction | None:
     return c
 
 
+#: how far an alpha-string is read on each side of beta
+_STRING_REACH = 5
+
+
 def _cartan_number(alpha: Weight, beta: Weight, phi: frozenset) -> int | None:
-    """<beta, alpha> from the alpha-string through beta; None when the
-    string is broken or the number is not an integer."""
+    """<beta, alpha> = p - q from the alpha-string beta - p alpha, ...,
+    beta + q alpha, read up to _STRING_REACH steps each way; None when the
+    number is not an integer or the string is broken (beta not in phi, or
+    a root beyond a gap).  Each side is walked outward from beta; past the
+    gap it is read only until a root shows the string broken."""
     c = _proportional(beta, alpha)
     if c is not None:
         n = 2 * c
         return int(n) if n.denominator == 1 else None
-    ks = {k for k in range(-5, 6) if _wadd(beta, _wscale(k, alpha)) in phi}
-    p = 0
-    while -(p + 1) in ks:
-        p += 1
-    q = 0
-    while q + 1 in ks:
-        q += 1
-    if ks != set(range(-p, q + 1)):
-        return None  # broken string
+    if beta not in phi:
+        return None
+    ends = []
+    for step in (_wneg(alpha), alpha):
+        w, k = beta, 0
+        while k < _STRING_REACH and (w := _wadd(w, step)) in phi:
+            k += 1
+        for _ in range(k + 1, _STRING_REACH):
+            w = _wadd(w, step)
+            if w in phi:
+                return None  # broken string
+        ends.append(k)
+    p, q = ends
     return p - q
 
 

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import islice, product
 
+import sympy
+
 from gradalg.abgroup import FgAbGroup
 from gradalg.algcore import (
     MultilinearOp,
@@ -24,11 +26,13 @@ from gradalg.exactla import (
     RatMatrix,
     combine_rows,
     inverse,
+    poly_normalize,
     rational_roots,
     solve,
     sparse_rows,
 )
 from gradalg.grading import GradedDerivations, Grading
+from gradalg.lieroot import _proportional, _wadd, _wscale
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,38 @@ def newton_semisimple_part(m: RatMatrix) -> RatMatrix:
     if not is_zero(poly_eval_matrix(pred, s)):
         raise ValueError("Newton iteration failed to converge")
     return s
+
+
+def sympy_rational_roots(poly) -> list | None:
+    """Oracle for ``exactla.rational_roots``: sympy's factorization over
+    Q, None when a factor of degree > 1 is left."""
+    p = poly_normalize(poly)
+    if len(p) <= 1:
+        return []
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p))
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    roots = []
+    for fac, _mult in factors:
+        if fac.degree() > 1:
+            return None
+        if fac.degree() == 1:
+            a1, a0 = fac.all_coeffs()
+            roots.append(Q(int(sympy.numer(-a0 / a1)), int(sympy.denom(-a0 / a1))))
+    return sorted(set(roots))
+
+
+def poly_product(*factors) -> list:
+    """The product of polynomials given as coefficient lists, low degree
+    first."""
+    out = [Q(1)]
+    for f in factors:
+        acc = [Q(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] += a * Q(b)
+        out = acc
+    return out
 
 
 def kernel_eigen_split(basis: RatMatrix, op: RatMatrix) -> list:
@@ -707,3 +743,23 @@ def random_graded_algebra(rng: random.Random, ternary: bool = False):
         ops.append(MultilinearOp("triple", 3, triple))
     alg = StructureAlgebra("fuzz", n, ops, [])
     return Grading(alg, group, degrees)
+
+
+def probed_cartan_number(alpha, beta, phi) -> int | None:
+    """Oracle for ``lieroot._cartan_number``: probes all eleven weights
+    beta + k alpha, |k| <= 5, and reads the alpha-string off the set of
+    k found."""
+    c = _proportional(beta, alpha)
+    if c is not None:
+        n = 2 * c
+        return int(n) if n.denominator == 1 else None
+    ks = {k for k in range(-5, 6) if _wadd(beta, _wscale(k, alpha)) in phi}
+    p = 0
+    while -(p + 1) in ks:
+        p += 1
+    q = 0
+    while q + 1 in ks:
+        q += 1
+    if ks != set(range(-p, q + 1)):
+        return None  # broken string
+    return p - q

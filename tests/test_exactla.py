@@ -2,6 +2,9 @@
 
 import ast
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -56,10 +59,12 @@ from helpers import (
     newton_semisimple_part,
     op_rows,
     per_degree_minimal_polynomial,
+    poly_product,
     rational_solve,
     rows_matrix,
     span_of,
     submatrix,
+    sympy_rational_roots,
     vectors,
     zeros,
 )
@@ -372,6 +377,71 @@ class TestPolynomials:
         # x^2 + 1
         assert rational_roots([Q(1), Q(0), Q(1)]) is None
         assert rational_roots([Q(1)]) == []
+        # 2x^2 - x - 3 = (2x - 3)(x + 1), not monic
+        assert rational_roots([Q(-3), Q(-1), Q(2)]) == [Q(-1), Q(3, 2)]
+        # x^3 - (3/2)x^2 = x^2 (x - 3/2): a double zero root
+        assert rational_roots([Q(0), Q(0), Q(-3, 2), Q(1)]) == [Q(0), Q(3, 2)]
+        assert rational_roots([Q(0), Q(1)]) == [Q(0)]
+        # (x - 1/2)^3 (x + 2/3): repeated non-integer roots
+        cubed = poly_product([Q(-1, 2), 1], [Q(-1, 2), 1], [Q(-1, 2), 1], [Q(2, 3), 1])
+        assert rational_roots(cubed) == [Q(-2, 3), Q(1, 2)]
+        # (x - 1)(x^2 + x + 1) has a rational root but does not split
+        assert rational_roots([Q(-1), Q(0), Q(0), Q(1)]) is None
+
+    @staticmethod
+    def random_polynomial(rng):
+        """A product of random factors: rational linear factors (some
+        repeated, some x), irreducible or reducible quadratics and cubics,
+        times a random leading coefficient."""
+        factors = [[Q(rng.choice([-6, -1, 1, 2, 5]), rng.randint(1, 4))]]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.45:
+                root = Q(rng.randint(-40, 40), rng.randint(1, 12))
+                factors += [[-root, 1]] * rng.choice([1, 1, 2])
+            elif kind < 0.55:
+                factors += [[0, 1]] * rng.randint(1, 2)
+            elif kind < 0.65:
+                factors.append([-Q(rng.randint(-10**12, 10**12), rng.randint(1, 999)), 1])
+            else:
+                degree = rng.choice([2, 2, 3])
+                factors.append([Q(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(degree)] + [rng.randint(1, 4)])
+        return poly_product(*factors)
+
+    def test_rational_roots_against_sympy(self):
+        rng = random.Random(2024)
+        split = 0
+        for _ in range(2000):
+            poly = self.random_polynomial(rng)
+            roots = rational_roots(poly)
+            assert roots == sympy_rational_roots(poly), poly
+            split += roots is not None
+        # both outcomes are well represented
+        assert 400 < split < 1600
+
+    def test_rational_roots_large_coefficients(self):
+        # the search is bounded by the bit length of the coefficients, not by
+        # their divisors: a search over the divisors of the end coefficients
+        # takes minutes here
+        big = 2**40 * 3**20
+        cases = [
+            ([Q(-(big**2)), Q(0), Q(1)], [Q(-big), Q(big)]),
+            (poly_product([-(10**30), 1], [7**25, 1], [2, 0, 1]), None),
+            (
+                poly_product(*([-(r * 10**12 + 7 * r + 1), 1] for r in (-4, -3, -1, 1, 2, 3, 5, 8))),
+                sorted(Q(r * 10**12 + 7 * r + 1) for r in (-4, -3, -1, 1, 2, 3, 5, 8)),
+            ),
+            (
+                poly_product(*([Q(-(r * 10**12 + 1), 3 + r % 2), 1] for r in (-7, -2, 0, 1, 4, 6, 9, 11))),
+                sorted(Q(r * 10**12 + 1, 3 + r % 2) for r in (-7, -2, 0, 1, 4, 6, 9, 11)),
+            ),
+        ]
+        start = time.perf_counter()
+        results = [rational_roots(poly) for poly, _ in cases]
+        elapsed = time.perf_counter() - start
+        for (poly, expected), roots in zip(cases, results):
+            assert roots == expected == sympy_rational_roots(poly)
+        assert elapsed < 2.0
 
 
 class TestSemisimplePart:
@@ -773,6 +843,15 @@ def test_sources_keep_one_vector_format():
             names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
             assert "mat_from_flat" not in names, f"{where} uses mat_from_flat"
             assert not (isinstance(node, ast.Attribute) and node.attr == "basis"), f"{where} reads .basis"
+
+
+def test_cli_imports_without_sympy():
+    # sympy is a test oracle only; a fresh interpreter shows transitive
+    # imports that a scan of the sources would miss
+    src = str(Path(gradalg.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import gradalg.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sources_use_no_bare_asserts():

@@ -1,6 +1,8 @@
 """Root-system extraction and root-graded decompositions."""
 
+import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 import sympy
@@ -9,7 +11,7 @@ from gradalg import lieroot
 from gradalg.abgroup import FgAbGroup
 from gradalg.afine import canonical_refinement
 from gradalg.algcore import Subspace
-from gradalg.catalog import get_catalog
+from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, parse_workspace
 from gradalg.errors import (
     IdentityComponentNotCartan,
@@ -26,7 +28,7 @@ from gradalg.lieroot import (
     weight_decomposition,
 )
 
-from helpers import sparse, span_of, vectors
+from helpers import probed_cartan_number, sparse, span_of, vectors
 
 
 def trivial_grading(alg):
@@ -297,3 +299,42 @@ class TestWeightDecomposition:
         assert sum(s.dim for s in wd.spaces.values()) == 8
         for a in wd.phi:
             assert tuple(-x for x in a) in set(wd.phi)
+
+
+class TestCartanNumbers:
+    """The outward string walk of ``_cartan_number`` against the oracle
+    that probes every beta + k alpha, |k| <= 5."""
+
+    @staticmethod
+    def assert_all_pairs_agree(phi, betas=None):
+        phiset = frozenset(phi)
+        for a in phi:
+            for b in phi if betas is None else betas:
+                assert lieroot._cartan_number(a, b, phiset) == probed_cartan_number(a, b, phiset), (a, b)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if "root_system" in get_catalog(n).expected]
+    )
+    def test_catalog_root_systems(self, name):
+        _, rep = extract_root_system(get_catalog(name).grading)
+        assert rep.type_label == get_catalog(name).expected["root_system"]
+        self.assert_all_pairs_agree(rep.phi)
+
+    @pytest.mark.parametrize(
+        "positive",
+        [
+            [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)],  # BC2
+            [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)],  # G2
+        ],
+    )
+    def test_bc2_and_g2(self, positive):
+        phi = [tuple(map(Q, a)) for a in positive]
+        self.assert_all_pairs_agree(phi + [tuple(-x for x in a) for a in phi])
+
+    def test_random_weight_sets(self):
+        # broken and long strings, and beta outside the set
+        rng = random.Random(5)
+        lattice = [tuple(map(Q, w)) for w in product(range(-4, 5), repeat=2) if any(w)]
+        for _ in range(40):
+            phi = rng.sample(lattice, rng.randint(2, 24))
+            self.assert_all_pairs_agree(phi, betas=phi + rng.sample(lattice, 8))
