@@ -27,18 +27,23 @@ TABLE = Path(__file__).with_name("golden_reports.json")
 
 SEEDS = (0, 7)
 
-#: every command that takes a workspace and no --hom, with its extra arguments
+#: every command that takes a workspace and no --hom, by row label: the
+#: command and its extra arguments.  ``--universal-only`` lists the elements
+#: of every candidate kernel; the Z2 + Z4 target needs homomorphisms into a
+#: group with an element of order 4.
 COMMANDS = {
-    "validate": [],
-    "ugroup": [],
-    "der": [],
-    "trank": [],
-    "almost-fine": [],
-    "refine-canonical": [],
-    "coarsen-enum": [],
-    "classify": ["--target", '{"invariants":[2,2]}'],
-    "rootsys": [],
-    "root-graded": [],
+    "validate": ["validate"],
+    "ugroup": ["ugroup"],
+    "der": ["der"],
+    "trank": ["trank"],
+    "almost-fine": ["almost-fine"],
+    "refine-canonical": ["refine-canonical"],
+    "coarsen-enum": ["coarsen-enum"],
+    "coarsen-enum --universal-only": ["coarsen-enum", "--universal-only"],
+    "classify": ["classify", "--target", '{"invariants":[2,2]}'],
+    "classify Z2+Z4": ["classify", "--target", '{"invariants":[2,4]}'],
+    "rootsys": ["rootsys"],
+    "root-graded": ["root-graded"],
 }
 
 
@@ -50,13 +55,13 @@ def report_hash(argv) -> str:
 
 
 def sweep(name: str) -> dict[str, str]:
-    """``"command seed" -> hash`` for every command and seed on one entry."""
+    """``"label seed" -> hash`` for every command row and seed on one entry."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "ws.json")
         Path(path).write_text(json.dumps(catalog_workspace(name)))
         return {
-            f"{command} {seed}": report_hash([command, path, "--json", "--seed", str(seed), *extra])
-            for command, extra in COMMANDS.items()
+            f"{label} {seed}": report_hash([command, path, "--json", "--seed", str(seed), *extra])
+            for label, (command, *extra) in COMMANDS.items()
             for seed in SEEDS
         }
 
