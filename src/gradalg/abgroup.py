@@ -6,13 +6,15 @@ first, torsion coordinates reduced modulo the invariants), so equality is
 coordinate equality.  Subgroups are canonical Hermite-form lattices in
 Z^{r+k} containing the relation lattice; homomorphisms are integer
 matrices on canonical generators, checked for well-definedness.
+Subgroups, their elements and homomorphisms are enumerated from the
+invariants and the Hermite form, never by searching element sets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import AxiomFailure, CapExceeded, NotASubgroup, ShapeError
@@ -87,7 +89,7 @@ class FgAbGroup:
         return tuple(coords)
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, self.reduce(coords))
+        return GroupElement(self, coords)
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ngens)
@@ -131,8 +133,7 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if self.coords != self.owner.reduce(self.coords):
-            object.__setattr__(self, "coords", self.owner.reduce(self.coords))
+        object.__setattr__(self, "coords", self.owner.reduce(self.coords))
 
     def _check(self, other: "GroupElement"):
         if self.owner != other.owner:
@@ -155,17 +156,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def order(self) -> int | None:
-        """Element order, None if infinite."""
-        r = self.owner.free_rank
-        if any(self.coords[:r]):
-            return None
-        n = 1
-        for i, d in enumerate(self.owner.invariants):
-            c = self.coords[r + i]
-            n = lcm(n, d // gcd(c, d))
-        return n
-
     def __repr__(self) -> str:
         return f"GroupElement{self.coords}"
 
@@ -175,11 +165,10 @@ class Subgroup:
     basis of its preimage lattice in Z^{r+k} (which always contains the
     relation lattice, so equal subgroups have equal lattices)."""
 
-    __slots__ = ("owner", "generators", "lattice")
+    __slots__ = ("owner", "lattice")
 
-    def __init__(self, owner: FgAbGroup, generators: Sequence[GroupElement], lattice: IntMatrix):
+    def __init__(self, owner: FgAbGroup, lattice: IntMatrix):
         object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "lattice", lattice)
 
     def __setattr__(self, name, value):
@@ -196,7 +185,7 @@ class Subgroup:
         m = rel
         if cols:
             m = IntMatrix.from_columns(cols, rows=owner.ngens).hstack(rel)
-        return cls(owner, gens, column_hnf(m))
+        return cls(owner, column_hnf(m))
 
     def __eq__(self, other) -> bool:
         return (
@@ -249,22 +238,21 @@ class Subgroup:
         return total // d
 
     def elements(self) -> list[GroupElement]:
-        """All elements of a finite subgroup, by closure from generators."""
+        """All elements of a finite subgroup, sorted by coordinates.
+
+        The HNF columns c_i have their pivots on the torsion rows, so each
+        element is sum_i x_i c_i for exactly one x with 0 <= x_i < d_i / pivot_i.
+        """
         if not self.is_finite():
             raise ValueError("cannot list an infinite subgroup")
-        gens = [self.owner.element(list(c)) for c in self.lattice.columns()]
-        seen = {self.owner.identity()}
-        frontier = [self.owner.identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x + g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen, key=lambda e: e.coords)
+        owner, cols = self.owner, self.lattice.columns()
+        r = owner.free_rank
+        radices = [d // c[r + i] for i, (d, c) in enumerate(zip(owner.invariants, cols))]
+        out = [
+            owner.element([sum(x * c[t] for x, c in zip(xs, cols)) for t in range(owner.ngens)])
+            for xs in itertools.product(*map(range, radices))
+        ]
+        return sorted(out, key=lambda e: e.coords)
 
     def canonical_generators(self) -> list[GroupElement]:
         return [self.owner.element(list(c)) for c in self.lattice.columns()]
@@ -375,7 +363,7 @@ class GroupHom:
         return self.image() == self.codomain.full_subgroup()
 
     def is_injective(self) -> bool:
-        return self.kernel().order() == 1 and self.kernel().is_finite()
+        return self.kernel().order() == 1
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -486,123 +474,73 @@ def quotient_by(g: FgAbGroup, e: Subgroup) -> tuple[FgAbGroup, GroupHom]:
 # ---------------------------------------------------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _lattices(invariants: Sequence[int]):
+    """Column HNFs (lists of columns) of the lattices L with
+    diag(invariants) Z^k <= L <= Z^k, each once.
 
-
-def _subgroups_of_p_component(
-    identity: GroupElement, elems: list[GroupElement], p: int
-) -> list[frozenset[GroupElement]]:
-    """All subgroups (as element sets) of a finite abelian p-group given by
-    its full element list.
-
-    BFS by index-p extensions: adjoin only elements x with p*x already in
-    the subgroup, so each step is a union of p cosets.  Every subgroup is
-    reached this way through a maximal chain.
+    Column 1 is (a, x) over the HNF T of the other columns, which are the
+    lattices of the tail invariants: a divides d_1, x is reduced modulo the
+    pivots of T, and (d_1/a) x lies in T, which is exactly d_1 e_1 in L.
     """
-    owner = identity.owner
-    mods = (0,) * owner.free_rank + tuple(owner.invariants)
-
-    # raw coordinate tuples: orders of magnitude cheaper than GroupElement
-    def addc(a, b):
-        return tuple((x + y) % m if m else x + y for x, y, m in zip(a, b, mods))
-
-    points = [x.coords for x in elems]
-    trivial = frozenset([identity.coords])
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for x in points:
-                if x in sub:
-                    continue
-                px = x
-                for _ in range(p - 1):
-                    px = addc(px, x)
-                if px not in sub:
-                    continue
-                new = set(sub)
-                coset: Iterable[tuple[int, ...]] = sub
-                for _ in range(p - 1):
-                    coset = [addc(y, x) for y in coset]
-                    new.update(coset)
-                fs = frozenset(new)
-                if fs not in found:
-                    found.add(fs)
-                    nxt.append(fs)
-        frontier = nxt
-    return [
-        frozenset(GroupElement(owner, c) for c in fs) for fs in found
-    ]
+    if not invariants:
+        yield []
+        return
+    d, rest = invariants[0], invariants[1:]
+    for tail in _lattices(rest):
+        t = IntMatrix.from_columns(tail, rows=len(rest))
+        box = [range(c[j]) for j, c in enumerate(tail)]
+        for a in (a for a in range(1, d + 1) if d % a == 0):
+            for x in itertools.product(*box):
+                if hnf_solve(t, [d // a * xi for xi in x]) is not None:
+                    yield [(a, *x)] + [(0, *c) for c in tail]
 
 
 def enumerate_subgroups(h: Subgroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
     """All subgroups of the finite subgroup ``h``, canonically ordered.
 
-    Works p-primary component by p-primary component and takes products,
-    so only p-groups are ever searched directly.
+    ``h`` is presented once, as Z^k modulo the relation lattice written in
+    the basis of its own lattice.  The section of that presentation carries
+    each lattice over the presented group's invariants into the owner's
+    coordinates; the map is injective, so every subgroup comes out once.
     """
     if not h.is_finite():
         raise ValueError("subgroup enumeration requires a finite subgroup")
     order = h.order()
     if order > cap:
         raise CapExceeded(f"subgroup order {order} exceeds cap {cap}")
-    owner = h.owner
-    ident = owner.identity()
-    elems = h.elements()
-    primes = _prime_factors(order)
-    per_prime: list[list[frozenset[GroupElement]]] = []
-    for p in primes:
-        comp = [x for x in elems if (o := x.order()) is not None and _is_p_power(o, p)]
-        per_prime.append(_subgroups_of_p_component(ident, comp, p))
-    out = []
-    seen = set()
-    for combo in itertools.product(*per_prime) if per_prime else [()]:
-        gens: list[GroupElement] = []
-        for part in combo:
-            gens.extend(part)
-        sub = Subgroup.from_generators(owner, gens)
-        if sub.lattice in seen:
-            continue
-        seen.add(sub.lattice)
-        out.append(sub)
+    owner, basis = h.owner, h.lattice
+    kernel = [hnf_solve(basis, c) for c in owner.relation_lattice().columns()]
+    pres = group_from_presentation(basis.cols, IntMatrix.from_columns(kernel, rows=basis.cols))
+    to_owner = basis * pres.section_matrix
+    out = [
+        Subgroup.from_generators(owner, [owner.element(to_owner.matvec(c)) for c in cols])
+        for cols in _lattices(pres.group.invariants)
+    ]
     out.sort(key=Subgroup.sort_key)
     return out
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def enumerate_homs(
     g: FgAbGroup, h: FgAbGroup, cap: int = DEFAULT_CAP
 ) -> list[GroupHom]:
-    """All homomorphisms G -> H for finite H, canonically ordered."""
+    """All homomorphisms G -> H for finite H, canonically ordered.
+
+    A generator of order d (0 when free) goes into the d-torsion of H: its
+    coordinate j runs over the multiples of h_j / gcd(d, h_j).
+    """
     if not h.is_finite:
         raise ValueError("homomorphism enumeration requires a finite codomain")
-    # a generator of order d (0 when free) goes into the d-torsion of H,
-    # which has prod_j gcd(d, h_j) elements: counted before H is listed
+    # the d-torsion of H has prod_j gcd(d, h_j) elements
     orders = (0,) * g.free_rank + g.invariants
     total = 1
     for d in orders:
         total *= prod(gcd(d, e) for e in h.invariants)
         if total > cap:
             raise CapExceeded(f"{total}+ homomorphisms exceeds cap {cap}")
-    elems = h.elements()
-    choices = [[x for x in elems if d % x.order() == 0] if d else elems for d in orders]
+    choices = []
+    for d in orders:
+        torsion = itertools.product(*(range(0, e, e // gcd(d, e)) for e in h.invariants))
+        choices.append([h.element(c) for c in torsion])
     out = []
     for images in itertools.product(*choices):
         out.append(GroupHom.from_gen_images(g, h, list(images)))

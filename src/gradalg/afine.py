@@ -460,11 +460,11 @@ def enumerate_af_coarsenings(
 def is_admissible(alpha: GroupHom, uab: UabResult) -> bool:
     """A homomorphism from the universal group is admissible when
     s -> (alpha(s), class of s modulo torsion) is injective on the support."""
-    _, pi = torsion_and_free(uab.group)
+    r = uab.group.free_rank
     seen = set()
     for s in uab.support_order:
         u = uab.iota[s]
-        key = (alpha(u).coords, pi(u).coords)
+        key = (alpha(u).coords, u.coords[:r])
         if key in seen:
             return False
         seen.add(key)

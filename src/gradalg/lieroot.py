@@ -733,9 +733,8 @@ def root_graded_structure(
     # coordinate-space and L(0) supports sit in torsion cosets of G
     free_rank = grading.group.free_rank
     if free_rank:
-        _, pi_g = torsion_and_free(grading.group)
         for name, tab in tables.items():
-            cosets = {pi_g(grading.group.element(list(gdeg))).coords for _, _, gdeg in tab}
+            cosets = {gdeg[:free_rank] for _, _, gdeg in tab}
             if len(cosets) > 1:
                 raise VerificationFailure(
                     f"G-degrees of {name} spread over several torsion cosets"

@@ -4,10 +4,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import islice, product
+from math import gcd, lcm, prod
 
 import sympy
 
-from gradalg.abgroup import FgAbGroup
+from gradalg.abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
@@ -763,3 +764,169 @@ def probed_cartan_number(alpha, beta, phi) -> int | None:
     if ks != set(range(-p, q + 1)):
         return None  # broken string
     return p - q
+
+
+# ---------------------------------------------------------------------------
+# Finite abelian groups: element-set oracles for the HNF enumerations
+# ---------------------------------------------------------------------------
+
+
+def all_abelian_groups_up_to(order: int):
+    """Every finite abelian group of order <= ``order``, once each."""
+
+    def partitions(a):
+        if a == 0:
+            yield ()
+            return
+        for first in range(a, 0, -1):
+            for rest in partitions(a - first):
+                if not rest or rest[0] <= first:
+                    yield (first,) + rest
+
+    for n in range(1, order + 1):
+        factors = {}
+        m = n
+        p = 2
+        while m > 1:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+            p += 1
+        combos = [()]
+        for p, a in sorted(factors.items()):
+            combos = [c + ((p, lam),) for c in combos for lam in partitions(a)]
+        for combo in combos:
+            depth = max((len(lam) for _, lam in combo), default=0)
+            invs = []
+            for i in range(depth):
+                d = prod(p ** lam[i] for p, lam in combo if i < len(lam))
+                invs.append(d)
+            # invs is descending-divisible; store ascending
+            yield FgAbGroup(0, list(reversed(invs)))
+
+
+def element_order(x: GroupElement) -> int | None:
+    """Order of a group element, None if infinite."""
+    r = x.owner.free_rank
+    if any(x.coords[:r]):
+        return None
+    n = 1
+    for d, c in zip(x.owner.invariants, x.coords[r:]):
+        n = lcm(n, d // gcd(c, d))
+    return n
+
+
+def closure_elements(h: Subgroup) -> list[GroupElement]:
+    """Oracle for ``Subgroup.elements``: close the identity under adding
+    the lattice columns, breadth first."""
+    if not h.is_finite():
+        raise ValueError("cannot list an infinite subgroup")
+    gens = [h.owner.element(list(c)) for c in h.lattice.columns()]
+    seen = {h.owner.identity()}
+    frontier = [h.owner.identity()]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x + g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen, key=lambda e: e.coords)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _subgroups_of_p_component(
+    identity: GroupElement, elems: list[GroupElement], p: int
+) -> list[frozenset[GroupElement]]:
+    """All subgroups (as element sets) of a finite abelian p-group given by
+    its full element list.
+
+    BFS by index-p extensions: adjoin only elements x with p*x already in
+    the subgroup, so each step is a union of p cosets.  Every subgroup is
+    reached this way through a maximal chain.
+    """
+    owner = identity.owner
+    mods = (0,) * owner.free_rank + tuple(owner.invariants)
+
+    def addc(a, b):
+        return tuple((x + y) % m if m else x + y for x, y, m in zip(a, b, mods))
+
+    points = [x.coords for x in elems]
+    trivial = frozenset([identity.coords])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in points:
+                if x in sub:
+                    continue
+                px = x
+                for _ in range(p - 1):
+                    px = addc(px, x)
+                if px not in sub:
+                    continue
+                new = set(sub)
+                coset = sub
+                for _ in range(p - 1):
+                    coset = [addc(y, x) for y in coset]
+                    new.update(coset)
+                fs = frozenset(new)
+                if fs not in found:
+                    found.add(fs)
+                    nxt.append(fs)
+        frontier = nxt
+    return [frozenset(GroupElement(owner, c) for c in fs) for fs in found]
+
+
+def element_set_subgroups(h: Subgroup) -> list[Subgroup]:
+    """Oracle for ``abgroup.enumerate_subgroups``: the subgroups of each
+    p-primary component as element sets, multiplied out, turned back into
+    lattices and de-duplicated."""
+    owner = h.owner
+    elems = closure_elements(h)
+    per_prime = []
+    for p in _prime_factors(h.order()):
+        comp = [x for x in elems if _is_p_power(element_order(x), p)]
+        per_prime.append(_subgroups_of_p_component(owner.identity(), comp, p))
+    out = []
+    seen = set()
+    for combo in product(*per_prime):
+        sub = Subgroup.from_generators(owner, [x for part in combo for x in part])
+        if sub.lattice not in seen:
+            seen.add(sub.lattice)
+            out.append(sub)
+    out.sort(key=Subgroup.sort_key)
+    return out
+
+
+def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
+    """Oracle for ``abgroup.enumerate_homs``: list H, keep for each
+    generator of order d the elements whose order divides d."""
+    elems = h.elements()
+    orders = (0,) * g.free_rank + g.invariants
+    choices = [[x for x in elems if d % element_order(x) == 0] if d else elems for d in orders]
+    out = [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
+    out.sort(key=lambda f: tuple(f.matrix.data))
+    return out

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import prod
 
 import pytest
 import sympy
@@ -19,6 +20,14 @@ from gradalg.abgroup import (
 )
 from gradalg.errors import CapExceeded, ShapeError
 from gradalg.exactla import IntMatrix
+
+from helpers import (
+    all_abelian_groups_up_to,
+    closure_elements,
+    element_order,
+    element_set_subgroups,
+    filtered_homs,
+)
 
 
 def brute_force_subgroup_count(g: FgAbGroup) -> int:
@@ -83,13 +92,6 @@ class TestGroupBasics:
         assert (a - b).coords == (1, 0)
         assert (-a).coords == (-2, 1)
         assert (3 * b).coords == (3, 0)
-
-    def test_element_order(self):
-        g = FgAbGroup(1, [6])
-        assert g.element([0, 2]).order() == 3
-        assert g.element([0, 1]).order() == 6
-        assert g.element([1, 0]).order() is None
-        assert g.identity().order() == 1
 
     def test_elements_listing(self):
         assert len(FgAbGroup(0, [6]).elements()) == 6
@@ -214,7 +216,7 @@ class TestSubgroups:
         assert e.order() is None
 
     def test_order_counts_elements(self):
-        # order() reads the HNF diagonal; elements() closes under generators
+        # order() reads the HNF diagonal; elements() walks the HNF columns
         for invs in [[2, 2, 2], [2, 4], [3, 9], [2, 2, 4]]:
             g = FgAbGroup(0, invs)
             for s in enumerate_subgroups(g.full_subgroup()):
@@ -273,6 +275,53 @@ class TestEnumerateSubgroups:
         assert all(h.contains_subgroup(s) for s in subs)
         # h is Z2 x Z2: five subgroups
         assert len(subs) == 5
+
+
+class TestAgainstElementSetOracles:
+    """The HNF enumerations return the same lists, in the same order, as
+    the element-set searches they replaced."""
+
+    @staticmethod
+    def check_subgroups(h: Subgroup):
+        subs = enumerate_subgroups(h, cap=10**5)
+        assert [s.lattice for s in subs] == [s.lattice for s in element_set_subgroups(h)], h
+        for s in subs:
+            assert s.elements() == closure_elements(s), s
+
+    def test_every_group_up_to_order_32(self):
+        for g in all_abelian_groups_up_to(32):
+            self.check_subgroups(g.full_subgroup())
+
+    def test_seeded_subgroups_with_free_rank(self):
+        rng = random.Random(13)
+        proper = 0
+        for _ in range(120):
+            free = rng.randint(0, 2)
+            invs = rng.choice(
+                [[], [2], [6], [2, 2], [2, 4], [3, 9], [2, 6], [2, 2, 2], [2, 2, 4], [4, 8]]
+            )
+            g = FgAbGroup(free, invs)
+            gens = [
+                g.element([0] * free + [rng.randrange(d) for d in invs])
+                for _ in range(rng.randint(0, 3))
+            ]
+            h = Subgroup.from_generators(g, gens)
+            proper += h.order() < prod(invs)
+            self.check_subgroups(h)
+        assert proper >= 60
+
+    def test_homs_from_free_and_torsion_generators(self):
+        domains = [
+            (0, []), (1, []), (2, []), (0, [2]), (0, [4]), (1, [2]), (0, [2, 4]), (1, [3]), (2, [2]),
+            (0, [6]),
+        ]
+        codomains = [[], [2], [4], [2, 2], [2, 4], [6], [3, 3], [2, 8]]
+        for free, invs in domains:
+            g = FgAbGroup(free, invs)
+            for hinvs in codomains:
+                h = FgAbGroup(0, hinvs)
+                got = [f.matrix for f in enumerate_homs(g, h)]
+                assert got == [f.matrix for f in filtered_homs(g, h)], (g, h)
 
 
 class TestHoms:
@@ -363,7 +412,7 @@ class TestRoundTrip:
                     images.append(rng.choice(elems))
                 else:
                     d = g.invariants[i - g.free_rank]
-                    opts = [x for x in elems if d % x.order() == 0]
+                    opts = [x for x in elems if d % element_order(x) == 0]
                     images.append(rng.choice(opts))
             f = GroupHom.from_gen_images(g, h, images)
             # Z^{ngens} -> G -> H; presenting by the kernel of the composite

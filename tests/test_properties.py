@@ -7,7 +7,6 @@ instances.
 
 import random
 from fractions import Fraction as Q
-from math import prod
 
 import sympy
 
@@ -19,6 +18,7 @@ from gradalg.exactla import IntMatrix, RatMatrix, smith_normal_form
 from gradalg.grading import Grading, graded_derivations, universal_abelian_group
 
 from helpers import (
+    all_abelian_groups_up_to,
     build_sl2_efh,
     dense_graded_derivations,
     dense_nullspace,
@@ -207,38 +207,6 @@ class TestCanonicalRefinementTorusIndependence:
         assert trials >= 200
 
 
-def _all_abelian_groups_up_to(order: int):
-    def partitions(a):
-        if a == 0:
-            yield ()
-            return
-        for first in range(a, 0, -1):
-            for rest in partitions(a - first):
-                if not rest or rest[0] <= first:
-                    yield (first,) + rest
-
-    for n in range(1, order + 1):
-        factors = {}
-        m = n
-        p = 2
-        while m > 1:
-            while m % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                m //= p
-            p += 1
-        combos = [()]
-        for p, a in sorted(factors.items()):
-            combos = [c + ((p, lam),) for c in combos for lam in partitions(a)]
-        for combo in combos:
-            depth = max((len(lam) for _, lam in combo), default=0)
-            invs = []
-            for i in range(depth):
-                d = prod(p ** lam[i] for p, lam in combo if i < len(lam))
-                invs.append(d)
-            # invs is descending-divisible; store ascending
-            yield FgAbGroup(0, list(reversed(invs)))
-
-
 def _brute_force_subgroup_count(g: FgAbGroup) -> int:
     elems = [e.coords for e in g.elements()]
     index = {c: i for i, c in enumerate(elems)}
@@ -281,7 +249,7 @@ def _brute_force_subgroup_count(g: FgAbGroup) -> int:
 class TestSubgroupEnumeration:
     def test_all_orders_up_to_64(self):
         count = 0
-        for g in _all_abelian_groups_up_to(64):
+        for g in all_abelian_groups_up_to(64):
             expected = _brute_force_subgroup_count(g)
             got = len(enumerate_subgroups(g.full_subgroup(), cap=10**5))
             assert got == expected, f"{g}"
