@@ -501,8 +501,9 @@ def classify_gradings(
         homs = enumerate_homs(uab.group, group, cap=cap)
 
         def key(a: GroupHom) -> tuple:
+            # the generator images, read from the columns of the hom matrix
             return tuple(
-                a(a.domain.generator(i)).coords for i in range(a.domain.ngens)
+                a.codomain.element(a.matrix.column(i)).coords for i in range(a.domain.ngens)
             )
 
         admissible = sorted((a for a in homs if is_admissible(a, uab)), key=key)

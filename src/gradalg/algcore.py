@@ -12,6 +12,7 @@ is the result of one ``gauss_jordan``.
 from __future__ import annotations
 
 import inspect
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,9 +56,16 @@ def memoized(fn):
 class MultilinearOp:
     """A k-ary multilinear operation as a sparse structure tensor:
     (i_1, ..., i_k) -> {j: coefficient} with
-    op(e_{i_1}, ..., e_{i_k}) = sum_j c_j e_j."""
+    op(e_{i_1}, ..., e_{i_k}) = sum_j c_j e_j.
 
-    __slots__ = ("name", "arity", "tensor")
+    ``int_tensor`` is the same tensor times its common denominator (the
+    lcm of the denominators of its constants), with ``int`` entries.  The
+    flag checks and the Leibniz rows read it: both sides of Jacobi and of
+    associativity are homogeneous of degree 2 in the constants and each
+    Leibniz row is linear in them, so every verdict, witness and row space
+    is that of ``tensor``."""
+
+    __slots__ = ("name", "arity", "tensor", "int_tensor")
 
     def __init__(self, name: str, arity: int, tensor: Mapping[tuple[int, ...], Mapping[int, Fraction]]):
         if arity < 1:
@@ -73,6 +81,15 @@ class MultilinearOp:
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "arity", int(arity))
         object.__setattr__(self, "tensor", clean)
+        scale = math.lcm(*(c.denominator for vec in clean.values() for c in vec.values()))
+        object.__setattr__(
+            self,
+            "int_tensor",
+            {
+                key: {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
+                for key, vec in clean.items()
+            },
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearOp is immutable")
@@ -174,7 +191,7 @@ class StructureAlgebra:
     # -- flag verification --------------------------------------------------
 
     def _verify_lie(self):
-        t = self.binary_op().tensor
+        t = self.binary_op().int_tensor
         n = self.dimension
         for i in range(n):
             for j in range(i, n):
@@ -200,7 +217,7 @@ class StructureAlgebra:
                         )
 
     def _verify_associative(self):
-        t = self.binary_op().tensor
+        t = self.binary_op().int_tensor
         n = self.dimension
         # (e_i e_j) e_k = combine_rows(t[(i, j)], right[k]) and
         # e_i (e_j e_k) = combine_rows(t[(j, k)], left[i])
@@ -401,18 +418,22 @@ def _leibniz_rows(a: StructureAlgebra):
     operation: one row per basis key (i_1, ..., i_k) and output index j,
 
         sum_a D[j, a] op(key)_a - sum_t sum_b D[b, i_t] op(key, e_b in slot t)_j = 0.
+
+    The rows are built on ``op.int_tensor``, so their coefficients are
+    ints: each is the row of ``op.tensor`` times a positive constant.
     """
     n = a.dimension
     for op in a.operations:
         # slot t, the key without slot t -> [(b, op(key with e_b in slot t))]
-        by_slot: list[dict[tuple[int, ...], list[tuple[int, Mapping[int, Fraction]]]]] = [
+        by_slot: list[dict[tuple[int, ...], list[tuple[int, Mapping[int, int]]]]] = [
             {} for _ in range(op.arity)
         ]
-        for key2, vec in op.tensor.items():
+        tensor = op.int_tensor
+        for key2, vec in tensor.items():
             for t in range(op.arity):
                 by_slot[t].setdefault(key2[:t] + key2[t + 1 :], []).append((key2[t], vec))
         for key in product(range(n), repeat=op.arity):
-            val = op.tensor.get(key, {})
+            val = tensor.get(key, {})
             rhs_terms = [
                 (b * n + it, vec)
                 for t, it in enumerate(key)
@@ -421,7 +442,7 @@ def _leibniz_rows(a: StructureAlgebra):
             if not val and not rhs_terms:
                 continue
             for j in range(n):
-                row: dict[int, Fraction] = {j * n + aidx: c for aidx, c in val.items()}
+                row: dict[int, int] = {j * n + aidx: c for aidx, c in val.items()}
                 for idx, vec in rhs_terms:
                     if j in vec:
                         row[idx] = row.get(idx, 0) - vec[j]

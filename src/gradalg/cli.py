@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 input/validation error, 2 unsupported input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -625,7 +626,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process: parsing leaves it unchanged and gives
+    each call a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="gradalg",
         description="Gradings on finite-dimensional algebras: universal groups, "

@@ -3,10 +3,10 @@
 One vector format and one operator format: a vector is a sparse dict
 ``{index: Fraction}`` with no zero entries, and an operator is the list of
 its sparse rows ``{column: Fraction}``.  One sparse Gauss-Jordan
-elimination is behind every echelon form, kernel and solve over Q; one
-subspace type, ``Subspace``, keeps the canonical basis that one such
-elimination gives, as sparse columns, and every kernel, sum,
-intersection and eigenspace is one.  One spectral routine, the
+elimination, fraction-free on integer rows, is behind every echelon form,
+kernel and solve over Q; one subspace type, ``Subspace``, keeps the
+canonical basis that one such elimination gives, as sparse columns, and
+every kernel, sum, intersection and eigenspace is one.  One spectral routine, the
 generalized eigenspaces of an operator, is behind the simultaneous
 eigenspace decompositions of commuting operators and the Jordan-Chevalley
 semisimple part.  Smith/Hermite normal forms come with transformation
@@ -162,37 +162,69 @@ def gauss_jordan(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> dict[int
     ``{column: coefficient}`` in ``ncols`` columns, as {pivot column:
     row}, sorted by pivot: the one Gauss-Jordan elimination over Q.
 
-    Each row read is reduced against the rows kept so far, each 1 at its
-    pivot, 0 at every other pivot and 0 left of its pivot.  If it does not
-    vanish, its first column becomes a pivot: it is scaled to 1 there and
-    that column is cleared from the kept rows.  Reading stops once every
-    column has a pivot.  The result is the unique reduced echelon basis of
-    the row space, whatever the order of the rows."""
-    reduced: dict[int, dict[int, Fraction]] = {}
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row read is scaled by the lcm of its denominators to integers and
+    reduced against the rows kept so far, each a primitive integer row,
+    positive at its pivot, 0 at every other pivot and 0 left of its pivot;
+    one reduction step is d*row - f*kept, then division by the gcd of the
+    entries.  If the row does not vanish, its first column becomes a pivot
+    and that column is cleared from the kept rows the same way.  Reading
+    stops once every column has a pivot.  Each kept row is divided by its
+    pivot entry only in the result, the unique reduced echelon basis of
+    the row space, whatever the order of the rows, with ``Fraction``
+    entries."""
+    reduced: dict[int, dict[int, int]] = {}
     rows = iter(rows)
     while len(reduced) < ncols and (row := next(rows, None)) is not None:
-        row = {c: x for c, x in row.items() if x}
+        row = _integer_row(row)
         for p in [c for c in row if c in reduced]:
-            _subtract(row, row.pop(p), reduced[p], p)
+            _eliminate(row, p, reduced[p])
         if row:
             pivot = min(row)
-            inv = 1 / Q(row[pivot])
-            row = {c: x * inv for c, x in row.items()}
+            g = math.gcd(*row.values())
+            if row[pivot] < 0:
+                g = -g
+            if g != 1:
+                for c in row:
+                    row[c] //= g
             for other in reduced.values():
                 if pivot in other:
-                    _subtract(other, other.pop(pivot), row, pivot)
+                    _eliminate(other, pivot, row)
             reduced[pivot] = row
-    return {p: reduced[p] for p in sorted(reduced)}
+    return {p: _rational_row(reduced[p], p) for p in sorted(reduced)}
 
 
-def _subtract(target: dict[int, Fraction], f: Fraction, row: Mapping[int, Fraction], skip: int):
-    """target -= f * row in place, but for column ``skip``."""
-    for c, x in row.items():
-        if c != skip:
+def _rational_row(row: Mapping[int, int], pivot: int) -> dict[int, Fraction]:
+    """The integer row divided by its entry at ``pivot``."""
+    b = row[pivot]
+    return {c: Fraction(x, b) for c, x in row.items()}
+
+
+def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The nonzero entries of a rational row times the lcm of their denominators."""
+    scale = math.lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
+
+
+def _eliminate(target: dict[int, int], p: int, kept: Mapping[int, int]):
+    """Clear column ``p`` of the integer row ``target`` in place with the
+    kept row, positive at its pivot ``p``: target = d*target - f*kept for
+    d = b/g and f = a/g, where a and b are the entries at ``p`` and g =
+    gcd(a, b), then divided by the gcd of its entries."""
+    g = math.gcd(a := target.pop(p), b := kept[p])
+    d, f = b // g, a // g
+    if d != 1:
+        for c in target:
+            target[c] *= d
+    for c, x in kept.items():
+        if c != p:
             if y := target.get(c, 0) - f * x:
                 target[c] = y
             else:
                 target.pop(c, None)
+    if target and (g := math.gcd(*target.values())) != 1:
+        for c in target:
+            target[c] //= g
 
 
 def combine_rows(

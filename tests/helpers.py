@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import gcd, lcm, prod
 
 import sympy
@@ -638,6 +638,72 @@ def dense_leibniz_rows(alg: StructureAlgebra):
                     row[b * n + it] -= vec[j]
                 if any(row):
                     yield row
+
+
+def fraction_gauss_jordan(rows, ncols: int) -> dict:
+    """Oracle for ``exactla.gauss_jordan``: the same streamed sparse
+    elimination on ``Fraction`` rows, each kept row scaled to 1 at its
+    pivot as soon as it is kept."""
+    reduced = {}
+    rows = iter(rows)
+    while len(reduced) < ncols and (row := next(rows, None)) is not None:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in reduced]:
+            _subtract(row, row.pop(p), reduced[p], p)
+        if row:
+            pivot = min(row)
+            inv = 1 / Q(row[pivot])
+            row = {c: x * inv for c, x in row.items()}
+            for other in reduced.values():
+                if pivot in other:
+                    _subtract(other, other.pop(pivot), row, pivot)
+            reduced[pivot] = row
+    return {p: reduced[p] for p in sorted(reduced)}
+
+
+def _subtract(target: dict, f, row, skip: int):
+    """target -= f * row in place, but for column ``skip``."""
+    for c, x in row.items():
+        if c != skip:
+            if y := target.get(c, 0) - f * x:
+                target[c] = y
+            else:
+                target.pop(c, None)
+
+
+def fraction_nullspace(ncols: int, rows) -> Subspace:
+    """Oracle for ``exactla.sparse_nullspace`` by ``fraction_gauss_jordan``:
+    one kernel vector per free column, in canonical form."""
+    reduced = fraction_gauss_jordan(rows, ncols)
+    kernel = []
+    for f in range(ncols):
+        if f not in reduced:
+            vec = {p: -row[f] for p, row in reduced.items() if f in row}
+            vec[f] = Q(1)
+            kernel.append(vec)
+    return Subspace(ncols, fraction_gauss_jordan(kernel, ncols))
+
+
+def fraction_derivations(grading: Grading) -> dict:
+    """Oracle for ``graded_derivations(grading).by_degree``: for each
+    candidate degree g, the kernel in n^2 coordinates of the Leibniz rows
+    built on the rational ``op.tensor`` (``dense_leibniz_rows``),
+    restricted to the unknowns D[r, c] with deg r = g + deg c, and of a
+    unit row for every other unknown, by ``fraction_nullspace``."""
+    homog = grading.homog_algebra
+    n = homog.dimension
+    degrees = grading.degrees
+    rows = list(sparse_rows(dense_leibniz_rows(homog)))
+    ident = grading.group.identity()
+    out = {}
+    for g in {s - t for s in grading.support for t in grading.support} | {ident}:
+        inside = {r * n + c for r in range(n) for c in range(n) if degrees[r] == g + degrees[c]}
+        outside = ({k: Q(1)} for k in range(n * n) if k not in inside)
+        restricted = ({k: x for k, x in row.items() if k in inside} for row in rows)
+        space = fraction_nullspace(n * n, chain(outside, restricted))
+        if space.dim or g == ident:
+            out[g] = space
+    return out
 
 
 def dense_graded_derivations(grading: Grading) -> GradedDerivations:

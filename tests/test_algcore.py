@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -12,18 +13,21 @@ from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
     Subspace,
+    _leibniz_rows,
     algebra_from_matrices,
     algebra_to_dict,
     build_algebra,
     centralizer,
     centroid_dimension,
     derivation_algebra,
+    derivation_space,
     is_simple,
     killing_form,
     subalgebra_structure,
 )
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, rank
+from gradalg.exactla import RatMatrix, rank, sparse_rows
+from gradalg.grading import Grading, graded_derivations
 
 from helpers import (
     build_m2,
@@ -38,11 +42,14 @@ from helpers import (
     dense_ad,
     dense_apply,
     dense_killing_form,
+    dense_leibniz_rows,
     dense_rebase,
     dense_verify_associative,
     dense_verify_lie,
     e_matrix,
     flatten,
+    fraction_derivations,
+    fraction_nullspace,
     from_matrices,
     is_simple_by_ideal_closures,
     leibniz_holds,
@@ -452,6 +459,86 @@ class TestFlagChecksAgainstWholeTensorLoop:
         if flag == "lie":
             kind = "Jacobi" if keep_antisymmetry else "antisymmetric"
             assert all(kind in message for message, _ in failures)
+
+
+#: diagonal entries, cycled, of the basis changes that make constants non-integral
+SCALES = (Q(2, 3), Q(-5, 7), Q(3), Q(-1, 2), Q(7, 5), Q(1))
+
+
+def _diagonally_rebased(grading: Grading) -> Grading:
+    """The grading on its homogeneous algebra rewritten in the basis
+    s_i e_i, s_i cycling through SCALES: a constant c of op(e_{i_1}, ...,
+    e_{i_k}) at e_j becomes c s_{i_1} ... s_{i_k} / s_j."""
+    alg = grading.homog_algebra
+    s = [SCALES[i % len(SCALES)] for i in range(alg.dimension)]
+    ops = [
+        MultilinearOp(
+            op.name,
+            op.arity,
+            {
+                key: {j: c * prod(s[i] for i in key) / s[j] for j, c in vec.items()}
+                for key, vec in op.tensor.items()
+            },
+        )
+        for op in alg.operations
+    ]
+    rebased = StructureAlgebra(f"{alg.name}-rebased", alg.dimension, ops, alg.flags)
+    return Grading(rebased, grading.group, grading.degrees)
+
+
+class TestNonIntegralConstants:
+    """The flag checks and the Leibniz rows read the integer tensor; on
+    catalog algebras with non-integral constants they agree with oracles
+    that read the rational one."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_flag_checks_match_dense_oracles(self, monkeypatch, name):
+        alg = _diagonally_rebased(catalog.get_catalog(name).grading).algebra
+        op = alg.binary_op()
+        scale = lcm(*(c.denominator for vec in op.tensor.values() for c in vec.values()))
+        assert scale > 1
+        assert op.int_tensor == {k: {j: c * scale for j, c in v.items()} for k, v in op.tensor.items()}
+        assert all(type(c) is int for v in op.int_tensor.values() for c in v.values())
+        flag = "lie" if "lie" in alg.flags else "associative"
+        rng = random.Random(name)
+        corrupted = [_corrupted(alg, rng, keep_antisymmetry=True) for _ in range(3)]
+        sparse = [_flag_failure(alg.dimension, t, flag) for t in [op.tensor, *corrupted]]
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
+        assert sparse == [_flag_failure(alg.dimension, t, flag) for t in [op.tensor, *corrupted]]
+        assert sparse[0] is None and any(sparse[1:])
+
+    @pytest.mark.parametrize(
+        "name, key, triple",
+        [("cartan-sl2", (2, 0), (0, 1, 2)), ("pauli-m2", (3, 3), (1, 2, 3))],
+    )
+    def test_known_first_failing_triple(self, monkeypatch, name, key, triple):
+        """Read before the rebasing, which changes no verdict: cartan-sl2
+        (e, f, h) with [h, e] = mu e, mu != 2, breaks Jacobi on its only
+        triple; pauli-m2 (1, i, j, k) with k k = (4/3) 1 first breaks
+        (e_1 e_2) e_3 = -k k against e_1 (e_2 e_3) = -1, since e_0 = 1 is a
+        unit and no earlier triple multiplies k by k."""
+        alg = _diagonally_rebased(catalog.get_catalog(name).grading).algebra
+        tensor = {k: dict(v) for k, v in alg.binary_op().tensor.items()}
+        j, c = next(iter(tensor[key].items()))
+        tensor[key][j] = c * Q(4, 3)
+        if "lie" in alg.flags:
+            tensor[key[::-1]][j] = -c * Q(4, 3)
+        flag = "lie" if "lie" in alg.flags else "associative"
+        failure = _flag_failure(alg.dimension, tensor, flag)
+        assert failure[1] == triple and str(triple) in failure[0]
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
+        assert _flag_failure(alg.dimension, tensor, flag) == failure
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_derivations_match_rational_leibniz_rows(self, name):
+        gr = _diagonally_rebased(catalog.get_catalog(name).grading)
+        alg = gr.algebra
+        n = alg.dimension
+        assert all(type(x) is int for row in _leibniz_rows(alg) for x in row.values())
+        assert derivation_space(alg) == fraction_nullspace(n * n, sparse_rows(dense_leibniz_rows(alg)))
+        assert graded_derivations(gr).by_degree == fraction_derivations(gr)
 
 
 def _closed_spans(rng):

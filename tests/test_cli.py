@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradalg import cli
 from gradalg.algcore import StructureAlgebra
 from gradalg.cli import catalog_workspace, main, parse_workspace
 from gradalg.exactla import RatMatrix
@@ -510,6 +511,36 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_built_once_and_nothing_leaks(self, tmp_path, capsys, monkeypatch):
+        f = write_ws(tmp_path, catalog_workspace("cartan-sl2"))
+        seen = []
+        for command in ("coarsen-enum", "classify", "root-graded"):
+            monkeypatch.setitem(cli._COMMANDS, command, lambda ws, args: seen.append(vars(args)))
+        cli._build_parser.cache_clear()
+        target = '{"invariants": [2]}'
+        calls = [
+            (["coarsen-enum", f, "--universal-only"], "universal_only", True),
+            (["coarsen-enum", f], "universal_only", False),
+            (["classify", f, "--target", target], "target", target),
+            (["classify", f], "target", None),
+            (["root-graded", f, "--refined", "x"], "refined", "x"),
+            (["root-graded", f], "refined", None),
+        ]
+        assert [main(argv) for argv, _, _ in calls] == [0] * 6
+        assert [(option, args[option]) for args, (_, option, _) in zip(seen, calls)] == [
+            (option, value) for _, option, value in calls
+        ]
+        # a usage error exits 1 and --help exits 0, also when repeated
+        again = (["bogus"], ["bogus"], ["--help"], ["--help"], ["classify", "--help"])
+        assert [main(argv) for argv in again] == [1, 1, 0, 0, 0]
+        capsys.readouterr()
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 10)
 
 
 class TestInvariantsComputedOnce:

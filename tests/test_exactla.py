@@ -1,6 +1,7 @@
 """Exact linear algebra: echelon forms, solving, normal forms, spectra."""
 
 import ast
+import math
 import random
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from gradalg.exactla import (
     Subspace,
     _eigen_split,
     column_hnf,
+    gauss_jordan,
     hnf_solve,
     integer_kernel,
     inverse,
@@ -54,6 +56,7 @@ from helpers import (
     dense_subspace_intersection,
     diagonal,
     flatten,
+    fraction_gauss_jordan,
     kernel_eigen_split,
     mat_transpose,
     newton_semisimple_part,
@@ -306,6 +309,104 @@ class TestEliminationAgainstDenseOracles:
         # graded_derivations solves each degree under this name
         read.clear()
         assert grading._incremental_kernel(3, rows()).cols == 0
+
+
+def random_entry(rng):
+    """An int or a Fraction: small, with a denominator up to 12, or near 2^200."""
+    sign = rng.choice((-1, 1))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return sign * rng.randint(1, 9)
+    if kind == 1:
+        return Q(sign * rng.randint(1, 9))
+    if kind == 2:
+        return Q(sign * rng.randint(1, 30), rng.randint(1, 12))
+    if kind == 3:
+        return sign * (2**200 + rng.randint(-5, 5))
+    return Q(sign * (2**200 + rng.randint(-5, 5)), rng.choice((3, 2**199 + 1, 7**70)))
+
+
+def random_row_stream(rng, ncols):
+    """Sparse rows in ``ncols`` columns: random rows, zero rows (empty or
+    with explicit zeros), duplicates and multiples of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            f = Q(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+            rows.append({c: f * x for c, x in rng.choice(rows).items()})
+        elif kind < 0.4:
+            rows.append({c: rng.choice((0, Q(0))) for c in range(ncols) if rng.random() < 0.3})
+        else:
+            density = rng.choice((0.3, 0.6, 1.0))
+            rows.append({c: random_entry(rng) for c in range(ncols) if rng.random() < density})
+    return rows
+
+
+class TestFractionFreeElimination:
+    """``gauss_jordan`` eliminates integer rows; ``helpers.fraction_gauss_jordan``
+    is the same streamed elimination on Fraction rows."""
+
+    def test_same_result_as_the_fraction_elimination(self, monkeypatch):
+        kept = []
+        emit = exactla._rational_row
+        monkeypatch.setattr(exactla, "_rational_row", lambda row, p: kept.append((row, p)) or emit(row, p))
+        rng = random.Random(1968)
+        seen = set()
+        for trial in range(600):
+            ncols = rng.choice((0, 1, 2, 3, 4, 5, 6, 8))
+            stream = random_row_stream(rng, ncols)
+            before = [dict(row) for row in stream]
+            read = []
+
+            def counted(rows):
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            expected = fraction_gauss_jordan(counted(stream), ncols)
+            stop = len(read)
+
+            def guarded():
+                yield from stream[:stop]
+                if stop < len(stream):
+                    pytest.fail(f"trial {trial}: read a row after every column had a pivot")
+
+            read.clear()
+            kept.clear()
+            got = gauss_jordan(counted(guarded()), ncols)
+            assert len(read) == stop, f"trial {trial}"
+            assert got == expected and list(got) == list(expected), f"trial {trial}"
+            assert [list(row) for row in got.values()] == [list(row) for row in expected.values()], f"trial {trial}"
+            assert all(type(x) is Q for row in got.values() for x in row.values()), f"trial {trial}"
+            assert stream == before, f"trial {trial}: an input row changed"
+            # every row kept is a primitive integer row, positive at its pivot
+            for row, p in kept:
+                assert min(row) == p and row[p] > 0, f"trial {trial}"
+                assert all(type(x) is int for x in row.values()), f"trial {trial}"
+                assert math.gcd(*row.values()) == 1, f"trial {trial}"
+            nonzero = [{c: x for c, x in row.items() if x} for row in stream]
+            seen.add("no columns" if ncols == 0 else "stopped early" if stop < len(stream) else "read all")
+            seen.update(type(x).__name__ for row in stream for x in row.values())
+            if any(row and row[min(row)] < 0 for row in nonzero):
+                seen.add("negative first entry")
+            if any(abs(x) > 2**190 for row in nonzero for x in row.values()):
+                seen.add("near 2^200")
+            if any(not row for row in nonzero):
+                seen.add("zero row")
+            if any(row and nonzero.count(row) > 1 for row in nonzero):
+                seen.add("duplicate row")
+        assert seen >= {
+            "no columns", "stopped early", "read all", "int", "Fraction", "negative first entry",
+            "near 2^200", "zero row", "duplicate row",
+        }
+
+    def test_empty_streams(self):
+        assert gauss_jordan([], 0) == gauss_jordan([], 3) == {}
+        assert gauss_jordan([{}, {0: 0, 2: Q(0)}], 3) == {}
+        assert gauss_jordan(iter([{0: Q(-2, 3), 1: 4}]), 0) == {}
 
 
 class TestSubspaces:
