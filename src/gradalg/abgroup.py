@@ -24,7 +24,6 @@ from .exactla import (
     hnf_solve,
     integer_kernel,
     integer_solve,
-    inverse,
     smith_normal_form,
 )
 
@@ -372,15 +371,12 @@ class GroupHom:
         """Inverse of an isomorphism: pick a preimage of each canonical
         codomain generator by an integer solve modulo the relations."""
         dn, cn = self.domain.ngens, self.codomain.ngens
-        rel = self.domain.relation_lattice()
         crel = self.codomain.relation_lattice()
-        # solve [M | R_cod] y = gen over Z; the first dn coordinates give
-        # a preimage of the generator
+        # solve [M | R_cod] y = gen over Z for every generator at once; the
+        # first dn coordinates of y give a preimage of the generator
         m = self.matrix.hstack(crel) if crel.cols else self.matrix
         images = []
-        for i in range(cn):
-            gen = [1 if t == i else 0 for t in range(cn)]
-            y = integer_solve(m, gen)
+        for y in integer_solve(m, IntMatrix.identity(cn).data):
             if y is None:
                 raise ValueError("homomorphism is not surjective")
             images.append(self.domain.element(y[:dn]))
@@ -435,14 +431,7 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presen
     g = FgAbGroup(len(free_rows), invariants)
     rows = free_rows + torsion_rows
     proj = IntMatrix([[snf.U[i, j] for j in range(n)] for i in rows])
-    uinv = inverse(snf.U.to_rational())
-    section_cols = []
-    for i in rows:
-        col = uinv.column(i)
-        if any(x.denominator != 1 for x in col):
-            raise AxiomFailure("inverse of a unimodular matrix is not integral")
-        section_cols.append([x.numerator for x in col])
-    section = IntMatrix.from_columns(section_cols, rows=n)
+    section = IntMatrix([[snf.U_inv[j, i] for i in rows] for j in range(n)])
     return Presentation(g, proj, section)
 
 

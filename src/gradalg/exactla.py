@@ -9,10 +9,11 @@ canonical basis that one such elimination gives, as sparse columns, and
 every kernel, sum, intersection and eigenspace is one.  One spectral routine, the
 generalized eigenspaces of an operator, is behind the simultaneous
 eigenspace decompositions of commuting operators and the Jordan-Chevalley
-semisimple part.  Smith/Hermite normal forms come with transformation
-matrices.  The dense ``RatMatrix`` is for matrices that enter or leave
-the program.  Everything is exact; non-rational spectra raise
-NonSplitError instead of being approximated.
+semisimple part.  The Smith normal form U M V = S, with U, V and U^-1,
+is behind every solve over Z.  The dense ``RatMatrix`` is for matrices
+that enter or leave the program; ``rref``, ``rank``, ``solve`` and
+``inverse`` on it are the dense API of tests and tracing.  Everything is
+exact; non-rational spectra raise NonSplitError instead of being approximated.
 """
 
 from __future__ import annotations
@@ -730,9 +731,6 @@ class IntMatrix:
             raise ShapeError("shape mismatch in matvec")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data))) if self.data else IntMatrix([])
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeError("row mismatch in hstack")
@@ -747,12 +745,13 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith normal form S = U M V with U, V unimodular and
-    nonnegative diagonal entries in a divisibility chain."""
+    """Smith normal form S = U M V with U, V unimodular, U_inv the inverse
+    of U, and nonnegative diagonal entries in a divisibility chain."""
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(
@@ -761,15 +760,28 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transformation matrices: U*M*V = S."""
+    """Smith normal form with transformation matrices, U*M*V = S, and U_inv
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+
+    Step t moves the smallest nonzero entry of the trailing block to (t, t)
+    and reduces its row and column by nearest quotients until both are
+    zero; if the pivot then fails to divide some entry of the block, that
+    entry's row is added to row t and the reduction goes on.  So a pivot is
+    fixed only when it is positive and divides its whole trailing block,
+    and the loop stops at the first all-zero block: so the diagonal is a
+    divisibility chain.  Each row operation on U is undone by a column
+    operation on U_inv, so U * U_inv = I throughout."""
     a = [list(row) for row in m.data]
     rows, cols = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    u_inv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -780,6 +792,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     def add_row(src, dst, f):
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+        for r in u_inv:
+            r[src] -= f * r[dst]
 
     def add_col(src, dst, f):
         for r in a:
@@ -790,6 +804,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
 
     def nearest_q(x, p):
         # quotient minimizing |x - q*p|, keeps entries near gcd scale
@@ -850,38 +866,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 break
             add_row(culprit, t, 1)
         t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di == 0 and dj != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-                continue
-            if dj % di if di else 0:
-                # Standard 2x2 fix: fold d_{i+1} into row i and re-reduce.
-                add_col(i + 1, i, 1)
-                while a[i + 1][i] != 0:
-                    q = a[i + 1][i] // a[i][i] if a[i][i] else 0
-                    if a[i][i] != 0:
-                        add_row(i, i + 1, -q)
-                    if a[i + 1][i] != 0:
-                        swap_rows(i, i + 1)
-                # Clear the fill-in in row i.
-                q = a[i][i + 1] // a[i][i]
-                add_col(i, i + 1, -q)
-                if a[i][i + 1]:
-                    raise AxiomFailure("Smith normal form: fill-in left in row")
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return SnfResult(IntMatrix(a), IntMatrix(u), IntMatrix(v))
+    return SnfResult(IntMatrix(a), IntMatrix(u), IntMatrix(v), IntMatrix(u_inv))
 
 
 def column_hnf(m: IntMatrix) -> IntMatrix:
@@ -964,24 +949,26 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return column_hnf(IntMatrix.from_columns(cols, rows=m.cols))
 
 
-def integer_solve(m: IntMatrix, v: Sequence[int]) -> list[int] | None:
-    """One integer solution x of M x = v, or None if none exists."""
-    v = [int(x) for x in v]
-    if len(v) != m.rows:
+def integer_solve(m: IntMatrix, vs: Sequence[Sequence[int]]) -> list[list[int] | None]:
+    """For each right-hand side v, one integer solution x of M x = v, or
+    None if none exists.  One Smith form U M V = S serves them all:
+    x = V z for the z with S z = U v."""
+    vs = [[int(x) for x in v] for v in vs]
+    if any(len(v) != m.rows for v in vs):
         raise ShapeError("vector length mismatch")
     snf = smith_normal_form(m)
-    uv = snf.U.matvec(v)
     d = snf.diagonal()
-    z = [0] * m.cols
-    for i in range(m.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if uv[i] != 0:
-                return None
-        else:
-            if uv[i] % di != 0:
-                return None
-            if i < m.cols:
-                z[i] = uv[i] // di
-    return list(snf.V.matvec(z))
 
+    def one(v):
+        z = [0] * m.cols
+        for i, y in enumerate(snf.U.matvec(v)):
+            di = d[i] if i < len(d) else 0
+            if di:
+                if y % di:
+                    return None
+                z[i] = y // di
+            elif y:
+                return None
+        return list(snf.V.matvec(z))
+
+    return [one(v) for v in vs]

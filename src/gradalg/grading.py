@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, combine_rows, rank, sparse_nullspace, sparse_rows
+from .exactla import IntMatrix, RatMatrix, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
 
 
 def _incremental_kernel(ncols: int, rows) -> RatMatrix:
@@ -193,20 +193,26 @@ class UabResult:
         """The homomorphism U -> codomain sending the class of each support
         element s to images[s] (must respect the relations; ValueError if
         not well defined)."""
-        cols = []
-        for i in range(self.group.ngens):
-            vec = self.presentation.section(self.group.generator(i))
-            img = codomain.identity()
-            for s, c in zip(self.support_order, vec):
-                img = img + c * images[s]
-            cols.append(img)
-        hom = GroupHom.from_gen_images(self.group, codomain, cols)
-        # well-definedness as a map on classes: check on every support element
-        for idx, s in enumerate(self.support_order):
-            e_s = [1 if t == idx else 0 for t in range(len(self.support_order))]
-            if hom(self.presentation.project(e_s)) != images[s]:
-                raise ValueError("images do not respect the defining relations")
-        return hom
+        return _hom_from_support_images(self.presentation, self.support_order, codomain, images)
+
+
+def _hom_from_support_images(pres: Presentation, support: Sequence, codomain: FgAbGroup, images: Mapping) -> GroupHom:
+    """``UabResult.hom_from_support_images`` on ``pres``, presented on the
+    generators ``support``: each canonical generator goes to the images
+    summed along its section vector, then every support element is checked."""
+    u = pres.group
+    cols = []
+    for i in range(u.ngens):
+        img = codomain.identity()
+        for s, c in zip(support, pres.section(u.generator(i))):
+            img = img + c * images[s]
+        cols.append(img)
+    hom = GroupHom.from_gen_images(u, codomain, cols)
+    for idx, s in enumerate(support):
+        e_s = [1 if t == idx else 0 for t in range(len(support))]
+        if hom(pres.project(e_s)) != images[s]:
+            raise ValueError("images do not respect the defining relations")
+    return hom
 
 
 @memoized
@@ -240,18 +246,10 @@ def universal_abelian_group(grading: Grading) -> UabResult:
         iota[s] = pres.project(e)
     if len(set(iota.values())) != nsup:
         raise AxiomFailure("universal-group classes of distinct degrees collide")
-    # alpha: generator of U -> sum of support elements per its section vector
-    cols = []
-    for i in range(u.ngens):
-        vec = pres.section(u.generator(i))
-        img = grading.group.identity()
-        for s, c in zip(support, vec):
-            img = img + c * s
-        cols.append(img)
-    alpha = GroupHom.from_gen_images(u, grading.group, cols)
-    for s in support:
-        if alpha(iota[s]) != s:
-            raise AxiomFailure("alpha does not restrict to the support inclusion")
+    try:
+        alpha = _hom_from_support_images(pres, support, grading.group, {s: s for s in support})
+    except ValueError as exc:
+        raise AxiomFailure("alpha does not restrict to the support inclusion") from exc
     return UabResult(grading, u, tuple(support), iota, alpha, pres)
 
 
@@ -394,9 +392,9 @@ def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dic
     """The sparse columns of phi, verified to be those of an automorphism:
     invertible, with phi(op(e_key)) = op(phi(e_key)) on every basis key."""
     n = algebra.dimension
-    if phi.shape != (n, n) or rank(phi) != n:
-        raise NotAutomorphism("map is not invertible", witness=None)
     cols = list(sparse_rows(zip(*phi.data)))
+    if phi.shape != (n, n) or len(gauss_jordan(cols, n)) != n:
+        raise NotAutomorphism("map is not invertible", witness=None)
     for op in algebra.operations:
         for key in product(range(n), repeat=op.arity):
             if combine_rows(op.tensor.get(key, {}), cols) != op.apply([cols[i] for i in key]):

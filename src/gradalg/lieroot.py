@@ -36,9 +36,10 @@ from .errors import (
     IdentityComponentNotCartan,
     NotARefinement,
     SectionInvalid,
+    ShapeError,
     VerificationFailure,
 )
-from .exactla import RatMatrix, simultaneous_eigenspaces, solve
+from .exactla import coordinate_reader, simultaneous_eigenspaces, sparse_rows
 from .grading import Grading, universal_abelian_group
 
 Q = Fraction
@@ -311,13 +312,13 @@ def analyze_root_system(
             label = f"BC{r}"
     root_coords = {}
     if label is not None:
-        dim = len(phi[0])
-        sol = solve(
-            RatMatrix.from_columns(list(simple), rows=dim),
-            RatMatrix.from_columns(list(phi), rows=dim),
-        )
-        if sol is not None:
-            root_coords = {a: sol.column(k) for k, a in enumerate(phi)}
+        try:
+            coords = coordinate_reader(len(phi[0]), list(sparse_rows(simple)))
+        except ValueError:
+            raise ShapeError("columns of A are dependent") from None
+        sol = [coords(v) for v in sparse_rows(phi)]
+        if None not in sol:
+            root_coords = {a: tuple(x.get(t, Q(0)) for t in range(len(simple))) for a, x in zip(phi, sol)}
     return RootSystemReport(
         phi, reflective, integral, irreducible, reduced, label, simple, positive,
         numbers, root_coords,

@@ -18,17 +18,20 @@ from gradalg.algcore import (
     killing_form,
 )
 from gradalg.errors import (
+    AxiomFailure,
     FlagViolation,
     NonSplitError,
     NotDiagonalizableError,
     ShapeError,
 )
 from gradalg.exactla import (
+    IntMatrix,
     RatMatrix,
     combine_rows,
     inverse,
     poly_normalize,
     rational_roots,
+    smith_normal_form,
     solve,
     sparse_rows,
 )
@@ -996,3 +999,178 @@ def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
     out = [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
     out.sort(key=lambda f: tuple(f.matrix.data))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer normal forms and solves: the former implementations, as oracles
+# ---------------------------------------------------------------------------
+
+
+def chain_repaired_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Oracle for ``exactla.smith_normal_form``: (S, U, V) with U M V = S
+    from the same main loop followed by a pass that enforces the
+    divisibility chain d_i | d_{i+1} on the diagonal."""
+    a = [list(row) for row in m.data]
+    rows, cols = m.rows, m.cols
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, f):
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, f):
+        for r in a:
+            r[dst] += f * r[src]
+        for r in v:
+            r[dst] += f * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def nearest_q(x, p):
+        q, r = divmod(x, p)
+        if 2 * r > p:
+            q += 1
+        return q
+
+    t = 0
+    n = min(rows, cols)
+    while t < n:
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0:
+                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            if a[t][t] < 0:
+                negate_row(t)
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    add_row(t, i, -nearest_q(a[i][t], p))
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    add_col(t, j, -nearest_q(a[t][j], p))
+            best = None
+            for i in range(t + 1, rows):
+                if a[i][t] != 0 and (best is None or abs(a[i][t]) < best[0]):
+                    best = (abs(a[i][t]), i, None)
+            for j in range(t + 1, cols):
+                if a[t][j] != 0 and (best is None or abs(a[t][j]) < best[0]):
+                    best = (abs(a[t][j]), None, j)
+            if best is not None:
+                if best[1] is not None:
+                    swap_rows(t, best[1])
+                else:
+                    swap_cols(t, best[2])
+                continue
+            culprit = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)
+        t += 1
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            di, dj = a[i][i], a[i + 1][i + 1]
+            if di == 0 and dj != 0:
+                swap_rows(i, i + 1)
+                swap_cols(i, i + 1)
+                changed = True
+                continue
+            if dj % di if di else 0:
+                # fold d_{i+1} into row i and re-reduce the 2x2 block
+                add_col(i + 1, i, 1)
+                while a[i + 1][i] != 0:
+                    q = a[i + 1][i] // a[i][i] if a[i][i] else 0
+                    if a[i][i] != 0:
+                        add_row(i, i + 1, -q)
+                    if a[i + 1][i] != 0:
+                        swap_rows(i, i + 1)
+                q = a[i][i + 1] // a[i][i]
+                add_col(i, i + 1, -q)
+                if a[i][i + 1]:
+                    raise AxiomFailure("Smith normal form: fill-in left in row")
+                if a[i][i] < 0:
+                    negate_row(i)
+                if a[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                changed = True
+    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
+
+
+def rational_section(u: IntMatrix, rows) -> IntMatrix:
+    """Oracle for ``Presentation.section_matrix``: the columns ``rows`` of
+    the inverse of the unimodular U by the dense rational ``inverse``,
+    checked to be integral."""
+    uinv = inverse(u.to_rational())
+    cols = []
+    for i in rows:
+        col = uinv.column(i)
+        if any(x.denominator != 1 for x in col):
+            raise AxiomFailure("inverse of a unimodular matrix is not integral")
+        cols.append([x.numerator for x in col])
+    return IntMatrix.from_columns(cols, rows=u.rows)
+
+
+def single_integer_solve(m: IntMatrix, v) -> list[int] | None:
+    """Oracle for ``exactla.integer_solve``: one integer solution x of
+    M x = v from a Smith form of M of its own, or None if none exists."""
+    v = [int(x) for x in v]
+    if len(v) != m.rows:
+        raise ShapeError("vector length mismatch")
+    snf = smith_normal_form(m)
+    uv = snf.U.matvec(v)
+    d = snf.diagonal()
+    z = [0] * m.cols
+    for i in range(m.rows):
+        di = d[i] if i < len(d) else 0
+        if di == 0:
+            if uv[i] != 0:
+                return None
+        else:
+            if uv[i] % di != 0:
+                return None
+            if i < m.cols:
+                z[i] = uv[i] // di
+    return list(snf.V.matvec(z))
+
+
+def dense_root_coords(rep) -> dict:
+    """Oracle for ``RootSystemReport.root_coords``: when the report has a
+    type label, the coordinates of every root in the simple roots by one
+    dense ``solve``; {} otherwise or when some root is outside their span."""
+    if rep.type_label is None:
+        return {}
+    dim = len(rep.phi[0])
+    sol = solve(
+        RatMatrix.from_columns(list(rep.simple_roots), rows=dim),
+        RatMatrix.from_columns(list(rep.phi), rows=dim),
+    )
+    return {} if sol is None else {a: sol.column(k) for k, a in enumerate(rep.phi)}

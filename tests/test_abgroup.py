@@ -19,7 +19,8 @@ from gradalg.abgroup import (
     torsion_and_free,
 )
 from gradalg.errors import CapExceeded, ShapeError
-from gradalg.exactla import IntMatrix
+from gradalg import exactla
+from gradalg.exactla import IntMatrix, smith_normal_form
 
 from helpers import (
     all_abelian_groups_up_to,
@@ -27,6 +28,7 @@ from helpers import (
     element_order,
     element_set_subgroups,
     filtered_homs,
+    rational_section,
 )
 
 
@@ -142,6 +144,40 @@ class TestPresentation:
                 pres.projection_matrix,
             )
             assert hom.is_surjective()
+
+
+    @staticmethod
+    def assert_section_matches_rational_section(n, rel):
+        pres = group_from_presentation(n, rel)
+        snf = smith_normal_form(rel)
+        diag = list(snf.diagonal()) + [0] * (n - min(rel.rows, rel.cols))
+        rows = [i for i in range(n) if diag[i] == 0] + [i for i in range(n) if diag[i] >= 2]
+        assert pres.section_matrix == rational_section(snf.U, rows)
+
+    def test_section_matches_the_rational_section(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            k = rng.choice((1, 2, 3, 6))
+            rel = IntMatrix([[k * rng.randint(-4, 4) for _ in range(m)] for _ in range(n)])
+            self.assert_section_matches_rational_section(n, rel)
+
+    def test_section_matches_the_rational_section_on_every_small_group(self):
+        # each group of order <= 64, presented on generators mixed by a
+        # seeded unimodular change of basis and with a redundant relation
+        rng = random.Random(19)
+        for g in all_abelian_groups_up_to(64):
+            n = g.ngens
+            if n == 0:
+                continue
+            rows = [list(r) for r in g.relation_lattice().data]
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            rel = IntMatrix([r + [sum(r)] for r in rows])
+            self.assert_section_matches_rational_section(n, rel)
+            assert group_from_presentation(n, rel).group == g
 
 
 class TestTorsionAndQuotient:
@@ -374,6 +410,22 @@ class TestHoms:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_homs(FgAbGroup(5, ()), FgAbGroup(0, [8, 8]), cap=100)
+
+    def test_inverse_takes_one_smith_form(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactla, "smith_normal_form", lambda m: calls.append(m) or smith_normal_form(m))
+        autos = [f for g in (FgAbGroup(0, [2, 4]), FgAbGroup(0, [3, 3])) for f in enumerate_homs(g, g) if f.is_isomorphism()]
+        g = FgAbGroup(2, [2])
+        autos.append(GroupHom(g, g, IntMatrix([[2, 1, 0], [1, 1, 0], [1, 0, 1]])))
+        assert len(autos) == 8 + 48 + 1
+        for f in autos:
+            calls.clear()
+            inv = f.inverse()
+            assert len(calls) == 1
+            assert inv.compose(f) == GroupHom.identity(f.domain) and f.compose(inv) == GroupHom.identity(f.codomain)
+        z = FgAbGroup(1, ())
+        with pytest.raises(ValueError, match="not surjective"):
+            GroupHom(z, z, IntMatrix([[2]])).inverse()
 
     @pytest.mark.parametrize(
         "g, h, cap, total",

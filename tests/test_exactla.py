@@ -31,6 +31,7 @@ from gradalg.exactla import (
     gauss_jordan,
     hnf_solve,
     integer_kernel,
+    integer_solve,
     inverse,
     minimal_polynomial,
     nullspace,
@@ -49,6 +50,7 @@ from helpers import (
     ROWS_PER_BLOCK,
     basis_matrix,
     blocked_kernel,
+    chain_repaired_smith_normal_form,
     column_vector,
     dense_column_echelon,
     dense_nullspace,
@@ -65,6 +67,7 @@ from helpers import (
     poly_product,
     rational_solve,
     rows_matrix,
+    single_integer_solve,
     span_of,
     submatrix,
     sympy_rational_roots,
@@ -839,6 +842,7 @@ class TestSmithNormalForm:
     def check_snf(self, m):
         res = smith_normal_form(m)
         assert res.U * m * res.V == res.S
+        assert res.U * res.U_inv == res.U_inv * res.U == IntMatrix.identity(m.rows)
         assert abs(to_sympy(res.U).det()) == 1
         assert abs(to_sympy(res.V).det()) == 1
         d = res.diagonal()
@@ -878,6 +882,49 @@ class TestSmithNormalForm:
             k = min(m.rows, m.cols)
             theirs = tuple(abs(int(sm[i, i])) for i in range(k))
             assert res.diagonal() == theirs
+
+
+    @staticmethod
+    def snf_input(rng):
+        # many zeros, a factor shared by every entry, negative entries, and
+        # sometimes a row that repeats a multiple of another
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.choice((1, 1, 2, 3, 4, 6, 12))
+        zeros = rng.random()
+        data = [[0 if rng.random() < zeros else k * rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            data[-1] = [rng.randint(-3, 3) * x for x in data[0]]
+        return IntMatrix(data)
+
+    def test_matches_the_chain_repaired_oracle(self):
+        rng = random.Random(2024)
+        for trial in range(2000):
+            m = self.snf_input(rng)
+            res = smith_normal_form(m)
+            assert (res.S, res.U, res.V) == chain_repaired_smith_normal_form(m), f"trial {trial}: {m}"
+            assert res.U * res.U_inv == res.U_inv * res.U == IntMatrix.identity(m.rows), f"trial {trial}: {m}"
+
+
+class TestIntegerSolve:
+    def test_one_smith_form_matches_one_solve_per_vector(self, monkeypatch):
+        rng = random.Random(53)
+        calls = []
+        monkeypatch.setattr(exactla, "smith_normal_form", lambda a: calls.append(a) or smith_normal_form(a))
+        unsolvable = 0
+        for trial in range(200):
+            m = TestSmithNormalForm.snf_input(rng)
+            vs = [m.matvec([rng.randint(-3, 3) for _ in range(m.cols)]) for _ in range(2)]
+            vs += [[rng.randint(-5, 5) for _ in range(m.rows)] for _ in range(2)]
+            expected = [single_integer_solve(m, v) for v in vs]
+            assert integer_solve(m, vs) == expected, f"trial {trial}: {m}"
+            assert all(x is None or m.matvec(x) == tuple(v) for v, x in zip(vs, expected))
+            unsolvable += expected.count(None)
+        assert len(calls) == 200
+        assert unsolvable > 0
+
+    def test_vector_length_is_checked(self):
+        with pytest.raises(ShapeError):
+            integer_solve(IntMatrix([[1, 2]]), [[1], [1, 2]])
 
 
 class TestHermite:
@@ -944,6 +991,22 @@ def test_sources_keep_one_vector_format():
             names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
             assert "mat_from_flat" not in names, f"{where} uses mat_from_flat"
             assert not (isinstance(node, ast.Attribute) and node.attr == "basis"), f"{where} reads .basis"
+
+
+def test_sources_solve_only_in_exactla():
+    # the dense rational solves are exactla's API for tests and tracing:
+    # every other module solves over Z with the Smith form and over Q with
+    # gauss_jordan or coordinate_reader
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        if path.name == "exactla.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                where = f"{path.name}:{node.lineno}"
+                if isinstance(node.func, ast.Name):
+                    assert node.func.id not in {"solve", "inverse", "rank"}, f"{where} calls {node.func.id}"
+                elif isinstance(node.func, ast.Attribute):
+                    assert node.func.attr != "to_rational", f"{where} calls to_rational"
 
 
 def test_cli_imports_without_sympy():

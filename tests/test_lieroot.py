@@ -16,6 +16,7 @@ from gradalg.cli import catalog_workspace, parse_workspace
 from gradalg.errors import (
     IdentityComponentNotCartan,
     SectionInvalid,
+    ShapeError,
     VerificationFailure,
 )
 from gradalg.grading import Grading, universal_abelian_group
@@ -28,7 +29,7 @@ from gradalg.lieroot import (
     weight_decomposition,
 )
 
-from helpers import probed_cartan_number, sparse, span_of, vectors
+from helpers import dense_root_coords, probed_cartan_number, sparse, span_of, vectors
 
 
 def trivial_grading(alg):
@@ -87,6 +88,38 @@ class TestAnalyzeRootSystem:
         phi = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         rep = analyze_root_system([tuple(map(Q, a)) for a in phi])
         assert not rep.irreducible  # A1 x A1
+
+    def test_root_coords_of_random_linear_images(self):
+        # A2, B2, G2 and BC2 under seeded injective maps Q^2 -> Q^2 or Q^3
+        rng = random.Random(11)
+        systems = [
+            [(1, 0), (0, 1), (1, 1)],
+            [(1, 0), (0, 1), (1, 1), (1, 2)],
+            [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)],
+            [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)],
+        ]
+        labelled = 0
+        for _ in range(40):
+            positive = rng.choice(systems)
+            dim = rng.choice((2, 3))
+            while True:
+                rows = [(Q(rng.randint(-3, 3), rng.randint(1, 3)), Q(rng.randint(-3, 3))) for _ in range(dim)]
+                if any(r[0] * s[1] != r[1] * s[0] for r in rows for s in rows):
+                    break
+            phi = [tuple(sg * (x * a + y * b) for x, y in rows) for a, b in positive for sg in (1, -1)]
+            rep = analyze_root_system(phi, seed=rng.randrange(100))
+            labelled += rep.type_label is not None
+            assert rep.root_coords == dense_root_coords(rep)
+        assert labelled == 40
+
+    def test_dependent_simple_roots(self):
+        # A3 under a linear map Q^3 -> Q^2 that keeps every root string:
+        # the strings give the A3 Cartan matrix, but its three simple roots
+        # are dependent, so they give no root coordinates
+        positive = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+        phi = [(Q(s * (a + 7 * c)), Q(s * (b + 3 * c))) for a, b, c in positive for s in (1, -1)]
+        with pytest.raises(ShapeError, match="^columns of A are dependent$"):
+            analyze_root_system(phi)
 
 
 class TestExtractRootSystem:
@@ -319,6 +352,7 @@ class TestCartanNumbers:
         _, rep = extract_root_system(get_catalog(name).grading)
         assert rep.type_label == get_catalog(name).expected["root_system"]
         self.assert_all_pairs_agree(rep.phi)
+        assert rep.root_coords and rep.root_coords == dense_root_coords(rep)
 
     @pytest.mark.parametrize(
         "positive",
@@ -329,7 +363,10 @@ class TestCartanNumbers:
     )
     def test_bc2_and_g2(self, positive):
         phi = [tuple(map(Q, a)) for a in positive]
-        self.assert_all_pairs_agree(phi + [tuple(-x for x in a) for a in phi])
+        phi += [tuple(-x for x in a) for a in phi]
+        self.assert_all_pairs_agree(phi)
+        rep = analyze_root_system(phi)
+        assert rep.root_coords and rep.root_coords == dense_root_coords(rep)
 
     def test_random_weight_sets(self):
         # broken and long strings, and beta outside the set
@@ -338,3 +375,5 @@ class TestCartanNumbers:
         for _ in range(40):
             phi = rng.sample(lattice, rng.randint(2, 24))
             self.assert_all_pairs_agree(phi, betas=phi + rng.sample(lattice, 8))
+            rep = analyze_root_system(phi)
+            assert rep.root_coords == dense_root_coords(rep)

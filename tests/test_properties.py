@@ -13,7 +13,7 @@ import sympy
 from gradalg.abgroup import FgAbGroup, enumerate_subgroups
 from gradalg.afine import canonical_refinement, is_almost_fine, toral_rank
 from gradalg.algcore import StructureAlgebra, MultilinearOp, derivation_algebra
-from gradalg.catalog import get_catalog
+from gradalg.catalog import catalog_names, get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix, smith_normal_form
 from gradalg.grading import Grading, graded_derivations, universal_abelian_group
 
@@ -110,20 +110,20 @@ class TestDerivationsOracle:
 
 class TestUniversalGroupSection:
     def test_alpha_iota_is_inclusion(self):
+        # alpha is the hom from support images that sends each s to itself
         rng = random.Random(13)
-        gradings = [get_catalog(name).grading for name in (
-            "cartan-sl2", "cartan-sl3", "pauli-m2", "b2-skew", "a3-fine",
-            "sl3-involution", "b2-skew-assoc",
-        )]
+        gradings = [get_catalog(name).grading for name in catalog_names()]
         trials = 0
         for gr in gradings:
             u = universal_abelian_group(gr)
+            assert u.alpha == u.hom_from_support_images(gr.group, {s: s for s in gr.support})
             for s in gr.support:
                 assert u.alpha(u.iota[s]) == s
                 trials += 1
         while trials < 200:
             gr = random_graded_algebra(rng)
             u = universal_abelian_group(gr)
+            assert u.alpha == u.hom_from_support_images(gr.group, {s: s for s in gr.support})
             for s in gr.support:
                 assert u.alpha(u.iota[s]) == s
                 trials += 1
