@@ -204,14 +204,6 @@ class Subgroup:
             return False
         return hnf_solve(self.lattice, list(g.coords)) is not None
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        if other.owner != self.owner:
-            return False
-        return all(
-            hnf_solve(self.lattice, list(c)) is not None
-            for c in other.lattice.columns()
-        )
-
     def is_finite(self) -> bool:
         r = self.owner.free_rank
         return all(

@@ -142,11 +142,6 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
         )
 
 
-def cartan_subalgebra(alg: StructureAlgebra, rng: random.Random) -> Subspace:
-    """The first verified Cartan subalgebra from the candidate stream."""
-    return next(iter(cartan_candidates(alg, rng)))
-
-
 def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
     """The first Cartan subalgebra H of ``small``, the algebra on the
     canonical basis of ``space``, from the candidates of

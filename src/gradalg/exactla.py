@@ -736,12 +736,6 @@ class IntMatrix:
             raise ShapeError("row mismatch in hstack")
         return IntMatrix([ra + rb for ra, rb in zip(self.data, other.data)])
 
-    def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.data)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
 
 @dataclass(frozen=True)
 class SnfResult:

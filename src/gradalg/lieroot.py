@@ -36,7 +36,6 @@ from .errors import (
     IdentityComponentNotCartan,
     NotARefinement,
     SectionInvalid,
-    ShapeError,
     VerificationFailure,
 )
 from .exactla import coordinate_reader, simultaneous_eigenspaces, sparse_rows
@@ -151,7 +150,9 @@ def _cartan_number(alpha: Weight, beta: Weight, phi: frozenset) -> int | None:
 @dataclass(frozen=True)
 class RootSystemReport:
     """The root-system facts of a finite set of nonzero weights, each
-    computed once by ``analyze_root_system``."""
+    computed once by ``analyze_root_system``.  Relative root lengths are
+    read off the Cartan numbers, so no bilinear form is needed; weights
+    whose simple roots are linearly dependent are not a root system."""
 
     phi: tuple[Weight, ...]
     reflection_closure: bool
@@ -168,6 +169,10 @@ class RootSystemReport:
     #: root -> its coordinates in the simple roots; filled only when
     #: type_label is set (and then for every root)
     root_coords: Mapping[Weight, tuple[Fraction, ...]]
+    #: the roots shorter than some other root, filled only when type_label
+    #: is set: the short roots when Phi is reduced with two lengths, empty
+    #: when all roots have one length
+    short_roots: tuple[Weight, ...]
 
     @property
     def rank(self) -> int:
@@ -266,7 +271,13 @@ def analyze_root_system(
     phi: Sequence[Weight], seed: int = DEFAULT_SEED
 ) -> RootSystemReport:
     """Verify the root-system axioms for a finite set of nonzero weights
-    and classify its type (X_r, or BC_r when some root doubles)."""
+    and classify its type (X_r, or BC_r when some root doubles).
+
+    Since <beta, alpha> = 2(alpha, beta)/(alpha, alpha), a pair with
+    |<beta, alpha>| > |<alpha, beta>| has |alpha| < |beta|: the short roots
+    are read off the Cartan numbers.  When the simple roots are linearly
+    dependent the weights are not a root system in their span, and the
+    report has no type label and no root coordinates."""
     phi = tuple(sorted(set(phi)))
     phiset = frozenset(phi)
     numbers: dict[tuple[Weight, Weight], int] = {}
@@ -311,17 +322,20 @@ def analyze_root_system(
             # the non-doubled roots form B_r (A1 when r = 1)
             label = f"BC{r}"
     root_coords = {}
+    short: tuple[Weight, ...] = ()
     if label is not None:
         try:
             coords = coordinate_reader(len(phi[0]), list(sparse_rows(simple)))
-        except ValueError:
-            raise ShapeError("columns of A are dependent") from None
+        except ValueError:  # dependent simple roots
+            label = None
+    if label is not None:
         sol = [coords(v) for v in sparse_rows(phi)]
         if None not in sol:
             root_coords = {a: tuple(x.get(t, Q(0)) for t in range(len(simple))) for a, x in zip(phi, sol)}
+        short = tuple(a for a in phi if any(abs(numbers[(a, b)]) > abs(numbers[(b, a)]) for b in phi))
     return RootSystemReport(
         phi, reflective, integral, irreducible, reduced, label, simple, positive,
-        numbers, root_coords,
+        numbers, root_coords, short,
     )
 
 
@@ -497,24 +511,6 @@ def _module_under(alg: StructureAlgebra, g_sub: Subspace, seed_space: Subspace) 
         cur = nxt
 
 
-def _length_classes(
-    phi: Sequence[Weight], numbers: Mapping[tuple[Weight, Weight], int]
-) -> dict[Weight, Fraction]:
-    lengths = {phi[0]: Q(1)}
-    frontier = [phi[0]]
-    while frontier:
-        a = frontier.pop()
-        for b in phi:
-            if b in lengths:
-                continue
-            nab, nba = numbers.get((a, b)), numbers.get((b, a))
-            if nab and nba:
-                # n(b,a)/n(a,b) = |b|^2 / |a|^2
-                lengths[b] = lengths[a] * Q(nba, nab)
-                frontier.append(b)
-    return lengths
-
-
 def root_graded_structure(
     grading: Grading,
     refined: Grading,
@@ -631,63 +627,43 @@ def root_graded_structure(
         # dominance proxy: coordinates in the simple basis
         return sum(report.root_coords[a]), report.root_coords[a]
 
-    lam_a = max(phi_prime, key=dominance)
-    lam_b: Weight | None = None
-    lam_c: Weight | None = None
+    # highest weight of each isotypic type: adjoint (A), s (B), W (C)
+    highest = {"A": max(phi_prime, key=dominance)}
     merged = False
     if doubled:
-        lam_b = max(doubled, key=dominance)
+        highest["B"] = max(doubled, key=dominance)
         if r == 1:
             merged = True  # the natural module is the adjoint one: C joins B
         else:
-            lam_c = _wscale(Q(1, 2), lam_b)
-    else:
-        lengths = _length_classes(phi_prime, check.report.numbers)
-        if len(set(lengths.values())) > 1:
-            short = min(set(lengths.values()))
-            lam_b = max(
-                (a for a in phi_prime if lengths[a] == short),
-                key=dominance,
-            )
+            highest["C"] = _wscale(Q(1, 2), highest["B"])
+    elif check.report.short_roots:
+        highest["B"] = max(check.report.short_roots, key=dominance)
     # highest-weight vectors: {x in L(lam) : [g_plus, x] = 0}
     top = centralizer(alg, g_plus)
-    m_a = top.intersect(wd.spaces[lam_a])
-    piece_a = _module_under(alg, g_sub, m_a)
-    dim_a = m_a.dim
-    if dim_a == 0 or piece_a.dim % dim_a:
-        raise VerificationFailure("adjoint isotypic piece has inconsistent dimension")
-    dim_g = piece_a.dim // dim_a
-    if dim_g != g_sub.dim:
-        raise VerificationFailure(
-            f"adjoint copies have dim {dim_g}, grading subalgebra has {g_sub.dim}"
-        )
-    piece_b = piece_c = None
-    dim_s = dim_b = dim_w = dim_c = 0
-    if lam_b is not None:
-        m_b = top.intersect(wd.spaces[lam_b])
-        if m_b.dim:
-            piece_b = _module_under(alg, g_sub, m_b)
-            dim_b = m_b.dim
-            if piece_b.dim % dim_b:
-                raise VerificationFailure("s-isotypic piece has inconsistent dimension")
-            dim_s = piece_b.dim // dim_b
-    if lam_c is not None:
-        m_c = top.intersect(wd.spaces[lam_c])
-        # highest-weight vectors of weight lam_c inside the adjoint piece
-        # belong to g x A; keep only the complement
-        m_c = Subspace.span(n, (v for v in m_c.sparse_vectors() if not piece_a.contains(v)))
-        if m_c.dim:
-            piece_c = _module_under(alg, g_sub, m_c)
-            dim_c = m_c.dim
-            if piece_c.dim % dim_c:
-                raise VerificationFailure("W-isotypic piece has inconsistent dimension")
-            dim_w = piece_c.dim // dim_c
+    pieces: dict[str, Subspace] = {}
+    mults: dict[str, Subspace] = {}
+    for name, lam in highest.items():
+        m = top.intersect(wd.spaces[lam])
+        if name == "C":
+            # highest-weight vectors of weight lam_c inside the adjoint piece
+            # belong to g x A; keep only the complement
+            m = Subspace.span(n, (v for v in m.sparse_vectors() if not pieces["A"].contains(v)))
+        if not m.dim and name != "A":
+            continue
+        piece = _module_under(alg, g_sub, m)
+        if not m.dim or piece.dim % m.dim:
+            kind = {"A": "adjoint isotypic", "B": "s-isotypic", "C": "W-isotypic"}[name]
+            raise VerificationFailure(f"{kind} piece has inconsistent dimension")
+        if name == "A" and piece.dim // m.dim != g_sub.dim:
+            raise VerificationFailure(
+                f"adjoint copies have dim {piece.dim // m.dim}, grading subalgebra has {g_sub.dim}"
+            )
+        pieces[name], mults[name] = piece, m
     d = centralizer(alg, g_sub)
-    total = piece_a
-    for p in (piece_b, piece_c, d):
-        if p is not None:
-            total = total.add(p)
-    used = piece_a.dim + (piece_b.dim if piece_b else 0) + (piece_c.dim if piece_c else 0) + d.dim
+    total = d
+    for p in pieces.values():
+        total = total.add(p)
+    used = sum(p.dim for p in pieces.values()) + d.dim
     if total.dim != used or total.dim != n:
         raise VerificationFailure(
             f"isotypic pieces are not a direct sum filling L "
@@ -701,7 +677,6 @@ def root_graded_structure(
         for c, u in zip(coords, section):
             u_lam = u_lam + int(c) * u
         rows = []
-        identity_dim = 0
         for t in t_u.elements():
             cls = u_lam + t
             s = support_classes.get(cls)
@@ -710,26 +685,16 @@ def root_graded_structure(
             part = m_space.intersect(refined.component(s))
             if part.dim:
                 rows.append((t.coords, part.dim, delta(cls).coords))
-                if all(c == 0 for c in t.coords):
-                    identity_dim += part.dim
         if sum(dim for _, dim, _ in rows) != m_space.dim:
             raise VerificationFailure(
                 "multiplicity space does not split along the torsion classes"
             )
-        return tuple(rows), identity_dim
-    tables: dict[str, tuple] = {}
-    tab_a, id_a = table_for(lam_a, m_a)
-    tables["A"] = tab_a
-    id_b = id_c = 0
-    if piece_b is not None:
-        tab_b, id_b = table_for(lam_b, m_b)
-        tables["B"] = tab_b
-    if piece_c is not None:
-        tab_c, id_c = table_for(lam_c, m_c)
-        tables["C"] = tab_c
-    if id_a + id_b + id_c != 1:
+        return tuple(rows)
+    tables = {name: table_for(highest[name], m) for name, m in mults.items()}
+    identity_dim = sum(dim for tab in tables.values() for t, dim, _ in tab if not any(t))
+    if identity_dim != 1:
         raise VerificationFailure(
-            f"identity component of the coordinate space has dim {id_a + id_b + id_c}"
+            f"identity component of the coordinate space has dim {identity_dim}"
         )
     # coordinate-space and L(0) supports sit in torsion cosets of G
     free_rank = grading.group.free_rank
@@ -756,8 +721,8 @@ def root_graded_structure(
         g_sub,
         g_alg,
         phi_prime,
-        (piece_a, piece_b, piece_c, d),
-        ((g_sub.dim, dim_a), (dim_s, dim_b), (dim_w, dim_c)),
+        (pieces["A"], pieces.get("B"), pieces.get("C"), d),
+        tuple((pieces[k].dim // mults[k].dim, mults[k].dim) if k in pieces else (0, 0) for k in "ABC"),
         tables,
         merged,
     )

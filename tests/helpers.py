@@ -28,11 +28,13 @@ from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
     combine_rows,
+    flat_operator,
     inverse,
     poly_normalize,
     rational_roots,
     smith_normal_form,
     solve,
+    sparse_nullspace,
     sparse_rows,
 )
 from gradalg.grading import GradedDerivations, Grading
@@ -835,6 +837,105 @@ def probed_cartan_number(alpha, beta, phi) -> int | None:
     return p - q
 
 
+def reflection_closure(simple) -> list[tuple]:
+    """The roots generated from ``simple`` by Euclidean reflections
+    s_a(b) = b - 2(a, b)/(a, a) a, as Fraction tuples."""
+    def ip(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    simple = [tuple(Q(x) for x in a) for a in simple]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        b = frontier.pop()
+        for a in simple:
+            c = 2 * ip(a, b) / ip(a, a)
+            image = tuple(y - c * x for x, y in zip(a, b))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# Classical Lie algebras with two root lengths: so(2r+1), sp(2r) and so(2r)
+# with their Cartan gradings, and sl_n graded by an involution
+# ---------------------------------------------------------------------------
+
+
+def antidiagonal_form(n: int, alternating: bool) -> list[list[int]]:
+    """The antidiagonal J with J[i][n-1-i] = 1, or -1 on the lower half
+    of the rows when ``alternating`` (n even)."""
+    return [
+        [(-1 if alternating and i >= n // 2 else 1) if j == n - 1 - i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def classical_cartan_grading(kind: str, r: int) -> Grading:
+    """so(2r+1) ("B"), sp(2r) ("C") or so(2r) ("D") as the X with
+    X^T J + J X = 0 for the antidiagonal J, graded over Z^r by the weights
+    of the diagonal torus diag(t_1, ..., t_r, [0,] -t_r, ..., -t_1).  The
+    component of each weight is the kernel of those equations on the
+    matrix units of that weight."""
+    n = 2 * r + (kind == "B")
+    jf = antidiagonal_form(n, alternating=kind == "C")
+
+    def eps(i: int) -> list[int]:
+        w = [0] * r
+        if i < r:
+            w[i] = 1
+        elif i >= n - r:
+            w[n - 1 - i] = -1
+        return w
+
+    classes: dict[tuple, list[tuple[int, int]]] = {}
+    for i, j in product(range(n), repeat=2):
+        classes.setdefault(tuple(x - y for x, y in zip(eps(i), eps(j))), []).append((i, j))
+    group = FgAbGroup(r, ())
+    mats, degrees = [], []
+    for w, units in sorted(classes.items()):
+        index = {u: k for k, u in enumerate(units)}
+        rows = []
+        for a, b in product(range(n), repeat=2):
+            # (X^T J + J X)[a][b] = X[n-1-b][a] J[n-1-b][b] + J[a][n-1-a] X[n-1-a][b]
+            row: dict[int, Q] = {}
+            for unit, c in (((n - 1 - b, a), jf[n - 1 - b][b]), ((n - 1 - a, b), jf[a][n - 1 - a])):
+                if unit in index:
+                    row[index[unit]] = row.get(index[unit], Q(0)) + c
+            rows.append({k: c for k, c in row.items() if c})
+        for v in sparse_nullspace(len(units), rows).sparse_vectors():
+            x: list[dict[int, Q]] = [{} for _ in range(n)]
+            for k, c in v.items():
+                x[units[k][0]][units[k][1]] = c
+            mats.append(x)
+            degrees.append(group.element(list(w)))
+    alg = algebra_from_matrices(f"{'sp' if kind == 'C' else 'so'}{n}", mats)
+    return Grading(alg, group, degrees)
+
+
+def sl_involution_grading(n: int, alternating: bool) -> Grading:
+    """sl_n with the Z2-grading by the involution X -> -J X^T J^-1 for the
+    antidiagonal J: degree 0 its fixed points, degree 1 its -1 space."""
+    jf = antidiagonal_form(n, alternating)
+    trace = {i * n + i: Q(1) for i in range(n)}
+    group = FgAbGroup(0, (2,))
+    mats, degrees = [], []
+    for deg, sign in ((0, -1), (1, 1)):
+        # row (a, b) of theta(X) + sign X, with
+        # theta(X)[a][b] = -J[a][n-1-a] J[b][n-1-b] X[n-1-b][n-1-a]
+        rows = [trace]
+        for a, b in product(range(n), repeat=2):
+            row = {a * n + b: Q(sign)}
+            k = (n - 1 - b) * n + n - 1 - a
+            row[k] = row.get(k, Q(0)) - jf[a][n - 1 - a] * jf[b][n - 1 - b]
+            rows.append({k: c for k, c in row.items() if c})
+        for v in sparse_nullspace(n * n, rows).sparse_vectors():
+            mats.append(flat_operator(v, n))
+            degrees.append(group.element([deg]))
+    return Grading(algebra_from_matrices(f"sl{n}", mats), group, degrees)
+
+
 # ---------------------------------------------------------------------------
 # Finite abelian groups: element-set oracles for the HNF enumerations
 # ---------------------------------------------------------------------------
@@ -1129,7 +1230,7 @@ def rational_section(u: IntMatrix, rows) -> IntMatrix:
     """Oracle for ``Presentation.section_matrix``: the columns ``rows`` of
     the inverse of the unimodular U by the dense rational ``inverse``,
     checked to be integral."""
-    uinv = inverse(u.to_rational())
+    uinv = inverse(RatMatrix(u.data))
     cols = []
     for i in rows:
         col = uinv.column(i)

@@ -956,7 +956,7 @@ class TestHermite:
         m = IntMatrix([[2, 4, 6]])
         k = integer_kernel(m)
         assert k.cols == 2
-        assert (m * k).is_zero()
+        assert not any(x for row in (m * k).data for x in row)
         # primitive: [2, -1, 0] must be expressible
         assert hnf_solve(k, [2, -1, 0]) is not None
         assert hnf_solve(k, [3, 0, -1]) is not None
@@ -966,8 +966,8 @@ class TestHermite:
         for _ in range(20):
             m = rand_int_matrix(rng, 2, 4, -6, 6)
             k = integer_kernel(m)
-            assert (m * k).is_zero()
-            assert k.cols == 4 - rank(m.to_rational())
+            assert not any(x for row in (m * k).data for x in row)
+            assert k.cols == 4 - rank(RatMatrix(m.data))
 
 
 def test_sources_use_no_floating_point():

@@ -1,5 +1,6 @@
 """Root-system extraction and root-graded decompositions."""
 
+import json
 import random
 from fractions import Fraction as Q
 from itertools import product
@@ -10,13 +11,12 @@ import sympy
 from gradalg import lieroot
 from gradalg.abgroup import FgAbGroup
 from gradalg.afine import canonical_refinement
-from gradalg.algcore import Subspace
+from gradalg.algcore import Subspace, algebra_to_dict
 from gradalg.catalog import catalog_names, get_catalog
-from gradalg.cli import catalog_workspace, parse_workspace
+from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.errors import (
     IdentityComponentNotCartan,
     SectionInvalid,
-    ShapeError,
     VerificationFailure,
 )
 from gradalg.grading import Grading, universal_abelian_group
@@ -29,7 +29,16 @@ from gradalg.lieroot import (
     weight_decomposition,
 )
 
-from helpers import dense_root_coords, probed_cartan_number, sparse, span_of, vectors
+from helpers import (
+    classical_cartan_grading,
+    dense_root_coords,
+    probed_cartan_number,
+    reflection_closure,
+    sl_involution_grading,
+    sparse,
+    span_of,
+    vectors,
+)
 
 
 def trivial_grading(alg):
@@ -115,11 +124,28 @@ class TestAnalyzeRootSystem:
     def test_dependent_simple_roots(self):
         # A3 under a linear map Q^3 -> Q^2 that keeps every root string:
         # the strings give the A3 Cartan matrix, but its three simple roots
-        # are dependent, so they give no root coordinates
+        # are dependent, so the weights are not a root system in their span
         positive = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
         phi = [(Q(s * (a + 7 * c)), Q(s * (b + 3 * c))) for a, b, c in positive for s in (1, -1)]
-        with pytest.raises(ShapeError, match="^columns of A are dependent$"):
-            analyze_root_system(phi)
+        rep = analyze_root_system(phi)
+        assert rep.integral_cartan and rep.reflection_closure and len(rep.simple_roots) == 3
+        assert rep.type_label is None
+        assert rep.root_coords == {} and rep.short_roots == ()
+
+    @pytest.mark.parametrize(
+        "label", ["A3", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "E6"]
+    )
+    def test_short_roots_are_the_least_euclidean_length(self, label):
+        # the roots by reflection closure of the reference simple roots,
+        # their lengths by the Euclidean inner product
+        phi = reflection_closure(lieroot._reference_simple_roots(label[0], int(label[1:])))
+        rep = analyze_root_system(phi)
+        assert rep.type_label == label
+        lengths = {a: sum(x * x for x in a) for a in phi}
+        least = min(lengths.values())
+        expected = {a for a in phi if lengths[a] == least} if len(set(lengths.values())) == 2 else set()
+        assert set(rep.short_roots) == expected
+        assert len(rep.short_roots) == len(set(rep.short_roots))
 
 
 class TestExtractRootSystem:
@@ -307,6 +333,38 @@ class TestRootGradedStructure:
         ident = uab.group.identity()
         with pytest.raises(SectionInvalid):
             root_graded_structure(gr, refined, section=[ident])
+
+
+class TestTwoRootLengths:
+    """``rootsys`` and ``root-graded`` on the Cartan gradings of so(2r+1),
+    sp(2r) and so(2r), and on sl_n graded by an involution, through the CLI.
+    The highest short root heads the s-isotypic piece."""
+
+    @pytest.mark.parametrize(
+        "build, label, dims",
+        [
+            (lambda: classical_cartan_grading("B", 2), "B2", (10, 1, 0, 0, 0, 0, 0)),
+            (lambda: classical_cartan_grading("C", 2), "B2", (10, 1, 0, 0, 0, 0, 0)),
+            (lambda: classical_cartan_grading("B", 3), "B3", (21, 1, 0, 0, 0, 0, 0)),
+            (lambda: classical_cartan_grading("C", 3), "C3", (21, 1, 0, 0, 0, 0, 0)),
+            (lambda: classical_cartan_grading("D", 4), "D4", (28, 1, 0, 0, 0, 0, 0)),
+            (lambda: sl_involution_grading(4, alternating=True), "B2", (10, 1, 5, 1, 0, 0, 0)),
+            (lambda: sl_involution_grading(4, alternating=False), "B2", (10, 1, 5, 1, 0, 0, 0)),
+            (lambda: sl_involution_grading(5, alternating=False), "BC2", (10, 1, 14, 1, 0, 0, 0)),
+        ],
+        ids=["so5", "sp4", "so7", "sp6", "so8", "sl4-symplectic", "sl4-orthogonal", "sl5-orthogonal"],
+    )
+    def test_rootsys_and_root_graded(self, build, label, dims, tmp_path, capsys):
+        gr = build()
+        doc = {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict("gr", gr.algebra.name, gr)]}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        assert main(["rootsys", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["type"] == label
+        assert main(["root-graded", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["type"] == label
+        assert tuple(report["dims"][k] for k in ("g", "A", "s", "B", "W", "C", "D")) == dims
 
 
 class TestWeightDecomposition:
