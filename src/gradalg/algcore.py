@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import chain, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
@@ -412,6 +412,15 @@ def _rebased(a: StructureAlgebra, frozen: tuple, name: str, flags: frozenset) ->
 # ---------------------------------------------------------------------------
 
 
+def _symmetry(tensor: Mapping[tuple[int, int], Mapping[int, int]]) -> int:
+    """-1 if the binary tensor is antisymmetric (the zero tensor is), 1 if
+    it is symmetric, 0 otherwise."""
+    for sign in (-1, 1):
+        if all(tensor.get((j, i)) == {l: sign * c for l, c in vec.items()} for (i, j), vec in tensor.items()):
+            return sign
+    return 0
+
+
 def _leibniz_rows(a: StructureAlgebra):
     """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
     unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
@@ -420,10 +429,16 @@ def _leibniz_rows(a: StructureAlgebra):
         sum_a D[j, a] op(key)_a - sum_t sum_b D[b, i_t] op(key, e_b in slot t)_j = 0.
 
     The rows are built on ``op.int_tensor``, so their coefficients are
-    ints: each is the row of ``op.tensor`` times a positive constant.
+    ints: each is the row of ``op.tensor`` times a positive constant.  For
+    a binary operation that is antisymmetric or symmetric, row (j, i) is
+    -row (i, j) or row (i, j), and antisymmetry makes row (i, i) zero; so
+    only the keys i < j, or i <= j, are used.
     """
     n = a.dimension
     for op in a.operations:
+        keys = product(range(n), repeat=op.arity)
+        if op.arity == 2 and (sign := _symmetry(op.int_tensor)):
+            keys = combinations(range(n), 2) if sign < 0 else combinations_with_replacement(range(n), 2)
         # slot t, the key without slot t -> [(b, op(key with e_b in slot t))]
         by_slot: list[dict[tuple[int, ...], list[tuple[int, Mapping[int, int]]]]] = [
             {} for _ in range(op.arity)
@@ -432,7 +447,7 @@ def _leibniz_rows(a: StructureAlgebra):
         for key2, vec in tensor.items():
             for t in range(op.arity):
                 by_slot[t].setdefault(key2[:t] + key2[t + 1 :], []).append((key2[t], vec))
-        for key in product(range(n), repeat=op.arity):
+        for key in keys:
             val = tensor.get(key, {})
             rhs_terms = [
                 (b * n + it, vec)
@@ -472,6 +487,29 @@ class DerivationAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+
+def inner_derivations(a: StructureAlgebra) -> list[dict[int, Fraction]]:
+    """The nonzero maps x -> e_i x - x e_i over the basis vectors e_i, as
+    sparse vectors of End(A) in n^2 coordinates (row-major), when they are
+    derivations: ``a`` has a single operation, binary, with a verified
+    lie or associative flag (for a Lie bracket the map is 2 ad e_i).
+    Otherwise the empty list."""
+    if len(a.operations) != 1 or a.operations[0].arity != 2 or not a.flags & {"lie", "associative"}:
+        return []
+    n = a.dimension
+    t = a.operations[0].tensor
+    maps = []
+    for i in range(n):
+        vec: dict[int, Fraction] = {}
+        for c in range(n):
+            for r, x in t.get((i, c), {}).items():
+                vec[r * n + c] = vec.get(r * n + c, 0) + x
+            for r, x in t.get((c, i), {}).items():
+                vec[r * n + c] = vec.get(r * n + c, 0) - x
+        if vec := {k: x for k, x in vec.items() if x}:
+            maps.append(vec)
+    return maps
 
 
 def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) -> Subspace:
@@ -539,7 +577,9 @@ def killing_form(a: StructureAlgebra) -> tuple[list[dict[int, Fraction]], bool]:
 
 
 def centroid_dimension(a: StructureAlgebra) -> int:
-    """Dimension of {C in End(A) : C[x, y] = [x, Cy] for all x, y}."""
+    """Dimension of {C in End(A) : C[x, y] = [x, Cy] for all x, y}.  The
+    identity is always in the centroid, so the rows have rank at most
+    n^2 - 1 and the elimination stops there."""
     _require_lie(a)
     n = a.dimension
 
@@ -555,16 +595,17 @@ def centroid_dimension(a: StructureAlgebra) -> int:
                     yield row
 
     # the kernel dimension: unknowns minus rank
-    return n * n - len(gauss_jordan(rows(), n * n))
+    return n * n - len(gauss_jordan(rows(), n * n, n * n - 1))
 
 
+@memoized
 def is_simple(a: StructureAlgebra) -> bool:
     """Simplicity of a Lie algebra with nondegenerate Killing form.
 
     The centroid decides: a semisimple split algebra is simple iff its
     centroid is one-dimensional, since a proper ideal I and its
     complement I^perp give the two projections as independent centroid
-    elements (Jacobson, Lie Algebras, ch. X).
+    elements (Jacobson, Lie Algebras, ch. X).  Memoized on the algebra.
     """
     _require_lie(a)
     _, nondeg = killing_form(a)

@@ -158,7 +158,9 @@ class RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def gauss_jordan(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> dict[int, dict[int, Fraction]]:
+def gauss_jordan(
+    rows: Iterable[Mapping[int, Fraction]], ncols: int, max_rank: int | None = None
+) -> dict[int, dict[int, Fraction]]:
     """The reduced row echelon form of a stream of sparse rows
     ``{column: coefficient}`` in ``ncols`` columns, as {pivot column:
     row}, sorted by pivot: the one Gauss-Jordan elimination over Q.
@@ -170,13 +172,15 @@ def gauss_jordan(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> dict[int
     one reduction step is d*row - f*kept, then division by the gcd of the
     entries.  If the row does not vanish, its first column becomes a pivot
     and that column is cleared from the kept rows the same way.  Reading
-    stops once every column has a pivot.  Each kept row is divided by its
-    pivot entry only in the result, the unique reduced echelon basis of
-    the row space, whatever the order of the rows, with ``Fraction``
-    entries."""
+    stops once ``max_rank`` columns (default: every column) have a pivot;
+    a caller that knows the rank of the rows is at most ``max_rank`` gets
+    the whole row space.  Each kept row is divided by its pivot entry only
+    in the result, the unique reduced echelon basis of the rows read,
+    whatever their order, with ``Fraction`` entries."""
     reduced: dict[int, dict[int, int]] = {}
     rows = iter(rows)
-    while len(reduced) < ncols and (row := next(rows, None)) is not None:
+    stop = ncols if max_rank is None else max_rank
+    while len(reduced) < stop and (row := next(rows, None)) is not None:
         row = _integer_row(row)
         for p in [c for c in row if c in reduced]:
             _eliminate(row, p, reduced[p])
@@ -285,10 +289,15 @@ def rank(m: RatMatrix) -> int:
 
 def kernel_vectors(rows: Iterable[Mapping[int, Fraction]], ncols: int):
     """A sparse basis of the kernel of the sparse rows ``{column:
-    coefficient}`` in ``ncols`` unknowns, from their reduced echelon form:
-    for each free column f, the vector that is 1 at f, 0 at the other free
-    columns and -row[f] at each row's pivot."""
-    reduced = gauss_jordan(rows, ncols)
+    coefficient}`` in ``ncols`` unknowns, from their reduced echelon form
+    (``_free_vectors``)."""
+    return _free_vectors(gauss_jordan(rows, ncols), ncols)
+
+
+def _free_vectors(reduced: Mapping[int, Mapping[int, Fraction]], ncols: int):
+    """The kernel basis of a reduced echelon form {pivot: row}: for each
+    free column f, the vector that is 1 at f, 0 at the other free columns
+    and -row[f] at each row's pivot."""
     for f in range(ncols):
         if f not in reduced:
             vec = {p: -row[f] for p, row in reduced.items() if f in row}
@@ -418,10 +427,30 @@ class Subspace:
         return f"Subspace(ambient={self.dim_ambient}, dim={self.dim})"
 
 
-def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
+def sparse_nullspace(
+    ncols: int, rows: Iterable[Mapping[int, Fraction]], known: Iterable[Mapping[int, Fraction]] = ()
+) -> Subspace:
     """The kernel of the sparse rows ``{column: coefficient}`` in ``ncols`` unknowns: one elimination
-    of the rows, read as a stream and no longer once the kernel is zero, and one of its vectors."""
-    return Subspace.span(ncols, kernel_vectors(rows, ncols))
+    of the rows, read as a stream, and one of its kernel vectors.
+
+    ``known`` are sparse vectors known to lie in the kernel, so the rows
+    have rank at most ncols - dim span(known).  The elimination stops
+    reading at that many pivots, and the kernel is then span(known), with
+    no second elimination.  The reduced rows read are checked to
+    annihilate every known vector (AxiomFailure otherwise); the rows left
+    unread are not."""
+    known = list(known)
+    if not known:  # no span of known vectors to build: two eliminations, not three
+        return Subspace.span(ncols, kernel_vectors(rows, ncols))
+    spanned = Subspace.span(ncols, known)
+    reduced = gauss_jordan(rows, ncols, ncols - spanned.dim)
+    for row in reduced.values():
+        for vec in spanned._columns:
+            if sum(x * vec[c] for c, x in row.items() if c in vec):
+                raise AxiomFailure("a known kernel vector does not satisfy the rows")
+    if len(reduced) == ncols - spanned.dim:
+        return spanned
+    return Subspace.span(ncols, _free_vectors(reduced, ncols))
 
 
 def nullspace(a: RatMatrix) -> Subspace:

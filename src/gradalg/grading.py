@@ -16,7 +16,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, group_from_presentation
-from .algcore import StructureAlgebra, Subspace, _leibniz_rows, memoized, subalgebra_structure
+from .algcore import StructureAlgebra, Subspace, _leibniz_rows, inner_derivations, memoized, subalgebra_structure
 from .errors import (
     AxiomFailure,
     IncompatibleDegrees,
@@ -28,10 +28,15 @@ from .errors import (
 from .exactla import IntMatrix, RatMatrix, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
 
 
-def _incremental_kernel(ncols: int, rows) -> RatMatrix:
+def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
     """The canonical kernel basis of one degree's rows, as a dense matrix.  perfbench/tracer.py
-    counts the per-degree solves of graded_derivations by this name and reads its column count."""
-    return RatMatrix.from_sparse_columns(sparse_nullspace(ncols, rows).sparse_vectors(), ncols)
+    counts the per-degree solves of graded_derivations by this name and reads its column count.
+
+    ``known`` are that degree's inner derivations, re-indexed to its unknowns: known kernel
+    vectors, so ``sparse_nullspace`` stops eliminating at ncols - dim span(known) pivots and
+    returns their span (when they are the whole kernel, as for a simple Lie algebra).  The
+    rows it reads are checked against them."""
+    return RatMatrix.from_sparse_columns(sparse_nullspace(ncols, rows, known).sparse_vectors(), ncols)
 
 
 class Grading:
@@ -320,7 +325,10 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
     The candidate degrees are the differences of support elements; the
     D_g are independent and their direct sum is the whole derivation
     algebra.  A row mixing two degrees contradicts the grading
-    (AxiomFailure).
+    (AxiomFailure).  The inner derivations (``inner_derivations``: one
+    binary lie or associative operation) are homogeneous, the one of e_i
+    of degree deg e_i; each is routed the same way and passed to its
+    degree's solve as a known kernel vector.
     """
     homog = grading.homog_algebra
     n = homog.dimension
@@ -339,27 +347,34 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
             d = number[degrees[r] - degrees[c]]
             where.append((d, len(unknowns[d])))
             unknowns[d].append(r * n + c)
-    routed: list[list[dict[int, Fraction]]] = [[] for _ in candidates]
-    for row in _leibniz_rows(homog):
-        d = where[next(iter(row))][0]
-        local = {}
-        for idx, coeff in row.items():
-            e, k = where[idx]
-            if e != d:
-                raise AxiomFailure(
-                    f"a Leibniz row mixes the derivation degrees "
-                    f"{candidates[d].coords} and {candidates[e].coords}"
-                )
-            local[k] = coeff
-        routed[d].append(local)
+
+    def route(vectors, what: str) -> list[list[dict[int, Fraction]]]:
+        """The sparse vectors in flat unknowns, each re-indexed to the unknowns of its degree."""
+        out: list[list[dict[int, Fraction]]] = [[] for _ in candidates]
+        for vec in vectors:
+            d = where[next(iter(vec))][0]
+            local = {}
+            for idx, coeff in vec.items():
+                e, k = where[idx]
+                if e != d:
+                    raise AxiomFailure(
+                        f"{what} mixes the derivation degrees "
+                        f"{candidates[d].coords} and {candidates[e].coords}"
+                    )
+                local[k] = coeff
+            out[d].append(local)
+        return out
+
+    routed = route(_leibniz_rows(homog), "a Leibniz row")
+    inner = route(inner_derivations(homog), "an inner derivation")
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
-    for g, idxs, rows in zip(candidates, unknowns, routed):
+    for g, idxs, rows, known in zip(candidates, unknowns, routed, inner):
         if not idxs:
             if g == ident:
                 by_degree[g] = Subspace(n * n, {})
             continue
-        kernel = _incremental_kernel(len(idxs), rows)
+        kernel = _incremental_kernel(len(idxs), rows, known)
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
         # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index
         space = Subspace(n * n, {min(col): col for col in embedded})

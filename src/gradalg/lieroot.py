@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -72,6 +72,8 @@ class WeightDecomposition:
     spaces: Mapping[Weight, Subspace]
     #: nonzero weights
     phi: tuple[Weight, ...]
+    #: invariants computed from the decomposition (``_root_report``)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def zero_space(self) -> Subspace:
         zero = tuple([Q(0)] * self.cartan.dim)
@@ -339,6 +341,13 @@ def analyze_root_system(
     )
 
 
+@memoized
+def _root_report(wd: WeightDecomposition, seed: int) -> RootSystemReport:
+    """``analyze_root_system`` of the nonzero weights of ``wd``, memoized on
+    the decomposition, itself memoized per (algebra, h)."""
+    return analyze_root_system(wd.phi, seed=seed)
+
+
 def _cartan_matrix_from_numbers(simple, numbers) -> tuple:
     # entry (i, j) = <alpha_j, alpha_i> = 2(a_i, a_j)/(a_i, a_i)
     return tuple(
@@ -388,7 +397,7 @@ def extract_root_system(
     meet = wd.zero_space().intersect(l_e)
     if meet != h:
         raise AxiomFailure("L_e meets L(0) in more than the Cartan subalgebra")
-    report = analyze_root_system(wd.phi, seed=seed)
+    report = _root_report(wd, seed)
     if report.type_label is None or not report.irreducible and is_simple(alg):
         if report.type_label is None:
             raise AxiomFailure("nonzero weights fail the root-system axioms")
@@ -415,6 +424,15 @@ class PhiGradingCheck:
     report: RootSystemReport | None = None
 
 
+def _grading_subalgebra(alg: StructureAlgebra, g_sub: Subspace) -> StructureAlgebra:
+    """The Lie algebra on the canonical basis of g_sub: ``alg`` itself when
+    g_sub is all of it (every Cartan grading) and ``alg`` is flagged lie,
+    else the re-based copy, flag-checked."""
+    if g_sub.dim == alg.dimension and "lie" in alg.flags:
+        return alg
+    return subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
+
+
 def verify_phi_grading(
     alg: StructureAlgebra, g_sub: Subspace, h: Subspace, seed: int = DEFAULT_SEED
 ) -> PhiGradingCheck:
@@ -431,7 +449,7 @@ def verify_phi_grading(
     if not g_sub.contains_subspace(h):
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
-        g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
+        g_alg = _grading_subalgebra(alg, g_sub)
     except ValueError as exc:  # not closed under the bracket
         return PhiGradingCheck(False, (("i", f"not a subalgebra: {exc}"),), (), ())
     try:
@@ -446,7 +464,7 @@ def verify_phi_grading(
         phi_prime = wd_g.phi
         if wd_g.zero_space() != h_small:
             failures.append(("i", "h is not self-centralizing in the subalgebra"))
-        rep = analyze_root_system(phi_prime, seed=seed) if phi_prime else None
+        rep = _root_report(wd_g, seed) if phi_prime else None
         if rep is None or rep.type_label is None:
             failures.append(("i", "subalgebra weights are not a root system"))
     if not failures:
@@ -543,7 +561,7 @@ def root_graded_structure(
     wd = weight_decomposition(alg, h)
     if wd.zero_space().intersect(l_e) != h:
         raise AxiomFailure("L_e meets L(0) in more than H")
-    report = analyze_root_system(wd.phi, seed=seed)
+    report = _root_report(wd, seed)
     if report.type_label is None:
         raise AxiomFailure("weights of the refinement do not form a root system")
     delta_basis = report.simple_roots
@@ -619,7 +637,7 @@ def root_graded_structure(
         raise VerificationFailure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
-    g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
+    g_alg = _grading_subalgebra(alg, g_sub)
     pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
     g_plus = Subspace.span(n, (w for a in pos_prime for w in wd.spaces[a].intersect(g_sub).sparse_vectors()))
 

@@ -936,6 +936,31 @@ def sl_involution_grading(n: int, alternating: bool) -> Grading:
     return Grading(algebra_from_matrices(f"sl{n}", mats), group, degrees)
 
 
+def twisted_group_grading(k: int, beta) -> Grading:
+    """The twisted group algebra Q^beta[Z2^k], e_x e_y = (-1)^(x^T beta y)
+    e_(x+y), graded by Z2^k with deg e_x = x (bit i of x is coordinate i)."""
+    n = 2**k
+    bits = [[(x >> i) & 1 for i in range(k)] for x in range(n)]
+    tensor = {}
+    for x, y in product(range(n), repeat=2):
+        form = sum(bits[x][i] * beta[i][j] * bits[y][j] for i in range(k) for j in range(k))
+        tensor[(x, y)] = {x ^ y: Q(-1 if form % 2 else 1)}
+    group = FgAbGroup(0, [2] * k)
+    alg = StructureAlgebra(f"tga{k}", n, [MultilinearOp("product", 2, tensor)], ["associative"])
+    return Grading(alg, group, [group.element(b) for b in bits])
+
+
+def heisenberg_grading() -> Grading:
+    """The Heisenberg Lie algebra [x, y] = z graded by Z^2 with deg x = (1, 0),
+    deg y = (0, 1), deg z = (1, 1).  Its derivations form a 6-dimensional
+    algebra and only ad x and ad y are inner: the degrees (0, 0), (1, -1)
+    and (-1, 1) hold outer derivations and no inner one."""
+    tensor = {(0, 1): {2: Q(1)}, (1, 0): {2: Q(-1)}}
+    alg = StructureAlgebra("heisenberg", 3, [MultilinearOp("bracket", 2, tensor)], ["lie"])
+    z2 = FgAbGroup(2, ())
+    return Grading(alg, z2, [z2.element([1, 0]), z2.element([0, 1]), z2.element([1, 1])])
+
+
 # ---------------------------------------------------------------------------
 # Finite abelian groups: element-set oracles for the HNF enumerations
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gradalg.algcore import (
     StructureAlgebra,
     Subspace,
     _leibniz_rows,
+    _symmetry,
     algebra_from_matrices,
     algebra_to_dict,
     build_algebra,
@@ -539,6 +540,52 @@ class TestNonIntegralConstants:
         assert all(type(x) is int for row in _leibniz_rows(alg) for x in row.values())
         assert derivation_space(alg) == fraction_nullspace(n * n, sparse_rows(dense_leibniz_rows(alg)))
         assert graded_derivations(gr).by_degree == fraction_derivations(gr)
+
+
+SIGNS = {"antisymmetric": -1, "symmetric": 1, "general": 0}
+
+
+class TestHalvedLeibnizKeys:
+    """For an antisymmetric or symmetric binary operation ``_leibniz_rows``
+    uses the keys i < j or i <= j only; the row space must not change."""
+
+    @staticmethod
+    def _random_operation(rng, n, kind):
+        sign = SIGNS[kind] or None
+        tensor = {}
+        for _ in range(2 * n):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            c = Q(rng.randint(-3, 3), rng.randint(1, 2))
+            if not c or (sign == -1 and i == j):
+                continue
+            tensor.setdefault((i, j), {})[k] = c
+            if sign is not None:
+                tensor.setdefault((j, i), {})[k] = sign * c
+        if sign is None:  # one entry that is neither
+            tensor[(0, 1)], tensor[(1, 0)] = {0: Q(1)}, {1: Q(1)}
+        return StructureAlgebra(kind, n, [MultilinearOp("mul", 2, tensor)])
+
+    @pytest.mark.parametrize("kind", ["antisymmetric", "symmetric", "general"])
+    def test_kernel_matches_the_dense_rows(self, kind):
+        rng = random.Random(kind)
+        for trial in range(40):
+            n = rng.randint(2, 5)
+            alg = self._random_operation(rng, n, kind)
+            assert _symmetry(alg.binary_op().int_tensor) == SIGNS[kind]
+            rows = list(_leibniz_rows(alg))
+            dense_rows = list(sparse_rows(dense_leibniz_rows(alg)))
+            assert fraction_nullspace(n * n, rows) == fraction_nullspace(n * n, dense_rows), f"trial {trial}"
+            if kind == "general":  # every one of the n^2 keys
+                assert len(rows) == len(dense_rows), f"trial {trial}"
+            elif kind == "antisymmetric":  # rows (j, i) = -rows (i, j), rows (i, i) = 0
+                assert 2 * len(rows) == len(dense_rows), f"trial {trial}"
+            else:
+                assert len(rows) <= len(dense_rows), f"trial {trial}"
+
+    def test_zero_tensor_counts_as_antisymmetric(self):
+        assert _symmetry({}) == -1
+        assert _symmetry({(0, 0): {0: 1}}) == 1
+        assert _symmetry({(0, 1): {0: 1}}) == 0
 
 
 def _closed_spans(rng):

@@ -15,6 +15,7 @@ import sympy
 import gradalg
 
 from gradalg.errors import (
+    AxiomFailure,
     GradAlgError,
     NonSplitError,
     NotCommutingError,
@@ -28,6 +29,7 @@ from gradalg.exactla import (
     Subspace,
     _eigen_split,
     column_hnf,
+    combine_rows,
     gauss_jordan,
     hnf_solve,
     integer_kernel,
@@ -312,6 +314,58 @@ class TestEliminationAgainstDenseOracles:
         # graded_derivations solves each degree under this name
         read.clear()
         assert grading._incremental_kernel(3, rows()).cols == 0
+
+
+class TestKnownKernelStop:
+    """``sparse_nullspace`` with vectors known to lie in the kernel stops
+    at the rank they leave, and ``gauss_jordan`` at a given pivot count."""
+
+    def test_gauss_jordan_stops_at_max_rank(self):
+        rows = [{0: Q(1), 2: Q(1)}, {1: Q(2)}, {2: Q(1)}]
+        assert gauss_jordan(iter(rows), 3, 2) == {0: {0: 1, 2: 1}, 1: {1: 1}}
+        assert gauss_jordan(iter(rows), 3, 0) == {}
+        assert gauss_jordan(iter(rows), 3, 5) == gauss_jordan(rows, 3) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+
+    def test_stops_reading_once_the_known_vectors_can_be_the_kernel(self):
+        read = []
+
+        def rows():
+            for row in ({0: Q(1), 1: Q(1)}, {0: Q(2), 1: Q(2)}, {1: Q(1), 2: Q(1)}):
+                read.append(row)
+                yield row
+            raise AssertionError("read past the row that left the known kernel")
+
+        known = [{0: Q(2), 1: Q(-2), 2: Q(2)}, {0: Q(-1), 1: Q(1), 2: Q(-1)}]
+        assert sparse_nullspace(3, rows(), known) == Subspace.span(3, known)
+        assert len(read) == 3
+        read.clear()
+        assert grading._incremental_kernel(3, rows(), known) == basis_matrix(Subspace.span(3, known))
+
+    def test_random_known_subspaces_agree_with_the_full_solve(self):
+        rng = random.Random(1729)
+        stops = 0
+        for trial in range(300):
+            m = random_ranked_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+            kernel = sparse_nullspace(m.cols, sparse_rows(m.data))
+            basis = kernel.sparse_vectors()
+            # all of the kernel, part of it or none, in random combinations, with repeats
+            take = rng.choice((len(basis), rng.randint(0, len(basis))))
+            known = [
+                combine_rows({t: rng.randint(-2, 2) for t in range(take)}, basis)
+                for _ in range(rng.randint(0, take + 1))
+            ]
+            known = [v for v in known if v] + basis[:take] * rng.randint(0, 1)
+            stops += Subspace.span(m.cols, known) == kernel
+            assert sparse_nullspace(m.cols, sparse_rows(m.data), known) == kernel, f"trial {trial}"
+        assert stops > 50
+
+    def test_a_wrong_known_vector_is_an_axiom_failure(self):
+        # x0 = 0 has kernel span(e1); e0 is not in it
+        with pytest.raises(AxiomFailure, match="known kernel vector"):
+            sparse_nullspace(2, [{0: Q(1)}], [{0: Q(1)}])
+        # a wrong vector next to a right one, caught by the one row read before the stop
+        with pytest.raises(AxiomFailure, match="known kernel vector"):
+            sparse_nullspace(3, [{2: Q(1)}, {0: Q(1), 1: Q(-1)}], [{0: Q(1), 1: Q(1)}, {2: Q(1)}])
 
 
 def random_entry(rng):

@@ -15,11 +15,12 @@ from gradalg.algcore import (
     StructureAlgebra,
     derivation_algebra,
     derivation_space,
+    inner_derivations,
     subalgebra_structure,
 )
-from gradalg.catalog import get_catalog
+from gradalg.catalog import catalog_names, get_catalog
 from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError
-from gradalg.exactla import IntMatrix, RatMatrix, inverse, rank
+from gradalg.exactla import IntMatrix, RatMatrix, Subspace, inverse, rank
 from gradalg.grading import (
     Grading,
     check_graded_map,
@@ -31,15 +32,19 @@ from gradalg.grading import (
 from helpers import (
     build_m2_splitpauli,
     build_sl2_efh,
+    classical_cartan_grading,
     dense_graded_derivations,
     dense_rebase,
     flatten,
     graded_parts,
     mat_from_flat,
+    heisenberg_grading,
     random_graded_algebra,
     signed_permutation,
+    sl_involution_grading,
     sparse,
     span_of,
+    twisted_group_grading,
     unit,
     vectors,
     zeros,
@@ -354,6 +359,109 @@ class TestRoutedDerivations:
         # D[0, 0] has degree 0 and D[0, 1] has degree deg e - deg h = 1
         monkeypatch.setattr(grading, "_leibniz_rows", lambda a: iter([{0: Q(1), 1: Q(1)}]))
         with pytest.raises(AxiomFailure, match="mixes"):
+            graded_derivations(gr)
+
+
+def _fresh(gr: Grading) -> Grading:
+    """A new Grading equal to ``gr``, with nothing memoized on it yet."""
+    return Grading(gr.algebra, gr.group, gr.degrees, gr.basis_change)
+
+
+def _solves(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Record each per-degree kernel solve of graded_derivations as (rows
+    routed, rows read, dim span of the known vectors, kernel dim)."""
+    log = []
+    real = grading.sparse_nullspace
+
+    def recording(ncols, rows, known=()):
+        rows, read = list(rows), []
+
+        def stream():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        kernel = real(ncols, stream(), known)
+        log.append((len(rows), len(read), Subspace.span(ncols, known).dim, kernel.dim))
+        return kernel
+
+    monkeypatch.setattr(grading, "sparse_nullspace", recording)
+    return log
+
+
+class TestInnerDerivationStop:
+    """Each degree's solve stops once its inner derivations can be the
+    whole kernel; the result must not change."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_under_a_basis_permutation(self, name):
+        gr = signed_permutation(get_catalog(name).grading, random.Random(f"stop-{name}"))
+        assert graded_parts(graded_derivations(gr)) == graded_parts(dense_graded_derivations(gr))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: classical_cartan_grading("B", 2),
+            lambda: classical_cartan_grading("C", 3),
+            lambda: classical_cartan_grading("D", 4),
+            lambda: sl_involution_grading(3, alternating=False),
+            lambda: sl_involution_grading(4, alternating=False),
+            lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
+            lambda: _fresh(get_catalog("pauli-m2").grading),
+        ],
+        ids=["B2", "C3", "D4", "sl3-involution", "sl4-involution", "tga3", "pauli-m2"],
+    )
+    def test_inner_derivations_are_the_kernel(self, build, monkeypatch):
+        gr = build()
+        log = _solves(monkeypatch)
+        gd = graded_derivations(gr)
+        monkeypatch.undo()
+        if gr.dimension <= 10:
+            expected = dense_graded_derivations(gr)
+        else:
+            # the solve that reads every row, which the dense oracle pins on the smaller algebras
+            monkeypatch.setattr(grading, "inner_derivations", lambda a: [])
+            expected = graded_derivations(_fresh(gr))
+            monkeypatch.undo()
+        assert graded_parts(gd) == graded_parts(expected)
+        # simple (or central simple associative): every derivation is inner,
+        # so each degree's kernel is its known span, read off before the rows run out
+        assert all(dim == known for _, _, known, dim in log)
+        assert sum(read for _, read, _, _ in log) < sum(routed for routed, _, _, _ in log)
+
+    def test_outer_derivations_read_every_row(self, monkeypatch):
+        gr = heisenberg_grading()
+        log = _solves(monkeypatch)
+        gd = graded_derivations(gr)
+        monkeypatch.undo()
+        assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
+        assert gd.total_dim() == 6 and len(inner_derivations(gr.homog_algebra)) == 2
+        outer = [(routed, read) for routed, read, known, dim in log if dim > known]
+        assert len(outer) == 3 and all(routed == read for routed, read in outer)
+
+    def test_no_known_vectors(self, monkeypatch):
+        z2 = FgAbGroup(0, [2])
+        abelian = StructureAlgebra("ab3", 3, [MultilinearOp("bracket", 2, {})], ["lie"])
+        gradings = [Grading(abelian, z2, [z2.element([0]), z2.element([1]), z2.element([1])])]
+        rng = random.Random(161)
+        gradings += [random_graded_algebra(rng, ternary=True) for _ in range(20)]
+        for gr in gradings:
+            # no inner maps: the abelian ones vanish, and two operations take no shortcut
+            assert inner_derivations(gr.homog_algebra) == []
+            log = _solves(monkeypatch)
+            gd = graded_derivations(gr)
+            monkeypatch.undo()
+            assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
+            assert all(known == 0 for _, _, known, _ in log)
+        assert graded_derivations(gradings[0]).total_dim() == 9
+
+    def test_wrong_known_vector_is_axiom_failure(self, monkeypatch):
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        n = gr.dimension
+        # the identity is not a derivation of a Lie algebra: D[x, y] = [x, y] != 2 [x, y]
+        identity = {i * n + i: Q(1) for i in range(n)}
+        monkeypatch.setattr(grading, "inner_derivations", lambda a: inner_derivations(a) + [identity])
+        with pytest.raises(AxiomFailure, match="known kernel vector"):
             graded_derivations(gr)
 
 

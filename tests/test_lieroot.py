@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 import sympy
 
-from gradalg import lieroot
+from gradalg import algcore, lieroot
 from gradalg.abgroup import FgAbGroup
 from gradalg.afine import canonical_refinement
 from gradalg.algcore import Subspace, algebra_to_dict
@@ -335,6 +335,24 @@ class TestRootGradedStructure:
             root_graded_structure(gr, refined, section=[ident])
 
 
+class TestWholeGradingSubalgebra:
+    def test_cartan_grading_checks_simplicity_and_roots_once(self, monkeypatch):
+        # on a Cartan grading g_sub is all of L: verify_phi_grading reuses L
+        # itself, its memoized is_simple and its root-system report
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        counted(algcore, "centroid_dimension")
+        counted(lieroot, "analyze_root_system")
+        gr = classical_cartan_grading("B", 3)
+        res = root_graded_structure(gr, canonical_refinement(gr).refined)
+        assert res.g_algebra is gr.algebra and res.report.type_label == "B3"
+        assert sorted(calls) == ["analyze_root_system", "centroid_dimension"]
+
+
 class TestTwoRootLengths:
     """``rootsys`` and ``root-graded`` on the Cartan gradings of so(2r+1),
     sp(2r) and so(2r), and on sl_n graded by an involution, through the CLI.
@@ -369,8 +387,9 @@ class TestTwoRootLengths:
 
 class TestWeightDecomposition:
     def test_each_algebra_and_h_decomposed_once(self, monkeypatch):
+        # the grading subalgebra of a Cartan grading is all of L, so
         # verify_phi_grading asks again for the decomposition of L under the
-        # h that root_graded_structure has just split
+        # h that root_graded_structure has just split, and finds it memoized
         runs = []
         split = lieroot.simultaneous_eigenspaces
 
@@ -382,7 +401,7 @@ class TestWeightDecomposition:
         gr = parse_workspace([catalog_workspace("cartan-sl4")]).gradings["cartan-sl4"]
         refined = canonical_refinement(gr).refined
         root_graded_structure(gr, refined)
-        assert len(runs) == 2
+        assert len(runs) == 1
 
     def test_bracket_compatibility_is_enforced(self):
         gr = get_catalog("cartan-sl3").grading
