@@ -118,8 +118,6 @@ class FgAbGroup:
             v = [0] * n
             v[r + i] = d
             cols.append(v)
-        if not cols:
-            return IntMatrix.zeros(n, 0)
         return IntMatrix.from_columns(cols, rows=n)
 
     def full_subgroup(self) -> "Subgroup":
@@ -180,10 +178,7 @@ class Subgroup:
             if g.owner != owner:
                 raise ValueError("generator from a different group")
         cols = [list(g.coords) for g in gens]
-        rel = owner.relation_lattice()
-        m = rel
-        if cols:
-            m = IntMatrix.from_columns(cols, rows=owner.ngens).hstack(rel)
+        m = IntMatrix.from_columns(cols, rows=owner.ngens).hstack(owner.relation_lattice())
         return cls(owner, column_hnf(m))
 
     def __eq__(self, other) -> bool:
@@ -216,8 +211,6 @@ class Subgroup:
         if not self.is_finite():
             return None
         k = len(self.owner.invariants)
-        if k == 0:
-            return 1
         r = self.owner.free_rank
         # The lattice contains diag(d_i) and, the subgroup being finite, has
         # zero free rows; so its column HNF is k x k lower-triangular on the
@@ -288,13 +281,7 @@ class GroupHom:
         if len(images) != domain.ngens:
             raise ShapeError("one image per canonical generator required")
         cols = [list(g.coords) for g in images]
-        return cls(
-            domain,
-            codomain,
-            IntMatrix.from_columns(cols, rows=codomain.ngens)
-            if cols
-            else IntMatrix.zeros(codomain.ngens, 0),
-        )
+        return cls(domain, codomain, IntMatrix.from_columns(cols, rows=codomain.ngens))
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "GroupHom":
@@ -341,9 +328,7 @@ class GroupHom:
         """Kernel as a subgroup of the domain."""
         if self.codomain.ngens == 0:
             return self.domain.full_subgroup()
-        rel = self.codomain.relation_lattice()
-        m = self.matrix.hstack(rel) if rel.cols else self.matrix
-        ker = integer_kernel(m)
+        ker = integer_kernel(self.matrix.hstack(self.codomain.relation_lattice()))
         gens = [
             self.domain.element([ker[i, j] for i in range(self.domain.ngens)])
             for j in range(ker.cols)
@@ -363,10 +348,9 @@ class GroupHom:
         """Inverse of an isomorphism: pick a preimage of each canonical
         codomain generator by an integer solve modulo the relations."""
         dn, cn = self.domain.ngens, self.codomain.ngens
-        crel = self.codomain.relation_lattice()
         # solve [M | R_cod] y = gen over Z for every generator at once; the
         # first dn coordinates of y give a preimage of the generator
-        m = self.matrix.hstack(crel) if crel.cols else self.matrix
+        m = self.matrix.hstack(self.codomain.relation_lattice())
         images = []
         for y in integer_solve(m, IntMatrix.identity(cn).data):
             if y is None:
@@ -411,9 +395,6 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presen
         relations = IntMatrix.zeros(n, 0)
     if relations.rows != n:
         raise ShapeError("relations must have one row per generator")
-    if relations.cols == 0:
-        g = FgAbGroup(n, ())
-        return Presentation(g, IntMatrix.identity(n), IntMatrix.identity(n))
     snf = smith_normal_form(relations)
     diag = list(snf.diagonal()) + [0] * (n - min(relations.rows, relations.cols))
     # In U-coordinates y = U x the relation lattice is spanned by d_i e_i.
@@ -504,7 +485,8 @@ def enumerate_subgroups(h: Subgroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
 def enumerate_homs(
     g: FgAbGroup, h: FgAbGroup, cap: int = DEFAULT_CAP
 ) -> list[GroupHom]:
-    """All homomorphisms G -> H for finite H, canonically ordered.
+    """All homomorphisms G -> H for finite H, in the lexicographic order
+    of their generator images.
 
     A generator of order d (0 when free) goes into the d-torsion of H: its
     coordinate j runs over the multiples of h_j / gcd(d, h_j).
@@ -522,8 +504,4 @@ def enumerate_homs(
     for d in orders:
         torsion = itertools.product(*(range(0, e, e // gcd(d, e)) for e in h.invariants))
         choices.append([h.element(c) for c in torsion])
-    out = []
-    for images in itertools.product(*choices):
-        out.append(GroupHom.from_gen_images(g, h, list(images)))
-    out.sort(key=lambda f: tuple(f.matrix.data))
-    return out
+    return [GroupHom.from_gen_images(g, h, images) for images in itertools.product(*choices)]

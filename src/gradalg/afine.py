@@ -257,10 +257,7 @@ def _product_with_free(
         rows.append(
             [1 if j == g.free_rank + extra + i else 0 for j in range(gp.ngens)]
         )
-    proj = GroupHom(
-        gp, g, IntMatrix(rows) if rows else IntMatrix.zeros(0, gp.ngens)
-    )
-    return gp, proj
+    return gp, GroupHom(gp, g, IntMatrix(rows))
 
 
 def _product_element(
@@ -302,20 +299,17 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
             pieces.append((g, weight, space.sparse_vectors()))
     # canonical weight lattice from the observed weights
     all_weights = sorted({w for _, w, _ in pieces})
-    if r:
-        denom = lcm(*(x.denominator for w in all_weights for x in w))
-        scaled = [[int(x * denom) for x in w] for w in all_weights]
-        lattice = column_hnf(IntMatrix.from_columns(scaled, rows=r))
-        if lattice.cols != r:
-            raise AxiomFailure("observed weights do not span the weight space")
-        coords_of = {}
-        for w, s in zip(all_weights, scaled):
-            c = hnf_solve(lattice, s)
-            if c is None:
-                raise AxiomFailure("observed weight outside the weight lattice")
-            coords_of[w] = tuple(c)
-    else:
-        coords_of = {(): ()}
+    denom = lcm(*(x.denominator for w in all_weights for x in w))
+    scaled = [[int(x * denom) for x in w] for w in all_weights]
+    lattice = column_hnf(IntMatrix.from_columns(scaled, rows=r))
+    if lattice.cols != r:
+        raise AxiomFailure("observed weights do not span the weight space")
+    coords_of = {}
+    for w, s in zip(all_weights, scaled):
+        c = hnf_solve(lattice, s)
+        if c is None:
+            raise AxiomFailure("observed weight outside the weight lattice")
+        coords_of[w] = tuple(c)
     gp, proj = _product_with_free(grading.group, r)
     degrees: list[GroupElement] = []
     new_cols: list[dict[int, Fraction]] = []
@@ -501,8 +495,8 @@ def classify_gradings(
                 a.codomain.element(a.matrix.column(i)).coords for i in range(a.domain.ngens)
             )
 
-        admissible = sorted((a for a in homs if is_admissible(a, uab)), key=key)
-        # the representative of an orbit is its member with the least key
+        admissible = [a for a in homs if is_admissible(a, uab)]
+        # the homs come in key order, so an orbit's first member, its representative, has the least key
         for orbit_id, orbit in enumerate(_orbits(admissible, key, GroupHom.compose, weyl)):
             rep = orbit[0]
             out.append(

@@ -440,9 +440,7 @@ def sparse_nullspace(
     annihilate every known vector (AxiomFailure otherwise); the rows left
     unread are not."""
     known = list(known)
-    if not known:  # no span of known vectors to build: two eliminations, not three
-        return Subspace.span(ncols, kernel_vectors(rows, ncols))
-    spanned = Subspace.span(ncols, known)
+    spanned = Subspace.span(ncols, known) if known else Subspace(ncols, {})
     reduced = gauss_jordan(rows, ncols, ncols - spanned.dim)
     for row in reduced.values():
         for vec in spanned._columns:
@@ -932,7 +930,7 @@ def column_hnf(m: IntMatrix) -> IntMatrix:
                     c[i] -= q * pivot[i]
         out.append(pivot)
         work = rest
-    return IntMatrix.from_columns(out, rows=rows) if out else IntMatrix.zeros(rows, 0)
+    return IntMatrix.from_columns(out, rows=rows)
 
 
 def hnf_solve(h: IntMatrix, v: Sequence[int]) -> list[int] | None:
@@ -967,8 +965,6 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     r = sum(1 for x in d if x != 0)
     # kernel basis = last cols-r columns of V
     cols = [snf.V.column(j) for j in range(r, m.cols)]
-    if not cols:
-        return IntMatrix.zeros(m.cols, 0)
     return column_hnf(IntMatrix.from_columns(cols, rows=m.cols))
 
 

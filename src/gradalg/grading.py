@@ -237,12 +237,7 @@ def universal_abelian_group(grading: Grading) -> UabResult:
                 row[index[degrees[j]]] -= 1
                 if any(row):
                     relations.add(tuple(row))
-    rel_cols = sorted(relations)
-    rel = (
-        IntMatrix.from_columns([list(c) for c in rel_cols], rows=nsup)
-        if rel_cols
-        else IntMatrix.zeros(nsup, 0)
-    )
+    rel = IntMatrix.from_columns(sorted(relations), rows=nsup)
     pres = group_from_presentation(nsup, rel)
     u = pres.group
     iota = {}
@@ -265,12 +260,14 @@ def weyl_on_uab(grading: Grading, weyl: Sequence[GroupHom]) -> list[GroupHom]:
     if not weyl:
         return []
     uab = universal_abelian_group(grading)
-    if not uab.alpha.is_isomorphism():
+    try:
+        inv = uab.alpha.inverse()
+    except (ValueError, ShapeError):
+        # ShapeError: a map through a group with no generators has no column count
         raise ValidationError(
             "weyl generators need the grading group to be universal "
             "(alpha: U_ab -> G is not an isomorphism)"
-        )
-    inv = uab.alpha.inverse()
+        ) from None
     return [inv.compose(w).compose(uab.alpha) for w in weyl]
 
 

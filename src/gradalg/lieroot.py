@@ -309,11 +309,8 @@ def analyze_root_system(
     positive = tuple(
         a for a in phi if sum(c * x for c, x in zip(f, a)) > 0
     )
-    simple = tuple(
-        a
-        for a in positive
-        if not any(_wadd(b, c) == a for b in positive for c in positive)
-    )
+    sums = {_wadd(b, c) for b in positive for c in positive}
+    simple = tuple(a for a in positive if a not in sums)
     label = None
     if integral and reflective:
         base = _match_cartan_matrix(_cartan_matrix_from_numbers(simple, numbers))

@@ -1122,9 +1122,7 @@ def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
     elems = h.elements()
     orders = (0,) * g.free_rank + g.invariants
     choices = [[x for x in elems if d % element_order(x) == 0] if d else elems for d in orders]
-    out = [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
-    out.sort(key=lambda f: tuple(f.matrix.data))
-    return out
+    return [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gradalg.abgroup import (
     quotient_by,
     torsion_and_free,
 )
+from gradalg.catalog import get_catalog
 from gradalg.errors import CapExceeded, ShapeError
 from gradalg import exactla
 from gradalg.exactla import IntMatrix, hnf_solve, smith_normal_form
@@ -178,6 +179,53 @@ class TestPresentation:
             rel = IntMatrix([r + [sum(r)] for r in rows])
             self.assert_section_matches_rational_section(n, rel)
             assert group_from_presentation(n, rel).group == g
+
+
+class TestEmptyInputs:
+    """A lattice with no columns goes down the general path: no relations,
+    no generators, no kernel."""
+
+    GROUPS = [FgAbGroup(0, ()), FgAbGroup(2, ()), FgAbGroup(0, [2, 4]), FgAbGroup(1, [3])]
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_presentation_without_relations_is_free(self, n):
+        # an n x 0 Smith form has U = U^-1 = I: Z^n with identity projection and section
+        for rel in (IntMatrix.zeros(n, 0), IntMatrix([])):
+            pres = group_from_presentation(n, rel)
+            assert pres.group == FgAbGroup(n, ())
+            assert pres.projection_matrix == pres.section_matrix == IntMatrix.identity(n)
+
+    def test_relation_lattice_of_a_free_group_has_no_columns(self):
+        for g in self.GROUPS:
+            assert g.relation_lattice().shape == (g.ngens, len(g.invariants))
+
+    @pytest.mark.parametrize("g", GROUPS, ids=str)
+    def test_subgroup_with_no_generators_is_trivial(self, g):
+        trivial = Subgroup.from_generators(g, [])
+        assert trivial.order() == 1 and trivial.elements() == [g.identity()]
+        assert trivial.lattice == IntMatrix.from_columns(g.relation_lattice().columns(), rows=g.ngens)
+        assert g.full_subgroup().order() == g.order()
+
+    def test_hom_from_the_trivial_group(self):
+        for h in self.GROUPS:
+            f = GroupHom.from_gen_images(FgAbGroup(0, ()), h, [])
+            assert f.matrix == IntMatrix.zeros(h.ngens, 0)
+            assert f.image().order() == 1
+
+    @pytest.mark.parametrize("name", ["cartan-sl3", "cartan-sl4"])
+    def test_kernel_and_inverse_into_a_free_codomain(self, name):
+        # the Weyl reflections of a Cartan grading act on Z^r, whose relation lattice is empty
+        entry = get_catalog(name)
+        g = entry.grading.group
+        assert g.relation_lattice() == IntMatrix.zeros(g.ngens, 0) and entry.weyl_on_group
+        for w in entry.weyl_on_group:
+            assert w.kernel().lattice == IntMatrix.zeros(g.ngens, 0) and w.kernel().order() == 1
+            inv = w.inverse()
+            assert inv.compose(w) == w.compose(inv) == GroupHom.identity(g)
+        z = FgAbGroup(1, ())
+        assert GroupHom(z, z, IntMatrix([[2]])).kernel().order() == 1
+        with pytest.raises(ValueError, match="not surjective"):
+            GroupHom(z, z, IntMatrix([[2]])).inverse()
 
 
 class TestTorsionAndQuotient:

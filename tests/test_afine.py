@@ -146,10 +146,15 @@ class TestCanonicalRefinement:
             )
 
     def test_already_almost_fine_is_stable(self):
+        # toral rank 0: the weight lattice is 0 x 0 and every weight () has coordinates ()
         gr = pauli_m2()
         res = canonical_refinement(gr)
+        assert res.toral.trank == 0
         assert len(res.refined.support) == len(gr.support)
         assert res.refined.group == FgAbGroup(0, (2, 2))
+        assert res.refined.component_dims() == gr.component_dims()
+        assert res.coarsening == GroupHom.identity(gr.group)
+        assert set(res.weights.values()) == {()}
 
 
 class TestEnumerateCoarsenings:

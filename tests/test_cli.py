@@ -436,6 +436,31 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported" in err
 
+    @pytest.mark.parametrize("command", [["classify", "--target", '{"invariants": [2]}'], ["coarsen-enum"]])
+    @pytest.mark.parametrize("source", ["sl3-involution by Z4", "zero product"])
+    def test_weyl_on_a_non_universal_group_is_1(self, tmp_path, capsys, command, source):
+        if source == "zero product":
+            # U = Z onto the trivial group: the inverse fails on the empty matrix's shape
+            doc = {
+                "algebras": [{"name": "z", "dimension": 1, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
+                "gradings": [{"name": "t", "algebra": "z", "group": {"free_rank": 0, "invariants": []}, "degrees": [[]]}],
+                "weyl": [{"grading": "t", "matrix": []}],
+            }
+        else:
+            # U = Z2 into Z4 by doubling: injective, not onto
+            doc = catalog_workspace("sl3-involution")
+            g = doc["gradings"][0]
+            g["group"] = {"free_rank": 0, "invariants": [4]}
+            g["degrees"] = [[2 * d] for (d,) in g["degrees"]]
+            doc["weyl"] = [{"grading": g["name"], "matrix": [[-1]]}]
+            doc["assertions"] = {}
+        code, out, err = run(capsys, command[0], write_ws(tmp_path, doc), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: weyl generators need the grading group to be universal "
+            "(alpha: U_ab -> G is not an isomorphism)\n"
+        )
+
     def test_internal_consistency_is_4(self, tmp_path, capsys):
         # special grading refused by rootsys
         f = write_ws(tmp_path, catalog_workspace("a3-fine"))

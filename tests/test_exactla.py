@@ -498,9 +498,9 @@ class TestSubspaces:
         calls = []
         real = exactla.gauss_jordan
 
-        def counting(rows, ncols):
+        def counting(rows, ncols, max_rank=None):
             calls.append(ncols)
-            return real(rows, ncols)
+            return real(rows, ncols, max_rank)
 
         monkeypatch.setattr(exactla, "gauss_jordan", counting)
         m = RatMatrix([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
@@ -516,6 +516,9 @@ class TestSubspaces:
         assert eliminations(lambda: a.add(b)) == 1
         assert eliminations(lambda: nullspace(m)) == 2
         assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data))) == 2
+        # rows of full rank stop at the last pivot: the kernel is the zero space, with no second elimination
+        assert eliminations(lambda: sparse_nullspace(2, [{0: Q(1)}, {1: Q(1)}, {0: Q(1)}])) == 1
+        assert sparse_nullspace(2, [{0: Q(1)}, {1: Q(1)}]) == Subspace(2, {})
         assert eliminations(lambda: a.intersect(b)) == 2
         assert eliminations(lambda: Subspace.full(4)) == 0
 
@@ -1014,6 +1017,13 @@ class TestHermite:
         # primitive: [2, -1, 0] must be expressible
         assert hnf_solve(k, [2, -1, 0]) is not None
         assert hnf_solve(k, [3, 0, -1]) is not None
+
+    def test_injective_matrix_has_an_empty_kernel(self):
+        # the kernel of an injective M is the HNF of no columns: cols x 0
+        for m in (IntMatrix([[1, 0], [0, 2], [1, 1]]), IntMatrix([[3]]), IntMatrix.identity(4)):
+            assert integer_kernel(m) == IntMatrix.zeros(m.cols, 0)
+        assert column_hnf(IntMatrix.zeros(3, 0)) == IntMatrix.zeros(3, 0)
+        assert column_hnf(IntMatrix.zeros(3, 2)) == IntMatrix.zeros(3, 0)
 
     def test_integer_kernel_random(self):
         rng = random.Random(47)

@@ -331,11 +331,18 @@ class TestRoutedDerivations:
         "name",
         [
             "cartan-sl2", "cartan-sl3", "cartan-sl4", "pauli-m2", "b2-skew",
-            "a3-fine", "sl3-involution", "b2-skew-assoc",
+            "a3-fine", "sl3-involution", "b2-skew-assoc", "C3", "D4", "sl4-involution",
         ],
     )
     def test_catalog_against_whole_derivation_space(self, name):
-        gr = get_catalog(name).grading
+        # derivation_space routes nothing and knows no kernel vectors, so it
+        # checks the routing and the inner-derivation stop of graded_derivations
+        generated = {
+            "C3": lambda: classical_cartan_grading("C", 3),
+            "D4": lambda: classical_cartan_grading("D", 4),
+            "sl4-involution": lambda: sl_involution_grading(4, alternating=False),
+        }
+        gr = generated[name]() if name in generated else get_catalog(name).grading
         homog = gr.homog_algebra
         n = gr.dimension
         gd = graded_derivations(gr)
