@@ -254,11 +254,7 @@ class GroupHom:
     __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
-        # a matrix with no rows cannot carry a column count, so only check
-        # the column count when there is at least one row
-        if matrix.rows != codomain.ngens or (
-            matrix.rows > 0 and matrix.cols != domain.ngens
-        ):
+        if matrix.shape != (codomain.ngens, domain.ngens):
             raise ShapeError("hom matrix shape mismatch")
         r = domain.free_rank
         for i, d in enumerate(domain.invariants):
@@ -290,8 +286,6 @@ class GroupHom:
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.owner != self.domain:
             raise ValueError("element outside the domain")
-        if self.codomain.ngens == 0:
-            return self.codomain.identity()
         return self.codomain.element(self.matrix.matvec(g.coords))
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
@@ -326,8 +320,6 @@ class GroupHom:
 
     def kernel(self) -> Subgroup:
         """Kernel as a subgroup of the domain."""
-        if self.codomain.ngens == 0:
-            return self.domain.full_subgroup()
         ker = integer_kernel(self.matrix.hstack(self.codomain.relation_lattice()))
         gens = [
             self.domain.element([ker[i, j] for i in range(self.domain.ngens)])
@@ -378,8 +370,6 @@ class Presentation:
     section_matrix: IntMatrix
 
     def project(self, vec: Sequence[int]) -> GroupElement:
-        if self.group.ngens == 0:
-            return self.group.identity()
         return self.group.element(self.projection_matrix.matvec([int(x) for x in vec]))
 
     def section(self, g: GroupElement) -> tuple[int, ...]:
@@ -391,8 +381,6 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presen
     """Canonical form of Z^num_generators modulo the column span of
     ``relations``."""
     n = num_generators
-    if relations.cols == 0:
-        relations = IntMatrix.zeros(n, 0)
     if relations.rows != n:
         raise ShapeError("relations must have one row per generator")
     snf = smith_normal_form(relations)
@@ -403,8 +391,8 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presen
     invariants = [diag[i] for i in torsion_rows]
     g = FgAbGroup(len(free_rows), invariants)
     rows = free_rows + torsion_rows
-    proj = IntMatrix([[snf.U[i, j] for j in range(n)] for i in rows])
-    section = IntMatrix([[snf.U_inv[j, i] for i in rows] for j in range(n)])
+    proj = IntMatrix([[snf.U[i, j] for j in range(n)] for i in rows], n)
+    section = IntMatrix([[snf.U_inv[j, i] for i in rows] for j in range(n)], len(rows))
     return Presentation(g, proj, section)
 
 
@@ -416,7 +404,7 @@ def torsion_and_free(g: FgAbGroup) -> tuple[Subgroup, GroupHom]:
     proj = GroupHom(
         g,
         free,
-        IntMatrix([[1 if i == j else 0 for j in range(g.ngens)] for i in range(r)]),
+        IntMatrix([[1 if i == j else 0 for j in range(g.ngens)] for i in range(r)], g.ngens),
     )
     return t, proj
 

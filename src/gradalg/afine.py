@@ -257,7 +257,7 @@ def _product_with_free(
         rows.append(
             [1 if j == g.free_rank + extra + i else 0 for j in range(gp.ngens)]
         )
-    return gp, GroupHom(gp, g, IntMatrix(rows))
+    return gp, GroupHom(gp, g, IntMatrix(rows, gp.ngens))
 
 
 def _product_element(

@@ -135,8 +135,10 @@ def _entries(doc: Mapping, key: str) -> list[Mapping]:
     return entries
 
 
-def _int_matrix(rows) -> IntMatrix:
-    return IntMatrix([[int_field(x, "entry") for x in row] for row in rows])
+def _int_matrix(rows, domain: FgAbGroup) -> IntMatrix:
+    """A hom matrix; ``[]``, a map into the trivial group, has a column per domain generator."""
+    data = [[int_field(x, "entry") for x in row] for row in rows]
+    return IntMatrix(data, None if data else domain.ngens)
 
 
 def _name(spec: Mapping, field: str, default: str | None, where: str) -> str | None:
@@ -214,7 +216,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             dom = _group_from_dict(hspec.get("domain", {}), f"hom {hname!r}")
             cod = _group_from_dict(hspec.get("codomain", {}), f"hom {hname!r}")
             try:
-                homs[hname] = GroupHom(dom, cod, _int_matrix(hspec["matrix"]))
+                homs[hname] = GroupHom(dom, cod, _int_matrix(hspec["matrix"], dom))
             except GradAlgError as exc:
                 raise ValidationError(f"hom {hname!r}: {exc}")
             except (KeyError, TypeError, ValueError) as exc:
@@ -227,7 +229,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                 )
             g = gradings[target].group
             try:
-                hom = GroupHom(g, g, _int_matrix(wspec["matrix"]))
+                hom = GroupHom(g, g, _int_matrix(wspec["matrix"], g))
             except GradAlgError as exc:
                 raise ValidationError(f"weyl for {target!r}: {exc}")
             except (KeyError, TypeError, ValueError) as exc:

@@ -10,15 +10,19 @@ every kernel, sum, intersection and eigenspace is one.  One spectral routine, th
 generalized eigenspaces of an operator, is behind the simultaneous
 eigenspace decompositions of commuting operators and the Jordan-Chevalley
 semisimple part.  The Smith normal form U M V = S, with U, V and U^-1,
-is behind every solve over Z.  The dense ``RatMatrix`` is for matrices
-that enter or leave the program; ``rref``, ``rank``, ``solve`` and
-``inverse`` on it are the dense API of tests and tracing.  Everything is
-exact; non-rational spectra raise NonSplitError instead of being approximated.
+is behind every solve over Z.  One immutable dense matrix class keeps the
+shape, with an explicit column count, so 0 x n and n x 0 matrices exist;
+``RatMatrix`` (rationals) and ``IntMatrix`` (exact integers) fix its
+entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
+the program; ``rref``, ``rank``, ``solve`` and ``inverse`` on it are the
+dense API of tests and tracing.  Everything is exact; non-rational
+spectra raise NonSplitError instead of being approximated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -44,61 +48,89 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-class RatMatrix:
-    """Immutable dense matrix of exact rationals."""
+class _DenseMatrix:
+    """Immutable dense matrix with an explicit shape: its rows and its
+    column count ``cols``, read off the first row unless given, so a
+    matrix with no rows still has one (a map out of Z^n into the trivial
+    group is 0 x n).  A subclass fixes the entry type with ``_entry`` and
+    adds the operations of its ring."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
+    def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
+        entry = self._entry
+        data = tuple(tuple(map(entry, row)) for row in rows)
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
             raise ShapeError("ragged rows")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
+        object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def zeros(cls, rows: int, cols: int):
+        return cls([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        cols = [tuple(_frac(x) for x in c) for c in cols]
+    def identity(cls, n: int):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None):
         if rows is None:
             if not cols:
                 raise ShapeError("row count needed for a matrix with no columns")
             rows = len(cols[0])
         if any(len(c) != rows for c in cols):
             raise ShapeError("ragged columns")
-        return cls([[c[i] for c in cols] for i in range(rows)])
-
-    @classmethod
-    def from_sparse_columns(cls, cols: Sequence[Mapping[int, Fraction]], rows: int) -> "RatMatrix":
-        """The matrix with the sparse columns ``{row: entry}``."""
-        return cls([[c.get(i, 0) for c in cols] for i in range(rows)])
+        return cls([[c[i] for c in cols] for i in range(rows)], len(cols))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.data)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    def columns(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.data == other.data
+        return type(other) is type(self) and self.cols == other.cols and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash(("RatMatrix", self.data))
+        return hash((type(self).__name__, self.cols, self.data))
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeError("shape mismatch in multiplication")
+        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
+        return type(self)(
+            [[sum(a * b for a, b in zip(row, col) if a and b) for col in bt] for row in self.data],
+            other.cols,
+        )
+
+
+class RatMatrix(_DenseMatrix):
+    """Immutable dense matrix of exact rationals."""
+
+    __slots__ = ()
+    _entry = staticmethod(_frac)
+
+    @classmethod
+    def from_sparse_columns(cls, cols: Sequence[Mapping[int, Fraction]], rows: int) -> "RatMatrix":
+        """The matrix with the sparse columns ``{row: entry}``."""
+        return cls([[c.get(i, 0) for c in cols] for i in range(rows)], len(cols))
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.data]})"
@@ -106,35 +138,17 @@ class RatMatrix:
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ShapeError("shape mismatch in addition")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return RatMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in row] for row in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
         c = _frac(c)
-        return RatMatrix([[c * x for x in row] for row in self.data])
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError("shape mismatch in multiplication")
-        bt = list(zip(*other.data)) if other.data else []
-        return RatMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col) if a and b) for col in bt]
-                for row in self.data
-            ]
-        )
+        return RatMatrix([[c * x for x in row] for row in self.data], self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -280,7 +294,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
     reduced = gauss_jordan(sparse_rows(m.data), m.cols)
     rows = list(reduced.values()) + [{}] * (m.rows - len(reduced))
-    return RatMatrix([[row.get(c, 0) for c in range(m.cols)] for row in rows]), tuple(reduced)
+    return RatMatrix([[row.get(c, 0) for c in range(m.cols)] for row in rows], m.cols), tuple(reduced)
 
 
 def rank(m: RatMatrix) -> int:
@@ -319,7 +333,7 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     # Inconsistent iff some pivot falls in the B block.
     if len(pivots) > a.cols:
         return None
-    return RatMatrix([[row.get(a.cols + j, 0) for j in range(b.cols)] for row in reduced.values()])
+    return RatMatrix([[row.get(a.cols + j, 0) for j in range(b.cols)] for row in reduced.values()], b.cols)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -681,77 +695,16 @@ def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fract
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers."""
+class IntMatrix(_DenseMatrix):
+    """Immutable dense matrix of arbitrary-precision integers; entries must
+    be exact integers (``operator.index``: TypeError on floats and
+    Fractions)."""
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ShapeError("ragged rows")
-        for row in data:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer entries required")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise ShapeError("row count needed for a matrix with no columns")
-            rows = len(cols[0])
-        if any(len(c) != rows for c in cols):
-            raise ShapeError("ragged columns")
-        return cls([[c[i] for c in cols] for i in range(rows)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.data[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(("IntMatrix", self.data))
+    __slots__ = ()
+    _entry = staticmethod(operator.index)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]})"
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError("shape mismatch in multiplication")
-        bt = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -761,7 +714,7 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeError("row mismatch in hstack")
-        return IntMatrix([ra + rb for ra, rb in zip(self.data, other.data)])
+        return IntMatrix([ra + rb for ra, rb in zip(self.data, other.data)], self.cols + other.cols)
 
 
 @dataclass(frozen=True)
@@ -887,7 +840,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 break
             add_row(culprit, t, 1)
         t += 1
-    return SnfResult(IntMatrix(a), IntMatrix(u), IntMatrix(v), IntMatrix(u_inv))
+    return SnfResult(IntMatrix(a, cols), IntMatrix(u, rows), IntMatrix(v, cols), IntMatrix(u_inv, rows))
 
 
 def column_hnf(m: IntMatrix) -> IntMatrix:

@@ -94,8 +94,7 @@ def mat_from_flat(entries, rows: int, cols: int) -> RatMatrix:
     return RatMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
-def zeros(rows: int, cols: int) -> RatMatrix:
-    return RatMatrix([[0] * cols for _ in range(rows)])
+zeros = RatMatrix.zeros
 
 
 def diagonal(entries) -> RatMatrix:

@@ -190,10 +190,13 @@ class TestEmptyInputs:
     @pytest.mark.parametrize("n", range(4))
     def test_presentation_without_relations_is_free(self, n):
         # an n x 0 Smith form has U = U^-1 = I: Z^n with identity projection and section
-        for rel in (IntMatrix.zeros(n, 0), IntMatrix([])):
-            pres = group_from_presentation(n, rel)
-            assert pres.group == FgAbGroup(n, ())
-            assert pres.projection_matrix == pres.section_matrix == IntMatrix.identity(n)
+        pres = group_from_presentation(n, IntMatrix.zeros(n, 0))
+        assert pres.group == FgAbGroup(n, ())
+        assert pres.projection_matrix == pres.section_matrix == IntMatrix.identity(n)
+        # IntMatrix([]) is 0 x 0: relations on no generators, not on n of them
+        if n:
+            with pytest.raises(ShapeError, match="one row per generator"):
+                group_from_presentation(n, IntMatrix([]))
 
     def test_relation_lattice_of_a_free_group_has_no_columns(self):
         for g in self.GROUPS:
@@ -211,6 +214,31 @@ class TestEmptyInputs:
             f = GroupHom.from_gen_images(FgAbGroup(0, ()), h, [])
             assert f.matrix == IntMatrix.zeros(h.ngens, 0)
             assert f.image().order() == 1
+
+    def test_compositions_through_the_trivial_group(self):
+        # Z -> 0 is 0 x 1 and 0 -> Z is 1 x 0, so both composites have a shape
+        z, trivial = FgAbGroup(1, ()), FgAbGroup(0, ())
+        to_zero = GroupHom(z, trivial, IntMatrix.zeros(0, 1))
+        from_zero = GroupHom.from_gen_images(trivial, z, [])
+        assert from_zero.compose(to_zero).matrix == IntMatrix([[0]])
+        assert from_zero.compose(to_zero) == GroupHom(z, z, IntMatrix([[0]]))
+        assert to_zero.compose(from_zero) == GroupHom.identity(trivial)
+        assert to_zero.compose(from_zero).matrix == IntMatrix.identity(0)
+
+    @pytest.mark.parametrize("g", GROUPS, ids=str)
+    def test_maps_into_the_trivial_group(self, g):
+        trivial = FgAbGroup(0, ())
+        f = GroupHom(g, trivial, IntMatrix.zeros(0, g.ngens))
+        assert all(f(x) == trivial.identity() for x in g.generators())
+        assert f.kernel() == g.full_subgroup() and f.image() == trivial.full_subgroup()
+        assert f.image().order() == 1 and f.is_surjective()
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            GroupHom(g, trivial, IntMatrix.zeros(0, g.ngens + 1))
+        # a presentation whose relations kill every generator projects onto 0
+        pres = group_from_presentation(2, IntMatrix.identity(2))
+        assert pres.group == trivial and pres.projection_matrix.shape == (0, 2)
+        assert pres.project([3, -1]) == trivial.identity()
+        assert pres.section_matrix.shape == (2, 0) and pres.section(trivial.identity()) == (0, 0)
 
     @pytest.mark.parametrize("name", ["cartan-sl3", "cartan-sl4"])
     def test_kernel_and_inverse_into_a_free_codomain(self, name):

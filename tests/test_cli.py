@@ -18,6 +18,16 @@ from gradalg.exactla import RatMatrix
 from gradalg.grading import Grading
 
 
+TRIVIAL_GROUP = {"free_rank": 0, "invariants": []}
+#: a one-dimensional algebra with zero product, trivially graded, with the
+#: identity of the trivial group as its weyl generator: U_ab = Z -> 0
+ZERO_PRODUCT = {
+    "algebras": [{"name": "z", "dimension": 1, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
+    "gradings": [{"name": "t", "algebra": "z", "group": TRIVIAL_GROUP, "degrees": [[]]}],
+    "weyl": [{"grading": "t", "matrix": []}],
+}
+
+
 def write_ws(tmp_path, doc, name="ws.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -400,6 +410,73 @@ class TestHappyPaths:
         assert code == 0 and rep["results"][0]["admissible"]
 
 
+class TestTrivialGroupWorkspaces:
+    """Maps into and out of the trivial group, whose matrices have no rows
+    or no columns; the reports are pinned."""
+
+    def test_hom_onto_the_trivial_group(self, tmp_path, capsys):
+        # "matrix": [] for Z -> 0 is 0 x 1: it takes the domain's generator count
+        doc = catalog_workspace("cartan-sl2")
+        doc["homs"] = [
+            {"name": "kill", "domain": {"free_rank": 1, "invariants": []}, "codomain": TRIVIAL_GROUP, "matrix": []}
+        ]
+        f = write_ws(tmp_path, doc)
+        assert run(capsys, "induce", f, "--hom", "kill") == (0, "induced grading by 0, support 1\n", "")
+        code, out, err = run(capsys, "induce", f, "--hom", "kill", "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "grading": {"algebra": "sl2", "degrees": [[], [], []], "group": TRIVIAL_GROUP, "name": "cartan-sl2|kill"},
+            "support_size": 1,
+        }
+        assert run(capsys, "admissible", f, "--hom", "kill") == (0, "kill: admissible\n", "")
+        code, out, err = run(capsys, "admissible", f, "--hom", "kill", "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "grading": "cartan-sl2",
+            "results": [{"admissible": True, "hom": "kill"}],
+        }
+
+    def test_zero_dimensional_algebra(self, tmp_path, capsys):
+        doc = {
+            "algebras": [{"name": "zero", "dimension": 0, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
+            "gradings": [{"name": "t", "algebra": "zero", "group": TRIVIAL_GROUP, "degrees": []}],
+        }
+        f = write_ws(tmp_path, doc)
+        assert run(capsys, "validate", f) == (0, "t: valid grading of zero by 0, support 0\n", "")
+        code, out, err = run(capsys, "validate", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "algebras": ["zero"],
+            "gradings": [
+                {"algebra": "zero", "component_dims": {}, "group": TRIVIAL_GROUP, "name": "t", "support_size": 0}
+            ],
+        }
+        # alpha: U_ab = 0 -> Z2 is 1 x 0
+        code, out, err = run(capsys, "classify", f, "--target", '{"invariants": [2]}', "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "entries": [{"alpha": [[]], "component_dims": {}, "orbit": 0, "orbit_size": 1, "source": "t"}],
+            "orbit_completeness": "lower bound only",
+            "target": {"free_rank": 0, "invariants": [2]},
+        }
+
+    def test_zero_product_with_a_weyl_entry_on_the_trivial_group(self, tmp_path, capsys):
+        f = write_ws(tmp_path, ZERO_PRODUCT)
+        code, out, err = run(capsys, "validate", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "algebras": ["z"],
+            "gradings": [
+                {"algebra": "z", "component_dims": {"()": 1}, "group": TRIVIAL_GROUP, "name": "t", "support_size": 1}
+            ],
+        }
+        # alpha: U_ab = Z -> 0 is 0 x 1
+        code, out, err = run(capsys, "ugroup", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "alpha": [],
+            "grading": "t",
+            "iota": [{"class": [1], "support": []}],
+            "universal_group": {"free_rank": 1, "invariants": []},
+        }
+        code, out, err = run(capsys, "trank", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {"dim_cartan": 1, "dim_d_e": 1, "grading": "t", "trank": 1}
+
+
 class TestExitCodes:
     def test_nonsplit_is_2(self, tmp_path, capsys):
         # cross-product algebra: the compact form of sl2 has no split torus
@@ -440,12 +517,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("source", ["sl3-involution by Z4", "zero product"])
     def test_weyl_on_a_non_universal_group_is_1(self, tmp_path, capsys, command, source):
         if source == "zero product":
-            # U = Z onto the trivial group: the inverse fails on the empty matrix's shape
-            doc = {
-                "algebras": [{"name": "z", "dimension": 1, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
-                "gradings": [{"name": "t", "algebra": "z", "group": {"free_rank": 0, "invariants": []}, "degrees": [[]]}],
-                "weyl": [{"grading": "t", "matrix": []}],
-            }
+            # U = Z onto the trivial group: alpha is not injective
+            doc = ZERO_PRODUCT
         else:
             # U = Z2 into Z4 by doubling: injective, not onto
             doc = catalog_workspace("sl3-involution")

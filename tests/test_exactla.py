@@ -171,6 +171,52 @@ class TestRatMatrixBasics:
         assert a.power(0) == RatMatrix.identity(2)
 
 
+class TestDenseShapes:
+    """A dense matrix knows its column count, so matrices with no rows or no
+    columns have a shape and multiply like any other."""
+
+    @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+    def test_matrices_with_no_rows_keep_their_columns(self, cls):
+        assert cls.zeros(0, 3).shape == (0, 3) and cls.zeros(3, 0).shape == (3, 0)
+        assert cls.zeros(0, 3) != cls.zeros(0, 5) and cls.zeros(0, 3) == cls([], 3)
+        assert hash(cls.zeros(0, 3)) == hash(cls([], 3))
+        assert cls([]).shape == (0, 0) and cls.from_columns([[], []], rows=0).shape == (0, 2)
+        assert cls.zeros(0, 3).columns() == [(), (), ()]
+
+    @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+    def test_products_through_a_zero_dimension(self, cls):
+        assert cls.zeros(2, 0) * cls.zeros(0, 3) == cls.zeros(2, 3)
+        assert cls.zeros(0, 2) * cls.zeros(2, 3) == cls.zeros(0, 3)
+        assert cls.zeros(3, 2) * cls.zeros(2, 0) == cls.zeros(3, 0)
+        with pytest.raises(ShapeError):
+            cls.zeros(2, 0) * cls.zeros(1, 3)
+
+    def test_hstack_and_smith_form_of_a_matrix_with_no_rows(self):
+        assert IntMatrix.zeros(0, 2).hstack(IntMatrix.zeros(0, 3)).shape == (0, 5)
+        assert IntMatrix.zeros(2, 0).hstack(IntMatrix.identity(2)) == IntMatrix.identity(2)
+        res = smith_normal_form(IntMatrix.zeros(0, 4))
+        assert (res.S.shape, res.U.shape, res.V.shape, res.U_inv.shape) == ((0, 4), (0, 0), (4, 4), (0, 0))
+        assert res.V == IntMatrix.identity(4) and res.diagonal() == ()
+        assert integer_kernel(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
+
+    def test_a_rational_matrix_is_not_an_integer_matrix(self):
+        assert IntMatrix([[1, 2]]) != RatMatrix([[1, 2]])
+        assert (IntMatrix([[1]]).__mul__(RatMatrix([[1]]))) is NotImplemented
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, Q(1, 2), Q(3), "1"])
+    def test_integer_matrices_take_exact_integers_only(self, entry):
+        # no truncation and no parsing: 1.5 must not become 1
+        with pytest.raises(TypeError):
+            IntMatrix([[1, entry]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([[entry]])
+
+    def test_immutable(self):
+        for m in (IntMatrix.zeros(0, 2), RatMatrix.identity(2)):
+            with pytest.raises(AttributeError, match="immutable"):
+                m.cols = 3
+
+
 class TestSolving:
     def test_identity_solve(self):
         b = RatMatrix([[3], [5]])
