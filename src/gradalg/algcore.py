@@ -421,18 +421,17 @@ def _symmetry(tensor: Mapping[tuple[int, int], Mapping[int, int]]) -> int:
     return 0
 
 
-def _leibniz_rows(a: StructureAlgebra):
-    """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
-    unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
-    operation: one row per basis key (i_1, ..., i_k) and output index j,
-
-        sum_a D[j, a] op(key)_a - sum_t sum_b D[b, i_t] op(key, e_b in slot t)_j = 0.
-
-    The rows are built on ``op.int_tensor``, so their coefficients are
-    ints: each is the row of ``op.tensor`` times a positive constant.  For
-    a binary operation that is antisymmetric or symmetric, row (j, i) is
-    -row (i, j) or row (i, j), and antisymmetry makes row (i, i) zero; so
-    only the keys i < j, or i <= j, are used.
+def _leibniz_keys(a: StructureAlgebra):
+    """The Leibniz system key by key: for each operation and basis key
+    (i_1, ..., i_k) that has an equation, the pair (val, terms) of
+    val = op(key) and, for each slot t, terms[t] = (i_t, [(b, op(key with
+    e_b in slot t)), ...]) over the b where that is nonzero, read on
+    ``op.int_tensor``.  Its equation for output index j (``_leibniz_row``)
+    has int coefficients, each that of ``op.tensor`` times a positive
+    constant.  For a binary operation that is antisymmetric or symmetric,
+    the equations of key (j, i) are minus or equal to those of (i, j), and
+    antisymmetry makes those of (i, i) zero; so only the keys i < j, or
+    i <= j, are used.
     """
     n = a.dimension
     for op in a.operations:
@@ -449,21 +448,35 @@ def _leibniz_rows(a: StructureAlgebra):
                 by_slot[t].setdefault(key2[:t] + key2[t + 1 :], []).append((key2[t], vec))
         for key in keys:
             val = tensor.get(key, {})
-            rhs_terms = [
-                (b * n + it, vec)
-                for t, it in enumerate(key)
-                for b, vec in by_slot[t].get(key[:t] + key[t + 1 :], ())
-            ]
-            if not val and not rhs_terms:
-                continue
-            for j in range(n):
-                row: dict[int, int] = {j * n + aidx: c for aidx, c in val.items()}
-                for idx, vec in rhs_terms:
-                    if j in vec:
-                        row[idx] = row.get(idx, 0) - vec[j]
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    yield row
+            terms = [(it, by_slot[t].get(key[:t] + key[t + 1 :], ())) for t, it in enumerate(key)]
+            if val or any(entries for _, entries in terms):
+                yield val, terms
+
+
+def _leibniz_row(n: int, val: Mapping[int, int], terms, j: int) -> dict[int, int]:
+    """The nonzero entries {r*n + c: coefficient} of the equation for
+    output index j of a ``_leibniz_keys`` pair (val, terms),
+
+        sum_a D[j, a] op(key)_a - sum_t sum_b D[b, i_t] op(key, e_b in slot t)_j = 0."""
+    row: dict[int, int] = {j * n + aidx: c for aidx, c in val.items()}
+    for it, entries in terms:
+        for b, vec in entries:
+            if j in vec:
+                idx = b * n + it
+                row[idx] = row.get(idx, 0) - vec[j]
+    return {k: c for k, c in row.items() if c}
+
+
+def _leibniz_rows(a: StructureAlgebra):
+    """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
+    unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
+    operation: the equations of ``_leibniz_keys``, key by key and, for
+    each key, output index by output index."""
+    n = a.dimension
+    for val, terms in _leibniz_keys(a):
+        for j in range(n):
+            if row := _leibniz_row(n, val, terms, j):
+                yield row
 
 
 def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
@@ -489,19 +502,21 @@ class DerivationAlgebra:
         return self.space.dim
 
 
-def inner_derivations(a: StructureAlgebra) -> list[dict[int, Fraction]]:
+def inner_derivations(a: StructureAlgebra) -> list[dict[int, int]]:
     """The nonzero maps x -> e_i x - x e_i over the basis vectors e_i, as
     sparse vectors of End(A) in n^2 coordinates (row-major), when they are
     derivations: ``a`` has a single operation, binary, with a verified
-    lie or associative flag (for a Lie bracket the map is 2 ad e_i).
-    Otherwise the empty list."""
+    lie or associative flag.  Otherwise the empty list.  They are read on
+    ``op.int_tensor``, so each is the map of ``op.tensor`` times the same
+    positive constant c, with int entries, and they span the same space
+    (for a Lie bracket the map of e_i is 2c ad e_i)."""
     if len(a.operations) != 1 or a.operations[0].arity != 2 or not a.flags & {"lie", "associative"}:
         return []
     n = a.dimension
-    t = a.operations[0].tensor
+    t = a.operations[0].int_tensor
     maps = []
     for i in range(n):
-        vec: dict[int, Fraction] = {}
+        vec: dict[int, int] = {}
         for c in range(n):
             for r, x in t.get((i, c), {}).items():
                 vec[r * n + c] = vec.get(r * n + c, 0) + x

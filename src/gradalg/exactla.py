@@ -177,7 +177,19 @@ def gauss_jordan(
 ) -> dict[int, dict[int, Fraction]]:
     """The reduced row echelon form of a stream of sparse rows
     ``{column: coefficient}`` in ``ncols`` columns, as {pivot column:
-    row}, sorted by pivot: the one Gauss-Jordan elimination over Q.
+    row}, sorted by pivot: the one Gauss-Jordan elimination over Q
+    (``_integer_echelon``), each kept row divided by its pivot entry.
+    That is the unique reduced echelon basis of the rows read, whatever
+    their order, with ``Fraction`` entries."""
+    reduced = _integer_echelon(rows, ncols, max_rank)
+    return {p: _rational_row(reduced[p], p) for p in sorted(reduced)}
+
+
+def _integer_echelon(
+    rows: Iterable[Mapping[int, Fraction]], ncols: int, max_rank: int | None = None
+) -> dict[int, dict[int, int]]:
+    """The elimination behind ``gauss_jordan``, as {pivot column: primitive
+    integer row} in the order the pivots were found.
 
     The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
     row read is scaled by the lcm of its denominators to integers and
@@ -188,9 +200,7 @@ def gauss_jordan(
     and that column is cleared from the kept rows the same way.  Reading
     stops once ``max_rank`` columns (default: every column) have a pivot;
     a caller that knows the rank of the rows is at most ``max_rank`` gets
-    the whole row space.  Each kept row is divided by its pivot entry only
-    in the result, the unique reduced echelon basis of the rows read,
-    whatever their order, with ``Fraction`` entries."""
+    the whole row space."""
     reduced: dict[int, dict[int, int]] = {}
     rows = iter(rows)
     stop = ncols if max_rank is None else max_rank
@@ -210,7 +220,7 @@ def gauss_jordan(
                 if pivot in other:
                     _eliminate(other, pivot, row)
             reduced[pivot] = row
-    return {p: _rational_row(reduced[p], p) for p in sorted(reduced)}
+    return reduced
 
 
 def _rational_row(row: Mapping[int, int], pivot: int) -> dict[int, Fraction]:
@@ -305,16 +315,18 @@ def kernel_vectors(rows: Iterable[Mapping[int, Fraction]], ncols: int):
     """A sparse basis of the kernel of the sparse rows ``{column:
     coefficient}`` in ``ncols`` unknowns, from their reduced echelon form
     (``_free_vectors``)."""
-    return _free_vectors(gauss_jordan(rows, ncols), ncols)
+    return _free_vectors(_integer_echelon(rows, ncols), ncols)
 
 
-def _free_vectors(reduced: Mapping[int, Mapping[int, Fraction]], ncols: int):
-    """The kernel basis of a reduced echelon form {pivot: row}: for each
-    free column f, the vector that is 1 at f, 0 at the other free columns
-    and -row[f] at each row's pivot."""
+def _free_vectors(reduced: Mapping[int, Mapping[int, int]], ncols: int):
+    """The kernel basis of a reduced echelon form {pivot: integer row} from
+    ``_integer_echelon``: for each free column f, the vector that is 1 at
+    f, 0 at the other free columns and -row[f] / row[pivot] at each row's
+    pivot.  Only these entries become ``Fraction``s."""
+    pivots = sorted(reduced)
     for f in range(ncols):
         if f not in reduced:
-            vec = {p: -row[f] for p, row in reduced.items() if f in row}
+            vec = {p: Fraction(-row[f], row[p]) for p in pivots if f in (row := reduced[p])}
             vec[f] = Q(1)
             yield vec
 
@@ -452,12 +464,16 @@ def sparse_nullspace(
     reading at that many pivots, and the kernel is then span(known), with
     no second elimination.  The reduced rows read are checked to
     annihilate every known vector (AxiomFailure otherwise); the rows left
-    unread are not."""
+    unread are not.  The check runs in integers, on the primitive echelon
+    rows and on each canonical known vector times the lcm of its
+    denominators, so the reduced rows become ``Fraction``s only when the
+    kernel is read from them."""
     known = list(known)
     spanned = Subspace.span(ncols, known) if known else Subspace(ncols, {})
-    reduced = gauss_jordan(rows, ncols, ncols - spanned.dim)
+    reduced = _integer_echelon(rows, ncols, ncols - spanned.dim)
+    checked = [_integer_row(vec) for vec in spanned._columns]
     for row in reduced.values():
-        for vec in spanned._columns:
+        for vec in checked:
             if sum(x * vec[c] for c, x in row.items() if c in vec):
                 raise AxiomFailure("a known kernel vector does not satisfy the rows")
     if len(reduced) == ncols - spanned.dim:

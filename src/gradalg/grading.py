@@ -16,7 +16,15 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, group_from_presentation
-from .algcore import StructureAlgebra, Subspace, _leibniz_rows, inner_derivations, memoized, subalgebra_structure
+from .algcore import (
+    StructureAlgebra,
+    Subspace,
+    _leibniz_keys,
+    _leibniz_row,
+    inner_derivations,
+    memoized,
+    subalgebra_structure,
+)
 from .errors import (
     AxiomFailure,
     IncompatibleDegrees,
@@ -308,69 +316,116 @@ class GradedDerivations:
         return sum(s.dim for s in self.by_degree.values())
 
 
+def _derivation_system(grading: Grading):
+    """The Leibniz system of ``graded_derivations``, split by degree:
+    (candidates, unknowns, rows, inner).  ``candidates`` are the possible
+    degrees, sorted: the differences of support elements and the identity.
+    For candidate number d, ``unknowns[d]`` lists the flat unknowns r*n + c
+    of that degree, increasing; ``rows[d]`` is a generator of its Leibniz
+    rows and ``inner[d]`` its inner derivations, both re-indexed to the
+    positions in ``unknowns[d]``.
+
+    Degrees are read from integer tables: the support label of each basis
+    vector and the |S| x |S| table of the candidate number of s - t.  One
+    pass over the ``_leibniz_keys`` pairs files each equation (key, j)
+    under its degree: that of D[j, a] for the first index a of op(key),
+    or, when op(key) = 0, that of the first right-hand term that hits j.
+    A row is built only when its degree's solve reads it, in the order
+    of ``_leibniz_rows`` (key by key, then j), and is checked then: a row
+    whose unknowns span two degrees raises AxiomFailure.  On a validated
+    grading none does, as every unknown of row (key, j) has degree
+    deg j - sum(deg key)."""
+    homog = grading.homog_algebra
+    n = homog.dimension
+    group = grading.group
+    support = [s.coords for s in grading.support]
+    label_of = {s: i for i, s in enumerate(support)}
+    label = [label_of[d.coords] for d in grading.degrees]
+    differences = [[group.reduce([x - y for x, y in zip(s, t)]) for t in support] for s in support]
+    candidates = sorted({g for row in differences for g in row} | {group.identity().coords})
+    number = {g: i for i, g in enumerate(candidates)}
+    diff = [[number[g] for g in row] for row in differences]
+    candidates = [group.element(g) for g in candidates]
+    # flat unknown r*n + c -> its candidate number and its position among that degree's unknowns
+    degree_of = [diff[label[r]][label[c]] for r in range(n) for c in range(n)]
+    unknowns: list[list[int]] = [[] for _ in candidates]
+    position = []
+    for k, d in enumerate(degree_of):
+        position.append(len(unknowns[d]))
+        unknowns[d].append(k)
+    members = [[i for i in range(n) if label[i] == s] for s in range(len(support))]
+    filed: list[list[tuple]] = [[] for _ in candidates]
+    for val, terms in _leibniz_keys(homog):
+        if val:
+            a0 = label[next(iter(val))]
+            for s, js in enumerate(members):
+                filed[diff[s][a0]].append((val, terms, js))
+        else:
+            first: dict[int, int] = {}
+            for it, entries in terms:
+                for b, vec in entries:
+                    for j in vec:
+                        first.setdefault(j, degree_of[b * n + it])
+            by_degree: dict[int, list[int]] = {}
+            for j in sorted(first):
+                by_degree.setdefault(first[j], []).append(j)
+            for d, js in by_degree.items():
+                filed[d].append((val, terms, js))
+
+    def local(vec, d: int, what: str) -> dict:
+        """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
+        out = {}
+        for idx, coeff in vec.items():
+            if (e := degree_of[idx]) != d:
+                raise AxiomFailure(
+                    f"{what} mixes the derivation degrees "
+                    f"{candidates[d].coords} and {candidates[e].coords}"
+                )
+            out[position[idx]] = coeff
+        return out
+
+    def rows(d: int):
+        """The rows of degree number d, each built in that degree's unknowns when it is read."""
+        for val, terms, js in filed[d]:
+            for j in js:
+                if row := _leibniz_row(n, val, terms, j):
+                    yield local(row, d, "a Leibniz row")
+
+    inner: list[list[dict]] = [[] for _ in candidates]
+    for vec in inner_derivations(homog):
+        d = degree_of[next(iter(vec))]
+        inner[d].append(local(vec, d, "an inner derivation"))
+    return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
+
+
 @memoized
 def graded_derivations(grading: Grading) -> GradedDerivations:
     """Compute D_g for every candidate degree g in one sparse pass.
 
     In the homogeneous basis the unknown D[r, c] (flat index r*n + c) has
     degree deg r - deg c, and every Leibniz row (key, j) involves unknowns
-    of the single degree deg j - sum(deg key).  So the rows are generated
-    once, each is routed to its degree and re-indexed there, and D_g is
-    the kernel of the rows of degree g on its own unknowns
-    {(r, c) : deg r = g + deg c}, embedded back into n^2 coordinates.
-    The candidate degrees are the differences of support elements; the
-    D_g are independent and their direct sum is the whole derivation
-    algebra.  A row mixing two degrees contradicts the grading
-    (AxiomFailure).  The inner derivations (``inner_derivations``: one
-    binary lie or associative operation) are homogeneous, the one of e_i
-    of degree deg e_i; each is routed the same way and passed to its
-    degree's solve as a known kernel vector.
+    of the single degree deg j - sum(deg key).  So D_g is the kernel of the
+    rows of degree g on its own unknowns {(r, c) : deg r = g + deg c},
+    embedded back into n^2 coordinates (``_derivation_system`` files the
+    rows by degree and builds each one when the solve reads it).  The
+    candidate degrees are the differences of support elements; the D_g
+    are independent and their direct sum is the whole derivation algebra.
+    The inner derivations (``inner_derivations``: one binary lie or
+    associative operation) are homogeneous, the one of e_i of degree
+    deg e_i; each is passed to its degree's solve as a known kernel
+    vector, so the solve stops once they can be the whole kernel.
     """
-    homog = grading.homog_algebra
-    n = homog.dimension
-    degrees = grading.degrees
+    n = grading.dimension
     ident = grading.group.identity()
-    candidates = sorted(
-        {s - t for s in grading.support for t in grading.support} | {ident},
-        key=lambda g: g.coords,
-    )
-    # flat unknown index -> (candidate number, index among that degree's unknowns)
-    unknowns: list[list[int]] = [[] for _ in candidates]
-    number = {g: i for i, g in enumerate(candidates)}
-    where: list[tuple[int, int]] = []
-    for r in range(n):
-        for c in range(n):
-            d = number[degrees[r] - degrees[c]]
-            where.append((d, len(unknowns[d])))
-            unknowns[d].append(r * n + c)
-
-    def route(vectors, what: str) -> list[list[dict[int, Fraction]]]:
-        """The sparse vectors in flat unknowns, each re-indexed to the unknowns of its degree."""
-        out: list[list[dict[int, Fraction]]] = [[] for _ in candidates]
-        for vec in vectors:
-            d = where[next(iter(vec))][0]
-            local = {}
-            for idx, coeff in vec.items():
-                e, k = where[idx]
-                if e != d:
-                    raise AxiomFailure(
-                        f"{what} mixes the derivation degrees "
-                        f"{candidates[d].coords} and {candidates[e].coords}"
-                    )
-                local[k] = coeff
-            out[d].append(local)
-        return out
-
-    routed = route(_leibniz_rows(homog), "a Leibniz row")
-    inner = route(inner_derivations(homog), "an inner derivation")
+    candidates, unknowns, rows, inner = _derivation_system(grading)
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
-    for g, idxs, rows, known in zip(candidates, unknowns, routed, inner):
+    for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
         if not idxs:
             if g == ident:
                 by_degree[g] = Subspace(n * n, {})
             continue
-        kernel = _incremental_kernel(len(idxs), rows, known)
+        kernel = _incremental_kernel(len(idxs), stream, known)
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
         # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index
         space = Subspace(n * n, {min(col): col for col in embedded})

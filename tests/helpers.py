@@ -13,6 +13,7 @@ from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
     Subspace,
+    _leibniz_rows,
     algebra_from_matrices,
     centroid_dimension,
     killing_form,
@@ -745,6 +746,39 @@ def dense_graded_derivations(grading: Grading) -> GradedDerivations:
         if space.dim:
             sigma.append(g)
     return GradedDerivations(grading, by_degree, by_degree[ident], tuple(sigma))
+
+
+def routed_leibniz_rows(grading: Grading) -> dict:
+    """Oracle for the per-degree row streams of ``grading._derivation_system``:
+    every Leibniz row of ``algcore._leibniz_rows`` generated first, then
+    each sent to the degree of its first unknown, deg r - deg c for D[r, c]
+    read by group arithmetic, and re-indexed to that degree's unknowns in
+    increasing flat order.  Candidate degree -> its rows, in generation
+    order; a row whose unknowns span two degrees raises AxiomFailure."""
+    n = grading.dimension
+    degrees = grading.degrees
+    ident = grading.group.identity()
+    candidates = sorted(
+        {s - t for s in grading.support for t in grading.support} | {ident},
+        key=lambda g: g.coords,
+    )
+    where, count = {}, {g: 0 for g in candidates}
+    for r in range(n):
+        for c in range(n):
+            g = degrees[r] - degrees[c]
+            where[r * n + c] = (g, count[g])
+            count[g] += 1
+    out = {g: [] for g in candidates}
+    for row in _leibniz_rows(grading.homog_algebra):
+        g = where[next(iter(row))][0]
+        local = {}
+        for idx, x in row.items():
+            h, k = where[idx]
+            if h != g:
+                raise AxiomFailure(f"a Leibniz row mixes the derivation degrees {g.coords} and {h.coords}")
+            local[k] = x
+        out[g].append(local)
+    return out
 
 
 def graded_parts(gd: GradedDerivations) -> tuple:

@@ -22,12 +22,13 @@ from gradalg.algcore import (
     centroid_dimension,
     derivation_algebra,
     derivation_space,
+    inner_derivations,
     is_simple,
     killing_form,
     subalgebra_structure,
 )
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, rank, sparse_rows
+from gradalg.exactla import RatMatrix, Subspace, rank, sparse_rows
 from gradalg.grading import Grading, graded_derivations
 
 from helpers import (
@@ -540,6 +541,44 @@ class TestNonIntegralConstants:
         assert all(type(x) is int for row in _leibniz_rows(alg) for x in row.values())
         assert derivation_space(alg) == fraction_nullspace(n * n, sparse_rows(dense_leibniz_rows(alg)))
         assert graded_derivations(gr).by_degree == fraction_derivations(gr)
+
+
+def _fraction_inner_derivations(alg: StructureAlgebra) -> list[dict]:
+    """The maps x -> e_i x - x e_i read on the rational ``op.tensor``, as
+    sparse vectors in n^2 coordinates (row-major), the zero ones dropped."""
+    n = alg.dimension
+    t = alg.binary_op().tensor
+    maps = []
+    for i in range(n):
+        vec = {}
+        for c in range(n):
+            for r, x in t.get((i, c), {}).items():
+                vec[r * n + c] = vec.get(r * n + c, 0) + x
+            for r, x in t.get((c, i), {}).items():
+                vec[r * n + c] = vec.get(r * n + c, 0) - x
+        if vec := {k: x for k, x in vec.items() if x}:
+            maps.append(vec)
+    return maps
+
+
+class TestInnerDerivations:
+    """``inner_derivations`` reads the integer tensor: int maps, each the
+    rational map times the same positive constant, with the same span."""
+
+    @pytest.mark.parametrize("rebased", [False, True], ids=["catalog", "rebased"])
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_integer_maps_span_the_rational_ones(self, name, rebased):
+        gr = catalog.get_catalog(name).grading
+        alg = _diagonally_rebased(gr).algebra if rebased else gr.homog_algebra
+        n = alg.dimension
+        op = alg.binary_op()
+        scale = lcm(*(c.denominator for vec in op.tensor.values() for c in vec.values()))
+        assert (scale > 1) == rebased
+        maps = inner_derivations(alg)
+        rational = _fraction_inner_derivations(alg)
+        assert maps and all(type(x) is int for vec in maps for x in vec.values())
+        assert maps == [{k: scale * x for k, x in vec.items()} for vec in rational]
+        assert Subspace.span(n * n, maps) == Subspace.span(n * n, rational)
 
 
 SIGNS = {"antisymmetric": -1, "symmetric": 1, "general": 0}

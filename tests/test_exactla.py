@@ -61,6 +61,7 @@ from helpers import (
     diagonal,
     flatten,
     fraction_gauss_jordan,
+    fraction_nullspace,
     kernel_eigen_split,
     mat_transpose,
     newton_semisimple_part,
@@ -413,6 +414,49 @@ class TestKnownKernelStop:
         with pytest.raises(AxiomFailure, match="known kernel vector"):
             sparse_nullspace(3, [{2: Q(1)}, {0: Q(1), 1: Q(-1)}], [{0: Q(1), 1: Q(1)}, {2: Q(1)}])
 
+    def test_a_wrong_known_vector_with_fraction_entries_is_an_axiom_failure(self):
+        # x0/2 + x1/3 = 0 has kernel span((2, -3)); the check reads the known vectors in integers
+        rows = [{0: Q(1, 2), 1: Q(1, 3)}]
+        assert sparse_nullspace(2, rows, [{0: Q(2, 7), 1: Q(-3, 7)}]) == Subspace.span(2, [{0: 2, 1: -3}])
+        with pytest.raises(AxiomFailure, match="known kernel vector"):
+            sparse_nullspace(2, rows, [{0: Q(1, 3), 1: Q(1, 2)}])
+        with pytest.raises(AxiomFailure, match="known kernel vector"):
+            sparse_nullspace(3, rows, [{2: Q(5, 3)}, {0: Q(-3, 2), 1: Q(1, 3)}])
+
+    def test_dependent_known_vectors_stop_at_the_rank_they_leave(self):
+        read = []
+
+        def rows():
+            for row in ({0: Q(1)}, {0: Q(2)}, {1: Q(1, 3)}, {2: Q(1), 3: Q(1)}):
+                read.append(row)
+                yield row
+            raise AssertionError("read past the third pivot")
+
+        # the kernel is span((0, 0, 1, -1)); three multiples of it span one dimension, so
+        # the elimination stops at 4 - 1 pivots, after the dependent second row
+        v = {2: Q(1), 3: Q(-1)}
+        known = [v, {2: Q(2), 3: Q(-2)}, {2: Q(-1, 5), 3: Q(1, 5)}]
+        assert sparse_nullspace(4, rows(), known) == Subspace.span(4, [v])
+        assert len(read) == 4
+
+    def test_random_streams_with_known_kernel_vectors_agree_with_the_fraction_solve(self):
+        rng = random.Random(444)
+        stops = 0
+        for trial in range(300):
+            ncols = rng.randint(1, 7)
+            stream = random_row_stream(rng, ncols)
+            expected = fraction_nullspace(ncols, stream)
+            basis = expected.sparse_vectors()
+            take = rng.randint(0, len(basis))
+            known = [
+                combine_rows({t: random_entry(rng) for t in range(take) if rng.random() < 0.7}, basis)
+                for _ in range(rng.randint(0, take + 2))
+            ]
+            known = [v for v in known if v]
+            stops += Subspace.span(ncols, known) == expected
+            assert sparse_nullspace(ncols, iter(stream), known) == expected, f"trial {trial}"
+        assert stops > 30
+
 
 def random_entry(rng):
     """An int or a Fraction: small, with a denominator up to 12, or near 2^200."""
@@ -540,15 +584,16 @@ class TestSubspaces:
 
     def test_one_elimination_per_canonical_basis(self, monkeypatch):
         # a canonical basis is the result of one gauss_jordan, taken as it is;
-        # a kernel adds one elimination of its system
+        # a kernel adds one elimination of its system.  Both run the integer
+        # elimination _integer_echelon, which is counted
         calls = []
-        real = exactla.gauss_jordan
+        real = exactla._integer_echelon
 
         def counting(rows, ncols, max_rank=None):
             calls.append(ncols)
             return real(rows, ncols, max_rank)
 
-        monkeypatch.setattr(exactla, "gauss_jordan", counting)
+        monkeypatch.setattr(exactla, "_integer_echelon", counting)
         m = RatMatrix([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
 
         def eliminations(build):

@@ -40,6 +40,7 @@ from helpers import (
     mat_from_flat,
     heisenberg_grading,
     random_graded_algebra,
+    routed_leibniz_rows,
     signed_permutation,
     sl_involution_grading,
     sparse,
@@ -363,8 +364,17 @@ class TestRoutedDerivations:
 
     def test_row_mixing_degrees_is_axiom_failure(self, monkeypatch):
         gr = cartan_sl2()
-        # D[0, 0] has degree 0 and D[0, 1] has degree deg e - deg h = 1
-        monkeypatch.setattr(grading, "_leibniz_rows", lambda a: iter([{0: Q(1), 1: Q(1)}]))
+        # one key with op(key) = e and one right-hand term D[0, 1] e (b = 0 in a slot holding
+        # i_t = 1): its row for j = 0 is D[0, 0] - D[0, 1], filed under the degree 0 of
+        # D[0, 0], but D[0, 1] has degree deg e - deg h = 1
+        monkeypatch.setattr(grading, "_leibniz_keys", lambda a: iter([({0: 1}, [(1, [(0, {0: 1})])])]))
+        candidates, _, rows, _ = grading._derivation_system(gr)
+        ident = candidates.index(gr.group.identity())
+        with pytest.raises(AxiomFailure, match="mixes"):
+            next(rows[ident])
+        # it heads the stream of degree 0, whose solve reads it; with no known vectors the
+        # rows D[j, 0] = 0 of the other degrees are solved without complaint first
+        monkeypatch.setattr(grading, "inner_derivations", lambda a: [])
         with pytest.raises(AxiomFailure, match="mixes"):
             graded_derivations(gr)
 
@@ -470,6 +480,85 @@ class TestInnerDerivationStop:
         monkeypatch.setattr(grading, "inner_derivations", lambda a: inner_derivations(a) + [identity])
         with pytest.raises(AxiomFailure, match="known kernel vector"):
             graded_derivations(gr)
+
+
+def _streams(gr: Grading) -> dict:
+    """Each candidate degree's Leibniz rows from ``_derivation_system``, drained."""
+    candidates, _, rows, _ = grading._derivation_system(gr)
+    return {g: list(stream) for g, stream in zip(candidates, rows)}
+
+
+class TestLazyLeibnizRows:
+    """Each degree's rows are filed in one pass and built only when its
+    solve reads them; drained, each stream is the list that generating
+    every row and routing it gives (``helpers.routed_leibniz_rows``), row
+    for row and in order."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_under_a_basis_permutation(self, name):
+        gr = signed_permutation(get_catalog(name).grading, random.Random(f"lazy-{name}"))
+        assert _streams(gr) == routed_leibniz_rows(gr)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: classical_cartan_grading("B", 2),
+            lambda: classical_cartan_grading("C", 3),
+            lambda: classical_cartan_grading("D", 4),
+            lambda: sl_involution_grading(4, alternating=False),
+            lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
+            heisenberg_grading,
+        ],
+        ids=["B2", "C3", "D4", "sl4-involution", "tga3", "heisenberg"],
+    )
+    def test_generated_gradings(self, build):
+        gr = build()
+        assert _streams(gr) == routed_leibniz_rows(gr)
+
+    def test_random_gradings_with_a_ternary_operation(self):
+        rng = random.Random(2020)
+        for trial in range(20):
+            gr = random_graded_algebra(rng, ternary=True)
+            assert _streams(gr) == routed_leibniz_rows(gr), f"trial {trial}"
+
+    def test_rows_built_are_the_rows_read(self, monkeypatch):
+        gr = _fresh(get_catalog("cartan-sl4").grading)
+        routed = routed_leibniz_rows(gr)
+        candidates, unknowns, _, _ = grading._derivation_system(gr)
+        solved = [g for g, idxs in zip(candidates, unknowns) if idxs]
+        built, read = [], []
+        real_row, real_solve = grading._leibniz_row, grading.sparse_nullspace
+
+        def building(*args):
+            row = real_row(*args)
+            built.append(bool(row))
+            return row
+
+        def reading(ncols, rows, known=()):
+            rows, pulled = iter(rows), []
+
+            def stream():
+                for row in rows:
+                    pulled.append(row)
+                    yield row
+
+            before = sum(built)
+            kernel = real_solve(ncols, stream(), known)
+            # a nonzero row is built exactly when the solve reads it
+            assert sum(built) - before == len(pulled)
+            read.append(len(pulled))
+            # the rows left are built only now, in the order the solve would have read them
+            assert pulled + list(rows) == routed[solved[len(read) - 1]]
+            return kernel
+
+        monkeypatch.setattr(grading, "_leibniz_row", building)
+        monkeypatch.setattr(grading, "sparse_nullspace", reading)
+        graded_derivations(gr)
+        monkeypatch.undo()
+        assert len(read) == len(solved)
+        # generating every row before the solves would build all 1320; they read 262
+        assert sum(len(rows) for rows in routed.values()) == sum(built) == 1320
+        assert sum(read) == 262
 
 
 class TestCheckGradedMap:
