@@ -9,8 +9,12 @@ canonical basis that one such elimination gives, as sparse columns, and
 every kernel, sum, intersection and eigenspace is one.  One spectral routine, the
 generalized eigenspaces of an operator, is behind the simultaneous
 eigenspace decompositions of commuting operators and the Jordan-Chevalley
-semisimple part.  The Smith normal form U M V = S, with U, V and U^-1,
-is behind every solve over Z.  One immutable dense matrix class keeps the
+semisimple part.  It runs block by block: an operator is the direct sum
+of its restrictions to the coordinate blocks it preserves (the connected
+components of its nonzero entries), a 1 x 1 block [a] is its own
+eigenvalue, eigenspace and semisimple part, and only a larger block goes
+through its minimal polynomial.  The Smith normal form U M V = S, with U,
+V and U^-1, is behind every solve over Z.  One immutable dense matrix class keeps the
 shape, with an explicit column count, so 0 x n and n x 0 matrices exist;
 ``RatMatrix`` (rationals) and ``IntMatrix`` (exact integers) fix its
 entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
@@ -607,22 +611,61 @@ def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(m: Sequence[Mapping[int, Fraction]], message: str) -> tuple[list[Fraction], int]:
-    """The distinct eigenvalues of the operator M, all rational (else
-    NonSplitError with ``message``), and k = deg - #roots + 1 for its
-    minimal polynomial: k bounds every root's multiplicity, and k = 1 iff
-    M is diagonalizable."""
-    mp = minimal_polynomial(m)
-    roots = rational_roots(mp)
-    if roots is None:
-        raise NonSplitError(message)
-    return roots, len(mp) - len(roots)
+def _blocks(m: Sequence[Mapping[int, Fraction]]) -> list[list[int]]:
+    """The coordinate blocks of the operator M: the connected components of
+    the graph on 0..n-1 with an edge i-j wherever M[i][j] != 0, each as
+    sorted indices, in order of least index.  M maps the span of each
+    block's unit vectors into itself, so it is the direct sum of its
+    restrictions to them."""
+    root = list(range(len(m)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, row in enumerate(m):
+        for j, x in row.items():
+            if x:
+                a, b = find(i), find(j)
+                root[max(a, b)] = min(a, b)
+    # each root is its component's least index, met first in this order
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(m)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _spectra(m: Sequence[Mapping[int, Fraction]], message: str) -> list[tuple[list[int], list, list[Fraction], int]]:
+    """Each block of the operator M (``_blocks``) as (indices, M restricted
+    to the block, its distinct eigenvalues, k).  The eigenvalues must all
+    be rational (else NonSplitError with ``message``), and k = deg - #roots
+    + 1 for the block's minimal polynomial bounds every root's
+    multiplicity; k = 1 iff the block is diagonalizable.  A 1 x 1 block
+    [a] has the eigenvalue a and k = 1, with no polynomial.  Every block's
+    spectrum is computed here, before a caller takes a verdict from k."""
+    spectra = []
+    for block in _blocks(m):
+        at = {i: t for t, i in enumerate(block)}
+        sub = [{at[c]: x for c, x in m[i].items() if x} for i in block]
+        if len(block) == 1:
+            spectra.append((block, sub, [Q(sub[0].get(0, 0))], 1))
+            continue
+        mp = minimal_polynomial(sub)
+        roots = rational_roots(mp)
+        if roots is None:
+            raise NonSplitError(message)
+        spectra.append((block, sub, roots, len(mp) - len(roots)))
+    return spectra
 
 
 def _generalized_eigenspaces(m: Sequence[Mapping[int, Fraction]], roots: Sequence, k: int) -> list[tuple[Fraction, Subspace]]:
-    """ker (M - lam)^k for each eigenvalue lam of the operator M, with the
-    ``roots`` and ``k`` of ``_spectrum(M)``."""
+    """ker (M - lam)^k for each eigenvalue lam of one block M, with the
+    ``roots`` and ``k`` that ``_spectra`` gives it; a 1 x 1 block is its
+    one eigenspace."""
     n = len(m)
+    if n == 1:
+        return [(roots[0], Subspace.full(1))]
     spaces = []
     for lam in roots:
         shifted = [combine_rows({0: Q(1), 1: -lam}, [row, {i: Q(1)}]) for i, row in enumerate(m)]
@@ -639,22 +682,33 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) 
     """Split ``space``, which the operator with sparse columns
     ``op_columns`` must preserve, into its eigenspaces; raises if the
     restriction is not diagonalizable with rational spectrum.  Column t of
-    the restriction is the image of basis vector t read at the basis's
-    pivots, and each eigenspace is the span of the basis applied to a
-    kernel vector of the restriction."""
+    the restriction R is the image of basis vector t read at the basis's
+    pivots.  Each eigenspace of R is the union of its blocks' canonical
+    bases, sorted by pivot: that is a canonical basis, since the blocks'
+    supports are disjoint.  The basis B of ``space`` maps it to the
+    canonical basis of the operator's eigenspace, with no elimination:
+    each column of B is 1 at its own pivot, 0 at the other columns' pivots
+    and 0 before its own, so if v is 1 at t, 0 at the other vectors'
+    pivots and 0 before t, then B v is 1 at B's pivot t, 0 at B's pivots
+    of the other vectors and 0 before B's pivot t."""
     restricted = []
     for v in space._columns:
         x = _pivot_coords(combine_rows(v, op_columns), space._pivots, space._columns)
         if x is None:
             raise ShapeError("operator does not preserve the space")
         restricted.append(x)
-    restricted = transpose(restricted, space.dim)
-    roots, k = _spectrum(restricted, "operator has an irrational eigenvalue")
-    if k > 1:
+    spectra = _spectra(transpose(restricted, space.dim), "operator has an irrational eigenvalue")
+    if any(k > 1 for *_, k in spectra):
         raise NotDiagonalizableError("minimal polynomial has a repeated root")
+    kernels: dict[Fraction, dict[int, dict[int, Fraction]]] = {}
+    for block, sub, roots, k in spectra:
+        for lam, ker in _generalized_eigenspaces(sub, roots, k):
+            kernels.setdefault(lam, {}).update(
+                (block[p], {block[c]: x for c, x in v.items()}) for p, v in zip(ker._pivots, ker._columns)
+            )
     return [
-        (lam, Subspace.span(space.dim_ambient, (combine_rows(v, space._columns) for v in ker._columns)))
-        for lam, ker in _generalized_eigenspaces(restricted, roots, k)
+        (lam, Subspace(space.dim_ambient, {space._pivots[p]: combine_rows(ker[p], space._columns) for p in sorted(ker)}))
+        for lam, ker in sorted(kernels.items())
     ]
 
 
@@ -663,7 +717,8 @@ def simultaneous_eigenspaces(
 ) -> list[tuple[tuple[Fraction, ...], Subspace]]:
     """Joint eigenspace decomposition of commuting diagonalizable
     operators, each given by its sparse rows, on ``space``, which every op
-    must preserve (the whole space by default).
+    must preserve (the whole space by default).  Each op splits each piece
+    so far block by block (``_eigen_split``).
 
     Returns (weight vector, subspace) pairs sorted by weight; the
     subspaces are a direct-sum decomposition of ``space``.
@@ -691,19 +746,28 @@ def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fract
     """Semisimple summand S of the Jordan-Chevalley decomposition M = S + N
     of the operator with sparse rows ``m``, as sparse rows.
 
-    S acts as lam on the generalized eigenspace of each eigenvalue lam, so
-    column i of S is sum_t lam_t x_t b_t for the coordinates x of e_i in
-    the basis b of those eigenspaces, all read by one coordinate reader.
+    S is the direct sum of the semisimple parts of M's blocks
+    (``_blocks``); a 1 x 1 block [a] is its own.  On a larger block S acts
+    as lam on the generalized eigenspace of each eigenvalue lam, so column
+    i of S is sum_t lam_t x_t b_t for the coordinates x of e_i in the
+    basis b of those eigenspaces, all read by one coordinate reader.
     Requires the characteristic polynomial to split over the rationals
     (NonSplitError otherwise).
     """
-    n = len(m)
-    spaces = _generalized_eigenspaces(m, *_spectrum(m, "spectrum is not rational"))
-    basis = [v for _, space in spaces for v in space._columns]
-    lams = [lam for lam, space in spaces for _ in space._columns]
-    coords = coordinate_reader(n, basis)
-    columns = [combine_rows({t: lams[t] * x for t, x in coords({i: Q(1)}).items()}, basis) for i in range(n)]
-    return transpose(columns, n)
+    s: list[dict[int, Fraction]] = [{} for _ in m]
+    for block, sub, roots, k in _spectra(m, "spectrum is not rational"):
+        if len(block) == 1:
+            s[block[0]] = {block[0]: x for x in sub[0].values()}
+            continue
+        spaces = _generalized_eigenspaces(sub, roots, k)
+        basis = [v for _, space in spaces for v in space._columns]
+        lams = [lam for lam, space in spaces for _ in space._columns]
+        coords = coordinate_reader(len(block), basis)
+        for t in range(len(block)):
+            column = combine_rows({u: lams[u] * x for u, x in coords({t: Q(1)}).items()}, basis)
+            for c, x in column.items():
+                s[block[c]][block[t]] = x
+    return s
 
 
 # ---------------------------------------------------------------------------

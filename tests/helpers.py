@@ -352,6 +352,16 @@ def kernel_eigen_split(basis: RatMatrix, op: RatMatrix) -> list:
     return pieces
 
 
+def kernel_joint_eigenspaces(ops, basis: RatMatrix) -> list:
+    """Oracle for ``exactla.simultaneous_eigenspaces`` on the column space
+    of ``basis``: ``kernel_eigen_split`` of each dense op in turn on each
+    piece so far, as (weight, canonical basis matrix) sorted by weight."""
+    pieces = [((), basis)]
+    for op in ops:
+        pieces = [(w + (lam,), b) for w, piece in pieces for lam, b in kernel_eigen_split(piece, op)]
+    return sorted(pieces, key=lambda t: t[0])
+
+
 def e_matrix(n: int, i: int, j: int, c=1) -> RatMatrix:
     return RatMatrix([[c if (r, s) == (i, j) else 0 for s in range(n)] for r in range(n)])
 

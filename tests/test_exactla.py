@@ -22,7 +22,7 @@ from gradalg.errors import (
     NotDiagonalizableError,
     ShapeError,
 )
-from gradalg import exactla, grading
+from gradalg import afine, catalog, exactla, grading, lieroot
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
@@ -53,6 +53,7 @@ from helpers import (
     basis_matrix,
     blocked_kernel,
     chain_repaired_smith_normal_form,
+    classical_cartan_grading,
     column_vector,
     dense_column_echelon,
     dense_nullspace,
@@ -63,6 +64,7 @@ from helpers import (
     fraction_gauss_jordan,
     fraction_nullspace,
     kernel_eigen_split,
+    kernel_joint_eigenspaces,
     mat_transpose,
     newton_semisimple_part,
     op_rows,
@@ -75,6 +77,7 @@ from helpers import (
     submatrix,
     sympy_rational_roots,
     vectors,
+    sl_involution_grading,
     zeros,
 )
 
@@ -914,6 +917,201 @@ class TestSpectraAgainstOracles:
         assert semisimple_part([]) == []
         for space in (None, Subspace.full(0)):
             assert sum(b.dim for _, b in simultaneous_eigenspaces([[]], space)) == 0
+
+
+def random_block(rng, kind):
+    """One block of a block-diagonal operator: [0] ("zero"), a random
+    scalar [a] ("scalar"), or a random rational conjugate P J P^-1 of a
+    Jordan form of one kind of ``random_spectral_blocks``."""
+    if kind == "zero":
+        return RatMatrix([[0]])
+    if kind == "scalar":
+        return RatMatrix([[rng.choice(EIGENVALUES)]])
+    j = jordan_form(random_spectral_blocks(rng, kind))
+    p = rand_rational_invertible(rng, j.rows)
+    return p * j * inverse(p)
+
+
+def scattered_blocks(blocks, places) -> RatMatrix:
+    """The direct sum of the square ``blocks``, block t on the sorted
+    coordinates ``places[t]``."""
+    n = sum(b.rows for b in blocks)
+    rows = [[Q(0)] * n for _ in range(n)]
+    for b, idx in zip(blocks, places):
+        for r, i in enumerate(idx):
+            for c, j in enumerate(idx):
+                rows[i][j] = b[r, c]
+    return RatMatrix(rows)
+
+
+def random_block_operator(rng, kinds):
+    """A block-diagonal operator with one ``random_block`` per kind, under a
+    random permutation of the coordinates: (matrix, the blocks'
+    coordinates, sorted)."""
+    blocks = [random_block(rng, kind) for kind in kinds]
+    n = sum(b.rows for b in blocks)
+    order = rng.sample(range(n), n)
+    places, at = [], 0
+    for b in blocks:
+        places.append(sorted(order[at : at + b.rows]))
+        at += b.rows
+    return scattered_blocks(blocks, places), places
+
+
+def coordinate_basis(n, idx) -> RatMatrix:
+    """The unit vectors e_i, i in ``idx``, as the columns of an n-row matrix."""
+    return RatMatrix.from_columns([[int(r == i) for r in range(n)] for i in idx], rows=n)
+
+
+class TestBlocks:
+    """The coordinate blocks of an operator, and the spectral routines run
+    block by block against the dense oracles."""
+
+    def test_blocks_of_small_operators(self):
+        assert exactla._blocks([]) == []
+        assert exactla._blocks(op_rows(RatMatrix.identity(3))) == [[0], [1], [2]]
+        assert exactla._blocks(op_rows(zeros(2, 2))) == [[0], [1]]
+        # one nonzero entry links i and j both ways, and chains merge
+        m = [{3: Q(1)}, {}, {4: Q(2)}, {1: Q(-1)}, {}]
+        assert exactla._blocks(m) == [[0, 1, 3], [2, 4]]
+        assert exactla._blocks([{}, {}, {0: Q(5)}]) == [[0, 2], [1]]
+        # a stored zero is no edge
+        assert exactla._blocks([{1: Q(0)}, {}]) == [[0], [1]]
+
+    def test_blocks_refine_the_placed_blocks(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            kinds = rng.choices(("zero", "scalar", "nilpotent", "repeated", "diagonalizable", "mixed"), k=rng.randint(1, 4))
+            m, places = random_block_operator(rng, kinds)
+            found = exactla._blocks(op_rows(m))
+            assert sorted(i for b in found for i in b) == list(range(m.rows))
+            assert [b[0] for b in found] == sorted(b[0] for b in found)
+            assert all(b == sorted(b) and any(set(b) <= set(p) for p in places) for b in found)
+            for kind, p in zip(kinds, places):
+                if kind in ("zero", "scalar"):
+                    assert [p[0]] in found
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("zero", "scalar", "zero", "scalar", "scalar"),
+            ("zero", "scalar", "diagonalizable", "diagonalizable"),
+            ("nilpotent", "zero", "scalar"),
+            ("repeated", "scalar", "zero"),
+            ("irrational", "scalar", "zero", "diagonalizable"),
+            ("irrational", "repeated", "scalar"),
+            ("mixed", "mixed", "zero"),
+        ],
+    )
+    def test_block_operators_match_the_oracles(self, kinds):
+        rng = random.Random(83 + len(kinds))
+        for _ in range(8):
+            m, places = random_block_operator(rng, kinds)
+            n = m.rows
+            s = outcome(semisimple_of, m)
+            assert s == outcome(newton_semisimple_part, m)
+            split = outcome(eigen_split_bases, RatMatrix.identity(n), m)
+            assert split == outcome(kernel_eigen_split, RatMatrix.identity(n), m)
+            # a coordinate subspace that m preserves: the span of some blocks
+            chosen = sorted(i for p in rng.sample(places, rng.randint(1, len(places))) for i in p)
+            basis = coordinate_basis(n, chosen)
+            assert outcome(eigen_split_bases, basis, m) == outcome(kernel_eigen_split, basis, m)
+            if "irrational" in kinds:
+                assert s == (NonSplitError, "spectrum is not rational")
+                assert split == (NonSplitError, "operator has an irrational eigenvalue")
+            elif "repeated" in kinds:
+                assert split == (NotDiagonalizableError, "minimal polynomial has a repeated root")
+            elif "nilpotent" in kinds:
+                assert s == scattered_blocks(
+                    [zeros(len(p), len(p)) if k == "nilpotent" else submatrix(m, p, p) for k, p in zip(kinds, places)],
+                    places,
+                )
+            elif "mixed" not in kinds:
+                assert s == m
+
+    @pytest.mark.parametrize("irrational_first", [True, False])
+    def test_nonsplit_wins_over_not_diagonalizable(self, irrational_first):
+        # a Jordan block and the companion block of x^2 - 2, in either
+        # order of least index: every block's spectrum is read before the
+        # repeated root is judged
+        jordan, sqrt2 = jordan_form([(Q(1), 2)]), jordan_form([SQRT2])
+        places = [[0, 2], [1, 3]] if irrational_first else [[1, 3], [0, 2]]
+        m = scattered_blocks([sqrt2, jordan], places)
+        assert exactla._blocks(op_rows(m)) == [[0, 2], [1, 3]]
+        assert outcome(semisimple_of, m) == (NonSplitError, "spectrum is not rational")
+        for basis in (RatMatrix.identity(4), coordinate_basis(4, [0, 1, 2, 3])):
+            split = outcome(eigen_split_bases, basis, m)
+            assert split == (NonSplitError, "operator has an irrational eigenvalue")
+            assert split == outcome(kernel_eigen_split, basis, m)
+        # without the irrational block the Jordan block is the verdict
+        assert outcome(eigen_split_bases, coordinate_basis(4, places[1]), m) == (
+            NotDiagonalizableError,
+            "minimal polynomial has a repeated root",
+        )
+
+    def test_nonsplit_identity_component_of_sl6_symplectic(self):
+        # ad x for an integer x in L_e = sp6 of sl6 graded by the symplectic
+        # involution preserves L_e (21) and L_1 (14); the sp6 block has an
+        # irreducible factor in its minimal polynomial
+        gr = sl_involution_grading(6, True)
+        l_e = gr.identity_component()
+        assert l_e.sparse_vectors() == [{i: Q(1)} for i in range(21)]
+        ad = gr.algebra.ad_rows({i: Q(i + 1) for i in range(21)})
+        assert [len(b) for b in exactla._blocks(ad)] == [21, 14]
+        with pytest.raises(NonSplitError, match="^spectrum is not rational$"):
+            semisimple_part(ad)
+
+
+#: fresh Lie gradings, so no memo hides a spectral call: every catalog
+#: Lie entry and the helper gradings of the spectral and root tests
+PIPELINE_GRADINGS = {
+    **{
+        name: lambda name=name: catalog._BUILDERS[name]().grading
+        for name in catalog.catalog_names()
+        if "lie" in catalog.get_catalog(name).grading.algebra.flags
+    },
+    "B2": lambda: classical_cartan_grading("B", 2),
+    "C3": lambda: classical_cartan_grading("C", 3),
+    "sl4-orthogonal": lambda: sl_involution_grading(4, alternating=False),
+    "sl4-symplectic": lambda: sl_involution_grading(4, alternating=True),
+    "sl5-orthogonal": lambda: sl_involution_grading(5, alternating=False),
+}
+
+
+class TestPipelineOperators:
+    """The operators that the toral rank (``toral_part``), the canonical
+    refinement and ``lieroot.weight_decomposition`` hand to ``exactla``,
+    recorded on real gradings, against the dense oracles."""
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_GRADINGS))
+    def test_recorded_operators_match_the_oracles(self, name, monkeypatch):
+        semisimple_inputs, joint_inputs = [], []
+
+        def recording_semisimple(m):
+            semisimple_inputs.append(m)
+            return semisimple_part(m)
+
+        def recording_joint(ops, space=None):
+            joint_inputs.append((ops, space))
+            return simultaneous_eigenspaces(ops, space)
+
+        monkeypatch.setattr(afine, "semisimple_part", recording_semisimple)
+        monkeypatch.setattr(afine, "simultaneous_eigenspaces", recording_joint)
+        monkeypatch.setattr(lieroot, "simultaneous_eigenspaces", recording_joint)
+        gr = PIPELINE_GRADINGS[name]()
+        afine.canonical_refinement(gr)
+        if gr.identity_component().dim:
+            lieroot.extract_root_system(gr)
+            assert any(space.dim == gr.dimension for _, space in joint_inputs)
+        # a grading with D_e = 0 (b2-skew, a3-fine) has no Cartan candidate
+        assert bool(semisimple_inputs) == (afine.toral_rank(gr).d_e.dim > 0)
+        assert joint_inputs
+        for m in semisimple_inputs:
+            assert outcome(semisimple_of, rows_matrix(m)) == outcome(newton_semisimple_part, rows_matrix(m))
+        for ops, space in joint_inputs:
+            dense_ops = [rows_matrix(op) for op in ops]
+            got = [(w, basis_matrix(piece)) for w, piece in simultaneous_eigenspaces(ops, space)]
+            assert got == kernel_joint_eigenspaces(dense_ops, basis_matrix(space))
 
 
 class TestSubspaceSplit:

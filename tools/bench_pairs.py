@@ -11,10 +11,11 @@ started in its checkout, which imports gradalg from that checkout's
 ``src/``.  The JSON written to ``--out`` (default ``BENCH_<workload>.json``
 in the current directory) holds every run's end-to-end metrics and
 correctness, and for each metric each side's median and quartiles and the
-number of pairs the change won, "better" read from the change checkout's
-``BENCHMARK.json``.  Give it two checkouts made the same way, for example
-two ``git archive`` exports: byte-code caches that one side has and the
-other lacks move ``setup_s``.
+number of pairs the change won, with the verdicts ``gain_shown`` and
+``within_bound`` (see ``summarize``); "better" and "bound" are read from
+the change checkout's ``BENCHMARK.json``.  Give it two checkouts made the
+same way, for example two ``git archive`` exports: byte-code caches that
+one side has and the other lacks move ``setup_s``.
 """
 
 from __future__ import annotations
@@ -55,24 +56,37 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread and the pairs the change won."""
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound):
+    each side's spread, the pairs the change won, and two verdicts.
+
+    - ``gain_shown``: the change won at least nine tenths of the pairs,
+      ties counting for neither side, and its median is better than the
+      parent's by more than the parent's q3 - q1.
+    - ``within_bound``: the change's median is worse than the parent's by
+      at most ``bound``, as a share of the parent's median."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
+        sign = 1 if direction == "higher" else -1
         spreads = {side: spread([r["metrics"][name] for r in runs if r["side"] == side]) for side in SIDES}
         won = 0
         for pair in pairs.values():
-            parent, change = pair["parent"]["metrics"][name], pair["change"]["metrics"][name]
-            won += change > parent if direction == "higher" else change < parent
+            won += sign * (pair["change"]["metrics"][name] - pair["parent"]["metrics"][name]) > 0
+        parent, change = spreads["parent"], spreads["change"]
+        gain = sign * (change["median"] - parent["median"])
         out[name] = {
             "better": direction,
+            "bound": metric["bound"],
             **spreads,
-            "change_over_parent": spreads["change"]["median"] / spreads["parent"]["median"],
+            "change_over_parent": change["median"] / parent["median"],
             "pairs_won_by_change": won,
             "pairs": len(pairs),
+            "gain_shown": 10 * won >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= metric["bound"] * parent["median"],
         }
     return out
 
@@ -86,8 +100,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):
@@ -103,7 +116,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} --trace 0",
         "python": platform.python_version(),
         "all_correct": all(r["correct"] for r in runs),
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, metrics),
         "runs": runs,
     }
     out = args.out or Path(f"BENCH_{args.workload}.json")
@@ -111,7 +124,8 @@ def main(argv=None) -> int:
     for name, s in report["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}] "
               f"change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}] "
-              f"won {s['pairs_won_by_change']}/{s['pairs']}")
+              f"won {s['pairs_won_by_change']}/{s['pairs']} "
+              f"gain_shown={s['gain_shown']} within_bound={s['within_bound']}")
     return 0
 
 
