@@ -713,20 +713,16 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) 
 
 
 def simultaneous_eigenspaces(
-    ops: Sequence[Sequence[Mapping[int, Fraction]]], space: Subspace | None = None
+    ops: Sequence[Sequence[Mapping[int, Fraction]]], space: Subspace
 ) -> list[tuple[tuple[Fraction, ...], Subspace]]:
     """Joint eigenspace decomposition of commuting diagonalizable
     operators, each given by its sparse rows, on ``space``, which every op
-    must preserve (the whole space by default).  Each op splits each piece
-    so far block by block (``_eigen_split``).
+    must preserve.  Each op splits each piece so far block by block
+    (``_eigen_split``).
 
     Returns (weight vector, subspace) pairs sorted by weight; the
     subspaces are a direct-sum decomposition of ``space``.
     """
-    if space is None:
-        if not ops:
-            raise ShapeError("a space is needed when there are no operators")
-        space = Subspace.full(len(ops[0]))
     n = space.dim_ambient
     if any(len(op) != n or any(c >= n for row in op for c in row) for op in ops):
         raise ShapeError("operators must be square of equal size")

@@ -2,7 +2,8 @@
 
 A grading assigns a degree to each vector of a homogeneous basis (an
 optional change-of-basis matrix homogenizes the input basis first).
-Compatibility is verified exactly against every structure-tensor entry.
+Compatibility is verified exactly on the relation rows read once from the
+structure-tensor entries.
 On top: the universal abelian group of a grading, induced gradings along
 group homomorphisms, per-degree derivation components, and verification
 of supplied graded maps (equivalences and isomorphisms).
@@ -51,10 +52,14 @@ class Grading:
     """A G-grading of a structure algebra on a homogeneous basis.
 
     ``degrees[i]`` is the degree of the i-th column of ``basis_change``
-    (default: the i-th standard basis vector).  Construction validates
-    compatibility with every operation and caches the support and the
-    structure tensors rewritten in the homogeneous basis.  Invariants
-    computed from a grading are memoized on it (``_memo``).
+    (default: the i-th standard basis vector).  Construction reads the
+    structure tensors rewritten in the homogeneous basis once, into one
+    table: ``labels[i]``, the index in ``support`` of ``degrees[i]``, and
+    ``relations``, the distinct nonzero rows, sorted, of the support counts
+    of ``key`` minus e_(label j) over the nonzero entries (key, j).  Each
+    row must sum to 0 in the group (compatibility); they present the
+    universal group.  Invariants computed from a grading are memoized on
+    it (``_memo``).
 
     The rewritten algebra is ``subalgebra_structure(algebra, C)`` for the
     basis change C, which is memoized on the algebra: gradings sharing an
@@ -69,6 +74,8 @@ class Grading:
         "basis_change",
         "homog_algebra",
         "support",
+        "labels",
+        "relations",
         "_components",
         "_memo",
     )
@@ -97,30 +104,41 @@ class Grading:
             homog = subalgebra_structure(algebra, cols, name=algebra.name)
         except ValueError:  # dependent columns
             raise ShapeError(not_invertible) from None
-        # compatibility: every nonzero entry lands in the product degree
+        by_coords = {d.coords: d for d in degrees}
+        support = [by_coords[c] for c in sorted(by_coords)]
+        label_of = {s.coords: i for i, s in enumerate(support)}
+        labels = tuple(label_of[d.coords] for d in degrees)
+        # each distinct relation row, with the first entry (op, key, j) giving it
+        rows: dict[tuple[int, ...], tuple] = {}
         for op in homog.operations:
             for key, vec in op.tensor.items():
-                total = degrees[key[0]]
-                for i in key[1:]:
-                    total = total + degrees[i]
+                counts = [0] * len(support)
+                for i in key:
+                    counts[labels[i]] += 1
                 for j in vec:
-                    if degrees[j] != total:
-                        raise IncompatibleDegrees(
-                            f"operation {op.name} maps degrees "
-                            f"{[degrees[i].coords for i in key]} into basis vector {j} "
-                            f"of degree {degrees[j].coords} != {total.coords}",
-                            witness=(op.name, key, j),
-                        )
+                    counts[labels[j]] -= 1
+                    rows.setdefault(tuple(counts), (op, key, j))
+                    counts[labels[j]] += 1
+        # compatibility: every row sums to 0 in the group, read on the integer coordinates of its
+        # first entry, so each entry lands in the product degree
+        for op, key, j in rows.values():
+            total = group.reduce([sum(x) for x in zip(*(degrees[i].coords for i in key))])
+            if total != degrees[j].coords:
+                raise IncompatibleDegrees(
+                    f"operation {op.name} maps degrees "
+                    f"{[degrees[i].coords for i in key]} into basis vector {j} "
+                    f"of degree {degrees[j].coords} != {total}",
+                    witness=(op.name, key, j),
+                )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "basis_change", basis_change)
         object.__setattr__(self, "homog_algebra", homog)
-        support = sorted({d for d in degrees}, key=lambda g: g.coords)
         object.__setattr__(self, "support", tuple(support))
-        comps: dict[GroupElement, Subspace] = {}
-        for g in support:
-            comps[g] = Subspace.span(n, [cols[i] for i in range(n) if degrees[i] == g])
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "relations", tuple(sorted(row for row in rows if any(row))))
+        comps = {s: Subspace.span(n, [c for c, t in zip(cols, labels) if t == i]) for i, s in enumerate(support)}
         object.__setattr__(self, "_components", comps)
         object.__setattr__(self, "_memo", {})
 
@@ -148,21 +166,22 @@ class Grading:
 
     def indices_of_degree(self, g: GroupElement) -> list[int]:
         """Homogeneous-basis indices with degree g."""
-        return [i for i, d in enumerate(self.degrees) if d == g]
+        s = self.support.index(g) if g in self._components else None
+        return [i for i, t in enumerate(self.labels) if t == s]
 
     def identity_component(self) -> Subspace:
         return self.component(self.group.identity())
 
     def is_refinement_of(self, other: "Grading") -> bool:
-        """Every component of ``self`` lies inside a component of ``other``."""
-        if other.dimension != self.dimension:
-            return False
-        for g, comp in self._components.items():
-            if not any(
-                oc.contains_subspace(comp) for oc in other._components.values()
-            ):
-                return False
-        return True
+        """Both grade the same algebra (equal dimension, and equal arity and
+        structure constants per operation), and every component of ``self``
+        lies inside a component of ``other``."""
+        a, b = (
+            (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (self, other)
+        )
+        return a == b and all(
+            any(oc.contains_subspace(c) for oc in other._components.values()) for c in self._components.values()
+        )
 
     def component_dims(self) -> dict[tuple[int, ...], int]:
         """Degree coords -> component dimension (plain data, for reports)."""
@@ -178,7 +197,8 @@ class Grading:
 class UabResult:
     """Universal abelian group of a grading: generators are the support
     elements, with one relation s_1 + ... + s_k = s for every nonzero
-    evaluation of an operation across components."""
+    evaluation of an operation across components, read from the grading's
+    table (``Grading.relations``: each distinct relation once)."""
 
     grading: Grading
     group: FgAbGroup
@@ -192,13 +212,7 @@ class UabResult:
 
     def universal_grading(self) -> Grading:
         """The same decomposition viewed as a grading by the universal group."""
-        degrees = [self.iota[d] for d in self.grading.degrees]
-        return Grading(
-            self.grading.algebra,
-            self.group,
-            degrees,
-            self.grading.basis_change,
-        )
+        return _regraded(self.grading, self.group, self.iota.__getitem__)
 
     def hom_from_support_images(
         self, codomain: FgAbGroup, images: Mapping[GroupElement, GroupElement]
@@ -230,23 +244,12 @@ def _hom_from_support_images(pres: Presentation, support: Sequence, codomain: Fg
 
 @memoized
 def universal_abelian_group(grading: Grading) -> UabResult:
-    """Present the universal abelian group on the support of the grading."""
+    """Present the universal abelian group on the support of the grading,
+    with the grading's relation rows (``Grading.relations``, sorted) as the
+    relation columns."""
     support = list(grading.support)
-    index = {s: i for i, s in enumerate(support)}
-    degrees = grading.degrees
     nsup = len(support)
-    relations: set[tuple[int, ...]] = set()
-    for op in grading.homog_algebra.operations:
-        for key, vec in op.tensor.items():
-            for j in vec:
-                row = [0] * nsup
-                for i in key:
-                    row[index[degrees[i]]] += 1
-                row[index[degrees[j]]] -= 1
-                if any(row):
-                    relations.add(tuple(row))
-    rel = IntMatrix.from_columns(sorted(relations), rows=nsup)
-    pres = group_from_presentation(nsup, rel)
+    pres = group_from_presentation(nsup, IntMatrix.from_columns(grading.relations, rows=nsup))
     u = pres.group
     iota = {}
     for i, s in enumerate(support):
@@ -287,12 +290,15 @@ def induce(grading: Grading, alpha: GroupHom) -> Grading:
     """The grading with degrees pushed forward along alpha."""
     if alpha.domain != grading.group:
         raise ShapeError("homomorphism domain must be the grading group")
-    return Grading(
-        grading.algebra,
-        alpha.codomain,
-        [alpha(d) for d in grading.degrees],
-        grading.basis_change,
-    )
+    return _regraded(grading, alpha.codomain, alpha)
+
+
+def _regraded(grading: Grading, group: FgAbGroup, image) -> Grading:
+    """The decomposition of ``grading`` with each degree s replaced by
+    image(s) in ``group``: image is applied once per support element and
+    expanded along the labels."""
+    images = [image(s) for s in grading.support]
+    return Grading(grading.algebra, group, [images[s] for s in grading.labels], grading.basis_change)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +345,7 @@ def _derivation_system(grading: Grading):
     n = homog.dimension
     group = grading.group
     support = [s.coords for s in grading.support]
-    label_of = {s: i for i, s in enumerate(support)}
-    label = [label_of[d.coords] for d in grading.degrees]
+    label = grading.labels
     differences = [[group.reduce([x - y for x, y in zip(s, t)]) for t in support] for s in support]
     candidates = sorted({g for row in differences for g in row} | {group.identity().coords})
     number = {g: i for i, g in enumerate(candidates)}

@@ -511,10 +511,6 @@ class RootGradedDecomposition:
     tables: Mapping[str, tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]]
     c_merged_into_b: bool
 
-    def dimension_identity(self) -> bool:
-        (dg, da), (ds, db), (dw, dc) = self.dims
-        return dg * da + ds * db + dw * dc + self.pieces[3].dim == self.g_sub.dim_ambient
-
 
 def _module_under(alg: StructureAlgebra, g_sub: Subspace, seed_space: Subspace) -> Subspace:
     """g_sub-submodule generated by seed_space."""

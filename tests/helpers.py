@@ -1005,6 +1005,50 @@ def heisenberg_grading() -> Grading:
 
 
 # ---------------------------------------------------------------------------
+# Per-entry oracles for a grading's relation table
+# ---------------------------------------------------------------------------
+
+
+def per_entry_incompatibility(homog: StructureAlgebra, degrees) -> tuple | None:
+    """Oracle for the compatibility check of ``Grading``: entry by entry of
+    the homogeneous structure tensors, the (message, witness) of the first
+    entry (key, j) with deg j != the sum of the degrees of key, or None."""
+    for op in homog.operations:
+        for key, vec in op.tensor.items():
+            total = degrees[key[0]]
+            for i in key[1:]:
+                total = total + degrees[i]
+            for j in vec:
+                if degrees[j] != total:
+                    return (
+                        f"operation {op.name} maps degrees "
+                        f"{[degrees[i].coords for i in key]} into basis vector {j} "
+                        f"of degree {degrees[j].coords} != {total.coords}",
+                        (op.name, key, j),
+                    )
+    return None
+
+
+def per_entry_relations(grading: Grading) -> IntMatrix:
+    """Oracle for the relations that present U(Gamma): one row per nonzero
+    entry (key, j), the support counts of key minus the support element of
+    j; the distinct nonzero rows, sorted, as the columns of a matrix."""
+    index = {s: i for i, s in enumerate(grading.support)}
+    degrees = grading.degrees
+    relations = set()
+    for op in grading.homog_algebra.operations:
+        for key, vec in op.tensor.items():
+            for j in vec:
+                row = [0] * len(index)
+                for i in key:
+                    row[index[degrees[i]]] += 1
+                row[index[degrees[j]]] -= 1
+                if any(row):
+                    relations.add(tuple(row))
+    return IntMatrix.from_columns(sorted(relations), rows=len(index))
+
+
+# ---------------------------------------------------------------------------
 # Finite abelian groups: element-set oracles for the HNF enumerations
 # ---------------------------------------------------------------------------
 

@@ -120,8 +120,7 @@ def test_criterion_5_root_graded_structure():
         # g is of type B1: a rank-1 simple subalgebra with two roots
         assert len(res.phi_prime) == 2
         (dg, da), (ds, db), (dw, dc) = res.dims
-        assert dg * da + ds * db + dw * dc + res.pieces[3].dim == 8
-        assert res.dimension_identity()
+        assert dg * da + ds * db + dw * dc + res.pieces[3].dim == res.g_sub.dim_ambient == 8
         id_dim = sum(
             dim
             for tab in res.tables.values()

@@ -247,7 +247,7 @@ def _perturbed(constant, delta):
 
 
 _FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli-m2")}
-_FUZZ_VALUES = ([1], [[0.5]], 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
+_FUZZ_VALUES = ([1], [[0.5]], -1, 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
 
 
 def _fuzzed_exit_code(data, command):
@@ -533,6 +533,17 @@ class TestExitCodes:
             "error: weyl generators need the grading group to be universal "
             "(alpha: U_ab -> G is not an isomorphism)\n"
         )
+
+    def test_refinement_on_another_algebra_is_1(self, tmp_path, capsys):
+        # the same degrees on the abelian Lie algebra of dimension 8 do not refine cartan-sl3
+        doc = catalog_workspace("cartan-sl3")
+        doc["algebras"].append(
+            {"name": "ab8", "dimension": 8, "flags": {"lie": True}, "operations": [{"name": "bracket", "arity": 2, "entries": []}]}
+        )
+        doc["gradings"].append({**doc["gradings"][0], "name": "fake-fine", "algebra": "ab8"})
+        f = write_ws(tmp_path, doc)
+        code, out, err = run(capsys, "root-graded", f, "--grading", "cartan-sl3", "--refined", "fake-fine")
+        assert (code, out, err) == (1, "", "error: second grading does not refine the first\n")
 
     def test_internal_consistency_is_4(self, tmp_path, capsys):
         # special grading refused by rootsys

@@ -1,6 +1,7 @@
 """Gradings: validation, universal groups, induced gradings, derivations,
 graded-map verification."""
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -39,6 +40,8 @@ from helpers import (
     graded_parts,
     mat_from_flat,
     heisenberg_grading,
+    per_entry_incompatibility,
+    per_entry_relations,
     random_graded_algebra,
     routed_leibniz_rows,
     signed_permutation,
@@ -270,6 +273,89 @@ class TestInduce:
                 gr.component(g).dim for g in gr.support if alpha(g) == h
             )
             assert coarse.component(h).dim == expected
+
+
+#: every catalog grading and companion, and the helper generators' gradings
+TABLE_GRADINGS = {
+    **{name: lambda name=name: get_catalog(name).grading for name in catalog_names()},
+    "b2-skew-fine": lambda: get_catalog("b2-skew").companions["fine"],
+    "B2": lambda: classical_cartan_grading("B", 2),
+    "C3": lambda: classical_cartan_grading("C", 3),
+    "D3": lambda: classical_cartan_grading("D", 3),
+    "sl4-orthogonal": lambda: sl_involution_grading(4, alternating=False),
+    "sl4-symplectic": lambda: sl_involution_grading(4, alternating=True),
+    "tga2": lambda: twisted_group_grading(2, [[0, 1], [0, 0]]),
+    "tga3": lambda: twisted_group_grading(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    "heisenberg": heisenberg_grading,
+}
+
+
+class TestRelationTable:
+    """The one table ``Grading`` reads from its structure constants, against
+    the per-entry loops it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRADINGS))
+    def test_incompatibility_matches_the_per_entry_loop(self, name):
+        gr = TABLE_GRADINGS[name]()
+        assert per_entry_incompatibility(gr.homog_algebra, gr.degrees) is None
+        rejected = 0
+        for i in range(gr.dimension):
+            degrees = list(gr.degrees)
+            degrees[i] = degrees[i] + gr.group.generator(0)
+            expected = per_entry_incompatibility(gr.homog_algebra, degrees)
+            try:
+                Grading(gr.algebra, gr.group, degrees, gr.basis_change)
+                got = None
+            except IncompatibleDegrees as exc:
+                got = (str(exc), exc.witness)
+            assert got == expected
+            rejected += got is not None
+        assert rejected
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRADINGS))
+    def test_relations_match_the_per_entry_set(self, name, monkeypatch):
+        gr = _fresh(TABLE_GRADINGS[name]())
+        presented = []
+        real = grading.group_from_presentation
+        monkeypatch.setattr(grading, "group_from_presentation", lambda n, rel: presented.append(rel) or real(n, rel))
+        universal_abelian_group(gr)
+        assert presented == [per_entry_relations(gr)]
+
+    def test_labels_index_the_support(self):
+        for make in TABLE_GRADINGS.values():
+            gr = make()
+            assert [gr.support[s] for s in gr.labels] == list(gr.degrees)
+
+    def test_induce_maps_each_support_element_once(self, monkeypatch):
+        gr = get_catalog("sl3-involution").grading
+        alpha = GroupHom(gr.group, FgAbGroup(0, [2]), IntMatrix([[1]]))
+        calls = []
+        real = GroupHom.__call__
+        monkeypatch.setattr(GroupHom, "__call__", lambda self, g: calls.append(g) or real(self, g))
+        coarse = induce(gr, alpha)
+        assert calls == list(gr.support) and len(calls) < gr.dimension
+        assert coarse.degrees == gr.degrees
+
+    def test_universal_grading_maps_each_support_element_once(self):
+        gr = get_catalog("sl3-involution").grading
+        u = universal_abelian_group(gr)
+        lookups = []
+
+        class CountingIota(dict):
+            def __getitem__(self, s):
+                lookups.append(s)
+                return super().__getitem__(s)
+
+        ugr = dataclasses.replace(u, iota=CountingIota(u.iota)).universal_grading()
+        assert lookups == list(gr.support) and len(lookups) < gr.dimension
+        assert ugr.degrees == tuple(u.iota[d] for d in gr.degrees)
+
+    def test_refinement_needs_the_same_algebra(self):
+        gr = get_catalog("cartan-sl3").grading
+        abelian = StructureAlgebra("ab8", 8, [MultilinearOp("bracket", 2, {})], ["lie"])
+        fake = Grading(abelian, gr.group, gr.degrees)
+        assert gr.is_refinement_of(gr) and fake.is_refinement_of(fake)
+        assert not fake.is_refinement_of(gr) and not gr.is_refinement_of(fake)
 
 
 class TestGradedDerivations:
