@@ -58,14 +58,15 @@ class MultilinearOp:
     (i_1, ..., i_k) -> {j: coefficient} with
     op(e_{i_1}, ..., e_{i_k}) = sum_j c_j e_j.
 
-    ``int_tensor`` is the same tensor times its common denominator (the
-    lcm of the denominators of its constants), with ``int`` entries.  The
-    flag checks and the Leibniz rows read it: both sides of Jacobi and of
-    associativity are homogeneous of degree 2 in the constants and each
-    Leibniz row is linear in them, so every verdict, witness and row space
-    is that of ``tensor``."""
+    A constant that is already a ``Fraction`` is kept as it is, not
+    wrapped again.  ``int_tensor`` is the same tensor times ``denominator``,
+    the lcm of the denominators of its constants, with ``int`` entries.
+    The flag checks, the Leibniz rows and the re-basing read it: both
+    sides of Jacobi and of associativity are homogeneous of degree 2 in the
+    constants and each Leibniz row is linear in them, so every verdict,
+    witness and row space is that of ``tensor``."""
 
-    __slots__ = ("name", "arity", "tensor", "int_tensor")
+    __slots__ = ("name", "arity", "tensor", "denominator", "int_tensor")
 
     def __init__(self, name: str, arity: int, tensor: Mapping[tuple[int, ...], Mapping[int, Fraction]]):
         if arity < 1:
@@ -75,13 +76,14 @@ class MultilinearOp:
             key = tuple(int(i) for i in key)
             if len(key) != arity:
                 raise ShapeError("tensor key arity mismatch")
-            v = {int(j): Q(c) for j, c in vec.items() if c}
+            v = {int(j): c if isinstance(c, Q) else Q(c) for j, c in vec.items() if c}
             if v:
                 clean[key] = v
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "arity", int(arity))
         object.__setattr__(self, "tensor", clean)
         scale = math.lcm(*(c.denominator for vec in clean.values() for c in vec.values()))
+        object.__setattr__(self, "denominator", scale)
         object.__setattr__(
             self,
             "int_tensor",
@@ -191,47 +193,55 @@ class StructureAlgebra:
     # -- flag verification --------------------------------------------------
 
     def _verify_lie(self):
+        """Antisymmetry, then Jacobi, over the stored keys: a basis pair can
+        fail only if one of its keys is stored, and a triple i < j < k only
+        if one of its cyclic products [[e_a, e_b], e_c] has a term
+        (``_left_terms``).  The least failing pair or triple is reported,
+        the first one in lexicographic order."""
         t = self.binary_op().int_tensor
-        n = self.dimension
-        for i in range(n):
-            for j in range(i, n):
-                if t.get((i, j), {}) != {l: -c for l, c in t.get((j, i), {}).items()}:
-                    raise FlagViolation(
-                        f"bracket is not antisymmetric on basis pair ({i}, {j})",
-                        witness=(i, j),
-                    )
-        # right[k][l] = [e_l, e_k], so [[e_i, e_j], e_k] = combine_rows(t[(i, j)], right[k])
-        right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    terms = [
-                        combine_rows(t.get(key, {}), right[c])
-                        for key, c in (((i, j), k), ((j, k), i), ((k, i), j))
-                    ]
-                    # the Jacobi sum: terms[0] + terms[1] + terms[2]
-                    if combine_rows({0: 1, 1: 1, 2: 1}, terms):
-                        raise FlagViolation(
-                            f"Jacobi identity fails on basis triple ({i}, {j}, {k})",
-                            witness=(i, j, k),
-                        )
+        pairs = [tuple(sorted(key)) for key, vec in t.items() if t.get(key[::-1]) != {l: -c for l, c in vec.items()}]
+        if pairs:
+            i, j = min(pairs)
+            raise FlagViolation(f"bracket is not antisymmetric on basis pair ({i}, {j})", witness=(i, j))
+        jacobi: dict[tuple[int, int, int, int], int] = {}
+        for a, b, c, m, x in _left_terms(t):
+            # (a, b, c) a cyclic order of i < j < k: a term of the Jacobi sum of (i, j, k)
+            if a < b < c or b < c < a or c < a < b:
+                key = (*sorted((a, b, c)), m)
+                jacobi[key] = jacobi.get(key, 0) + x
+        if triples := [key[:3] for key, x in jacobi.items() if x]:
+            i, j, k = min(triples)
+            raise FlagViolation(f"Jacobi identity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
 
     def _verify_associative(self):
+        """(e_i e_j) e_k - e_i (e_j e_k) summed from the terms of both sides
+        (``_left_terms`` of the product and of the opposite product); the
+        least failing triple is reported."""
         t = self.binary_op().int_tensor
-        n = self.dimension
-        # (e_i e_j) e_k = combine_rows(t[(i, j)], right[k]) and
-        # e_i (e_j e_k) = combine_rows(t[(j, k)], left[i])
-        right = [[t.get((l, k), {}) for l in range(n)] for k in range(n)]
-        left = [[t.get((i, l), {}) for l in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ij = t.get((i, j), {})
-                for k in range(n):
-                    if combine_rows(ij, right[k]) != combine_rows(t.get((j, k), {}), left[i]):
-                        raise FlagViolation(
-                            f"associativity fails on basis triple ({i}, {j}, {k})",
-                            witness=(i, j, k),
-                        )
+        diff: dict[tuple[int, int, int, int], int] = {}
+        for i, j, k, m, x in _left_terms(t):
+            diff[i, j, k, m] = diff.get((i, j, k, m), 0) + x
+        # in the opposite product, (e_k e_j) e_i is e_i (e_j e_k)
+        for k, j, i, m, x in _left_terms({key[::-1]: vec for key, vec in t.items()}):
+            diff[i, j, k, m] = diff.get((i, j, k, m), 0) - x
+        if triples := [key[:3] for key, x in diff.items() if x]:
+            i, j, k = min(triples)
+            raise FlagViolation(f"associativity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
+
+
+def _left_terms(t: Mapping[tuple[int, int], Mapping[int, int]]):
+    """The nonzero terms of (e_a e_b) e_c for the binary tensor t, as
+    (a, b, c, m, t[(a, b)][l] t[(l, c)][m]) over the stored keys (a, b)
+    and, from an index of the keys by first slot, (l, c): summed over l,
+    they give the coefficient of e_m."""
+    by_first: dict[int, list[tuple[int, Mapping[int, int]]]] = {}
+    for (l, c), vec in t.items():
+        by_first.setdefault(l, []).append((c, vec))
+    for (a, b), ab in t.items():
+        for l, x in ab.items():
+            for c, vec in by_first.get(l, ()):
+                for m, y in vec.items():
+                    yield a, b, c, m, x * y
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +265,8 @@ def rational_field(x, field: str) -> Fraction:
     """A rational field of a JSON document: a JSON integer or a "p/q"
     string with q > 0 (ValueError naming the field otherwise)."""
     if isinstance(x, str) and _RATIONAL_LITERAL.fullmatch(x):
-        return Q(x)
+        p, _, q = x.partition("/")
+        return Q(int(p), int(q or 1))
     if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
     raise ValueError(
@@ -271,8 +282,10 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     flags an object of booleans, the operations a list of objects, their
     entries a list of lists, arity and indices integers, structure
     constants integers or "p/q" strings (ValueError naming the field
-    otherwise).  Asserted lie / associative flags are verified
-    (FlagViolation on failure)."""
+    otherwise).  A "p/q" string that passes the literal check becomes one
+    ``Fraction`` of ``int(p)`` and ``int(q)``, and entries repeating a key
+    and output index are summed.  Asserted lie / associative flags are
+    verified over the stored entries (FlagViolation on failure)."""
     name = spec.get("name", "algebra")
     if not isinstance(name, str):
         raise ValueError(f"name {name!r} is not a string")
@@ -304,8 +317,8 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
             key = tuple(int_field(x, "entry index") for x in entry[:arity])
             j = int_field(entry[arity], "entry index")
             c = rational_field(entry[arity + 1], "structure constant")
-            tensor.setdefault(key, {})
-            tensor[key][j] = tensor[key].get(j, Q(0)) + c
+            row = tensor.setdefault(key, {})
+            row[j] = row[j] + c if j in row else c
         ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
     return StructureAlgebra(name, dimension, ops, [k for k, v in flags.items() if v])
 
@@ -368,11 +381,12 @@ def subalgebra_structure(
 ) -> StructureAlgebra:
     """The algebra ``a`` re-based on the sparse vectors ``columns``: the
     canonical basis of a subspace, or the columns of an invertible basis
-    change.  Its structure constants are each operation on every tuple of
-    basis vectors, read in coordinates of those vectors (ValueError when
-    they are linearly dependent or their span is not closed under an
-    operation).  The flags (default: those of ``a``) are verified on the
-    result.
+    change.  Its structure constants are each operation on the tuples of
+    basis vectors that a stored entry reaches, built in integers from
+    those entries (``_rebased``) and read in coordinates of the vectors by
+    one ``coordinate_reader`` (ValueError when they are linearly dependent
+    or their span is not closed under an operation).  The flags (default:
+    those of ``a``) are verified on the result.
 
     The identity basis with the name and flags of ``a`` gives ``a``
     itself.  Any other result is memoized on ``a`` per (basis, name,
@@ -389,22 +403,40 @@ def subalgebra_structure(
 
 @memoized
 def _rebased(a: StructureAlgebra, frozen: tuple, name: str, flags: frozenset) -> StructureAlgebra:
-    """``subalgebra_structure`` on the columns ``frozen`` as sorted item tuples."""
+    """``subalgebra_structure`` on the columns ``frozen`` as sorted item
+    tuples.  Column t times the lcm s_t of its denominators is an integer
+    column, indexed by coordinate; each stored key of ``op.int_tensor``
+    and each tuple of integer columns nonzero at its indices add one term
+    to op(s_t1 col_t1, ...) times ``op.denominator``.  That integer vector
+    is read in coordinates and divided by those scales; tuples that no
+    stored key reaches have the value 0."""
     if any(not 0 <= i < a.dimension for col in frozen for i, _ in col):
         raise ShapeError("basis entries must lie in the algebra's dimension")
-    cols = [dict(col) for col in frozen]
-    coords = coordinate_reader(a.dimension, cols)
+    coords = coordinate_reader(a.dimension, [dict(col) for col in frozen])
+    scales = [math.lcm(*(x.denominator for _, x in col)) for col in frozen]
+    at: dict[int, list[tuple[int, int]]] = {}
+    for t, (col, s) in enumerate(zip(frozen, scales)):
+        for i, x in col:
+            at.setdefault(i, []).append((t, x.numerator * (s // x.denominator)))
     ops = []
     for op in a.operations:
+        values: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, vec in op.int_tensor.items():
+            for args in product(*(at.get(i, ()) for i in key)):
+                x = math.prod(y for _, y in args)
+                value = values.setdefault(tuple(t for t, _ in args), {})
+                for j, c in vec.items():
+                    value[j] = value.get(j, 0) + x * c
         tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for key in product(range(len(cols)), repeat=op.arity):
-            vec = coords(op.apply([cols[i] for i in key]))
+        for ts in sorted(values):
+            vec = coords({j: c for j, c in values[ts].items() if c})
             if vec is None:
                 raise ValueError("subspace is not closed under an operation")
             if vec:
-                tensor[key] = vec
+                d = op.denominator * math.prod(scales[t] for t in ts)
+                tensor[ts] = vec if d == 1 else {j: x / d for j, x in vec.items()}
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    return StructureAlgebra(name, len(cols), ops, flags)
+    return StructureAlgebra(name, len(frozen), ops, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,8 @@ Q = Fraction
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (Fraction, int, str)):
+        return x if isinstance(x, Fraction) else Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
@@ -494,21 +490,23 @@ def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Fraction]]):
     """The map from a sparse vector of Q^``size`` to its sparse coordinates
     (sorted by index) in the sparse ``vectors``, or None when it is outside
     their span (ValueError when they are linearly dependent).  One
-    elimination serves every vector: with M the matrix of rows ``vectors``,
-    the reduced echelon form of [M | I] is [R | E] with E M = R;
-    ``_pivot_coords`` reads the coordinates y of v in the rows of R, and
-    x = E^T y."""
-    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(vectors))
-    reduced = gauss_jordan(augmented, size + len(vectors))
+    ``_integer_echelon`` of [M | I], M the rows ``vectors``, gives L [R | E]
+    with E M = R, its rows scaled to the lcm L of their pivot entries; v in
+    the span, times the lcm d of its denominators, is L d [v | x] = sum_p
+    d v_p L [R | E]_p for its coordinates x, each made a ``Fraction``."""
+    reduced = _integer_echelon(({**row, size + k: 1} for k, row in enumerate(vectors)), size + len(vectors))
     if any(p >= size for p in reduced):
         raise ValueError("the basis vectors are linearly dependent")
-    pivots = list(reduced)
-    span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
-    coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
+    lcm = math.lcm(*(row[p] for p, row in reduced.items()))
+    rows = {p: {c: x * (lcm // row[p]) for c, x in row.items()} for p, row in reduced.items()}
 
     def coords(vec: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
-        at_pivots = _pivot_coords(vec, pivots, span_rows)
-        return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
+        d = math.lcm(*(x.denominator for x in vec.values()))
+        v = {c: x.numerator * (d // x.denominator) for c, x in vec.items() if x}
+        total = combine_rows({p: x for p, x in v.items() if p in rows}, rows)
+        if {c: x for c, x in total.items() if c < size} != {c: lcm * x for c, x in v.items()}:
+            return None
+        return {c - size: Fraction(x, lcm * d) for c, x in sorted(total.items()) if c >= size}
 
     return coords
 

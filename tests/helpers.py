@@ -28,8 +28,10 @@ from gradalg.errors import (
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
+    _pivot_coords,
     combine_rows,
     flat_operator,
+    gauss_jordan,
     inverse,
     poly_normalize,
     rational_roots,
@@ -590,6 +592,26 @@ def subspace_coords(basis: RatMatrix, vec) -> tuple | None:
     if res.nullspace.cols:
         raise ShapeError("basis columns are dependent")
     return res.particular.column(0)
+
+
+def fraction_coordinate_reader(size: int, vectors):
+    """Oracle for ``exactla.coordinate_reader``: the reduced echelon form
+    [R | E] of [M | I] over the rationals, E M = R; the coordinates of v
+    are E^T y for its coordinates y in the rows of R, or None when v is
+    outside their span (ValueError when the vectors are dependent)."""
+    augmented = ({**row, size + k: Q(1)} for k, row in enumerate(vectors))
+    reduced = gauss_jordan(augmented, size + len(vectors))
+    if any(p >= size for p in reduced):
+        raise ValueError("the basis vectors are linearly dependent")
+    pivots = list(reduced)
+    span_rows = [{c: x for c, x in row.items() if c < size} for row in reduced.values()]
+    coord_rows = [{c - size: x for c, x in row.items() if c >= size} for row in reduced.values()]
+
+    def coords(vec):
+        at_pivots = _pivot_coords(vec, pivots, span_rows)
+        return None if at_pivots is None else dict(sorted(combine_rows(at_pivots, coord_rows).items()))
+
+    return coords
 
 
 def pairwise_matrix_tensor(matrices, kind: str):

@@ -25,6 +25,7 @@ from gradalg.algcore import (
     inner_derivations,
     is_simple,
     killing_form,
+    rational_field,
     subalgebra_structure,
 )
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
@@ -58,6 +59,7 @@ from helpers import (
     mat_from_flat,
     mat_transpose,
     pairwise_matrix_tensor,
+    random_graded_algebra,
     rows_matrix,
     sl_matrices,
     sparse,
@@ -463,6 +465,94 @@ class TestFlagChecksAgainstWholeTensorLoop:
             assert all(kind in message for message, _ in failures)
 
 
+def _random_table(rng, n, antisymmetric, diagonal):
+    """A random sparse binary tensor on n basis vectors, antisymmetric if
+    asked, with a nonzero (i, i) key if ``diagonal``."""
+    tensor = {}
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if antisymmetric and i == j:
+            continue
+        tensor[i, j] = {rng.randrange(n): _rational(rng) for _ in range(rng.randint(1, 2))}
+        if antisymmetric:
+            tensor[j, i] = {l: -c for l, c in tensor[i, j].items()}
+    if diagonal:
+        i = rng.randrange(n)
+        tensor[i, i] = {rng.randrange(n): _rational(rng)}
+    return tensor
+
+
+def _late_jacobi_failure(rng, n):
+    """An antisymmetric table on n >= 8 basis vectors whose only Jacobi
+    failure is the triple (n-3, n-2, n-1): [e_(n-3), e_(n-2)] = e_0 and
+    [e_0, e_(n-1)] = e_1, next to an sl2 (e, f, h) on three basis
+    vectors in between, which satisfies Jacobi with everything."""
+    i, j, k = n - 3, n - 2, n - 1
+    e, f, h = rng.sample(range(2, n - 3), 3)
+    tensor = {}
+    for (a, b), vec in {(i, j): {0: Q(3, 2)}, (0, k): {1: Q(-2)}, (e, f): {h: Q(1)}, (h, e): {e: Q(2)}, (h, f): {f: Q(-2)}}.items():
+        tensor[a, b] = vec
+        tensor[b, a] = {l: -c for l, c in vec.items()}
+    return tensor
+
+
+class TestFlagChecksOverStoredKeys:
+    """The flag checks visit only the stored keys and their contractions,
+    and report the same message and witness as the dense oracles, which
+    loop over every basis pair and triple."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_with_one_constant_off(self, monkeypatch, name):
+        alg = catalog.get_catalog(name).grading.algebra
+        flag = "lie" if "lie" in alg.flags else "associative"
+        rng = random.Random(name)
+        corrupted = [_corrupted(alg, rng, keep_antisymmetry=k % 2 == 0) for k in range(4)]
+        sparse_failures = [_flag_failure(alg.dimension, t, flag) for t in corrupted]
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
+        assert sparse_failures == [_flag_failure(alg.dimension, t, flag) for t in corrupted]
+        assert any(sparse_failures)
+
+    @pytest.mark.parametrize("flag", ["lie", "associative"])
+    def test_random_sparse_tables(self, monkeypatch, flag):
+        rng = random.Random(flag)
+        cases = []
+        # the dense associativity oracle visits n^3 triples, so fewer tables
+        for trial in range(40 if flag == "lie" else 16):
+            n = rng.choice((1, 2, 3, 5, 8, 13, 21, 40))
+            table = _random_table(rng, n, antisymmetric=trial % 2 == 0, diagonal=trial % 5 == 0)
+            cases.append((n, table))
+        sparse_failures = [_flag_failure(n, t, flag) for n, t in cases]
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
+        assert sparse_failures == [_flag_failure(n, t, flag) for n, t in cases]
+        failures = [f for f in sparse_failures if f]
+        assert None in sparse_failures and len(failures) > 5
+        if flag == "lie":
+            assert {"antisymmetric" in f[0] for f in failures} == {True, False}
+            assert any(f[1][0] == f[1][1] for f in failures)  # a nonzero (i, i) key
+
+    @pytest.mark.parametrize("n", [8, 13, 40])
+    def test_only_failure_at_a_late_triple(self, monkeypatch, n):
+        table = _late_jacobi_failure(random.Random(n), n)
+        failure = _flag_failure(n, table, "lie")
+        assert failure == (f"Jacobi identity fails on basis triple ({n - 3}, {n - 2}, {n - 1})", (n - 3, n - 2, n - 1))
+        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
+        assert _flag_failure(n, table, "lie") == failure
+
+    def test_cost_follows_the_stored_keys(self):
+        # sl2's six constants on 10^30 basis vectors: no loop over the dimension
+        alg = build_sl2_efh()
+        table = alg.binary_op().tensor
+        assert StructureAlgebra("big", 10**30, [MultilinearOp("b", 2, table)], ["lie"]).dimension == 10**30
+        broken = {**table, (0, 0): {1: Q(1)}}
+        assert _flag_failure(10**30, broken, "lie") == (
+            "bracket is not antisymmetric on basis pair (0, 0)", (0, 0)
+        )
+        product_table = build_m2().binary_op().tensor
+        StructureAlgebra("big", 10**30, [MultilinearOp("m", 2, product_table)], ["associative"])
+
+
 #: diagonal entries, cycled, of the basis changes that make constants non-integral
 SCALES = (Q(2, 3), Q(-5, 7), Q(3), Q(-1, 2), Q(7, 5), Q(1))
 
@@ -755,3 +845,99 @@ class TestSubalgebraStructure:
         basis = RatMatrix.from_columns([[1, 0, 0], [2, 0, 0]])
         with pytest.raises(ValueError, match="linearly dependent"):
             subalgebra_structure(build_sl2_efh(), columns_of(basis))
+
+
+def _sparse_invertible(rng, n):
+    """A random invertible n x n rational matrix, about half its entries 0."""
+    while True:
+        m = RatMatrix([[_rational(rng) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)], n)
+        if rank(m) == n:
+            return m
+
+
+def _closed_subspace_basis(rng, grading):
+    """A random basis, in the coordinates of ``grading.homog_algebra``, of
+    the span of the homogeneous basis vectors whose degrees are multiples
+    of a random degree g: a subalgebra, since the degree of a value is
+    the sum of the degrees of the arguments."""
+    n = len(grading.degrees)
+    g = rng.choice(grading.degrees)
+    multiples = {(k * g).coords for k in range(-20, 21)}
+    units = [unit(i, n) for i, d in enumerate(grading.degrees) if d.coords in multiples]
+    mix = _sparse_invertible(rng, len(units))
+    cols = [[sum(mix[r, t] * u[i] for r, u in enumerate(units)) for i in range(n)] for t in range(len(units))]
+    return RatMatrix.from_columns(cols, n)
+
+
+def _dense_closed(alg, basis):
+    """Whether every operation's value on the columns of ``basis`` is in
+    their span, by the dense oracle."""
+    return all(
+        subspace_coords(basis, dense_apply(op, [basis.column(i) for i in key], alg.dimension)) is not None
+        for op in alg.operations
+        for key in product(range(basis.cols), repeat=op.arity)
+    )
+
+
+def _items(tensor):
+    """A tensor as nested item lists, so that key and index order count."""
+    return [(key, list(vec.items())) for key, vec in tensor.items()]
+
+
+class TestRebasedOverStoredEntries:
+    """``subalgebra_structure`` builds each value from the stored integer
+    entries and integer-scaled columns and reads it with the fraction-free
+    ``coordinate_reader``; ``helpers.dense_rebase`` applies each operation
+    to every tuple of columns and solves for its coordinates."""
+
+    GRADINGS = ("cartan-sl2", "cartan-sl3", "pauli-m2", "sl3-involution", "b2-skew")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_invertible_bases(self, seed):
+        rng = random.Random(seed)
+        graded = [random_graded_algebra(rng, ternary=True), catalog.get_catalog(self.GRADINGS[seed % 5]).grading]
+        for alg in (gr.homog_algebra for gr in graded):
+            basis = _sparse_invertible(rng, alg.dimension)
+            sub = subalgebra_structure(alg, columns_of(basis), name="rebased")
+            assert [_items(op.tensor) for op in sub.operations] == [_items(t) for t in dense_rebase(alg, basis)]
+            assert all(type(c) is Q for op in sub.operations for v in op.tensor.values() for c in v.values())
+
+    def test_random_subspace_bases(self):
+        rng = random.Random(1968)
+        seen = set()
+        for trial in range(48):
+            gr = random_graded_algebra(rng, ternary=True) if trial % 2 else catalog.get_catalog(rng.choice(self.GRADINGS)).grading
+            alg = gr.homog_algebra
+            n = alg.dimension
+            kind = rng.choice(("closed", "random", "dependent"))
+            if kind == "closed":
+                basis = _closed_subspace_basis(rng, gr)
+            else:
+                k = rng.randint(1, n - 1)
+                cols = [[_rational(rng) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(k)]
+                if kind == "dependent":
+                    cols.append([x * _rational(rng) + y for x, y in zip(cols[0], cols[-1])] if k > 1 else [0] * n)
+                basis = RatMatrix.from_columns(cols, n)
+            if rank(basis) < basis.cols:
+                seen.add("dependent")
+                with pytest.raises(ValueError, match="^the basis vectors are linearly dependent$"):
+                    subalgebra_structure(alg, columns_of(basis), flags=[])
+            elif not _dense_closed(alg, basis):
+                seen.add("not closed")
+                with pytest.raises(ValueError, match="^subspace is not closed under an operation$"):
+                    subalgebra_structure(alg, columns_of(basis), flags=[])
+            else:
+                seen.add("closed")
+                sub = subalgebra_structure(alg, columns_of(basis), flags=[])
+                assert [_items(op.tensor) for op in sub.operations] == [_items(t) for t in dense_rebase(alg, basis)]
+                if any(op.tensor for op in sub.operations):
+                    seen.add("closed, nonzero product")
+        assert seen == {"dependent", "not closed", "closed", "closed, nonzero product"}
+
+
+@pytest.mark.parametrize("literal", ["-0/5", "+3/006", "7", "-12/8", "0"])
+def test_rational_literals_read_as_before(literal):
+    # one int() per side of the "/": the Fraction that Fraction(literal) gives
+    got = rational_field(literal, "structure constant")
+    assert type(got) is Q and got == Q(literal)
+    assert (got.numerator, got.denominator) == (Q(literal).numerator, Q(literal).denominator)

@@ -4,8 +4,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +125,16 @@ class TestParseErrors:
         code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
         assert code == 1
         assert "structure constant" in err and "1/0" in err
+
+    @pytest.mark.parametrize("literal", ["1_0", " 1", "\u0661", "\uff11", "1/ 2"])
+    def test_structure_constant_that_int_reads(self, tmp_path, capsys, literal):
+        # int() reads each of these (underscores, spaces, non-ASCII
+        # digits); the "p/q" gate before it does not
+        doc = catalog_workspace("cartan-sl2")
+        doc["algebras"][0]["operations"][0]["entries"][0][-1] = literal
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "structure constant" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["rootsys", "root-graded"])
     def test_root_commands_need_a_lie_algebra(self, tmp_path, capsys, command):
@@ -247,7 +261,7 @@ def _perturbed(constant, delta):
 
 
 _FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli-m2")}
-_FUZZ_VALUES = ([1], [[0.5]], -1, 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
+_FUZZ_VALUES = ([1], [[0.5]], -1, 10**30, 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
 
 
 def _fuzzed_exit_code(data, command):
@@ -276,17 +290,36 @@ def _fuzzed_exit_code(data, command):
 
 
 class TestFuzzedWorkspaces:
-    # 200 examples in total over the two tests
-    @settings(max_examples=100, deadline=None)
+    # 200 examples in total over the two tests; the slowest example seen
+    # took 150 ms on a 2-core machine, so an example that takes 2 s is a loop
+    # over a size the document states, not over what it holds
+    @settings(max_examples=100, deadline=2000)
     @given(st.data())
     def test_validate_ends_with_an_exit_code(self, data):
         assert _fuzzed_exit_code(data, "validate") in range(5)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=2000)
     @given(st.data())
     def test_commands_end_with_an_exit_code(self, data):
         command = data.draw(st.sampled_from(["ugroup", "der", "rootsys", "root-graded"]))
         assert _fuzzed_exit_code(data, command) in range(5)
+
+
+@pytest.mark.parametrize("dimension", [100, 200, 10**30])
+def test_validate_cost_follows_the_stored_constants(tmp_path, dimension):
+    # cartan-sl2's six structure constants in a larger dimension: the flag
+    # checks visit the stored keys, so validate reaches the degree count
+    # at once instead of looping over dimension^3 basis triples
+    doc = catalog_workspace("cartan-sl2")
+    doc["algebras"][0]["dimension"] = dimension
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "gradalg.cli", "validate", write_ws(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert out.returncode == 1
+    assert "one degree per basis vector required" in out.stderr
 
 
 class TestHappyPaths:

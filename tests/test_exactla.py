@@ -30,6 +30,7 @@ from gradalg.exactla import (
     _eigen_split,
     column_hnf,
     combine_rows,
+    coordinate_reader,
     gauss_jordan,
     hnf_solve,
     integer_kernel,
@@ -61,6 +62,7 @@ from helpers import (
     dense_subspace_intersection,
     diagonal,
     flatten,
+    fraction_coordinate_reader,
     fraction_gauss_jordan,
     fraction_nullspace,
     kernel_eigen_split,
@@ -557,6 +559,39 @@ class TestFractionFreeElimination:
         assert gauss_jordan([], 0) == gauss_jordan([], 3) == {}
         assert gauss_jordan([{}, {0: 0, 2: Q(0)}], 3) == {}
         assert gauss_jordan(iter([{0: Q(-2, 3), 1: 4}]), 0) == {}
+
+
+class TestFractionFreeCoordinates:
+    """``coordinate_reader`` keeps the integer rows of one elimination of
+    [M | I]; ``helpers.fraction_coordinate_reader`` reads the rational
+    echelon form of the same matrix."""
+
+    def test_same_coordinates_as_the_fraction_reader(self):
+        rng = random.Random(493)
+        seen = set()
+        for trial in range(400):
+            size = rng.choice((0, 1, 2, 3, 4, 6, 8))
+            vectors = [{c: x for c, x in row.items() if x} for row in random_row_stream(rng, size)]
+            try:
+                expected = fraction_coordinate_reader(size, vectors)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    coordinate_reader(size, vectors)
+                seen.add("dependent")
+                continue
+            got = coordinate_reader(size, vectors)
+            inside = [combine_rows({k: random_entry(rng) for k in range(len(vectors)) if rng.random() < 0.6}, vectors)]
+            outside = [{c: random_entry(rng) for c in range(size) if rng.random() < 0.5}]
+            for vec in [{}] + inside + outside + [dict(v) for v in vectors]:
+                want = expected(vec)
+                have = got(vec)
+                assert have == want, f"trial {trial}"
+                if want is None:
+                    seen.add("outside")
+                    continue
+                assert list(have) == list(want) and all(type(x) is Q for x in have.values()), f"trial {trial}"
+                seen.add("inside" if want else "zero")
+        assert seen == {"dependent", "outside", "inside", "zero"}
 
 
 class TestSubspaces:
