@@ -40,7 +40,6 @@ from .errors import (
 )
 from .exactla import (
     IntMatrix,
-    RatMatrix,
     column_hnf,
     combine_rows,
     flat_operator,
@@ -187,9 +186,6 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     n = grading.dimension
     gd = graded_derivations(grading)
     d_e = gd.identity_part
-    if d_e.dim == 0:
-        empty = Subspace(n * n, {})
-        return ToralData(gd, d_e, empty, empty, 0)
     lie = algebra_from_matrices("commutators", [flat_operator(v, n) for v in d_e.sparse_vectors()])
 
     def toral_part(cartan: Subspace) -> Subspace:
@@ -321,10 +317,9 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         new_cols += cols
     if len(new_cols) != n:
         raise AxiomFailure("eigenspace pieces do not fill the algebra")
-    p = RatMatrix.from_sparse_columns(new_cols, n)
-    refined = Grading(
-        grading.algebra, gp, degrees, grading.basis_change * p
-    )
+    # the eigenvector columns are in homogeneous coordinates: compose them with the basis
+    basis = [combine_rows(col, grading.basis_change) for col in new_cols]
+    refined = Grading(grading.algebra, gp, degrees, basis)
     if not refined.is_refinement_of(grading):
         raise NotARefinement("canonical refinement failed containment check")
     if induce(refined, proj).component_dims() != grading.component_dims():

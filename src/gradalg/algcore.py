@@ -376,7 +376,6 @@ def algebra_from_matrices(
 def subalgebra_structure(
     a: StructureAlgebra,
     columns: Sequence[Mapping[int, Fraction]],
-    name: str | None = None,
     flags: Iterable[str] | None = None,
 ) -> StructureAlgebra:
     """The algebra ``a`` re-based on the sparse vectors ``columns``: the
@@ -388,21 +387,20 @@ def subalgebra_structure(
     or their span is not closed under an operation).  The flags (default:
     those of ``a``) are verified on the result.
 
-    The identity basis with the name and flags of ``a`` gives ``a``
-    itself.  Any other result is memoized on ``a`` per (basis, name,
-    flags), so the gradings, inductions and coarsenings sharing an algebra
-    and a basis share one re-based, flag-checked copy."""
+    The identity basis gives ``a`` itself when the flags are among the
+    verified flags of ``a``.  Any other result is memoized on ``a`` per
+    (basis, flags), so the gradings, inductions and coarsenings sharing
+    an algebra and a basis share one re-based, flag-checked copy."""
     use_flags = a.flags if flags is None else frozenset(flags)
-    use_name = name or f"{a.name}-sub"
     frozen = tuple(tuple(sorted(col.items())) for col in columns)
     identity = len(frozen) == a.dimension and all(col == ((i, 1),) for i, col in enumerate(frozen))
-    if (use_name, use_flags) == (a.name, a.flags) and identity:
+    if identity and use_flags <= a.flags:
         return a
-    return _rebased(a, frozen, use_name, use_flags)
+    return _rebased(a, frozen, use_flags)
 
 
 @memoized
-def _rebased(a: StructureAlgebra, frozen: tuple, name: str, flags: frozenset) -> StructureAlgebra:
+def _rebased(a: StructureAlgebra, frozen: tuple, flags: frozenset) -> StructureAlgebra:
     """``subalgebra_structure`` on the columns ``frozen`` as sorted item
     tuples.  Column t times the lcm s_t of its denominators is an integer
     column, indexed by coordinate; each stored key of ``op.int_tensor``
@@ -436,7 +434,7 @@ def _rebased(a: StructureAlgebra, frozen: tuple, name: str, flags: frozenset) ->
                 d = op.denominator * math.prod(scales[t] for t in ts)
                 tensor[ts] = vec if d == 1 else {j: x / d for j, x in vec.items()}
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    return StructureAlgebra(name, len(frozen), ops, flags)
+    return StructureAlgebra(f"{a.name}-sub", len(frozen), ops, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +537,23 @@ def inner_derivations(a: StructureAlgebra) -> list[dict[int, int]]:
     sparse vectors of End(A) in n^2 coordinates (row-major), when they are
     derivations: ``a`` has a single operation, binary, with a verified
     lie or associative flag.  Otherwise the empty list.  They are read on
-    ``op.int_tensor``, so each is the map of ``op.tensor`` times the same
+    ``op.int_tensor``, each stored key once (the work follows the table,
+    not the dimension), so each is the map of ``op.tensor`` times the same
     positive constant c, with int entries, and they span the same space
     (for a Lie bracket the map of e_i is 2c ad e_i)."""
     if len(a.operations) != 1 or a.operations[0].arity != 2 or not a.flags & {"lie", "associative"}:
         return []
     n = a.dimension
-    t = a.operations[0].int_tensor
+    by_basis: dict[int, dict[int, int]] = {}
+    for (i, c), vec in a.operations[0].int_tensor.items():
+        # each stored key read once: e_i e_c is column c of the map of e_i, and minus column i of that of e_c
+        for m, col, sign in ((i, c, 1), (c, i, -1)):
+            out = by_basis.setdefault(m, {})
+            for r, x in vec.items():
+                out[r * n + col] = out.get(r * n + col, 0) + sign * x
     maps = []
-    for i in range(n):
-        vec: dict[int, int] = {}
-        for c in range(n):
-            for r, x in t.get((i, c), {}).items():
-                vec[r * n + c] = vec.get(r * n + c, 0) + x
-            for r, x in t.get((c, i), {}).items():
-                vec[r * n + c] = vec.get(r * n + c, 0) - x
-        if vec := {k: x for k, x in vec.items() if x}:
+    for i in sorted(by_basis):
+        if vec := {k: x for k, x in by_basis[i].items() if x}:
             maps.append(vec)
     return maps
 

@@ -229,11 +229,8 @@ def _b2_skew() -> CatalogEntry:
     cols = [coords(flat_vector(m)) for m in _operators(fine)]
     if None in cols:
         raise AxiomFailure("b2-skew: the fine basis is not in the span of the coarse one")
-    basis_change = RatMatrix.from_sparse_columns(cols, len(coarse))
     g4 = FgAbGroup(0, [2, 2, 2, 2])
-    refinement = Grading(
-        alg, g4, [g4.element(list(d)) for d in fine_deg], basis_change
-    )
+    refinement = Grading(alg, g4, [g4.element(list(d)) for d in fine_deg], cols)
     return CatalogEntry(
         "b2-skew",
         grading,

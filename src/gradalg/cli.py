@@ -54,8 +54,8 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix
-from .grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
+from .exactla import IntMatrix, RatMatrix, sparse_rows
+from .grading import NOT_INVERTIBLE, Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 from .lieroot import extract_root_system, root_graded_structure
 
 # ---------------------------------------------------------------------------
@@ -100,19 +100,19 @@ def group_to_dict(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "invariants": list(g.invariants)}
 
 
-def _ratmatrix_from(rows, where: str) -> RatMatrix:
+def _basis_columns(rows, n: int, gname: str) -> list[dict[int, Fraction]]:
+    """The sparse columns of a grading's ``basis_change`` matrix, which must be n x n."""
     try:
-        return RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
+        m = RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
     except Exception as exc:
-        raise ParseError(f"{where}: bad matrix: {exc}") from None
+        raise ParseError(f"grading {gname!r}: 'basis_change': bad matrix: {exc}") from None
+    if m.shape != (n, n):
+        raise ValidationError(f"grading {gname!r}: {NOT_INVERTIBLE}")
+    return list(sparse_rows(m.columns()))
 
 
 def _fracstr(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def matrix_to_lists(m: RatMatrix) -> list[list[str]]:
-    return [[_fracstr(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def grading_to_dict(name: str, algebra_name: str, gr: Grading) -> dict:
@@ -122,9 +122,9 @@ def grading_to_dict(name: str, algebra_name: str, gr: Grading) -> dict:
         "group": group_to_dict(gr.group),
         "degrees": [list(g.coords) for g in gr.degrees],
     }
-    ident = RatMatrix.identity(gr.dimension)
-    if gr.basis_change != ident:
-        d["basis_change"] = matrix_to_lists(gr.basis_change)
+    cols = gr.basis_change
+    if any(col != {j: 1} for j, col in enumerate(cols)):
+        d["basis_change"] = [[_fracstr(col.get(i, Fraction(0))) for col in cols] for i in range(gr.dimension)]
     return d
 
 
@@ -204,7 +204,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                 raise ParseError(f"grading {gname!r}: bad 'degrees': {exc}")
             bc = None
             if "basis_change" in gspec:
-                bc = _ratmatrix_from(gspec["basis_change"], f"grading {gname!r}: 'basis_change'")
+                bc = _basis_columns(gspec["basis_change"], alg.dimension, gname)
             try:
                 gr = Grading(alg, group, degrees, bc)
             except GradAlgError as exc:

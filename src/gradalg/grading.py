@@ -1,7 +1,7 @@
 """Gradings of structure algebras by finitely generated abelian groups.
 
-A grading assigns a degree to each vector of a homogeneous basis (an
-optional change-of-basis matrix homogenizes the input basis first).
+A grading assigns a degree to each vector of a homogeneous basis, given
+by its sparse columns (default: the standard basis).
 Compatibility is verified exactly on the relation rows read once from the
 structure-tensor entries.
 On top: the universal abelian group of a grading, induced gradings along
@@ -11,6 +11,7 @@ of supplied graded maps (equivalences and isomorphisms).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -36,6 +37,8 @@ from .errors import (
 )
 from .exactla import IntMatrix, RatMatrix, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
 
+NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
+
 
 def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
     """The canonical kernel basis of one degree's rows, as a dense matrix.  perfbench/tracer.py
@@ -51,20 +54,23 @@ def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
 class Grading:
     """A G-grading of a structure algebra on a homogeneous basis.
 
-    ``degrees[i]`` is the degree of the i-th column of ``basis_change``
-    (default: the i-th standard basis vector).  Construction reads the
-    structure tensors rewritten in the homogeneous basis once, into one
-    table: ``labels[i]``, the index in ``support`` of ``degrees[i]``, and
-    ``relations``, the distinct nonzero rows, sorted, of the support counts
-    of ``key`` minus e_(label j) over the nonzero entries (key, j).  Each
-    row must sum to 0 in the group (compatibility); they present the
-    universal group.  Invariants computed from a grading are memoized on
-    it (``_memo``).
+    ``basis_change`` holds the homogeneous basis as sparse columns in the
+    algebra's coordinates (default: the unit columns, the standard basis),
+    and ``degrees[i]`` is the degree of its i-th column.  Construction
+    reads the structure tensors rewritten in the homogeneous basis once,
+    into one table: ``labels[i]``, the index in ``support`` of
+    ``degrees[i]``, and ``relations``, the distinct nonzero rows, sorted,
+    of the support counts of ``key`` minus e_(label j) over the nonzero
+    entries (key, j).  Each row must sum to 0 in the group
+    (compatibility); they present the universal group.  A component is
+    spanned the first time it is read.  Invariants computed from a
+    grading, components among them, are memoized on it (``_memo``).
 
-    The rewritten algebra is ``subalgebra_structure(algebra, C)`` for the
-    basis change C, which is memoized on the algebra: gradings sharing an
-    algebra and a basis change (the inductions, coarsenings and universal
-    grading of one grading) share one re-based, flag-checked copy.
+    The rewritten algebra is ``subalgebra_structure(algebra, basis_change)``,
+    which is ``algebra`` itself for the unit columns and is otherwise
+    memoized on the algebra: gradings sharing an algebra and a basis
+    (the inductions, coarsenings and universal grading of one grading)
+    share one re-based, flag-checked copy.
     """
 
     __slots__ = (
@@ -76,7 +82,6 @@ class Grading:
         "support",
         "labels",
         "relations",
-        "_components",
         "_memo",
     )
 
@@ -85,7 +90,7 @@ class Grading:
         algebra: StructureAlgebra,
         group: FgAbGroup,
         degrees: Sequence[GroupElement],
-        basis_change: RatMatrix | None = None,
+        basis_change: Sequence[Mapping[int, Fraction]] | None = None,
     ):
         n = algebra.dimension
         degrees = tuple(degrees)
@@ -94,16 +99,13 @@ class Grading:
         for d in degrees:
             if d.owner != group:
                 raise ShapeError("degree from a different group")
-        if basis_change is None:
-            basis_change = RatMatrix.identity(n)
-        not_invertible = "basis change must be an invertible n x n matrix"
-        if basis_change.shape != (n, n):
-            raise ShapeError(not_invertible)
-        cols = list(sparse_rows(zip(*basis_change.data)))
+        cols = tuple({i: Fraction(1)} for i in range(n)) if basis_change is None else tuple(basis_change)
+        if len(cols) != n:
+            raise ShapeError(NOT_INVERTIBLE)
         try:
-            homog = subalgebra_structure(algebra, cols, name=algebra.name)
+            homog = subalgebra_structure(algebra, cols)
         except ValueError:  # dependent columns
-            raise ShapeError(not_invertible) from None
+            raise ShapeError(NOT_INVERTIBLE) from None
         by_coords = {d.coords: d for d in degrees}
         support = [by_coords[c] for c in sorted(by_coords)]
         label_of = {s.coords: i for i, s in enumerate(support)}
@@ -133,13 +135,11 @@ class Grading:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "basis_change", basis_change)
+        object.__setattr__(self, "basis_change", cols)
         object.__setattr__(self, "homog_algebra", homog)
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "relations", tuple(sorted(row for row in rows if any(row))))
-        comps = {s: Subspace.span(n, [c for c, t in zip(cols, labels) if t == i]) for i, s in enumerate(support)}
-        object.__setattr__(self, "_components", comps)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -155,18 +155,17 @@ class Grading:
     def dimension(self) -> int:
         return self.algebra.dimension
 
+    @memoized
     def component(self, g: GroupElement) -> Subspace:
-        """Component of degree g in the original coordinates."""
-        if g in self._components:
-            return self._components[g]
-        return Subspace(self.dimension, {})
+        """Component of degree g in the original coordinates (zero off the support)."""
+        return Subspace.span(self.dimension, [self.basis_change[i] for i in self.indices_of_degree(g)])
 
     def components(self) -> dict[GroupElement, Subspace]:
-        return dict(self._components)
+        return {s: self.component(s) for s in self.support}
 
     def indices_of_degree(self, g: GroupElement) -> list[int]:
         """Homogeneous-basis indices with degree g."""
-        s = self.support.index(g) if g in self._components else None
+        s = self.support.index(g) if g in self.support else None
         return [i for i, t in enumerate(self.labels) if t == s]
 
     def identity_component(self) -> Subspace:
@@ -179,13 +178,15 @@ class Grading:
         a, b = (
             (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (self, other)
         )
-        return a == b and all(
-            any(oc.contains_subspace(c) for oc in other._components.values()) for c in self._components.values()
-        )
+        outer = other.components().values()
+        return a == b and all(any(oc.contains_subspace(c) for oc in outer) for c in self.components().values())
 
     def component_dims(self) -> dict[tuple[int, ...], int]:
-        """Degree coords -> component dimension (plain data, for reports)."""
-        return {g.coords: c.dim for g, c in self._components.items()}
+        """Degree coords -> component dimension (plain data, for reports),
+        counted on ``labels``: the basis is invertible, so each count is
+        the dimension of the span."""
+        counts = Counter(self.labels)
+        return {s.coords: counts[i] for i, s in enumerate(self.support)}
 
 
 # ---------------------------------------------------------------------------

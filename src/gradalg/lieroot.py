@@ -388,7 +388,7 @@ def extract_root_system(
         )
     alg = grading.algebra
     l_e = grading.identity_component()
-    small = subalgebra_structure(alg, l_e.sparse_vectors(), name="identity-part", flags=["lie"])
+    small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
     h, wd = split_cartan(small, l_e, seed, lambda h: weight_decomposition(alg, h))
     # the zero weight space must meet L_e exactly in H
     meet = wd.zero_space().intersect(l_e)
@@ -421,15 +421,6 @@ class PhiGradingCheck:
     report: RootSystemReport | None = None
 
 
-def _grading_subalgebra(alg: StructureAlgebra, g_sub: Subspace) -> StructureAlgebra:
-    """The Lie algebra on the canonical basis of g_sub: ``alg`` itself when
-    g_sub is all of it (every Cartan grading) and ``alg`` is flagged lie,
-    else the re-based copy, flag-checked."""
-    if g_sub.dim == alg.dimension and "lie" in alg.flags:
-        return alg
-    return subalgebra_structure(alg, g_sub.sparse_vectors(), name="grading-subalgebra", flags=["lie"])
-
-
 def verify_phi_grading(
     alg: StructureAlgebra, g_sub: Subspace, h: Subspace, seed: int = DEFAULT_SEED
 ) -> PhiGradingCheck:
@@ -446,7 +437,7 @@ def verify_phi_grading(
     if not g_sub.contains_subspace(h):
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
-        g_alg = _grading_subalgebra(alg, g_sub)
+        g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
     except ValueError as exc:  # not closed under the bracket
         return PhiGradingCheck(False, (("i", f"not a subalgebra: {exc}"),), (), ())
     try:
@@ -630,7 +621,7 @@ def root_graded_structure(
         raise VerificationFailure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
-    g_alg = _grading_subalgebra(alg, g_sub)
+    g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
     pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
     g_plus = Subspace.span(n, (w for a in pos_prime for w in wd.spaces[a].intersect(g_sub).sparse_vectors()))
 
@@ -742,6 +733,6 @@ def root_graded_structure(
 def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
     if h.dim == 0 or not l_e.contains_subspace(h):
         return False
-    small = subalgebra_structure(alg, l_e.sparse_vectors(), name="identity-part", flags=["lie"])
+    small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
     h_small = Subspace.span(l_e.dim, (l_e.coords(v) for v in h.sparse_vectors()))
     return _is_cartan(small, h_small)

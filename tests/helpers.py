@@ -74,6 +74,21 @@ def basis_matrix(space: Subspace) -> RatMatrix:
     return RatMatrix.from_sparse_columns(space.sparse_vectors(), space.dim_ambient)
 
 
+def columns_of(m: RatMatrix) -> list[dict]:
+    """The columns of a dense matrix as sparse vectors, the format of a
+    ``Grading``'s ``basis_change``."""
+    return [sparse(c) for c in m.columns()]
+
+
+def eager_components(gr: Grading) -> dict:
+    """Oracle for ``Grading.component``: every component spanned up front,
+    in support order, by the homogeneous columns of its label."""
+    return {
+        s: Subspace.span(gr.dimension, [c for c, t in zip(gr.basis_change, gr.labels) if t == i])
+        for i, s in enumerate(gr.support)
+    }
+
+
 def vectors(space: Subspace) -> list[tuple]:
     """The canonical basis of a subspace as dense tuples."""
     return [dense(v, space.dim_ambient) for v in space.sparse_vectors()]

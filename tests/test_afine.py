@@ -14,12 +14,13 @@ from gradalg.afine import (
     is_admissible,
     is_almost_fine,
     toral_rank,
+    ToralData,
 )
 from gradalg.catalog import get_catalog
-from gradalg.exactla import IntMatrix, RatMatrix
-from gradalg.grading import Grading, induce, universal_abelian_group, weyl_on_uab
+from gradalg.exactla import IntMatrix, RatMatrix, Subspace
+from gradalg.grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 
-from helpers import build_m2_splitpauli, build_sl2_efh, matvec, rows_matrix, sparse, vectors
+from helpers import build_m2_splitpauli, build_sl2_efh, matvec, rows_matrix, sparse, twisted_group_grading, vectors
 
 import random
 
@@ -76,6 +77,23 @@ class TestToralRank:
     def test_sl3_involution(self):
         td = toral_rank(get_catalog("sl3-involution").grading)
         assert td.trank == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: get_catalog("b2-skew").grading,
+            lambda: get_catalog("a3-fine").grading,
+            lambda: twisted_group_grading(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        ],
+        ids=["b2-skew", "a3-fine", "tga3"],
+    )
+    def test_zero_d_e_takes_the_general_path(self, build):
+        # D_e = 0: the Cartan search yields the zero subalgebra, whose toral part is zero
+        gr = build()
+        td = toral_rank(gr)
+        empty = Subspace(gr.dimension**2, {})
+        assert td == ToralData(graded_derivations(gr), empty, empty, empty, 0)
+        assert td.toral_matrices() == []
 
     def test_toral_matrices_commute_and_preserve_components(self):
         gr = parity_sl2()

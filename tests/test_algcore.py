@@ -1,14 +1,19 @@
 """Structure algebras: flags, derivations, Killing form, simplicity."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from itertools import product
 from math import lcm, prod
 
 import pytest
 import sympy
 
-from gradalg import catalog
+from gradalg import catalog, cli
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
@@ -41,6 +46,7 @@ from helpers import (
     build_sl2_efh,
     build_sl2_plus_sl2,
     build_sl2_plus_sl3,
+    columns_of,
     dense,
     dense_ad,
     dense_apply,
@@ -69,11 +75,6 @@ from helpers import (
     unit,
     vectors,
 )
-
-
-def columns_of(m: RatMatrix) -> list[dict]:
-    """The columns of a dense matrix as sparse vectors."""
-    return [sparse(c) for c in m.columns()]
 
 
 def sympy_derivation_dim(alg) -> int:
@@ -670,6 +671,25 @@ class TestInnerDerivations:
         assert maps == [{k: scale * x for k, x in vec.items()} for vec in rational]
         assert Subspace.span(n * n, maps) == Subspace.span(n * n, rational)
 
+    def test_cost_follows_the_stored_constants(self):
+        # cartan-sl2's six constants in dimension 10**30: each stored key is read once, so the
+        # call returns at once with the maps of dimension 3, the flat index r*n + c re-read for n
+        spec = cli.catalog_workspace("cartan-sl2")["algebras"][0]
+        small = [sorted(divmod(k, 3) + (x,) for k, x in vec.items()) for vec in inner_derivations(build_algebra(spec))]
+        code = (
+            "import json, sys; from gradalg.algcore import build_algebra, inner_derivations; "
+            "spec = json.loads(sys.stdin.read()); spec['dimension'] = 10**30; "
+            "print(json.dumps([sorted(divmod(k, 10**30) + (x,) for k, x in vec.items()) "
+            "for vec in inner_derivations(build_algebra(spec))]))"
+        )
+        src = str(Path(cli.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps(spec), capture_output=True, text=True, env=env, timeout=5
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[list(t) for t in vec] for vec in small]
+
 
 SIGNS = {"antisymmetric": -1, "symmetric": 1, "general": 0}
 
@@ -823,8 +843,8 @@ class TestSubalgebraStructure:
 
     def test_zero_columns(self):
         alg = build_sl(3)
-        sub = subalgebra_structure(alg, [], name="zero")
-        assert sub.dimension == 0 and sub.name == "zero" and sub.flags == alg.flags
+        sub = subalgebra_structure(alg, [])
+        assert sub.dimension == 0 and sub.name == f"{alg.name}-sub" and sub.flags == alg.flags
         assert not sub.binary_op().tensor
 
     def test_memoized_per_basis_with_flags_normalized(self, monkeypatch):
@@ -898,7 +918,7 @@ class TestRebasedOverStoredEntries:
         graded = [random_graded_algebra(rng, ternary=True), catalog.get_catalog(self.GRADINGS[seed % 5]).grading]
         for alg in (gr.homog_algebra for gr in graded):
             basis = _sparse_invertible(rng, alg.dimension)
-            sub = subalgebra_structure(alg, columns_of(basis), name="rebased")
+            sub = subalgebra_structure(alg, columns_of(basis))
             assert [_items(op.tensor) for op in sub.operations] == [_items(t) for t in dense_rebase(alg, basis)]
             assert all(type(c) is Q for op in sub.operations for v in op.tensor.values() for c in v.values())
 

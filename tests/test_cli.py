@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from gradalg import cli
 from gradalg.algcore import StructureAlgebra
-from gradalg.cli import catalog_workspace, main, parse_workspace
-from gradalg.exactla import RatMatrix
+from gradalg.catalog import get_catalog
+from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
 
 
@@ -197,6 +197,33 @@ class TestParseErrors:
         code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
         assert code == 1
         assert "grading 'cartan-sl2': 'basis_change': bad matrix: ragged rows" in err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # 4 x 3 with a zero last row: its sparse columns alone would pass as invertible
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[1, 0], [0, 1], [0, 0]],
+            [[1, 0, 0], [0, 1, 0]],
+            [],
+            [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+        ],
+    )
+    def test_basis_change_not_invertible(self, tmp_path, capsys, matrix):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["basis_change"] = matrix
+        code, out, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1 and out == ""
+        assert err == "error: grading 'cartan-sl2': basis change must be an invertible n x n matrix\n"
+
+    def test_basis_change_written_back_as_parsed(self):
+        doc = catalog_workspace("cartan-sl2")
+        doc["gradings"][0]["basis_change"] = [[2, 0, 0], [0, "1/2", 0], [0, 0, -1]]
+        gr = parse_workspace([doc]).gradings["cartan-sl2"]
+        assert gr.basis_change == ({0: 2}, {1: Fraction(1, 2)}, {2: -1})
+        emitted = grading_to_dict("cartan-sl2", "cartan-sl2", gr)["basis_change"]
+        assert emitted == [["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "-1"]]
+        assert "basis_change" not in grading_to_dict("g", "a", get_catalog("cartan-sl2").grading)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -403,8 +430,9 @@ class TestHappyPaths:
         grading_init, algebra_init = Grading.__init__, StructureAlgebra.__init__
 
         def counting_grading_init(self, algebra, group, degrees, basis_change=None):
-            identity = RatMatrix.identity(algebra.dimension)
-            pairs.add((algebra, identity if basis_change is None else basis_change))
+            units = [{i: 1} for i in range(algebra.dimension)]
+            basis = tuple(tuple(sorted(c.items())) for c in (units if basis_change is None else basis_change))
+            pairs.add((algebra, basis))
             gradings.append(self)
             depth[0] += 1
             try:

@@ -1378,6 +1378,32 @@ def test_sources_keep_one_vector_format():
             assert not (isinstance(node, ast.Attribute) and node.attr == "basis"), f"{where} reads .basis"
 
 
+def _enclosing_uses(tree: ast.AST, name: str, where: str = "<module>"):
+    """The innermost enclosing function or class of each use of ``name``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        if name in {getattr(node, attr, None) for attr in ("id", "attr", "name")}:
+            yield where
+        yield from _enclosing_uses(node, name, inner)
+
+
+def test_sources_keep_ratmatrix_at_the_edges():
+    # a dense RatMatrix only where a matrix enters or leaves the program: the CLI's parse of a
+    # basis change, the catalog's realizations and algebra maps, and a supplied map under
+    # check_graded_map; and the two places perfbench's tracer reads one: ad_matrix, whose dense
+    # power the Cartan search hands to nullspace, and the columns of _incremental_kernel
+    allowed = {
+        "algcore.py": {"<module>", "ad_matrix"},
+        "grading.py": {"<module>", "_incremental_kernel", "_automorphism_columns", "check_graded_map"},
+        "cli.py": {"<module>", "_basis_columns"},
+    }
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        if path.name in {"exactla.py", "catalog.py"}:
+            continue
+        uses = set(_enclosing_uses(ast.parse(path.read_text()), "RatMatrix"))
+        assert uses <= allowed.get(path.name, set()), f"{path.name}: RatMatrix in {sorted(uses)}"
+
+
 def test_sources_solve_only_in_exactla():
     # the dense rational solves are exactla's API for tests and tracing:
     # every other module solves over Z with the Smith form and over Q with

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from gradalg import grading
+from gradalg import exactla, grading
 from gradalg.abgroup import FgAbGroup, GroupHom
 from gradalg.algcore import (
     MultilinearOp,
@@ -34,8 +34,10 @@ from helpers import (
     build_m2_splitpauli,
     build_sl2_efh,
     classical_cartan_grading,
+    columns_of,
     dense_graded_derivations,
     dense_rebase,
+    eager_components,
     flatten,
     graded_parts,
     mat_from_flat,
@@ -91,7 +93,7 @@ class TestValidate:
         alg = build_sl2_efh()
         z2 = FgAbGroup(0, [2])
         # homogeneous basis: h (even), e+f, e-f (odd)
-        c = RatMatrix.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]])
+        c = columns_of(RatMatrix.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]]))
         gr = Grading(
             alg, z2, [z2.element([0]), z2.element([1]), z2.element([1])], basis_change=c
         )
@@ -107,7 +109,7 @@ class TestValidate:
     def test_noninvertible_basis_change_rejected(self):
         alg = build_sl2_efh()
         z = FgAbGroup(1, ())
-        c = RatMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+        c = columns_of(RatMatrix.from_columns([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
         with pytest.raises(ShapeError, match="invertible n x n"):
             Grading(alg, z, [z.element([1]), z.element([0]), z.element([-1])], c)
 
@@ -133,7 +135,7 @@ def _regraded(gr, c):
         for op, t in zip(homog.operations, dense_rebase(homog, inverse(c)))
     ]
     alg = StructureAlgebra(homog.name, homog.dimension, ops, homog.flags)
-    return Grading(alg, gr.group, gr.degrees, c)
+    return Grading(alg, gr.group, gr.degrees, columns_of(c))
 
 
 class TestSparseRebasing:
@@ -142,8 +144,9 @@ class TestSparseRebasing:
 
     def test_b2_skew_fine(self):
         fine = get_catalog("b2-skew").companions["fine"]
-        assert fine.basis_change != RatMatrix.identity(fine.dimension)
-        assert _tensors(fine.homog_algebra) == dense_rebase(fine.algebra, fine.basis_change)
+        assert fine.basis_change != columns_of(RatMatrix.identity(fine.dimension))
+        basis = RatMatrix.from_sparse_columns(fine.basis_change, fine.dimension)
+        assert _tensors(fine.homog_algebra) == dense_rebase(fine.algebra, basis)
 
     @pytest.mark.parametrize("name", ["cartan-sl2", "cartan-sl3", "pauli-m2", "sl3-involution"])
     def test_random_basis_changes_of_catalog_gradings(self, name):
@@ -169,7 +172,7 @@ class TestSparseRebasing:
         z = FgAbGroup(1, ())
         degrees = [z.element([1]), z.element([0]), z.element([-1])]
         with pytest.raises(ShapeError, match="invertible n x n"):
-            Grading(alg, z, degrees, RatMatrix.identity(2))
+            Grading(alg, z, degrees, columns_of(RatMatrix.identity(2)))
 
 
 class TestSharedRebasing:
@@ -189,17 +192,21 @@ class TestSharedRebasing:
 
     def test_identity_basis_change_reuses_the_algebra(self):
         gr = cartan_sl2()
+        units = [{i: Q(1)} for i in range(3)]
+        assert gr.basis_change == tuple(units)
         assert gr.homog_algebra is gr.algebra
-        assert Grading(gr.algebra, gr.group, gr.degrees, RatMatrix.identity(3)).homog_algebra is gr.algebra
-        # another name or other flags still give a re-based, checked copy
-        for kwargs in ({"name": "other"}, {"flags": ()}):
-            copy = subalgebra_structure(gr.algebra, [{i: Q(1)} for i in range(3)], **kwargs)
-            assert copy is not gr.algebra and _tensors(copy) == _tensors(gr.algebra)
+        assert Grading(gr.algebra, gr.group, gr.degrees, units).homog_algebra is gr.algebra
+        # flags among the verified ones reuse the algebra; another flag gives a re-based, checked copy
+        for flags in ((), ["lie"]):
+            assert subalgebra_structure(gr.algebra, units, flags=flags) is gr.algebra
+        unflagged = StructureAlgebra("unflagged", 3, gr.algebra.operations)
+        copy = subalgebra_structure(unflagged, units, flags=["lie"])
+        assert copy is not unflagged and copy.flags == {"lie"} and _tensors(copy) == _tensors(unflagged)
 
     def test_distinct_basis_changes_are_not_shared(self):
         gr = cartan_sl2()
         c = RatMatrix.from_columns([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
-        other = Grading(gr.algebra, gr.group, gr.degrees, c)
+        other = Grading(gr.algebra, gr.group, gr.degrees, columns_of(c))
         assert other.homog_algebra is not gr.homog_algebra
         assert _tensors(other.homog_algebra) == dense_rebase(gr.algebra, c)
 
@@ -356,6 +363,69 @@ class TestRelationTable:
         fake = Grading(abelian, gr.group, gr.degrees)
         assert gr.is_refinement_of(gr) and fake.is_refinement_of(fake)
         assert not fake.is_refinement_of(gr) and not gr.is_refinement_of(fake)
+
+
+def _components_checked(gr: Grading):
+    """Compare the components read lazily with the eager spans of ``helpers.eager_components``."""
+    eager = eager_components(gr)
+    assert gr.component_dims() == {s.coords: c.dim for s, c in eager.items()}
+    assert all(gr.component(s) == c for s, c in eager.items())
+    assert list(gr.components().items()) == list(eager.items())
+    off = [g for g in (gr.group.identity(), *gr.group.generators()) if g not in gr.support]
+    assert all(gr.component(g) == Subspace(gr.dimension, {}) for g in off)
+
+
+def _inductions(gr: Grading) -> list[Grading]:
+    """The universal grading of ``gr``, its induction back along alpha, and the
+    induction of ``gr`` onto the trivial group (one component)."""
+    uab = universal_abelian_group(gr)
+    trivial = FgAbGroup(0, ())
+    collapse = GroupHom(gr.group, trivial, IntMatrix([], gr.group.ngens))
+    return [uab.universal_grading(), induce(uab.universal_grading(), uab.alpha), induce(gr, collapse)]
+
+
+class TestLazyComponents:
+    """A grading spans each component when it is first read; the spans equal
+    those built up front, and ``component_dims`` reads the labels only."""
+
+    @pytest.mark.parametrize("name", list(TABLE_GRADINGS))
+    def test_against_eager_spans(self, name):
+        gr = TABLE_GRADINGS[name]()
+        for g in [_fresh(gr), *_inductions(gr)]:
+            _components_checked(g)
+
+    @pytest.mark.parametrize("name", ["cartan-sl2", "cartan-sl3", "pauli-m2", "sl3-involution"])
+    def test_random_basis_changes(self, name):
+        gr = get_catalog(name).grading
+        rng = random.Random(name)
+        for _ in range(2):
+            regraded = _regraded(gr, _random_basis_change(rng, gr.dimension))
+            for g in [regraded, *_inductions(regraded)]:
+                _components_checked(g)
+
+    def test_no_matrix_and_no_span_until_a_component_is_read(self, monkeypatch):
+        entry = get_catalog("b2-skew")
+        sources = [entry.grading, entry.companions["fine"], _regraded(cartan_sl2(), _random_basis_change(random.Random(3), 3))]
+        uabs = [universal_abelian_group(gr) for gr in sources]
+        matrices, spans = [], []
+        init, span = exactla._DenseMatrix.__init__, Subspace.span.__func__
+
+        def counting_init(self, *args, **kwargs):
+            matrices.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(exactla._DenseMatrix, "__init__", counting_init)
+        monkeypatch.setattr(Subspace, "span", classmethod(lambda cls, *args: spans.append(1) or span(cls, *args)))
+        built = []
+        for gr, uab in zip(sources, uabs):
+            built.append(Grading(gr.algebra, gr.group, gr.degrees, None if gr.homog_algebra is gr.algebra else gr.basis_change))
+            built.append(uab.universal_grading())
+            built.append(induce(built[-1], uab.alpha))
+            built[-1].component_dims()
+        assert RatMatrix not in matrices and spans == []
+        for gr in built:
+            gr.identity_component()
+        assert RatMatrix not in matrices and len(spans) == len(built)
 
 
 class TestGradedDerivations:

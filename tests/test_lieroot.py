@@ -201,13 +201,9 @@ class TestExtractRootSystem:
         cols, degrees = [], []
         for w in wd.weights:
             for v in vectors(wd.spaces[w]):
-                cols.append(list(v))
+                cols.append(sparse(v))
                 degrees.append(z2.element([int(x) for x in w]))
-        from gradalg.exactla import RatMatrix
-
-        gr = Grading(
-            alg, z2, degrees, RatMatrix.from_columns(cols, rows=10)
-        )
+        gr = Grading(alg, z2, degrees, cols)
         wd2, rep = extract_root_system(gr)
         assert rep.type_label == "B2"
         assert len(rep.phi) == 8

@@ -178,13 +178,11 @@ class TestCanonicalRefinementTorusIndependence:
         # different generic tori give the same component data and group
         sl2 = build_sl2_efh()
         z2 = FgAbGroup(0, [2])
-        from gradalg.exactla import RatMatrix as RM
-
         parity = Grading(
             sl2,
             z2,
             [z2.element([0]), z2.element([1]), z2.element([1])],
-            RM.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]]),
+            [sparse(c) for c in ([0, 1, 0], [1, 0, 1], [1, 0, -1])],
         )
         inv = get_catalog("sl3-involution").grading
         rng = random.Random(5)
