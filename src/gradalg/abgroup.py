@@ -249,7 +249,11 @@ class Subgroup:
 
 class GroupHom:
     """Homomorphism between FgAbGroups, as an integer matrix acting on
-    canonical coordinates (columns = images of canonical generators)."""
+    canonical coordinates (columns = images of canonical generators).
+
+    The matrix is kept as given, so its torsion rows may hold entries
+    beyond the invariants; ``images()``, the reduced columns, is the one
+    reading of the map: equality and hashing compare it."""
 
     __slots__ = ("domain", "codomain", "matrix")
 
@@ -294,20 +298,20 @@ class GroupHom:
             raise ValueError("composition mismatch")
         return GroupHom(inner.domain, self.codomain, self.matrix * inner.matrix)
 
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical coordinates of the canonical generators' images."""
+        return tuple(map(self.codomain.reduce, self.matrix.columns()))
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupHom) or self.domain != other.domain or self.codomain != other.codomain:
-            return False
-        # equality as maps: compare images of canonical generators
-        return all(
-            self(self.domain.generator(i)) == other(other.domain.generator(i))
-            for i in range(self.domain.ngens)
+        return (
+            isinstance(other, GroupHom)
+            and self.domain == other.domain
+            and self.codomain == other.codomain
+            and self.images() == other.images()
         )
 
     def __hash__(self) -> int:
-        imgs = tuple(
-            self(self.domain.generator(i)).coords for i in range(self.domain.ngens)
-        )
-        return hash((self.domain, self.codomain, imgs))
+        return hash((self.domain, self.codomain, self.images()))
 
     def __repr__(self) -> str:
         return f"GroupHom({self.domain!r} -> {self.codomain!r}, {self.matrix!r})"

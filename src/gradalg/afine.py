@@ -240,30 +240,6 @@ def is_almost_fine(grading: Grading, seed: int = DEFAULT_SEED) -> AlmostFineCert
 # ---------------------------------------------------------------------------
 
 
-def _product_with_free(
-    g: FgAbGroup, extra: int
-) -> tuple[FgAbGroup, GroupHom]:
-    """G x Z^extra in canonical coordinates (G-free, new-free, G-torsion),
-    with the projection back onto G."""
-    gp = FgAbGroup(g.free_rank + extra, g.invariants)
-    rows = []
-    for i in range(g.free_rank):
-        rows.append([1 if j == i else 0 for j in range(gp.ngens)])
-    for i in range(len(g.invariants)):
-        rows.append(
-            [1 if j == g.free_rank + extra + i else 0 for j in range(gp.ngens)]
-        )
-    return gp, GroupHom(gp, g, IntMatrix(rows, gp.ngens))
-
-
-def _product_element(
-    gp: FgAbGroup, g: GroupElement, lam: Sequence[int], extra: int
-) -> GroupElement:
-    r = g.owner.free_rank
-    coords = list(g.coords[:r]) + [int(x) for x in lam] + list(g.coords[r:])
-    return gp.element(coords)
-
-
 @dataclass(frozen=True)
 class RefinementResult:
     original: Grading
@@ -279,7 +255,10 @@ class RefinementResult:
 
 def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> RefinementResult:
     """Refine a grading by the joint eigenspace decomposition of its
-    components under the toral part of D_e, graded by G x (weight lattice).
+    components under the toral part of D_e, graded by G x Z^r, where Z^r
+    is the lattice of the observed weights and r the toral rank.  A piece
+    of degree g and weight coordinates w has degree (free part of g, w,
+    torsion part of g), and the projection onto G drops w.
 
     The result is almost fine with the same toral rank (verified)."""
     td = toral_rank(grading, seed=seed)
@@ -306,12 +285,15 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         if c is None:
             raise AxiomFailure("observed weight outside the weight lattice")
         coords_of[w] = tuple(c)
-    gp, proj = _product_with_free(grading.group, r)
+    f = grading.group.free_rank
+    gp = FgAbGroup(f + r, grading.group.invariants)
+    proj_rows = [[int(i == j) for j in range(gp.ngens)] for i in range(gp.ngens) if not f <= i < f + r]
+    proj = GroupHom(gp, grading.group, IntMatrix(proj_rows, gp.ngens))
     degrees: list[GroupElement] = []
     new_cols: list[dict[int, Fraction]] = []
     weight_by_degree: dict[GroupElement, tuple[int, ...]] = {}
     for g, w, cols in sorted(pieces, key=lambda p: (p[0].coords, p[1])):
-        deg = _product_element(gp, g, coords_of[w], r)
+        deg = gp.element(g.coords[:f] + coords_of[w] + g.coords[f:])
         weight_by_degree[deg] = coords_of[w]
         degrees += [deg] * len(cols)
         new_cols += cols
@@ -474,7 +456,9 @@ def classify_gradings(
     catalog entry, enumerate homomorphisms from its universal group to G,
     keep the admissible ones, and group them into orbits under
     precomposition with the supplied Weyl generators, emitting one
-    representative (and its induced grading) per orbit.
+    representative (and its induced grading) per orbit.  Homs are matched
+    by ``GroupHom.images()``, and the representative of an orbit is its
+    member with the least images.
 
     The orbit decomposition is complete only if the supplied generators
     generate the relevant Weyl-group action."""
@@ -482,17 +466,9 @@ def classify_gradings(
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
         ugr = uab.universal_grading()
-        homs = enumerate_homs(uab.group, group, cap=cap)
-
-        def key(a: GroupHom) -> tuple:
-            # the generator images, read from the columns of the hom matrix
-            return tuple(
-                a.codomain.element(a.matrix.column(i)).coords for i in range(a.domain.ngens)
-            )
-
-        admissible = [a for a in homs if is_admissible(a, uab)]
-        # the homs come in key order, so an orbit's first member, its representative, has the least key
-        for orbit_id, orbit in enumerate(_orbits(admissible, key, GroupHom.compose, weyl)):
+        admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, uab)]
+        # the homs come in order of their images, so an orbit's representative has the least images
+        for orbit_id, orbit in enumerate(_orbits(admissible, GroupHom.images, GroupHom.compose, weyl)):
             rep = orbit[0]
             out.append(
                 ClassificationEntry(idx, rep, induce(ugr, rep), orbit_id, len(orbit))

@@ -135,10 +135,16 @@ def _entries(doc: Mapping, key: str) -> list[Mapping]:
     return entries
 
 
-def _int_matrix(rows, domain: FgAbGroup) -> IntMatrix:
-    """A hom matrix; ``[]``, a map into the trivial group, has a column per domain generator."""
-    data = [[int_field(x, "entry") for x in row] for row in rows]
-    return IntMatrix(data, None if data else domain.ngens)
+def _hom_from(spec: Mapping, domain: FgAbGroup, codomain: FgAbGroup, where: str) -> GroupHom:
+    """The hom given by the integer ``matrix`` of a ``homs`` or ``weyl`` entry; ``[]``, a map
+    into the trivial group, has a column per domain generator."""
+    try:
+        data = [[int_field(x, "entry") for x in row] for row in spec["matrix"]]
+        return GroupHom(domain, codomain, IntMatrix(data, None if data else domain.ngens))
+    except GradAlgError as exc:
+        raise ValidationError(f"{where}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: bad 'matrix': {exc}")
 
 
 def _name(spec: Mapping, field: str, default: str | None, where: str) -> str | None:
@@ -215,12 +221,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             hname = _name(hspec, "name", f"hom{len(homs)}", "hom")
             dom = _group_from_dict(hspec.get("domain", {}), f"hom {hname!r}")
             cod = _group_from_dict(hspec.get("codomain", {}), f"hom {hname!r}")
-            try:
-                homs[hname] = GroupHom(dom, cod, _int_matrix(hspec["matrix"], dom))
-            except GradAlgError as exc:
-                raise ValidationError(f"hom {hname!r}: {exc}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"hom {hname!r}: bad 'matrix': {exc}")
+            homs[hname] = _hom_from(hspec, dom, cod, f"hom {hname!r}")
         for wspec in _entries(doc, "weyl"):
             target = _name(wspec, "grading", None, "weyl entry")
             if target not in gradings:
@@ -228,12 +229,7 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                     f"weyl entry: field 'grading' references unknown grading {target!r}"
                 )
             g = gradings[target].group
-            try:
-                hom = GroupHom(g, g, _int_matrix(wspec["matrix"], g))
-            except GradAlgError as exc:
-                raise ValidationError(f"weyl for {target!r}: {exc}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"weyl for {target!r}: bad 'matrix': {exc}")
+            hom = _hom_from(wspec, g, g, f"weyl for {target!r}")
             if not hom.is_isomorphism():
                 raise ValidationError(f"weyl for {target!r}: matrix is not an automorphism")
             weyl.setdefault(target, []).append(hom)
@@ -645,17 +641,13 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"cap must be at least 1, not {text}")
         return int(text)
 
-    def common(sp, files=True):
-        if files:
-            sp.add_argument("files", nargs="+", help="workspace JSON files ('-' for stdin)")
-            sp.add_argument("--grading", help="grading name (default: first in the workspace)")
+    for name in _COMMANDS:
+        sp = sub.add_parser(name)
+        sp.add_argument("files", nargs="+", help="workspace JSON files ('-' for stdin)")
+        sp.add_argument("--grading", help="grading name (default: first in the workspace)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generic-element seed")
         sp.add_argument("--cap", type=cap, default=DEFAULT_CAP, help="enumeration cap (at least 1)")
-
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        common(sp)
         if name == "coarsen-enum":
             sp.add_argument(
                 "--universal-only",

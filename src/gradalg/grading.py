@@ -427,10 +427,6 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
     for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
-        if not idxs:
-            if g == ident:
-                by_degree[g] = Subspace(n * n, {})
-            continue
         kernel = _incremental_kernel(len(idxs), stream, known)
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
         # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index

@@ -1249,6 +1249,16 @@ def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
     return [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
 
 
+def generatorwise_equal(a: GroupHom, b: GroupHom) -> bool:
+    """Oracle for ``GroupHom.__eq__``, its former body: the same groups, and
+    the same image, evaluated through ``__call__``, of each canonical generator."""
+    return (
+        a.domain == b.domain
+        and a.codomain == b.codomain
+        and all(a(a.domain.generator(i)) == b(b.domain.generator(i)) for i in range(a.domain.ngens))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Integer normal forms and solves: the former implementations, as oracles
 # ---------------------------------------------------------------------------

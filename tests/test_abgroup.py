@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -29,6 +29,7 @@ from helpers import (
     element_order,
     element_set_subgroups,
     filtered_homs,
+    generatorwise_equal,
     rational_section,
 )
 
@@ -522,6 +523,113 @@ class TestHoms:
         monkeypatch.setattr(FgAbGroup, "elements", elements)
         with pytest.raises(CapExceeded, match=rf"^{total}\+ homomorphisms exceeds cap {cap}$"):
             enumerate_homs(g, h, cap=cap)
+
+
+#: small groups with and without free and torsion parts
+_SMALL = [
+    FgAbGroup(0, ()),
+    FgAbGroup(1, ()),
+    FgAbGroup(2, ()),
+    FgAbGroup(0, [2]),
+    FgAbGroup(0, [2, 2]),
+    FgAbGroup(0, [2, 4]),
+    FgAbGroup(1, [3]),
+    FgAbGroup(1, [2, 6]),
+]
+
+
+def _random_hom(rng: random.Random, g: FgAbGroup, h: FgAbGroup) -> GroupHom:
+    """A hom G -> H whose torsion rows hold random multiples of the
+    invariants on top of the image, so its matrix is rarely reduced."""
+    columns = []
+    for i in range(g.ngens):
+        d = g.invariants[i - g.free_rank] if i >= g.free_rank else 0
+        free = [0 if d else rng.randint(-5, 5) for _ in range(h.free_rank)]
+        # d x must vanish modulo e: x a multiple of e / gcd(d, e)
+        torsion = [rng.randrange(0, e, e // gcd(d, e)) + e * rng.randint(-3, 3) for e in h.invariants]
+        columns.append(free + torsion)
+    return GroupHom(g, h, IntMatrix.from_columns(columns, rows=h.ngens))
+
+
+def _random_hom_like(rng: random.Random, a: GroupHom) -> GroupHom:
+    """The map ``a`` with random multiples of the invariants added to its torsion rows."""
+    h, r = a.codomain, a.codomain.free_rank
+    rows = [
+        [x + (h.invariants[t - r] * rng.randint(-3, 3) if t >= r else 0) for x in row]
+        for t, row in enumerate(a.matrix.data)
+    ]
+    return GroupHom(a.domain, h, IntMatrix(rows, a.domain.ngens))
+
+
+class TestHomEquality:
+    """``==`` and ``hash`` read the reduced generator images, which agree
+    with evaluating each canonical generator through ``__call__``."""
+
+    def assert_agrees(self, homs):
+        for a in homs:
+            assert a.images() == tuple(a(x).coords for x in a.domain.generators())
+            for b in homs:
+                assert (a == b) == generatorwise_equal(a, b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_random_homs_between_small_groups(self):
+        rng = random.Random(25)
+        for g, h in itertools.product(_SMALL, repeat=2):
+            homs = [_random_hom(rng, g, h) for _ in range(6)]
+            # the same maps written with other multiples of the invariants
+            homs += [_random_hom_like(rng, a) for a in homs]
+            self.assert_agrees(homs)
+            assert len(set(homs)) == len({a.images() for a in homs})
+
+    def test_homs_between_different_groups_differ(self):
+        z2, z4 = FgAbGroup(0, [2]), FgAbGroup(0, [4])
+        homs = [
+            GroupHom(z2, z2, IntMatrix([[1]])),
+            GroupHom(z2, z4, IntMatrix([[2]])),
+            GroupHom(FgAbGroup(1, ()), z2, IntMatrix([[1]])),
+            GroupHom(FgAbGroup(1, ()), z4, IntMatrix([[2]])),
+        ]
+        self.assert_agrees(homs)
+        assert len(set(homs)) == 4
+
+    def test_compositions(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            g, h, k = (rng.choice(_SMALL) for _ in range(3))
+            inner, outer = _random_hom(rng, g, h), _random_hom(rng, h, k)
+            composite = outer.compose(inner)
+            by_images = GroupHom.from_gen_images(g, k, [outer(inner(x)) for x in g.generators()])
+            self.assert_agrees([composite, by_images, _random_hom(rng, g, k)])
+            assert composite == by_images and hash(composite) == hash(by_images)
+
+    def test_compositions_with_entries_beyond_the_invariants(self):
+        z2 = FgAbGroup(0, [2])
+        swap = GroupHom(FgAbGroup(0, [2, 2]), FgAbGroup(0, [2, 2]), IntMatrix([[2, 1], [1, 2]]))
+        square = swap.compose(swap)
+        assert square.matrix == IntMatrix([[5, 4], [4, 5]])
+        identity = GroupHom.identity(swap.domain)
+        assert square == identity and hash(square) == hash(identity)
+        triple = GroupHom(z2, z2, IntMatrix([[3]]))
+        assert triple.compose(triple).matrix == IntMatrix([[9]])
+        self.assert_agrees([triple, triple.compose(triple), GroupHom.identity(z2), GroupHom(z2, z2, IntMatrix([[2]]))])
+
+    def test_literals_into_z2(self):
+        z, z2 = FgAbGroup(1, ()), FgAbGroup(0, [2])
+        homs = [GroupHom(d, z2, IntMatrix([[c]])) for d in (z, z2) for c in (-2, -1, 0, 1, 2, 3)]
+        self.assert_agrees(homs)
+        assert GroupHom(z2, z2, IntMatrix([[3]])) == GroupHom.identity(z2)
+        assert GroupHom(z2, z2, IntMatrix([[3]])).images() == ((1,),)
+        assert GroupHom(z, z2, IntMatrix([[-2]])) == GroupHom(z, z2, IntMatrix([[0]]))
+        assert len(set(homs)) == 4
+
+    def test_quotient_projections(self):
+        for g in _SMALL:
+            for e in enumerate_subgroups(torsion_and_free(g)[0]):
+                q, proj = quotient_by(g, e)
+                by_images = GroupHom.from_gen_images(g, q, [proj(x) for x in g.generators()])
+                self.assert_agrees([proj, by_images])
+                assert proj == by_images and hash(proj) == hash(by_images)
 
 
 class TestRoundTrip:

@@ -274,6 +274,76 @@ class TestParseErrors:
         assert "structure constant 1.1" in err
 
 
+#: Z2 x Z4: a map sending its generator of order 2 to the one of order 4 is not well defined
+_Z2_Z4 = {"free_rank": 0, "invariants": [2, 4]}
+
+
+def _literal_workspace(section: str, matrix) -> dict:
+    """A one-dimensional zero-product algebra graded by Z2 x Z4, and one
+    ``section`` entry ("homs" or "weyl"), a map Z2 x Z4 -> Z2 x Z4 given by
+    ``matrix``, or with no matrix when it is None."""
+    entry = {"name": "h", "domain": _Z2_Z4, "codomain": _Z2_Z4} if section == "homs" else {"grading": "t"}
+    if matrix is not None:
+        entry["matrix"] = matrix
+    return {
+        "algebras": [{"name": "z", "dimension": 1, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
+        "gradings": [{"name": "t", "algebra": "z", "group": _Z2_Z4, "degrees": [[0, 0]]}],
+        section: [entry],
+    }
+
+
+class TestHomLiterals:
+    """A ``homs`` and a ``weyl`` matrix are read by one parser; each path
+    ends with the same exit code and message as before it was shared."""
+
+    VALID = "t: valid grading of z by Z2 x Z4, support 1\n"
+
+    @pytest.mark.parametrize(
+        "matrix, hom_err, weyl_err",
+        [
+            (None, "hom 'h': bad 'matrix': 'matrix'", "weyl for 't': bad 'matrix': 'matrix'"),
+            (
+                [[1.0, 0], [0, 1]],
+                "hom 'h': bad 'matrix': entry 1.0 is not a JSON integer",
+                "weyl for 't': bad 'matrix': entry 1.0 is not a JSON integer",
+            ),
+            ([[1, 0], [0]], "hom 'h': ragged rows", "weyl for 't': ragged rows"),
+            (
+                [[0, 0], [1, 1]],
+                "hom 'h': bad 'matrix': not well defined: d_0 times the generator image is nonzero",
+                "weyl for 't': bad 'matrix': not well defined: d_0 times the generator image is nonzero",
+            ),
+            ([[1, 0], [0, 2]], None, "weyl for 't': matrix is not an automorphism"),
+            ([[3, 0], [0, 5]], None, None),
+        ],
+    )
+    def test_each_path(self, tmp_path, capsys, matrix, hom_err, weyl_err):
+        for section, err in (("homs", hom_err), ("weyl", weyl_err)):
+            f = write_ws(tmp_path, _literal_workspace(section, matrix))
+            expected = (1, "", f"error: {err}\n") if err else (0, self.VALID, "")
+            assert run(capsys, "validate", f) == expected
+
+    def test_weyl_swap_with_entries_beyond_the_invariants(self, tmp_path, capsys):
+        # pauli-m2's Weyl swap on Z2 x Z2, written with every entry moved by 2
+        commands = [
+            ("classify", "--target", '{"invariants": [2, 2]}'),
+            ("classify", "--target", '{"invariants": [2, 4]}'),
+            ("coarsen-enum",),
+        ]
+        reports = []
+        for swap in ([[0, 1], [1, 0]], [[2, 1], [1, 2]]):
+            doc = catalog_workspace("pauli-m2")
+            assert len(doc["weyl"]) == 1
+            doc["weyl"][0]["matrix"] = swap
+            f = write_ws(tmp_path, doc)
+            reports.append([run(capsys, cmd, f, *options, *json_flag)
+                            for cmd, *options in commands for json_flag in ((), ("--json",))])
+        assert reports[0] == reports[1]
+        assert all(code == 0 and not err for code, _, err in reports[0])
+        # the swap joins two homs in each orbit of the Z2 x Z2 classification
+        assert "orbit 0 (size 2)" in reports[0][0][1]
+
+
 def _paths(node, prefix=()):
     """Every position in a JSON document, outermost first."""
     yield prefix
@@ -287,12 +357,23 @@ def _perturbed(constant, delta):
     return str(Fraction(constant) + delta)
 
 
-_FUZZ_SOURCES = {name: catalog_workspace(name) for name in ("cartan-sl2", "pauli-m2")}
+def _fuzz_source(name: str) -> dict:
+    """A catalog workspace with a hom "h" from its grading group, which is
+    also its universal group, onto Z2, so hom fields get mutated too."""
+    doc = catalog_workspace(name)
+    group = doc["gradings"][0]["group"]
+    ngens = group["free_rank"] + len(group["invariants"])
+    doc["homs"] = [{"name": "h", "domain": copy.deepcopy(group), "codomain": {"free_rank": 0, "invariants": [2]},
+                    "matrix": [[1] * ngens]}]
+    return doc
+
+
+_FUZZ_SOURCES = {name: _fuzz_source(name) for name in ("cartan-sl2", "pauli-m2")}
 _FUZZ_VALUES = ([1], [[0.5]], -1, 10**30, 1.5, True, False, float("inf"), float("-inf"), None, "x", "1/0", {})
 
 
-def _fuzzed_exit_code(data, command):
-    """Run command on a mutated catalog workspace and return its exit code."""
+def _fuzzed_exit_code(data, command, *options):
+    """Run command, with options, on a mutated catalog workspace and return its exit code."""
     doc = copy.deepcopy(_FUZZ_SOURCES[data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
     if data.draw(st.booleans()):
         # one structure constant off: the flag checks must reject it cleanly
@@ -313,11 +394,11 @@ def _fuzzed_exit_code(data, command):
         f.write(json.dumps(doc))
         f.flush()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main([command, f.name])
+            return main([command, f.name, *options])
 
 
 class TestFuzzedWorkspaces:
-    # 200 examples in total over the two tests; the slowest example seen
+    # 300 examples in total over the three tests; the slowest example seen
     # took 150 ms on a 2-core machine, so an example that takes 2 s is a loop
     # over a size the document states, not over what it holds
     @settings(max_examples=100, deadline=2000)
@@ -330,6 +411,25 @@ class TestFuzzedWorkspaces:
     def test_commands_end_with_an_exit_code(self, data):
         command = data.draw(st.sampled_from(["ugroup", "der", "rootsys", "root-graded"]))
         assert _fuzzed_exit_code(data, command) in range(5)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(st.data())
+    def test_grading_commands_end_with_an_exit_code(self, data):
+        argv = data.draw(
+            st.sampled_from(
+                [
+                    ("trank",),
+                    ("almost-fine",),
+                    ("refine-canonical",),
+                    ("coarsen-enum",),
+                    ("coarsen-enum", "--universal-only"),
+                    ("classify", "--target", '{"invariants": [2, 2]}'),
+                    ("induce", "--hom", "h"),
+                    ("admissible", "--hom", "h"),
+                ]
+            )
+        )
+        assert _fuzzed_exit_code(data, *argv) in range(5)
 
 
 @pytest.mark.parametrize("dimension", [100, 200, 10**30])

@@ -14,6 +14,7 @@ from gradalg.abgroup import FgAbGroup, GroupHom
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
+    build_algebra,
     derivation_algebra,
     derivation_space,
     inner_derivations,
@@ -441,6 +442,15 @@ class TestGradedDerivations:
         assert len(gd.sigma) == 3
         assert all(not g.is_identity() for g in gd.sigma)
         assert gd.total_dim() == 3
+
+    @pytest.mark.parametrize("group", [FgAbGroup(0, ()), FgAbGroup(1, ()), FgAbGroup(0, [2])], ids=str)
+    def test_zero_algebra(self, group):
+        # the identity is the only candidate degree; its 0 x 0 kernel takes the general path
+        zero = build_algebra({"name": "zero", "dimension": 0, "operations": [{"name": "m", "arity": 2, "entries": []}]})
+        gd = graded_derivations(Grading(zero, group, []))
+        assert gd.by_degree == {group.identity(): Subspace(0, {})}
+        assert gd.identity_part == Subspace(0, {}) and gd.identity_part.dim_ambient == 0
+        assert gd.sigma == () and gd.total_dim() == 0
 
     def test_identity_part_matches_constraint_derivations(self):
         gr = cartan_sl2()
