@@ -7,7 +7,9 @@ coordinate equality.  Subgroups are canonical Hermite-form lattices in
 Z^{r+k} containing the relation lattice; homomorphisms are integer
 matrices on canonical generators, checked for well-definedness.
 Subgroups, their elements and homomorphisms are enumerated from the
-invariants and the Hermite form, never by searching element sets.
+invariants and the Hermite form, never by searching element sets;
+enumerated homomorphisms are integer tuples of generator images, and a
+``GroupHom`` is built only for the ones a caller keeps.
 """
 
 from __future__ import annotations
@@ -476,9 +478,10 @@ def enumerate_subgroups(h: Subgroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
 
 def enumerate_homs(
     g: FgAbGroup, h: FgAbGroup, cap: int = DEFAULT_CAP
-) -> list[GroupHom]:
-    """All homomorphisms G -> H for finite H, in the lexicographic order
-    of their generator images.
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All homomorphisms G -> H for finite H, each as its image tuple (the
+    canonical coordinates of the canonical generators' images, which is
+    ``GroupHom.images()``), in lexicographic order.
 
     A generator of order d (0 when free) goes into the d-torsion of H: its
     coordinate j runs over the multiples of h_j / gcd(d, h_j).
@@ -492,8 +495,8 @@ def enumerate_homs(
         total *= prod(gcd(d, e) for e in h.invariants)
         if total > cap:
             raise CapExceeded(f"{total}+ homomorphisms exceeds cap {cap}")
-    choices = []
-    for d in orders:
-        torsion = itertools.product(*(range(0, e, e // gcd(d, e)) for e in h.invariants))
-        choices.append([h.element(c) for c in torsion])
-    return [GroupHom.from_gen_images(g, h, images) for images in itertools.product(*choices)]
+    choices = [
+        list(itertools.product(*(range(0, e, e // gcd(d, e)) for e in h.invariants)))
+        for d in orders
+    ]
+    return list(itertools.product(*choices))

@@ -17,7 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .abgroup import (
@@ -336,12 +338,12 @@ def _subgroup_image(e: Subgroup, w: GroupHom) -> Subgroup:
     return Subgroup.from_generators(e.owner, gens)
 
 
-def _orbits(items: Sequence, key, act, generators: Sequence[GroupHom]) -> list[list]:
+def _orbits(items: Sequence, act, generators: Sequence) -> list[list]:
     """Partition ``items`` into orbits under ``act(item, w)`` for w among
-    the generators, following only images that are themselves items
-    (matched by ``key``).  Each orbit starts with the first of its items,
-    and orbits come in the order of their first items."""
-    position = {key(x): i for i, x in enumerate(items)}
+    the generators, following only images that are themselves items.
+    Each orbit starts with the first of its items, and orbits come in the
+    order of their first items."""
+    position = {x: i for i, x in enumerate(items)}
     placed = [False] * len(items)
     orbits = []
     for i, x in enumerate(items):
@@ -353,7 +355,7 @@ def _orbits(items: Sequence, key, act, generators: Sequence[GroupHom]) -> list[l
         while frontier:
             cur = frontier.pop()
             for w in generators:
-                j = position.get(key(act(cur, w)))
+                j = position.get(act(cur, w))
                 if j is not None and not placed[j]:
                     placed[j] = True
                     orbit.append(items[j])
@@ -408,12 +410,10 @@ def enumerate_af_coarsenings(
                 continue
             survivors.append((e, qhom, coarse, "per-candidate"))
     # orbit labelling under the supplied automorphisms of U
-    orbits = _orbits(
-        [e for e, *_rest in survivors], lambda e: e.lattice, _subgroup_image, weyl_generators
-    )
-    orbit_of = {e.lattice: k for k, orbit in enumerate(orbits) for e in orbit}
+    orbits = _orbits([e for e, *_rest in survivors], _subgroup_image, weyl_generators)
+    orbit_of = {e: k for k, orbit in enumerate(orbits) for e in orbit}
     return [
-        CoarseningEntry(e, qhom, coarse, cert, orbit_of[e.lattice])
+        CoarseningEntry(e, qhom, coarse, cert, orbit_of[e])
         for e, qhom, coarse, cert in survivors
     ]
 
@@ -423,18 +423,34 @@ def enumerate_af_coarsenings(
 # ---------------------------------------------------------------------------
 
 
-def is_admissible(alpha: GroupHom, uab: UabResult) -> bool:
-    """A homomorphism from the universal group is admissible when
-    s -> (alpha(s), class of s modulo torsion) is injective on the support."""
-    r = uab.group.free_rank
-    seen = set()
-    for s in uab.support_order:
-        u = uab.iota[s]
-        key = (alpha(u).coords, u.coords[:r])
-        if key in seen:
-            return False
-        seen.add(key)
+def is_admissible(images: Sequence[Sequence[int]], target: FgAbGroup, uab: UabResult) -> bool:
+    """A homomorphism alpha: U -> target, given by its image tuple
+    (``GroupHom.images()``), is admissible when s -> (alpha(s), class of s
+    modulo torsion) is injective on the support, that is, when alpha is
+    injective on each of ``uab.torsion_fibres``.  Each alpha(s) is an
+    integer sum reduced modulo the target's invariants; the test stops at
+    the first collision."""
+    f = target.free_rank
+    rows = [tuple(x[t] for x in images) for t in range(target.ngens)]
+    torsion = list(zip(rows[f:], target.invariants))
+    for fibre in uab.torsion_fibres:
+        seen = set()
+        for u in fibre:
+            image = (
+                tuple(sum(map(mul, u, row)) for row in rows[:f]),
+                tuple(sum(map(mul, u, row)) % d for row, d in torsion),
+            )
+            if image in seen:
+                return False
+            seen.add(image)
     return True
+
+
+def _precompose(target: FgAbGroup, images: tuple, columns: Sequence[tuple[int, ...]]) -> tuple:
+    """The image tuple of alpha o w for a finite ``target``, from alpha's
+    image tuple and the columns of w's matrix: column j holds w(e_j)."""
+    rows = [(tuple(x[t] for x in images), d) for t, d in enumerate(target.invariants)]
+    return tuple(tuple(sum(map(mul, col, row)) % d for row, d in rows) for col in columns)
 
 
 @dataclass(frozen=True)
@@ -453,12 +469,12 @@ def classify_gradings(
     cap: int = DEFAULT_CAP,
 ) -> list[ClassificationEntry]:
     """G-gradings induced from a catalog of almost fine gradings: for each
-    catalog entry, enumerate homomorphisms from its universal group to G,
-    keep the admissible ones, and group them into orbits under
-    precomposition with the supplied Weyl generators, emitting one
-    representative (and its induced grading) per orbit.  Homs are matched
-    by ``GroupHom.images()``, and the representative of an orbit is its
-    member with the least images.
+    catalog entry, enumerate homomorphisms from its universal group to G
+    as image tuples, keep the admissible ones, and group them into orbits
+    under precomposition with the supplied Weyl generators, emitting one
+    representative (and its induced grading) per orbit.  Only the
+    representatives become ``GroupHom``s and ``Grading``s; the
+    representative of an orbit is its member with the least images.
 
     The orbit decomposition is complete only if the supplied generators
     generate the relevant Weyl-group action."""
@@ -466,10 +482,12 @@ def classify_gradings(
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
         ugr = uab.universal_grading()
-        admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, uab)]
+        admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, group, uab)]
+        columns = [w.matrix.columns() for w in weyl]
         # the homs come in order of their images, so an orbit's representative has the least images
-        for orbit_id, orbit in enumerate(_orbits(admissible, GroupHom.images, GroupHom.compose, weyl)):
-            rep = orbit[0]
+        orbits = _orbits(admissible, partial(_precompose, group), columns)
+        for orbit_id, orbit in enumerate(orbits):
+            rep = GroupHom(uab.group, group, IntMatrix.from_columns(orbit[0], rows=group.ngens))
             out.append(
                 ClassificationEntry(idx, rep, induce(ugr, rep), orbit_id, len(orbit))
             )

@@ -14,7 +14,9 @@ A workspace is a JSON document (file argument, or ``-`` for stdin):
     }
 
 Names are strings.  Integer fields take JSON integers only (no floats or
-booleans); rational fields take JSON integers or "p/q" strings.
+booleans); rational fields take JSON integers or "p/q" strings.  A
+``weyl`` matrix must be an automorphism of its grading's group that maps
+the support onto itself and keeps each component's dimension.
 
 Exit codes: 0 success, 1 input/validation error, 2 unsupported input
 (irrational spectra), 3 cap exceeded, 4 internal consistency failure.
@@ -165,6 +167,20 @@ def _algebra_from(spec: Mapping, where: str) -> StructureAlgebra:
         raise ParseError(f"{where}: {exc}")
 
 
+def _check_weyl(w: GroupHom, gr: Grading, where: str) -> None:
+    """A Weyl generator maps the support of ``gr`` onto itself and keeps
+    each component's dimension; checked on the degrees' integer coordinates."""
+    dims = gr.component_dims()
+    for coords, dim in dims.items():
+        image = gr.group.reduce(w.matrix.matvec(coords))
+        if dims.get(image) != dim:
+            found = f"of dimension {dims[image]}" if image in dims else "outside the support"
+            raise ValidationError(
+                f"{where}: matrix {[list(r) for r in w.matrix.data]} is not in the Weyl group: "
+                f"it maps degree {list(coords)} (dimension {dim}) to {list(image)} {found}"
+            )
+
+
 def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
     """Merge one or more parsed JSON documents into a cross-linked
     workspace; diagnostics name the offending field."""
@@ -228,10 +244,11 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
                 raise CrossRefError(
                     f"weyl entry: field 'grading' references unknown grading {target!r}"
                 )
-            g = gradings[target].group
-            hom = _hom_from(wspec, g, g, f"weyl for {target!r}")
+            gr = gradings[target]
+            hom = _hom_from(wspec, gr.group, gr.group, f"weyl for {target!r}")
             if not hom.is_isomorphism():
                 raise ValidationError(f"weyl for {target!r}: matrix is not an automorphism")
+            _check_weyl(hom, gr, f"weyl for {target!r}")
             weyl.setdefault(target, []).append(hom)
         asserted = doc.get("assertions", {})
         if not isinstance(asserted, Mapping):
@@ -466,7 +483,7 @@ def _cmd_admissible(ws, args) -> None:
             raise ValidationError(
                 f"hom {hname!r} domain does not match U_ab = {_group_str(uab.group)}"
             )
-        ok = is_admissible(hom, uab)
+        ok = is_admissible(hom.images(), hom.codomain, uab)
         results.append({"hom": hname, "admissible": ok})
         lines.append(f"{hname}: {'admissible' if ok else 'not admissible'}")
     _emit({"grading": name, "results": results}, lines, args.json)

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, group_from_presentation
@@ -68,9 +70,12 @@ class Grading:
 
     The rewritten algebra is ``subalgebra_structure(algebra, basis_change)``,
     which is ``algebra`` itself for the unit columns and is otherwise
-    memoized on the algebra: gradings sharing an algebra and a basis
-    (the inductions, coarsenings and universal grading of one grading)
-    share one re-based, flag-checked copy.
+    memoized on the algebra: gradings constructed on one algebra and
+    basis share one re-based, flag-checked copy.  An induced grading
+    (``induce``, ``UabResult.universal_grading``, and so every coarsening
+    and classified grading) is not constructed: ``_regraded`` builds its
+    table from the source's and takes the source's algebra, basis and
+    re-based copy; both paths set the fields through ``_fill``.
     """
 
     __slots__ = (
@@ -132,15 +137,14 @@ class Grading:
                     f"of degree {degrees[j].coords} != {total}",
                     witness=(op.name, key, j),
                 )
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "basis_change", cols)
-        object.__setattr__(self, "homog_algebra", homog)
-        object.__setattr__(self, "support", tuple(support))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "relations", tuple(sorted(row for row in rows if any(row))))
-        object.__setattr__(self, "_memo", {})
+        relations = tuple(sorted(row for row in rows if any(row)))
+        self._fill(algebra, group, degrees, cols, homog, tuple(support), labels, relations)
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in the order of ``__slots__``, with an empty memo:
+        the one place where a grading, constructed or induced, gets its fields."""
+        for name, value in zip(self.__slots__, values + ({},)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Grading is immutable")
@@ -210,6 +214,19 @@ class UabResult:
     #: universal group -> original grading group, alpha o iota = inclusion
     alpha: GroupHom
     presentation: Presentation
+
+    @cached_property
+    def torsion_fibres(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The coordinates of the classes iota(s), s in ``support_order``,
+        grouped by their free part (their image in U/t(U)), in the order of
+        their first members; only the groups of two or more are kept, as a
+        class alone in its group is told apart from the others by the free part."""
+        r = self.group.free_rank
+        fibres: dict[tuple[int, ...], list] = {}
+        for s in self.support_order:
+            u = self.iota[s].coords
+            fibres.setdefault(u[:r], []).append(u)
+        return tuple(tuple(f) for f in fibres.values() if len(f) > 1)
 
     def universal_grading(self) -> Grading:
         """The same decomposition viewed as a grading by the universal group."""
@@ -296,10 +313,47 @@ def induce(grading: Grading, alpha: GroupHom) -> Grading:
 
 def _regraded(grading: Grading, group: FgAbGroup, image) -> Grading:
     """The decomposition of ``grading`` with each degree s replaced by
-    image(s) in ``group``: image is applied once per support element and
-    expanded along the labels."""
+    image(s) in ``group``, built from the source's table: image is applied
+    once per support element, the labels follow the merged support, and
+    the relation rows are the source's rows with their columns merged,
+    each distinct nonzero one once, sorted.  Each merged row must sum to 0
+    in ``group`` (IncompatibleDegrees otherwise).  The algebra, its
+    re-based copy and the basis are the source's."""
     images = [image(s) for s in grading.support]
-    return Grading(grading.algebra, group, [images[s] for s in grading.labels], grading.basis_change)
+    by_coords = {g.coords: g for g in images}
+    coords = sorted(by_coords)
+    merged = {c: i for i, c in enumerate(coords)}
+    column = [merged[g.coords] for g in images]
+    rows = set()
+    for row in grading.relations:
+        sums = [0] * len(coords)
+        for k, c in zip(column, row):
+            sums[k] += c
+        rows.add(tuple(sums))
+    rows.discard((0,) * len(coords))
+    # the coordinates of the degrees, axis by axis, and each axis's modulus (0 when free)
+    axes = list(zip(*coords))
+    moduli = (0,) * group.free_rank + group.invariants
+    for row in rows:
+        sums = [sum(map(mul, row, axis)) for axis in axes]
+        if any(x % d if d else x for x, d in zip(sums, moduli)):
+            total = group.reduce(sums)
+            raise IncompatibleDegrees(
+                f"the induced degrees {coords} violate the relation row {row}: its sum is {total}",
+                witness=row,
+            )
+    induced = Grading.__new__(Grading)
+    induced._fill(
+        grading.algebra,
+        group,
+        tuple(images[s] for s in grading.labels),
+        grading.basis_change,
+        grading.homog_algebra,
+        tuple(by_coords[c] for c in coords),
+        tuple(column[s] for s in grading.labels),
+        tuple(sorted(rows)),
+    )
+    return induced
 
 
 # ---------------------------------------------------------------------------

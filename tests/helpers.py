@@ -40,7 +40,8 @@ from gradalg.exactla import (
     sparse_nullspace,
     sparse_rows,
 )
-from gradalg.grading import GradedDerivations, Grading
+from gradalg.afine import ClassificationEntry
+from gradalg.grading import GradedDerivations, Grading, universal_abelian_group
 from gradalg.lieroot import _proportional, _wadd, _wscale
 
 
@@ -1247,6 +1248,65 @@ def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
     orders = (0,) * g.free_rank + g.invariants
     choices = [[x for x in elems if d % element_order(x) == 0] if d else elems for d in orders]
     return [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
+
+
+def hom_from_images(g: FgAbGroup, h: FgAbGroup, images) -> GroupHom:
+    """The hom G -> H with the given image tuple (as ``enumerate_homs`` yields it)."""
+    return GroupHom(g, h, IntMatrix.from_columns(images, rows=h.ngens))
+
+
+def pointwise_admissible(alpha: GroupHom, uab) -> bool:
+    """Oracle for ``afine.is_admissible``, its former body: s -> (alpha(s),
+    class of s modulo torsion), evaluated through ``GroupHom.__call__``, is
+    injective on the support."""
+    r = uab.group.free_rank
+    keys = {(alpha(uab.iota[s]).coords, uab.iota[s].coords[:r]) for s in uab.support_order}
+    return len(keys) == len(uab.support_order)
+
+
+def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[ClassificationEntry]:
+    """Oracle for ``afine.classify_gradings``, its former body on
+    ``GroupHom``s: every hom U -> G from the element-set listing
+    (``filtered_homs``), admissibility through ``GroupHom.__call__``,
+    orbits under ``GroupHom.compose`` matched by ``images()``, and each
+    representative's grading built by ``Grading`` from pushed-forward degrees."""
+    out = []
+    for idx, (grading, weyl) in enumerate(catalog):
+        uab = universal_abelian_group(grading)
+        ugr = uab.universal_grading()
+        admissible = [a for a in filtered_homs(uab.group, group) if pointwise_admissible(a, uab)]
+        position = {a.images(): i for i, a in enumerate(admissible)}
+        placed = [False] * len(admissible)
+        orbits = []
+        for i, a in enumerate(admissible):
+            if placed[i]:
+                continue
+            placed[i] = True
+            orbit, frontier = [a], [a]
+            while frontier:
+                cur = frontier.pop()
+                for w in weyl:
+                    j = position.get(cur.compose(w).images())
+                    if j is not None and not placed[j]:
+                        placed[j] = True
+                        orbit.append(admissible[j])
+                        frontier.append(admissible[j])
+            orbits.append(orbit)
+        for orbit_id, orbit in enumerate(orbits):
+            rep = orbit[0]
+            induced = Grading(ugr.algebra, group, [rep(d) for d in ugr.degrees], ugr.basis_change)
+            out.append(ClassificationEntry(idx, rep, induced, orbit_id, len(orbit)))
+    return out
+
+
+def random_hom(rng: random.Random, g: FgAbGroup, h: FgAbGroup) -> GroupHom:
+    """A random hom G -> H: a generator of order d (0 when free) goes to a
+    random element of the d-torsion of H, with small free coordinates."""
+    cols = []
+    for d in (0,) * g.free_rank + g.invariants:
+        free = [rng.randint(-2, 2) if d == 0 else 0 for _ in range(h.free_rank)]
+        cols.append(free + [rng.randrange(0, e, e // gcd(d, e)) for e in h.invariants])
+    return hom_from_images(g, h, cols)
 
 
 def generatorwise_equal(a: GroupHom, b: GroupHom) -> bool:

@@ -30,6 +30,7 @@ from helpers import (
     element_set_subgroups,
     filtered_homs,
     generatorwise_equal,
+    hom_from_images,
     rational_section,
 )
 
@@ -433,8 +434,11 @@ class TestAgainstElementSetOracles:
             g = FgAbGroup(free, invs)
             for hinvs in codomains:
                 h = FgAbGroup(0, hinvs)
-                got = [f.matrix for f in enumerate_homs(g, h)]
-                assert got == [f.matrix for f in filtered_homs(g, h)], (g, h)
+                got = enumerate_homs(g, h)
+                oracle = filtered_homs(g, h)
+                assert got == [f.images() for f in oracle], (g, h)
+                # each image tuple is a well-defined hom with the oracle's matrix
+                assert [hom_from_images(g, h, t).matrix for t in got] == [f.matrix for f in oracle], (g, h)
 
 
 class TestHoms:
@@ -491,7 +495,8 @@ class TestHoms:
     def test_inverse_takes_one_smith_form(self, monkeypatch):
         calls = []
         monkeypatch.setattr(exactla, "smith_normal_form", lambda m: calls.append(m) or smith_normal_form(m))
-        autos = [f for g in (FgAbGroup(0, [2, 4]), FgAbGroup(0, [3, 3])) for f in enumerate_homs(g, g) if f.is_isomorphism()]
+        homs = [hom_from_images(g, g, t) for g in (FgAbGroup(0, [2, 4]), FgAbGroup(0, [3, 3])) for t in enumerate_homs(g, g)]
+        autos = [f for f in homs if f.is_isomorphism()]
         g = FgAbGroup(2, [2])
         autos.append(GroupHom(g, g, IntMatrix([[2, 1, 0], [1, 1, 0], [1, 0, 1]])))
         assert len(autos) == 8 + 48 + 1

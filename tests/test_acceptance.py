@@ -144,5 +144,5 @@ def test_criterion_7_classification_smoke():
             results = classify_gradings(sources, g)
             assert results
             for r in results:
-                assert is_admissible(r.alpha, uabs[r.source])
+                assert is_admissible(r.alpha.images(), g, uabs[r.source])
             assert len({(r.source, r.orbit) for r in results}) == len(results)

@@ -2,10 +2,11 @@
 enumeration, and classification."""
 
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 
-from gradalg.abgroup import FgAbGroup, GroupHom, Subgroup, torsion_and_free
+from gradalg.abgroup import DEFAULT_CAP, FgAbGroup, GroupHom, Subgroup, torsion_and_free
 from gradalg.afine import (
     canonical_refinement,
     cartan_candidates,
@@ -16,11 +17,26 @@ from gradalg.afine import (
     toral_rank,
     ToralData,
 )
-from gradalg.catalog import get_catalog
+from gradalg.catalog import catalog_names, get_catalog
+from gradalg.errors import CapExceeded
 from gradalg.exactla import IntMatrix, RatMatrix, Subspace
 from gradalg.grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 
-from helpers import build_m2_splitpauli, build_sl2_efh, matvec, rows_matrix, sparse, twisted_group_grading, vectors
+from helpers import (
+    all_abelian_groups_up_to,
+    build_m2_splitpauli,
+    build_sl2_efh,
+    element_order,
+    grouphom_classify_gradings,
+    matvec,
+    pointwise_admissible,
+    random_graded_algebra,
+    random_hom,
+    rows_matrix,
+    sparse,
+    twisted_group_grading,
+    vectors,
+)
 
 import random
 
@@ -231,18 +247,70 @@ class TestAdmissibility:
         uab = universal_abelian_group(cartan_sl2())
         g = FgAbGroup(0, [2, 2])
         zero = GroupHom(uab.group, g, IntMatrix.from_columns([[0, 0]], rows=2))
-        assert is_admissible(zero, uab)
+        assert is_admissible(zero.images(), g, uab)
 
     def test_torsion_collision_rejected(self):
         uab = universal_abelian_group(pauli_m2())
         g = FgAbGroup(0, [2])
         alpha = GroupHom(uab.group, g, IntMatrix([[1, 0]]))
-        assert not is_admissible(alpha, uab)
+        assert not is_admissible(alpha.images(), g, uab)
         iso = GroupHom.identity(uab.group)
-        assert is_admissible(iso, uab)
+        assert is_admissible(iso.images(), uab.group, uab)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_against_the_pointwise_oracle(self, name):
+        # into finite targets, a free one and one with both parts
+        uab = universal_abelian_group(get_catalog(name).grading)
+        rng = random.Random(name)
+        for target in (FgAbGroup(0, [2]), FgAbGroup(0, [2, 2]), FgAbGroup(0, [3, 6]), FgAbGroup(1, ()), FgAbGroup(1, [2])):
+            for _ in range(40):
+                alpha = random_hom(rng, uab.group, target)
+                assert is_admissible(alpha.images(), target, uab) == pointwise_admissible(alpha, uab)
+
+    def test_random_algebras_against_the_pointwise_oracle(self):
+        # universal groups that are free, finite, mixed and trivial
+        rng = random.Random(26)
+        kinds, verdicts = set(), set()
+        for trial in range(60):
+            uab = universal_abelian_group(random_graded_algebra(rng, ternary=trial % 2 == 1))
+            kinds.add((uab.group.free_rank > 0, bool(uab.group.invariants)))
+            for target in (FgAbGroup(0, [2]), FgAbGroup(0, [2, 4]), FgAbGroup(1, ()), FgAbGroup(1, [3])):
+                for _ in range(10):
+                    alpha = random_hom(rng, uab.group, target)
+                    verdict = is_admissible(alpha.images(), target, uab)
+                    assert verdict == pointwise_admissible(alpha, uab)
+                    verdicts.add(verdict)
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)} and verdicts == {False, True}
+
+
+def _hom_count(u: FgAbGroup, g: FgAbGroup) -> int:
+    """|Hom(U, G)| for finite G, counted on G's element list: a generator of
+    order d (0 when free) goes to any element whose order divides d."""
+    orders = [element_order(x) for x in g.elements()]
+    return prod(sum(1 for o in orders if d % o == 0) for d in (0,) * u.free_rank + u.invariants)
 
 
 class TestClassification:
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_against_the_grouphom_oracle(self, name):
+        """Every target of order <= 16 within the cap, the entry with its Weyl
+        generators and each companion without: entries equal field by field."""
+        entry = get_catalog(name)
+        sources = [(entry.grading, weyl_on_uab(entry.grading, entry.weyl_on_group))]
+        sources += [(gr, []) for _, gr in sorted(entry.companions.items())]
+        uabs = [universal_abelian_group(gr).group for gr, _ in sources]
+        compared = 0
+        for target in all_abelian_groups_up_to(16):
+            if any(_hom_count(u, target) > DEFAULT_CAP for u in uabs):
+                with pytest.raises(CapExceeded):
+                    classify_gradings(sources, target)
+                continue
+            got, want = classify_gradings(sources, target), grouphom_classify_gradings(sources, target)
+            assert [(e.source, e.alpha.matrix, e.orbit, e.orbit_size, e.grading.component_dims()) for e in got] == [
+                (e.source, e.alpha.matrix, e.orbit, e.orbit_size, e.grading.component_dims()) for e in want
+            ], target
+            compared += 1
+        assert compared >= 20
     def test_pauli_into_z2z2(self):
         entry = get_catalog("pauli-m2")
         uab = universal_abelian_group(entry.grading)
@@ -252,7 +320,7 @@ class TestClassification:
         # admissible maps are exactly the 6 automorphisms of Z2 x Z2
         assert sum(r.orbit_size for r in results) == 6
         assert all(r.source == 0 for r in results)
-        assert all(is_admissible(r.alpha, uab) for r in results)
+        assert all(is_admissible(r.alpha.images(), g, uab) for r in results)
         no_weyl = classify_gradings([(entry.grading, [])], g)
         assert len(no_weyl) == 6
         assert sum(r.orbit_size for r in no_weyl) == 6

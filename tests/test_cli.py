@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gradalg import cli
 from gradalg.algcore import StructureAlgebra
-from gradalg.catalog import get_catalog
+from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
 
@@ -344,6 +344,44 @@ class TestHomLiterals:
         assert "orbit 0 (size 2)" in reports[0][0][1]
 
 
+class TestWeylGenerators:
+    """A Weyl generator must map the grading's support onto itself and keep
+    each component's dimension; one that does not exits 1 naming its entry."""
+
+    def test_shear_on_cartan_sl3_is_rejected(self, tmp_path, capsys):
+        doc = catalog_workspace("cartan-sl3")
+        doc["weyl"].append({"grading": "cartan-sl3", "matrix": [[1, 1], [0, 1]]})
+        f = write_ws(tmp_path, doc)
+        for argv in (("classify", f, "--target", '{"invariants": [3]}'), ("validate", f)):
+            assert run(capsys, *argv) == (
+                1,
+                "",
+                "error: weyl for 'cartan-sl3': matrix [[1, 1], [0, 1]] is not in the Weyl group: "
+                "it maps degree [-1, -1] (dimension 1) to [-2, -1] outside the support\n",
+            )
+
+    def test_a_swap_of_components_of_different_dimensions_is_rejected(self, tmp_path, capsys):
+        # the swap of Z2 x Z2 maps the support {(0, 1), (1, 0)} onto itself, but not 1 onto 2 dimensions
+        group = {"free_rank": 0, "invariants": [2, 2]}
+        doc = {
+            "algebras": [{"name": "z", "dimension": 3, "operations": [{"name": "m", "arity": 2, "entries": []}]}],
+            "gradings": [{"name": "t", "algebra": "z", "group": group, "degrees": [[1, 0], [1, 0], [0, 1]]}],
+            "weyl": [{"grading": "t", "matrix": [[0, 1], [1, 0]]}],
+        }
+        assert run(capsys, "validate", write_ws(tmp_path, doc)) == (
+            1,
+            "",
+            "error: weyl for 't': matrix [[0, 1], [1, 0]] is not in the Weyl group: "
+            "it maps degree [0, 1] (dimension 1) to [1, 0] of dimension 2\n",
+        )
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_catalog_generator_is_accepted(self, tmp_path, capsys, name):
+        doc = catalog_workspace(name)
+        assert run(capsys, "validate", write_ws(tmp_path, doc))[0] == 0
+        assert len(parse_workspace([doc]).weyl.get(name, [])) == len(doc["weyl"]) == len(get_catalog(name).weyl_on_group)
+
+
 def _paths(node, prefix=()):
     """Every position in a JSON document, outermost first."""
     yield prefix
@@ -527,16 +565,18 @@ class TestHappyPaths:
     def test_classify_rebases_each_algebra_and_basis_once(self, tmp_path, capsys, monkeypatch):
         f = write_ws(tmp_path, catalog_workspace("cartan-sl3"))
         pairs, gradings, rebased, depth = set(), [], [], [0]
-        grading_init, algebra_init = Grading.__init__, StructureAlgebra.__init__
+        grading_init, grading_fill, algebra_init = Grading.__init__, Grading._fill, StructureAlgebra.__init__
 
-        def counting_grading_init(self, algebra, group, degrees, basis_change=None):
-            units = [{i: 1} for i in range(algebra.dimension)]
-            basis = tuple(tuple(sorted(c.items())) for c in (units if basis_change is None else basis_change))
-            pairs.add((algebra, basis))
+        # every grading, constructed or induced, sets its fields in _fill; only __init__ re-bases
+        def counting_grading_fill(self, algebra, group, degrees, basis_change, *rest):
+            pairs.add((algebra, tuple(tuple(sorted(c.items())) for c in basis_change)))
             gradings.append(self)
+            grading_fill(self, algebra, group, degrees, basis_change, *rest)
+
+        def counting_grading_init(self, *args, **kwargs):
             depth[0] += 1
             try:
-                grading_init(self, algebra, group, degrees, basis_change)
+                grading_init(self, *args, **kwargs)
             finally:
                 depth[0] -= 1
 
@@ -545,6 +585,7 @@ class TestHappyPaths:
                 rebased.append(self)
             algebra_init(self, *args, **kwargs)
 
+        monkeypatch.setattr(Grading, "_fill", counting_grading_fill)
         monkeypatch.setattr(Grading, "__init__", counting_grading_init)
         monkeypatch.setattr(StructureAlgebra, "__init__", counting_algebra_init)
         code, _, _ = run(capsys, "classify", f, "--target", '{"invariants": [2, 2]}', "--json")
@@ -820,12 +861,13 @@ class TestInvariantsComputedOnce:
     @staticmethod
     def computations(monkeypatch, capsys, argv):
         made = []
-        for cls in (Grading, StructureAlgebra):
-            def recording(self, *args, _init=cls.__init__, **kwargs):
+        # a grading, constructed or induced, gets its fields (and its memo) in _fill
+        for cls, method in ((Grading, "_fill"), (StructureAlgebra, "__init__")):
+            def recording(self, *args, _init=getattr(cls, method), **kwargs):
                 _init(self, *args, **kwargs)
                 made.append(self)
 
-            monkeypatch.setattr(cls, "__init__", recording)
+            monkeypatch.setattr(cls, method, recording)
         code, _, _ = run(capsys, *argv)
         monkeypatch.undo()
         assert code == 0

@@ -46,6 +46,7 @@ from helpers import (
     per_entry_incompatibility,
     per_entry_relations,
     random_graded_algebra,
+    random_hom,
     routed_leibniz_rows,
     signed_permutation,
     sl_involution_grading,
@@ -256,7 +257,71 @@ class TestUniversalGroup:
         assert u.alpha.is_isomorphism()
 
 
+#: every catalog grading and companion, and the helper generators' gradings
+TABLE_GRADINGS = {
+    **{name: lambda name=name: get_catalog(name).grading for name in catalog_names()},
+    "b2-skew-fine": lambda: get_catalog("b2-skew").companions["fine"],
+    "B2": lambda: classical_cartan_grading("B", 2),
+    "C3": lambda: classical_cartan_grading("C", 3),
+    "D3": lambda: classical_cartan_grading("D", 3),
+    "sl4-orthogonal": lambda: sl_involution_grading(4, alternating=False),
+    "sl4-symplectic": lambda: sl_involution_grading(4, alternating=True),
+    "tga2": lambda: twisted_group_grading(2, [[0, 1], [0, 0]]),
+    "tga3": lambda: twisted_group_grading(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    "heisenberg": heisenberg_grading,
+}
+
+
+#: targets of the random homs that induced gradings are checked along
+INDUCE_TARGETS = [
+    FgAbGroup(0, ()), FgAbGroup(0, [2]), FgAbGroup(0, [3]), FgAbGroup(0, [2, 2]), FgAbGroup(0, [2, 4]),
+    FgAbGroup(1, ()), FgAbGroup(1, [2]), FgAbGroup(2, ()),
+]
+
+
+def _check_induce_against_construction(gr: Grading, alpha: GroupHom):
+    """``induce`` (merged relation rows) gives the table of the grading that
+    ``Grading`` builds from the pushed-forward degrees, and shares the
+    source's algebra, re-based copy and basis."""
+    got = induce(gr, alpha)
+    want = Grading(gr.algebra, alpha.codomain, [alpha(d) for d in gr.degrees], gr.basis_change)
+    assert (got.group, got.support, got.labels, got.degrees, got.relations) == (
+        want.group, want.support, want.labels, want.degrees, want.relations
+    )
+    assert got.algebra is gr.algebra and got.homog_algebra is gr.homog_algebra
+    assert got.basis_change is gr.basis_change
+
+
 class TestInduce:
+    @pytest.mark.parametrize("name", list(TABLE_GRADINGS))
+    def test_against_construction_on_table_gradings(self, name):
+        gr = TABLE_GRADINGS[name]()
+        uab = universal_abelian_group(gr)
+        ugr = uab.universal_grading()
+        _check_induce_against_construction(gr, GroupHom.identity(gr.group))
+        _check_induce_against_construction(ugr, uab.alpha)
+        rng = random.Random(name)
+        for target in INDUCE_TARGETS:
+            for _ in range(3):
+                _check_induce_against_construction(ugr, random_hom(rng, uab.group, target))
+            _check_induce_against_construction(gr, random_hom(rng, gr.group, target))
+
+    def test_against_construction_on_random_algebras(self):
+        rng = random.Random(26)
+        for trial in range(40):
+            gr = random_graded_algebra(rng, ternary=trial % 2 == 1)
+            uab = universal_abelian_group(gr)
+            for target in rng.sample(INDUCE_TARGETS, 4):
+                _check_induce_against_construction(gr, random_hom(rng, gr.group, target))
+                _check_induce_against_construction(uab.universal_grading(), random_hom(rng, uab.group, target))
+
+    def test_degrees_that_break_a_relation_are_rejected(self):
+        # every degree of sl2 sent to 1 in Z2: [e, f] = h gives 1 + 1 != 1
+        gr = cartan_sl2()
+        z2 = FgAbGroup(0, [2])
+        with pytest.raises(IncompatibleDegrees, match="relation row"):
+            grading._regraded(gr, z2, lambda s: z2.element([1]))
+
     def test_identity(self):
         gr = cartan_sl2()
         same = induce(gr, GroupHom.identity(gr.group))
@@ -281,21 +346,6 @@ class TestInduce:
                 gr.component(g).dim for g in gr.support if alpha(g) == h
             )
             assert coarse.component(h).dim == expected
-
-
-#: every catalog grading and companion, and the helper generators' gradings
-TABLE_GRADINGS = {
-    **{name: lambda name=name: get_catalog(name).grading for name in catalog_names()},
-    "b2-skew-fine": lambda: get_catalog("b2-skew").companions["fine"],
-    "B2": lambda: classical_cartan_grading("B", 2),
-    "C3": lambda: classical_cartan_grading("C", 3),
-    "D3": lambda: classical_cartan_grading("D", 3),
-    "sl4-orthogonal": lambda: sl_involution_grading(4, alternating=False),
-    "sl4-symplectic": lambda: sl_involution_grading(4, alternating=True),
-    "tga2": lambda: twisted_group_grading(2, [[0, 1], [0, 0]]),
-    "tga3": lambda: twisted_group_grading(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-    "heisenberg": heisenberg_grading,
-}
 
 
 class TestRelationTable:
