@@ -54,7 +54,6 @@ from .exactla import (
     sparse_product,
 )
 from .grading import (
-    GradedDerivations,
     Grading,
     UabResult,
     graded_derivations,
@@ -166,7 +165,8 @@ def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
 class ToralData:
     """Toral part of the degree-preserving derivations of a grading."""
 
-    derivations: GradedDerivations
+    #: dimension n of the graded algebra
+    dimension: int
     #: D_e inside End(A) (homogeneous coordinates, n^2 flat)
     d_e: Subspace
     #: Cartan subalgebra of D_e, same coordinates
@@ -177,17 +177,17 @@ class ToralData:
 
     def toral_matrices(self) -> list[list[dict[int, Fraction]]]:
         """The canonical basis of t as operators, by sparse rows."""
-        n = self.derivations.grading.dimension
+        n = self.dimension
         return [flat_operator(v, n) for v in self.toral.sparse_vectors()]
 
 
 @memoized
 def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     """Toral data of a grading: D_e, a Cartan subalgebra of it, and the
-    span t of the semisimple parts of the Cartan basis; trank = dim t."""
+    span t of the semisimple parts of the Cartan basis; trank = dim t.
+    Only D_e is solved: the derivation degrees within the trivial subgroup."""
     n = grading.dimension
-    gd = graded_derivations(grading)
-    d_e = gd.identity_part
+    d_e = graded_derivations(grading, Subgroup.from_generators(grading.group, [])).identity_part
     lie = algebra_from_matrices("commutators", [flat_operator(v, n) for v in d_e.sparse_vectors()])
 
     def toral_part(cartan: Subspace) -> Subspace:
@@ -203,7 +203,7 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
         for b in mats[i + 1 :]:
             if sparse_product(a, b) != sparse_product(b, a):
                 raise AxiomFailure("toral part is not commutative")
-    return ToralData(gd, d_e, cartan, toral, toral.dim)
+    return ToralData(n, d_e, cartan, toral, toral.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +383,9 @@ def enumerate_af_coarsenings(
     """
     uab = universal_abelian_group(grading)
     ugr = uab.universal_grading()
-    gd = graded_derivations(ugr)
-    sigma = [s for s in gd.sigma if not s.is_identity()]
     t_u, _ = torsion_and_free(uab.group)
+    # E <= t_u meets Sigma only inside t_u, so only the degrees there are solved
+    sigma = [s for s in graded_derivations(ugr, t_u).sigma if not s.is_identity()]
     candidates = enumerate_subgroups(t_u, cap=cap)
     support_classes = [uab.iota[s] for s in uab.support_order]
     diffs = {u - v for u in support_classes for v in support_classes}

@@ -16,7 +16,8 @@ A workspace is a JSON document (file argument, or ``-`` for stdin):
 Names are strings.  Integer fields take JSON integers only (no floats or
 booleans); rational fields take JSON integers or "p/q" strings.  A
 ``weyl`` matrix must be an automorphism of its grading's group that maps
-the support onto itself and keeps each component's dimension.
+the support onto itself, keeps each component's dimension and permutes the
+relations read off the nonzero products.
 
 Exit codes: 0 success, 1 input/validation error, 2 unsupported input
 (irrational spectra), 3 cap exceeded, 4 internal consistency failure.
@@ -168,17 +169,41 @@ def _algebra_from(spec: Mapping, where: str) -> StructureAlgebra:
 
 
 def _check_weyl(w: GroupHom, gr: Grading, where: str) -> None:
-    """A Weyl generator maps the support of ``gr`` onto itself and keeps
-    each component's dimension; checked on the degrees' integer coordinates."""
+    """A Weyl generator maps the support of ``gr`` onto itself, keeps
+    each component's dimension, and permutes the relation rows of
+    ``gr.relations``: the support counts of the nonzero products, which a
+    graded automorphism permutes with the components.  Checked on integer
+    tuples: the degrees' coordinates and the rows' counts."""
     dims = gr.component_dims()
+    matrix = [list(r) for r in w.matrix.data]
+    # dims lists the support in order, the order of the columns of gr.relations
+    label = {coords: i for i, coords in enumerate(dims)}
+    perm = []
     for coords, dim in dims.items():
         image = gr.group.reduce(w.matrix.matvec(coords))
         if dims.get(image) != dim:
             found = f"of dimension {dims[image]}" if image in dims else "outside the support"
             raise ValidationError(
-                f"{where}: matrix {[list(r) for r in w.matrix.data]} is not in the Weyl group: "
+                f"{where}: matrix {matrix} is not in the Weyl group: "
                 f"it maps degree {list(coords)} (dimension {dim}) to {list(image)} {found}"
             )
+        perm.append(label[image])
+    relations = set(gr.relations)
+    # column k of a row's image is column perm^-1(k) of the row
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    for row in gr.relations:
+        image = tuple(map(row.__getitem__, inverse))
+        if image not in relations:
+            raise ValidationError(
+                f"{where}: matrix {matrix} is not in the Weyl group: it maps the relation "
+                f"{_relation_text(row, dims)} of a nonzero product to {_relation_text(image, dims)}, "
+                f"which no nonzero product gives"
+            )
+
+
+def _relation_text(row: Sequence[int], dims: Mapping[tuple[int, ...], int]) -> str:
+    """A relation row as a sum of support degrees, such as ``-1*[0, 0] + 2*[1, 0]``."""
+    return " + ".join(f"{c}*{list(s)}" for c, s in zip(row, dims) if c).replace("+ -", "- ")
 
 
 def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:

@@ -19,7 +19,7 @@ from itertools import product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, group_from_presentation
+from .abgroup import FgAbGroup, GroupElement, GroupHom, Presentation, Subgroup, group_from_presentation
 from .algcore import (
     StructureAlgebra,
     Subspace,
@@ -367,27 +367,31 @@ class GradedDerivations:
     coordinates (n^2 flat, row-major)."""
 
     grading: Grading
-    #: degree g -> D_g = {derivations mapping each A_h into A_{g+h}}
+    #: degree g -> D_g = {derivations mapping each A_h into A_{g+h}}, for g in the
+    #: subgroup solved within
     by_degree: Mapping[GroupElement, Subspace]
     identity_part: Subspace
-    #: support of the induced grading on the derivation algebra
+    #: support of the induced grading on the derivation algebra, inside that subgroup
     sigma: tuple[GroupElement, ...]
 
     def total_dim(self) -> int:
         return sum(s.dim for s in self.by_degree.values())
 
 
-def _derivation_system(grading: Grading):
+def _derivation_system(grading: Grading, within: Subgroup | None = None):
     """The Leibniz system of ``graded_derivations``, split by degree:
     (candidates, unknowns, rows, inner).  ``candidates`` are the possible
-    degrees, sorted: the differences of support elements and the identity.
+    degrees in ``within`` (all of them when it is None), sorted: the
+    differences of support elements and the identity.
     For candidate number d, ``unknowns[d]`` lists the flat unknowns r*n + c
     of that degree, increasing; ``rows[d]`` is a generator of its Leibniz
     rows and ``inner[d]`` its inner derivations, both re-indexed to the
-    positions in ``unknowns[d]``.
+    positions in ``unknowns[d]``.  Unknowns, equations and inner
+    derivations of degrees outside ``within`` are not filed.
 
     Degrees are read from integer tables: the support label of each basis
-    vector and the |S| x |S| table of the candidate number of s - t.  One
+    vector and the |S| x |S| table of the candidate number of s - t (None
+    outside ``within``).  One
     pass over the ``_leibniz_keys`` pairs files each equation (key, j)
     under its degree: that of D[j, a] for the first index a of op(key),
     or, when op(key) = 0, that of the first right-hand term that hits j.
@@ -402,33 +406,40 @@ def _derivation_system(grading: Grading):
     support = [s.coords for s in grading.support]
     label = grading.labels
     differences = [[group.reduce([x - y for x, y in zip(s, t)]) for t in support] for s in support]
-    candidates = sorted({g for row in differences for g in row} | {group.identity().coords})
+    candidates = sorted(
+        g
+        for g in {g for row in differences for g in row} | {group.identity().coords}
+        if within is None or within.contains(group.element(g))
+    )
     number = {g: i for i, g in enumerate(candidates)}
-    diff = [[number[g] for g in row] for row in differences]
+    diff = [[number.get(g) for g in row] for row in differences]
     candidates = [group.element(g) for g in candidates]
     # flat unknown r*n + c -> its candidate number and its position among that degree's unknowns
     degree_of = [diff[label[r]][label[c]] for r in range(n) for c in range(n)]
     unknowns: list[list[int]] = [[] for _ in candidates]
-    position = []
+    position = [0] * (n * n)
     for k, d in enumerate(degree_of):
-        position.append(len(unknowns[d]))
-        unknowns[d].append(k)
+        if d is not None:
+            position[k] = len(unknowns[d])
+            unknowns[d].append(k)
     members = [[i for i in range(n) if label[i] == s] for s in range(len(support))]
     filed: list[list[tuple]] = [[] for _ in candidates]
     for val, terms in _leibniz_keys(homog):
         if val:
             a0 = label[next(iter(val))]
             for s, js in enumerate(members):
-                filed[diff[s][a0]].append((val, terms, js))
+                if (d := diff[s][a0]) is not None:
+                    filed[d].append((val, terms, js))
         else:
-            first: dict[int, int] = {}
+            first: dict[int, int | None] = {}
             for it, entries in terms:
                 for b, vec in entries:
                     for j in vec:
                         first.setdefault(j, degree_of[b * n + it])
             by_degree: dict[int, list[int]] = {}
             for j in sorted(first):
-                by_degree.setdefault(first[j], []).append(j)
+                if first[j] is not None:
+                    by_degree.setdefault(first[j], []).append(j)
             for d, js in by_degree.items():
                 filed[d].append((val, terms, js))
 
@@ -436,10 +447,11 @@ def _derivation_system(grading: Grading):
         """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
         out = {}
         for idx, coeff in vec.items():
-            if (e := degree_of[idx]) != d:
+            if degree_of[idx] != d:
+                r, c = divmod(idx, n)
                 raise AxiomFailure(
                     f"{what} mixes the derivation degrees "
-                    f"{candidates[d].coords} and {candidates[e].coords}"
+                    f"{candidates[d].coords} and {differences[label[r]][label[c]]}"
                 )
             out[position[idx]] = coeff
         return out
@@ -453,14 +465,19 @@ def _derivation_system(grading: Grading):
 
     inner: list[list[dict]] = [[] for _ in candidates]
     for vec in inner_derivations(homog):
-        d = degree_of[next(iter(vec))]
-        inner[d].append(local(vec, d, "an inner derivation"))
+        if (d := degree_of[next(iter(vec))]) is not None:
+            inner[d].append(local(vec, d, "an inner derivation"))
     return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
 
 
 @memoized
-def graded_derivations(grading: Grading) -> GradedDerivations:
-    """Compute D_g for every candidate degree g in one sparse pass.
+def graded_derivations(grading: Grading, within: Subgroup | None = None) -> GradedDerivations:
+    """Compute D_g for every candidate degree g in the subgroup ``within``
+    of the grading group (every candidate when None) in one sparse pass.
+    The identity is in every subgroup, so D_e is always computed; the
+    toral rank reads D_e alone (``within`` trivial), the almost-fine
+    coarsenings the degrees in the torsion of the universal group, and
+    ``der`` every one.
 
     In the homogeneous basis the unknown D[r, c] (flat index r*n + c) has
     degree deg r - deg c, and every Leibniz row (key, j) involves unknowns
@@ -475,9 +492,11 @@ def graded_derivations(grading: Grading) -> GradedDerivations:
     deg e_i; each is passed to its degree's solve as a known kernel
     vector, so the solve stops once they can be the whole kernel.
     """
+    if within is not None and within.owner != grading.group:
+        raise ShapeError("subgroup of a different group")
     n = grading.dimension
     ident = grading.group.identity()
-    candidates, unknowns, rows, inner = _derivation_system(grading)
+    candidates, unknowns, rows, inner = _derivation_system(grading, within)
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
     for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):

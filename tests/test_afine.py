@@ -108,7 +108,9 @@ class TestToralRank:
         gr = build()
         td = toral_rank(gr)
         empty = Subspace(gr.dimension**2, {})
-        assert td == ToralData(graded_derivations(gr), empty, empty, empty, 0)
+        assert td == ToralData(gr.dimension, empty, empty, empty, 0)
+        # the toral rank solves D_e alone; the solve of every degree gives the same D_e
+        assert td.d_e == graded_derivations(gr).identity_part
         assert td.toral_matrices() == []
 
     def test_toral_matrices_commute_and_preserve_components(self):

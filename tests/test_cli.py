@@ -345,8 +345,9 @@ class TestHomLiterals:
 
 
 class TestWeylGenerators:
-    """A Weyl generator must map the grading's support onto itself and keep
-    each component's dimension; one that does not exits 1 naming its entry."""
+    """A Weyl generator must map the grading's support onto itself, keep
+    each component's dimension and permute the relation rows; one that does
+    not exits 1 naming its entry."""
 
     def test_shear_on_cartan_sl3_is_rejected(self, tmp_path, capsys):
         doc = catalog_workspace("cartan-sl3")
@@ -374,6 +375,35 @@ class TestWeylGenerators:
             "error: weyl for 't': matrix [[0, 1], [1, 0]] is not in the Weyl group: "
             "it maps degree [0, 1] (dimension 1) to [1, 0] of dimension 2\n",
         )
+
+    def test_a_generator_that_breaks_a_product_is_rejected(self, tmp_path, capsys):
+        # u^2 = u, x^2 = u, y^2 = u, xy = z graded by its universal group Z2 x Z2; the shear
+        # fixes (0, 1), swaps (1, 0) and (1, 1) and keeps every dimension, but x^2 = u has no
+        # image z^2 != 0
+        group = {"free_rank": 0, "invariants": [2, 2]}
+        entries = [[0, 0, 0, 1], [1, 1, 0, 1], [2, 2, 0, 1], [1, 2, 3, 1]]
+        doc = {
+            "algebras": [{"name": "a", "dimension": 4, "operations": [{"name": "m", "arity": 2, "entries": entries}]}],
+            "gradings": [{"name": "t", "algebra": "a", "group": group, "degrees": [[0, 0], [1, 0], [0, 1], [1, 1]]}],
+            "weyl": [{"grading": "t", "matrix": [[1, 0], [1, 1]]}],
+        }
+        f = write_ws(tmp_path, doc)
+        for argv in (("validate", f), ("classify", f, "--target", '{"invariants": [2, 2]}')):
+            assert run(capsys, *argv) == (
+                1,
+                "",
+                "error: weyl for 't': matrix [[1, 0], [1, 1]] is not in the Weyl group: it maps the relation "
+                "-1*[0, 0] + 2*[1, 0] of a nonzero product to -1*[0, 0] + 2*[1, 1], which no nonzero product gives\n",
+            )
+        # without the generator the same grading is valid
+        del doc["weyl"]
+        assert run(capsys, "validate", write_ws(tmp_path, doc))[0] == 0
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "perfbench" / "catalog").glob("*.json")), ids=lambda p: p.stem)
+    def test_every_benchmark_catalog_generator_is_accepted(self, capsys, path):
+        doc = json.loads(path.read_text())
+        assert run(capsys, "validate", str(path))[0] == 0
+        assert sum(map(len, parse_workspace([doc]).weyl.values())) == len(doc.get("weyl", []))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_every_catalog_generator_is_accepted(self, tmp_path, capsys, name):

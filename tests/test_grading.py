@@ -10,7 +10,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
 from gradalg import exactla, grading
-from gradalg.abgroup import FgAbGroup, GroupHom
+from gradalg.abgroup import FgAbGroup, GroupHom, Subgroup, torsion_and_free
+from gradalg.afine import canonical_refinement, toral_rank
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
@@ -593,6 +594,65 @@ class TestRoutedDerivations:
         monkeypatch.setattr(grading, "inner_derivations", lambda a: [])
         with pytest.raises(AxiomFailure, match="mixes"):
             graded_derivations(gr)
+
+
+def _restricted_sources():
+    """(id, builder) of every catalog grading and of the helpers' generated ones."""
+    generated = {
+        "B2": lambda: classical_cartan_grading("B", 2),
+        "C3": lambda: classical_cartan_grading("C", 3),
+        "D4": lambda: classical_cartan_grading("D", 4),
+        "sl3-orth": lambda: sl_involution_grading(3, alternating=False),
+        "sl4-symp": lambda: sl_involution_grading(4, alternating=True),
+        "tga3": lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
+        "heisenberg": heisenberg_grading,
+        # graded by Z2 x Z: torsion and free parts both present
+        "sl3-involution-refined": lambda: canonical_refinement(get_catalog("sl3-involution").grading).refined,
+    }
+    generated.update(
+        (f"random-{seed}", lambda seed=seed: random_graded_algebra(random.Random(seed), ternary=seed % 2 == 1))
+        for seed in range(12)
+    )
+    catalog = {name: lambda name=name: _fresh(get_catalog(name).grading) for name in catalog_names()}
+    return list({**catalog, **generated}.items())
+
+
+class TestSolvesWithin:
+    """``graded_derivations(gr, within)`` solves only the degrees in the
+    subgroup ``within``; each part must be that of the solve of every
+    degree, restricted to ``within``."""
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _restricted_sources()])
+    def test_parts_are_the_full_parts_restricted(self, build):
+        source = build()
+        # the universal grading too: its group mixes free and torsion parts where U does
+        for gr in (source, universal_abelian_group(source).universal_grading()):
+            full = graded_derivations(gr)
+            trivial = Subgroup.from_generators(gr.group, [])
+            torsion, _ = torsion_and_free(gr.group)
+            # and the cyclic subgroup of one support element, a proper subgroup on most of these groups
+            cyclic = Subgroup.from_generators(gr.group, gr.support[-1:])
+            for within in (trivial, torsion, cyclic, None):
+                part = graded_derivations(_fresh(gr), within)
+                inside = (lambda g: True) if within is None else within.contains
+                assert part.by_degree == {g: space for g, space in full.by_degree.items() if inside(g)}
+                assert part.identity_part == full.identity_part
+                assert part.sigma == tuple(g for g in full.sigma if inside(g))
+                assert graded_derivations(gr, within) == dataclasses.replace(part, grading=gr)
+
+    def test_toral_rank_solves_d_e_alone(self, monkeypatch):
+        solves = []
+        real = grading._incremental_kernel
+        monkeypatch.setattr(grading, "_incremental_kernel", lambda *args: solves.append(args[0]) or real(*args))
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        assert toral_rank(gr).trank == 2
+        # one solve, of the identity degree: the unknowns D[r, c] with deg r = deg c
+        assert solves == [sum(d * d for d in gr.component_dims().values())] == [10]
+
+    def test_subgroup_of_another_group_is_shape_error(self):
+        gr = _fresh(get_catalog("cartan-sl2").grading)
+        with pytest.raises(ShapeError, match="different group"):
+            graded_derivations(gr, Subgroup.from_generators(FgAbGroup(0, [2]), []))
 
 
 def _fresh(gr: Grading) -> Grading:
