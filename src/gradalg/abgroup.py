@@ -334,13 +334,21 @@ class GroupHom:
         return Subgroup.from_generators(self.domain, gens)
 
     def is_surjective(self) -> bool:
-        return self.image() == self.codomain.full_subgroup()
+        """The preimage lattice of the image, the column HNF of the matrix
+        beside the codomain's relations, is all of Z^(r+k): its HNF is the
+        identity."""
+        m = self.matrix.hstack(self.codomain.relation_lattice())
+        return column_hnf(m) == IntMatrix.identity(self.codomain.ngens)
 
     def is_injective(self) -> bool:
         return self.kernel().order() == 1
 
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """Bijectivity.  Groups in canonical form are isomorphic only when
+        equal, and then surjectivity alone decides: a finitely generated
+        abelian group is Hopfian, every surjective endomorphism of it being
+        injective."""
+        return self.domain == self.codomain and self.is_surjective()
 
     def inverse(self) -> "GroupHom":
         """Inverse of an isomorphism: pick a preimage of each canonical
@@ -366,7 +374,7 @@ class GroupHom:
 class Presentation:
     """Result of presenting Z^n by a relation lattice: the canonical group,
     a projection from generator vectors, and a section picking generator
-    vectors for the canonical generators."""
+    vectors for the canonical generators, both as integer matrices."""
 
     group: FgAbGroup
     #: (r+k) x n integer matrix: canonical coords of the n presentation
@@ -374,13 +382,6 @@ class Presentation:
     projection_matrix: IntMatrix
     #: n x (r+k): representative generator-vector for each canonical generator.
     section_matrix: IntMatrix
-
-    def project(self, vec: Sequence[int]) -> GroupElement:
-        return self.group.element(self.projection_matrix.matvec([int(x) for x in vec]))
-
-    def section(self, g: GroupElement) -> tuple[int, ...]:
-        """A generator vector mapping onto g."""
-        return self.section_matrix.matvec(g.coords)
 
 
 def group_from_presentation(num_generators: int, relations: IntMatrix) -> Presentation:

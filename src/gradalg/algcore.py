@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
@@ -73,7 +73,7 @@ class MultilinearOp:
             raise ValueError("arity must be >= 1")
         clean: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for key, vec in tensor.items():
-            key = tuple(int(i) for i in key)
+            key = tuple(map(int, key))
             if len(key) != arity:
                 raise ShapeError("tensor key arity mismatch")
             v = {int(j): c if isinstance(c, Q) else Q(c) for j, c in vec.items() if c}
@@ -135,12 +135,10 @@ class StructureAlgebra:
         if unknown:
             raise ValueError(f"unknown flags {sorted(unknown)}")
         operations = tuple(operations)
-        for op in operations:
-            for key, vec in op.tensor.items():
-                if any(not 0 <= i < dimension for i in key) or any(
-                    not 0 <= j < dimension for j in vec
-                ):
-                    raise ShapeError("structure-tensor index out of range")
+        # every index of every key and output, as one set, checked by its least and greatest
+        indices = set().union(*(i for op in operations for item in op.tensor.items() for i in item))
+        if indices and (min(indices) < 0 or max(indices) >= dimension):
+            raise ShapeError("structure-tensor index out of range")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "operations", operations)
@@ -195,53 +193,71 @@ class StructureAlgebra:
     def _verify_lie(self):
         """Antisymmetry, then Jacobi, over the stored keys: a basis pair can
         fail only if one of its keys is stored, and a triple i < j < k only
-        if one of its cyclic products [[e_a, e_b], e_c] has a term
-        (``_left_terms``).  The least failing pair or triple is reported,
-        the first one in lexicographic order."""
+        if one of its cyclic products [[e_a, e_b], e_c] has a term.  Once the
+        bracket is antisymmetric, [[e_b, e_a], e_c] = -[[e_a, e_b], e_c], so
+        only the stored keys a < b are walked, each term l of [e_a, e_b]
+        meeting the keys (l, c): with c outside {a, b}, the term goes to the
+        sorted triple of a, b, c with the sign of the cyclic order (a, b, c).
+        The least failing pair or triple is reported, the first one in
+        lexicographic order."""
         t = self.binary_op().int_tensor
         pairs = [tuple(sorted(key)) for key, vec in t.items() if t.get(key[::-1]) != {l: -c for l, c in vec.items()}]
         if pairs:
             i, j = min(pairs)
             raise FlagViolation(f"bracket is not antisymmetric on basis pair ({i}, {j})", witness=(i, j))
+        by_first = _keys_by_slot(t, 0)
         jacobi: dict[tuple[int, int, int, int], int] = {}
-        for a, b, c, m, x in _left_terms(t):
-            # (a, b, c) a cyclic order of i < j < k: a term of the Jacobi sum of (i, j, k)
-            if a < b < c or b < c < a or c < a < b:
-                key = (*sorted((a, b, c)), m)
-                jacobi[key] = jacobi.get(key, 0) + x
+        for (a, b), ab in t.items():
+            if a > b:
+                continue
+            for l, x in ab.items():
+                for c, vec in by_first.get(l, ()):
+                    # (a, b, c) is a cyclic order when c > b or c < a, and (a, c, b) is when a < c < b
+                    if c > b:
+                        triple, sign = (a, b, c), x
+                    elif c < a:
+                        triple, sign = (c, a, b), x
+                    elif a < c < b:
+                        triple, sign = (a, c, b), -x
+                    else:
+                        continue
+                    for m, y in vec.items():
+                        key = (*triple, m)
+                        jacobi[key] = jacobi.get(key, 0) + sign * y
         if triples := [key[:3] for key, x in jacobi.items() if x]:
             i, j, k = min(triples)
             raise FlagViolation(f"Jacobi identity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
 
     def _verify_associative(self):
-        """(e_i e_j) e_k - e_i (e_j e_k) summed from the terms of both sides
-        (``_left_terms`` of the product and of the opposite product); the
+        """(e_i e_j) e_k - e_i (e_j e_k) summed in one pass over the stored
+        keys (a, b): each term l of e_a e_b meets the keys (l, c), a term of
+        (e_a e_b) e_c, and the keys (c, l), a term of e_c (e_a e_b).  The
         least failing triple is reported."""
         t = self.binary_op().int_tensor
+        by_first, by_second = _keys_by_slot(t, 0), _keys_by_slot(t, 1)
         diff: dict[tuple[int, int, int, int], int] = {}
-        for i, j, k, m, x in _left_terms(t):
-            diff[i, j, k, m] = diff.get((i, j, k, m), 0) + x
-        # in the opposite product, (e_k e_j) e_i is e_i (e_j e_k)
-        for k, j, i, m, x in _left_terms({key[::-1]: vec for key, vec in t.items()}):
-            diff[i, j, k, m] = diff.get((i, j, k, m), 0) - x
+        for (a, b), ab in t.items():
+            for l, x in ab.items():
+                for c, vec in by_first.get(l, ()):
+                    for m, y in vec.items():
+                        key = (a, b, c, m)
+                        diff[key] = diff.get(key, 0) + x * y
+                for c, vec in by_second.get(l, ()):
+                    for m, y in vec.items():
+                        key = (c, a, b, m)
+                        diff[key] = diff.get(key, 0) - x * y
         if triples := [key[:3] for key, x in diff.items() if x]:
             i, j, k = min(triples)
             raise FlagViolation(f"associativity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
 
 
-def _left_terms(t: Mapping[tuple[int, int], Mapping[int, int]]):
-    """The nonzero terms of (e_a e_b) e_c for the binary tensor t, as
-    (a, b, c, m, t[(a, b)][l] t[(l, c)][m]) over the stored keys (a, b)
-    and, from an index of the keys by first slot, (l, c): summed over l,
-    they give the coefficient of e_m."""
-    by_first: dict[int, list[tuple[int, Mapping[int, int]]]] = {}
-    for (l, c), vec in t.items():
-        by_first.setdefault(l, []).append((c, vec))
-    for (a, b), ab in t.items():
-        for l, x in ab.items():
-            for c, vec in by_first.get(l, ()):
-                for m, y in vec.items():
-                    yield a, b, c, m, x * y
+def _keys_by_slot(t: Mapping[tuple[int, int], Mapping[int, int]], slot: int) -> dict:
+    """The stored keys of the binary tensor t by their index in ``slot``:
+    index -> [(the other index, t[key]), ...]."""
+    out: dict[int, list[tuple[int, Mapping[int, int]]]] = {}
+    for key, vec in t.items():
+        out.setdefault(key[slot], []).append((key[1 - slot], vec))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +298,15 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     flags an object of booleans, the operations a list of objects, their
     entries a list of lists, arity and indices integers, structure
     constants integers or "p/q" strings (ValueError naming the field
-    otherwise).  A "p/q" string that passes the literal check becomes one
-    ``Fraction`` of ``int(p)`` and ``int(q)``, and entries repeating a key
-    and output index are summed.  Asserted lie / associative flags are
-    verified over the stored entries (FlagViolation on failure)."""
+    otherwise, from ``int_field`` and ``rational_field``).  Each distinct
+    constant literal, a JSON integer or a string, is read once per call:
+    a dict maps it to its ``Fraction`` (a "p/q" string that passes the
+    literal check becomes one ``Fraction`` of ``int(p)`` and ``int(q)``),
+    and only literals that ``rational_field`` accepted enter it, so a
+    JSON ``true`` or a float, which compare equal to integers, never
+    reaches it.  Entries repeating a key and output index are summed.
+    Asserted lie / associative flags are verified over the stored entries
+    (FlagViolation on failure)."""
     name = spec.get("name", "algebra")
     if not isinstance(name, str):
         raise ValueError(f"name {name!r} is not a string")
@@ -298,11 +319,14 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     flags = spec.get("flags", {})
     if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
         raise ValueError(f"flags {flags!r} is not an object of booleans")
+    constants: dict[str | int, Fraction] = {}
     ops = []
     for opspec in operations:
         if not isinstance(opspec, dict):
             raise ValueError(f"operation {opspec!r} is not an object")
         arity = int_field(opspec["arity"], "arity")
+        if arity < 1:
+            raise ValueError("arity must be >= 1")
         entries = opspec["entries"]
         if not isinstance(entries, list):
             raise ValueError(f"entries {entries!r} is not a list")
@@ -314,11 +338,14 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
                 raise ShapeError(
                     f"entry of length {len(entry)} in an arity-{arity} operation"
                 )
-            key = tuple(int_field(x, "entry index") for x in entry[:arity])
-            j = int_field(entry[arity], "entry index")
-            c = rational_field(entry[arity + 1], "structure constant")
+            key, j, c = tuple(entry[:arity]), entry[arity], entry[arity + 1]
+            if type(j) is not int or not all(type(x) is int for x in key):
+                for x in (*key, j):
+                    int_field(x, "entry index")
+            if (type(c) is not str and type(c) is not int) or (value := constants.get(c)) is None:
+                value = constants[c] = rational_field(c, "structure constant")
             row = tensor.setdefault(key, {})
-            row[j] = row[j] + c if j in row else c
+            row[j] = row[j] + value if j in row else value
         ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
     return StructureAlgebra(name, dimension, ops, [k for k, v in flags.items() if v])
 
@@ -532,15 +559,16 @@ class DerivationAlgebra:
         return self.space.dim
 
 
-def inner_derivations(a: StructureAlgebra) -> list[dict[int, int]]:
-    """The nonzero maps x -> e_i x - x e_i over the basis vectors e_i, as
-    sparse vectors of End(A) in n^2 coordinates (row-major), when they are
-    derivations: ``a`` has a single operation, binary, with a verified
-    lie or associative flag.  Otherwise the empty list.  They are read on
-    ``op.int_tensor``, each stored key once (the work follows the table,
-    not the dimension), so each is the map of ``op.tensor`` times the same
-    positive constant c, with int entries, and they span the same space
-    (for a Lie bracket the map of e_i is 2c ad e_i)."""
+def inner_derivations(a: StructureAlgebra, among: Container[int]) -> list[dict[int, int]]:
+    """The nonzero maps x -> e_i x - x e_i over the basis vectors e_i, i in
+    ``among``, as sparse vectors of End(A) in n^2
+    coordinates (row-major), when they are derivations: ``a`` has a single
+    operation, binary, with a verified lie or associative flag.  Otherwise
+    the empty list.  They are read on ``op.int_tensor``, each stored key
+    once (the work follows the table, not the dimension), so each is the
+    map of ``op.tensor`` times the same positive constant c, with int
+    entries, and they span the same space (for a Lie bracket the map of
+    e_i is 2c ad e_i)."""
     if len(a.operations) != 1 or a.operations[0].arity != 2 or not a.flags & {"lie", "associative"}:
         return []
     n = a.dimension
@@ -548,9 +576,10 @@ def inner_derivations(a: StructureAlgebra) -> list[dict[int, int]]:
     for (i, c), vec in a.operations[0].int_tensor.items():
         # each stored key read once: e_i e_c is column c of the map of e_i, and minus column i of that of e_c
         for m, col, sign in ((i, c, 1), (c, i, -1)):
-            out = by_basis.setdefault(m, {})
-            for r, x in vec.items():
-                out[r * n + col] = out.get(r * n + col, 0) + sign * x
+            if m in among:
+                out = by_basis.setdefault(m, {})
+                for r, x in vec.items():
+                    out[r * n + col] = out.get(r * n + col, 0) + sign * x
     maps = []
     for i in sorted(by_basis):
         if vec := {k: x for k, x in by_basis[i].items() if x}:

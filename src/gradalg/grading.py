@@ -243,20 +243,17 @@ class UabResult:
 
 def _hom_from_support_images(pres: Presentation, support: Sequence, codomain: FgAbGroup, images: Mapping) -> GroupHom:
     """``UabResult.hom_from_support_images`` on ``pres``, presented on the
-    generators ``support``: each canonical generator goes to the images
-    summed along its section vector, then every support element is checked."""
-    u = pres.group
-    cols = []
-    for i in range(u.ngens):
-        img = codomain.identity()
-        for s, c in zip(support, pres.section(u.generator(i))):
-            img = img + c * images[s]
-        cols.append(img)
-    hom = GroupHom.from_gen_images(u, codomain, cols)
-    for idx, s in enumerate(support):
-        e_s = [1 if t == idx else 0 for t in range(len(support))]
-        if hom(pres.project(e_s)) != images[s]:
-            raise ValueError("images do not respect the defining relations")
+    generators ``support``: its matrix is one integer product, the
+    coordinates of the images (a column per support element) times
+    ``pres.section_matrix``, with its columns reduced in ``codomain``.
+    Then every support element is checked: the matrix times column s of
+    ``pres.projection_matrix`` (the class of s) must reduce to images[s]."""
+    rows = codomain.ngens
+    targets = IntMatrix.from_columns([images[s].coords for s in support], rows=rows)
+    columns = (targets * pres.section_matrix).columns()
+    hom = GroupHom(pres.group, codomain, IntMatrix.from_columns(list(map(codomain.reduce, columns)), rows=rows))
+    if list(map(codomain.reduce, (hom.matrix * pres.projection_matrix).columns())) != targets.columns():
+        raise ValueError("images do not respect the defining relations")
     return hom
 
 
@@ -264,15 +261,13 @@ def _hom_from_support_images(pres: Presentation, support: Sequence, codomain: Fg
 def universal_abelian_group(grading: Grading) -> UabResult:
     """Present the universal abelian group on the support of the grading,
     with the grading's relation rows (``Grading.relations``, sorted) as the
-    relation columns."""
+    relation columns: iota(s) is column s of the presentation's projection
+    matrix, and alpha is the hom sending each iota(s) to s."""
     support = list(grading.support)
     nsup = len(support)
     pres = group_from_presentation(nsup, IntMatrix.from_columns(grading.relations, rows=nsup))
     u = pres.group
-    iota = {}
-    for i, s in enumerate(support):
-        e = [1 if t == i else 0 for t in range(nsup)]
-        iota[s] = pres.project(e)
+    iota = {s: u.element(col) for s, col in zip(support, pres.projection_matrix.columns())}
     if len(set(iota.values())) != nsup:
         raise AxiomFailure("universal-group classes of distinct degrees collide")
     try:
@@ -391,7 +386,8 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
 
     Degrees are read from integer tables: the support label of each basis
     vector and the |S| x |S| table of the candidate number of s - t (None
-    outside ``within``).  One
+    outside ``within``).  Only the inner derivations of the basis vectors
+    whose degree is a candidate are built.  One
     pass over the ``_leibniz_keys`` pairs files each equation (key, j)
     under its degree: that of D[j, a] for the first index a of op(key),
     or, when op(key) = 0, that of the first right-hand term that hits j.
@@ -464,7 +460,8 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
                     yield local(row, d, "a Leibniz row")
 
     inner: list[list[dict]] = [[] for _ in candidates]
-    for vec in inner_derivations(homog):
+    # the inner derivation of e_i has degree deg e_i: only those of a candidate are built
+    for vec in inner_derivations(homog, {i for i in range(n) if support[label[i]] in number}):
         if (d := degree_of[next(iter(vec))]) is not None:
             inner[d].append(local(vec, d, "an inner derivation"))
     return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner

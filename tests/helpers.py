@@ -16,7 +16,9 @@ from gradalg.algcore import (
     _leibniz_rows,
     algebra_from_matrices,
     centroid_dimension,
+    int_field,
     killing_form,
+    rational_field,
 )
 from gradalg.errors import (
     AxiomFailure,
@@ -1492,3 +1494,132 @@ def dense_root_coords(rep) -> dict:
         RatMatrix.from_columns(list(rep.phi), rows=dim),
     )
     return {} if sol is None else {a: sol.column(k) for k, a in enumerate(rep.phi)}
+
+
+# ---------------------------------------------------------------------------
+# Source setup: the former implementations, as oracles
+# ---------------------------------------------------------------------------
+
+
+def entrywise_build_algebra(spec) -> StructureAlgebra:
+    """Oracle for ``algcore.build_algebra``, its former body: every index of
+    every entry through ``int_field`` and every structure constant through
+    ``rational_field``, entry by entry, with no literal read once."""
+    name = spec.get("name", "algebra")
+    if not isinstance(name, str):
+        raise ValueError(f"name {name!r} is not a string")
+    dimension = int_field(spec["dimension"], "dimension")
+    if dimension < 0:
+        raise ValueError(f"dimension {dimension} is negative")
+    operations = spec.get("operations", [])
+    if not isinstance(operations, list):
+        raise ValueError(f"operations {operations!r} is not a list")
+    flags = spec.get("flags", {})
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise ValueError(f"flags {flags!r} is not an object of booleans")
+    ops = []
+    for opspec in operations:
+        if not isinstance(opspec, dict):
+            raise ValueError(f"operation {opspec!r} is not an object")
+        arity = int_field(opspec["arity"], "arity")
+        entries = opspec["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries {entries!r} is not a list")
+        tensor = {}
+        for entry in entries:
+            if not isinstance(entry, list):
+                raise ValueError(f"entry {entry!r} is not a list")
+            if len(entry) != arity + 2:
+                raise ShapeError(f"entry of length {len(entry)} in an arity-{arity} operation")
+            key = tuple(int_field(x, "entry index") for x in entry[:arity])
+            j = int_field(entry[arity], "entry index")
+            c = rational_field(entry[arity + 1], "structure constant")
+            row = tensor.setdefault(key, {})
+            row[j] = row[j] + c if j in row else c
+        ops.append(MultilinearOp(opspec.get("name", "op"), arity, tensor))
+    return StructureAlgebra(name, dimension, ops, [k for k, v in flags.items() if v])
+
+
+def _left_terms(t):
+    """The nonzero terms (a, b, c, m, t[(a, b)][l] t[(l, c)][m]) of
+    (e_a e_b) e_c over every stored key (a, b) of the binary tensor t."""
+    by_first = {}
+    for (l, c), vec in t.items():
+        by_first.setdefault(l, []).append((c, vec))
+    for (a, b), ab in t.items():
+        for l, x in ab.items():
+            for c, vec in by_first.get(l, ()):
+                for m, y in vec.items():
+                    yield a, b, c, m, x * y
+
+
+def all_keys_verify_lie(self: StructureAlgebra) -> None:
+    """Oracle for ``StructureAlgebra._verify_lie``, its former body:
+    antisymmetry, then the Jacobi sums from the terms of every stored key,
+    keeping those whose (a, b, c) is a cyclic order of its sorted triple."""
+    t = self.binary_op().int_tensor
+    pairs = [tuple(sorted(key)) for key, vec in t.items() if t.get(key[::-1]) != {l: -c for l, c in vec.items()}]
+    if pairs:
+        i, j = min(pairs)
+        raise FlagViolation(f"bracket is not antisymmetric on basis pair ({i}, {j})", witness=(i, j))
+    jacobi = {}
+    for a, b, c, m, x in _left_terms(t):
+        if a < b < c or b < c < a or c < a < b:
+            key = (*sorted((a, b, c)), m)
+            jacobi[key] = jacobi.get(key, 0) + x
+    if triples := [key[:3] for key, x in jacobi.items() if x]:
+        i, j, k = min(triples)
+        raise FlagViolation(f"Jacobi identity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
+
+
+def opposite_tensor_verify_associative(self: StructureAlgebra) -> None:
+    """Oracle for ``StructureAlgebra._verify_associative``, its former body:
+    the left terms of the product minus those of the opposite product,
+    built as the reversed tensor."""
+    t = self.binary_op().int_tensor
+    diff = {}
+    for i, j, k, m, x in _left_terms(t):
+        diff[i, j, k, m] = diff.get((i, j, k, m), 0) + x
+    for k, j, i, m, x in _left_terms({key[::-1]: vec for key, vec in t.items()}):
+        diff[i, j, k, m] = diff.get((i, j, k, m), 0) - x
+    if triples := [key[:3] for key, x in diff.items() if x]:
+        i, j, k = min(triples)
+        raise FlagViolation(f"associativity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
+
+
+def image_is_whole_group(hom: GroupHom) -> bool:
+    """Oracle for ``GroupHom.is_surjective``, its former body: the image
+    subgroup, from the generators' images, equals the whole codomain."""
+    return hom.image() == hom.codomain.full_subgroup()
+
+
+def two_sided_isomorphism(hom: GroupHom) -> bool:
+    """Oracle for ``GroupHom.is_isomorphism``, its former body: surjective
+    and injective, both tested whatever the groups."""
+    return image_is_whole_group(hom) and hom.is_injective()
+
+
+def project(pres, vec) -> GroupElement:
+    """The class in ``pres.group`` of the generator vector ``vec``: its
+    projection, reduced (the former ``Presentation.project``)."""
+    return pres.group.element(pres.projection_matrix.matvec(vec))
+
+
+def elementwise_hom_from_support_images(pres, support, codomain: FgAbGroup, images) -> GroupHom:
+    """Oracle for ``grading._hom_from_support_images``, its former body on
+    ``GroupElement``s: each canonical generator goes to the images summed
+    along its section vector, then every support element is checked
+    through ``project`` and ``GroupHom.__call__``."""
+    u = pres.group
+    cols = []
+    for i in range(u.ngens):
+        img = codomain.identity()
+        for s, c in zip(support, pres.section_matrix.matvec(u.generator(i).coords)):
+            img = img + c * images[s]
+        cols.append(img)
+    hom = GroupHom.from_gen_images(u, codomain, cols)
+    for idx, s in enumerate(support):
+        e_s = [1 if t == idx else 0 for t in range(len(support))]
+        if hom(project(pres, e_s)) != images[s]:
+            raise ValueError("images do not respect the defining relations")
+    return hom

@@ -31,7 +31,10 @@ from helpers import (
     filtered_homs,
     generatorwise_equal,
     hom_from_images,
+    image_is_whole_group,
+    project,
     rational_section,
+    two_sided_isomorphism,
 )
 
 
@@ -135,11 +138,11 @@ class TestPresentation:
             pres = group_from_presentation(n, rel)
             # every relation column projects to zero
             for j in range(rel.cols):
-                assert pres.project(rel.column(j)).is_identity()
+                assert project(pres, rel.column(j)).is_identity()
             # the section is a right inverse of the projection
             for i in range(pres.group.ngens):
                 gen = pres.group.generator(i)
-                assert pres.project(pres.section(gen)) == gen
+                assert project(pres, pres.section_matrix.matvec(gen.coords)) == gen
             # surjectivity: canonical generators are hit
             hom = GroupHom(
                 FgAbGroup(n, ()),
@@ -239,8 +242,8 @@ class TestEmptyInputs:
         # a presentation whose relations kill every generator projects onto 0
         pres = group_from_presentation(2, IntMatrix.identity(2))
         assert pres.group == trivial and pres.projection_matrix.shape == (0, 2)
-        assert pres.project([3, -1]) == trivial.identity()
-        assert pres.section_matrix.shape == (2, 0) and pres.section(trivial.identity()) == (0, 0)
+        assert project(pres, [3, -1]) == trivial.identity()
+        assert pres.section_matrix.shape == (2, 0) and pres.section_matrix.matvec(()) == (0, 0)
 
     @pytest.mark.parametrize("name", ["cartan-sl3", "cartan-sl4"])
     def test_kernel_and_inverse_into_a_free_codomain(self, name):
@@ -662,3 +665,47 @@ class TestRoundTrip:
             img = f.image()
             q = pres.group
             assert q.order() == img.order()
+
+
+class TestHopfianIsomorphism:
+    """``is_isomorphism`` tests an endomorphism for surjectivity alone, a
+    finitely generated abelian group being Hopfian; it must agree with the
+    former two-sided test (``helpers.two_sided_isomorphism``), and
+    ``is_surjective``, one Hermite form compared with the identity, with
+    the former image comparison (``helpers.image_is_whole_group``)."""
+
+    def test_every_endomorphism_up_to_order_8(self):
+        automorphisms = {}
+        for g in all_abelian_groups_up_to(8):
+            homs = [hom_from_images(g, g, t) for t in enumerate_homs(g, g)]
+            verdicts = [f.is_isomorphism() for f in homs]
+            assert verdicts == [two_sided_isomorphism(f) for f in homs]
+            assert [f.is_surjective() for f in homs] == [image_is_whole_group(f) for f in homs]
+            automorphisms[g.invariants] = sum(verdicts)
+        # |Aut| of Z_n is phi(n); GL(2, 2) has 6 elements, GL(3, 2) 168; |Aut(Z_2 + Z_4)| = 8
+        assert automorphisms[(8,)] == 4 and automorphisms[(7,)] == 6
+        assert automorphisms[(2, 2)] == 6 and automorphisms[(2, 2, 2)] == 168 and automorphisms[(2, 4)] == 8
+
+    @pytest.mark.parametrize(
+        "g", [FgAbGroup(2, ()), FgAbGroup(1, [2, 4]), FgAbGroup(0, [2, 4, 8])], ids=repr
+    )
+    def test_random_matrices_shifted_by_the_invariants(self, g):
+        rng = random.Random(repr(g))
+        homs = [_random_hom(rng, g, g) for _ in range(300)]
+        verdicts = [f.is_isomorphism() for f in homs]
+        assert verdicts == [two_sided_isomorphism(f) for f in homs]
+        assert [f.is_surjective() for f in homs] == [image_is_whole_group(f) for f in homs]
+        assert True in verdicts and False in verdicts
+
+    def test_unequal_groups_are_never_isomorphic(self):
+        z4, z2, z2z2 = FgAbGroup(0, [4]), FgAbGroup(0, [2]), FgAbGroup(0, [2, 2])
+        pairs = [(z4, z2z2), (z4, z2), (FgAbGroup(1, ()), z2), (FgAbGroup(1, [2]), FgAbGroup(1, ()))]
+        rng = random.Random(44)
+        surjective = 0
+        for g, h in pairs:
+            for f in (_random_hom(rng, g, h) for _ in range(40)):
+                # groups in canonical form are isomorphic only when equal
+                assert f.is_isomorphism() is False and two_sided_isomorphism(f) is False
+                assert f.is_surjective() == image_is_whole_group(f)
+                surjective += f.is_surjective()
+        assert surjective

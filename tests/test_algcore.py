@@ -53,8 +53,11 @@ from helpers import (
     dense_killing_form,
     dense_leibniz_rows,
     dense_rebase,
+    all_keys_verify_lie,
     dense_verify_associative,
     dense_verify_lie,
+    entrywise_build_algebra,
+    opposite_tensor_verify_associative,
     e_matrix,
     flatten,
     fraction_derivations,
@@ -153,6 +156,56 @@ class TestBuildAlgebra:
                     "operations": [{"name": "op", "arity": 2, "entries": [[0, 1, 5, "1/1"]]}],
                 }
             )
+
+    @pytest.mark.parametrize("key, j", [((0, -1), 0), ((0, 1), -1), ((2, 0), 0), ((0, 0), 2), ((0, 10**30), 0)])
+    def test_index_range_read_off_the_least_and_greatest(self, key, j):
+        with pytest.raises(ShapeError, match="out of range"):
+            StructureAlgebra("bad", 2, [MultilinearOp("op", 2, {(0, 1): {1: Q(1)}, key: {j: Q(1)}})])
+        assert StructureAlgebra("empty", 0, [MultilinearOp("op", 2, {})]).dimension == 0
+
+    def test_catalog_specs_match_the_entrywise_oracle(self):
+        for name in catalog.catalog_names():
+            spec = cli.catalog_workspace(name)["algebras"][0]
+            assert _build_outcome(build_algebra, spec) == _build_outcome(entrywise_build_algebra, spec)
+
+    def test_random_specs_match_the_entrywise_oracle(self):
+        # constants repeat across entries, one value from several literals; one entry in two
+        # specs gets a bad constant or index, which must give the oracle's message
+        rng = random.Random(28)
+        outcomes = []
+        for trial in range(400):
+            n = rng.randint(1, 4)
+            entries = [
+                [rng.randrange(n) for _ in range(3)] + [rng.choice(GOOD_CONSTANTS)] for _ in range(rng.randint(0, 10))
+            ]
+            if trial % 2 and entries:
+                entry = rng.choice(entries)
+                if trial % 4 == 1:
+                    entry[3] = rng.choice(BAD_CONSTANTS)
+                else:
+                    entry[rng.randrange(3)] = rng.choice(BAD_INDICES)
+            spec = {"name": "t", "dimension": n, "operations": [{"name": "m", "arity": 2, "entries": entries}]}
+            outcome = _build_outcome(build_algebra, spec)
+            assert outcome == _build_outcome(entrywise_build_algebra, spec)
+            outcomes.append(outcome)
+        messages = {o[1].split(" ")[0] for o in outcomes if o[0] is ValueError}
+        assert messages == {"structure", "entry"} and any(o[0] is not ValueError for o in outcomes)
+
+
+#: literals of structure constants, several of them with the same value
+GOOD_CONSTANTS = (1, -1, 0, 3, "1", "3", "1/1", "1/2", "2/4", "-3/6", "0/5", "+1/1", "007/014", "-0")
+#: each equal, as a dict key, to a good literal or rejected by rational_field
+BAD_CONSTANTS = (True, False, 1.0, 0.5, "1.0", "1/0", "1/-2", None, [1], "x")
+BAD_INDICES = (True, False, 1.0, "1", None)
+
+
+def _build_outcome(build, spec):
+    """What ``build(spec)`` gives: the algebra's parts, or the type and message of its error."""
+    try:
+        alg = build(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return alg.name, alg.dimension, alg.flags, [(op.name, op.arity, op.tensor) for op in alg.operations]
 
 
 class TestSubspace:
@@ -497,6 +550,14 @@ def _late_jacobi_failure(rng, n):
     return tensor
 
 
+#: (lie, associative) flag-check oracles: the dense loops over every pair and triple, and the
+#: former bodies, Jacobi from every stored key and associativity from the reversed tensor
+FLAG_ORACLES = (
+    (dense_verify_lie, dense_verify_associative),
+    (all_keys_verify_lie, opposite_tensor_verify_associative),
+)
+
+
 class TestFlagChecksOverStoredKeys:
     """The flag checks visit only the stored keys and their contractions,
     and report the same message and witness as the dense oracles, which
@@ -509,9 +570,10 @@ class TestFlagChecksOverStoredKeys:
         rng = random.Random(name)
         corrupted = [_corrupted(alg, rng, keep_antisymmetry=k % 2 == 0) for k in range(4)]
         sparse_failures = [_flag_failure(alg.dimension, t, flag) for t in corrupted]
-        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
-        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
-        assert sparse_failures == [_flag_failure(alg.dimension, t, flag) for t in corrupted]
+        for lie, assoc in FLAG_ORACLES:
+            monkeypatch.setattr(StructureAlgebra, "_verify_lie", lie)
+            monkeypatch.setattr(StructureAlgebra, "_verify_associative", assoc)
+            assert sparse_failures == [_flag_failure(alg.dimension, t, flag) for t in corrupted]
         assert any(sparse_failures)
 
     @pytest.mark.parametrize("flag", ["lie", "associative"])
@@ -524,9 +586,10 @@ class TestFlagChecksOverStoredKeys:
             table = _random_table(rng, n, antisymmetric=trial % 2 == 0, diagonal=trial % 5 == 0)
             cases.append((n, table))
         sparse_failures = [_flag_failure(n, t, flag) for n, t in cases]
-        monkeypatch.setattr(StructureAlgebra, "_verify_lie", dense_verify_lie)
-        monkeypatch.setattr(StructureAlgebra, "_verify_associative", dense_verify_associative)
-        assert sparse_failures == [_flag_failure(n, t, flag) for n, t in cases]
+        for lie, assoc in FLAG_ORACLES:
+            monkeypatch.setattr(StructureAlgebra, "_verify_lie", lie)
+            monkeypatch.setattr(StructureAlgebra, "_verify_associative", assoc)
+            assert sparse_failures == [_flag_failure(n, t, flag) for n, t in cases]
         failures = [f for f in sparse_failures if f]
         assert None in sparse_failures and len(failures) > 5
         if flag == "lie":
@@ -665,22 +728,33 @@ class TestInnerDerivations:
         op = alg.binary_op()
         scale = lcm(*(c.denominator for vec in op.tensor.values() for c in vec.values()))
         assert (scale > 1) == rebased
-        maps = inner_derivations(alg)
+        maps = inner_derivations(alg, range(n))
         rational = _fraction_inner_derivations(alg)
         assert maps and all(type(x) is int for vec in maps for x in vec.values())
         assert maps == [{k: scale * x for k, x in vec.items()} for vec in rational]
         assert Subspace.span(n * n, maps) == Subspace.span(n * n, rational)
 
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_among_selects_the_basis_vectors(self, name):
+        alg = catalog.get_catalog(name).grading.homog_algebra
+        each = [inner_derivations(alg, {i}) for i in range(alg.dimension)]
+        assert all(len(maps) <= 1 for maps in each)
+        assert [m for maps in each for m in maps] == inner_derivations(alg, range(alg.dimension))
+        rng = random.Random(name)
+        for _ in range(5):
+            among = set(rng.sample(range(alg.dimension), rng.randint(0, alg.dimension)))
+            assert inner_derivations(alg, among) == [m for i in sorted(among) for m in each[i]]
+
     def test_cost_follows_the_stored_constants(self):
         # cartan-sl2's six constants in dimension 10**30: each stored key is read once, so the
         # call returns at once with the maps of dimension 3, the flat index r*n + c re-read for n
         spec = cli.catalog_workspace("cartan-sl2")["algebras"][0]
-        small = [sorted(divmod(k, 3) + (x,) for k, x in vec.items()) for vec in inner_derivations(build_algebra(spec))]
+        small = [sorted(divmod(k, 3) + (x,) for k, x in vec.items()) for vec in inner_derivations(build_algebra(spec), range(3))]
         code = (
             "import json, sys; from gradalg.algcore import build_algebra, inner_derivations; "
             "spec = json.loads(sys.stdin.read()); spec['dimension'] = 10**30; "
             "print(json.dumps([sorted(divmod(k, 10**30) + (x,) for k, x in vec.items()) "
-            "for vec in inner_derivations(build_algebra(spec))]))"
+            "for vec in inner_derivations(build_algebra(spec), range(10**30))]))"
         )
         src = str(Path(cli.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -63,6 +63,12 @@ class TestCatalogCommand:
         assert "nope" in err
 
 
+def _algebra_with(name: str, constants: list) -> dict:
+    """A two-dimensional algebra spec with one entry (0, 0, t) per constant, t = 0, 1, ..."""
+    entries = [[0, 0, t, c] for t, c in enumerate(constants)]
+    return {"name": name, "dimension": 2, "operations": [{"name": "m", "arity": 2, "entries": entries}]}
+
+
 class TestParseErrors:
     def test_dangling_algebra_reference(self, tmp_path, capsys):
         doc = {
@@ -177,6 +183,11 @@ class TestParseErrors:
             (("algebras", 0, "operations", 0, "entries", 0, -1), 1.0, "structure constant"),
             (("algebras", 0, "operations", 0, "entries", 0, -1), "1.0", "structure constant"),
             (("gradings", 0, "basis_change"), [[1.1, 0, 0], [0, 1, 0], [0, 0, 1]], "basis_change"),
+            (("algebras", 0, "operations", 0, "entries", 0, -1), True, "structure constant"),
+            # True == 1 == 1.0 as dict keys: the literals read before it must not let it through
+            (("algebras", 0, "operations", 0, "entries"), [[0, 1, 2, 1], [1, 0, 2, "1/1"], [2, 0, 0, True]], "structure constant"),
+            # a literal read in one algebra does not excuse a bad one in the next
+            (("algebras",), [_algebra_with("a", ["1/2"]), _algebra_with("b", ["1/2", "1/0"])], "structure constant"),
         ],
     )
     def test_non_integer_numbers(self, tmp_path, capsys, path, value, field):
@@ -190,6 +201,16 @@ class TestParseErrors:
         code, _, err = run(capsys, "ugroup", write_ws(tmp_path, doc))
         assert code == 1
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("arity", [-2, -1, 0])
+    def test_nonpositive_arity(self, tmp_path, capsys, arity):
+        # -2 passed the entry-length check (length arity + 2 == 0 for []) and indexed entry[-2]
+        doc = catalog_workspace("cartan-sl2")
+        op = doc["algebras"][0]["operations"][0]
+        op["arity"], op["entries"] = arity, [[] for _ in op["entries"]]
+        code, _, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1
+        assert "arity must be >= 1" in err and "Traceback" not in err
 
     def test_ragged_basis_change(self, tmp_path, capsys):
         doc = catalog_workspace("cartan-sl2")

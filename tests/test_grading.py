@@ -40,12 +40,14 @@ from helpers import (
     dense_graded_derivations,
     dense_rebase,
     eager_components,
+    elementwise_hom_from_support_images,
     flatten,
     graded_parts,
     mat_from_flat,
     heisenberg_grading,
     per_entry_incompatibility,
     per_entry_relations,
+    project,
     random_graded_algebra,
     random_hom,
     routed_leibniz_rows,
@@ -258,6 +260,39 @@ class TestUniversalGroup:
         assert u.alpha.is_isomorphism()
 
 
+def _hom_outcome(build):
+    """The images and matrix of the hom ``build()`` gives, or the type and message of its error."""
+    try:
+        hom = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return hom.images(), hom.matrix
+
+
+def _check_against_elementwise(gr: Grading, rng: random.Random) -> None:
+    """``universal_abelian_group(gr)`` reads iota off the projection matrix and builds alpha
+    as one integer product: both must be what ``helpers.project`` and the GroupElement path give
+    (``helpers.elementwise_hom_from_support_images``), as must ``hom_from_support_images`` on
+    the images of a random hom out of ``gr.group`` and on random images, which mostly break a
+    relation."""
+    u = universal_abelian_group(gr)
+    pres, support = u.presentation, u.support_order
+    unit = [[1 if t == i else 0 for t in range(len(support))] for i in range(len(support))]
+    assert u.iota == {s: project(pres, e) for s, e in zip(support, unit)}
+    oracle = elementwise_hom_from_support_images(pres, support, gr.group, {s: s for s in support})
+    assert (u.alpha.images(), u.alpha.matrix) == (oracle.images(), oracle.matrix)
+    for target in INDUCE_TARGETS:
+        phi = random_hom(rng, gr.group, target)
+        if target.is_finite:
+            elements = target.elements()
+        else:
+            elements = [target.element([rng.randint(-2, 2) for _ in range(target.ngens)]) for _ in range(4)]
+        for images in ({s: phi(s) for s in support}, {s: rng.choice(elements) for s in support}):
+            assert _hom_outcome(lambda: u.hom_from_support_images(target, images)) == _hom_outcome(
+                lambda: elementwise_hom_from_support_images(pres, support, target, images)
+            )
+
+
 #: every catalog grading and companion, and the helper generators' gradings
 TABLE_GRADINGS = {
     **{name: lambda name=name: get_catalog(name).grading for name in catalog_names()},
@@ -347,6 +382,33 @@ class TestInduce:
                 gr.component(g).dim for g in gr.support if alpha(g) == h
             )
             assert coarse.component(h).dim == expected
+
+
+class TestUniversalGroupByOneProduct:
+    """iota read off the projection matrix and alpha as one integer product,
+    against the GroupElement path they replace."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GRADINGS))
+    def test_one_product_matches_the_elementwise_path(self, name):
+        source = TABLE_GRADINGS[name]()
+        rng = random.Random(name)
+        for gr in (source, universal_abelian_group(source).universal_grading()):
+            _check_against_elementwise(_fresh(gr), rng)
+
+    def test_random_gradings_match_the_elementwise_path(self):
+        rng = random.Random(28)
+        for trial in range(20):
+            _check_against_elementwise(random_graded_algebra(rng, ternary=trial % 4 == 3), rng)
+
+    def test_images_breaking_a_relation_are_value_error(self):
+        # [e, f] = h: the degree-(+1) and (-1) images must sum to the degree-0 image, and 2 != 1
+        gr = cartan_sl2()
+        u = universal_abelian_group(gr)
+        images = {s: s + gr.group.element([1]) for s in gr.support}
+        oracle = lambda h, im: elementwise_hom_from_support_images(u.presentation, u.support_order, h, im)
+        for build in (u.hom_from_support_images, oracle):
+            with pytest.raises(ValueError, match="^images do not respect the defining relations$"):
+                build(gr.group, images)
 
 
 class TestRelationTable:
@@ -591,7 +653,7 @@ class TestRoutedDerivations:
             next(rows[ident])
         # it heads the stream of degree 0, whose solve reads it; with no known vectors the
         # rows D[j, 0] = 0 of the other degrees are solved without complaint first
-        monkeypatch.setattr(grading, "inner_derivations", lambda a: [])
+        monkeypatch.setattr(grading, "inner_derivations", lambda a, among: [])
         with pytest.raises(AxiomFailure, match="mixes"):
             graded_derivations(gr)
 
@@ -713,7 +775,7 @@ class TestInnerDerivationStop:
             expected = dense_graded_derivations(gr)
         else:
             # the solve that reads every row, which the dense oracle pins on the smaller algebras
-            monkeypatch.setattr(grading, "inner_derivations", lambda a: [])
+            monkeypatch.setattr(grading, "inner_derivations", lambda a, among: [])
             expected = graded_derivations(_fresh(gr))
             monkeypatch.undo()
         assert graded_parts(gd) == graded_parts(expected)
@@ -728,7 +790,7 @@ class TestInnerDerivationStop:
         gd = graded_derivations(gr)
         monkeypatch.undo()
         assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
-        assert gd.total_dim() == 6 and len(inner_derivations(gr.homog_algebra)) == 2
+        assert gd.total_dim() == 6 and len(inner_derivations(gr.homog_algebra, range(gr.algebra.dimension))) == 2
         outer = [(routed, read) for routed, read, known, dim in log if dim > known]
         assert len(outer) == 3 and all(routed == read for routed, read in outer)
 
@@ -740,7 +802,7 @@ class TestInnerDerivationStop:
         gradings += [random_graded_algebra(rng, ternary=True) for _ in range(20)]
         for gr in gradings:
             # no inner maps: the abelian ones vanish, and two operations take no shortcut
-            assert inner_derivations(gr.homog_algebra) == []
+            assert inner_derivations(gr.homog_algebra, range(gr.algebra.dimension)) == []
             log = _solves(monkeypatch)
             gd = graded_derivations(gr)
             monkeypatch.undo()
@@ -748,12 +810,24 @@ class TestInnerDerivationStop:
             assert all(known == 0 for _, _, known, _ in log)
         assert graded_derivations(gradings[0]).total_dim() == 9
 
+    def test_only_candidate_degrees_build_inner_maps(self, monkeypatch):
+        built = []
+        record = lambda a, among: built.append(set(among)) or inner_derivations(a, among)
+        monkeypatch.setattr(grading, "inner_derivations", record)
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        assert toral_rank(gr).trank == 2
+        # D_e alone: the maps of the two basis vectors of degree 0, those of the Cartan subalgebra
+        assert built == [set(gr.indices_of_degree(gr.group.identity()))] and len(built[0]) == 2
+        built.clear()
+        graded_derivations(gr)
+        assert built == [set(range(gr.dimension))]
+
     def test_wrong_known_vector_is_axiom_failure(self, monkeypatch):
         gr = _fresh(get_catalog("cartan-sl3").grading)
         n = gr.dimension
         # the identity is not a derivation of a Lie algebra: D[x, y] = [x, y] != 2 [x, y]
         identity = {i * n + i: Q(1) for i in range(n)}
-        monkeypatch.setattr(grading, "inner_derivations", lambda a: inner_derivations(a) + [identity])
+        monkeypatch.setattr(grading, "inner_derivations", lambda a, among: inner_derivations(a, among) + [identity])
         with pytest.raises(AxiomFailure, match="known kernel vector"):
             graded_derivations(gr)
 
