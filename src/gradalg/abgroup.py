@@ -25,7 +25,6 @@ from .exactla import (
     column_hnf,
     hnf_solve,
     integer_kernel,
-    integer_solve,
     smith_normal_form,
 )
 
@@ -201,6 +200,7 @@ class Subgroup:
             return False
         return hnf_solve(self.lattice, list(g.coords)) is not None
 
+    @property
     def is_finite(self) -> bool:
         r = self.owner.free_rank
         return all(
@@ -210,7 +210,7 @@ class Subgroup:
 
     def order(self) -> int | None:
         """Subgroup order; None if infinite."""
-        if not self.is_finite():
+        if not self.is_finite:
             return None
         k = len(self.owner.invariants)
         r = self.owner.free_rank
@@ -229,7 +229,7 @@ class Subgroup:
         The HNF columns c_i have their pivots on the torsion rows, so each
         element is sum_i x_i c_i for exactly one x with 0 <= x_i < d_i / pivot_i.
         """
-        if not self.is_finite():
+        if not self.is_finite:
             raise ValueError("cannot list an infinite subgroup")
         owner, cols = self.owner, self.lattice.columns()
         r = owner.free_rank
@@ -275,15 +275,6 @@ class GroupHom:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupHom is immutable")
-
-    @classmethod
-    def from_gen_images(
-        cls, domain: FgAbGroup, codomain: FgAbGroup, images: Sequence[GroupElement]
-    ) -> "GroupHom":
-        if len(images) != domain.ngens:
-            raise ShapeError("one image per canonical generator required")
-        cols = [list(g.coords) for g in images]
-        return cls(domain, codomain, IntMatrix.from_columns(cols, rows=codomain.ngens))
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "GroupHom":
@@ -349,25 +340,6 @@ class GroupHom:
         abelian group is Hopfian, every surjective endomorphism of it being
         injective."""
         return self.domain == self.codomain and self.is_surjective()
-
-    def inverse(self) -> "GroupHom":
-        """Inverse of an isomorphism: pick a preimage of each canonical
-        codomain generator by an integer solve modulo the relations."""
-        dn, cn = self.domain.ngens, self.codomain.ngens
-        # solve [M | R_cod] y = gen over Z for every generator at once; the
-        # first dn coordinates of y give a preimage of the generator
-        m = self.matrix.hstack(self.codomain.relation_lattice())
-        images = []
-        for y in integer_solve(m, IntMatrix.identity(cn).data):
-            if y is None:
-                raise ValueError("homomorphism is not surjective")
-            images.append(self.domain.element(y[:dn]))
-        inv = GroupHom.from_gen_images(self.codomain, self.domain, images)
-        if inv.compose(self) != GroupHom.identity(self.domain) or self.compose(
-            inv
-        ) != GroupHom.identity(self.codomain):
-            raise ValueError("homomorphism is not an isomorphism")
-        return inv
 
 
 @dataclass(frozen=True)
@@ -460,7 +432,7 @@ def enumerate_subgroups(h: Subgroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
     each lattice over the presented group's invariants into the owner's
     coordinates; the map is injective, so every subgroup comes out once.
     """
-    if not h.is_finite():
+    if not h.is_finite:
         raise ValueError("subgroup enumeration requires a finite subgroup")
     order = h.order()
     if order > cap:

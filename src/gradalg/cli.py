@@ -17,7 +17,8 @@ Names are strings.  Integer fields take JSON integers only (no floats or
 booleans); rational fields take JSON integers or "p/q" strings.  A
 ``weyl`` matrix must be an automorphism of its grading's group that maps
 the support onto itself, keeps each component's dimension and permutes the
-relations read off the nonzero products.
+relations read off the nonzero products; ``grading.weyl_permutation`` checks
+the last three, and this module only adds the name of the entry to its message.
 
 Exit codes: 0 success, 1 input/validation error, 2 unsupported input
 (irrational spectra), 3 cap exceeded, 4 internal consistency failure.
@@ -58,7 +59,15 @@ from .errors import (
     VerificationFailure,
 )
 from .exactla import IntMatrix, RatMatrix, sparse_rows
-from .grading import NOT_INVERTIBLE, Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
+from .grading import (
+    NOT_INVERTIBLE,
+    Grading,
+    graded_derivations,
+    induce,
+    universal_abelian_group,
+    weyl_on_uab,
+    weyl_permutation,
+)
 from .lieroot import extract_root_system, root_graded_structure
 
 # ---------------------------------------------------------------------------
@@ -168,44 +177,6 @@ def _algebra_from(spec: Mapping, where: str) -> StructureAlgebra:
         raise ParseError(f"{where}: {exc}")
 
 
-def _check_weyl(w: GroupHom, gr: Grading, where: str) -> None:
-    """A Weyl generator maps the support of ``gr`` onto itself, keeps
-    each component's dimension, and permutes the relation rows of
-    ``gr.relations``: the support counts of the nonzero products, which a
-    graded automorphism permutes with the components.  Checked on integer
-    tuples: the degrees' coordinates and the rows' counts."""
-    dims = gr.component_dims()
-    matrix = [list(r) for r in w.matrix.data]
-    # dims lists the support in order, the order of the columns of gr.relations
-    label = {coords: i for i, coords in enumerate(dims)}
-    perm = []
-    for coords, dim in dims.items():
-        image = gr.group.reduce(w.matrix.matvec(coords))
-        if dims.get(image) != dim:
-            found = f"of dimension {dims[image]}" if image in dims else "outside the support"
-            raise ValidationError(
-                f"{where}: matrix {matrix} is not in the Weyl group: "
-                f"it maps degree {list(coords)} (dimension {dim}) to {list(image)} {found}"
-            )
-        perm.append(label[image])
-    relations = set(gr.relations)
-    # column k of a row's image is column perm^-1(k) of the row
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    for row in gr.relations:
-        image = tuple(map(row.__getitem__, inverse))
-        if image not in relations:
-            raise ValidationError(
-                f"{where}: matrix {matrix} is not in the Weyl group: it maps the relation "
-                f"{_relation_text(row, dims)} of a nonzero product to {_relation_text(image, dims)}, "
-                f"which no nonzero product gives"
-            )
-
-
-def _relation_text(row: Sequence[int], dims: Mapping[tuple[int, ...], int]) -> str:
-    """A relation row as a sum of support degrees, such as ``-1*[0, 0] + 2*[1, 0]``."""
-    return " + ".join(f"{c}*{list(s)}" for c, s in zip(row, dims) if c).replace("+ -", "- ")
-
-
 def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
     """Merge one or more parsed JSON documents into a cross-linked
     workspace; diagnostics name the offending field."""
@@ -273,7 +244,10 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
             hom = _hom_from(wspec, gr.group, gr.group, f"weyl for {target!r}")
             if not hom.is_isomorphism():
                 raise ValidationError(f"weyl for {target!r}: matrix is not an automorphism")
-            _check_weyl(hom, gr, f"weyl for {target!r}")
+            try:
+                weyl_permutation(gr, hom)
+            except ValidationError as exc:
+                raise ValidationError(f"weyl for {target!r}: {exc}") from None
             weyl.setdefault(target, []).append(hom)
         asserted = doc.get("assertions", {})
         if not isinstance(asserted, Mapping):
@@ -460,7 +434,7 @@ def _cmd_coarsen_enum(ws, args) -> None:
         gens = [list(x.coords) for x in e.subgroup.canonical_generators() if any(x.coords)]
         item = {
             "kernel_generators": gens,
-            "kernel_order": e.subgroup.order() if e.subgroup.is_finite() else None,
+            "kernel_order": e.subgroup.order(),
             "quotient": group_to_dict(e.quotient.codomain),
             "certificate": e.certificate,
             "orbit": e.orbit,

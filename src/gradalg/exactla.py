@@ -14,7 +14,7 @@ of its restrictions to the coordinate blocks it preserves (the connected
 components of its nonzero entries), a 1 x 1 block [a] is its own
 eigenvalue, eigenspace and semisimple part, and only a larger block goes
 through its minimal polynomial.  The Smith normal form U M V = S, with U,
-V and U^-1, is behind every solve over Z.  One immutable dense matrix class keeps the
+V and U^-1, is behind every presentation and integer kernel.  One immutable dense matrix class keeps the
 shape, with an explicit column count, so 0 x n and n x 0 matrices exist;
 ``RatMatrix`` (rationals) and ``IntMatrix`` (exact integers) fix its
 entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
@@ -993,28 +993,3 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     # kernel basis = last cols-r columns of V
     cols = [snf.V.column(j) for j in range(r, m.cols)]
     return column_hnf(IntMatrix.from_columns(cols, rows=m.cols))
-
-
-def integer_solve(m: IntMatrix, vs: Sequence[Sequence[int]]) -> list[list[int] | None]:
-    """For each right-hand side v, one integer solution x of M x = v, or
-    None if none exists.  One Smith form U M V = S serves them all:
-    x = V z for the z with S z = U v."""
-    vs = [[int(x) for x in v] for v in vs]
-    if any(len(v) != m.rows for v in vs):
-        raise ShapeError("vector length mismatch")
-    snf = smith_normal_form(m)
-    d = snf.diagonal()
-
-    def one(v):
-        z = [0] * m.cols
-        for i, y in enumerate(snf.U.matvec(v)):
-            di = d[i] if i < len(d) else 0
-            if di:
-                if y % di:
-                    return None
-                z[i] = y // di
-            elif y:
-                return None
-        return list(snf.V.matvec(z))
-
-    return [one(v) for v in vs]

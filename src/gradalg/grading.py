@@ -4,7 +4,8 @@ A grading assigns a degree to each vector of a homogeneous basis, given
 by its sparse columns (default: the standard basis).
 Compatibility is verified exactly on the relation rows read once from the
 structure-tensor entries.
-On top: the universal abelian group of a grading, induced gradings along
+On top: the universal abelian group of a grading, Weyl generators checked
+as permutations of the support and carried to it, induced gradings along
 group homomorphisms, per-degree derivation components, and verification
 of supplied graded maps (equivalences and isomorphisms).
 """
@@ -277,21 +278,70 @@ def universal_abelian_group(grading: Grading) -> UabResult:
     return UabResult(grading, u, tuple(support), iota, alpha, pres)
 
 
+@memoized
+def weyl_permutation(grading: Grading, w: GroupHom) -> tuple[int, ...]:
+    """The permutation of the support labels by which the Weyl generator w
+    acts: w maps support element i to element perm[i].  A Weyl generator
+    maps the support onto itself, keeps each component's dimension, and
+    permutes the relation rows of ``grading.relations``: the support counts
+    of the nonzero products, which a graded automorphism permutes with the
+    components.  Checked on integer tuples, the degrees' coordinates and
+    the rows' counts; ValidationError otherwise.  Memoized on the grading,
+    so ``weyl_on_uab`` reads the permutation the workspace parser checked."""
+    if (w.domain, w.codomain) != (grading.group, grading.group):
+        raise ShapeError("a Weyl generator is an endomorphism of the grading group")
+    dims = grading.component_dims()
+    matrix = [list(r) for r in w.matrix.data]
+    # dims lists the support in order, the order of the columns of grading.relations
+    label = {coords: i for i, coords in enumerate(dims)}
+    perm = []
+    for coords, dim in dims.items():
+        image = grading.group.reduce(w.matrix.matvec(coords))
+        if dims.get(image) != dim:
+            found = f"of dimension {dims[image]}" if image in dims else "outside the support"
+            raise ValidationError(
+                f"matrix {matrix} is not in the Weyl group: "
+                f"it maps degree {list(coords)} (dimension {dim}) to {list(image)} {found}"
+            )
+        perm.append(label[image])
+    if len(set(perm)) < len(perm):
+        raise ValidationError("matrix is not an automorphism")
+    relations = set(grading.relations)
+    # column k of a row's image is column perm^-1(k) of the row
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    for row in grading.relations:
+        image = tuple(map(row.__getitem__, inverse))
+        if image not in relations:
+            raise ValidationError(
+                f"matrix {matrix} is not in the Weyl group: it maps the relation "
+                f"{_relation_text(row, dims)} of a nonzero product to {_relation_text(image, dims)}, "
+                f"which no nonzero product gives"
+            )
+    return tuple(perm)
+
+
+def _relation_text(row: Sequence[int], dims: Mapping[tuple[int, ...], int]) -> str:
+    """A relation row as a sum of support degrees, such as ``-1*[0, 0] + 2*[1, 0]``."""
+    return " + ".join(f"{c}*{list(s)}" for c, s in zip(row, dims) if c).replace("+ -", "- ")
+
+
 def weyl_on_uab(grading: Grading, weyl: Sequence[GroupHom]) -> list[GroupHom]:
-    """Transport automorphisms of the grading group to automorphisms of
-    the universal group along alpha (ValidationError unless alpha is an
-    isomorphism)."""
+    """Carry Weyl generators of the grading group to the universal group:
+    w permutes the support (``weyl_permutation``), and its generator on U
+    sends iota(s) to iota(w(s)), one ``hom_from_support_images``.  That is
+    alpha^-1 o w o alpha, as alpha(iota(s)) = s and iota(S) generates U;
+    ValidationError unless alpha is an isomorphism."""
     if not weyl:
         return []
     uab = universal_abelian_group(grading)
-    try:
-        inv = uab.alpha.inverse()
-    except ValueError:
+    if not uab.alpha.is_isomorphism():
         raise ValidationError(
             "weyl generators need the grading group to be universal "
             "(alpha: U_ab -> G is not an isomorphism)"
-        ) from None
-    return [inv.compose(w).compose(uab.alpha) for w in weyl]
+        )
+    support = uab.support_order
+    images = ({s: uab.iota[support[t]] for s, t in zip(support, weyl_permutation(grading, w))} for w in weyl)
+    return [uab.hom_from_support_images(uab.group, image) for image in images]
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,6 @@ def _match_cartan_matrix(cm: tuple) -> str | None:
             if all(
                 cm[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r)
             ):
-                if label == "B" and r == 1:
-                    return "A1"
                 return f"{label}{r}"
     return None
 

@@ -1141,7 +1141,7 @@ def element_order(x: GroupElement) -> int | None:
 def closure_elements(h: Subgroup) -> list[GroupElement]:
     """Oracle for ``Subgroup.elements``: close the identity under adding
     the lattice columns, breadth first."""
-    if not h.is_finite():
+    if not h.is_finite:
         raise ValueError("cannot list an infinite subgroup")
     gens = [h.owner.element(list(c)) for c in h.lattice.columns()]
     seen = {h.owner.identity()}
@@ -1249,7 +1249,15 @@ def filtered_homs(g: FgAbGroup, h: FgAbGroup) -> list[GroupHom]:
     elems = h.elements()
     orders = (0,) * g.free_rank + g.invariants
     choices = [[x for x in elems if d % element_order(x) == 0] if d else elems for d in orders]
-    return [GroupHom.from_gen_images(g, h, list(images)) for images in product(*choices)]
+    return [from_gen_images(g, h, list(images)) for images in product(*choices)]
+
+
+def from_gen_images(domain: FgAbGroup, codomain: FgAbGroup, images) -> GroupHom:
+    """The hom sending the canonical generators of ``domain`` to the elements
+    ``images`` (the former ``GroupHom.from_gen_images``)."""
+    if len(images) != domain.ngens:
+        raise ShapeError("one image per canonical generator required")
+    return GroupHom(domain, codomain, IntMatrix.from_columns([g.coords for g in images], rows=codomain.ngens))
 
 
 def hom_from_images(g: FgAbGroup, h: FgAbGroup, images) -> GroupHom:
@@ -1460,8 +1468,8 @@ def rational_section(u: IntMatrix, rows) -> IntMatrix:
 
 
 def single_integer_solve(m: IntMatrix, v) -> list[int] | None:
-    """Oracle for ``exactla.integer_solve``: one integer solution x of
-    M x = v from a Smith form of M of its own, or None if none exists."""
+    """One integer solution x of M x = v from a Smith form of M of its own,
+    or None if none exists."""
     v = [int(x) for x in v]
     if len(v) != m.rows:
         raise ShapeError("vector length mismatch")
@@ -1617,9 +1625,28 @@ def elementwise_hom_from_support_images(pres, support, codomain: FgAbGroup, imag
         for s, c in zip(support, pres.section_matrix.matvec(u.generator(i).coords)):
             img = img + c * images[s]
         cols.append(img)
-    hom = GroupHom.from_gen_images(u, codomain, cols)
+    hom = from_gen_images(u, codomain, cols)
     for idx, s in enumerate(support):
         e_s = [1 if t == idx else 0 for t in range(len(support))]
         if hom(project(pres, e_s)) != images[s]:
             raise ValueError("images do not respect the defining relations")
     return hom
+
+
+def conjugated_weyl_on_uab(grading: Grading, weyl) -> list[GroupHom]:
+    """Oracle for ``grading.weyl_on_uab``, its former body: each Weyl
+    generator w becomes alpha^-1 o w o alpha, with alpha^-1 sending each
+    canonical generator e of G to the first coordinates of an integer
+    solution y of [alpha | relations of G] y = e."""
+    alpha = universal_abelian_group(grading).alpha
+    m = alpha.matrix.hstack(alpha.codomain.relation_lattice())
+    images = []
+    for e in IntMatrix.identity(alpha.codomain.ngens).columns():
+        y = single_integer_solve(m, e)
+        if y is None:
+            raise ValueError("alpha is not surjective")
+        images.append(alpha.domain.element(y[: alpha.domain.ngens]))
+    inv = from_gen_images(alpha.codomain, alpha.domain, images)
+    if inv.compose(alpha) != GroupHom.identity(alpha.domain):
+        raise ValueError("alpha is not injective")
+    return [inv.compose(w).compose(alpha) for w in weyl]

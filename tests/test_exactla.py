@@ -34,7 +34,6 @@ from gradalg.exactla import (
     gauss_jordan,
     hnf_solve,
     integer_kernel,
-    integer_solve,
     inverse,
     minimal_polynomial,
     nullspace,
@@ -74,7 +73,6 @@ from helpers import (
     poly_product,
     rational_solve,
     rows_matrix,
-    single_integer_solve,
     span_of,
     submatrix,
     sympy_rational_roots,
@@ -1281,28 +1279,6 @@ class TestSmithNormalForm:
             res = smith_normal_form(m)
             assert (res.S, res.U, res.V) == chain_repaired_smith_normal_form(m), f"trial {trial}: {m}"
             assert res.U * res.U_inv == res.U_inv * res.U == IntMatrix.identity(m.rows), f"trial {trial}: {m}"
-
-
-class TestIntegerSolve:
-    def test_one_smith_form_matches_one_solve_per_vector(self, monkeypatch):
-        rng = random.Random(53)
-        calls = []
-        monkeypatch.setattr(exactla, "smith_normal_form", lambda a: calls.append(a) or smith_normal_form(a))
-        unsolvable = 0
-        for trial in range(200):
-            m = TestSmithNormalForm.snf_input(rng)
-            vs = [m.matvec([rng.randint(-3, 3) for _ in range(m.cols)]) for _ in range(2)]
-            vs += [[rng.randint(-5, 5) for _ in range(m.rows)] for _ in range(2)]
-            expected = [single_integer_solve(m, v) for v in vs]
-            assert integer_solve(m, vs) == expected, f"trial {trial}: {m}"
-            assert all(x is None or m.matvec(x) == tuple(v) for v, x in zip(vs, expected))
-            unsolvable += expected.count(None)
-        assert len(calls) == 200
-        assert unsolvable > 0
-
-    def test_vector_length_is_checked(self):
-        with pytest.raises(ShapeError):
-            integer_solve(IntMatrix([[1, 2]]), [[1], [1, 2]])
 
 
 class TestHermite:

@@ -2,15 +2,19 @@
 graded-map verification."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import product
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from gradalg import exactla, grading
-from gradalg.abgroup import FgAbGroup, GroupHom, Subgroup, torsion_and_free
+from gradalg import abgroup, exactla, grading
+from gradalg.abgroup import FgAbGroup, GroupHom, Subgroup, enumerate_homs, torsion_and_free
 from gradalg.afine import canonical_refinement, toral_rank
 from gradalg.algcore import (
     MultilinearOp,
@@ -22,7 +26,8 @@ from gradalg.algcore import (
     subalgebra_structure,
 )
 from gradalg.catalog import catalog_names, get_catalog
-from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError
+from gradalg.cli import parse_workspace
+from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError, ValidationError
 from gradalg.exactla import IntMatrix, RatMatrix, Subspace, inverse, rank
 from gradalg.grading import (
     Grading,
@@ -30,6 +35,8 @@ from gradalg.grading import (
     graded_derivations,
     induce,
     universal_abelian_group,
+    weyl_on_uab,
+    weyl_permutation,
 )
 
 from helpers import (
@@ -37,6 +44,7 @@ from helpers import (
     build_sl2_efh,
     classical_cartan_grading,
     columns_of,
+    conjugated_weyl_on_uab,
     dense_graded_derivations,
     dense_rebase,
     eager_components,
@@ -45,6 +53,7 @@ from helpers import (
     graded_parts,
     mat_from_flat,
     heisenberg_grading,
+    hom_from_images,
     per_entry_incompatibility,
     per_entry_relations,
     project,
@@ -409,6 +418,91 @@ class TestUniversalGroupByOneProduct:
         for build in (u.hom_from_support_images, oracle):
             with pytest.raises(ValueError, match="^images do not respect the defining relations$"):
                 build(gr.group, images)
+
+
+BENCHMARK_CATALOG = sorted((Path(__file__).parents[1] / "perfbench" / "catalog").glob("*.json"))
+
+
+def _same_transport(gr: Grading, weyl) -> None:
+    """weyl_on_uab carries each generator to the map alpha^-1 o w o alpha."""
+    assert [w.images() for w in weyl_on_uab(gr, weyl)] == [w.images() for w in conjugated_weyl_on_uab(gr, weyl)]
+
+
+class TestWeylOnUab:
+    """A Weyl generator carried to U(Gamma) through its permutation of the
+    support, iota(s) -> iota(w(s)), against alpha^-1 o w o alpha."""
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if get_catalog(n).weyl_on_group])
+    def test_catalog_generators_match_the_conjugation(self, name):
+        entry = get_catalog(name)
+        _same_transport(entry.grading, entry.weyl_on_group)
+
+    @pytest.mark.parametrize("path", BENCHMARK_CATALOG, ids=lambda p: p.stem)
+    def test_benchmark_catalog_generators_match_the_conjugation(self, path):
+        ws = parse_workspace([json.loads(path.read_text())])
+        for name, weyl in ws.weyl.items():
+            _same_transport(ws.gradings[name], weyl)
+
+    def test_every_automorphism_of_z2_squared_on_pauli_m2(self):
+        gr = get_catalog("pauli-m2").grading
+        g = gr.group
+        autos = [f for f in (hom_from_images(g, g, t) for t in enumerate_homs(g, g)) if f.is_isomorphism()]
+        assert len(autos) == 6
+        _same_transport(gr, autos)
+
+    @pytest.mark.parametrize("name", ["cartan-sl3", "cartan-sl4"])
+    def test_products_of_up_to_three_generators(self, name):
+        entry = get_catalog(name)
+        gens = entry.weyl_on_group
+        words = [w for k in (1, 2, 3) for w in product(gens, repeat=k)]
+        _same_transport(entry.grading, [reduce(GroupHom.compose, w) for w in words])
+
+    def test_no_smith_form_once_the_universal_group_is_known(self, monkeypatch):
+        entry = get_catalog("cartan-sl4")
+        universal_abelian_group(entry.grading)
+
+        def refuse(m):
+            raise AssertionError("a Smith form was computed")
+
+        monkeypatch.setattr(exactla, "smith_normal_form", refuse)
+        monkeypatch.setattr(abgroup, "smith_normal_form", refuse)
+        assert len(weyl_on_uab(entry.grading, entry.weyl_on_group)) == len(entry.weyl_on_group)
+
+    def test_shear_on_cartan_sl3_is_rejected(self):
+        gr = get_catalog("cartan-sl3").grading
+        shear = GroupHom(gr.group, gr.group, IntMatrix([[1, 1], [0, 1]]))
+        message = (
+            "matrix [[1, 1], [0, 1]] is not in the Weyl group: "
+            "it maps degree [-1, -1] (dimension 1) to [-2, -1] outside the support"
+        )
+        for call in (weyl_permutation, lambda g, w: weyl_on_uab(g, [w])):
+            with pytest.raises(ValidationError) as err:
+                call(gr, shear)
+            assert str(err.value) == message
+
+    def test_permutation_of_the_sl2_flip(self):
+        gr = cartan_sl2()
+        flip = GroupHom(gr.group, gr.group, IntMatrix([[-1]]))
+        assert [s.coords for s in gr.support] == [(-1,), (0,), (1,)]
+        assert weyl_permutation(gr, flip) == (2, 1, 0)
+
+    def test_a_map_folding_the_support_is_not_an_automorphism(self):
+        # e0 e0 = e0 and e1 e1 = e0, graded by its universal group Z2: the zero map keeps both
+        # dimensions but sends both degrees to 0
+        alg = build_algebra(
+            {"name": "fold", "dimension": 2, "operations": [{"name": "m", "arity": 2, "entries": [[0, 0, 0, 1], [1, 1, 0, 1]]}]}
+        )
+        g = FgAbGroup(0, [2])
+        gr = Grading(alg, g, [g.element([0]), g.element([1])])
+        assert universal_abelian_group(gr).alpha.is_isomorphism()
+        with pytest.raises(ValidationError, match="^matrix is not an automorphism$"):
+            weyl_on_uab(gr, [GroupHom(g, g, IntMatrix([[0]]))])
+
+    def test_a_generator_of_another_group_is_a_shape_error(self):
+        gr = cartan_sl2()
+        z2 = FgAbGroup(2, ())
+        with pytest.raises(ShapeError):
+            weyl_permutation(gr, GroupHom.identity(z2))
 
 
 class TestRelationTable:
