@@ -255,9 +255,10 @@ class GroupHom:
 
     The matrix is kept as given, so its torsion rows may hold entries
     beyond the invariants; ``images()``, the reduced columns, is the one
-    reading of the map: equality and hashing compare it."""
+    reading of the map: equality and hashing compare it, and it is kept
+    once read."""
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "_images")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
         if matrix.shape != (codomain.ngens, domain.ngens):
@@ -293,7 +294,12 @@ class GroupHom:
 
     def images(self) -> tuple[tuple[int, ...], ...]:
         """The canonical coordinates of the canonical generators' images."""
-        return tuple(map(self.codomain.reduce, self.matrix.columns()))
+        try:
+            return self._images
+        except AttributeError:
+            images = tuple(map(self.codomain.reduce, self.matrix.columns()))
+            object.__setattr__(self, "_images", images)
+            return images
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import mul
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .exactla import (
     IntMatrix,
+    Rational,
     column_hnf,
     combine_rows,
     flat_operator,
@@ -60,8 +60,6 @@ from .grading import (
     induce,
     universal_abelian_group,
 )
-
-Q = Fraction
 
 DEFAULT_SEED = 0
 _MAX_GENERIC_RETRIES = 40
@@ -106,15 +104,15 @@ def _element_candidates(d: int, rng: random.Random):
     be a Cartan subalgebra: sparse deterministic combinations first (these
     tend to have rational spectra), then random vectors."""
     for i in range(d):
-        yield {i: Q(1)}
+        yield {i: 1}
     for i in range(d):
         for j in range(i + 1, d):
-            yield {i: Q(1), j: Q(1)}
-            yield {i: Q(1), j: Q(-1)}
-            yield {i: Q(2), j: Q(1)}
+            yield {i: 1, j: 1}
+            yield {i: 1, j: -1}
+            yield {i: 2, j: 1}
     for attempt in range(_MAX_GENERIC_RETRIES):
         bound = 3 + attempt
-        yield {i: Q(c) for i, c in enumerate([rng.randint(-bound, bound) for _ in range(d)]) if c}
+        yield {i: c for i, c in enumerate([rng.randint(-bound, bound) for _ in range(d)]) if c}
 
 
 def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
@@ -175,7 +173,7 @@ class ToralData:
     toral: Subspace
     trank: int
 
-    def toral_matrices(self) -> list[list[dict[int, Fraction]]]:
+    def toral_matrices(self) -> list[list[dict[int, Rational]]]:
         """The canonical basis of t as operators, by sparse rows."""
         n = self.dimension
         return [flat_operator(v, n) for v in self.toral.sparse_vectors()]
@@ -268,10 +266,10 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     r = td.trank
     tmats = td.toral_matrices()
     # eigen-decompose every component in homogeneous coordinates
-    pieces: list[tuple[GroupElement, tuple[Fraction, ...], list[dict[int, Fraction]]]] = []
+    pieces: list[tuple[GroupElement, tuple[Rational, ...], list[dict[int, Rational]]]] = []
     for g in grading.support:
         # the unit vectors of the component's indices are its canonical basis
-        component = Subspace(n, {i: {i: Q(1)} for i in grading.indices_of_degree(g)})
+        component = Subspace(n, {i: {i: 1} for i in grading.indices_of_degree(g)})
         for weight, space in simultaneous_eigenspaces(tmats, component):
             pieces.append((g, weight, space.sparse_vectors()))
     # canonical weight lattice from the observed weights
@@ -292,7 +290,7 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     proj_rows = [[int(i == j) for j in range(gp.ngens)] for i in range(gp.ngens) if not f <= i < f + r]
     proj = GroupHom(gp, grading.group, IntMatrix(proj_rows, gp.ngens))
     degrees: list[GroupElement] = []
-    new_cols: list[dict[int, Fraction]] = []
+    new_cols: list[dict[int, Rational]] = []
     weight_by_degree: dict[GroupElement, tuple[int, ...]] = {}
     for g, w, cols in sorted(pieces, key=lambda p: (p[0].coords, p[1])):
         deg = gp.element(g.coords[:f] + coords_of[w] + g.coords[f:])

@@ -15,7 +15,6 @@ import inspect
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Container, Iterable, Mapping, Sequence
@@ -23,32 +22,55 @@ from typing import Container, Iterable, Mapping, Sequence
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
     RatMatrix,
+    Rational,
     Subspace,
     combine_rows,
     coordinate_reader,
     flat_operator,
     flat_vector,
     gauss_jordan,
+    qdiv,
+    rational,
     sparse_nullspace,
     sparse_product,
 )
 
-Q = Fraction
+_MISSING = object()
 
 
 def memoized(fn):
     """Compute ``fn(obj, ...)`` once per immutable ``obj`` and argument
-    values; the result is kept in ``obj._memo`` under (fn, arguments)."""
+    values; the result is kept in ``obj._memo`` under (fn, arguments).
+    The parameter names and defaults are read once, when ``fn`` is
+    decorated: a call's key is its positional arguments, then the
+    defaults with its keywords put in, so positional, keyword and
+    defaulted calls of the same values share one key, and a hit is one
+    dict lookup.  Only a bad call is bound to the signature, which raises
+    the TypeError of that call."""
     signature = inspect.signature(fn)
+    params = list(signature.parameters.values())[1:]
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+        raise TypeError("memoized takes positional-or-keyword parameters only")
+    index = {p.name: i for i, p in enumerate(params)}
+    defaults = tuple(p.default for p in params)
+    required = sum(p.default is p.empty for p in params)
 
     @wraps(fn)
     def cached(obj, *args, **kwargs):
-        bound = signature.bind(obj, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, *tuple(bound.arguments.values())[1:])
-        if key not in obj._memo:
-            obj._memo[key] = fn(obj, *args, **kwargs)
-        return obj._memo[key]
+        if kwargs or not required <= len(args) <= len(defaults):
+            values = [*args, *defaults[len(args) :]]
+            for name, value in kwargs.items():
+                if index.get(name, -1) < len(args):  # unknown, or given positionally too
+                    signature.bind(obj, *args, **kwargs)
+                values[index[name]] = value
+            if len(values) != len(defaults) or any(v is inspect.Parameter.empty for v in values):
+                signature.bind(obj, *args, **kwargs)
+            args = values
+        key = (fn, *args, *defaults[len(args) :])
+        memo = obj._memo
+        if (result := memo.get(key, _MISSING)) is _MISSING:
+            result = memo[key] = fn(obj, *key[1:])
+        return result
 
     return cached
 
@@ -58,9 +80,10 @@ class MultilinearOp:
     (i_1, ..., i_k) -> {j: coefficient} with
     op(e_{i_1}, ..., e_{i_k}) = sum_j c_j e_j.
 
-    A constant that is already a ``Fraction`` is kept as it is, not
-    wrapped again.  ``int_tensor`` is the same tensor times ``denominator``,
-    the lcm of the denominators of its constants, with ``int`` entries.
+    Each constant is kept in canonical form (``exactla.rational``): an
+    ``int`` when it is integral.  ``int_tensor`` is the same tensor times
+    ``denominator``, the lcm of the denominators of its constants, with
+    ``int`` entries.
     The flag checks, the Leibniz rows and the re-basing read it: both
     sides of Jacobi and of associativity are homogeneous of degree 2 in the
     constants and each Leibniz row is linear in them, so every verdict,
@@ -68,15 +91,15 @@ class MultilinearOp:
 
     __slots__ = ("name", "arity", "tensor", "denominator", "int_tensor")
 
-    def __init__(self, name: str, arity: int, tensor: Mapping[tuple[int, ...], Mapping[int, Fraction]]):
+    def __init__(self, name: str, arity: int, tensor: Mapping[tuple[int, ...], Mapping[int, Rational]]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        clean: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        clean: dict[tuple[int, ...], dict[int, Rational]] = {}
         for key, vec in tensor.items():
             key = tuple(map(int, key))
             if len(key) != arity:
                 raise ShapeError("tensor key arity mismatch")
-            v = {int(j): c if isinstance(c, Q) else Q(c) for j, c in vec.items() if c}
+            v = {int(j): rational(c) for j, c in vec.items() if c}
             if v:
                 clean[key] = v
         object.__setattr__(self, "name", str(name))
@@ -96,7 +119,7 @@ class MultilinearOp:
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearOp is immutable")
 
-    def apply(self, vectors: Sequence[Mapping[int, Fraction]]) -> dict[int, Fraction]:
+    def apply(self, vectors: Sequence[Mapping[int, Rational]]) -> dict[int, Rational]:
         """Evaluate the operation on sparse coordinate vectors.
 
         One tensor lookup per tuple of nonzero argument coordinates: the
@@ -105,12 +128,12 @@ class MultilinearOp:
         lookup)."""
         if len(vectors) != self.arity:
             raise ShapeError("wrong number of arguments")
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for args in product(*(v.items() for v in vectors)):
             vec = self.tensor.get(tuple(i for i, _ in args))
             if vec is None:
                 continue
-            coeff = Q(1)
+            coeff = 1
             for _, x in args:
                 coeff *= x
             for j, c in vec.items():
@@ -166,24 +189,24 @@ class StructureAlgebra:
             )
         return binops[0]
 
-    def bracket(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def bracket(self, x: Mapping[int, Rational], y: Mapping[int, Rational]) -> dict[int, Rational]:
         return self.binary_op().apply([x, y])
 
-    def basis_vector(self, i: int) -> dict[int, Fraction]:
-        return {i: Q(1)}
+    def basis_vector(self, i: int) -> dict[int, Rational]:
+        return {i: 1}
 
-    def ad_rows(self, x: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
+    def ad_rows(self, x: Mapping[int, Rational]) -> list[dict[int, Rational]]:
         """The sparse rows of y -> bracket(x, y) for a sparse x: row j holds
         the coefficient of y_i in bracket(x, y)_j, from the nonzero
         structure constants."""
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.dimension)]
+        rows: list[dict[int, Rational]] = [{} for _ in range(self.dimension)]
         for (k, i), vec in self.binary_op().tensor.items():
             if k in x:
                 for j, c in vec.items():
                     rows[j][i] = rows[j].get(i, 0) + x[k] * c
         return [{i: c for i, c in row.items() if c} for row in rows]
 
-    def ad_matrix(self, x: Mapping[int, Fraction]) -> RatMatrix:
+    def ad_matrix(self, x: Mapping[int, Rational]) -> RatMatrix:
         """Matrix of y -> bracket(x, y) on the basis."""
         n = self.dimension
         return RatMatrix([[row.get(i, 0) for i in range(n)] for row in self.ad_rows(x)])
@@ -277,14 +300,15 @@ def int_field(x, field: str) -> int:
     return x
 
 
-def rational_field(x, field: str) -> Fraction:
+def rational_field(x, field: str) -> Rational:
     """A rational field of a JSON document: a JSON integer or a "p/q"
-    string with q > 0 (ValueError naming the field otherwise)."""
+    string with q > 0 (ValueError naming the field otherwise), as an
+    ``int`` when it is integral and a ``Fraction`` otherwise."""
     if isinstance(x, str) and _RATIONAL_LITERAL.fullmatch(x):
         p, _, q = x.partition("/")
-        return Q(int(p), int(q or 1))
+        return qdiv(int(p), int(q or 1))
     if isinstance(x, int) and not isinstance(x, bool):
-        return Q(x)
+        return x
     raise ValueError(
         f"{field} {x!r} is not rational: give a JSON integer or a \"p/q\" string, q > 0"
     )
@@ -300,8 +324,8 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     constants integers or "p/q" strings (ValueError naming the field
     otherwise, from ``int_field`` and ``rational_field``).  Each distinct
     constant literal, a JSON integer or a string, is read once per call:
-    a dict maps it to its ``Fraction`` (a "p/q" string that passes the
-    literal check becomes one ``Fraction`` of ``int(p)`` and ``int(q)``),
+    a dict maps it to its rational (a "p/q" string that passes the
+    literal check becomes the exact quotient of ``int(p)`` by ``int(q)``),
     and only literals that ``rational_field`` accepted enter it, so a
     JSON ``true`` or a float, which compare equal to integers, never
     reaches it.  Entries repeating a key and output index are summed.
@@ -319,7 +343,7 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
     flags = spec.get("flags", {})
     if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
         raise ValueError(f"flags {flags!r} is not an object of booleans")
-    constants: dict[str | int, Fraction] = {}
+    constants: dict[str | int, Rational] = {}
     ops = []
     for opspec in operations:
         if not isinstance(opspec, dict):
@@ -330,7 +354,7 @@ def build_algebra(spec: Mapping) -> StructureAlgebra:
         entries = opspec["entries"]
         if not isinstance(entries, list):
             raise ValueError(f"entries {entries!r} is not a list")
-        tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
         for entry in entries:
             if not isinstance(entry, list):
                 raise ValueError(f"entry {entry!r} is not a list")
@@ -370,7 +394,7 @@ def algebra_to_dict(a: StructureAlgebra) -> dict:
 
 def algebra_from_matrices(
     name: str,
-    matrices: Sequence[Sequence[Mapping[int, Fraction]]],
+    matrices: Sequence[Sequence[Mapping[int, Rational]]],
     kind: str = "lie",
     extra_flags: Iterable[str] = (),
 ) -> StructureAlgebra:
@@ -383,7 +407,7 @@ def algebra_from_matrices(
     n = len(matrices)
     size = len(matrices[0]) ** 2 if matrices else 0
     coords = coordinate_reader(size, [flat_vector(m) for m in matrices])
-    tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
     for i in range(n):
         for j in range(n):
             prod_m = flat_vector(sparse_product(matrices[i], matrices[j]))
@@ -402,7 +426,7 @@ def algebra_from_matrices(
 
 def subalgebra_structure(
     a: StructureAlgebra,
-    columns: Sequence[Mapping[int, Fraction]],
+    columns: Sequence[Mapping[int, Rational]],
     flags: Iterable[str] | None = None,
 ) -> StructureAlgebra:
     """The algebra ``a`` re-based on the sparse vectors ``columns``: the
@@ -452,14 +476,14 @@ def _rebased(a: StructureAlgebra, frozen: tuple, flags: frozenset) -> StructureA
                 value = values.setdefault(tuple(t for t, _ in args), {})
                 for j, c in vec.items():
                     value[j] = value.get(j, 0) + x * c
-        tensor: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
         for ts in sorted(values):
             vec = coords({j: c for j, c in values[ts].items() if c})
             if vec is None:
                 raise ValueError("subspace is not closed under an operation")
             if vec:
                 d = op.denominator * math.prod(scales[t] for t in ts)
-                tensor[ts] = vec if d == 1 else {j: x / d for j, x in vec.items()}
+                tensor[ts] = vec if d == 1 else {j: qdiv(x, d) for j, x in vec.items()}
         ops.append(MultilinearOp(op.name, op.arity, tensor))
     return StructureAlgebra(f"{a.name}-sub", len(frozen), ops, flags)
 
@@ -618,7 +642,7 @@ def _require_lie(a: StructureAlgebra):
 
 
 def bracket_span(
-    a: StructureAlgebra, xs: Iterable[Mapping[int, Fraction]], ys: Iterable[Mapping[int, Fraction]]
+    a: StructureAlgebra, xs: Iterable[Mapping[int, Rational]], ys: Iterable[Mapping[int, Rational]]
 ) -> Subspace:
     """The span of [x, y] for sparse x in ``xs`` and y in ``ys``."""
     ys = list(ys)
@@ -634,7 +658,7 @@ def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
 
 
 @memoized
-def killing_form(a: StructureAlgebra) -> tuple[list[dict[int, Fraction]], bool]:
+def killing_form(a: StructureAlgebra) -> tuple[list[dict[int, Rational]], bool]:
     """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j) as sparse rows;
     returns (gram, is_nondegenerate), which in characteristic 0 is also
     whether the algebra is semisimple.  The trace is summed over the sparse

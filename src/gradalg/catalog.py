@@ -29,16 +29,13 @@ a fourth root of unity), so it is supplied as a group-level assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
 from .errors import AxiomFailure, UnknownCatalogEntry
-from .exactla import IntMatrix, RatMatrix, coordinate_reader, flat_vector, sparse_rows
+from .exactla import IntMatrix, RatMatrix, Rational, coordinate_reader, flat_vector, sparse_rows
 from .grading import Grading
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def _e(n: int, i: int, j: int, c=1) -> RatMatrix:
 def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    out = [[Q(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for i in range(a.rows):
         for j in range(a.cols):
             if a[i, j] == 0:
@@ -81,7 +78,7 @@ def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(out)
 
 
-def _operators(mats: list[RatMatrix]) -> list[list[dict[int, Fraction]]]:
+def _operators(mats: list[RatMatrix]) -> list[list[dict[int, Rational]]]:
     """The matrix realizations as the sparse rows the algebra layer works on."""
     return [list(sparse_rows(m.data)) for m in mats]
 

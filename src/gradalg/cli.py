@@ -31,7 +31,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -58,7 +57,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, sparse_rows
+from .exactla import IntMatrix, RatMatrix, Rational, sparse_rows
 from .grading import (
     NOT_INVERTIBLE,
     Grading,
@@ -112,7 +111,7 @@ def group_to_dict(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "invariants": list(g.invariants)}
 
 
-def _basis_columns(rows, n: int, gname: str) -> list[dict[int, Fraction]]:
+def _basis_columns(rows, n: int, gname: str) -> list[dict[int, Rational]]:
     """The sparse columns of a grading's ``basis_change`` matrix, which must be n x n."""
     try:
         m = RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
@@ -123,7 +122,7 @@ def _basis_columns(rows, n: int, gname: str) -> list[dict[int, Fraction]]:
     return list(sparse_rows(m.columns()))
 
 
-def _fracstr(c: Fraction) -> str:
+def _fracstr(c: Rational) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -136,7 +135,7 @@ def grading_to_dict(name: str, algebra_name: str, gr: Grading) -> dict:
     }
     cols = gr.basis_change
     if any(col != {j: 1} for j, col in enumerate(cols)):
-        d["basis_change"] = [[_fracstr(col.get(i, Fraction(0))) for col in cols] for i in range(gr.dimension)]
+        d["basis_change"] = [[_fracstr(col.get(i, 0)) for col in cols] for i in range(gr.dimension)]
     return d
 
 
@@ -252,6 +251,8 @@ def parse_workspace(docs: Sequence[Mapping]) -> WorkspaceDoc:
         asserted = doc.get("assertions", {})
         if not isinstance(asserted, Mapping):
             raise ParseError("field 'assertions' must be a JSON object")
+        if not isinstance(complete := asserted.get("weyl_complete", False), bool):
+            raise ParseError(f"field 'assertions.weyl_complete' must be a JSON boolean, not {complete!r}")
         assertions.update(asserted)
     return WorkspaceDoc(algebras, gradings, order, homs, weyl, assertions)
 
@@ -504,7 +505,7 @@ def _cmd_classify(ws, args) -> None:
         for name in ws.grading_order
     ]
     entries = classify_gradings(catalog, target, cap=args.cap)
-    complete = bool(args.assert_weyl_complete or ws.assertions.get("weyl_complete"))
+    complete = args.assert_weyl_complete or ws.assertions.get("weyl_complete", False)
     report = {
         "target": group_to_dict(target),
         "orbit_completeness": "asserted" if complete else "lower bound only",

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals and integers.
 
-One vector format and one operator format: a vector is a sparse dict
-``{index: Fraction}`` with no zero entries, and an operator is the list of
-its sparse rows ``{column: Fraction}``.  One sparse Gauss-Jordan
-elimination, fraction-free on integer rows, is behind every echelon form,
-kernel and solve over Q; one subspace type, ``Subspace``, keeps the
+One scalar type, an exact rational ``int | Fraction`` in canonical form:
+an ``int`` when the value is integral, a ``Fraction`` only when it is not
+(``rational``, ``qdiv``); no float enters.  One vector format and one
+operator format: a vector is a sparse dict ``{index: scalar}`` with no
+zero entries, and an operator is the list of its sparse rows ``{column:
+scalar}``.  One sparse Gauss-Jordan elimination, fraction-free on integer
+rows, is behind every echelon form, kernel and solve over Q; one subspace type, ``Subspace``, keeps the
 canonical basis that one such elimination gives, as sparse columns, and
 every kernel, sum, intersection and eigenspace is one.  One spectral routine, the
 generalized eigenspaces of an operator, is behind the simultaneous
@@ -39,13 +41,30 @@ from .errors import (
     ShapeError,
 )
 
-Q = Fraction
+#: an exact rational, an ``int`` when it is integral
+Rational = int | Fraction
 
 
-def _frac(x) -> Fraction:
+def rational(x) -> Rational:
+    """The exact rational of an int, a Fraction or a numeric string, an
+    ``int`` when it is integral (TypeError on anything else, floats
+    included)."""
+    if type(x) is int:
+        return x
     if isinstance(x, (Fraction, int, str)):
-        return x if isinstance(x, Fraction) else Fraction(x)
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+def qdiv(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b of two rationals, an ``int`` when it is
+    integral: the one true division of the program, since ``/`` on two
+    ints is a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return rational(a / b)
 
 
 class _DenseMatrix:
@@ -101,7 +120,7 @@ class _DenseMatrix:
         return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.cols == other.cols and self.data == other.data
@@ -114,21 +133,22 @@ class _DenseMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("shape mismatch in multiplication")
-        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
+        bt = other.columns()
         return type(self)(
-            [[sum(a * b for a, b in zip(row, col) if a and b) for col in bt] for row in self.data],
+            [[sum(map(operator.mul, row, col)) for col in bt] for row in self.data],
             other.cols,
         )
 
 
 class RatMatrix(_DenseMatrix):
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals, each kept in canonical
+    form (``rational``)."""
 
     __slots__ = ()
-    _entry = staticmethod(_frac)
+    _entry = staticmethod(rational)
 
     @classmethod
-    def from_sparse_columns(cls, cols: Sequence[Mapping[int, Fraction]], rows: int) -> "RatMatrix":
+    def from_sparse_columns(cls, cols: Sequence[Mapping[int, Rational]], rows: int) -> "RatMatrix":
         """The matrix with the sparse columns ``{row: entry}``."""
         return cls([[c.get(i, 0) for c in cols] for i in range(rows)], len(cols))
 
@@ -147,7 +167,7 @@ class RatMatrix(_DenseMatrix):
         return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
-        c = _frac(c)
+        c = rational(c)
         return RatMatrix([[c * x for x in row] for row in self.data], self.cols)
 
     def is_square(self) -> bool:
@@ -173,20 +193,20 @@ class RatMatrix(_DenseMatrix):
 
 
 def gauss_jordan(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int, max_rank: int | None = None
-) -> dict[int, dict[int, Fraction]]:
+    rows: Iterable[Mapping[int, Rational]], ncols: int, max_rank: int | None = None
+) -> dict[int, dict[int, Rational]]:
     """The reduced row echelon form of a stream of sparse rows
     ``{column: coefficient}`` in ``ncols`` columns, as {pivot column:
     row}, sorted by pivot: the one Gauss-Jordan elimination over Q
     (``_integer_echelon``), each kept row divided by its pivot entry.
     That is the unique reduced echelon basis of the rows read, whatever
-    their order, with ``Fraction`` entries."""
+    their order, with canonical entries: ``int`` where integral."""
     reduced = _integer_echelon(rows, ncols, max_rank)
     return {p: _rational_row(reduced[p], p) for p in sorted(reduced)}
 
 
 def _integer_echelon(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int, max_rank: int | None = None
+    rows: Iterable[Mapping[int, Rational]], ncols: int, max_rank: int | None = None
 ) -> dict[int, dict[int, int]]:
     """The elimination behind ``gauss_jordan``, as {pivot column: primitive
     integer row} in the order the pivots were found.
@@ -223,13 +243,14 @@ def _integer_echelon(
     return reduced
 
 
-def _rational_row(row: Mapping[int, int], pivot: int) -> dict[int, Fraction]:
-    """The integer row divided by its entry at ``pivot``."""
+def _rational_row(row: dict[int, int], pivot: int) -> dict[int, Rational]:
+    """The integer row divided by its entry at ``pivot``: the row itself
+    when that entry is 1."""
     b = row[pivot]
-    return {c: Fraction(x, b) for c, x in row.items()}
+    return row if b == 1 else {c: qdiv(x, b) for c, x in row.items()}
 
 
-def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+def _integer_row(row: Mapping[int, Rational]) -> dict[int, int]:
     """The nonzero entries of a rational row times the lcm of their denominators."""
     scale = math.lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
@@ -257,44 +278,44 @@ def _eliminate(target: dict[int, int], p: int, kept: Mapping[int, int]):
 
 
 def combine_rows(
-    coeffs: Mapping[int, Fraction], rows: Sequence[Mapping[int, Fraction]]
-) -> dict[int, Fraction]:
+    coeffs: Mapping[int, Rational], rows: Sequence[Mapping[int, Rational]]
+) -> dict[int, Rational]:
     """The sparse row sum over k of coeffs[k] * rows[k]."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for k, c in coeffs.items():
         for j, x in rows[k].items():
             out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
 
 
-def sparse_rows(data: Iterable[Sequence[Fraction]]):
+def sparse_rows(data: Iterable[Sequence[Rational]]):
     """Each dense row of ``data`` as its nonzero entries {column: entry}."""
     return ({c: x for c, x in enumerate(row) if x} for row in data)
 
 
-def sparse_product(a: Sequence[Mapping[int, Fraction]], b: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+def sparse_product(a: Sequence[Mapping[int, Rational]], b: Sequence[Mapping[int, Rational]]) -> list[dict[int, Rational]]:
     """The sparse rows of the product A B of two operators given by sparse rows."""
     return [combine_rows(row, b) for row in a]
 
 
-def transpose(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+def transpose(rows: Sequence[Mapping[int, Rational]], ncols: int) -> list[dict[int, Rational]]:
     """The sparse rows of the transpose: the columns of ``rows``, sparse."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+    out: list[dict[int, Rational]] = [{} for _ in range(ncols)]
     for r, row in enumerate(rows):
         for c, x in row.items():
             out[c][r] = x
     return out
 
 
-def flat_vector(rows: Sequence[Mapping[int, Fraction]]) -> dict[int, Fraction]:
+def flat_vector(rows: Sequence[Mapping[int, Rational]]) -> dict[int, Rational]:
     """An n x n operator as a sparse vector of Q^(n^2), entry (r, c) at r*n + c."""
     n = len(rows)
     return {r * n + c: x for r, row in enumerate(rows) for c, x in row.items()}
 
 
-def flat_operator(vec: Mapping[int, Fraction], n: int) -> list[dict[int, Fraction]]:
+def flat_operator(vec: Mapping[int, Rational], n: int) -> list[dict[int, Rational]]:
     """The n x n operator whose ``flat_vector`` is ``vec``."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    rows: list[dict[int, Rational]] = [{} for _ in range(n)]
     for k, x in vec.items():
         rows[k // n][k % n] = x
     return rows
@@ -311,7 +332,7 @@ def rank(m: RatMatrix) -> int:
     return len(gauss_jordan(sparse_rows(m.data), m.cols))
 
 
-def kernel_vectors(rows: Iterable[Mapping[int, Fraction]], ncols: int):
+def kernel_vectors(rows: Iterable[Mapping[int, Rational]], ncols: int):
     """A sparse basis of the kernel of the sparse rows ``{column:
     coefficient}`` in ``ncols`` unknowns, from their reduced echelon form
     (``_free_vectors``)."""
@@ -322,12 +343,12 @@ def _free_vectors(reduced: Mapping[int, Mapping[int, int]], ncols: int):
     """The kernel basis of a reduced echelon form {pivot: integer row} from
     ``_integer_echelon``: for each free column f, the vector that is 1 at
     f, 0 at the other free columns and -row[f] / row[pivot] at each row's
-    pivot.  Only these entries become ``Fraction``s."""
+    pivot.  Only the entries that are not integers become ``Fraction``s."""
     pivots = sorted(reduced)
     for f in range(ncols):
         if f not in reduced:
-            vec = {p: Fraction(-row[f], row[p]) for p in pivots if f in (row := reduced[p])}
-            vec[f] = Q(1)
+            vec = {p: qdiv(-row[f], row[p]) for p in pivots if f in (row := reduced[p])}
+            vec[f] = 1
             yield vec
 
 
@@ -381,7 +402,7 @@ class Subspace:
 
     __slots__ = ("dim_ambient", "_pivots", "_columns")
 
-    def __init__(self, dim_ambient: int, reduced: Mapping[int, Mapping[int, Fraction]]):
+    def __init__(self, dim_ambient: int, reduced: Mapping[int, Mapping[int, Rational]]):
         """The subspace with the canonical basis ``reduced``, {pivot: vector} from gauss_jordan."""
         object.__setattr__(self, "dim_ambient", dim_ambient)
         object.__setattr__(self, "_pivots", list(reduced))
@@ -391,35 +412,35 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def span(cls, dim_ambient: int, vectors: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    def span(cls, dim_ambient: int, vectors: Iterable[Mapping[int, Rational]]) -> "Subspace":
         """The span of sparse vectors {coordinate: entry} in Q^``dim_ambient``."""
         return cls(dim_ambient, gauss_jordan(vectors, dim_ambient))
 
     @classmethod
     def full(cls, dim_ambient: int) -> "Subspace":
-        return cls(dim_ambient, {i: {i: Q(1)} for i in range(dim_ambient)})
+        return cls(dim_ambient, {i: {i: 1} for i in range(dim_ambient)})
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def sparse_vectors(self) -> list[dict[int, Fraction]]:
+    def sparse_vectors(self) -> list[dict[int, Rational]]:
         """The canonical basis as sparse vectors {coordinate: entry}."""
         return list(self._columns)
 
-    def contains(self, vec: Mapping[int, Fraction]) -> bool:
+    def contains(self, vec: Mapping[int, Rational]) -> bool:
         return self.coords(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self.contains(w) for w in other._columns)
 
-    def coords(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+    def coords(self, vec: Mapping[int, Rational]) -> dict[int, Rational] | None:
         """Sparse coordinates {t: x_t} of the sparse vector ``vec`` in the
         canonical basis, or None if it is outside the subspace."""
         return _pivot_coords(vec, self._pivots, self._columns)
 
-    def annihilator(self) -> list[dict[int, Fraction]]:
+    def annihilator(self) -> list[dict[int, Rational]]:
         """A basis of the functionals vanishing on the subspace, as sparse
         vectors q with sum_r q[r] w[r] = 0 for every w in it."""
         return list(kernel_vectors(self._columns, self.dim_ambient))
@@ -454,7 +475,7 @@ class Subspace:
 
 
 def sparse_nullspace(
-    ncols: int, rows: Iterable[Mapping[int, Fraction]], known: Iterable[Mapping[int, Fraction]] = ()
+    ncols: int, rows: Iterable[Mapping[int, Rational]], known: Iterable[Mapping[int, Rational]] = ()
 ) -> Subspace:
     """The kernel of the sparse rows ``{column: coefficient}`` in ``ncols`` unknowns: one elimination
     of the rows, read as a stream, and one of its kernel vectors.
@@ -466,8 +487,8 @@ def sparse_nullspace(
     annihilate every known vector (AxiomFailure otherwise); the rows left
     unread are not.  The check runs in integers, on the primitive echelon
     rows and on each canonical known vector times the lcm of its
-    denominators, so the reduced rows become ``Fraction``s only when the
-    kernel is read from them."""
+    denominators, so the reduced rows are divided by their pivots only
+    when the kernel is read from them."""
     known = list(known)
     spanned = Subspace.span(ncols, known) if known else Subspace(ncols, {})
     reduced = _integer_echelon(rows, ncols, ncols - spanned.dim)
@@ -486,27 +507,27 @@ def nullspace(a: RatMatrix) -> Subspace:
     return sparse_nullspace(a.cols, sparse_rows(a.data))
 
 
-def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Fraction]]):
+def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Rational]]):
     """The map from a sparse vector of Q^``size`` to its sparse coordinates
     (sorted by index) in the sparse ``vectors``, or None when it is outside
     their span (ValueError when they are linearly dependent).  One
     ``_integer_echelon`` of [M | I], M the rows ``vectors``, gives L [R | E]
     with E M = R, its rows scaled to the lcm L of their pivot entries; v in
     the span, times the lcm d of its denominators, is L d [v | x] = sum_p
-    d v_p L [R | E]_p for its coordinates x, each made a ``Fraction``."""
+    d v_p L [R | E]_p for its coordinates x, each divided exactly (``qdiv``)."""
     reduced = _integer_echelon(({**row, size + k: 1} for k, row in enumerate(vectors)), size + len(vectors))
     if any(p >= size for p in reduced):
         raise ValueError("the basis vectors are linearly dependent")
     lcm = math.lcm(*(row[p] for p, row in reduced.items()))
     rows = {p: {c: x * (lcm // row[p]) for c, x in row.items()} for p, row in reduced.items()}
 
-    def coords(vec: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+    def coords(vec: Mapping[int, Rational]) -> dict[int, Rational] | None:
         d = math.lcm(*(x.denominator for x in vec.values()))
         v = {c: x.numerator * (d // x.denominator) for c, x in vec.items() if x}
         total = combine_rows({p: x for p, x in v.items() if p in rows}, rows)
         if {c: x for c, x in total.items() if c < size} != {c: lcm * x for c, x in v.items()}:
             return None
-        return {c - size: Fraction(x, lcm * d) for c, x in sorted(total.items()) if c >= size}
+        return {c - size: qdiv(x, lcm * d) for c, x in sorted(total.items()) if c >= size}
 
     return coords
 
@@ -516,7 +537,7 @@ def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Fraction]]):
 # ---------------------------------------------------------------------------
 
 
-def minimal_polynomial(m: Sequence[Mapping[int, Fraction]]) -> tuple[Fraction, ...]:
+def minimal_polynomial(m: Sequence[Mapping[int, Rational]]) -> tuple[Rational, ...]:
     """Monic minimal polynomial of the operator M with sparse rows ``m``,
     from one elimination of the system sum_k c_k M^k = 0 in c_0..c_n, one
     equation per entry (i, j): its pivots are the powers independent of
@@ -524,25 +545,25 @@ def minimal_polynomial(m: Sequence[Mapping[int, Fraction]]) -> tuple[Fraction, .
     column's kernel vector is the monic polynomial.  Row i of M^k is built
     sparse, as row i of M^(k-1) times M."""
     n = len(m)
-    powers = [[{i: Q(1)} for i in range(n)]]
+    powers = [[{i: 1} for i in range(n)]]
     for _ in range(n):
         powers.append(sparse_product(powers[-1], m))
     system = ({k: p[i][j] for k, p in enumerate(powers) if j in p[i]} for i in range(n) for j in range(n))
     vec = next(kernel_vectors(system, n + 1))
-    return tuple(vec.get(k, Q(0)) for k in range(max(vec) + 1))
+    return tuple(vec.get(k, 0) for k in range(max(vec) + 1))
 
 
-def poly_normalize(poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def poly_normalize(poly: Sequence[Rational]) -> tuple[Rational, ...]:
     p = list(poly)
     while p and p[-1] == 0:
         p.pop()
     if p:
         lead = p[-1]
-        p = [x / lead for x in p]
+        p = [qdiv(x, lead) for x in p]
     return tuple(p)
 
 
-def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
+def rational_roots(poly: Sequence[Rational]) -> list[Rational] | None:
     """The distinct roots of ``poly``, sorted, if it splits over Q into
     linear factors; else None.  Multiplicities are ignored.
 
@@ -601,7 +622,7 @@ def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
             carry = g[i] + carry * y
             quotient[i - 1] = carry
         g = quotient
-    return sorted({Q(r, lead) for r in roots})
+    return sorted({qdiv(r, lead) for r in roots})
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +630,7 @@ def rational_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(m: Sequence[Mapping[int, Fraction]]) -> list[list[int]]:
+def _blocks(m: Sequence[Mapping[int, Rational]]) -> list[list[int]]:
     """The coordinate blocks of the operator M: the connected components of
     the graph on 0..n-1 with an edge i-j wherever M[i][j] != 0, each as
     sorted indices, in order of least index.  M maps the span of each
@@ -634,7 +655,7 @@ def _blocks(m: Sequence[Mapping[int, Fraction]]) -> list[list[int]]:
     return list(blocks.values())
 
 
-def _spectra(m: Sequence[Mapping[int, Fraction]], message: str) -> list[tuple[list[int], list, list[Fraction], int]]:
+def _spectra(m: Sequence[Mapping[int, Rational]], message: str) -> list[tuple[list[int], list, list[Rational], int]]:
     """Each block of the operator M (``_blocks``) as (indices, M restricted
     to the block, its distinct eigenvalues, k).  The eigenvalues must all
     be rational (else NonSplitError with ``message``), and k = deg - #roots
@@ -647,7 +668,7 @@ def _spectra(m: Sequence[Mapping[int, Fraction]], message: str) -> list[tuple[li
         at = {i: t for t, i in enumerate(block)}
         sub = [{at[c]: x for c, x in m[i].items() if x} for i in block]
         if len(block) == 1:
-            spectra.append((block, sub, [Q(sub[0].get(0, 0))], 1))
+            spectra.append((block, sub, [rational(sub[0].get(0, 0))], 1))
             continue
         mp = minimal_polynomial(sub)
         roots = rational_roots(mp)
@@ -657,7 +678,7 @@ def _spectra(m: Sequence[Mapping[int, Fraction]], message: str) -> list[tuple[li
     return spectra
 
 
-def _generalized_eigenspaces(m: Sequence[Mapping[int, Fraction]], roots: Sequence, k: int) -> list[tuple[Fraction, Subspace]]:
+def _generalized_eigenspaces(m: Sequence[Mapping[int, Rational]], roots: Sequence, k: int) -> list[tuple[Rational, Subspace]]:
     """ker (M - lam)^k for each eigenvalue lam of one block M, with the
     ``roots`` and ``k`` that ``_spectra`` gives it; a 1 x 1 block is its
     one eigenspace."""
@@ -666,7 +687,7 @@ def _generalized_eigenspaces(m: Sequence[Mapping[int, Fraction]], roots: Sequenc
         return [(roots[0], Subspace.full(1))]
     spaces = []
     for lam in roots:
-        shifted = [combine_rows({0: Q(1), 1: -lam}, [row, {i: Q(1)}]) for i, row in enumerate(m)]
+        shifted = [combine_rows({0: 1, 1: -lam}, [row, {i: 1}]) for i, row in enumerate(m)]
         power = shifted
         for _ in range(k - 1):
             power = sparse_product(power, shifted)
@@ -676,7 +697,7 @@ def _generalized_eigenspaces(m: Sequence[Mapping[int, Fraction]], roots: Sequenc
     return spaces
 
 
-def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) -> list[tuple[Fraction, Subspace]]:
+def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Rational]]) -> list[tuple[Rational, Subspace]]:
     """Split ``space``, which the operator with sparse columns
     ``op_columns`` must preserve, into its eigenspaces; raises if the
     restriction is not diagonalizable with rational spectrum.  Column t of
@@ -698,7 +719,7 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) 
     spectra = _spectra(transpose(restricted, space.dim), "operator has an irrational eigenvalue")
     if any(k > 1 for *_, k in spectra):
         raise NotDiagonalizableError("minimal polynomial has a repeated root")
-    kernels: dict[Fraction, dict[int, dict[int, Fraction]]] = {}
+    kernels: dict[Rational, dict[int, dict[int, Rational]]] = {}
     for block, sub, roots, k in spectra:
         for lam, ker in _generalized_eigenspaces(sub, roots, k):
             kernels.setdefault(lam, {}).update(
@@ -711,8 +732,8 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Fraction]]) 
 
 
 def simultaneous_eigenspaces(
-    ops: Sequence[Sequence[Mapping[int, Fraction]]], space: Subspace
-) -> list[tuple[tuple[Fraction, ...], Subspace]]:
+    ops: Sequence[Sequence[Mapping[int, Rational]]], space: Subspace
+) -> list[tuple[tuple[Rational, ...], Subspace]]:
     """Joint eigenspace decomposition of commuting diagonalizable
     operators, each given by its sparse rows, on ``space``, which every op
     must preserve.  Each op splits each piece so far block by block
@@ -736,7 +757,7 @@ def simultaneous_eigenspaces(
     return sorted(spaces, key=lambda t: t[0])
 
 
-def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+def semisimple_part(m: Sequence[Mapping[int, Rational]]) -> list[dict[int, Rational]]:
     """Semisimple summand S of the Jordan-Chevalley decomposition M = S + N
     of the operator with sparse rows ``m``, as sparse rows.
 
@@ -748,7 +769,7 @@ def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fract
     Requires the characteristic polynomial to split over the rationals
     (NonSplitError otherwise).
     """
-    s: list[dict[int, Fraction]] = [{} for _ in m]
+    s: list[dict[int, Rational]] = [{} for _ in m]
     for block, sub, roots, k in _spectra(m, "spectrum is not rational"):
         if len(block) == 1:
             s[block[0]] = {block[0]: x for x in sub[0].values()}
@@ -758,7 +779,7 @@ def semisimple_part(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fract
         lams = [lam for lam, space in spaces for _ in space._columns]
         coords = coordinate_reader(len(block), basis)
         for t in range(len(block)):
-            column = combine_rows({u: lams[u] * x for u, x in coords({t: Q(1)}).items()}, basis)
+            column = combine_rows({u: lams[u] * x for u, x in coords({t: 1}).items()}, basis)
             for c, x in column.items():
                 s[block[c]][block[t]] = x
     return s

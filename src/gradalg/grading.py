@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
@@ -38,7 +37,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .exactla import IntMatrix, RatMatrix, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
+from .exactla import IntMatrix, RatMatrix, Rational, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
 
 NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
@@ -96,7 +95,7 @@ class Grading:
         algebra: StructureAlgebra,
         group: FgAbGroup,
         degrees: Sequence[GroupElement],
-        basis_change: Sequence[Mapping[int, Fraction]] | None = None,
+        basis_change: Sequence[Mapping[int, Rational]] | None = None,
     ):
         n = algebra.dimension
         degrees = tuple(degrees)
@@ -105,7 +104,7 @@ class Grading:
         for d in degrees:
             if d.owner != group:
                 raise ShapeError("degree from a different group")
-        cols = tuple({i: Fraction(1)} for i in range(n)) if basis_change is None else tuple(basis_change)
+        cols = tuple({i: 1} for i in range(n)) if basis_change is None else tuple(basis_change)
         if len(cols) != n:
             raise ShapeError(NOT_INVERTIBLE)
         try:
@@ -576,7 +575,7 @@ class GradedMapReport:
     uab_map: GroupHom | None
 
 
-def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dict[int, Fraction]]:
+def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dict[int, Rational]]:
     """The sparse columns of phi, verified to be those of an automorphism:
     invertible, with phi(op(e_key)) = op(phi(e_key)) on every basis key."""
     n = algebra.dimension

@@ -38,12 +38,12 @@ from .errors import (
     SectionInvalid,
     VerificationFailure,
 )
-from .exactla import coordinate_reader, simultaneous_eigenspaces, sparse_rows
+from .exactla import Rational, coordinate_reader, qdiv, rational, simultaneous_eigenspaces, sparse_rows
 from .grading import Grading, universal_abelian_group
 
 Q = Fraction
 
-Weight = tuple[Fraction, ...]
+Weight = tuple[Rational, ...]
 
 
 def _wadd(a: Weight, b: Weight) -> Weight:
@@ -51,7 +51,7 @@ def _wadd(a: Weight, b: Weight) -> Weight:
 
 
 def _wscale(c, a: Weight) -> Weight:
-    return tuple(Q(c) * x for x in a)
+    return tuple(rational(c * x) for x in a)
 
 
 def _wneg(a: Weight) -> Weight:
@@ -76,7 +76,7 @@ class WeightDecomposition:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def zero_space(self) -> Subspace:
-        zero = tuple([Q(0)] * self.cartan.dim)
+        zero = (0,) * self.cartan.dim
         return self.spaces.get(zero, Subspace(self.cartan.dim_ambient, {}))
 
 
@@ -104,14 +104,14 @@ def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposit
 # ---------------------------------------------------------------------------
 
 
-def _proportional(beta: Weight, alpha: Weight) -> Fraction | None:
+def _proportional(beta: Weight, alpha: Weight) -> Rational | None:
     c = None
     for x, y in zip(beta, alpha):
         if y == 0:
             if x != 0:
                 return None
             continue
-        r = x / y
+        r = qdiv(x, y)
         if c is None:
             c = r
         elif c != r:
@@ -170,7 +170,7 @@ class RootSystemReport:
     numbers: Mapping[tuple[Weight, Weight], int]
     #: root -> its coordinates in the simple roots; filled only when
     #: type_label is set (and then for every root)
-    root_coords: Mapping[Weight, tuple[Fraction, ...]]
+    root_coords: Mapping[Weight, tuple[Rational, ...]]
     #: the roots shorter than some other root, filled only when type_label
     #: is set: the short roots when Phi is reduced with two lengths, empty
     #: when all roots have one length
@@ -181,11 +181,11 @@ class RootSystemReport:
         return len(self.simple_roots)
 
 
-def _generic_functional(phi: Sequence[Weight], seed: int) -> list[Fraction]:
+def _generic_functional(phi: Sequence[Weight], seed: int) -> list[Rational]:
     rng = random.Random(seed)
     dim = len(phi[0])
     for attempt in range(_MAX_GENERIC_RETRIES):
-        f = [Q(rng.randint(-10 - attempt, 10 + attempt)) for _ in range(dim)]
+        f = [rng.randint(-10 - attempt, 10 + attempt) for _ in range(dim)]
         vals = [sum(c * x for c, x in zip(f, a)) for a in phi]
         if all(vals):
             return f
@@ -194,10 +194,10 @@ def _generic_functional(phi: Sequence[Weight], seed: int) -> list[Fraction]:
 
 # reference simple-root realizations; Cartan numbers are derived from the
 # Euclidean inner product, so orientation conventions cannot drift
-def _reference_simple_roots(label: str, r: int) -> list[list[Fraction]]:
+def _reference_simple_roots(label: str, r: int) -> list[list[Rational]]:
     def e(i, n):
-        v = [Q(0)] * n
-        v[i] = Q(1)
+        v = [0] * n
+        v[i] = 1
         return v
 
     def sub(a, b):
@@ -216,7 +216,7 @@ def _reference_simple_roots(label: str, r: int) -> list[list[Fraction]]:
             [x + y for x, y in zip(e(r - 2, r), e(r - 1, r))]
         ]
     if label == "G" and r == 2:
-        return [[Q(1), Q(-1), Q(0)], [Q(-2), Q(1), Q(1)]]
+        return [[1, -1, 0], [-2, 1, 1]]
     if label == "F" and r == 4:
         return [
             sub(e(1, 4), e(2, 4)),
@@ -226,21 +226,21 @@ def _reference_simple_roots(label: str, r: int) -> list[list[Fraction]]:
         ]
     if label == "E" and r in (6, 7, 8):
         a1 = [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)]
-        roots = [a1, [Q(1), Q(1)] + [Q(0)] * 6]
+        roots = [a1, [1, 1] + [0] * 6]
         for i in range(1, 7):
-            v = [Q(0)] * 8
-            v[i], v[i - 1] = Q(1), Q(-1)
+            v = [0] * 8
+            v[i], v[i - 1] = 1, -1
             roots.append(v)
         return roots[: r]
     raise ValueError(label)
 
 
-def _cartan_matrix_of_vectors(vs: Sequence[Sequence[Fraction]]) -> tuple:
+def _cartan_matrix_of_vectors(vs: Sequence[Sequence[Rational]]) -> tuple:
     def ip(a, b):
         return sum(x * y for x, y in zip(a, b))
 
     return tuple(
-        tuple(2 * ip(vi, vj) / ip(vi, vi) for vj in vs) for vi in vs
+        tuple(qdiv(2 * ip(vi, vj), ip(vi, vi)) for vj in vs) for vi in vs
     )
 
 
@@ -328,7 +328,7 @@ def analyze_root_system(
     if label is not None:
         sol = [coords(v) for v in sparse_rows(phi)]
         if None not in sol:
-            root_coords = {a: tuple(x.get(t, Q(0)) for t in range(len(simple))) for a, x in zip(phi, sol)}
+            root_coords = {a: tuple(x.get(t, 0) for t in range(len(simple))) for a, x in zip(phi, sol)}
         short = tuple(a for a in phi if any(abs(numbers[(a, b)]) > abs(numbers[(b, a)]) for b in phi))
     return RootSystemReport(
         phi, reflective, integral, irreducible, reduced, label, simple, positive,
@@ -560,7 +560,7 @@ def root_graded_structure(
                 f"component of degree {s.coords} is not inside one weight space"
             )
         w = hit[0]
-        coords = report.root_coords.get(w) if any(w) else (Q(0),) * r
+        coords = report.root_coords.get(w) if any(w) else (0,) * r
         if coords is None:
             raise VerificationFailure(f"weight {w} outside the root lattice")
         if any(c.denominator != 1 for c in coords):

@@ -154,6 +154,12 @@ def unit(i: int, n: int) -> tuple:
     return tuple(Q(int(j == i)) for j in range(n))
 
 
+def is_canonical(x) -> bool:
+    """The program's scalar contract: an exact rational is an ``int`` when
+    it is integral and a ``Fraction`` with denominator > 1 otherwise."""
+    return type(x) is int or (type(x) is Q and x.denominator > 1)
+
+
 def dense_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Oracle for ``exactla.rref``: Gauss-Jordan on dense Fraction rows,
     one column at a time."""
@@ -166,7 +172,7 @@ def dense_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
+        inv = 1 / Q(a[r][c])
         a[r] = [x * inv for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] != 0:

@@ -610,6 +610,19 @@ class TestHomEquality:
         assert GroupHom(z, z2, IntMatrix([[-2]])) == GroupHom(z, z2, IntMatrix([[0]]))
         assert len(set(homs)) == 4
 
+    def test_images_are_reduced_once(self, monkeypatch):
+        # hashing, comparing and reading a hom reduce its columns on the first read only
+        rng = random.Random(74)
+        a = _random_hom(rng, FgAbGroup(1, [2, 4]), FgAbGroup(1, [2, 6]))
+        b = _random_hom_like(rng, a)
+        reduced = []
+        reduce = FgAbGroup.reduce
+        monkeypatch.setattr(FgAbGroup, "reduce", lambda g, v: reduced.append(v) or reduce(g, v))
+        assert hash(a) == hash(b) and a == b and a.images() == b.images()
+        assert len(reduced) == 2 * a.domain.ngens
+        assert hash(a) == hash(b) and a == b and {a: 1}[b] == 1
+        assert len(reduced) == 2 * a.domain.ngens
+
     def test_quotient_projections(self):
         for g in _SMALL:
             for e in enumerate_subgroups(torsion_and_free(g)[0]):

@@ -1,5 +1,6 @@
 """Structure algebras: flags, derivations, Killing form, simplicity."""
 
+import inspect
 import json
 import os
 import random
@@ -30,14 +31,17 @@ from gradalg.algcore import (
     inner_derivations,
     is_simple,
     killing_form,
+    memoized,
     rational_field,
     subalgebra_structure,
 )
+from gradalg.afine import toral_rank
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
 from gradalg.exactla import RatMatrix, Subspace, rank, sparse_rows
 from gradalg.grading import Grading, graded_derivations
 
 from helpers import (
+    is_canonical,
     build_m2,
     build_m2_splitpauli,
     basis_matrix,
@@ -237,7 +241,8 @@ class TestSubspace:
                 assert got == (None if expected is None else sparse(expected))
                 assert s.contains(sparse(vec)) == (expected is not None)
                 if got is not None:
-                    assert all(type(x) is Q for x in got.values())
+                    # coordinates are entries of the vector read at the pivots: exact, never a float
+                    assert all(type(x) in (int, Q) for x in got.values())
         zero, full = Subspace(3, {}), Subspace.full(3)
         assert zero.coords({}) == {} and zero.coords({1: Q(1)}) is None
         assert full.coords({0: Q(1), 1: Q(1, 2), 2: Q(-3)}) == {0: Q(1), 1: Q(1, 2), 2: Q(-3)}
@@ -994,7 +999,7 @@ class TestRebasedOverStoredEntries:
             basis = _sparse_invertible(rng, alg.dimension)
             sub = subalgebra_structure(alg, columns_of(basis))
             assert [_items(op.tensor) for op in sub.operations] == [_items(t) for t in dense_rebase(alg, basis)]
-            assert all(type(c) is Q for op in sub.operations for v in op.tensor.values() for c in v.values())
+            assert all(is_canonical(c) for op in sub.operations for v in op.tensor.values() for c in v.values())
 
     def test_random_subspace_bases(self):
         rng = random.Random(1968)
@@ -1029,9 +1034,86 @@ class TestRebasedOverStoredEntries:
         assert seen == {"dependent", "not closed", "closed", "closed, nonzero product"}
 
 
-@pytest.mark.parametrize("literal", ["-0/5", "+3/006", "7", "-12/8", "0"])
+@pytest.mark.parametrize("literal", ["-0/5", "+3/006", "7", "-12/8", "0", "6/3", "1/2"])
 def test_rational_literals_read_as_before(literal):
-    # one int() per side of the "/": the Fraction that Fraction(literal) gives
+    # one int() per side of the "/": the value of Fraction(literal), an int when it is integral
     got = rational_field(literal, "structure constant")
-    assert type(got) is Q and got == Q(literal)
+    assert is_canonical(got) and got == Q(literal)
     assert (got.numerator, got.denominator) == (Q(literal).numerator, Q(literal).denominator)
+
+
+def test_rational_fields_are_canonical():
+    assert [rational_field(x, "c") for x in ("7", "-0/5", "6/3", "1/2", 7, -3, 0)] == [7, 0, 2, Q(1, 2), 7, -3, 0]
+    assert [type(rational_field(x, "c")) for x in ("7", "-0/5", "6/3", "1/2", 7)] == [int, int, int, Q, int]
+    for bad in (True, 1.0, "1.5", None):
+        with pytest.raises(ValueError, match="is not rational"):
+            rational_field(bad, "c")
+
+
+class TestMemoized:
+    """``memoized`` reads the signature once: positional, keyword and
+    defaulted calls of the same values share one entry, and a hit is one
+    dict lookup."""
+
+    class Holder:
+        def __init__(self):
+            self._memo = {}
+
+    @staticmethod
+    def counted():
+        calls = []
+
+        @memoized
+        def f(obj, a, b=2, c=3):
+            calls.append((a, b, c))
+            return a + 10 * b + 100 * c
+
+        return f, calls
+
+    def test_calls_of_the_same_values_share_one_entry(self):
+        f, calls = self.counted()
+        obj = self.Holder()
+        results = [f(obj, 1), f(obj, 1, 2), f(obj, 1, 2, 3), f(obj, 1, c=3), f(obj, a=1), f(obj, b=2, a=1, c=3)]
+        assert results == [321] * 6 and calls == [(1, 2, 3)] and len(obj._memo) == 1
+        assert f(obj, 1, c=4) == f(obj, 1, 2, 4) == 421 and calls == [(1, 2, 3), (1, 2, 4)]
+        assert len(obj._memo) == 2 and f(self.Holder(), 1) == 321 and len(calls) == 3
+
+    def test_good_calls_bind_nothing(self, monkeypatch):
+        f, calls = self.counted()
+        monkeypatch.setattr(inspect.Signature, "bind", lambda *args, **kwargs: pytest.fail("a good call was bound"))
+        obj = self.Holder()
+        assert [f(obj, 1), f(obj, 1, c=3), f(obj, a=1, b=2), f(obj, 1, 2, 3)] == [321] * 4 and len(calls) == 1
+
+    def test_bad_calls_raise_type_error_and_store_nothing(self):
+        f, calls = self.counted()
+        obj = self.Holder()
+        for args, kwargs in [((), {}), ((1, 2, 3, 4), {}), ((1,), {"a": 1}), ((1,), {"d": 1}), ((), {"b": 1})]:
+            with pytest.raises(TypeError):
+                f(obj, *args, **kwargs)
+        assert not obj._memo and not calls
+
+    def test_a_hit_hashes_its_arguments_once(self):
+        f, _ = self.counted()
+        hashes = []
+
+        class Key:
+            def __hash__(self):
+                hashes.append(self)
+                return 7
+
+            def __rmul__(self, other):
+                return other
+
+        obj, key = self.Holder(), Key()
+        f(obj, 1, key)
+        hashes.clear()
+        f(obj, 1, key)
+        f(obj, 1, b=key)
+        assert len(hashes) == 2
+
+    def test_library_calls_share_one_entry(self):
+        shared = catalog.get_catalog("cartan-sl3").grading
+        gr = Grading(shared.algebra, shared.group, shared.degrees)
+        first = toral_rank(gr)
+        assert toral_rank(gr, 0) is first and toral_rank(gr, seed=0) is first
+        assert sum(key[0].__name__ == "toral_rank" for key in gr._memo) == 1

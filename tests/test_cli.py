@@ -285,6 +285,23 @@ class TestParseErrors:
             assert code == 1
             assert failure in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_weyl_complete_that_is_not_a_boolean(self, tmp_path, capsys, value):
+        # a string "false" is truthy: it must not turn into an asserted completeness
+        doc = catalog_workspace("cartan-sl2")
+        doc["assertions"] = {"weyl_complete": value}
+        code, out, err = run(capsys, "classify", write_ws(tmp_path, doc), "--target", '{"invariants": [2]}')
+        assert (code, out) == (1, "")
+        assert err == f"error: field 'assertions.weyl_complete' must be a JSON boolean, not {value!r}\n"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_weyl_complete_boolean(self, tmp_path, capsys, value):
+        doc = catalog_workspace("cartan-sl2")
+        doc["assertions"] = {"weyl_complete": value}
+        code, out, _ = run(capsys, "classify", write_ws(tmp_path, doc), "--target", '{"invariants": [2]}', "--json")
+        assert code == 0
+        assert json.loads(out)["orbit_completeness"] == ("asserted" if value else "lower bound only")
+
     def test_float_structure_constant_without_flags(self, tmp_path, capsys):
         # 1.1 keeps the degrees compatible, so only the number is wrong
         doc = catalog_workspace("cartan-sl2")

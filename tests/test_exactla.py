@@ -35,9 +35,12 @@ from gradalg.exactla import (
     hnf_solve,
     integer_kernel,
     inverse,
+    kernel_vectors,
     minimal_polynomial,
     nullspace,
+    qdiv,
     rank,
+    rational,
     rational_roots,
     rref,
     semisimple_part,
@@ -64,6 +67,7 @@ from helpers import (
     fraction_coordinate_reader,
     fraction_gauss_jordan,
     fraction_nullspace,
+    is_canonical,
     kernel_eigen_split,
     kernel_joint_eigenspaces,
     mat_transpose,
@@ -530,7 +534,7 @@ class TestFractionFreeElimination:
             assert len(read) == stop, f"trial {trial}"
             assert got == expected and list(got) == list(expected), f"trial {trial}"
             assert [list(row) for row in got.values()] == [list(row) for row in expected.values()], f"trial {trial}"
-            assert all(type(x) is Q for row in got.values() for x in row.values()), f"trial {trial}"
+            assert all(is_canonical(x) for row in got.values() for x in row.values()), f"trial {trial}"
             assert stream == before, f"trial {trial}: an input row changed"
             # every row kept is a primitive integer row, positive at its pivot
             for row, p in kept:
@@ -587,9 +591,103 @@ class TestFractionFreeCoordinates:
                 if want is None:
                     seen.add("outside")
                     continue
-                assert list(have) == list(want) and all(type(x) is Q for x in have.values()), f"trial {trial}"
+                assert list(have) == list(want) and all(map(is_canonical, have.values())), f"trial {trial}"
                 seen.add("inside" if want else "zero")
         assert seen == {"dependent", "outside", "inside", "zero"}
+
+
+def old_dense_product(a, b):
+    """The dense product as it was summed before ``sum(map(mul, ...))``: a
+    generator with a truth test on both factors of each term."""
+    bt = list(zip(*b.data)) if b.rows else [()] * b.cols
+    return type(a)([[sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a.data], b.cols)
+
+
+class TestDenseProducts:
+    @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+    def test_same_product_as_the_truth_tested_sum(self, cls):
+        rng = random.Random(73)
+
+        def entry():
+            if cls is IntMatrix:
+                return rng.choice((0, 0, rng.randint(-9, 9)))
+            return random_entry(rng) if rng.random() < 0.6 else 0
+
+        shapes = set()
+        for _ in range(300):
+            n, k, m = (rng.randint(0, 4) for _ in range(3))
+            a = cls([[entry() for _ in range(k)] for _ in range(n)], k)
+            b = cls([[entry() for _ in range(m)] for _ in range(k)], m)
+            got = a * b
+            assert got == old_dense_product(a, b) and got.shape == (n, m)
+            assert cls is IntMatrix or all(is_canonical(x) for row in got.data for x in row)
+            shapes.add("0 x n" if n == 0 else "n x 0" if m == 0 else "through 0" if k == 0 else "full")
+        assert shapes == {"0 x n", "n x 0", "through 0", "full"}
+
+    def test_integral_sums_of_fractions_come_out_as_ints(self):
+        half = RatMatrix([["1/2", "1/2"]])
+        got = half * RatMatrix([[1], [1]])
+        assert got == RatMatrix([[1]]) and type(got[0, 0]) is int
+        assert type((RatMatrix([["1/3"]]) * RatMatrix([[2]]))[0, 0]) is Q
+
+
+class TestCanonicalScalars:
+    """The scalar contract: wherever the exact layer makes a value, it is an
+    ``int`` when it is integral and a ``Fraction`` with denominator > 1
+    otherwise (``helpers.is_canonical``), and no float is admitted."""
+
+    def test_rational_and_qdiv(self):
+        values = [rational(x) for x in (3, Q(6, 3), Q(1, 2), "4/2", "-0", "-3/9", True)]
+        assert values == [3, 2, Q(1, 2), 2, 0, Q(-1, 3), 1] and all(map(is_canonical, values))
+        for bad in (1.0, 0.5, None, 1j, [1]):
+            with pytest.raises(TypeError):
+                rational(bad)
+        quotients = [qdiv(6, 3), qdiv(-7, 2), qdiv(Q(1, 2), Q(1, 4)), qdiv(3, Q(3, 2)), qdiv(Q(5, 3), 5), qdiv(0, -4)]
+        assert quotients == [2, Q(-7, 2), 2, 2, Q(1, 3), 0] and all(map(is_canonical, quotients))
+        for a in (1, Q(1, 2), 0):
+            with pytest.raises(ZeroDivisionError):
+                qdiv(a, 0)
+
+    def test_rat_matrix_entries(self):
+        m = RatMatrix([[Q(4, 2), "1/2", 3], ["6/3", 0, Q(-3, 3)]])
+        assert [list(map(type, row)) for row in m.data] == [[int, Q, int], [int, int, int]]
+        assert all(is_canonical(x) for r in (m.scale(2), m.scale("1/3"), m + m) for row in r.data for x in row)
+        for bad in (1.0, 2.5):
+            with pytest.raises(TypeError):
+                RatMatrix([[1, bad]])
+            with pytest.raises(TypeError):
+                m.scale(bad)
+
+    def test_eliminations_kernels_and_coordinates(self):
+        rng = random.Random(30)
+        seen = set()
+        for trial in range(300):
+            ncols = rng.choice((1, 2, 3, 4, 6))
+            stream = random_row_stream(rng, ncols)
+            made = [x for row in gauss_jordan(stream, ncols).values() for x in row.values()]
+            made += [x for vec in kernel_vectors(stream, ncols) for x in vec.values()]
+            space = sparse_nullspace(ncols, stream)
+            made += [x for vec in space.sparse_vectors() for x in vec.values()]
+            basis = Subspace.span(ncols, stream).sparse_vectors()
+            coords = coordinate_reader(ncols, basis)
+            for vec in basis:
+                made += coords(combine_rows({0: random_entry(rng), 1: 1}, [vec, basis[0]])).values()
+            assert all(map(is_canonical, made)), f"trial {trial}"
+            seen.update(type(x).__name__ for x in made)
+        assert seen == {"int", "Fraction"}
+        assert [list(map(type, v.values())) for v in Subspace.full(2).sparse_vectors()] == [[int], [int]]
+
+    def test_polynomials_and_spectra(self):
+        roots = rational_roots([Q(-3), Q(-1), Q(2)]) + rational_roots([Q(-4, 9), 0, 1]) + rational_roots([6, -5, 1])
+        assert roots == [-1, Q(3, 2), Q(-2, 3), Q(2, 3), 2, 3] and all(map(is_canonical, roots))
+        poly = minimal_polynomial(op_rows(diagonal([Q(1, 2), 2, 2])))
+        assert poly == (1, Q(-5, 2), 1) and all(map(is_canonical, poly))
+        ops = [op_rows(diagonal([1, Q(1, 2), 3])), op_rows(RatMatrix([[2, 1, 0], [0, 2, 0], [0, 0, Q(6, 3)]]))]
+        weights = [w for w, _ in simultaneous_eigenspaces(ops[:1], Subspace.full(3))]
+        assert weights == [(Q(1, 2),), (1,), (3,)] and all(is_canonical(x) for w in weights for x in w)
+        semisimple = semisimple_part(ops[1])
+        assert semisimple == [{0: 2}, {1: 2}, {2: 2}]
+        assert all(type(x) is int for row in semisimple for x in row.values())
 
 
 class TestSubspaces:
@@ -1337,6 +1435,22 @@ def test_sources_use_no_floating_point():
         text = path.read_text()
         for token in ("**0.5", "float(", "round("):
             assert token not in text, f"{path.name} uses {token}"
+
+
+def test_sources_divide_only_in_qdiv():
+    # "/" on two ints is a float: every true division of program values goes through exactla.qdiv
+    found = []
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        helper = set()
+        for fn in ast.walk(tree):
+            if path.name == "exactla.py" and isinstance(fn, ast.FunctionDef) and fn.name == "qdiv":
+                helper = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                assert id(node) in helper, f"{path.name}:{node.lineno} divides with /"
+                found.append(path.name)
+    assert found == ["exactla.py"]
 
 
 def test_sources_keep_one_vector_format():

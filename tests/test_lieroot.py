@@ -21,6 +21,10 @@ from gradalg.errors import (
 )
 from gradalg.grading import Grading, universal_abelian_group
 from gradalg.lieroot import (
+    _cartan_matrix_of_vectors,
+    _proportional,
+    _reference_simple_roots,
+    _wscale,
     analyze_root_system,
     extract_root_system,
     is_non_special,
@@ -32,6 +36,7 @@ from gradalg.lieroot import (
 from helpers import (
     classical_cartan_grading,
     dense_root_coords,
+    is_canonical,
     probed_cartan_number,
     reflection_closure,
     sl_involution_grading,
@@ -39,6 +44,18 @@ from helpers import (
     span_of,
     vectors,
 )
+
+
+def test_weight_ratios_and_scalings_are_canonical():
+    # exact quotients: an int when integral, never a float
+    ratios = [_proportional((2, -4, 0), (1, -2, 0)), _proportional((1, 0), (2, 0)), _proportional((-3,), (Q(3, 2),))]
+    assert ratios == [2, Q(1, 2), -2] and all(map(is_canonical, ratios))
+    assert _proportional((1, 1), (1, 2)) is None and _proportional((1, 0), (0, 1)) is None
+    halved = _wscale(Q(1, 2), (2, -2, 0, 1)) + _wscale(2, (Q(1, 2), 3))
+    assert halved == (1, -1, 0, Q(1, 2), 1, 6) and all(map(is_canonical, halved))
+    for label, r in (("B", 3), ("G", 2), ("F", 4), ("E", 8)):
+        cm = _cartan_matrix_of_vectors(_reference_simple_roots(label, r))
+        assert all(type(x) is int for row in cm for x in row) and all(row[i] == 2 for i, row in enumerate(cm))
 
 
 def trivial_grading(alg):
@@ -183,7 +200,7 @@ class TestExtractRootSystem:
         computed = sorted((w[0], wd.spaces[w].dim) for w in wd.phi)
         # weights are reported up to a scaling of the toral generator, so
         # compare the multiplicity pattern by proportion
-        scale = max(abs(w) for w, _ in computed) / 2
+        scale = Q(max(abs(w) for w, _ in computed), 2)
         assert sorted((w / scale, d) for w, d in computed) == [
             (-2, 1),
             (-1, 2),
