@@ -15,11 +15,12 @@ semisimple part.  It runs block by block: an operator is the direct sum
 of its restrictions to the coordinate blocks it preserves (the connected
 components of its nonzero entries), a 1 x 1 block [a] is its own
 eigenvalue, eigenspace and semisimple part, and only a larger block goes
-through its minimal polynomial.  The Smith normal form U M V = S, with U,
-V and U^-1, is behind every presentation and integer kernel.  One immutable dense matrix class keeps the
-shape, with an explicit column count, so 0 x n and n x 0 matrices exist;
-``RatMatrix`` (rationals) and ``IntMatrix`` (exact integers) fix its
-entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
+through its minimal polynomial.  The Smith normal form U M V = S, kept as
+S, U and U^-1 (V is not built), is behind every presentation; an integer
+kernel is read off the column Hermite form of M stacked over I.  One
+immutable dense matrix class keeps the shape, with an explicit column
+count, so 0 x n and n x 0 matrices exist; ``RatMatrix`` (rationals) and
+``IntMatrix`` (exact integers) fix its entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
 the program; ``rref``, ``rank``, ``solve`` and ``inverse`` on it are the
 dense API of tests and tracing.  Everything is exact; non-rational
 spectra raise NonSplitError instead of being approximated.
@@ -815,11 +816,11 @@ class IntMatrix(_DenseMatrix):
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form S = U M V with U, V unimodular, U_inv the inverse
-    of U, and nonnegative diagonal entries in a divisibility chain."""
+    of U, and nonnegative diagonal entries in a divisibility chain; V is
+    not kept."""
 
     S: IntMatrix
     U: IntMatrix
-    V: IntMatrix
     U_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
@@ -829,8 +830,9 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transformation matrices, U*M*V = S, and U_inv
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    """Smith normal form U*M*V = S with U and U_inv, and no V: a column
+    operation acts on S alone (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).
 
     Step t moves the smallest nonzero entry of the trailing block to (t, t)
     and reduces its row and column by nearest quotients until both are
@@ -844,7 +846,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     rows, cols = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     u_inv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -855,8 +856,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, f):
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
@@ -866,8 +865,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     def add_col(src, dst, f):
         for r in a:
-            r[dst] += f * r[src]
-        for r in v:
             r[dst] += f * r[src]
 
     def negate_row(i):
@@ -935,7 +932,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 break
             add_row(culprit, t, 1)
         t += 1
-    return SnfResult(IntMatrix(a, cols), IntMatrix(u, rows), IntMatrix(v, cols), IntMatrix(u_inv, rows))
+    return SnfResult(IntMatrix(a, cols), IntMatrix(u, rows), IntMatrix(u_inv, rows))
 
 
 def column_hnf(m: IntMatrix) -> IntMatrix:
@@ -1007,10 +1004,12 @@ def hnf_solve(h: IntMatrix, v: Sequence[int]) -> list[int] | None:
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : M x = 0} as columns (canonical HNF)."""
-    snf = smith_normal_form(m)
-    d = snf.diagonal()
-    r = sum(1 for x in d if x != 0)
-    # kernel basis = last cols-r columns of V
-    cols = [snf.V.column(j) for j in range(r, m.cols)]
-    return column_hnf(IntMatrix.from_columns(cols, rows=m.cols))
+    """Basis of the integer kernel {x : M x = 0} as columns (canonical HNF).
+
+    The columns (M x, x) of M stacked over I span a lattice whose column
+    HNF has its pivots in M's rows first; the HNF columns with a zero M
+    part are a basis of the (0, x) in it, so their parts below M span the
+    kernel, and they come last, already in canonical HNF."""
+    stacked = column_hnf(IntMatrix(m.data + IntMatrix.identity(m.cols).data, m.cols))
+    kernel = [c[m.rows:] for c in stacked.columns() if not any(c[: m.rows])]
+    return IntMatrix.from_columns(kernel, rows=m.cols)

@@ -7,12 +7,14 @@ fine refinement whose identity component is H, the whole algebra becomes
 graded by Phi, with a simple grading subalgebra g and an isotypic
 decomposition L = (g x A) + (s x B) + (W x C) + D under the adjoint
 action of g.  All root-system axioms are verified combinatorially via
-root strings, so no invariant bilinear form is needed.
+root strings, so no invariant bilinear form is needed, and the type is
+read off the Cartan matrix of the simple roots, component by component:
+Phi is reducible when the algebra is semisimple and not simple, and its
+label is then its components', joined by '+'.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,7 +161,6 @@ class RootSystemReport:
     phi: tuple[Weight, ...]
     reflection_closure: bool
     integral_cartan: bool
-    irreducible: bool
     reduced: bool
     #: present only when every axiom was verified
     type_label: str | None
@@ -180,6 +181,11 @@ class RootSystemReport:
     def rank(self) -> int:
         return len(self.simple_roots)
 
+    @property
+    def irreducible(self) -> bool:
+        """Phi has a type of one component (its label has no '+')."""
+        return self.type_label is not None and "+" not in self.type_label
+
 
 def _generic_functional(phi: Sequence[Weight], seed: int) -> list[Rational]:
     rng = random.Random(seed)
@@ -192,86 +198,83 @@ def _generic_functional(phi: Sequence[Weight], seed: int) -> list[Rational]:
     raise DegenerateRetryExhausted("no functional separates the roots from zero")
 
 
-# reference simple-root realizations; Cartan numbers are derived from the
-# Euclidean inner product, so orientation conventions cannot drift
-def _reference_simple_roots(label: str, r: int) -> list[list[Rational]]:
-    def e(i, n):
-        v = [0] * n
-        v[i] = 1
-        return v
-
-    def sub(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    if label == "A":
-        return [sub(e(i, r + 1), e(i + 1, r + 1)) for i in range(r)]
-    if label == "B":
-        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [e(r - 1, r)]
-    if label == "C":
-        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [
-            [2 * x for x in e(r - 1, r)]
-        ]
-    if label == "D":
-        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [
-            [x + y for x, y in zip(e(r - 2, r), e(r - 1, r))]
-        ]
-    if label == "G" and r == 2:
-        return [[1, -1, 0], [-2, 1, 1]]
-    if label == "F" and r == 4:
-        return [
-            sub(e(1, 4), e(2, 4)),
-            sub(e(2, 4), e(3, 4)),
-            e(3, 4),
-            [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)],
-        ]
-    if label == "E" and r in (6, 7, 8):
-        a1 = [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)]
-        roots = [a1, [1, 1] + [0] * 6]
-        for i in range(1, 7):
-            v = [0] * 8
-            v[i], v[i - 1] = 1, -1
-            roots.append(v)
-        return roots[: r]
-    raise ValueError(label)
+#: Dynkin bonds as (-<a_j, a_i>, -<a_i, a_j>): simple, double and triple
+_BONDS = {(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
 
 
-def _cartan_matrix_of_vectors(vs: Sequence[Sequence[Rational]]) -> tuple:
-    def ip(a, b):
-        return sum(x * y for x, y in zip(a, b))
+def _connected_type(cm: tuple, nodes: list[int]) -> str | None:
+    """X_r for one connected component of a Cartan matrix of Dynkin bonds
+    (Humphreys 11.4): a tree, a path when it has a multiple bond, else at
+    most one branch node with three arms; None when of no finite type."""
+    r = len(nodes)
+    nbrs = {i: [j for j in nodes if j != i and cm[i][j]] for i in nodes}
+    multiple = [(i, j) for i in nodes for j in nbrs[i] if i < j and cm[i][j] * cm[j][i] > 1]
+    branches = [i for i in nodes if len(nbrs[i]) > 2]
+    if sum(map(len, nbrs.values())) != 2 * r - 2 or len(multiple) + len(branches) > 1:
+        return None
+    if branches:
+        b = branches[0]
 
-    return tuple(
-        tuple(qdiv(2 * ip(vi, vj), ip(vi, vi)) for vj in vs) for vi in vs
-    )
+        def arm(prev: int, k: int) -> int:
+            return 1 if len(nbrs[k]) == 1 else 1 + arm(k, next(x for x in nbrs[k] if x != prev))
+
+        arms = tuple(sorted(arm(b, k) for k in nbrs[b]))
+        if len(arms) == 3 and arms[:2] == (1, 1):
+            return f"D{r}"
+        return f"E{r}" if arms in ((1, 2, 2), (1, 2, 3), (1, 2, 4)) else None
+    if not multiple:
+        return f"A{r}"
+    (i, j), = multiple
+    if r == 2:
+        return "G2" if cm[i][j] * cm[j][i] == 3 else "B2"
+    if cm[i][j] * cm[j][i] == 3:
+        return None
+    # <a_j, a_i> = -2 makes a_i the short root of the double bond
+    short, long = (i, j) if cm[i][j] == -2 else (j, i)
+    if len(nbrs[short]) == 1:
+        return f"B{r}"
+    if len(nbrs[long]) == 1:
+        return f"C{r}"
+    return "F4" if r == 4 else None
 
 
-def _match_cartan_matrix(cm: tuple) -> str | None:
+def _dynkin_type(cm: tuple, doubled: set[int]) -> str | None:
+    """The type of a Cartan matrix read off its Dynkin diagram in O(r^2),
+    or None when it is of no finite type: X_r for each connected component,
+    or BC_r when the component holds a node of ``doubled`` (a simple root
+    of a component with doubled roots) and reads B_r or A1; the components
+    joined by '+', sorted by rank and then letter."""
     r = len(cm)
-    candidates = ["A"]
-    if r >= 2:
-        candidates += ["B", "C", "G"]
-    if r >= 3:
-        candidates += ["D", "F", "E"]
-    for label in candidates:
-        try:
-            ref = _cartan_matrix_of_vectors(_reference_simple_roots(label, r))
-        except ValueError:
+    if any(cm[i][i] != 2 for i in range(r)) or any(
+        (-cm[i][j], -cm[j][i]) not in _BONDS for i in range(r) for j in range(i) if cm[i][j] or cm[j][i]
+    ):
+        return None
+    labels, seen = [], [False] * r
+    for s in range(r):
+        if seen[s]:
             continue
-        rows = sorted(sorted(row) for row in cm)
-        if rows != sorted(sorted(row) for row in ref):
-            continue
-        for perm in itertools.permutations(range(r)):
-            if all(
-                cm[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r)
-            ):
-                return f"{label}{r}"
-    return None
+        comp, seen[s] = [s], True
+        for i in comp:  # grows while it is read
+            for j in range(r):
+                if cm[i][j] and not seen[j]:
+                    comp.append(j)
+                    seen[j] = True
+        label = _connected_type(cm, sorted(comp))
+        if label is not None and doubled.intersection(comp):
+            label = f"BC{len(comp)}" if label in ("A1", f"B{len(comp)}") else None
+        if label is None:
+            return None
+        labels.append(label)
+    return "+".join(sorted(labels, key=lambda x: (int(x.lstrip("ABCDEFG")), x)))
 
 
 def analyze_root_system(
     phi: Sequence[Weight], seed: int = DEFAULT_SEED
 ) -> RootSystemReport:
     """Verify the root-system axioms for a finite set of nonzero weights
-    and classify its type (X_r, or BC_r when some root doubles).
+    and read its type off the Dynkin diagram of its simple roots: X_r, or
+    BC_r when some root doubles, and the components joined by '+' (A1+A2)
+    when Phi is reducible.
 
     Since <beta, alpha> = 2(alpha, beta)/(alpha, alpha), a pair with
     |<beta, alpha>| > |<alpha, beta>| has |alpha| < |beta|: the short roots
@@ -293,16 +296,6 @@ def analyze_root_system(
             if _wadd(b, _wscale(-n, a)) not in phiset:
                 reflective = False
     reduced = all(_wscale(2, a) not in phiset for a in phi)
-    # irreducibility: connectivity under nonzero pairing
-    seen = {phi[0]}
-    frontier = [phi[0]]
-    while frontier:
-        a = frontier.pop()
-        for b in phi:
-            if b not in seen and numbers.get((a, b), 0) != 0:
-                seen.add(b)
-                frontier.append(b)
-    irreducible = len(seen) == len(phi)
     f = _generic_functional(phi, seed)
     positive = tuple(
         a for a in phi if sum(c * x for c, x in zip(f, a)) > 0
@@ -311,13 +304,9 @@ def analyze_root_system(
     simple = tuple(a for a in positive if a not in sums)
     label = None
     if integral and reflective:
-        base = _match_cartan_matrix(_cartan_matrix_from_numbers(simple, numbers))
-        r = len(simple)
-        if reduced:
-            label = base
-        elif base == ("A1" if r == 1 else f"B{r}"):
-            # the non-doubled roots form B_r (A1 when r = 1)
-            label = f"BC{r}"
+        # a doubled root pairs nonzero with the simple roots of its component
+        doubled = {i for a in phi if _wscale(2, a) in phiset for i, s in enumerate(simple) if numbers[(s, a)]}
+        label = _dynkin_type(_cartan_matrix_from_numbers(simple, numbers), doubled)
     root_coords = {}
     short: tuple[Weight, ...] = ()
     if label is not None:
@@ -331,7 +320,7 @@ def analyze_root_system(
             root_coords = {a: tuple(x.get(t, 0) for t in range(len(simple))) for a, x in zip(phi, sol)}
         short = tuple(a for a in phi if any(abs(numbers[(a, b)]) > abs(numbers[(b, a)]) for b in phi))
     return RootSystemReport(
-        phi, reflective, integral, irreducible, reduced, label, simple, positive,
+        phi, reflective, integral, reduced, label, simple, positive,
         numbers, root_coords, short,
     )
 

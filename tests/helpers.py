@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import chain, islice, product
+from itertools import chain, islice, permutations, product
 from math import gcd, lcm, prod
 
 import sympy
@@ -36,8 +36,8 @@ from gradalg.exactla import (
     gauss_jordan,
     inverse,
     poly_normalize,
+    qdiv,
     rational_roots,
-    smith_normal_form,
     solve,
     sparse_nullspace,
     sparse_rows,
@@ -947,6 +947,104 @@ def reflection_closure(simple) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Dynkin types by permutation matching: the former type reader, as an oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_simple_roots(label: str, r: int) -> list[list]:
+    """Euclidean simple roots of the connected type ``label``_r (A, B, C,
+    D, and E6-E8, F4, G2), so Cartan numbers derived from the inner
+    product cannot drift in orientation."""
+    def e(i, n):
+        v = [0] * n
+        v[i] = 1
+        return v
+
+    def sub(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    if label == "A":
+        return [sub(e(i, r + 1), e(i + 1, r + 1)) for i in range(r)]
+    if label == "B":
+        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [e(r - 1, r)]
+    if label == "C":
+        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [[2 * x for x in e(r - 1, r)]]
+    if label == "D":
+        return [sub(e(i, r), e(i + 1, r)) for i in range(r - 1)] + [
+            [x + y for x, y in zip(e(r - 2, r), e(r - 1, r))]
+        ]
+    if label == "G" and r == 2:
+        return [[1, -1, 0], [-2, 1, 1]]
+    if label == "F" and r == 4:
+        return [sub(e(1, 4), e(2, 4)), sub(e(2, 4), e(3, 4)), e(3, 4), [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)]]
+    if label == "E" and r in (6, 7, 8):
+        a1 = [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)]
+        roots = [a1, [1, 1] + [0] * 6]
+        for i in range(1, 7):
+            v = [0] * 8
+            v[i], v[i - 1] = 1, -1
+            roots.append(v)
+        return roots[:r]
+    raise ValueError(label)
+
+
+def cartan_matrix_of_vectors(vs) -> tuple:
+    """Entry (i, j) = 2(v_i, v_j)/(v_i, v_i) for the Euclidean inner product."""
+    def ip(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    return tuple(tuple(qdiv(2 * ip(vi, vj), ip(vi, vi)) for vj in vs) for vi in vs)
+
+
+def permutation_cartan_type(cm: tuple) -> str | None:
+    """Oracle for ``lieroot._dynkin_type`` on a connected reduced type: the
+    first reference type whose Cartan matrix equals ``cm`` under some
+    simultaneous permutation of rows and columns, tried over all r!
+    orderings; None otherwise (and for every reducible matrix)."""
+    r = len(cm)
+    candidates = ["A"]
+    if r >= 2:
+        candidates += ["B", "C", "G"]
+    if r >= 3:
+        candidates += ["D", "F", "E"]
+    for label in candidates:
+        try:
+            ref = cartan_matrix_of_vectors(reference_simple_roots(label, r))
+        except ValueError:
+            continue
+        if sorted(sorted(row) for row in cm) != sorted(sorted(row) for row in ref):
+            continue
+        for perm in permutations(range(r)):
+            if all(cm[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r)):
+                return f"{label}{r}"
+    return None
+
+
+def direct_sum_grading(a: Grading, b: Grading) -> Grading:
+    """The direct sum of two gradings by free groups Z^p and Z^q: the
+    homogeneous bases side by side, each operation's structure constants
+    on its own block, graded by Z^(p+q) with a's degrees in the first p
+    coordinates and b's in the last q."""
+    if a.group.invariants or b.group.invariants:
+        raise ValueError("direct sums are built for free grading groups only")
+    p, q, n = a.group.free_rank, b.group.free_rank, a.algebra.dimension
+    ops = []
+    for x, y in zip(a.homog_algebra.operations, b.homog_algebra.operations, strict=True):
+        tensor = dict(x.tensor)
+        tensor.update(
+            {tuple(n + i for i in key): {n + j: c for j, c in vec.items()} for key, vec in y.tensor.items()}
+        )
+        ops.append(MultilinearOp(x.name, x.arity, tensor))
+    alg = StructureAlgebra(
+        f"{a.algebra.name}+{b.algebra.name}", n + b.algebra.dimension, ops, a.algebra.flags & b.algebra.flags
+    )
+    group = FgAbGroup(p + q, ())
+    degrees = [group.element(list(d.coords) + [0] * q) for d in a.degrees]
+    degrees += [group.element([0] * p + list(d.coords)) for d in b.degrees]
+    return Grading(alg, group, degrees)
+
+
+# ---------------------------------------------------------------------------
 # Classical Lie algebras with two root lengths: so(2r+1), sp(2r) and so(2r)
 # with their Cartan gradings, and sl_n graded by an involution
 # ---------------------------------------------------------------------------
@@ -1456,7 +1554,7 @@ def chain_repaired_smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix
                 if a[i + 1][i + 1] < 0:
                     negate_row(i + 1)
                 changed = True
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
+    return IntMatrix(a, cols), IntMatrix(u, rows), IntMatrix(v, cols)
 
 
 def rational_section(u: IntMatrix, rows) -> IntMatrix:
@@ -1474,14 +1572,14 @@ def rational_section(u: IntMatrix, rows) -> IntMatrix:
 
 
 def single_integer_solve(m: IntMatrix, v) -> list[int] | None:
-    """One integer solution x of M x = v from a Smith form of M of its own,
-    or None if none exists."""
+    """One integer solution x of M x = v from a Smith form U M V = S of M
+    of its own (the oracle's, which keeps V), or None if none exists."""
     v = [int(x) for x in v]
     if len(v) != m.rows:
         raise ShapeError("vector length mismatch")
-    snf = smith_normal_form(m)
-    uv = snf.U.matvec(v)
-    d = snf.diagonal()
+    s, u, vm = chain_repaired_smith_normal_form(m)
+    uv = u.matvec(v)
+    d = [s[i, i] for i in range(min(m.rows, m.cols))]
     z = [0] * m.cols
     for i in range(m.rows):
         di = d[i] if i < len(d) else 0
@@ -1493,7 +1591,7 @@ def single_integer_solve(m: IntMatrix, v) -> list[int] | None:
                 return None
             if i < m.cols:
                 z[i] = uv[i] // di
-    return list(snf.V.matvec(z))
+    return list(vm.matvec(z))
 
 
 def dense_root_coords(rep) -> dict:

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradalg import cli
-from gradalg.algcore import StructureAlgebra
+from gradalg.algcore import StructureAlgebra, algebra_to_dict
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
+
+from helpers import direct_sum_grading
 
 
 TRIVIAL_GROUP = {"free_rank": 0, "invariants": []}
@@ -820,6 +822,15 @@ class TestExitCodes:
         f = write_ws(tmp_path, catalog_workspace("a3-fine"))
         code, _, err = run(capsys, "rootsys", f)
         assert code == 4
+
+    def test_root_graded_on_a_semisimple_algebra_that_is_not_simple_is_4(self, tmp_path, capsys):
+        # rootsys reads the reducible Phi of sl2 + sl3 (A1+A2); root-graded
+        # builds the adapted Phi-grading of a simple algebra only
+        gr = direct_sum_grading(get_catalog("cartan-sl2").grading, get_catalog("cartan-sl3").grading)
+        f = write_ws(tmp_path, {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict("s", gr.algebra.name, gr)]})
+        assert run(capsys, "rootsys", f)[:2] == (0, "root system of s: A1+A2 with 8 roots\n")
+        code, out, err = run(capsys, "root-graded", f)
+        assert (code, out, err) == (4, "", "internal consistency failure: the ambient algebra is not simple\n")
 
     @pytest.mark.parametrize("command", ["rootsys", "root-graded"])
     @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from gradalg.exactla import (
     RatMatrix,
     Subspace,
     _eigen_split,
+    _integer_row,
     column_hnf,
     combine_rows,
     coordinate_reader,
@@ -203,8 +204,10 @@ class TestDenseShapes:
         assert IntMatrix.zeros(0, 2).hstack(IntMatrix.zeros(0, 3)).shape == (0, 5)
         assert IntMatrix.zeros(2, 0).hstack(IntMatrix.identity(2)) == IntMatrix.identity(2)
         res = smith_normal_form(IntMatrix.zeros(0, 4))
-        assert (res.S.shape, res.U.shape, res.V.shape, res.U_inv.shape) == ((0, 4), (0, 0), (4, 4), (0, 0))
-        assert res.V == IntMatrix.identity(4) and res.diagonal() == ()
+        s, u, v = chain_repaired_smith_normal_form(IntMatrix.zeros(0, 4))
+        assert (res.S, res.U) == (s, u)
+        assert (res.S.shape, res.U.shape, v.shape, res.U_inv.shape) == ((0, 4), (0, 0), (4, 4), (0, 0))
+        assert v == IntMatrix.identity(4) and res.diagonal() == ()
         assert integer_kernel(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
 
     def test_a_rational_matrix_is_not_an_integer_matrix(self):
@@ -1314,11 +1317,14 @@ class TestSubspaceSplit:
 
 class TestSmithNormalForm:
     def check_snf(self, m):
+        # V is the oracle's: smith_normal_form does not build it
         res = smith_normal_form(m)
-        assert res.U * m * res.V == res.S
+        s, u, v = chain_repaired_smith_normal_form(m)
+        assert (res.S, res.U) == (s, u)
+        assert res.U * m * v == res.S
         assert res.U * res.U_inv == res.U_inv * res.U == IntMatrix.identity(m.rows)
         assert abs(to_sympy(res.U).det()) == 1
-        assert abs(to_sympy(res.V).det()) == 1
+        assert abs(to_sympy(v).det()) == 1
         d = res.diagonal()
         assert all(x >= 0 for x in d)
         for i in range(len(d) - 1):
@@ -1375,7 +1381,8 @@ class TestSmithNormalForm:
         for trial in range(2000):
             m = self.snf_input(rng)
             res = smith_normal_form(m)
-            assert (res.S, res.U, res.V) == chain_repaired_smith_normal_form(m), f"trial {trial}: {m}"
+            s, u, v = chain_repaired_smith_normal_form(m)
+            assert (res.S, res.U) == (s, u) and u * m * v == s, f"trial {trial}: {m}"
             assert res.U * res.U_inv == res.U_inv * res.U == IntMatrix.identity(m.rows), f"trial {trial}: {m}"
 
 
@@ -1427,6 +1434,22 @@ class TestHermite:
             k = integer_kernel(m)
             assert not any(x for row in (m * k).data for x in row)
             assert k.cols == 4 - rank(RatMatrix(m.data))
+
+    def test_integer_kernel_matches_the_kernel_of_a_smith_form(self):
+        # the former path: the last cols - rank columns of V, in canonical HNF
+        rng = random.Random(53)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 7)
+            m = IntMatrix([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)], cols)
+            s, _, v = chain_repaired_smith_normal_form(m)
+            r = sum(1 for i in range(min(rows, cols)) if s[i, i])
+            assert integer_kernel(m) == column_hnf(IntMatrix.from_columns(v.columns()[r:], rows=cols)), m
+
+
+def test_integer_rows_scale_by_the_lcm_of_the_denominators():
+    assert _integer_row({0: 2, 1: 0, 4: -3}) == {0: 2, 4: -3}
+    scaled = _integer_row({0: Q(1, 2), 2: Q(-2, 3), 3: 0, 5: 4})
+    assert scaled == {0: 3, 2: -4, 5: 24} and all(type(x) is int for x in scaled.values())
 
 
 def test_sources_use_no_floating_point():

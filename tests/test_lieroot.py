@@ -1,7 +1,9 @@
 """Root-system extraction and root-graded decompositions."""
 
+import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
 
@@ -21,9 +23,8 @@ from gradalg.errors import (
 )
 from gradalg.grading import Grading, universal_abelian_group
 from gradalg.lieroot import (
-    _cartan_matrix_of_vectors,
+    _dynkin_type,
     _proportional,
-    _reference_simple_roots,
     _wscale,
     analyze_root_system,
     extract_root_system,
@@ -34,11 +35,16 @@ from gradalg.lieroot import (
 )
 
 from helpers import (
+    cartan_matrix_of_vectors,
     classical_cartan_grading,
     dense_root_coords,
+    direct_sum_grading,
     is_canonical,
+    permutation_cartan_type,
     probed_cartan_number,
+    reference_simple_roots,
     reflection_closure,
+    signed_permutation,
     sl_involution_grading,
     sparse,
     span_of,
@@ -53,9 +59,6 @@ def test_weight_ratios_and_scalings_are_canonical():
     assert _proportional((1, 1), (1, 2)) is None and _proportional((1, 0), (0, 1)) is None
     halved = _wscale(Q(1, 2), (2, -2, 0, 1)) + _wscale(2, (Q(1, 2), 3))
     assert halved == (1, -1, 0, Q(1, 2), 1, 6) and all(map(is_canonical, halved))
-    for label, r in (("B", 3), ("G", 2), ("F", 4), ("E", 8)):
-        cm = _cartan_matrix_of_vectors(_reference_simple_roots(label, r))
-        assert all(type(x) is int for row in cm for x in row) and all(row[i] == 2 for i, row in enumerate(cm))
 
 
 def trivial_grading(alg):
@@ -113,7 +116,18 @@ class TestAnalyzeRootSystem:
     def test_reducible(self):
         phi = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         rep = analyze_root_system([tuple(map(Q, a)) for a in phi])
-        assert not rep.irreducible  # A1 x A1
+        assert not rep.irreducible and rep.type_label == "A1+A1"
+        assert rep.root_coords and rep.root_coords == dense_root_coords(rep)
+
+    def test_reducible_with_a_doubled_component(self):
+        # BC1 on the first coordinate, A1 on the second, and B2 beside BC1
+        phi = [(1, 0), (2, 0), (0, 1)]
+        rep = analyze_root_system([tuple(Q(s * x) for x in a) for a in phi for s in (1, -1)])
+        assert not rep.irreducible and not rep.reduced and rep.type_label == "A1+BC1"
+        phi = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1), (0, 0, 2)]
+        rep = analyze_root_system([tuple(Q(s * x) for x in a) for a in phi for s in (1, -1)])
+        assert rep.type_label == "BC1+B2" and rep.rank == 3
+        assert rep.root_coords == dense_root_coords(rep)
 
     def test_root_coords_of_random_linear_images(self):
         # A2, B2, G2 and BC2 under seeded injective maps Q^2 -> Q^2 or Q^3
@@ -155,7 +169,7 @@ class TestAnalyzeRootSystem:
     def test_short_roots_are_the_least_euclidean_length(self, label):
         # the roots by reflection closure of the reference simple roots,
         # their lengths by the Euclidean inner product
-        phi = reflection_closure(lieroot._reference_simple_roots(label[0], int(label[1:])))
+        phi = reflection_closure(reference_simple_roots(label[0], int(label[1:])))
         rep = analyze_root_system(phi)
         assert rep.type_label == label
         lengths = {a: sum(x * x for x in a) for a in phi}
@@ -163,6 +177,112 @@ class TestAnalyzeRootSystem:
         expected = {a for a in phi if lengths[a] == least} if len(set(lengths.values())) == 2 else set()
         assert set(rep.short_roots) == expected
         assert len(rep.short_roots) == len(set(rep.short_roots))
+
+
+def bonded(r: int, bonds) -> tuple:
+    """The r x r matrix with 2 on the diagonal and, for each (i, j, a, b)
+    in ``bonds``, entries (i, j) = -a and (j, i) = -b."""
+    cm = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j, a, b in bonds:
+        cm[i][j], cm[j][i] = -a, -b
+    return tuple(map(tuple, cm))
+
+
+def chain(*nodes) -> list:
+    """Simple bonds along the path through ``nodes``."""
+    return [(i, j, 1, 1) for i, j in zip(nodes, nodes[1:])]
+
+
+def shuffled(cm: tuple, perm) -> tuple:
+    return tuple(tuple(cm[i][j] for j in perm) for i in perm)
+
+
+def block_sum(*cms) -> tuple:
+    r = sum(map(len, cms))
+    out, at = [[0] * r for _ in range(r)], 0
+    for cm in cms:
+        for i, row in enumerate(cm):
+            out[at + i][at : at + len(row)] = row
+        at += len(cm)
+    return tuple(map(tuple, out))
+
+
+def reference_cartan(label: str) -> tuple:
+    return cartan_matrix_of_vectors(reference_simple_roots(label[0], int(label[1:])))
+
+
+FINITE_TYPES = (
+    [f"A{r}" for r in range(1, 10)]
+    + [f"B{r}" for r in range(2, 10)]
+    + [f"C{r}" for r in range(3, 10)]
+    + [f"D{r}" for r in range(4, 10)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+class TestDynkinReader:
+    """``_dynkin_type`` against the permutation matcher it replaced, on
+    every connected type under seeded shuffles of the simple roots, and on
+    matrices of no finite type."""
+
+    @pytest.mark.parametrize("label", FINITE_TYPES)
+    def test_matches_the_permutation_oracle_under_shuffles(self, label):
+        cm = reference_cartan(label)
+        assert permutation_cartan_type(cm) == label
+        r, rng = len(cm), random.Random(label)
+        for _ in range(3):
+            perm = rng.sample(range(r), r)
+            assert _dynkin_type(shuffled(cm, perm), set()) == label
+            if r <= 5:  # the oracle tries all r! orderings
+                assert permutation_cartan_type(shuffled(cm, perm)) == label
+
+    @pytest.mark.parametrize(
+        "cm",
+        [
+            bonded(3, chain(0, 1, 2, 0)),
+            bonded(5, chain(1, 0, 2) + chain(3, 0, 4)),
+            bonded(7, chain(1, 2, 0, 3, 4) + chain(0, 5, 6)),
+            bonded(9, chain(1, 0, 2, 3) + chain(0, 4, 5, 6, 7, 8)),
+            bonded(5, chain(0, 1) + [(1, 2, 2, 1)] + chain(2, 3, 4)),
+            bonded(3, [(0, 1, 3, 1)] + chain(1, 2)),
+            bonded(2, [(0, 1, -1, -1)]),
+            bonded(2, [(0, 1, 1, 0)]),
+            bonded(2, [(0, 1, 2, 2)]),
+            bonded(2, [(0, 1, 4, 1)]),
+            bonded(4, chain(0, 1) + [(1, 2, 2, 1), (2, 3, 2, 1)]),
+            bonded(4, [(0, 1, 2, 1)] + chain(1, 2) + chain(1, 3)),
+            ((3, -1), (-1, 2)),
+        ],
+        ids=[
+            "A2-cycle", "D4-four-arms", "arms-2-2-2", "arms-1-2-5", "double-bond-inside-5-path",
+            "triple-bond-rank-3", "positive-entry", "asymmetric-zero", "bond-2-2", "bond-4-1",
+            "two-double-bonds", "double-bond-and-branch", "diagonal-3",
+        ],
+    )
+    def test_no_finite_type(self, cm):
+        assert _dynkin_type(cm, set()) is None
+        assert _dynkin_type(block_sum(reference_cartan("A1"), cm), set()) is None
+
+    def test_doubled_components(self):
+        # BC_r is B_r or A1 with doubled roots; any other doubled type is none
+        b3, c3, a1, a2 = (reference_cartan(x) for x in ("B3", "C3", "A1", "A2"))
+        assert _dynkin_type(b3, {0}) == "BC3" and _dynkin_type(a1, {0}) == "BC1"
+        assert _dynkin_type(c3, {2}) is None and _dynkin_type(a2, {1}) is None
+        assert _dynkin_type(block_sum(a2, b3), {4}) == "A2+BC3"
+        assert _dynkin_type(block_sum(a2, b3), {0}) is None
+
+    def test_reducible_labels_are_sorted_by_rank_then_letter(self):
+        rng = random.Random(31)
+        for parts, label in [
+            (("B2", "A2"), "A2+B2"),
+            (("A2", "A1"), "A1+A2"),
+            (("G2", "A1", "E6", "B2", "A2", "A1"), "A1+A1+A2+B2+G2+E6"),
+            (("D4", "C3", "F4", "B3"), "B3+C3+D4+F4"),
+        ]:
+            cm = block_sum(*map(reference_cartan, parts))
+            for _ in range(3):
+                perm = rng.sample(range(len(cm)), len(cm))
+                assert _dynkin_type(shuffled(cm, perm), set()) == label
 
 
 class TestExtractRootSystem:
@@ -397,6 +517,81 @@ class TestTwoRootLengths:
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == label
         assert tuple(report["dims"][k] for k in ("g", "A", "s", "B", "W", "C", "D")) == dims
+
+
+def workspace_of(tmp_path, gr) -> str:
+    doc = {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict("gr", gr.algebra.name, gr)]}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestReducibleRootSystems:
+    """``rootsys`` on a semisimple algebra that is not simple: the Cartan
+    grading of a direct sum has a reducible Phi, labelled by its
+    components."""
+
+    @pytest.mark.parametrize(
+        "parts, label, rank, roots",
+        [
+            (("cartan-sl2", "cartan-sl3"), "A1+A2", 3, 8),
+            (("cartan-sl2", "cartan-sl2"), "A1+A1", 2, 4),
+            (("so5", "cartan-sl3"), "A2+B2", 4, 14),
+        ],
+        ids=["sl2+sl3", "sl2+sl2", "so5+sl3"],
+    )
+    def test_rootsys_labels_the_components(self, parts, label, rank, roots, tmp_path, capsys):
+        summands = [classical_cartan_grading("B", 2) if p == "so5" else get_catalog(p).grading for p in parts]
+        gr = direct_sum_grading(*summands)
+        for variant in (gr, signed_permutation(gr, random.Random(label))):
+            path = workspace_of(tmp_path, variant)
+            for seed in ("0", "1"):
+                assert main(["rootsys", path, "--json", "--seed", seed]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert (report["type"], report["rank"], len(report["roots"])) == (label, rank, roots)
+                assert report["flags"] == {"reflection_closure": True, "integral_cartan": True, "irreducible": False}
+                assert report["zero_weight_dim"] == rank
+
+    def test_reducible_phi_on_a_simple_algebra_is_4(self, tmp_path, capsys, monkeypatch):
+        # a Phi that reads as reducible on a simple algebra fails a cross-check
+        real = lieroot.analyze_root_system
+
+        def reducible(phi, seed):
+            return dataclasses.replace(real(phi, seed), type_label="A1+A1")
+
+        monkeypatch.setattr(lieroot, "analyze_root_system", reducible)
+        path = workspace_of(tmp_path, get_catalog("cartan-sl3").grading)
+        assert main(["rootsys", path]) == 4
+        assert capsys.readouterr().err == "internal consistency failure: reducible root system on a simple algebra\n"
+
+
+class TestClassicalPipelines:
+    """``der``, ``trank``, ``almost-fine``, ``ugroup`` and
+    ``refine-canonical`` on the Cartan gradings of so(2r+1), sp(2r) and
+    so(2r) against theory: every derivation is inner, the toral rank is
+    r, U(Gamma) = Z^r, the grading is almost fine, and its canonical
+    refinement keeps the components."""
+
+    @pytest.mark.parametrize("kind, r, dim", [("B", 3, 21), ("C", 3, 21), ("D", 4, 28), ("B", 4, 36)])
+    def test_against_theory(self, kind, r, dim, tmp_path, capsys):
+        gr = classical_cartan_grading(kind, r)
+        path = workspace_of(tmp_path, gr)
+
+        def report(command):
+            assert main([command, path, "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        der = report("der")
+        assert der["total_dim"] == dim and der["identity_dim"] == r
+        assert report("trank")["trank"] == r
+        af = report("almost-fine")
+        assert af["almost_fine"] and af["trank"] == af["rank_uab"] == r
+        assert report("ugroup")["universal_group"] == {"free_rank": r, "invariants": []}
+        refined = report("refine-canonical")
+        assert refined["trank"] == r
+        assert sorted(c["dim"] for c in der["components"]) == sorted(
+            Counter(map(tuple, refined["refined"]["degrees"])).values()
+        )
 
 
 class TestWeightDecomposition:
