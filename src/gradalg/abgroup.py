@@ -121,9 +121,6 @@ class FgAbGroup:
             cols.append(v)
         return IntMatrix.from_columns(cols, rows=n)
 
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup.from_generators(self, self.generators())
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -336,9 +333,6 @@ class GroupHom:
         identity."""
         m = self.matrix.hstack(self.codomain.relation_lattice())
         return column_hnf(m) == IntMatrix.identity(self.codomain.ngens)
-
-    def is_injective(self) -> bool:
-        return self.kernel().order() == 1
 
     def is_isomorphism(self) -> bool:
         """Bijectivity.  Groups in canonical form are isomorphic only when

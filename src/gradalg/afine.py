@@ -120,17 +120,12 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
     found as 0-generalized-eigenspaces of adjoints of candidate
     elements, lazily and in a deterministic order."""
     d = alg.dimension
-    if d == 0:
-        yield Subspace(0, {})
-        return
     produced = False
     for x in _element_candidates(d, rng):
-        if not x:
-            continue
         adx = alg.ad_matrix(x)
         nil = nullspace(adx.power(d))
         # nilspace of a generic element is a Cartan subalgebra; verify
-        if nil.dim == 0 or not _is_cartan(alg, nil):
+        if not _is_cartan(alg, nil):
             continue
         produced = True
         yield nil
@@ -149,9 +144,8 @@ def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
     non-split, the last NonSplitError is re-raised (and when there is no
     candidate at all, ``cartan_candidates`` raises DegenerateRetryExhausted)."""
     nonsplit = None
-    basis = space.sparse_vectors()
     for h_small in cartan_candidates(small, random.Random(seed)):
-        h = Subspace.span(space.dim_ambient, (combine_rows(v, basis) for v in h_small.sparse_vectors()))
+        h = space.embed(h_small)
         try:
             return h, split(h)
         except NonSplitError as exc:

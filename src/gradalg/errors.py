@@ -2,7 +2,13 @@
 
 
 class GradAlgError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``witness``,
+    passed by keyword, is the data that shows the failure, when one is
+    carried (the flag, degree, automorphism and verification checks)."""
+
+    def __init__(self, *args, witness=None):
+        super().__init__(*args)
+        self.witness = witness
 
 
 class ShapeError(GradAlgError):
@@ -30,25 +36,13 @@ class CapExceeded(GradAlgError):
 class FlagViolation(GradAlgError):
     """An asserted algebra property (lie, associative) fails; carries a witness."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class IncompatibleDegrees(GradAlgError):
     """A degree assignment violates grading compatibility; carries a witness."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotAutomorphism(GradAlgError):
     """A supplied linear map is not an algebra automorphism."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotASubgroup(GradAlgError):
@@ -70,10 +64,6 @@ class SectionInvalid(GradAlgError):
 
 class VerificationFailure(GradAlgError):
     """A structural verification failed; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class AxiomFailure(GradAlgError):

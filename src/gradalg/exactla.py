@@ -1,29 +1,30 @@
 """Exact linear algebra over the rationals and integers.
 
-One scalar type, an exact rational ``int | Fraction`` in canonical form:
-an ``int`` when the value is integral, a ``Fraction`` only when it is not
+One scalar type, an exact rational ``int | Fraction`` in canonical form: an
+``int`` when the value is integral, a ``Fraction`` only when it is not
 (``rational``, ``qdiv``); no float enters.  One vector format and one
-operator format: a vector is a sparse dict ``{index: scalar}`` with no
-zero entries, and an operator is the list of its sparse rows ``{column:
+operator format: a vector is a sparse dict ``{index: scalar}`` with no zero
+entries, and an operator is the list of its sparse rows ``{column:
 scalar}``.  One sparse Gauss-Jordan elimination, fraction-free on integer
-rows, is behind every echelon form, kernel and solve over Q; one subspace type, ``Subspace``, keeps the
-canonical basis that one such elimination gives, as sparse columns, and
-every kernel, sum, intersection and eigenspace is one.  One spectral routine, the
-generalized eigenspaces of an operator, is behind the simultaneous
-eigenspace decompositions of commuting operators and the Jordan-Chevalley
-semisimple part.  It runs block by block: an operator is the direct sum
-of its restrictions to the coordinate blocks it preserves (the connected
-components of its nonzero entries), a 1 x 1 block [a] is its own
-eigenvalue, eigenspace and semisimple part, and only a larger block goes
-through its minimal polynomial.  The Smith normal form U M V = S, kept as
-S, U and U^-1 (V is not built), is behind every presentation; an integer
-kernel is read off the column Hermite form of M stacked over I.  One
-immutable dense matrix class keeps the shape, with an explicit column
-count, so 0 x n and n x 0 matrices exist; ``RatMatrix`` (rationals) and
-``IntMatrix`` (exact integers) fix its entry type.  The dense ``RatMatrix`` is for matrices that enter or leave
-the program; ``rref``, ``rank``, ``solve`` and ``inverse`` on it are the
-dense API of tests and tracing.  Everything is exact; non-rational
-spectra raise NonSplitError instead of being approximated.
+rows, is behind every echelon form, kernel and solve over Q; one subspace
+type, ``Subspace``, keeps a canonical basis as sparse columns, read off one
+elimination (a kernel's, with the columns in decreasing order) or carried
+with none (``embed``).  One spectral routine, the generalized eigenspaces of
+an operator, is behind the simultaneous eigenspace decompositions of
+commuting operators and the Jordan-Chevalley semisimple part.  It runs block
+by block: an operator is the direct sum of its restrictions to the
+coordinate blocks it preserves (the connected components of its nonzero
+entries), a 1 x 1 block [a] is its own eigenvalue, eigenspace and semisimple
+part, and only a larger block goes through its minimal polynomial.  The Smith
+normal form U M V = S, kept as S, U and U^-1 (V is not built), is behind
+every presentation; an integer kernel is read off the column Hermite form of
+M stacked over I.  One immutable dense matrix class keeps the shape, with an
+explicit column count, so 0 x n and n x 0 matrices exist; ``RatMatrix``
+(rationals) and ``IntMatrix`` (exact integers) fix its entry type.  The dense
+``RatMatrix`` is for matrices that enter or leave the program; ``rref``,
+``rank``, ``solve`` and ``inverse`` on it are the dense API of tests and
+tracing.  Everything is exact; non-rational spectra raise NonSplitError
+instead of being approximated.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def gauss_jordan(
 
 
 def _integer_echelon(
-    rows: Iterable[Mapping[int, Rational]], ncols: int, max_rank: int | None = None
+    rows: Iterable[Mapping[int, Rational]], ncols: int, max_rank: int | None = None, first=min
 ) -> dict[int, dict[int, int]]:
     """The elimination behind ``gauss_jordan``, as {pivot column: primitive
     integer row} in the order the pivots were found.
@@ -215,13 +216,14 @@ def _integer_echelon(
     The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
     row read is scaled by the lcm of its denominators to integers and
     reduced against the rows kept so far, each a primitive integer row,
-    positive at its pivot, 0 at every other pivot and 0 left of its pivot;
+    positive at its pivot, 0 at every other pivot and 0 before its pivot
+    in the column order (increasing, or decreasing with ``first=max``);
     one reduction step is d*row - f*kept, then division by the gcd of the
-    entries.  If the row does not vanish, its first column becomes a pivot
-    and that column is cleared from the kept rows the same way.  Reading
-    stops once ``max_rank`` columns (default: every column) have a pivot;
-    a caller that knows the rank of the rows is at most ``max_rank`` gets
-    the whole row space."""
+    entries.  If the row does not vanish, its first column in that order
+    becomes a pivot and is cleared from the kept rows the same way.
+    Reading stops once ``max_rank`` columns (default: every column) have a
+    pivot; a caller that knows the rank of the rows is at most
+    ``max_rank`` gets the whole row space."""
     reduced: dict[int, dict[int, int]] = {}
     rows = iter(rows)
     stop = ncols if max_rank is None else max_rank
@@ -230,7 +232,7 @@ def _integer_echelon(
         for p in [c for c in row if c in reduced]:
             _eliminate(row, p, reduced[p])
         if row:
-            pivot = min(row)
+            pivot = first(row)
             g = math.gcd(*row.values())
             if row[pivot] < 0:
                 g = -g
@@ -333,24 +335,19 @@ def rank(m: RatMatrix) -> int:
     return len(gauss_jordan(sparse_rows(m.data), m.cols))
 
 
-def kernel_vectors(rows: Iterable[Mapping[int, Rational]], ncols: int):
-    """A sparse basis of the kernel of the sparse rows ``{column:
-    coefficient}`` in ``ncols`` unknowns, from their reduced echelon form
-    (``_free_vectors``)."""
-    return _free_vectors(_integer_echelon(rows, ncols), ncols)
-
-
 def _free_vectors(reduced: Mapping[int, Mapping[int, int]], ncols: int):
     """The kernel basis of a reduced echelon form {pivot: integer row} from
-    ``_integer_echelon``: for each free column f, the vector that is 1 at
-    f, 0 at the other free columns and -row[f] / row[pivot] at each row's
-    pivot.  Only the entries that are not integers become ``Fraction``s."""
+    ``_integer_echelon``, as (f, vector) for each free column f, increasing:
+    1 at f, 0 at the other free columns and -row[f] / row[pivot] at each
+    row's pivot, so nonzero only where a row's pivot comes before f in the
+    column order: its last nonzero entry is f for ``first=min``, and for
+    ``first=max`` it is the canonical basis vector with pivot f."""
     pivots = sorted(reduced)
     for f in range(ncols):
         if f not in reduced:
-            vec = {p: qdiv(-row[f], row[p]) for p in pivots if f in (row := reduced[p])}
-            vec[f] = 1
-            yield vec
+            vec = {f: 1}
+            vec.update((p, qdiv(-row[f], row[p])) for p in pivots if f in (row := reduced[p]))
+            yield f, vec
 
 
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -395,16 +392,15 @@ def _pivot_coords(vec: Mapping, pivots: Sequence[int], basis: Sequence[Mapping])
 class Subspace:
     """A subspace of Q^n with its canonical basis, the reduced column echelon
     basis: each vector is 1 at its pivot (its first nonzero coordinate) and
-    0 at the others' pivots, so equal subspaces have equal bases.  That
-    basis is the {pivot: sparse vector} result of one ``gauss_jordan``,
-    taken as it is: of spanning vectors (``span``, ``add``) or of kernel
-    vectors (``sparse_nullspace``, ``nullspace``, ``intersect``).  The zero
+    0 at the others' pivots, so equal subspaces have equal bases.  It costs
+    one elimination, of spanning vectors (``span``, ``add``) or of a system
+    (``sparse_nullspace``, ``intersect``), or none (``embed``).  The zero
     space of Q^n is ``Subspace(n, {})``."""
 
     __slots__ = ("dim_ambient", "_pivots", "_columns")
 
     def __init__(self, dim_ambient: int, reduced: Mapping[int, Mapping[int, Rational]]):
-        """The subspace with the canonical basis ``reduced``, {pivot: vector} from gauss_jordan."""
+        """The subspace with the canonical basis ``reduced``, {pivot: vector} sorted by pivot."""
         object.__setattr__(self, "dim_ambient", dim_ambient)
         object.__setattr__(self, "_pivots", list(reduced))
         object.__setattr__(self, "_columns", list(reduced.values()))
@@ -444,16 +440,29 @@ class Subspace:
     def annihilator(self) -> list[dict[int, Rational]]:
         """A basis of the functionals vanishing on the subspace, as sparse
         vectors q with sum_r q[r] w[r] = 0 for every w in it."""
-        return list(kernel_vectors(self._columns, self.dim_ambient))
+        return sparse_nullspace(self.dim_ambient, self._columns).sparse_vectors()
+
+    def embed(self, sub: "Subspace") -> "Subspace":
+        """B(sub) for the canonical basis B and a subspace ``sub`` of
+        Q^dim, with no elimination.  Each column of B is 1 at its own pivot,
+        0 at the other columns' pivots and 0 before its own, so if v is 1 at
+        t, 0 at the other vectors' pivots and 0 before t, then B v is 1 at
+        B's pivot t, 0 at B's pivots of the others and 0 before B's pivot t:
+        B carries the canonical basis of ``sub`` to that of B(sub)."""
+        if sub.dim_ambient != self.dim:
+            raise ShapeError("ambient mismatch")
+        image = {self._pivots[t]: combine_rows(v, self._columns) for t, v in zip(sub._pivots, sub._columns)}
+        return Subspace(self.dim_ambient, image)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The span of A x over the kernel vectors (x, y) of [A | B], for
-        the canonical bases A and B, since A x = B (-y)."""
+        """A(X) for the x-parts X of the kernel of [A | B] (A x = B (-y)), A and
+        B the canonical bases: as B y = 0 only for y = 0, each canonical kernel
+        vector has its pivot in x, so the x-parts are X's canonical basis."""
         self._check_ambient(other)
         system = transpose(self._columns + other._columns, self.dim_ambient)
-        kernel = kernel_vectors(system, self.dim + other.dim)
-        meets = (combine_rows({t: x for t, x in v.items() if t < self.dim}, self._columns) for v in kernel)
-        return Subspace.span(self.dim_ambient, meets)
+        kernel = sparse_nullspace(self.dim + other.dim, system)
+        parts = {t: {s: x for s, x in v.items() if s < self.dim} for t, v in zip(kernel._pivots, kernel._columns)}
+        return self.embed(Subspace(self.dim, parts))
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -478,21 +487,19 @@ class Subspace:
 def sparse_nullspace(
     ncols: int, rows: Iterable[Mapping[int, Rational]], known: Iterable[Mapping[int, Rational]] = ()
 ) -> Subspace:
-    """The kernel of the sparse rows ``{column: coefficient}`` in ``ncols`` unknowns: one elimination
-    of the rows, read as a stream, and one of its kernel vectors.
+    """The kernel of the sparse rows ``{column: coefficient}`` in ``ncols``
+    unknowns: the free vectors, already canonical, of one elimination of
+    the rows, read as a stream, with the columns in decreasing order.
 
     ``known`` are sparse vectors known to lie in the kernel, so the rows
-    have rank at most ncols - dim span(known).  The elimination stops
-    reading at that many pivots, and the kernel is then span(known), with
-    no second elimination.  The reduced rows read are checked to
-    annihilate every known vector (AxiomFailure otherwise); the rows left
-    unread are not.  The check runs in integers, on the primitive echelon
-    rows and on each canonical known vector times the lcm of its
-    denominators, so the reduced rows are divided by their pivots only
-    when the kernel is read from them."""
+    have rank at most ncols - dim span(known): the elimination stops
+    reading at that many pivots, and the kernel is then span(known).  The
+    rows read, not the rest, are checked to annihilate every known vector
+    (AxiomFailure otherwise), in integers: the primitive echelon rows
+    against each canonical known vector times the lcm of its denominators."""
     known = list(known)
     spanned = Subspace.span(ncols, known) if known else Subspace(ncols, {})
-    reduced = _integer_echelon(rows, ncols, ncols - spanned.dim)
+    reduced = _integer_echelon(rows, ncols, ncols - spanned.dim, first=max)
     checked = [_integer_row(vec) for vec in spanned._columns]
     for row in reduced.values():
         for vec in checked:
@@ -500,7 +507,7 @@ def sparse_nullspace(
                 raise AxiomFailure("a known kernel vector does not satisfy the rows")
     if len(reduced) == ncols - spanned.dim:
         return spanned
-    return Subspace.span(ncols, _free_vectors(reduced, ncols))
+    return Subspace(ncols, dict(_free_vectors(reduced, ncols)))
 
 
 def nullspace(a: RatMatrix) -> Subspace:
@@ -543,15 +550,15 @@ def minimal_polynomial(m: Sequence[Mapping[int, Rational]]) -> tuple[Rational, .
     from one elimination of the system sum_k c_k M^k = 0 in c_0..c_n, one
     equation per entry (i, j): its pivots are the powers independent of
     the lower ones, so its first free column is the degree d, and that
-    column's kernel vector is the monic polynomial.  Row i of M^k is built
-    sparse, as row i of M^(k-1) times M."""
+    column's kernel vector (last nonzero entry 1 at d) is the monic
+    polynomial.  Row i of M^k is built sparse, as row i of M^(k-1) times M."""
     n = len(m)
     powers = [[{i: 1} for i in range(n)]]
     for _ in range(n):
         powers.append(sparse_product(powers[-1], m))
     system = ({k: p[i][j] for k, p in enumerate(powers) if j in p[i]} for i in range(n) for j in range(n))
-    vec = next(kernel_vectors(system, n + 1))
-    return tuple(vec.get(k, 0) for k in range(max(vec) + 1))
+    d, vec = next(_free_vectors(_integer_echelon(system, n + 1), n + 1))
+    return tuple(vec.get(k, 0) for k in range(d + 1))
 
 
 def poly_normalize(poly: Sequence[Rational]) -> tuple[Rational, ...]:
@@ -705,12 +712,8 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Rational]]) 
     the restriction R is the image of basis vector t read at the basis's
     pivots.  Each eigenspace of R is the union of its blocks' canonical
     bases, sorted by pivot: that is a canonical basis, since the blocks'
-    supports are disjoint.  The basis B of ``space`` maps it to the
-    canonical basis of the operator's eigenspace, with no elimination:
-    each column of B is 1 at its own pivot, 0 at the other columns' pivots
-    and 0 before its own, so if v is 1 at t, 0 at the other vectors'
-    pivots and 0 before t, then B v is 1 at B's pivot t, 0 at B's pivots
-    of the other vectors and 0 before B's pivot t."""
+    supports are disjoint, and ``space.embed`` carries it to the
+    operator's eigenspace."""
     restricted = []
     for v in space._columns:
         x = _pivot_coords(combine_rows(v, op_columns), space._pivots, space._columns)
@@ -726,10 +729,7 @@ def _eigen_split(space: Subspace, op_columns: Sequence[Mapping[int, Rational]]) 
             kernels.setdefault(lam, {}).update(
                 (block[p], {block[c]: x for c, x in v.items()}) for p, v in zip(ker._pivots, ker._columns)
             )
-    return [
-        (lam, Subspace(space.dim_ambient, {space._pivots[p]: combine_rows(ker[p], space._columns) for p in sorted(ker)}))
-        for lam, ker in sorted(kernels.items())
-    ]
+    return [(lam, space.embed(Subspace(space.dim, dict(sorted(ker.items()))))) for lam, ker in sorted(kernels.items())]
 
 
 def simultaneous_eigenspaces(

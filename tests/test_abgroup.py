@@ -29,6 +29,7 @@ from helpers import (
     element_set_subgroups,
     filtered_homs,
     from_gen_images,
+    full_subgroup,
     generatorwise_equal,
     hom_from_images,
     image_is_whole_group,
@@ -212,7 +213,7 @@ class TestEmptyInputs:
         trivial = Subgroup.from_generators(g, [])
         assert trivial.order() == 1 and trivial.elements() == [g.identity()]
         assert trivial.lattice == IntMatrix.from_columns(g.relation_lattice().columns(), rows=g.ngens)
-        assert g.full_subgroup().order() == g.order()
+        assert full_subgroup(g).order() == g.order()
 
     def test_hom_from_the_trivial_group(self):
         for h in self.GROUPS:
@@ -235,7 +236,7 @@ class TestEmptyInputs:
         trivial = FgAbGroup(0, ())
         f = GroupHom(g, trivial, IntMatrix.zeros(0, g.ngens))
         assert all(f(x) == trivial.identity() for x in g.generators())
-        assert f.kernel() == g.full_subgroup() and f.image() == trivial.full_subgroup()
+        assert f.kernel() == full_subgroup(g) and f.image() == full_subgroup(trivial)
         assert f.image().order() == 1 and f.is_surjective()
         with pytest.raises(ShapeError, match="shape mismatch"):
             GroupHom(g, trivial, IntMatrix.zeros(0, g.ngens + 1))
@@ -332,7 +333,7 @@ class TestSubgroups:
         # order() reads the HNF diagonal; elements() walks the HNF columns
         for invs in [[2, 2, 2], [2, 4], [3, 9], [2, 2, 4]]:
             g = FgAbGroup(0, invs)
-            for s in enumerate_subgroups(g.full_subgroup()):
+            for s in enumerate_subgroups(full_subgroup(g)):
                 assert s.order() == len(s.elements()), (invs, s)
         rng = random.Random(7)
         for free, invs in [(1, [2, 6]), (2, [2, 2, 4])]:
@@ -349,25 +350,25 @@ class TestSubgroups:
 class TestEnumerateSubgroups:
     def test_z2(self):
         g = FgAbGroup(0, [2])
-        subs = enumerate_subgroups(g.full_subgroup())
+        subs = enumerate_subgroups(full_subgroup(g))
         assert len(subs) == 2
 
     def test_z2_squared(self):
         g = FgAbGroup(0, [2, 2])
-        subs = enumerate_subgroups(g.full_subgroup())
+        subs = enumerate_subgroups(full_subgroup(g))
         assert len(subs) == 5
         assert subset_closure_count(g) == 5
 
     def test_z2_to_4(self):
         g = FgAbGroup(0, [2, 2, 2, 2])
-        subs = enumerate_subgroups(g.full_subgroup())
+        subs = enumerate_subgroups(full_subgroup(g))
         assert len(subs) == 67
         assert brute_force_subgroup_count(g) == 67
 
     def test_mixed_orders_against_oracle(self):
         for invs in [[6], [2, 4], [12], [2, 6], [3, 3], [2, 2, 2]]:
             g = FgAbGroup(0, invs)
-            subs = enumerate_subgroups(g.full_subgroup())
+            subs = enumerate_subgroups(full_subgroup(g))
             assert len(subs) == brute_force_subgroup_count(g), invs
             assert len(subs) == len(set(subs))
             # sorted by order
@@ -376,10 +377,10 @@ class TestEnumerateSubgroups:
 
     def test_predicate_and_cap(self):
         g = FgAbGroup(0, [2, 2])
-        subs = [s for s in enumerate_subgroups(g.full_subgroup()) if s.order() <= 2]
+        subs = [s for s in enumerate_subgroups(full_subgroup(g)) if s.order() <= 2]
         assert len(subs) == 4
         with pytest.raises(CapExceeded):
-            enumerate_subgroups(FgAbGroup(0, [3] * 9).full_subgroup())
+            enumerate_subgroups(full_subgroup(FgAbGroup(0, [3] * 9)))
 
     def test_proper_subgroup_of_owner(self):
         g = FgAbGroup(0, [2, 4])
@@ -403,7 +404,7 @@ class TestAgainstElementSetOracles:
 
     def test_every_group_up_to_order_32(self):
         for g in all_abelian_groups_up_to(32):
-            self.check_subgroups(g.full_subgroup())
+            self.check_subgroups(full_subgroup(g))
 
     def test_seeded_subgroups_with_free_rank(self):
         rng = random.Random(13)

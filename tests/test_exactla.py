@@ -36,7 +36,6 @@ from gradalg.exactla import (
     hnf_solve,
     integer_kernel,
     inverse,
-    kernel_vectors,
     minimal_polynomial,
     nullspace,
     qdiv,
@@ -668,7 +667,6 @@ class TestCanonicalScalars:
             ncols = rng.choice((1, 2, 3, 4, 6))
             stream = random_row_stream(rng, ncols)
             made = [x for row in gauss_jordan(stream, ncols).values() for x in row.values()]
-            made += [x for vec in kernel_vectors(stream, ncols) for x in vec.values()]
             space = sparse_nullspace(ncols, stream)
             made += [x for vec in space.sparse_vectors() for x in vec.values()]
             basis = Subspace.span(ncols, stream).sparse_vectors()
@@ -719,16 +717,52 @@ class TestSubspaces:
             # dim(A) + dim(B) = dim(A+B) + dim(A∩B)
             assert a.dim + b.dim == a.add(b).dim + inter.dim
 
+    def test_embed_and_intersect_against_oracles(self):
+        # embed carries a canonical basis to the span of its images with no
+        # elimination, and intersect, which ends in embed, agrees with the
+        # dense oracle; the zero and full spaces are drawn on purpose
+        rng = random.Random(32)
+
+        def random_subspace(n):
+            kind = rng.randrange(5)
+            if kind == 0:
+                return Subspace(n, {})
+            if kind == 1:
+                return Subspace.full(n)
+            return column_space(random_ranked_matrix(rng, n, rng.randint(0, n + 1)))
+
+        seen = {"zero": 0, "full": 0, "meet": 0}
+        for trial in range(300):
+            n = rng.randint(0, 6)
+            space = random_subspace(n)
+            sub = random_subspace(space.dim)
+            image = space.embed(sub)
+            expected = Subspace.span(n, (combine_rows(v, space.sparse_vectors()) for v in sub.sparse_vectors()))
+            assert image == expected and image._pivots == expected._pivots, f"trial {trial}"
+            assert all(is_canonical(x) for v in image.sparse_vectors() for x in v.values())
+            other = random_subspace(n)
+            meet = space.intersect(other)
+            oracle = dense_subspace_intersection(basis_matrix(space), basis_matrix(other))
+            assert basis_matrix(meet) == oracle, f"trial {trial}"
+            assert all(is_canonical(x) for v in meet.sparse_vectors() for x in v.values())
+            seen["zero"] += 0 in (space.dim, sub.dim, other.dim)
+            seen["full"] += n > 0 and n in (space.dim, other.dim)
+            seen["meet"] += 0 < meet.dim < n
+        assert min(seen.values()) >= 20, seen
+        with pytest.raises(ShapeError):
+            Subspace.full(3).embed(Subspace.full(2))
+
     def test_one_elimination_per_canonical_basis(self, monkeypatch):
-        # a canonical basis is the result of one gauss_jordan, taken as it is;
-        # a kernel adds one elimination of its system.  Both run the integer
-        # elimination _integer_echelon, which is counted
+        # a canonical basis is the result of one elimination, taken as it is:
+        # of spanning vectors, or of a system whose free vectors are its
+        # kernel's canonical basis; embed carries one with none.  Each runs
+        # the integer elimination _integer_echelon, which is counted
         calls = []
         real = exactla._integer_echelon
 
-        def counting(rows, ncols, max_rank=None):
+        def counting(rows, ncols, *args, **kwargs):
             calls.append(ncols)
-            return real(rows, ncols, max_rank)
+            return real(rows, ncols, *args, **kwargs)
 
         monkeypatch.setattr(exactla, "_integer_echelon", counting)
         m = RatMatrix([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
@@ -742,13 +776,17 @@ class TestSubspaces:
         b = span_of(4, [[1, 0, 0, 0], [0, 0, 1, 1]])
         assert eliminations(lambda: span_of(4, m.data)) == 1
         assert eliminations(lambda: a.add(b)) == 1
-        assert eliminations(lambda: nullspace(m)) == 2
-        assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data))) == 2
+        assert eliminations(lambda: nullspace(m)) == 1
+        assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data))) == 1
+        # a known kernel vector adds the elimination of its span
+        assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data), [{0: -2, 1: 1}])) == 2
         # rows of full rank stop at the last pivot: the kernel is the zero space, with no second elimination
         assert eliminations(lambda: sparse_nullspace(2, [{0: Q(1)}, {1: Q(1)}, {0: Q(1)}])) == 1
         assert sparse_nullspace(2, [{0: Q(1)}, {1: Q(1)}]) == Subspace(2, {})
-        assert eliminations(lambda: a.intersect(b)) == 2
+        assert eliminations(lambda: a.intersect(b)) == 1
         assert eliminations(lambda: Subspace.full(4)) == 0
+        sub = Subspace.span(2, [{0: 1, 1: 3}])
+        assert eliminations(lambda: a.embed(sub)) == 0
 
 
 class TestPolynomials:

@@ -23,6 +23,7 @@ from helpers import (
     chain_repaired_smith_normal_form,
     dense_graded_derivations,
     dense_nullspace,
+    full_subgroup,
     graded_parts,
     random_graded_algebra,
     sparse,
@@ -252,7 +253,7 @@ class TestSubgroupEnumeration:
         count = 0
         for g in all_abelian_groups_up_to(64):
             expected = _brute_force_subgroup_count(g)
-            got = len(enumerate_subgroups(g.full_subgroup(), cap=10**5))
+            got = len(enumerate_subgroups(full_subgroup(g), cap=10**5))
             assert got == expected, f"{g}"
             count += 1
         assert count >= 100  # every abelian group of order <= 64
