@@ -9,8 +9,9 @@ scalar}``.  One sparse Gauss-Jordan elimination, fraction-free on integer
 rows, is behind every echelon form, kernel and solve over Q; one subspace
 type, ``Subspace``, keeps a canonical basis as sparse columns, read off one
 elimination (a kernel's, with the columns in decreasing order) or carried
-with none (``embed``).  One spectral routine, the generalized eigenspaces of
-an operator, is behind the simultaneous eigenspace decompositions of
+with none (``embed``), and tested for a vector with none (``contains``).
+One spectral routine, the generalized eigenspaces of an operator, is behind
+the simultaneous eigenspace decompositions of
 commuting operators and the Jordan-Chevalley semisimple part.  It runs block
 by block: an operator is the direct sum of its restrictions to the
 coordinate blocks it preserves (the connected components of its nonzero
@@ -393,9 +394,10 @@ class Subspace:
     """A subspace of Q^n with its canonical basis, the reduced column echelon
     basis: each vector is 1 at its pivot (its first nonzero coordinate) and
     0 at the others' pivots, so equal subspaces have equal bases.  It costs
-    one elimination, of spanning vectors (``span``, ``add``) or of a system
-    (``sparse_nullspace``, ``intersect``), or none (``embed``).  The zero
-    space of Q^n is ``Subspace(n, {})``."""
+    one elimination, of spanning vectors (``span``, also of a sum) or of a
+    system (``sparse_nullspace``, ``intersect``), or none (``embed``, and
+    ``contains`` and ``coords``, which read a vector at the pivots).  The
+    zero space of Q^n is ``Subspace(n, {})``."""
 
     __slots__ = ("dim_ambient", "_pivots", "_columns")
 
@@ -463,10 +465,6 @@ class Subspace:
         kernel = sparse_nullspace(self.dim + other.dim, system)
         parts = {t: {s: x for s, x in v.items() if s < self.dim} for t, v in zip(kernel._pivots, kernel._columns)}
         return self.embed(Subspace(self.dim, parts))
-
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.span(self.dim_ambient, self._columns + other._columns)
 
     def _check_ambient(self, other: "Subspace"):
         if self.dim_ambient != other.dim_ambient:

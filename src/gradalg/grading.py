@@ -178,12 +178,20 @@ class Grading:
     def is_refinement_of(self, other: "Grading") -> bool:
         """Both grade the same algebra (equal dimension, and equal arity and
         structure constants per operation), and every component of ``self``
-        lies inside a component of ``other``."""
+        lies inside a component of ``other``: each basis column of ``self``
+        is read in the one that holds its degree's first column, with no span."""
         a, b = (
             (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (self, other)
         )
-        outer = other.components().values()
-        return a == b and all(any(oc.contains_subspace(c) for oc in outer) for c in self.components().values())
+        if a != b:
+            return False
+        home: dict[int, Subspace | None] = {}
+        for t, col in zip(self.labels, self.basis_change):
+            places = [home[t]] if t in home else other.components().values()
+            home[t] = next((c for c in places if c.contains(col)), None)
+            if home[t] is None:
+                return False
+        return True
 
     def component_dims(self) -> dict[tuple[int, ...], int]:
         """Degree coords -> component dimension (plain data, for reports),

@@ -10,7 +10,9 @@ action of g.  All root-system axioms are verified combinatorially via
 root strings, so no invariant bilinear form is needed, and the type is
 read off the Cartan matrix of the simple roots, component by component:
 Phi is reducible when the algebra is semisimple and not simple, and its
-label is then its components', joined by '+'.
+label is then its components', joined by '+'.  Both pipelines read Phi at
+(L_e, H) in one routine, and test containment vector by vector: no subspace
+is spanned only to be compared.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def weight_decomposition(alg: StructureAlgebra, h: Subspace) -> WeightDecomposit
     spaces = dict(simultaneous_eigenspaces(ops, Subspace.full(alg.dimension)))
     weights = tuple(sorted(spaces))
     phi = tuple(w for w in weights if any(w))
-    # bracket-weight compatibility is part of the contract: check it
+    # bracket-weight compatibility is part of the contract: check it, bracket by bracket
+    zero = Subspace(alg.dimension, {})
     for a in weights:
         for b in weights:
-            target = spaces.get(_wadd(a, b))
-            span = bracket_span(alg, spaces[a].sparse_vectors(), spaces[b].sparse_vectors())
-            if span.dim and (target is None or not target.contains_subspace(span)):
+            target = spaces.get(_wadd(a, b), zero)
+            ys = spaces[b].sparse_vectors()
+            if not all(target.contains(alg.bracket(x, y)) for x in spaces[a].sparse_vectors() for y in ys):
                 raise AxiomFailure(f"[L({a}), L({b})] escapes L({_wadd(a, b)})")
     return WeightDecomposition(h, weights, spaces, phi)
 
@@ -363,6 +366,21 @@ def is_non_special(grading: Grading, seed: int = DEFAULT_SEED) -> bool:
     return nonzero
 
 
+def _root_system_at(
+    alg: StructureAlgebra, l_e: Subspace, h: Subspace, seed: int
+) -> tuple[WeightDecomposition, RootSystemReport]:
+    """Phi at (L_e, h) for both root-system pipelines: the weight decomposition
+    under h, whose zero weight space must meet L_e in h exactly, and the report
+    of its nonzero weights, which must have a type (AxiomFailure otherwise)."""
+    wd = weight_decomposition(alg, h)
+    if wd.zero_space().intersect(l_e) != h:
+        raise AxiomFailure("L_e meets L(0) in more than the Cartan subalgebra")
+    report = _root_report(wd, seed)
+    if report.type_label is None:
+        raise AxiomFailure("nonzero weights fail the root-system axioms")
+    return wd, report
+
+
 def extract_root_system(
     grading: Grading, seed: int = DEFAULT_SEED
 ) -> tuple[WeightDecomposition, RootSystemReport]:
@@ -376,15 +394,8 @@ def extract_root_system(
     alg = grading.algebra
     l_e = grading.identity_component()
     small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
-    h, wd = split_cartan(small, l_e, seed, lambda h: weight_decomposition(alg, h))
-    # the zero weight space must meet L_e exactly in H
-    meet = wd.zero_space().intersect(l_e)
-    if meet != h:
-        raise AxiomFailure("L_e meets L(0) in more than the Cartan subalgebra")
-    report = _root_report(wd, seed)
-    if report.type_label is None or not report.irreducible and is_simple(alg):
-        if report.type_label is None:
-            raise AxiomFailure("nonzero weights fail the root-system axioms")
+    _, (wd, report) = split_cartan(small, l_e, seed, lambda h: _root_system_at(alg, l_e, h, seed))
+    if not report.irreducible and is_simple(alg):
         raise AxiomFailure("reducible root system on a simple algebra")
     return wd, report
 
@@ -449,13 +460,10 @@ def verify_phi_grading(
         for w in phi:
             if w not in allowed:
                 failures.append(("ii", f"weight {w} outside Phi' and its doubles"))
-        # (iii) L(0) = sum over nonzero weights of [L(a), L(-a)]
-        total = Subspace(n, {})
-        for a in phi:
-            if _wneg(a) in wd.spaces:
-                total = total.add(
-                    bracket_span(alg, wd.spaces[a].sparse_vectors(), wd.spaces[_wneg(a)].sparse_vectors())
-                )
+        # (iii) L(0) = sum over nonzero weights of [L(a), L(-a)], spanned at once
+        pairs = [(wd.spaces[a], wd.spaces[_wneg(a)]) for a in phi if _wneg(a) in wd.spaces]
+        brackets = (alg.bracket(x, y) for p, q in pairs for x in p.sparse_vectors() for y in q.sparse_vectors())
+        total = Subspace.span(n, brackets)
         if total != wd.zero_space():
             failures.append(
                 ("iii", f"sum of [L(a), L(-a)] has dim {total.dim}, "
@@ -491,10 +499,11 @@ class RootGradedDecomposition:
 
 
 def _module_under(alg: StructureAlgebra, g_sub: Subspace, seed_space: Subspace) -> Subspace:
-    """g_sub-submodule generated by seed_space."""
+    """g_sub-submodule generated by seed_space, one span per step."""
     cur = seed_space
     while True:
-        nxt = cur.add(bracket_span(alg, g_sub.sparse_vectors(), cur.sparse_vectors()))
+        vecs = cur.sparse_vectors()
+        nxt = Subspace.span(alg.dimension, vecs + [alg.bracket(x, y) for x in g_sub.sparse_vectors() for y in vecs])
         if nxt == cur:
             return cur
         cur = nxt
@@ -529,21 +538,16 @@ def root_graded_structure(
         raise IdentityComponentNotCartan(
             "refinement's identity component is not a Cartan subalgebra of L_e"
         )
-    wd = weight_decomposition(alg, h)
-    if wd.zero_space().intersect(l_e) != h:
-        raise AxiomFailure("L_e meets L(0) in more than H")
-    report = _root_report(wd, seed)
-    if report.type_label is None:
-        raise AxiomFailure("weights of the refinement do not form a root system")
+    wd, report = _root_system_at(alg, l_e, h, seed)
     delta_basis = report.simple_roots
     r = len(delta_basis)
     uab = universal_abelian_group(refined)
-    # pi: each refined component lies in a single weight space
+    # pi: each refined component lies in a single weight space; its basis columns are read
+    columns = {s: [refined.basis_change[i] for i in refined.indices_of_degree(s)] for s in refined.support}
     zphi = FgAbGroup(r, ())
     pi_images: dict[GroupElement, GroupElement] = {}
-    for s in refined.support:
-        comp = refined.component(s)
-        hit = [w for w in wd.weights if wd.spaces[w].contains_subspace(comp)]
+    for s, cols in columns.items():
+        hit = [w for w in wd.weights if all(wd.spaces[w].contains(c) for c in cols)]
         if len(hit) != 1:
             raise VerificationFailure(
                 f"component of degree {s.coords} is not inside one weight space"
@@ -561,12 +565,10 @@ def root_graded_structure(
     t_u, _ = torsion_and_free(uab.group)
     if pi.kernel().lattice != t_u.lattice:
         raise VerificationFailure("kernel of pi differs from the torsion of U")
-    # degrees in the coarse group
-    delta_images: dict[GroupElement, GroupElement] = {}
-    for s in refined.support:
-        comp = refined.component(s)
-        outer = [g for g in grading.support if grading.component(g).contains_subspace(comp)]
-        delta_images[s] = outer[0]
+    # degrees in the coarse group: the refinement is checked, so one column names its component
+    delta_images = {
+        s: next(g for g in grading.support if grading.component(g).contains(cols[0])) for s, cols in columns.items()
+    }
     delta = uab.hom_from_support_images(grading.group, delta_images)
     # section over the simple roots
     support_classes = {uab.iota[s]: s for s in refined.support}
@@ -592,8 +594,7 @@ def root_graded_structure(
                     f"section element {u.coords} does not lie over simple root {i}"
                 )
     u_prime = Subgroup.from_generators(uab.group, section)
-    g_parts = (refined.component(s) for u, s in support_classes.items() if u_prime.contains(u))
-    g_sub = Subspace.span(n, (w for part in g_parts for w in part.sparse_vectors()))
+    g_sub = Subspace.span(n, (col for s, cols in columns.items() if u_prime.contains(uab.iota[s]) for col in cols))
     check = verify_phi_grading(alg, g_sub, h, seed=seed)
     if not check.ok:
         raise VerificationFailure(
@@ -649,9 +650,7 @@ def root_graded_structure(
             )
         pieces[name], mults[name] = piece, m
     d = centralizer(alg, g_sub)
-    total = d
-    for p in pieces.values():
-        total = total.add(p)
+    total = Subspace.span(n, (v for p in (d, *pieces.values()) for v in p.sparse_vectors()))
     used = sum(p.dim for p in pieces.values()) + d.dim
     if total.dim != used or total.dim != n:
         raise VerificationFailure(

@@ -92,6 +92,17 @@ def eager_components(gr: Grading) -> dict:
     }
 
 
+def is_refinement_by_spans(fine: Grading, coarse: Grading) -> bool:
+    """Oracle for ``Grading.is_refinement_of`` (its former body): both grade
+    the same algebra, and every component of ``fine``, spanned, lies inside
+    a spanned component of ``coarse``."""
+    a, b = (
+        (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (fine, coarse)
+    )
+    outer = eager_components(coarse).values()
+    return a == b and all(any(oc.contains_subspace(c) for oc in outer) for c in eager_components(fine).values())
+
+
 def vectors(space: Subspace) -> list[tuple]:
     """The canonical basis of a subspace as dense tuples."""
     return [dense(v, space.dim_ambient) for v in space.sparse_vectors()]
@@ -472,7 +483,7 @@ def _ideal_closure(a: StructureAlgebra, seed) -> Subspace:
             for i in range(n):
                 w = a.bracket(a.basis_vector(i), v)
                 if w and not span.contains(w):
-                    span = span.add(Subspace.span(n, [w]))
+                    span = Subspace.span(n, span.sparse_vectors() + [w])
                     new_frontier.append(w)
         frontier = new_frontier
     return span

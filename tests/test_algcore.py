@@ -220,7 +220,7 @@ class TestSubspace:
         assert a.dim == 2
         c = span_of(3, [[0, 1, 0]])
         assert a.intersect(c).dim == 0
-        assert a.add(c).dim == 3
+        assert Subspace.span(3, a.sparse_vectors() + c.sparse_vectors()).dim == 3
         assert a.coords({0: Q(2), 1: Q(2), 2: Q(5)}) == {0: 2, 1: 5}
         assert a.coords({0: Q(1)}) is None
 

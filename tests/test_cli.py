@@ -817,6 +817,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "root-graded", f, "--grading", "cartan-sl3", "--refined", "fake-fine")
         assert (code, out, err) == (1, "", "error: second grading does not refine the first\n")
 
+    @pytest.mark.parametrize(
+        "target, fake, message",
+        [
+            ("gradalg.grading.Grading.is_refinement_of", lambda fine, coarse: False,
+             "canonical refinement failed containment check"),
+            ("gradalg.afine.induce", lambda fine, hom: fine, "projection does not recover the original grading"),
+        ],
+        ids=["containment", "projection"],
+    )
+    def test_failed_self_check_of_the_canonical_refinement_is_4(self, target, fake, message, tmp_path, capsys, monkeypatch):
+        # no input can make the refinement's own output fail its checks
+        monkeypatch.setattr(target, fake)
+        f = write_ws(tmp_path, catalog_workspace("sl3-involution"))
+        assert run(capsys, "refine-canonical", f) == (4, "", f"internal consistency failure: {message}\n")
+
     def test_internal_consistency_is_4(self, tmp_path, capsys):
         # special grading refused by rootsys
         f = write_ws(tmp_path, catalog_workspace("a3-fine"))

@@ -691,6 +691,27 @@ class TestCanonicalScalars:
         assert all(type(x) is int for row in semisimple for x in row.values())
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """``eliminations(build)``: the number of integer eliminations
+    (``_integer_echelon`` calls) that ``build()`` runs."""
+    calls = []
+    real = exactla._integer_echelon
+
+    def counting(rows, ncols, *args, **kwargs):
+        calls.append(ncols)
+        return real(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(exactla, "_integer_echelon", counting)
+
+    def count(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    return count
+
+
 class TestSubspaces:
     def test_column_echelon_canonical(self):
         a = RatMatrix.from_columns([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -704,7 +725,7 @@ class TestSubspaces:
         inter = a.intersect(b)
         assert inter.dim == 1
         assert in_span(basis_matrix(inter), [0, 1, 0])
-        assert a.add(b) == Subspace.full(3)
+        assert Subspace.span(3, a.sparse_vectors() + b.sparse_vectors()) == Subspace.full(3)
 
     def test_intersection_random(self):
         rng = random.Random(23)
@@ -715,7 +736,7 @@ class TestSubspaces:
             for v in vectors(inter):
                 assert in_span(basis_matrix(a), v) and in_span(basis_matrix(b), v)
             # dim(A) + dim(B) = dim(A+B) + dim(A∩B)
-            assert a.dim + b.dim == a.add(b).dim + inter.dim
+            assert a.dim + b.dim == Subspace.span(5, a.sparse_vectors() + b.sparse_vectors()).dim + inter.dim
 
     def test_embed_and_intersect_against_oracles(self):
         # embed carries a canonical basis to the span of its images with no
@@ -752,30 +773,14 @@ class TestSubspaces:
         with pytest.raises(ShapeError):
             Subspace.full(3).embed(Subspace.full(2))
 
-    def test_one_elimination_per_canonical_basis(self, monkeypatch):
+    def test_one_elimination_per_canonical_basis(self, eliminations):
         # a canonical basis is the result of one elimination, taken as it is:
         # of spanning vectors, or of a system whose free vectors are its
-        # kernel's canonical basis; embed carries one with none.  Each runs
-        # the integer elimination _integer_echelon, which is counted
-        calls = []
-        real = exactla._integer_echelon
-
-        def counting(rows, ncols, *args, **kwargs):
-            calls.append(ncols)
-            return real(rows, ncols, *args, **kwargs)
-
-        monkeypatch.setattr(exactla, "_integer_echelon", counting)
+        # kernel's canonical basis; embed carries one with none
         m = RatMatrix([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
-
-        def eliminations(build):
-            calls.clear()
-            build()
-            return len(calls)
-
         a = span_of(4, [[1, 2, 0, 1], [0, 0, 1, 1]])
         b = span_of(4, [[1, 0, 0, 0], [0, 0, 1, 1]])
         assert eliminations(lambda: span_of(4, m.data)) == 1
-        assert eliminations(lambda: a.add(b)) == 1
         assert eliminations(lambda: nullspace(m)) == 1
         assert eliminations(lambda: sparse_nullspace(4, sparse_rows(m.data))) == 1
         # a known kernel vector adds the elimination of its span
@@ -787,6 +792,32 @@ class TestSubspaces:
         assert eliminations(lambda: Subspace.full(4)) == 0
         sub = Subspace.span(2, [{0: 1, 1: 3}])
         assert eliminations(lambda: a.embed(sub)) == 0
+
+    def test_containment_is_read_with_no_elimination(self, eliminations):
+        # a containment test reads the canonical basis at its pivots: the
+        # closure test of _is_cartan, the bracket check of
+        # weight_decomposition and is_refinement_of eliminate nothing
+        a = span_of(4, [[1, 2, 0, 1], [0, 0, 1, 1]])
+        assert eliminations(lambda: (a.contains({0: 1, 1: 2, 3: 1}), a.contains({0: 1}), a.coords({2: 1, 3: 1}))) == 0
+        alg = catalog.get_catalog("cartan-sl3").grading.algebra
+        h = catalog.get_catalog("cartan-sl3").grading.identity_component()
+        nilpotent = eliminations(lambda: afine._is_nilpotent_subalgebra(alg, h))
+        normalizer = eliminations(lambda: afine._normalizer(alg, h))
+        assert nilpotent and normalizer
+        assert eliminations(lambda: afine._is_cartan(alg, h)) == nilpotent + normalizer
+        # h plus E_01 and E_12 is not closed: the closure test alone decides
+        open_space = Subspace.span(8, h.sparse_vectors() + [{0: 1}, {3: 1}])
+        assert eliminations(lambda: afine._is_cartan(alg, open_space)) == 0
+        ops = [alg.ad_rows(v) for v in h.sparse_vectors()]
+        split = eliminations(lambda: simultaneous_eigenspaces(ops, Subspace.full(8)))
+        assert eliminations(lambda: lieroot.weight_decomposition.__wrapped__(alg, h)) == split
+        entry = catalog.get_catalog("sl3-involution")
+        fine = afine.canonical_refinement(entry.grading).refined
+        coarse = entry.grading
+        coarse.components()  # the coarse components, spanned once
+        fresh = grading.Grading(fine.algebra, fine.group, fine.degrees, fine.basis_change)
+        assert eliminations(lambda: fresh.is_refinement_of(coarse)) == 0
+        assert eliminations(lambda: fresh.components()) == len(fresh.support)
 
 
 class TestPolynomials:

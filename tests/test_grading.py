@@ -4,6 +4,7 @@ graded-map verification."""
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
@@ -54,6 +55,7 @@ from helpers import (
     mat_from_flat,
     heisenberg_grading,
     hom_from_images,
+    is_refinement_by_spans,
     per_entry_incompatibility,
     per_entry_relations,
     project,
@@ -571,6 +573,52 @@ class TestRelationTable:
         fake = Grading(abelian, gr.group, gr.degrees)
         assert gr.is_refinement_of(gr) and fake.is_refinement_of(fake)
         assert not fake.is_refinement_of(gr) and not gr.is_refinement_of(fake)
+
+
+def _refinement_pairs():
+    """(kind, fine, coarse) for each kind of input of ``is_refinement_of``."""
+    catalog = [get_catalog(name) for name in catalog_names() if name != "cartan-sl4"]
+    for entry in catalog:
+        yield "refinement", canonical_refinement(entry.grading).refined, entry.grading
+        for companion in entry.companions.values():
+            yield "refinement", companion, entry.grading
+    # h even, e + f and e - f odd: the Cartan grading of sl2 refines it on another basis
+    z2 = FgAbGroup(0, [2])
+    c = columns_of(RatMatrix.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]]))
+    yield "refinement", cartan_sl2(), Grading(build_sl2_efh(), z2, [z2.element([x]) for x in (0, 1, 1)], c)
+    for entry in catalog:
+        gr = entry.grading
+        g = gr.group
+        # coarsenings: the degrees mod 2 in each generator, and all in one degree
+        for target in (FgAbGroup(0, [2] * g.ngens), FgAbGroup(0, ())):
+            images = [[int(i == j) for i in range(target.ngens)] for j in range(g.ngens)]
+            yield "coarsening", gr, induce(gr, hom_from_images(g, target, images))
+    # another basis: exp(ad e) shears h into h - 2e, so its components are not the Cartan grading's
+    sl2 = cartan_sl2()
+    phi = columns_of(RatMatrix.from_columns([[1, 0, 0], [-2, 1, 0], [-1, 1, 1]]))
+    yield "another basis", Grading(sl2.algebra, sl2.group, sl2.degrees, phi), sl2
+    gr = get_catalog("cartan-sl3").grading
+    abelian = StructureAlgebra("ab8", 8, [MultilinearOp("bracket", 2, {})], ["lie"])
+    yield "another algebra", Grading(abelian, gr.group, gr.degrees), gr
+    zero = StructureAlgebra("zero", 0, [MultilinearOp("bracket", 2, {})], ["lie"])
+    trivial = FgAbGroup(0, ())
+    yield "dimension 0", Grading(zero, trivial, []), Grading(StructureAlgebra("one", 1, [MultilinearOp("bracket", 2, {})], ["lie"]), trivial, [trivial.identity()])
+
+
+class TestRefinementReadsColumns:
+    """``Grading.is_refinement_of`` reads the finer grading's basis columns;
+    ``helpers.is_refinement_by_spans`` spans every component of both."""
+
+    def test_agrees_with_the_spanning_oracle(self):
+        kinds = Counter()
+        for kind, fine, coarse in _refinement_pairs():
+            for a, b in ((fine, coarse), (coarse, fine), (fine, fine)):
+                assert a.is_refinement_of(b) == is_refinement_by_spans(a, b), (kind, a, b)
+            assert fine.is_refinement_of(coarse) == (kind in ("refinement", "coarsening")), kind
+            assert fine.is_refinement_of(fine)
+            kinds[kind] += 1
+        assert kinds["refinement"] >= 8 and kinds["coarsening"] >= 14, kinds
+        assert {"another basis", "another algebra", "dimension 0"} <= set(kinds)
 
 
 def _components_checked(gr: Grading):

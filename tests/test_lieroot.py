@@ -389,7 +389,7 @@ class TestVerifyPhiGrading:
         gr = get_catalog("cartan-sl3").grading
         h = gr.identity_component()
         # [E_01, E_12] = E_02 leaves h + span(E_01, E_12)
-        g_sub = h.add(span_of(8, [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]))
+        g_sub = Subspace.span(8, h.sparse_vectors() + [{0: 1}, {3: 1}])
         check = verify_phi_grading(gr.algebra, g_sub, h)
         assert not check.ok
         assert check.failures == (
