@@ -45,7 +45,6 @@ from .exactla import (
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
-    sparse_nullspace,
     sparse_product,
 )
 from .grading import (
@@ -79,12 +78,8 @@ def _is_nilpotent_subalgebra(alg: StructureAlgebra, basis: Subspace) -> bool:
 
 
 def _normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
-    """{y : [y, sub] subset of sub} inside the algebra: the y with
-    q([v, y]) = 0 for every v in sub and every functional q vanishing on
-    sub."""
-    ann = sub.annihilator()
-    rows = (combine_rows(q, ad) for ad in map(alg.ad_rows, sub.sparse_vectors()) for q in ann)
-    return sparse_nullspace(alg.dimension, rows)
+    """{y : [v, y] in sub for every v in sub} inside the algebra."""
+    return Subspace.full(alg.dimension).preimage(map(alg.ad_rows, sub.sparse_vectors()), sub)
 
 
 def _is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:

@@ -5,8 +5,8 @@ operations, each stored as a sparse structure tensor.  Asserted flags
 (lie, associative) are verified exactly at construction time.  On top of
 this: derivation algebras (optionally preserving a family of subspaces),
 bracket spans, centralizers, the Killing form, and a simplicity test.
-Subspaces are ``exactla.Subspace``, re-exported here: each canonical basis
-is the result of one ``gauss_jordan``.
+Subspaces are ``exactla.Subspace``, re-exported here; a centralizer is the
+``Subspace.preimage`` of the zero space under the adjoints, one elimination.
 """
 
 from __future__ import annotations
@@ -652,9 +652,8 @@ def bracket_span(
 def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
     """{x in A : [x, v] = 0 for all v in S}."""
     _require_lie(a)
-    # [x, v] = -(ad v) x = 0
-    rows = (row for v in s.sparse_vectors() for row in a.ad_rows(v))
-    return sparse_nullspace(a.dimension, rows)
+    # [x, v] = -(ad v) x, so (ad v) x must lie in the zero space
+    return Subspace.full(a.dimension).preimage(map(a.ad_rows, s.sparse_vectors()), Subspace(a.dimension, {}))
 
 
 @memoized

@@ -9,7 +9,8 @@ scalar}``.  One sparse Gauss-Jordan elimination, fraction-free on integer
 rows, is behind every echelon form, kernel and solve over Q; one subspace
 type, ``Subspace``, keeps a canonical basis as sparse columns, read off one
 elimination (a kernel's, with the columns in decreasing order) or carried
-with none (``embed``), and tested for a vector with none (``contains``).
+with none (``embed``, ``restrict``), and tested for a vector with none
+(``contains``); each condition "op x in a subspace" is one kernel, ``preimage``.
 One spectral routine, the generalized eigenspaces of an operator, is behind
 the simultaneous eigenspace decompositions of
 commuting operators and the Jordan-Chevalley semisimple part.  It runs block
@@ -395,9 +396,9 @@ class Subspace:
     basis: each vector is 1 at its pivot (its first nonzero coordinate) and
     0 at the others' pivots, so equal subspaces have equal bases.  It costs
     one elimination, of spanning vectors (``span``, also of a sum) or of a
-    system (``sparse_nullspace``, ``intersect``), or none (``embed``, and
-    ``contains`` and ``coords``, which read a vector at the pivots).  The
-    zero space of Q^n is ``Subspace(n, {})``."""
+    system (``sparse_nullspace``, ``preimage``, ``intersect``), or none
+    (``embed``, ``restrict``, ``annihilator``, and ``contains`` and ``coords``,
+    which read a vector at the pivots).  The zero space is ``Subspace(n, {})``."""
 
     __slots__ = ("dim_ambient", "_pivots", "_columns")
 
@@ -430,19 +431,17 @@ class Subspace:
     def contains(self, vec: Mapping[int, Rational]) -> bool:
         return self.coords(vec) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(w) for w in other._columns)
-
     def coords(self, vec: Mapping[int, Rational]) -> dict[int, Rational] | None:
         """Sparse coordinates {t: x_t} of the sparse vector ``vec`` in the
         canonical basis, or None if it is outside the subspace."""
         return _pivot_coords(vec, self._pivots, self._columns)
 
     def annihilator(self) -> list[dict[int, Rational]]:
-        """A basis of the functionals vanishing on the subspace, as sparse
-        vectors q with sum_r q[r] w[r] = 0 for every w in it."""
-        return sparse_nullspace(self.dim_ambient, self._columns).sparse_vectors()
+        """A basis of the functionals vanishing on the subspace, with no
+        elimination: q_f = e_f - sum_t b_t[f] e_(pivot t) for each coordinate
+        f that is not a pivot, as q_f(b_s) = b_s[f] - b_s[f] = 0."""
+        at, free = transpose(self._columns, self.dim_ambient), set(range(self.dim_ambient)).difference(self._pivots)
+        return [{f: 1} | {self._pivots[t]: -x for t, x in at[f].items()} for f in sorted(free)]
 
     def embed(self, sub: "Subspace") -> "Subspace":
         """B(sub) for the canonical basis B and a subspace ``sub`` of
@@ -456,15 +455,26 @@ class Subspace:
         image = {self._pivots[t]: combine_rows(v, self._columns) for t, v in zip(sub._pivots, sub._columns)}
         return Subspace(self.dim_ambient, image)
 
+    def restrict(self, sub: "Subspace") -> "Subspace | None":
+        """The inverse of ``embed``: X with B(X) = ``sub``, or None when ``sub``
+        is not inside, with no elimination.  A canonical vector of ``sub`` read
+        at B's pivots is 1 at its pivot's index, its first, 0 at the others'."""
+        self._check_ambient(sub)
+        coords = [self.coords(v) for v in sub._columns]
+        return None if None in coords else Subspace(self.dim, {next(iter(x)): x for x in coords})
+
+    def preimage(self, ops: Iterable[Sequence[Mapping[int, Rational]]], target: "Subspace") -> "Subspace":
+        """The x in the subspace with op x in ``target`` for each operator op
+        (sparse rows): B(X), X the kernel of the rows q op B over q in the
+        annihilator of ``target``, B the canonical basis; one elimination."""
+        at, ann = transpose(self._columns, self.dim_ambient), target.annihilator()
+        rows = (combine_rows(combine_rows(q, op), at) for op in ops for q in ann)
+        return self.embed(sparse_nullspace(self.dim, rows))
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """A(X) for the x-parts X of the kernel of [A | B] (A x = B (-y)), A and
-        B the canonical bases: as B y = 0 only for y = 0, each canonical kernel
-        vector has its pivot in x, so the x-parts are X's canonical basis."""
+        """The preimage of ``other`` under the identity."""
         self._check_ambient(other)
-        system = transpose(self._columns + other._columns, self.dim_ambient)
-        kernel = sparse_nullspace(self.dim + other.dim, system)
-        parts = {t: {s: x for s, x in v.items() if s < self.dim} for t, v in zip(kernel._pivots, kernel._columns)}
-        return self.embed(Subspace(self.dim, parts))
+        return self.preimage([[{i: 1} for i in range(self.dim_ambient)]], other)
 
     def _check_ambient(self, other: "Subspace"):
         if self.dim_ambient != other.dim_ambient:

@@ -432,7 +432,7 @@ def verify_phi_grading(
     phi: tuple[Weight, ...] = ()
     rep: RootSystemReport | None = None
     n = alg.dimension
-    if not g_sub.contains_subspace(h):
+    if (h_small := g_sub.restrict(h)) is None:
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
         g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
@@ -445,7 +445,6 @@ def verify_phi_grading(
     if not simple:
         failures.append(("i", "grading subalgebra is not simple"))
     else:
-        h_small = Subspace.span(g_sub.dim, (g_sub.coords(v) for v in h.sparse_vectors()))
         wd_g = weight_decomposition(g_alg, h_small)
         phi_prime = wd_g.phi
         if wd_g.zero_space() != h_small:
@@ -546,13 +545,14 @@ def root_graded_structure(
     columns = {s: [refined.basis_change[i] for i in refined.indices_of_degree(s)] for s in refined.support}
     zphi = FgAbGroup(r, ())
     pi_images: dict[GroupElement, GroupElement] = {}
+    weight_of: dict[GroupElement, Weight] = {}
     for s, cols in columns.items():
         hit = [w for w in wd.weights if all(wd.spaces[w].contains(c) for c in cols)]
         if len(hit) != 1:
             raise VerificationFailure(
                 f"component of degree {s.coords} is not inside one weight space"
             )
-        w = hit[0]
+        w = weight_of[s] = hit[0]
         coords = report.root_coords.get(w) if any(w) else (0,) * r
         if coords is None:
             raise VerificationFailure(f"weight {w} outside the root lattice")
@@ -594,7 +594,8 @@ def root_graded_structure(
                     f"section element {u.coords} does not lie over simple root {i}"
                 )
     u_prime = Subgroup.from_generators(uab.group, section)
-    g_sub = Subspace.span(n, (col for s, cols in columns.items() if u_prime.contains(uab.iota[s]) for col in cols))
+    in_sub = [s for s in columns if u_prime.contains(uab.iota[s])]
+    g_sub = Subspace.span(n, (col for s in in_sub for col in columns[s]))
     check = verify_phi_grading(alg, g_sub, h, seed=seed)
     if not check.ok:
         raise VerificationFailure(
@@ -610,8 +611,9 @@ def root_graded_structure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
     g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
-    pos_prime = [a for a in report.positive_roots if a in set(phi_prime)]
-    g_plus = Subspace.span(n, (w for a in pos_prime for w in wd.spaces[a].intersect(g_sub).sparse_vectors()))
+    # g_sub is spanned by refined columns, each in one weight space: its root spaces are spans of its columns
+    pos_prime = set(report.positive_roots) & set(phi_prime)
+    g_plus = Subspace.span(n, (col for s in in_sub if weight_of[s] in pos_prime for col in columns[s]))
 
     def dominance(a: Weight) -> tuple:
         # dominance proxy: coordinates in the simple basis
@@ -717,8 +719,7 @@ def root_graded_structure(
 
 
 def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
-    if h.dim == 0 or not l_e.contains_subspace(h):
+    if h.dim == 0 or (h_small := l_e.restrict(h)) is None:
         return False
     small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
-    h_small = Subspace.span(l_e.dim, (l_e.coords(v) for v in h.sparse_vectors()))
     return _is_cartan(small, h_small)

@@ -41,6 +41,7 @@ from gradalg.exactla import (
     solve,
     sparse_nullspace,
     sparse_rows,
+    transpose,
 )
 from gradalg.afine import ClassificationEntry
 from gradalg.grading import GradedDerivations, Grading, universal_abelian_group
@@ -100,7 +101,7 @@ def is_refinement_by_spans(fine: Grading, coarse: Grading) -> bool:
         (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (fine, coarse)
     )
     outer = eager_components(coarse).values()
-    return a == b and all(any(oc.contains_subspace(c) for oc in outer) for c in eager_components(fine).values())
+    return a == b and all(any(oc.restrict(c) is not None for oc in outer) for c in eager_components(fine).values())
 
 
 def vectors(space: Subspace) -> list[tuple]:
@@ -220,6 +221,34 @@ def dense_nullspace(a: RatMatrix) -> RatMatrix:
             v[pc] = -r[i, fc]
         cols.append(v)
     return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.cols)) if cols else zeros(a.cols, 0)
+
+
+def bordered_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Oracle for ``Subspace.intersect`` (its former body): A x over the
+    x-parts of the kernel of [A | B], A and B the canonical bases, spanned."""
+    columns = a.sparse_vectors()
+    kernel = sparse_nullspace(a.dim + b.dim, transpose(columns + b.sparse_vectors(), a.dim_ambient))
+    parts = ({s: x for s, x in v.items() if s < a.dim} for v in kernel.sparse_vectors())
+    return Subspace.span(a.dim_ambient, (combine_rows(x, columns) for x in parts))
+
+
+def eliminated_annihilator(space: Subspace) -> list[dict]:
+    """Oracle for ``Subspace.annihilator`` (its former body): the kernel of
+    the canonical basis read as rows."""
+    return sparse_nullspace(space.dim_ambient, space.sparse_vectors()).sparse_vectors()
+
+
+def two_elimination_normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
+    """Oracle for ``afine._normalizer`` (its former body): the y with
+    q([v, y]) = 0 for v in sub and q in an eliminated annihilator of sub."""
+    ann = eliminated_annihilator(sub)
+    return sparse_nullspace(alg.dimension, (combine_rows(q, alg.ad_rows(v)) for v in sub.sparse_vectors() for q in ann))
+
+
+def ad_row_centralizer(alg: StructureAlgebra, s: Subspace) -> Subspace:
+    """Oracle for ``algcore.centralizer`` (its former body): the kernel of
+    the stacked rows of ad v over v in S."""
+    return sparse_nullspace(alg.dimension, (row for v in s.sparse_vectors() for row in alg.ad_rows(v)))
 
 
 def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -23,6 +23,7 @@ from gradalg.errors import (
     ShapeError,
 )
 from gradalg import afine, catalog, exactla, grading, lieroot
+from gradalg.algcore import algebra_from_matrices, centralizer
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
@@ -61,7 +62,13 @@ from helpers import (
     dense_column_echelon,
     dense_nullspace,
     dense_rref,
+    ad_row_centralizer,
+    bordered_intersection,
+    build_sl2_plus_sl2,
     dense_subspace_intersection,
+    eliminated_annihilator,
+    heisenberg_grading,
+    two_elimination_normalizer,
     diagonal,
     flatten,
     fraction_coordinate_reader,
@@ -740,8 +747,11 @@ class TestSubspaces:
 
     def test_embed_and_intersect_against_oracles(self):
         # embed carries a canonical basis to the span of its images with no
-        # elimination, and intersect, which ends in embed, agrees with the
-        # dense oracle; the zero and full spaces are drawn on purpose
+        # elimination, and restrict carries it back; intersect, the preimage
+        # under the identity, agrees with the dense oracle and with the
+        # [A | B] elimination it replaced; the written-down annihilator spans
+        # the eliminated one; the zero and full spaces and ambient dimension
+        # 0 are drawn on purpose
         rng = random.Random(32)
 
         def random_subspace(n):
@@ -752,7 +762,7 @@ class TestSubspaces:
                 return Subspace.full(n)
             return column_space(random_ranked_matrix(rng, n, rng.randint(0, n + 1)))
 
-        seen = {"zero": 0, "full": 0, "meet": 0}
+        seen = {"zero": 0, "full": 0, "ambient 0": 0, "meet": 0, "inside": 0, "outside": 0}
         for trial in range(300):
             n = rng.randint(0, 6)
             space = random_subspace(n)
@@ -761,17 +771,67 @@ class TestSubspaces:
             expected = Subspace.span(n, (combine_rows(v, space.sparse_vectors()) for v in sub.sparse_vectors()))
             assert image == expected and image._pivots == expected._pivots, f"trial {trial}"
             assert all(is_canonical(x) for v in image.sparse_vectors() for x in v.values())
+            back = space.restrict(image)
+            assert back == sub and back._pivots == sub._pivots and space.embed(back) == image, f"trial {trial}"
             other = random_subspace(n)
             meet = space.intersect(other)
             oracle = dense_subspace_intersection(basis_matrix(space), basis_matrix(other))
-            assert basis_matrix(meet) == oracle, f"trial {trial}"
+            assert basis_matrix(meet) == oracle and meet == bordered_intersection(space, other), f"trial {trial}"
             assert all(is_canonical(x) for v in meet.sparse_vectors() for x in v.values())
+            inside = space.restrict(other)
+            assert (inside is not None) == (meet == other), f"trial {trial}"
+            if inside is not None:
+                assert space.embed(inside) == other, f"trial {trial}"
+            ann = space.annihilator()
+            assert len(ann) == n - space.dim and Subspace.span(n, ann).dim == n - space.dim, f"trial {trial}"
+            assert all(sum(x * b.get(r, 0) for r, x in q.items()) == 0 for q in ann for b in space.sparse_vectors())
+            assert Subspace.span(n, ann) == Subspace.span(n, eliminated_annihilator(space)), f"trial {trial}"
             seen["zero"] += 0 in (space.dim, sub.dim, other.dim)
             seen["full"] += n > 0 and n in (space.dim, other.dim)
+            seen["ambient 0"] += n == 0
             seen["meet"] += 0 < meet.dim < n
+            seen["inside"] += inside is not None and other.dim > 0
+            seen["outside"] += inside is None
         assert min(seen.values()) >= 20, seen
         with pytest.raises(ShapeError):
             Subspace.full(3).embed(Subspace.full(2))
+        with pytest.raises(ShapeError):
+            Subspace.full(3).restrict(Subspace.full(2))
+
+    def test_normalizer_and_centralizer_against_oracles(self):
+        # both are one preimage under the adjoints of a subspace: of the
+        # subspace itself, and of the zero space; against the eliminations
+        # they replaced, on random subspaces of Lie algebras, the zero
+        # algebra among them
+        rng = random.Random(34)
+        algebras = [
+            algebra_from_matrices("zero", []),
+            heisenberg_grading().algebra,
+            catalog.get_catalog("cartan-sl2").grading.algebra,
+            catalog.get_catalog("cartan-sl3").grading.algebra,
+            build_sl2_plus_sl2(),
+        ]
+        seen = {"zero": 0, "full": 0, "proper normalizer": 0, "proper centralizer": 0}
+        for trial in range(120):
+            alg = algebras[trial % len(algebras)]
+            n = alg.dimension
+            kind = rng.randrange(4) if n else 0
+            if kind == 0:
+                sub = Subspace(n, {})
+            elif kind == 1:
+                sub = Subspace.full(n)
+            else:
+                sub = Subspace.span(n, (alg.basis_vector(i) for i in rng.sample(range(n), rng.randint(1, n))))
+                if kind == 3:  # a random, not coordinate, subspace
+                    sub = column_space(random_ranked_matrix(rng, n, rng.randint(1, n)))
+            normal, central = afine._normalizer(alg, sub), centralizer(alg, sub)
+            assert normal == two_elimination_normalizer(alg, sub), f"trial {trial}"
+            assert central == ad_row_centralizer(alg, sub), f"trial {trial}"
+            seen["zero"] += sub.dim == 0
+            seen["full"] += n > 0 and sub.dim == n
+            seen["proper normalizer"] += 0 < normal.dim < n
+            seen["proper centralizer"] += 0 < central.dim < n
+        assert min(seen.values()) >= 10, seen
 
     def test_one_elimination_per_canonical_basis(self, eliminations):
         # a canonical basis is the result of one elimination, taken as it is:
@@ -792,6 +852,15 @@ class TestSubspaces:
         assert eliminations(lambda: Subspace.full(4)) == 0
         sub = Subspace.span(2, [{0: 1, 1: 3}])
         assert eliminations(lambda: a.embed(sub)) == 0
+        # the annihilator is written down, and restrict reads embed backwards
+        assert eliminations(lambda: [s.annihilator() for s in (a, Subspace.full(4), Subspace(4, {}))]) == 0
+        assert eliminations(lambda: (a.restrict(a.embed(sub)), a.restrict(b), Subspace.full(4).restrict(a))) == 0
+        # every "maps into a subspace" condition is one preimage: one elimination
+        alg = catalog.get_catalog("cartan-sl3").grading.algebra
+        h = catalog.get_catalog("cartan-sl3").grading.identity_component()
+        assert eliminations(lambda: afine._normalizer(alg, h)) == 1
+        assert eliminations(lambda: centralizer(alg, h)) == 1
+        assert eliminations(lambda: a.preimage([op_rows(RatMatrix.identity(4))] * 2, b)) == 1
 
     def test_containment_is_read_with_no_elimination(self, eliminations):
         # a containment test reads the canonical basis at its pivots: the

@@ -435,7 +435,7 @@ class TestRootGradedStructure:
         candidates = [
             uab.iota[s]
             for s in refined.support
-            if even.contains_subspace(refined.component(s))
+            if even.restrict(refined.component(s)) is not None
             and refined.component(s).intersect(refined.identity_component()).dim == 0
         ]
         assert len(candidates) == 2

@@ -9,7 +9,8 @@ Runs one round of ``perfbench/workloads.make_jobs`` through
 wrapped by a counter.  Prints the total, then the count per calling
 function: the innermost caller outside ``exactla``, and the function that
 called it.  Run from the root of a checkout: gradalg is imported from
-``src/`` there.
+``src/`` there.  The output may be piped to ``head``: a closed pipe ends
+the run with no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -93,4 +95,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader of the output (say ``head``) has gone: stop with no traceback,
+        # and point stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
