@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup, torsion_and_free
-from .afine import DEFAULT_SEED, _MAX_GENERIC_RETRIES, _is_cartan, split_cartan, toral_rank
+from .afine import DEFAULT_SEED, _MAX_GENERIC_RETRIES, _is_nilpotent_subalgebra, split_cartan, toral_rank
 from .algcore import (
     StructureAlgebra,
     Subspace,
@@ -631,11 +631,11 @@ def root_graded_structure(
     elif check.report.short_roots:
         highest["B"] = max(check.report.short_roots, key=dominance)
     # highest-weight vectors: {x in L(lam) : [g_plus, x] = 0}
-    top = centralizer(alg, g_plus)
+    ad_plus = [alg.ad_rows(v) for v in g_plus.sparse_vectors()]
     pieces: dict[str, Subspace] = {}
     mults: dict[str, Subspace] = {}
     for name, lam in highest.items():
-        m = top.intersect(wd.spaces[lam])
+        m = wd.spaces[lam].preimage(ad_plus, Subspace(n, {}))
         if name == "C":
             # highest-weight vectors of weight lam_c inside the adjoint piece
             # belong to g x A; keep only the complement
@@ -719,7 +719,8 @@ def root_graded_structure(
 
 
 def _is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
-    if h.dim == 0 or (h_small := l_e.restrict(h)) is None:
+    """h is inside L_e, closed, nilpotent and its own normalizer in L_e."""
+    vs = h.sparse_vectors()
+    if l_e.restrict(h) is None or not all(h.contains(alg.bracket(x, y)) for x in vs for y in vs):
         return False
-    small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
-    return _is_cartan(small, h_small)
+    return _is_nilpotent_subalgebra(alg, h) and l_e.preimage(map(alg.ad_rows, vs), h) == h

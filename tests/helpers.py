@@ -19,6 +19,7 @@ from gradalg.algcore import (
     int_field,
     killing_form,
     rational_field,
+    subalgebra_structure,
 )
 from gradalg.errors import (
     AxiomFailure,
@@ -239,10 +240,41 @@ def eliminated_annihilator(space: Subspace) -> list[dict]:
 
 
 def two_elimination_normalizer(alg: StructureAlgebra, sub: Subspace) -> Subspace:
-    """Oracle for ``afine._normalizer`` (its former body): the y with
-    q([v, y]) = 0 for v in sub and q in an eliminated annihilator of sub."""
+    """Oracle for the normalizer as one ``Subspace.preimage`` of ``sub`` under
+    the adjoints of its basis: the y with q([v, y]) = 0 for v in sub and q in
+    an eliminated annihilator of sub."""
     ann = eliminated_annihilator(sub)
     return sparse_nullspace(alg.dimension, (combine_rows(q, alg.ad_rows(v)) for v in sub.sparse_vectors() for q in ann))
+
+
+def is_closed_subspace(alg: StructureAlgebra, sub: Subspace) -> bool:
+    """[x, y] in sub for every pair of basis vectors of sub."""
+    vs = sub.sparse_vectors()
+    return all(sub.contains(alg.bracket(x, y)) for x in vs for y in vs)
+
+
+def dim_step_nilpotent(alg: StructureAlgebra, sub: Subspace) -> bool:
+    """Oracle for ``afine._is_nilpotent_subalgebra`` on a closed subspace:
+    dim sub terms of the lower central series, with no early stop; the
+    series of a nilpotent sub falls by at least one dimension a term."""
+    vs, current = sub.sparse_vectors(), sub
+    for _ in range(sub.dim):
+        current = Subspace.span(alg.dimension, (alg.bracket(x, y) for x in vs for y in current.sparse_vectors()))
+    return current.dim == 0
+
+
+def three_part_is_cartan(alg: StructureAlgebra, sub: Subspace) -> bool:
+    """Oracle for the Cartan test that every candidate of the search once
+    passed: closed under the bracket, nilpotent, and its own normalizer."""
+    return is_closed_subspace(alg, sub) and dim_step_nilpotent(alg, sub) and two_elimination_normalizer(alg, sub) == sub
+
+
+def rebased_is_cartan_in(alg: StructureAlgebra, l_e: Subspace, h: Subspace) -> bool:
+    """Oracle for ``lieroot._is_cartan_in`` (its former body): h in L_e, and
+    a nonzero Cartan subalgebra of L_e rebased on its canonical basis."""
+    if h.dim == 0 or (h_small := l_e.restrict(h)) is None:
+        return False
+    return three_part_is_cartan(subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"]), h_small)
 
 
 def ad_row_centralizer(alg: StructureAlgebra, s: Subspace) -> Subspace:

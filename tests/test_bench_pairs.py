@@ -82,3 +82,21 @@ def test_within_bound_is_read_as_a_share_of_the_parent_median():
     assert verdicts([x - 24.5 for x in PARENT]) == (False, False)
     # 19.5 fewer: jobs_per_s 19.5% worse, job_p50_s 24.2% worse
     assert verdicts([x - 19.5 for x in PARENT]) == (True, False)
+
+
+def test_resolved_needs_both_spreads_within_the_bound_or_a_change_better_in_every_run():
+    # tight: parent and change q3 - q1 of 2.5 jobs/s against a bound of 24
+    tight = bench_pairs.summarize(_runs(PARENT, [x - 5 for x in PARENT]), METRICS)
+    assert tight["jobs_per_s"]["resolved"] and tight["job_p50_s"]["resolved"]
+    # noisy: q3 - q1 is 90 jobs/s on a median of 100, wider than the bound, on one side or both
+    noisy = [20, 180, 40, 160, 60, 140, 80, 120, 100, 100]
+    for parent, change in ((noisy, noisy), (PARENT, noisy), (noisy, PARENT)):
+        summary = bench_pairs.summarize(_runs(parent, change), METRICS)
+        assert not summary["jobs_per_s"]["resolved"] and not summary["job_p50_s"]["resolved"]
+        assert summary["jobs_per_s"]["within_bound"]
+    # noisy but dominated: the slowest change run beats the fastest parent run, in either direction of "better"
+    dominated = bench_pairs.summarize(_runs(noisy, [x + 170 for x in noisy]), METRICS)
+    assert dominated["jobs_per_s"]["resolved"] and dominated["job_p50_s"]["resolved"]
+    # the same runs with the sides swapped are worse in every run: that is no exception
+    swapped = bench_pairs.summarize(_runs([x + 170 for x in noisy], noisy), METRICS)
+    assert not swapped["jobs_per_s"]["resolved"] and not swapped["job_p50_s"]["resolved"]

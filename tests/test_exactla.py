@@ -802,7 +802,8 @@ class TestSubspaces:
         # both are one preimage under the adjoints of a subspace: of the
         # subspace itself, and of the zero space; against the eliminations
         # they replaced, on random subspaces of Lie algebras, the zero
-        # algebra among them
+        # algebra among them.  The normalizer is written as _is_cartan_in
+        # writes it, in the whole algebra
         rng = random.Random(34)
         algebras = [
             algebra_from_matrices("zero", []),
@@ -824,7 +825,8 @@ class TestSubspaces:
                 sub = Subspace.span(n, (alg.basis_vector(i) for i in rng.sample(range(n), rng.randint(1, n))))
                 if kind == 3:  # a random, not coordinate, subspace
                     sub = column_space(random_ranked_matrix(rng, n, rng.randint(1, n)))
-            normal, central = afine._normalizer(alg, sub), centralizer(alg, sub)
+            normal = Subspace.full(n).preimage(map(alg.ad_rows, sub.sparse_vectors()), sub)
+            central = centralizer(alg, sub)
             assert normal == two_elimination_normalizer(alg, sub), f"trial {trial}"
             assert central == ad_row_centralizer(alg, sub), f"trial {trial}"
             seen["zero"] += sub.dim == 0
@@ -858,25 +860,26 @@ class TestSubspaces:
         # every "maps into a subspace" condition is one preimage: one elimination
         alg = catalog.get_catalog("cartan-sl3").grading.algebra
         h = catalog.get_catalog("cartan-sl3").grading.identity_component()
-        assert eliminations(lambda: afine._normalizer(alg, h)) == 1
+        assert eliminations(lambda: Subspace.full(8).preimage(map(alg.ad_rows, h.sparse_vectors()), h)) == 1
         assert eliminations(lambda: centralizer(alg, h)) == 1
         assert eliminations(lambda: a.preimage([op_rows(RatMatrix.identity(4))] * 2, b)) == 1
 
     def test_containment_is_read_with_no_elimination(self, eliminations):
         # a containment test reads the canonical basis at its pivots: the
-        # closure test of _is_cartan, the bracket check of
+        # closure test of _is_cartan_in, the bracket check of
         # weight_decomposition and is_refinement_of eliminate nothing
         a = span_of(4, [[1, 2, 0, 1], [0, 0, 1, 1]])
         assert eliminations(lambda: (a.contains({0: 1, 1: 2, 3: 1}), a.contains({0: 1}), a.coords({2: 1, 3: 1}))) == 0
         alg = catalog.get_catalog("cartan-sl3").grading.algebra
         h = catalog.get_catalog("cartan-sl3").grading.identity_component()
+        # h is L_e here: the nilpotency spans and one preimage, the normalizer in L_e
         nilpotent = eliminations(lambda: afine._is_nilpotent_subalgebra(alg, h))
-        normalizer = eliminations(lambda: afine._normalizer(alg, h))
-        assert nilpotent and normalizer
-        assert eliminations(lambda: afine._is_cartan(alg, h)) == nilpotent + normalizer
+        normalizer = eliminations(lambda: h.preimage(map(alg.ad_rows, h.sparse_vectors()), h))
+        assert nilpotent and normalizer == 1
+        assert eliminations(lambda: lieroot._is_cartan_in(alg, h, h)) == nilpotent + normalizer
         # h plus E_01 and E_12 is not closed: the closure test alone decides
         open_space = Subspace.span(8, h.sparse_vectors() + [{0: 1}, {3: 1}])
-        assert eliminations(lambda: afine._is_cartan(alg, open_space)) == 0
+        assert eliminations(lambda: lieroot._is_cartan_in(alg, Subspace.full(8), open_space)) == 0
         ops = [alg.ad_rows(v) for v in h.sparse_vectors()]
         split = eliminations(lambda: simultaneous_eigenspaces(ops, Subspace.full(8)))
         assert eliminations(lambda: lieroot.weight_decomposition.__wrapped__(alg, h)) == split

@@ -5,14 +5,14 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import product
+from itertools import islice, product
 
 import pytest
 import sympy
 
 from gradalg import algcore, lieroot
 from gradalg.abgroup import FgAbGroup
-from gradalg.afine import canonical_refinement
+from gradalg.afine import canonical_refinement, cartan_candidates
 from gradalg.algcore import Subspace, algebra_to_dict
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
@@ -21,6 +21,7 @@ from gradalg.errors import (
     SectionInvalid,
     VerificationFailure,
 )
+from gradalg.exactla import nullspace
 from gradalg.grading import Grading, universal_abelian_group
 from gradalg.lieroot import (
     _dynkin_type,
@@ -38,10 +39,13 @@ from helpers import (
     cartan_matrix_of_vectors,
     classical_cartan_grading,
     dense_root_coords,
+    dim_step_nilpotent,
     direct_sum_grading,
     is_canonical,
+    is_closed_subspace,
     permutation_cartan_type,
     probed_cartan_number,
+    rebased_is_cartan_in,
     reference_simple_roots,
     reflection_closure,
     signed_permutation,
@@ -454,6 +458,56 @@ class TestRootGradedStructure:
         gr = get_catalog("sl3-involution").grading
         with pytest.raises(IdentityComponentNotCartan):
             root_graded_structure(gr, gr)  # L_e itself is not a Cartan
+
+    def test_a_supplied_h_is_tested_in_l_as_the_rebased_oracle_tests_it(self):
+        # h = 0, h outside L_e, h not closed, not nilpotent, not self-normalizing, and Cartan subalgebras
+        rng = random.Random(35)
+        cases = []
+        for gr in (
+            get_catalog("cartan-sl3").grading,
+            get_catalog("sl3-involution").grading,
+            get_catalog("cartan-sl4").grading,
+            sl_involution_grading(4, alternating=True),
+            sl_involution_grading(5, alternating=False),
+        ):
+            l_e = gr.identity_component()
+            small = algcore.subalgebra_structure(gr.algebra, l_e.sparse_vectors(), flags=["lie"])
+            cartans = [l_e.embed(h) for h in islice(cartan_candidates(small, random.Random(0)), 4)]
+            cases.append((gr.algebra, l_e, small, cartans))
+        seen = Counter()
+        for trial in range(175):
+            alg, l_e, small, cartans = cases[trial % len(cases)]
+            n, basis = alg.dimension, l_e.sparse_vectors()
+            kind = rng.randrange(7)
+            if kind == 0:
+                h = Subspace(n, {})
+            elif kind == 1:
+                h = rng.choice(cartans)
+            elif kind == 2:  # a random subspace of L_e
+                combos = ({j: rng.randint(-2, 2) for j in range(len(basis))} for _ in range(rng.randint(1, len(basis))))
+                h = l_e.embed(Subspace.span(len(basis), combos))
+            elif kind == 3:  # a Cartan subalgebra and one vector of L outside L_e
+                h = Subspace.span(n, rng.choice(cartans).sparse_vectors() + [{rng.randrange(n): 1}])
+            elif kind == 4:
+                h = Subspace.span(n, [rng.choice(basis)])
+            elif kind == 5:  # an Engel subalgebra of L_e: closed and self-normalizing
+                x = {j: rng.randint(-1, 1) for j in range(len(basis))}
+                h = l_e.embed(nullspace(small.ad_matrix(x).power(small.dimension)))
+            else:
+                h = l_e
+            verdict = lieroot._is_cartan_in(alg, l_e, h)
+            assert verdict == rebased_is_cartan_in(alg, l_e, h), f"trial {trial}"
+            if h.dim == 0:
+                seen["zero"] += 1
+            elif l_e.restrict(h) is None:
+                seen["outside"] += 1
+            elif not is_closed_subspace(alg, h):
+                seen["open"] += 1
+            elif not dim_step_nilpotent(alg, h):
+                seen["not nilpotent"] += 1
+            else:
+                seen["cartan" if verdict else "not self-normalizing"] += 1
+        assert min(seen.values()) >= 8 and len(seen) == 6, seen
 
     def test_special_grading_refused(self):
         gr = get_catalog("a3-fine").grading

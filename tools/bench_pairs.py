@@ -11,11 +11,11 @@ started in its checkout, which imports gradalg from that checkout's
 ``src/``.  The JSON written to ``--out`` (default ``BENCH_<workload>.json``
 in the current directory) holds every run's end-to-end metrics and
 correctness, and for each metric each side's median and quartiles and the
-number of pairs the change won, with the verdicts ``gain_shown`` and
-``within_bound`` (see ``summarize``); "better" and "bound" are read from
-the change checkout's ``BENCHMARK.json``.  Give it two checkouts made the
-same way, for example two ``git archive`` exports: byte-code caches that
-one side has and the other lacks move ``setup_s``.
+number of pairs the change won, with the verdicts ``gain_shown``,
+``within_bound`` and ``resolved`` (see ``summarize``); "better" and "bound"
+are read from the change checkout's ``BENCHMARK.json``.  Give it two
+checkouts made the same way, for example two ``git archive`` exports:
+byte-code caches that one side has and the other lacks move ``setup_s``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,17 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound):
-    each side's spread, the pairs the change won, and two verdicts.
+    each side's spread, the pairs the change won, and three verdicts.
 
     - ``gain_shown``: the change won at least nine tenths of the pairs,
       ties counting for neither side, and its median is better than the
       parent's by more than the parent's q3 - q1.
     - ``within_bound``: the change's median is worse than the parent's by
-      at most ``bound``, as a share of the parent's median."""
+      at most ``bound``, as a share of the parent's median.
+    - ``resolved``: each side's q3 - q1 is at most ``bound`` times the
+      parent's median, or every change run is better than every parent
+      run; otherwise the runs spread too widely to read ``within_bound``
+      as "unchanged"."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
@@ -72,7 +76,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
         sign = 1 if direction == "higher" else -1
-        spreads = {side: spread([r["metrics"][name] for r in runs if r["side"] == side]) for side in SIDES}
+        values = {side: [r["metrics"][name] for r in runs if r["side"] == side] for side in SIDES}
+        spreads = {side: spread(v) for side, v in values.items()}
         won = 0
         for pair in pairs.values():
             won += sign * (pair["change"]["metrics"][name] - pair["parent"]["metrics"][name]) > 0
@@ -87,6 +92,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "gain_shown": 10 * won >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
             "within_bound": -gain <= metric["bound"] * parent["median"],
+            "resolved": min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
+            or all(s["q3"] - s["q1"] <= metric["bound"] * parent["median"] for s in spreads.values()),
         }
     return out
 
@@ -125,7 +132,7 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}] "
               f"change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}] "
               f"won {s['pairs_won_by_change']}/{s['pairs']} "
-              f"gain_shown={s['gain_shown']} within_bound={s['within_bound']}")
+              f"gain_shown={s['gain_shown']} within_bound={s['within_bound']} resolved={s['resolved']}")
     return 0
 
 
