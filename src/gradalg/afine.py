@@ -46,7 +46,6 @@ from .exactla import (
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
-    sparse_product,
 )
 from .grading import (
     Grading,
@@ -113,8 +112,8 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
 
 
 def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
-    """The first Cartan subalgebra H of ``small``, the algebra on the
-    canonical basis of ``space``, from the candidates of
+    """The first Cartan subalgebra H of ``small``, the algebra built on
+    ``space`` at its pivots (L_e, or D_e in End(A)), from the candidates of
     ``cartan_candidates(small, random.Random(seed))``, taken to ambient
     coordinates by that basis, on which ``split(H)`` does not raise
     NonSplitError; returns (H, split(H)).  When every candidate is
@@ -157,7 +156,7 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
     Only D_e is solved: the derivation degrees within the trivial subgroup."""
     n = grading.dimension
     d_e = graded_derivations(grading, Subgroup.from_generators(grading.group, [])).identity_part
-    lie = algebra_from_matrices("commutators", [flat_operator(v, n) for v in d_e.sparse_vectors()])
+    lie = algebra_from_matrices("commutators", d_e)
 
     def toral_part(cartan: Subspace) -> Subspace:
         # the span of the semisimple parts; NonSplitError when a spectrum is irrational
@@ -165,13 +164,10 @@ def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
         return Subspace.span(n * n, map(flat_vector, parts))
 
     cartan, toral = split_cartan(lie, d_e, seed, toral_part)
-    mats = [flat_operator(v, n) for v in toral.sparse_vectors()]
-    for i, a in enumerate(mats):
-        if not d_e.contains(flat_vector(a)):
-            raise AxiomFailure("semisimple part left the derivation algebra")
-        for b in mats[i + 1 :]:
-            if sparse_product(a, b) != sparse_product(b, a):
-                raise AxiomFailure("toral part is not commutative")
+    if (t_small := d_e.restrict(toral)) is None:
+        raise AxiomFailure("semisimple part left the derivation algebra")
+    if any(lie.bracket(x, y) for x in t_small.sparse_vectors() for y in t_small.sparse_vectors()):
+        raise AxiomFailure("toral part is not commutative")
     return ToralData(n, d_e, cartan, toral, toral.dim)
 
 

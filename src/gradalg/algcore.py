@@ -394,19 +394,23 @@ def algebra_to_dict(a: StructureAlgebra) -> dict:
 
 def algebra_from_matrices(
     name: str,
-    matrices: Sequence[Sequence[Mapping[int, Rational]]],
+    matrices: Subspace | Sequence[Sequence[Mapping[int, Rational]]],
     kind: str = "lie",
     extra_flags: Iterable[str] = (),
 ) -> StructureAlgebra:
-    """Abstract algebra from a faithful realization by square operators,
-    each given by its sparse rows: structure constants of the commutator
-    (kind="lie") or product (kind="associative") expressed in the span of
-    ``matrices`` (VerificationFailure when the span is not closed).  One
-    elimination, in ``coordinate_reader`` on the flat vectors, serves
-    every product."""
+    """Abstract algebra from a faithful realization by square operators: a
+    ``Subspace`` of End(Q^n) in n^2 coordinates, row-major, or operators by
+    their sparse rows.  The commutator (kind="lie") or product
+    (kind="associative") of two of them is read in their span by one
+    ``coordinate_reader``, at the pivots of a ``Subspace`` or by one
+    elimination (VerificationFailure with witness (i, j) when not closed)."""
+    if isinstance(matrices, Subspace):
+        size = math.isqrt(matrices.dim_ambient)
+        coords = coordinate_reader(size * size, matrices)  # ShapeError unless the ambient is a square
+        matrices = [flat_operator(v, size) for v in matrices.sparse_vectors()]
+    else:
+        coords = coordinate_reader(len(matrices[0]) ** 2 if matrices else 0, [flat_vector(m) for m in matrices])
     n = len(matrices)
-    size = len(matrices[0]) ** 2 if matrices else 0
-    coords = coordinate_reader(size, [flat_vector(m) for m in matrices])
     tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
     for i in range(n):
         for j in range(n):
@@ -426,46 +430,48 @@ def algebra_from_matrices(
 
 def subalgebra_structure(
     a: StructureAlgebra,
-    columns: Sequence[Mapping[int, Rational]],
+    columns: Subspace | Sequence[Mapping[int, Rational]],
     flags: Iterable[str] | None = None,
 ) -> StructureAlgebra:
-    """The algebra ``a`` re-based on the sparse vectors ``columns``: the
-    canonical basis of a subspace, or the columns of an invertible basis
-    change.  Its structure constants are each operation on the tuples of
-    basis vectors that a stored entry reaches, built in integers from
-    those entries (``_rebased``) and read in coordinates of the vectors by
-    one ``coordinate_reader`` (ValueError when they are linearly dependent
-    or their span is not closed under an operation).  The flags (default:
-    those of ``a``) are verified on the result.
+    """The algebra ``a`` re-based on ``columns``: a ``Subspace``, on its
+    canonical basis, or the sparse columns of an invertible basis change.
+    Its structure constants are each operation on the tuples of basis
+    vectors that a stored entry reaches, built in integers from those
+    entries (``_rebased``) and read in coordinates by ``coordinate_reader``:
+    at the pivots of a ``Subspace``, or by one elimination of the columns
+    (ValueError when they are dependent or their span is not closed under
+    an operation).  The flags (default: those of ``a``) are verified.
 
-    The identity basis gives ``a`` itself when the flags are among the
-    verified flags of ``a``.  Any other result is memoized on ``a`` per
-    (basis, flags), so the gradings, inductions and coarsenings sharing
-    an algebra and a basis share one re-based, flag-checked copy."""
+    The full subspace or the identity basis gives ``a`` itself when the
+    flags are among the verified flags of ``a``.  Any other result is
+    memoized on ``a`` per (basis, flags), so the gradings, inductions and
+    coarsenings sharing an algebra and a basis share one re-based copy."""
     use_flags = a.flags if flags is None else frozenset(flags)
-    frozen = tuple(tuple(sorted(col.items())) for col in columns)
-    identity = len(frozen) == a.dimension and all(col == ((i, 1),) for i, col in enumerate(frozen))
-    if identity and use_flags <= a.flags:
+    n = a.dimension
+    if not isinstance(columns, Subspace):
+        columns = tuple(tuple(sorted(col.items())) for col in columns)
+    if columns in (Subspace.full(n), tuple(((i, 1),) for i in range(n))) and use_flags <= a.flags:
         return a
-    return _rebased(a, frozen, use_flags)
+    return _rebased(a, columns, use_flags)
 
 
 @memoized
-def _rebased(a: StructureAlgebra, frozen: tuple, flags: frozenset) -> StructureAlgebra:
-    """``subalgebra_structure`` on the columns ``frozen`` as sorted item
-    tuples.  Column t times the lcm s_t of its denominators is an integer
-    column, indexed by coordinate; each stored key of ``op.int_tensor``
-    and each tuple of integer columns nonzero at its indices add one term
-    to op(s_t1 col_t1, ...) times ``op.denominator``.  That integer vector
-    is read in coordinates and divided by those scales; tuples that no
-    stored key reaches have the value 0."""
-    if any(not 0 <= i < a.dimension for col in frozen for i, _ in col):
+def _rebased(a: StructureAlgebra, basis: Subspace | tuple, flags: frozenset) -> StructureAlgebra:
+    """``subalgebra_structure`` on ``basis``, a ``Subspace`` or the columns as
+    sorted item tuples.  Column t times the lcm s_t of its denominators is
+    an integer column, indexed by coordinate; each stored key of
+    ``op.int_tensor`` and each tuple of integer columns nonzero at its
+    indices add one term to op(s_t1 col_t1, ...) times ``op.denominator``.
+    That integer vector is read in coordinates and divided by those
+    scales; tuples that no stored key reaches have the value 0."""
+    columns = basis.sparse_vectors() if isinstance(basis, Subspace) else [dict(col) for col in basis]
+    if any(not 0 <= i < a.dimension for col in columns for i in col):
         raise ShapeError("basis entries must lie in the algebra's dimension")
-    coords = coordinate_reader(a.dimension, [dict(col) for col in frozen])
-    scales = [math.lcm(*(x.denominator for _, x in col)) for col in frozen]
+    coords = coordinate_reader(a.dimension, basis if isinstance(basis, Subspace) else columns)
+    scales = [math.lcm(*(x.denominator for x in col.values())) for col in columns]
     at: dict[int, list[tuple[int, int]]] = {}
-    for t, (col, s) in enumerate(zip(frozen, scales)):
-        for i, x in col:
+    for t, (col, s) in enumerate(zip(columns, scales)):
+        for i, x in col.items():
             at.setdefault(i, []).append((t, x.numerator * (s // x.denominator)))
     ops = []
     for op in a.operations:
@@ -485,7 +491,7 @@ def _rebased(a: StructureAlgebra, frozen: tuple, flags: frozenset) -> StructureA
                 d = op.denominator * math.prod(scales[t] for t in ts)
                 tensor[ts] = vec if d == 1 else {j: qdiv(x, d) for j, x in vec.items()}
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    return StructureAlgebra(f"{a.name}-sub", len(frozen), ops, flags)
+    return StructureAlgebra(f"{a.name}-sub", len(columns), ops, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +631,8 @@ def derivation_algebra(
 ) -> DerivationAlgebra:
     """The derivation space of ``a`` (see ``derivation_space``) with its Lie
     structure under the commutator."""
-    n = a.dimension
     space = derivation_space(a, constraints or ())
-    mats = [flat_operator(v, n) for v in space.sparse_vectors()]
-    return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", mats))
+    return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", space))
 
 
 # ---------------------------------------------------------------------------

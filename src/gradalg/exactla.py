@@ -523,14 +523,19 @@ def nullspace(a: RatMatrix) -> Subspace:
     return sparse_nullspace(a.cols, sparse_rows(a.data))
 
 
-def coordinate_reader(size: int, vectors: Sequence[Mapping[int, Rational]]):
+def coordinate_reader(size: int, vectors: Subspace | Sequence[Mapping[int, Rational]]):
     """The map from a sparse vector of Q^``size`` to its sparse coordinates
-    (sorted by index) in the sparse ``vectors``, or None when it is outside
-    their span (ValueError when they are linearly dependent).  One
-    ``_integer_echelon`` of [M | I], M the rows ``vectors``, gives L [R | E]
-    with E M = R, its rows scaled to the lcm L of their pivot entries; v in
-    the span, times the lcm d of its denominators, is L d [v | x] = sum_p
-    d v_p L [R | E]_p for its coordinates x, each divided exactly (``qdiv``)."""
+    (sorted by index) in ``vectors``, or None when it is outside their span.
+    A ``Subspace`` of Q^``size`` is read at its pivots (``coords``).  Other
+    vectors (ValueError when they are dependent) take one ``_integer_echelon``
+    of [M | I], M the rows ``vectors``: L [R | E] with E M = R, its rows
+    scaled to the lcm L of their pivot entries; v in the span, times the lcm
+    d of its denominators, is L d [v | x] = sum_p d v_p L [R | E]_p for its
+    coordinates x, each divided exactly (``qdiv``)."""
+    if isinstance(vectors, Subspace):
+        if vectors.dim_ambient != size:
+            raise ShapeError("ambient mismatch")
+        return vectors.coords
     reduced = _integer_echelon(({**row, size + k: 1} for k, row in enumerate(vectors)), size + len(vectors))
     if any(p >= size for p in reduced):
         raise ValueError("the basis vectors are linearly dependent")

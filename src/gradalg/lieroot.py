@@ -393,7 +393,7 @@ def extract_root_system(
         )
     alg = grading.algebra
     l_e = grading.identity_component()
-    small = subalgebra_structure(alg, l_e.sparse_vectors(), flags=["lie"])
+    small = subalgebra_structure(alg, l_e, flags=["lie"])
     _, (wd, report) = split_cartan(small, l_e, seed, lambda h: _root_system_at(alg, l_e, h, seed))
     if not report.irreducible and is_simple(alg):
         raise AxiomFailure("reducible root system on a simple algebra")
@@ -435,7 +435,7 @@ def verify_phi_grading(
     if (h_small := g_sub.restrict(h)) is None:
         return PhiGradingCheck(False, (("i", "h is not inside the subalgebra"),), (), ())
     try:
-        g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
+        g_alg = subalgebra_structure(alg, g_sub, flags=["lie"])
     except ValueError as exc:  # not closed under the bracket
         return PhiGradingCheck(False, (("i", f"not a subalgebra: {exc}"),), (), ())
     try:
@@ -610,7 +610,7 @@ def root_graded_structure(
         raise VerificationFailure(
             "grading subalgebra roots differ from the non-doubled part of Phi"
         )
-    g_alg = subalgebra_structure(alg, g_sub.sparse_vectors(), flags=["lie"])
+    g_alg = subalgebra_structure(alg, g_sub, flags=["lie"])
     # g_sub is spanned by refined columns, each in one weight space: its root spaces are spans of its columns
     pos_prime = set(report.positive_roots) & set(phi_prime)
     g_plus = Subspace.span(n, (col for s in in_sub if weight_of[s] in pos_prime for col in columns[s]))

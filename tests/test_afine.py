@@ -10,6 +10,7 @@ from math import prod
 import pytest
 
 from gradalg.abgroup import DEFAULT_CAP, FgAbGroup, GroupHom, Subgroup, torsion_and_free
+from gradalg import afine
 from gradalg.afine import (
     _element_candidates,
     _is_nilpotent_subalgebra,
@@ -24,8 +25,8 @@ from gradalg.afine import (
 )
 from gradalg.algcore import algebra_from_matrices, subalgebra_structure
 from gradalg.catalog import catalog_names, get_catalog
-from gradalg.errors import CapExceeded
-from gradalg.exactla import IntMatrix, RatMatrix, Subspace, flat_operator, nullspace
+from gradalg.errors import AxiomFailure, CapExceeded
+from gradalg.exactla import IntMatrix, RatMatrix, Subspace, nullspace
 from gradalg.grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 
 from helpers import (
@@ -95,14 +96,12 @@ def engel_algebras() -> dict:
         if "lie" in gr.algebra.flags:
             out[name] = gr.algebra
             if l_e.dim:
-                out[f"{name}/L_e"] = subalgebra_structure(gr.algebra, l_e.sparse_vectors(), flags=["lie"])
+                out[f"{name}/L_e"] = subalgebra_structure(gr.algebra, l_e, flags=["lie"])
         d_e = graded_derivations(gr, Subgroup.from_generators(gr.group, [])).identity_part
-        out[f"{name}/D_e"] = algebra_from_matrices(
-            "commutators", [flat_operator(v, gr.dimension) for v in d_e.sparse_vectors()]
-        )
+        out[f"{name}/D_e"] = algebra_from_matrices("commutators", d_e)
     for name, n, alternating in (("sl4-symplectic", 4, True), ("sl5-orthogonal", 5, False), ("sl6-symplectic", 6, True)):
         gr = sl_involution_grading(n, alternating)
-        out[f"{name}/L_e"] = subalgebra_structure(gr.algebra, gr.identity_component().sparse_vectors(), flags=["lie"])
+        out[f"{name}/L_e"] = subalgebra_structure(gr.algebra, gr.identity_component(), flags=["lie"])
     return out
 
 
@@ -181,6 +180,18 @@ class TestToralRank:
         # the toral rank solves D_e alone; the solve of every degree gives the same D_e
         assert td.d_e == graded_derivations(gr).identity_part
         assert td.toral_matrices() == []
+
+    @pytest.mark.parametrize(
+        "toral, message",
+        [(lambda d_e: Subspace.full(d_e.dim_ambient), "left the derivation algebra"), (lambda d_e: d_e, "not commutative")],
+        ids=["outside-d_e", "not-commutative"],
+    )
+    def test_a_wrong_toral_part_is_an_axiom_failure(self, monkeypatch, toral, message):
+        # D_e of sl3 graded by the orthogonal involution is ad so3, which does not commute;
+        # t is read in D_e's coordinates and its brackets in D_e's structure constants
+        monkeypatch.setattr(afine, "split_cartan", lambda lie, d_e, seed, split: (d_e, toral(d_e)))
+        with pytest.raises(AxiomFailure, match=message):
+            toral_rank(sl_involution_grading(3, alternating=False))
 
     def test_toral_matrices_commute_and_preserve_components(self):
         gr = parity_sl2()

@@ -2,13 +2,15 @@
 
 import inspect
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 from math import lcm, prod
 
 import pytest
@@ -35,10 +37,12 @@ from gradalg.algcore import (
     rational_field,
     subalgebra_structure,
 )
-from gradalg.afine import toral_rank
+from gradalg.abgroup import Subgroup
+from gradalg.afine import _element_candidates, canonical_refinement, toral_rank
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, Subspace, rank, sparse_rows
+from gradalg.exactla import RatMatrix, Subspace, coordinate_reader, flat_operator, flat_vector, nullspace, rank, sparse_rows
 from gradalg.grading import Grading, graded_derivations
+from gradalg.lieroot import root_graded_structure, verify_phi_grading
 
 from helpers import (
     is_canonical,
@@ -50,6 +54,7 @@ from helpers import (
     build_sl2_efh,
     build_sl2_plus_sl2,
     build_sl2_plus_sl3,
+    classical_cartan_grading,
     columns_of,
     dense,
     dense_ad,
@@ -74,6 +79,7 @@ from helpers import (
     pairwise_matrix_tensor,
     random_graded_algebra,
     rows_matrix,
+    sl_involution_grading,
     sl_matrices,
     sparse,
     span_of,
@@ -1032,6 +1038,150 @@ class TestRebasedOverStoredEntries:
                 if any(op.tensor for op in sub.operations):
                     seen.add("closed, nonzero product")
         assert seen == {"dependent", "not closed", "closed", "closed, nonzero product"}
+
+
+def _same_algebra(got: StructureAlgebra, want: StructureAlgebra):
+    assert (got.name, got.dimension, got.flags) == (want.name, want.dimension, want.flags)
+    assert [(op.name, op.arity, _items(op.tensor)) for op in got.operations] == [
+        (op.name, op.arity, _items(op.tensor)) for op in want.operations
+    ]
+
+
+def _rebased_both_ways(alg, space, flags=("lie",)):
+    """``subalgebra_structure`` on ``space``, read at its pivots, against its
+    oracle: the same canonical basis as columns, read by an elimination."""
+    got = subalgebra_structure(alg, space, flags=flags)
+    _same_algebra(got, subalgebra_structure(alg, space.sparse_vectors(), flags=flags))
+    return got
+
+
+def _from_operators_both_ways(name, space):
+    """``algebra_from_matrices`` on a ``Subspace`` of End in n^2 coordinates
+    against its oracle: the canonical basis as operators, read by an elimination."""
+    n = math.isqrt(space.dim_ambient)
+    got = algebra_from_matrices(name, space)
+    _same_algebra(got, algebra_from_matrices(name, [flat_operator(v, n) for v in space.sparse_vectors()]))
+    return got
+
+
+#: Lie gradings with L_e != 0 from outside the catalog: sl4 and sl5 graded
+#: by an involution, and the Cartan gradings of so5 and sp6
+_MORE_LIE_GRADINGS = {
+    "sl4-symplectic": lambda: sl_involution_grading(4, True),
+    "sl5-orthogonal": lambda: sl_involution_grading(5, False),
+    "so5": lambda: classical_cartan_grading("B", 2),
+    "sp6": lambda: classical_cartan_grading("C", 3),
+}
+
+
+class TestSubspaceBasis:
+    """A canonical basis goes to the builders as its ``Subspace``, and its
+    coordinates are read at the pivots; the columns path, one
+    ``coordinate_reader`` elimination of the same basis, is the oracle."""
+
+    @pytest.mark.parametrize("name", ["cartan-sl2", "cartan-sl3", "cartan-sl4", "sl3-involution", *_MORE_LIE_GRADINGS])
+    def test_l_e_and_the_grading_subalgebra(self, name):
+        gr = _MORE_LIE_GRADINGS[name]() if name in _MORE_LIE_GRADINGS else catalog.get_catalog(name).grading
+        l_e = gr.identity_component()
+        assert _rebased_both_ways(gr.algebra, l_e).dimension == l_e.dim
+        g_sub = root_graded_structure(gr, canonical_refinement(gr).refined).g_sub
+        g_alg = _rebased_both_ways(gr.algebra, g_sub)
+        # a Cartan grading's g is L: the algebra itself, never a copy
+        assert (g_alg is gr.algebra) == (g_sub.dim == gr.dimension)
+
+    def test_engel_subalgebras_and_centralizers(self):
+        rng = random.Random(36)
+        gradings = [catalog.get_catalog(name).grading for name in catalog.catalog_names()]
+        algebras = [gr.algebra for gr in gradings if "lie" in gr.algebra.flags]
+        algebras += [classical_cartan_grading(kind, r).algebra for kind, r in (("B", 2), ("C", 2), ("B", 3), ("C", 3))]
+        seen = Counter()
+        for alg in algebras:
+            n = alg.dimension
+            for x in islice(_element_candidates(n, rng), 12):
+                engel = nullspace(alg.ad_matrix(x).power(n))
+                seen["nonabelian"] += bool(_rebased_both_ways(alg, engel).binary_op().tensor)
+                seen["engel"] += 1
+            for k in (1, 2):
+                s = Subspace.span(n, ({i: rng.randint(-2, 2) or 1} for i in rng.sample(range(n), k)))
+                cent = centralizer(alg, s)
+                seen["nonabelian"] += bool(_rebased_both_ways(alg, cent, flags=[]).binary_op().tensor)
+                seen["centralizer"] += 1
+        assert seen["engel"] == 12 * len(algebras) == 6 * seen["centralizer"] and seen["nonabelian"] > 0, seen
+
+    def test_d_e_of_every_catalog_grading(self):
+        d_e = {}
+        for name in catalog.catalog_names():
+            gr = catalog.get_catalog(name).grading
+            space = graded_derivations(gr, Subgroup.from_generators(gr.group, [])).identity_part
+            d_e[name] = _from_operators_both_ways("commutators", space)
+        # D_e = 0 on b2-skew, a torus on cartan-sl4, ad so3 on sl3-involution
+        assert [d_e[name].dimension for name in ("b2-skew", "cartan-sl4", "sl3-involution")] == [0, 3, 3]
+        assert d_e["sl3-involution"].binary_op().tensor
+
+    def test_derivation_algebras_of_small_algebras(self):
+        rng = random.Random(11)
+        small = [build_sl2_efh(), build_m2(), build_m2_splitpauli(), build_sl2_plus_sl2()]
+        small += [random_graded_algebra(rng, ternary=t % 2 == 1).algebra for t in range(6)]
+        for alg in small:
+            der = derivation_algebra(alg)
+            _same_algebra(der.algebra, _from_operators_both_ways(f"Der({alg.name})", derivation_space(alg)))
+            assert der.space.dim == der.algebra.dimension
+
+    def test_a_subspace_that_is_not_closed_keeps_its_error(self):
+        alg = build_sl(3)
+        # the diagonal, E_01 and E_12 (sl_matrices order: E_01, E_02, E_10, E_12, E_20, E_21, h1, h2)
+        h = span_of(8, [unit(6, 8), unit(7, 8)])
+        g_sub = span_of(8, [unit(i, 8) for i in (0, 3, 6, 7)])
+        for basis in (g_sub, g_sub.sparse_vectors()):
+            with pytest.raises(ValueError, match="^subspace is not closed under an operation$"):
+                subalgebra_structure(alg, basis, flags=["lie"])
+        check = verify_phi_grading(alg, g_sub, h)
+        assert not check.ok and check.failures == (("i", "not a subalgebra: subspace is not closed under an operation"),)
+        rng = random.Random(5)
+        witnesses = set()
+        for trial in range(40):
+            flat = [{k: c for k in range(9) if (c := rng.randint(-1, 1))} for _ in range(rng.randint(1, 4))]
+            space = Subspace.span(9, flat)
+            ops = [flat_operator(v, 3) for v in space.sparse_vectors()]
+            for kind in ("lie", "associative"):
+                try:
+                    want = algebra_from_matrices("oracle", ops, kind=kind)
+                except VerificationFailure as exc:
+                    with pytest.raises(VerificationFailure) as got:
+                        algebra_from_matrices("oracle", space, kind=kind)
+                    assert got.value.witness == exc.witness == pairwise_matrix_tensor(
+                        [rows_matrix(op) for op in ops], kind
+                    )[1]
+                    witnesses.add(exc.witness)
+                else:
+                    _same_algebra(algebra_from_matrices("oracle", space, kind=kind), want)
+        assert len(witnesses) > 1, witnesses
+
+    def test_a_subspace_of_another_ambient_is_a_shape_error(self):
+        alg = build_sl(3)
+        for space in (Subspace.full(3), Subspace.full(9), span_of(9, [unit(0, 9)])):
+            with pytest.raises(ShapeError):
+                subalgebra_structure(alg, space, flags=["lie"])
+        for size in (5, 8):
+            with pytest.raises(ShapeError):
+                algebra_from_matrices("bad", Subspace.full(size))
+        with pytest.raises(ShapeError):
+            coordinate_reader(4, Subspace.full(3))
+
+    def test_the_full_subspace_is_the_algebra_itself(self):
+        alg = catalog.get_catalog("cartan-sl3").grading.algebra
+        for flags in (None, [], ["lie"], ("aut_reductive", "lie")):
+            assert subalgebra_structure(alg, Subspace.full(alg.dimension), flags=flags) is alg
+        unflagged = StructureAlgebra("sl3-unflagged", 8, alg.operations)
+        copy = subalgebra_structure(unflagged, Subspace.full(8), flags=["lie"])
+        assert copy is not unflagged and copy.flags == {"lie"}
+        assert subalgebra_structure(unflagged, Subspace.full(8), flags=["lie"]) is copy
+
+    def test_equal_subspaces_share_one_rebased_copy(self):
+        alg = build_sl(3)
+        h = subalgebra_structure(alg, span_of(8, [unit(6, 8), unit(7, 8)]), flags=["lie"])
+        assert subalgebra_structure(alg, span_of(8, [[0] * 6 + [1, 1], [0] * 6 + [1, -1]]), flags=["lie"]) is h
+        assert not h.binary_op().tensor
 
 
 @pytest.mark.parametrize("literal", ["-0/5", "+3/006", "7", "-12/8", "0", "6/3", "1/2"])

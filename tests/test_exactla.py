@@ -1674,6 +1674,69 @@ def test_sources_solve_only_in_exactla():
                     assert node.func.attr != "to_rational", f"{where} calls to_rational"
 
 
+#: the builders that read coordinates in a basis, with the position and name of that argument
+_BASIS_ARGUMENT = {"coordinate_reader": (1, "vectors"), "subalgebra_structure": (1, "columns"), "algebra_from_matrices": (1, "matrices")}
+
+
+def _bases_read_off_a_subspace(tree: ast.AST):
+    """The line of each call of a builder in ``_BASIS_ARGUMENT`` whose basis
+    argument calls ``.sparse_vectors()``: the vectors themselves, or a
+    comprehension over them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in _BASIS_ARGUMENT:
+                position, keyword = _BASIS_ARGUMENT[name]
+                args = node.args[position : position + 1] + [k.value for k in node.keywords if k.arg == keyword]
+                inner = (sub for arg in args for sub in ast.walk(arg))
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "sparse_vectors" for sub in inner):
+                    yield node.lineno
+
+
+def test_sources_pass_a_canonical_basis_as_its_subspace():
+    # a Subspace is read at its pivots; its .sparse_vectors() as columns would be eliminated again
+    snippet = """
+coordinate_reader(n, space.sparse_vectors())
+subalgebra_structure(alg, [dict(v) for v in l_e.sparse_vectors()], flags=["lie"])
+algebra_from_matrices("d", matrices=[flat_operator(v, n) for v in d_e.sparse_vectors()])
+algcore.subalgebra_structure(alg, columns=g_sub.sparse_vectors())
+subalgebra_structure(alg, l_e, flags=["lie"])
+algebra_from_matrices("d", d_e)
+coordinate_reader(16, [flat_vector(m) for m in mats])
+bracket_span(alg, h.sparse_vectors(), h.sparse_vectors())
+"""
+    assert list(_bases_read_off_a_subspace(ast.parse(snippet))) == [2, 3, 4, 5]
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        lines = list(_bases_read_off_a_subspace(ast.parse(path.read_text())))
+        assert not lines, f"{path.name}:{lines} passes .sparse_vectors() as a basis"
+
+
+def _unread_imports(tree: ast.AST) -> dict[str, int]:
+    """Each name an import binds in ``tree`` (``__future__`` aside) that no
+    expression reads, with the line of its import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+def test_sources_read_every_name_they_import():
+    snippet = """
+from __future__ import annotations
+import os.path
+import math as m
+from .exactla import Subspace, flat_operator, nullspace as kernel
+def f(x: Subspace) -> int:
+    return m.isqrt(kernel(x).dim)
+"""
+    assert _unread_imports(ast.parse(snippet)) == {"os": 3, "flat_operator": 5}
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        assert not _unread_imports(ast.parse(path.read_text())), f"{path.name} imports names it never reads"
+
+
 def test_cli_imports_without_sympy():
     # sympy is a test oracle only; a fresh interpreter shows transitive
     # imports that a scan of the sources would miss
