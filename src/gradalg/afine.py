@@ -126,7 +126,10 @@ def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
             return h, split(h)
         except NonSplitError as exc:
             nonsplit = exc
-    raise nonsplit
+    try:
+        raise nonsplit
+    finally:  # the traceback holds this frame, so the frame must not hold the error (a reference cycle)
+        del nonsplit
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,7 @@ def enumerate_af_coarsenings(
     supplied generators.
     """
     uab = universal_abelian_group(grading)
-    ugr = uab.universal_grading()
+    ugr = uab.universal_grading(grading)
     t_u, _ = torsion_and_free(uab.group)
     # E <= t_u meets Sigma only inside t_u, so only the degrees there are solved
     sigma = [s for s in graded_derivations(ugr, t_u).sigma if not s.is_identity()]
@@ -445,7 +448,7 @@ def classify_gradings(
     out: list[ClassificationEntry] = []
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
-        ugr = uab.universal_grading()
+        ugr = uab.universal_grading(grading)
         admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, group, uab)]
         columns = [w.matrix.columns() for w in weyl]
         # the homs come in order of their images, so an orbit's representative has the least images

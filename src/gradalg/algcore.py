@@ -46,7 +46,9 @@ def memoized(fn):
     defaults with its keywords put in, so positional, keyword and
     defaulted calls of the same values share one key, and a hit is one
     dict lookup.  Only a bad call is bound to the signature, which raises
-    the TypeError of that call."""
+    the TypeError of that call.  A result never refers to ``obj``: then
+    obj, its memo and its results form no reference cycle, and reference
+    counting frees them with the last outside reference to obj."""
     signature = inspect.signature(fn)
     params = list(signature.parameters.values())[1:]
     if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):

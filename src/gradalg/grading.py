@@ -72,7 +72,7 @@ class Grading:
     which is ``algebra`` itself for the unit columns and is otherwise
     memoized on the algebra: gradings constructed on one algebra and
     basis share one re-based, flag-checked copy.  An induced grading
-    (``induce``, ``UabResult.universal_grading``, and so every coarsening
+    (``induce``, ``UabResult.universal_grading(g)``, so every coarsening
     and classified grading) is not constructed: ``_regraded`` builds its
     table from the source's and takes the source's algebra, basis and
     re-based copy; both paths set the fields through ``_fill``.
@@ -211,9 +211,9 @@ class UabResult:
     """Universal abelian group of a grading: generators are the support
     elements, with one relation s_1 + ... + s_k = s for every nonzero
     evaluation of an operation across components, read from the grading's
-    table (``Grading.relations``: each distinct relation once)."""
+    table (``Grading.relations``: each distinct relation once).  It is
+    memoized on the grading, so it holds no reference to it."""
 
-    grading: Grading
     group: FgAbGroup
     #: support elements of the original grading, fixing the generator order
     support_order: tuple[GroupElement, ...]
@@ -236,9 +236,10 @@ class UabResult:
             fibres.setdefault(u[:r], []).append(u)
         return tuple(tuple(f) for f in fibres.values() if len(f) > 1)
 
-    def universal_grading(self) -> Grading:
-        """The same decomposition viewed as a grading by the universal group."""
-        return _regraded(self.grading, self.group, self.iota.__getitem__)
+    def universal_grading(self, grading: Grading) -> Grading:
+        """The decomposition of ``grading``, the grading this result was
+        computed from, viewed as a grading by the universal group."""
+        return _regraded(grading, self.group, self.iota.__getitem__)
 
     def hom_from_support_images(
         self, codomain: FgAbGroup, images: Mapping[GroupElement, GroupElement]
@@ -282,7 +283,7 @@ def universal_abelian_group(grading: Grading) -> UabResult:
         alpha = _hom_from_support_images(pres, support, grading.group, {s: s for s in support})
     except ValueError as exc:
         raise AxiomFailure("alpha does not restrict to the support inclusion") from exc
-    return UabResult(grading, u, tuple(support), iota, alpha, pres)
+    return UabResult(u, tuple(support), iota, alpha, pres)
 
 
 @memoized
@@ -416,9 +417,9 @@ def _regraded(grading: Grading, group: FgAbGroup, image) -> Grading:
 @dataclass(frozen=True)
 class GradedDerivations:
     """Per-degree derivation components of a grading, in homogeneous-basis
-    coordinates (n^2 flat, row-major)."""
+    coordinates (n^2 flat, row-major); memoized on the grading, so it holds
+    no reference to it."""
 
-    grading: Grading
     #: degree g -> D_g = {derivations mapping each A_h into A_{g+h}}, for g in the
     #: subgroup solved within
     by_degree: Mapping[GroupElement, Subspace]
@@ -562,9 +563,7 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
             by_degree[g] = space
         if space.dim:
             sigma.append(g)
-    return GradedDerivations(
-        grading, by_degree, by_degree[ident], tuple(sigma)
-    )
+    return GradedDerivations(by_degree, by_degree[ident], tuple(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,38 @@ from gradalg.grading import GradedDerivations, Grading, universal_abelian_group
 from gradalg.lieroot import _proportional, _wadd, _wscale
 
 
+#: the cross-product algebra, trivially graded: the compact form of sl2,
+#: which has no split torus, so the Lie pipelines exit 2 on it
+SU2_WORKSPACE = {
+    "algebras": [
+        {
+            "name": "su2",
+            "dimension": 3,
+            "flags": {"lie": True},
+            "operations": [
+                {
+                    "name": "bracket",
+                    "arity": 2,
+                    "entries": [
+                        [0, 1, 2, "1"], [1, 0, 2, "-1"],
+                        [1, 2, 0, "1"], [2, 1, 0, "-1"],
+                        [2, 0, 1, "1"], [0, 2, 1, "-1"],
+                    ],
+                }
+            ],
+        }
+    ],
+    "gradings": [
+        {
+            "name": "trivial",
+            "algebra": "su2",
+            "group": {"free_rank": 0, "invariants": []},
+            "degrees": [[] for _ in range(3)],
+        }
+    ],
+}
+
+
 # ---------------------------------------------------------------------------
 # Dense views of gradalg's sparse formats, for oracles and readable tests
 # ---------------------------------------------------------------------------
@@ -873,7 +905,7 @@ def dense_graded_derivations(grading: Grading) -> GradedDerivations:
             by_degree[g] = space
         if space.dim:
             sigma.append(g)
-    return GradedDerivations(grading, by_degree, by_degree[ident], tuple(sigma))
+    return GradedDerivations(by_degree, by_degree[ident], tuple(sigma))
 
 
 def routed_leibniz_rows(grading: Grading) -> dict:
@@ -1459,7 +1491,7 @@ def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[Classification
     out = []
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
-        ugr = uab.universal_grading()
+        ugr = uab.universal_grading(grading)
         admissible = [a for a in filtered_homs(uab.group, group) if pointwise_admissible(a, uab)]
         position = {a.images(): i for i, a in enumerate(admissible)}
         placed = [False] * len(admissible)

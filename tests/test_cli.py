@@ -21,7 +21,7 @@ from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
 
-from helpers import direct_sum_grading
+from helpers import SU2_WORKSPACE, direct_sum_grading
 
 
 TRIVIAL_GROUP = {"free_rank": 0, "invariants": []}
@@ -751,36 +751,7 @@ class TestTrivialGroupWorkspaces:
 
 class TestExitCodes:
     def test_nonsplit_is_2(self, tmp_path, capsys):
-        # cross-product algebra: the compact form of sl2 has no split torus
-        doc = {
-            "algebras": [
-                {
-                    "name": "su2",
-                    "dimension": 3,
-                    "flags": {"lie": True},
-                    "operations": [
-                        {
-                            "name": "bracket",
-                            "arity": 2,
-                            "entries": [
-                                [0, 1, 2, "1"], [1, 0, 2, "-1"],
-                                [1, 2, 0, "1"], [2, 1, 0, "-1"],
-                                [2, 0, 1, "1"], [0, 2, 1, "-1"],
-                            ],
-                        }
-                    ],
-                }
-            ],
-            "gradings": [
-                {
-                    "name": "trivial",
-                    "algebra": "su2",
-                    "group": {"free_rank": 0, "invariants": []},
-                    "degrees": [[] for _ in range(3)],
-                }
-            ],
-        }
-        f = write_ws(tmp_path, doc)
+        f = write_ws(tmp_path, SU2_WORKSPACE)
         code, _, err = run(capsys, "rootsys", f)
         assert code == 2
         assert "unsupported" in err

@@ -204,7 +204,7 @@ class TestSharedRebasing:
     def test_universal_grading(self):
         for gr in (cartan_sl2(), get_catalog("b2-skew").companions["fine"]):
             uab = universal_abelian_group(gr)
-            assert uab.universal_grading().homog_algebra is gr.homog_algebra
+            assert uab.universal_grading(gr).homog_algebra is gr.homog_algebra
 
     def test_identity_basis_change_reuses_the_algebra(self):
         gr = cartan_sl2()
@@ -253,11 +253,31 @@ class TestUniversalGroup:
     def test_universal_grading_round_trip(self):
         gr = pauli_m2()
         u = universal_abelian_group(gr)
-        ugr = u.universal_grading()
+        ugr = u.universal_grading(gr)
         assert len(ugr.support) == len(gr.support)
         # inducing back along alpha recovers the original degrees
         back = induce(ugr, u.alpha)
         assert back.degrees == gr.degrees
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_universal_grading_is_the_grading_relabelled_by_iota(self, name):
+        entry = get_catalog(name)
+        for gr in (entry.grading, *entry.companions.values()):
+            u = universal_abelian_group(gr)
+            ugr = u.universal_grading(gr)
+            assert ugr.group == u.group
+            assert ugr.degrees == tuple(u.iota[d] for d in gr.degrees)
+            # iota is injective on the support, so the labels and relation rows are those of gr,
+            # with support element s renumbered to the place of iota(s) in the new support
+            place = [ugr.support.index(u.iota[s]) for s in gr.support]
+            assert ugr.labels == tuple(place[t] for t in gr.labels)
+            moved = []
+            for row in gr.relations:
+                new = [0] * len(place)
+                for t, c in enumerate(row):
+                    new[place[t]] = c
+                moved.append(tuple(new))
+            assert ugr.relations == tuple(sorted(moved))
 
     def test_coarse_grading_universal_group(self):
         # grade sl2 by parity: [e, f] = h forces 2*s(odd) = 0, so the
@@ -344,7 +364,7 @@ class TestInduce:
     def test_against_construction_on_table_gradings(self, name):
         gr = TABLE_GRADINGS[name]()
         uab = universal_abelian_group(gr)
-        ugr = uab.universal_grading()
+        ugr = uab.universal_grading(gr)
         _check_induce_against_construction(gr, GroupHom.identity(gr.group))
         _check_induce_against_construction(ugr, uab.alpha)
         rng = random.Random(name)
@@ -360,7 +380,7 @@ class TestInduce:
             uab = universal_abelian_group(gr)
             for target in rng.sample(INDUCE_TARGETS, 4):
                 _check_induce_against_construction(gr, random_hom(rng, gr.group, target))
-                _check_induce_against_construction(uab.universal_grading(), random_hom(rng, uab.group, target))
+                _check_induce_against_construction(uab.universal_grading(gr), random_hom(rng, uab.group, target))
 
     def test_degrees_that_break_a_relation_are_rejected(self):
         # every degree of sl2 sent to 1 in Z2: [e, f] = h gives 1 + 1 != 1
@@ -403,7 +423,7 @@ class TestUniversalGroupByOneProduct:
     def test_one_product_matches_the_elementwise_path(self, name):
         source = TABLE_GRADINGS[name]()
         rng = random.Random(name)
-        for gr in (source, universal_abelian_group(source).universal_grading()):
+        for gr in (source, universal_abelian_group(source).universal_grading(source)):
             _check_against_elementwise(_fresh(gr), rng)
 
     def test_random_gradings_match_the_elementwise_path(self):
@@ -563,7 +583,7 @@ class TestRelationTable:
                 lookups.append(s)
                 return super().__getitem__(s)
 
-        ugr = dataclasses.replace(u, iota=CountingIota(u.iota)).universal_grading()
+        ugr = dataclasses.replace(u, iota=CountingIota(u.iota)).universal_grading(gr)
         assert lookups == list(gr.support) and len(lookups) < gr.dimension
         assert ugr.degrees == tuple(u.iota[d] for d in gr.degrees)
 
@@ -637,7 +657,7 @@ def _inductions(gr: Grading) -> list[Grading]:
     uab = universal_abelian_group(gr)
     trivial = FgAbGroup(0, ())
     collapse = GroupHom(gr.group, trivial, IntMatrix([], gr.group.ngens))
-    return [uab.universal_grading(), induce(uab.universal_grading(), uab.alpha), induce(gr, collapse)]
+    return [uab.universal_grading(gr), induce(uab.universal_grading(gr), uab.alpha), induce(gr, collapse)]
 
 
 class TestLazyComponents:
@@ -675,7 +695,7 @@ class TestLazyComponents:
         built = []
         for gr, uab in zip(sources, uabs):
             built.append(Grading(gr.algebra, gr.group, gr.degrees, None if gr.homog_algebra is gr.algebra else gr.basis_change))
-            built.append(uab.universal_grading())
+            built.append(uab.universal_grading(gr))
             built.append(induce(built[-1], uab.alpha))
             built[-1].component_dims()
         assert RatMatrix not in matrices and spans == []
@@ -830,7 +850,7 @@ class TestSolvesWithin:
     def test_parts_are_the_full_parts_restricted(self, build):
         source = build()
         # the universal grading too: its group mixes free and torsion parts where U does
-        for gr in (source, universal_abelian_group(source).universal_grading()):
+        for gr in (source, universal_abelian_group(source).universal_grading(source)):
             full = graded_derivations(gr)
             trivial = Subgroup.from_generators(gr.group, [])
             torsion, _ = torsion_and_free(gr.group)
@@ -842,7 +862,7 @@ class TestSolvesWithin:
                 assert part.by_degree == {g: space for g, space in full.by_degree.items() if inside(g)}
                 assert part.identity_part == full.identity_part
                 assert part.sigma == tuple(g for g in full.sigma if inside(g))
-                assert graded_derivations(gr, within) == dataclasses.replace(part, grading=gr)
+                assert graded_derivations(gr, within) == part
 
     def test_toral_rank_solves_d_e_alone(self, monkeypatch):
         solves = []
