@@ -4,7 +4,8 @@ An algebra is a rational vector space with any number of multilinear
 operations, each stored as a sparse structure tensor.  Asserted flags
 (lie, associative) are verified exactly at construction time.  On top of
 this: derivation algebras (optionally preserving a family of subspaces),
-bracket spans, centralizers, the Killing form, and a simplicity test.
+bracket spans, centralizers, the Killing and trace forms, a certificate
+that every derivation is inner, and a simplicity test.
 Subspaces are ``exactla.Subspace``, re-exported here; a centralizer is the
 ``Subspace.preimage`` of the zero space under the adjoints, one elimination.
 """
@@ -591,6 +592,12 @@ class DerivationAlgebra:
         return self.space.dim
 
 
+def _has_inner_derivations(a: StructureAlgebra) -> bool:
+    """``a`` has a single operation, binary, with a verified lie or associative
+    flag: then each map x -> e_i x - x e_i is a derivation."""
+    return len(a.operations) == 1 and a.operations[0].arity == 2 and bool(a.flags & {"lie", "associative"})
+
+
 def inner_derivations(a: StructureAlgebra, among: Container[int]) -> list[dict[int, int]]:
     """The nonzero maps x -> e_i x - x e_i over the basis vectors e_i, i in
     ``among``, as sparse vectors of End(A) in n^2
@@ -601,7 +608,7 @@ def inner_derivations(a: StructureAlgebra, among: Container[int]) -> list[dict[i
     map of ``op.tensor`` times the same positive constant c, with int
     entries, and they span the same space (for a Lie bracket the map of
     e_i is 2c ad e_i)."""
-    if len(a.operations) != 1 or a.operations[0].arity != 2 or not a.flags & {"lie", "associative"}:
+    if not _has_inner_derivations(a):
         return []
     n = a.dimension
     by_basis: dict[int, dict[int, int]] = {}
@@ -666,18 +673,72 @@ def centralizer(a: StructureAlgebra, s: Subspace) -> Subspace:
 def killing_form(a: StructureAlgebra) -> tuple[list[dict[int, Rational]], bool]:
     """Gram matrix K(e_i, e_j) = trace(ad e_i ad e_j) as sparse rows;
     returns (gram, is_nondegenerate), which in characteristic 0 is also
-    whether the algebra is semisimple.  The trace is summed over the sparse
-    ``ad_rows`` of the basis, that is over the nonzero structure constants:
-    K(e_i, e_j) = sum over k, l of c_ik^l c_jl^k."""
+    whether the algebra is semisimple.  K(e_i, e_j) = sum over k, l of
+    c_ik^l c_jl^k, summed over the stored structure constants: each term l
+    of a stored key (i, k) meets the stored keys (j, l) with a term k,
+    indexed by (l, k), so the work follows the table, not n^2 pairs of ad
+    matrices.  Read on ``op.int_tensor`` and divided by the square of its
+    ``denominator``."""
     _require_lie(a)
-    n = a.dimension
-    ads = [a.ad_rows(a.basis_vector(i)) for i in range(n)]
+    op = a.binary_op()
+    t = op.int_tensor
+    # (l, k) -> [(j, c_jl^k)] over the stored keys (j, l) with a term k
+    meets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (j, l), vec in t.items():
+        for k, y in vec.items():
+            meets.setdefault((l, k), []).append((j, y))
+    sums: list[dict[int, int]] = [{} for _ in range(a.dimension)]
+    for (i, k), vec in t.items():
+        row = sums[i]
+        for l, x in vec.items():
+            for j, y in meets.get((l, k), ()):
+                row[j] = row.get(j, 0) + x * y
+    return _gram(sums, op.denominator**2)
 
-    def trace(adi, adj):  # of ad e_i ad e_j: ad_i[l][k] ad_j[k][l] over ad_i[l][k] != 0
-        return sum(x * adj[k].get(l, 0) for l, row in enumerate(adi) for k, x in row.items())
 
-    gram = [{j: x for j, adj in enumerate(ads) if (x := trace(adi, adj))} for adi in ads]
-    return gram, len(gauss_jordan(gram, n)) == n
+def _gram(sums: list[dict[int, int]], scale: int) -> tuple[list[dict[int, Rational]], bool]:
+    """(gram, is_nondegenerate) of the bilinear form with the integer rows
+    ``sums`` divided by ``scale``: sparse rows, sorted, canonical entries."""
+    gram = [{j: x if scale == 1 else qdiv(x, scale) for j, x in sorted(row.items()) if x} for row in sums]
+    return gram, len(gauss_jordan(gram, len(gram))) == len(gram)
+
+
+def trace_form(a: StructureAlgebra) -> tuple[list[dict[int, Rational]], bool]:
+    """Gram matrix T(e_i, e_j) = trace(L_(e_i e_j)) of an associative algebra
+    as sparse rows, L_x the left multiplication by x; returns (gram,
+    is_nondegenerate).  T(e_i, e_j) = sum over k of c_ij^k t_k, with
+    t_k = trace L_(e_k) = sum over l of c_kl^l, over the stored structure
+    constants.  In characteristic 0 the radical of T holds the Jacobson
+    radical, a nilpotent ideal (x in it makes L_(xy) nilpotent, so
+    traceless): a nondegenerate T makes the algebra semisimple."""
+    if "associative" not in a.flags:
+        raise ValueError("operation requires the associative flag")
+    op = a.binary_op()
+    t = op.int_tensor
+    traces: dict[int, int] = {}
+    for (k, l), vec in t.items():
+        if l in vec:
+            traces[k] = traces.get(k, 0) + vec[l]
+    sums: list[dict[int, int]] = [{} for _ in range(a.dimension)]
+    for (i, j), vec in t.items():
+        sums[i][j] = sum(c * traces.get(k, 0) for k, c in vec.items())
+    return _gram(sums, op.denominator**2)
+
+
+@memoized
+def derivations_are_inner(a: StructureAlgebra) -> bool:
+    """A certificate that every derivation of ``a`` is inner, a combination
+    of the maps of ``inner_derivations``: ``a`` has them, and either its
+    lie flag is verified and its Killing form is nondegenerate (a semisimple
+    Lie algebra in characteristic 0: Der L = ad L, Humphreys, Introduction
+    to Lie Algebras, 5.3), or its associative flag is and its trace form is
+    (a semisimple associative algebra over Q, separable, with only inner
+    derivations: Hochschild, Ann. of Math. 46, 1945).  False says nothing:
+    the certificate is sufficient, not necessary.  Memoized on the algebra,
+    sharing the Killing form's memo with ``lieroot``."""
+    if not _has_inner_derivations(a):
+        return False
+    return (killing_form if "lie" in a.flags else trace_form)(a)[1]
 
 
 def centroid_dimension(a: StructureAlgebra) -> int:

@@ -31,6 +31,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -278,9 +279,51 @@ def _load_docs(paths: Sequence[str]) -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
+def json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
+    values a report holds: dicts with str keys, lists and tuples, str, int,
+    bool and None (TypeError on anything else).  The stdlib writes an
+    indent with its pure-Python encoder, whose closures refer to one
+    another, so every report would leave them to the cyclic collector;
+    this writer makes no reference cycle."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` is a line break
+    followed by the indent of the line that holds ``value``."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            for k, (key, item) in enumerate(sorted(value.items())):
+                parts += ("," if k else "{", inner, encode_basestring_ascii(key), ": ")
+                _write_json(item, inner, parts)
+            parts += (newline, "}")
+        else:
+            for k, item in enumerate(value):
+                parts += ("," if k else "[", inner)
+                _write_json(item, inner, parts)
+            parts += (newline, "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         for line in lines:
             print(line)
@@ -618,7 +661,7 @@ def _cmd_catalog(args) -> None:
         for n in catalog_names():
             print(n)
         return
-    print(json.dumps(catalog_workspace(args.name), indent=2, sort_keys=True))
+    print(json_text(catalog_workspace(args.name)))
 
 
 # ---------------------------------------------------------------------------

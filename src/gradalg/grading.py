@@ -25,6 +25,7 @@ from .algcore import (
     Subspace,
     _leibniz_keys,
     _leibniz_row,
+    derivations_are_inner,
     inner_derivations,
     memoized,
     subalgebra_structure,
@@ -43,14 +44,17 @@ NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
 
 def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
-    """The canonical kernel basis of one degree's rows, as a dense matrix.  perfbench/tracer.py
-    counts the per-degree solves of graded_derivations by this name and reads its column count.
+    """The canonical kernel basis of one degree's rows, as a dense matrix: the one per-degree
+    kernel routine of graded_derivations, called once per candidate degree.  perfbench/tracer.py
+    counts the per-degree kernels by this name and reads its column count.
 
     ``known`` are that degree's inner derivations, re-indexed to its unknowns: known kernel
-    vectors, so ``sparse_nullspace`` stops eliminating at ncols - dim span(known) pivots and
-    returns their span (when they are the whole kernel, as for a simple Lie algebra).  The
-    rows it reads are checked against them."""
-    return RatMatrix.from_sparse_columns(sparse_nullspace(ncols, rows, known).sparse_vectors(), ncols)
+    vectors.  ``rows`` None says they are the whole kernel (``derivations_are_inner``): their
+    span is returned and no row is read.  Otherwise ``sparse_nullspace`` stops eliminating at
+    ncols - dim span(known) pivots and returns their span when they can be the whole kernel;
+    the rows it reads are checked against them."""
+    kernel = Subspace.span(ncols, known) if rows is None else sparse_nullspace(ncols, rows, known)
+    return RatMatrix.from_sparse_columns(kernel.sparse_vectors(), ncols)
 
 
 class Grading:
@@ -445,15 +449,14 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
     Degrees are read from integer tables: the support label of each basis
     vector and the |S| x |S| table of the candidate number of s - t (None
     outside ``within``).  Only the inner derivations of the basis vectors
-    whose degree is a candidate are built.  One
-    pass over the ``_leibniz_keys`` pairs files each equation (key, j)
-    under its degree: that of D[j, a] for the first index a of op(key),
-    or, when op(key) = 0, that of the first right-hand term that hits j.
-    A row is built only when its degree's solve reads it, in the order
-    of ``_leibniz_rows`` (key by key, then j), and is checked then: a row
-    whose unknowns span two degrees raises AxiomFailure.  On a validated
-    grading none does, as every unknown of row (key, j) has degree
-    deg j - sum(deg key)."""
+    whose degree is a candidate are built.  The equations are filed by
+    ``_filed_equations`` when the first row of any degree is read, so a
+    caller that reads none (every derivation inner) makes no pass over the
+    ``_leibniz_keys`` pairs.  A row is built only when its degree's solve
+    reads it, in the order of ``_leibniz_rows`` (key by key, then j), and
+    is checked then: a row whose unknowns span two degrees raises
+    AxiomFailure.  On a validated grading none does, as every unknown of
+    row (key, j) has degree deg j - sum(deg key)."""
     homog = grading.homog_algebra
     n = homog.dimension
     group = grading.group
@@ -476,8 +479,49 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
         if d is not None:
             position[k] = len(unknowns[d])
             unknowns[d].append(k)
-    members = [[i for i in range(n) if label[i] == s] for s in range(len(support))]
-    filed: list[list[tuple]] = [[] for _ in candidates]
+
+    def local(vec, d: int, what: str) -> dict:
+        """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
+        out = {}
+        for idx, coeff in vec.items():
+            if degree_of[idx] != d:
+                r, c = divmod(idx, n)
+                raise AxiomFailure(
+                    f"{what} mixes the derivation degrees "
+                    f"{candidates[d].coords} and {differences[label[r]][label[c]]}"
+                )
+            out[position[idx]] = coeff
+        return out
+
+    filed: list[list[tuple]] = []  # filled by the first read of any degree's rows
+
+    def rows(d: int):
+        """The rows of degree number d, each built in that degree's unknowns when it is read."""
+        if not filed:
+            filed.extend(_filed_equations(homog, label, diff, degree_of, len(candidates)))
+        for val, terms, js in filed[d]:
+            for j in js:
+                if row := _leibniz_row(n, val, terms, j):
+                    yield local(row, d, "a Leibniz row")
+
+    inner: list[list[dict]] = [[] for _ in candidates]
+    # the inner derivation of e_i has degree deg e_i: only those of a candidate are built
+    for vec in inner_derivations(homog, {i for i in range(n) if support[label[i]] in number}):
+        if (d := degree_of[next(iter(vec))]) is not None:
+            inner[d].append(local(vec, d, "an inner derivation"))
+    return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
+
+
+def _filed_equations(homog: StructureAlgebra, label, diff, degree_of, count: int) -> list[list[tuple]]:
+    """One pass over the ``_leibniz_keys`` pairs of ``homog``, filing each
+    equation (key, j) under its candidate number (``_derivation_system``'s
+    tables): that of D[j, a] for the first index a of op(key), or, when
+    op(key) = 0, that of the first right-hand term that hits j.  Candidate
+    number d gets [(val, terms, js), ...], the output indices js of each
+    pair in increasing order."""
+    n = homog.dimension
+    members = [[i for i in range(n) if label[i] == s] for s in range(len(diff))]
+    filed: list[list[tuple]] = [[] for _ in range(count)]
     for val, terms in _leibniz_keys(homog):
         if val:
             a0 = label[next(iter(val))]
@@ -496,33 +540,7 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
                     by_degree.setdefault(first[j], []).append(j)
             for d, js in by_degree.items():
                 filed[d].append((val, terms, js))
-
-    def local(vec, d: int, what: str) -> dict:
-        """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
-        out = {}
-        for idx, coeff in vec.items():
-            if degree_of[idx] != d:
-                r, c = divmod(idx, n)
-                raise AxiomFailure(
-                    f"{what} mixes the derivation degrees "
-                    f"{candidates[d].coords} and {differences[label[r]][label[c]]}"
-                )
-            out[position[idx]] = coeff
-        return out
-
-    def rows(d: int):
-        """The rows of degree number d, each built in that degree's unknowns when it is read."""
-        for val, terms, js in filed[d]:
-            for j in js:
-                if row := _leibniz_row(n, val, terms, j):
-                    yield local(row, d, "a Leibniz row")
-
-    inner: list[list[dict]] = [[] for _ in candidates]
-    # the inner derivation of e_i has degree deg e_i: only those of a candidate are built
-    for vec in inner_derivations(homog, {i for i in range(n) if support[label[i]] in number}):
-        if (d := degree_of[next(iter(vec))]) is not None:
-            inner[d].append(local(vec, d, "an inner derivation"))
-    return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
+    return filed
 
 
 @memoized
@@ -546,16 +564,33 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     associative operation) are homogeneous, the one of e_i of degree
     deg e_i; each is passed to its degree's solve as a known kernel
     vector, so the solve stops once they can be the whole kernel.
+
+    When every derivation is inner (``derivations_are_inner``: a semisimple
+    Lie or associative algebra, certified once per algebra), D_g is the
+    span of the inner derivations of degree g, and no Leibniz row is built
+    or read.  On a certified Lie algebra ad is injective (the center lies
+    in the Killing radical), so dim D_g = dim A_g is checked, and a
+    mismatch raises AxiomFailure.  Either way each D_g is the same
+    canonical ``Subspace``.
     """
     if within is not None and within.owner != grading.group:
         raise ShapeError("subgroup of a different group")
     n = grading.dimension
     ident = grading.group.identity()
+    # certified on the algebra, whose Killing form lieroot reads too: the homogeneous copy is
+    # the same algebra re-based, with the same verified flags
+    inner_only = derivations_are_inner(grading.algebra)
+    ad_dims = grading.component_dims() if inner_only and "lie" in grading.algebra.flags else None
     candidates, unknowns, rows, inner = _derivation_system(grading, within)
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
     for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
-        kernel = _incremental_kernel(len(idxs), stream, known)
+        kernel = _incremental_kernel(len(idxs), None if inner_only else stream, known)
+        if ad_dims is not None and kernel.cols != ad_dims.get(g.coords, 0):
+            raise AxiomFailure(
+                f"the inner derivations of degree {g.coords} span {kernel.cols} dimensions, "
+                f"but ad is injective on the {ad_dims.get(g.coords, 0)}-dimensional component"
+            )
         embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
         # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index
         space = Subspace(n * n, {min(col): col for col in embedded})

@@ -368,6 +368,62 @@ def dense_killing_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
     return gram, len(dense_rref(gram)[1]) == n
 
 
+def dense_trace_form(a: StructureAlgebra) -> tuple[RatMatrix, bool]:
+    """Oracle for ``trace_form``: trace(L_(e_i e_j)) from the dense left
+    multiplication (``dense_ad``) by each product e_i e_j, and
+    nondegeneracy from a dense rref."""
+    n = a.dimension
+    op = a.binary_op()
+    products = [[dense_apply(op, [unit(i, n), unit(j, n)], n) for j in range(n)] for i in range(n)]
+    gram = RatMatrix([[trace(dense_ad(a, p)) for p in row] for row in products])
+    return gram, len(dense_rref(gram)[1]) == n
+
+
+def block_sum(*blocks) -> list[RatMatrix]:
+    """The matrices of each list in ``blocks`` placed on their own diagonal
+    block, one list after another: a basis of the direct sum of their spans."""
+    total = sum(block[0].rows for block in blocks)
+    out, at = [], 0
+    for block in blocks:
+        size = block[0].rows
+        for m in block:
+            rows = [[0] * total for _ in range(total)]
+            for r, c in product(range(size), repeat=2):
+                rows[at + r][at + c] = m[r, c]
+            out.append(RatMatrix(rows))
+        at += size
+    return out
+
+
+def random_lie_algebra(rng: random.Random) -> StructureAlgebra:
+    """The direct sum of sl2 or so3 and a second small Lie algebra drawn
+    from those, gl2, the affine line, the Heisenberg algebra, the upper
+    triangular 3 x 3 matrices and an abelian one, rewritten in a random
+    triangular basis with rational entries: semisimple and degenerate
+    sums, with dense and fractional structure constants."""
+    pieces = {
+        "sl2": sl_matrices(2),
+        # the skew-symmetric 3 x 3 matrices: semisimple, not split over Q
+        "so3": [e_matrix(3, i, j) + e_matrix(3, j, i, -1) for i, j in ((0, 1), (0, 2), (1, 2))],
+        "gl2": [e_matrix(2, i, j) for i in range(2) for j in range(2)],
+        "aff1": [e_matrix(2, 0, 0), e_matrix(2, 0, 1)],
+        "heis": [e_matrix(3, 0, 1), e_matrix(3, 1, 2), e_matrix(3, 0, 2)],
+        "b3": [e_matrix(3, i, j) for i in range(3) for j in range(i, 3)],
+        "ab2": [e_matrix(2, 0, 0), e_matrix(2, 1, 1)],
+    }
+    names = [rng.choice(["sl2", "so3"]), rng.choice(sorted(pieces))]
+    alg = from_matrices("+".join(names), block_sum(*(pieces[k] for k in names)))
+    n = alg.dimension
+    columns = []
+    for i in range(n):
+        col = {i: Q(rng.choice([1, 2, 3]), rng.choice([1, 2]))}
+        for j in range(i + 1, n):
+            if rng.random() < 0.4 and (x := Q(rng.randint(-2, 2), rng.choice([1, 3]))):
+                col[j] = x
+        columns.append(col)
+    return subalgebra_structure(alg, columns)
+
+
 def submatrix(m: RatMatrix, row_idx, col_idx) -> RatMatrix:
     return RatMatrix([[m[i, j] for j in col_idx] for i in row_idx])
 

@@ -30,12 +30,14 @@ from gradalg.algcore import (
     centroid_dimension,
     derivation_algebra,
     derivation_space,
+    derivations_are_inner,
     inner_derivations,
     is_simple,
     killing_form,
     memoized,
     rational_field,
     subalgebra_structure,
+    trace_form,
 )
 from gradalg.abgroup import Subgroup
 from gradalg.afine import _element_candidates, canonical_refinement, toral_rank
@@ -50,6 +52,7 @@ from helpers import (
     build_m2_splitpauli,
     basis_matrix,
     basis_value,
+    block_sum,
     build_sl,
     build_sl2_efh,
     build_sl2_plus_sl2,
@@ -60,6 +63,7 @@ from helpers import (
     dense_ad,
     dense_apply,
     dense_killing_form,
+    dense_trace_form,
     dense_leibniz_rows,
     dense_rebase,
     all_keys_verify_lie,
@@ -78,6 +82,7 @@ from helpers import (
     mat_transpose,
     pairwise_matrix_tensor,
     random_graded_algebra,
+    random_lie_algebra,
     rows_matrix,
     sl_involution_grading,
     sl_matrices,
@@ -85,6 +90,7 @@ from helpers import (
     span_of,
     subspace_coords,
     trace,
+    twisted_group_grading,
     unit,
     vectors,
 )
@@ -389,6 +395,21 @@ class TestKillingFormAgainstDenseProducts:
             gram, nondeg = killing_form(build())
             assert not nondeg and any(gram)
 
+    def test_random_lie_algebras(self):
+        rng = random.Random(39)
+        verdicts = []
+        for _ in range(24):
+            alg = random_lie_algebra(rng)
+            self.check(alg)
+            verdicts.append(killing_form(alg)[1])
+        # semisimple and degenerate sums both occur
+        assert sorted(set(verdicts)) == [False, True]
+
+    @pytest.mark.parametrize("name", LIE_CATALOG)
+    def test_fractional_constants(self, name):
+        # the sum is read on the integer tensor and divided by the square of its denominator
+        self.check(_diagonally_rebased(catalog.get_catalog(name).grading).algebra)
+
 
 class TestSimplicity:
     def test_sl2_simple(self):
@@ -651,6 +672,92 @@ def _diagonally_rebased(grading: Grading) -> Grading:
     ]
     rebased = StructureAlgebra(f"{alg.name}-rebased", alg.dimension, ops, alg.flags)
     return Grading(rebased, grading.group, grading.degrees)
+
+
+def _associative_examples():
+    """(id, algebra, semisimple) of associative algebras: the catalog's, the
+    same with fractional constants, twisted group algebras, and algebras
+    of matrices that are not semisimple."""
+    units = [e_matrix(2, i, j) for i in range(2) for j in range(2)]
+    upper3 = [e_matrix(3, i, j) for i in range(3) for j in range(i, 3)]
+    out = []
+    for name in ASSOCIATIVE_CATALOG:
+        gr = catalog.get_catalog(name).grading
+        out += [(name, gr.algebra, True), (f"{name}-rebased", _diagonally_rebased(gr).algebra, True)]
+    for k, beta in ((2, [[0, 1], [0, 0]]), (2, [[0, 0], [0, 0]]), (3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]])):
+        out.append((f"tga{k}-{beta}", twisted_group_grading(k, beta).algebra, True))
+    out += [
+        ("m2", build_m2(), True),
+        ("dual-numbers", from_matrices("dual", [RatMatrix.identity(2), units[1]], kind="associative"), False),
+        ("t2", from_matrices("t2", [units[0], units[1], units[3]], kind="associative"), False),
+        ("t3", from_matrices("t3", upper3, kind="associative"), False),
+        ("m2+q", from_matrices("m2+q", block_sum(units, [RatMatrix.identity(1)]), "associative"), True),
+        ("m2+dual", from_matrices("m2+dual", block_sum(units, [units[0] + units[3], units[1]]), "associative"), False),
+    ]
+    return [pytest.param(alg, semisimple, id=name) for name, alg, semisimple in out]
+
+
+ASSOCIATIVE_CATALOG = [
+    n for n in catalog.catalog_names() if "associative" in catalog.get_catalog(n).grading.algebra.flags
+]
+
+
+class TestTraceForm:
+    """trace_form from the structure constants against trace(L_(e_i e_j))
+    from dense left multiplications; nondegenerate exactly on the
+    semisimple examples."""
+
+    @pytest.mark.parametrize("alg, semisimple", _associative_examples())
+    def test_against_dense_left_multiplications(self, alg, semisimple):
+        gram, nondeg = trace_form(alg)
+        assert (rows_matrix(gram), nondeg) == dense_trace_form(alg)
+        assert nondeg == semisimple
+        assert all(is_canonical(x) for row in gram for x in row.values())
+
+    def test_requires_the_associative_flag(self):
+        with pytest.raises(ValueError, match="associative"):
+            trace_form(build_sl2_efh())
+
+
+class TestDerivationsAreInner:
+    """The certificate holds on semisimple Lie and associative algebras
+    and on nothing else among the examples; where it holds, the inner
+    derivations span the whole derivation space."""
+
+    def check(self, alg, expected):
+        assert derivations_are_inner(alg) == expected
+        if expected:
+            n = alg.dimension
+            assert Subspace.span(n * n, inner_derivations(alg, range(n))) == derivation_space(alg)
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog(self, name):
+        self.check(catalog.get_catalog(name).grading.algebra, True)
+
+    @pytest.mark.parametrize("alg, semisimple", _associative_examples())
+    def test_associative(self, alg, semisimple):
+        self.check(alg, semisimple)
+
+    def test_random_lie_algebras(self):
+        rng = random.Random(1945)
+        for _ in range(12):
+            alg = random_lie_algebra(rng)
+            self.check(alg, killing_form(alg)[1])
+
+    def test_no_certificate_without_a_single_flagged_binary_operation(self):
+        rng = random.Random(5)
+        two_ops = random_graded_algebra(rng, ternary=True).algebra
+        sl2 = build_sl2_efh()
+        unflagged = StructureAlgebra("sl2-unflagged", 3, sl2.operations)
+        assert not derivations_are_inner(two_ops) and not derivations_are_inner(unflagged)
+        # gl2 and the affine line: degenerate Killing forms
+        assert not derivations_are_inner(build_gl2()) and not derivations_are_inner(build_affine_line())
+
+    def test_the_killing_form_is_read_from_its_memo(self):
+        alg = build_sl(3)
+        gram = killing_form(alg)
+        assert derivations_are_inner(alg)
+        assert killing_form(alg) is gram and len(alg._memo) == 2
 
 
 class TestNonIntegralConstants:

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
 
+import golden
 from helpers import SU2_WORKSPACE, direct_sum_grading
 
 
@@ -44,6 +46,59 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _random_json(rng, depth: int = 0):
+    """A random value of the kinds a report holds, nested up to four deep."""
+    strings = ["", "x", "q\"uote\\back", "tab\tline\nnul\x00", "é", "中文", "\U0001f600", "\u2028", "/"]
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(strings)
+    if kind == 1:
+        return rng.choice([None, True, False])
+    if kind in (2, 3, 4):
+        return rng.choice([0, 1, -1, 10**30, -(2**70), rng.randint(-999, 999)])
+    if kind == 5:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {rng.choice(strings) + str(k): _random_json(rng, depth + 1) for k in range(rng.randint(0, 4))}
+
+
+class TestJsonText:
+    """``cli.json_text`` writes the bytes of ``json.dumps(x, indent=2,
+    sort_keys=True)`` without the stdlib's indenting encoder."""
+
+    @staticmethod
+    def stdlib(value) -> str:
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    def test_random_nested_values(self):
+        rng = random.Random(2098)
+        values = [_random_json(rng) for _ in range(3000)]
+        values += [{}, [], (), {"": {}}, [[], {}], {"b": [], "a": ()}, "é\u00ff\U0010ffff", 0, None]
+        for value in values:
+            assert cli.json_text(value) == self.stdlib(value), value
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_golden_report(self, name, tmp_path, capsys):
+        # each --json report of the golden table, and the catalog document
+        path = write_ws(tmp_path, catalog_workspace(name))
+        reports = 0
+        for command, *extra in golden.COMMANDS.values():
+            for seed in golden.SEEDS:
+                code, out, _ = run(capsys, command, path, "--json", "--seed", str(seed), *extra)
+                if code == 0:
+                    reports += 1
+                    assert out == self.stdlib(json.loads(out)) + "\n"
+        assert reports
+        _, out, _ = run(capsys, "catalog", name)
+        assert out == self.stdlib(catalog_workspace(name)) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {("a",): 1}, {"a": {2}}, b"x"], ids=repr)
+    def test_values_a_report_never_holds_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            cli.json_text(value)
 
 
 class TestCatalogCommand:

@@ -1,6 +1,7 @@
-"""A run's objects die with it: no CLI run leaves a gradalg object to the
-cyclic garbage collector, so reference counting frees each run's algebras,
-gradings and memoized results when ``cli.main`` returns.  Counted by
+"""A run's objects die with it: no CLI run leaves a gradalg object, or an
+object of the stdlib's indenting JSON encoder, to the cyclic garbage
+collector, so reference counting frees each run's algebras, gradings,
+memoized results and report writer when ``cli.main`` returns.  Counted by
 ``tools/count_cycles.py``, on every catalog workspace and on the benchmark's
 rounds."""
 
@@ -29,11 +30,17 @@ def _gradalg(names) -> Counter:
     return Counter(n for n in names if n.endswith("[gradalg]"))
 
 
+def _json_encoder(names) -> Counter:
+    """The objects of ``json.encoder`` among the names: its JSONEncoder and
+    the closures of its pure-Python encoder, which refer to one another."""
+    return Counter(n for n in names if n.startswith("json.encoder.") or " encoder._make_iterencode." in n)
+
+
 def _left_by(argv) -> tuple[int, Counter]:
-    """The exit code of ``main(argv)`` and the gradalg objects it left to the collector."""
+    """The exit code of ``main(argv)`` and the gradalg and json.encoder objects it left to the collector."""
     codes = []
     names = tool.uncollected(lambda: codes.append(main(argv)))
-    return codes[0], _gradalg(names)
+    return codes[0], _gradalg(names) + _json_encoder(names)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,7 @@ def _workspace(tmp_path, doc) -> str:
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_no_command_leaves_a_gradalg_cycle(name, tmp_path, capsys, warm):
+    # nor a json.encoder one: a --json report and the catalog document are written without it
     path = _workspace(tmp_path, catalog_workspace(name))
     left = {}
     for label, (command, *extra) in COMMANDS.items():
@@ -57,7 +65,17 @@ def test_no_command_leaves_a_gradalg_cycle(name, tmp_path, capsys, warm):
         capsys.readouterr()
         if found:
             left[label] = dict(found)
+    _, found = _left_by(["catalog", name])
+    capsys.readouterr()
+    if found:
+        left["catalog"] = dict(found)
     assert not left, left
+
+
+def test_the_indenting_encoder_is_counted():
+    names = tool.uncollected(lambda: json.dumps({"a": [1]}, indent=2, sort_keys=True))
+    found = _json_encoder(names)
+    assert found["json.encoder.JSONEncoder"] == 1 and sum(found.values()) > 1, names
 
 
 def _incompatible():
@@ -146,5 +164,8 @@ def test_main_exits_1_on_a_gradalg_object(monkeypatch, capsys):
 def test_seed_0_round_leaves_no_gradalg_object(workload):
     (jobs,) = tool.workloads.make_jobs(workload, 0, 1)
     counts = tool.count_cycles(jobs)
-    left = {kind: dict(_gradalg(c)) for kind, c in counts.items() if _gradalg(c)}
-    assert tool.gradalg_total(counts) == 0, left
+    left = {}
+    for kind, c in counts.items():
+        if found := _gradalg(c.elements()) + _json_encoder(c.elements()):
+            left[kind] = dict(found)
+    assert tool.gradalg_total(counts) == 0 and not left, left

@@ -23,6 +23,7 @@ from gradalg.algcore import (
     build_algebra,
     derivation_algebra,
     derivation_space,
+    derivations_are_inner,
     inner_derivations,
     subalgebra_structure,
 )
@@ -48,9 +49,12 @@ from helpers import (
     conjugated_weyl_on_uab,
     dense_graded_derivations,
     dense_rebase,
+    direct_sum_grading,
+    e_matrix,
     eager_components,
     elementwise_hom_from_support_images,
     flatten,
+    from_matrices,
     graded_parts,
     mat_from_flat,
     heisenberg_grading,
@@ -814,8 +818,10 @@ class TestRoutedDerivations:
         with pytest.raises(AxiomFailure, match="mixes"):
             next(rows[ident])
         # it heads the stream of degree 0, whose solve reads it; with no known vectors the
-        # rows D[j, 0] = 0 of the other degrees are solved without complaint first
+        # rows D[j, 0] = 0 of the other degrees are solved without complaint first.  sl2 is
+        # semisimple, so the Leibniz path is forced: certified, no row would be read
         monkeypatch.setattr(grading, "inner_derivations", lambda a, among: [])
+        monkeypatch.setattr(grading, "derivations_are_inner", lambda a: False)
         with pytest.raises(AxiomFailure, match="mixes"):
             graded_derivations(gr)
 
@@ -852,17 +858,21 @@ class TestSolvesWithin:
         # the universal grading too: its group mixes free and torsion parts where U does
         for gr in (source, universal_abelian_group(source).universal_grading(source)):
             full = graded_derivations(gr)
-            trivial = Subgroup.from_generators(gr.group, [])
-            torsion, _ = torsion_and_free(gr.group)
-            # and the cyclic subgroup of one support element, a proper subgroup on most of these groups
-            cyclic = Subgroup.from_generators(gr.group, gr.support[-1:])
-            for within in (trivial, torsion, cyclic, None):
+            for within in _subgroups(gr):
                 part = graded_derivations(_fresh(gr), within)
                 inside = (lambda g: True) if within is None else within.contains
                 assert part.by_degree == {g: space for g, space in full.by_degree.items() if inside(g)}
                 assert part.identity_part == full.identity_part
                 assert part.sigma == tuple(g for g in full.sigma if inside(g))
                 assert graded_derivations(gr, within) == part
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _restricted_sources()])
+    def test_parts_match_the_leibniz_oracle(self, build):
+        # on a semisimple source each part is read off the inner derivations, on the others solved
+        source = build()
+        for gr in (source, universal_abelian_group(source).universal_grading(source)):
+            for within in _subgroups(gr):
+                assert graded_parts(graded_derivations(_fresh(gr), within)) == graded_parts(_leibniz_oracle(gr, within))
 
     def test_toral_rank_solves_d_e_alone(self, monkeypatch):
         solves = []
@@ -877,6 +887,14 @@ class TestSolvesWithin:
         gr = _fresh(get_catalog("cartan-sl2").grading)
         with pytest.raises(ShapeError, match="different group"):
             graded_derivations(gr, Subgroup.from_generators(FgAbGroup(0, [2]), []))
+
+
+def _subgroups(gr: Grading) -> tuple:
+    """The subgroups graded_derivations is restricted to in these tests: the
+    trivial one, the torsion, the cyclic subgroup of one support element (a
+    proper subgroup on most of these groups), and None, the whole group."""
+    torsion, _ = torsion_and_free(gr.group)
+    return Subgroup.from_generators(gr.group, []), torsion, Subgroup.from_generators(gr.group, gr.support[-1:]), None
 
 
 def _fresh(gr: Grading) -> Grading:
@@ -906,45 +924,86 @@ def _solves(monkeypatch) -> list[tuple[int, int, int, int]]:
     return log
 
 
+def _leibniz_walks(monkeypatch) -> list:
+    """Record each algebra whose ``_leibniz_keys`` pairs graded_derivations walks."""
+    walks = []
+    real = grading._leibniz_keys
+    monkeypatch.setattr(grading, "_leibniz_keys", lambda a: walks.append(a) or real(a))
+    return walks
+
+
+def _leibniz_oracle(gr: Grading, within: Subgroup | None = None):
+    """graded_derivations of ``gr`` from the Leibniz rows alone: the dense
+    oracle up to dimension 10 (all degrees), above it or within a subgroup
+    the sparse Leibniz path with the certificate and the inner derivations
+    taken away, on a fresh grading (the dense oracle pins that path on the
+    smaller algebras)."""
+    if gr.dimension <= 10 and within is None:
+        return dense_graded_derivations(gr)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grading, "derivations_are_inner", lambda a: False)
+        patch.setattr(grading, "inner_derivations", lambda a, among: [])
+        return graded_derivations(_fresh(gr), within)
+
+
+#: semisimple gradings beyond the catalog, each certified: every derivation is inner
+#: (sl2+sl3 is not simple)
+SEMISIMPLE_BUILDS = [
+    lambda: classical_cartan_grading("B", 2),
+    lambda: classical_cartan_grading("C", 3),
+    lambda: classical_cartan_grading("D", 4),
+    lambda: sl_involution_grading(3, alternating=False),
+    lambda: sl_involution_grading(4, alternating=False),
+    lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
+    lambda: _fresh(get_catalog("pauli-m2").grading),
+    lambda: direct_sum_grading(get_catalog("cartan-sl2").grading, get_catalog("cartan-sl3").grading),
+]
+SEMISIMPLE_IDS = ["B2", "C3", "D4", "sl3-involution", "sl4-involution", "tga3", "pauli-m2", "sl2+sl3"]
+
+
 class TestInnerDerivationStop:
-    """Each degree's solve stops once its inner derivations can be the
-    whole kernel; the result must not change."""
+    """On the Leibniz path each degree's solve stops once its inner
+    derivations can be the whole kernel; on a certified (semisimple)
+    algebra the inner derivations are the kernel and nothing is solved.
+    The result must not change."""
 
     @pytest.mark.parametrize("name", catalog_names())
-    def test_catalog_under_a_basis_permutation(self, name):
+    def test_catalog_under_a_basis_permutation(self, name, monkeypatch):
         gr = signed_permutation(get_catalog(name).grading, random.Random(f"stop-{name}"))
-        assert graded_parts(graded_derivations(gr)) == graded_parts(dense_graded_derivations(gr))
+        # every catalog algebra is semisimple: no Leibniz equation is filed, built or solved
+        assert derivations_are_inner(gr.algebra)
+        walks, log = _leibniz_walks(monkeypatch), _solves(monkeypatch)
+        gd = graded_derivations(gr)
+        monkeypatch.undo()
+        assert walks == [] and log == []
+        assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: classical_cartan_grading("B", 2),
-            lambda: classical_cartan_grading("C", 3),
-            lambda: classical_cartan_grading("D", 4),
-            lambda: sl_involution_grading(3, alternating=False),
-            lambda: sl_involution_grading(4, alternating=False),
-            lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
-            lambda: _fresh(get_catalog("pauli-m2").grading),
-        ],
-        ids=["B2", "C3", "D4", "sl3-involution", "sl4-involution", "tga3", "pauli-m2"],
-    )
+    @pytest.mark.parametrize("build", SEMISIMPLE_BUILDS, ids=SEMISIMPLE_IDS)
     def test_inner_derivations_are_the_kernel(self, build, monkeypatch):
         gr = build()
+        # every one is certified; the Leibniz path is forced to test its stop
+        assert derivations_are_inner(gr.algebra)
+        monkeypatch.setattr(grading, "derivations_are_inner", lambda a: False)
         log = _solves(monkeypatch)
         gd = graded_derivations(gr)
         monkeypatch.undo()
-        if gr.dimension <= 10:
-            expected = dense_graded_derivations(gr)
-        else:
-            # the solve that reads every row, which the dense oracle pins on the smaller algebras
-            monkeypatch.setattr(grading, "inner_derivations", lambda a, among: [])
-            expected = graded_derivations(_fresh(gr))
-            monkeypatch.undo()
-        assert graded_parts(gd) == graded_parts(expected)
+        assert graded_parts(gd) == graded_parts(_leibniz_oracle(gr))
         # simple (or central simple associative): every derivation is inner,
         # so each degree's kernel is its known span, read off before the rows run out
         assert all(dim == known for _, _, known, dim in log)
         assert sum(read for _, read, _, _ in log) < sum(routed for routed, _, _, _ in log)
+
+    @pytest.mark.parametrize("build", SEMISIMPLE_BUILDS, ids=SEMISIMPLE_IDS)
+    def test_certified_reads_no_row(self, build, monkeypatch):
+        gr = build()
+        walks = _leibniz_walks(monkeypatch)
+        log = _solves(monkeypatch)
+        gd = graded_derivations(gr)
+        monkeypatch.undo()
+        assert graded_parts(gd) == graded_parts(_leibniz_oracle(gr))
+        # every derivation is inner: each D_g is read off the inner derivations, and no
+        # Leibniz equation is filed, built or solved
+        assert walks == [] and log == []
 
     def test_outer_derivations_read_every_row(self, monkeypatch):
         gr = heisenberg_grading()
@@ -990,7 +1049,18 @@ class TestInnerDerivationStop:
         # the identity is not a derivation of a Lie algebra: D[x, y] = [x, y] != 2 [x, y]
         identity = {i * n + i: Q(1) for i in range(n)}
         monkeypatch.setattr(grading, "inner_derivations", lambda a, among: inner_derivations(a, among) + [identity])
+        # certified, the span of the known vectors exceeds dim A_e, which ad maps injectively
+        with pytest.raises(AxiomFailure, match="ad is injective"):
+            graded_derivations(gr)
+        # on the Leibniz path (sl3 is semisimple, so it is forced) the rows read reject it
+        monkeypatch.setattr(grading, "derivations_are_inner", lambda a: False)
         with pytest.raises(AxiomFailure, match="known kernel vector"):
+            graded_derivations(_fresh(gr))
+
+    def test_a_missing_inner_derivation_fails_the_dimension_check(self, monkeypatch):
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        monkeypatch.setattr(grading, "inner_derivations", lambda a, among: inner_derivations(a, among)[:-1])
+        with pytest.raises(AxiomFailure, match="ad is injective"):
             graded_derivations(gr)
 
 
@@ -1065,12 +1135,58 @@ class TestLazyLeibnizRows:
 
         monkeypatch.setattr(grading, "_leibniz_row", building)
         monkeypatch.setattr(grading, "sparse_nullspace", reading)
+        # sl4 is semisimple: the Leibniz path is forced, else no row is read
+        monkeypatch.setattr(grading, "derivations_are_inner", lambda a: False)
         graded_derivations(gr)
         monkeypatch.undo()
         assert len(read) == len(solved)
         # generating every row before the solves would build all 1320; they read 262
         assert sum(len(rows) for rows in routed.values()) == sum(built) == 1320
         assert sum(read) == 262
+
+
+def _z_graded(alg: StructureAlgebra, degrees: list[int]) -> Grading:
+    z = FgAbGroup(1, ())
+    return Grading(alg, z, [z.element([d]) for d in degrees])
+
+
+def _uncertified_sources():
+    """(grading, dim Der, dim span of the inner derivations) of algebras
+    that are not semisimple: no certificate, though T2 has only inner
+    derivations (the certificate is sufficient, not necessary)."""
+    units = [e_matrix(2, i, j) for i in range(2) for j in range(2)]
+    gl2 = from_matrices("gl2", units)
+    dual = from_matrices("dual", [RatMatrix.identity(2), units[1]], kind="associative")
+    t2 = from_matrices("t2", [units[0], units[1], units[3]], kind="associative")
+    return [
+        # outer derivations in three degrees
+        pytest.param(heisenberg_grading(), 6, 2, id="heisenberg"),
+        # degenerate Killing form; the outer derivation maps the identity onto the center
+        pytest.param(_z_graded(gl2, [0, -1, 1, 0]), 4, 3, id="gl2"),
+        # Q[e], e^2 = 0: commutative, so no inner derivation; e -> e is outer
+        pytest.param(_z_graded(dual, [0, 1]), 1, 0, id="dual-numbers"),
+        # upper triangular 2 x 2 matrices: degenerate trace form, every derivation inner
+        pytest.param(_z_graded(t2, [0, 1, 0]), 2, 2, id="t2"),
+    ]
+
+
+class TestUncertifiedDerivations:
+    """An algebra that ``derivations_are_inner`` does not certify keeps the
+    Leibniz path and its results."""
+
+    @pytest.mark.parametrize("gr, der_dim, inner_dim", _uncertified_sources())
+    def test_uncertified_algebras_take_the_leibniz_path(self, gr, der_dim, inner_dim, monkeypatch):
+        alg = gr.homog_algebra
+        n = alg.dimension
+        assert not derivations_are_inner(gr.algebra)
+        walks, log = _leibniz_walks(monkeypatch), _solves(monkeypatch)
+        gd = graded_derivations(gr)
+        monkeypatch.undo()
+        # one pass files the equations, and every candidate degree is solved from its rows
+        assert walks == [alg] and len(log) == len(grading._derivation_system(gr)[0])
+        assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
+        assert gd.total_dim() == der_dim == derivation_space(alg).dim
+        assert Subspace.span(n * n, inner_derivations(alg, range(n))).dim == inner_dim
 
 
 class TestCheckGradedMap:
