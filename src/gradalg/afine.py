@@ -16,6 +16,7 @@ eigenspaces by the weight lattice.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import lcm
@@ -414,8 +415,8 @@ def is_admissible(images: Sequence[Sequence[int]], target: FgAbGroup, uab: UabRe
 
 
 def _precompose(target: FgAbGroup, images: tuple, columns: Sequence[tuple[int, ...]]) -> tuple:
-    """The image tuple of alpha o w for a finite ``target``, from alpha's
-    image tuple and the columns of w's matrix: column j holds w(e_j)."""
+    """alpha's reduced values in a finite ``target`` on ``columns``, elements of U, from its
+    image tuple: the image tuple of alpha o w when column j holds w(e_j)."""
     rows = [(tuple(x[t] for x in images), d) for t, d in enumerate(target.invariants)]
     return tuple(tuple(sum(map(mul, col, row)) % d for row, d in rows) for col in columns)
 
@@ -424,7 +425,8 @@ def _precompose(target: FgAbGroup, images: tuple, columns: Sequence[tuple[int, .
 class ClassificationEntry:
     source: int
     alpha: GroupHom
-    grading: Grading
+    #: ``induce(uab.universal_grading(g), alpha).component_dims()``, counted on alpha's images
+    component_dims: dict[tuple[int, ...], int]
     orbit: int
     #: number of admissible homomorphisms in this orbit
     orbit_size: int
@@ -439,23 +441,23 @@ def classify_gradings(
     catalog entry, enumerate homomorphisms from its universal group to G
     as image tuples, keep the admissible ones, and group them into orbits
     under precomposition with the supplied Weyl generators, emitting one
-    representative (and its induced grading) per orbit.  Only the
-    representatives become ``GroupHom``s and ``Grading``s; the
-    representative of an orbit is its member with the least images.
+    representative per orbit (its member with the least images) as a
+    ``GroupHom`` with the component dimensions it induces, counted on the
+    image tuple; a caller that wants the induced grading itself calls
+    ``induce(universal_abelian_group(g).universal_grading(g), e.alpha)``.
 
     The orbit decomposition is complete only if the supplied generators
     generate the relevant Weyl-group action."""
     out: list[ClassificationEntry] = []
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
-        ugr = uab.universal_grading(grading)
+        ugr = uab.universal_grading(grading)  # rows sum to 0 in U, so under any alpha to 0 in G
+        classes = [ugr.support[t].coords for t in ugr.labels]  # the class in U of deg e_i
         admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, group, uab)]
-        columns = [w.matrix.columns() for w in weyl]
         # the homs come in order of their images, so an orbit's representative has the least images
-        orbits = _orbits(admissible, partial(_precompose, group), columns)
+        orbits = _orbits(admissible, partial(_precompose, group), [w.matrix.columns() for w in weyl])
         for orbit_id, orbit in enumerate(orbits):
             rep = GroupHom(uab.group, group, IntMatrix.from_columns(orbit[0], rows=group.ngens))
-            out.append(
-                ClassificationEntry(idx, rep, induce(ugr, rep), orbit_id, len(orbit))
-            )
+            dims = Counter(_precompose(group, orbit[0], classes))
+            out.append(ClassificationEntry(idx, rep, dict(sorted(dims.items())), orbit_id, len(orbit)))
     return out

@@ -86,7 +86,7 @@ class MultilinearOp:
     Each constant is kept in canonical form (``exactla.rational``): an
     ``int`` when it is integral.  ``int_tensor`` is the same tensor times
     ``denominator``, the lcm of the denominators of its constants, with
-    ``int`` entries.
+    ``int`` entries: ``tensor`` itself when that is 1.
     The flag checks, the Leibniz rows and the re-basing read it: both
     sides of Jacobi and of associativity are homogeneous of degree 2 in the
     constants and each Leibniz row is linear in them, so every verdict,
@@ -98,26 +98,24 @@ class MultilinearOp:
         if arity < 1:
             raise ValueError("arity must be >= 1")
         clean: dict[tuple[int, ...], dict[int, Rational]] = {}
+        scale = 1
         for key, vec in tensor.items():
             key = tuple(map(int, key))
             if len(key) != arity:
                 raise ShapeError("tensor key arity mismatch")
-            v = {int(j): rational(c) for j, c in vec.items() if c}
+            v = {}
+            for j, c in vec.items():
+                if c:
+                    if type(c) is not int and type(c := rational(c)) is not int:
+                        scale = math.lcm(scale, c.denominator)
+                    v[int(j)] = c
             if v:
                 clean[key] = v
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "arity", int(arity))
-        object.__setattr__(self, "tensor", clean)
-        scale = math.lcm(*(c.denominator for vec in clean.values() for c in vec.values()))
-        object.__setattr__(self, "denominator", scale)
-        object.__setattr__(
-            self,
-            "int_tensor",
-            {
-                key: {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
-                for key, vec in clean.items()
-            },
-        )
+        int_tensor = clean if scale == 1 else {
+            key: {j: c.numerator * (scale // c.denominator) for j, c in vec.items()} for key, vec in clean.items()
+        }
+        for slot, value in zip(self.__slots__, (str(name), int(arity), clean, scale, int_tensor)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearOp is immutable")

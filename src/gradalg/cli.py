@@ -565,7 +565,7 @@ def _cmd_classify(ws, args) -> None:
             "alpha": [list(r) for r in e.alpha.matrix.data],
             "orbit": e.orbit,
             "orbit_size": e.orbit_size,
-            "component_dims": {str(k): v for k, v in sorted(e.grading.component_dims().items())},
+            "component_dims": {str(k): v for k, v in e.component_dims.items()},
         }
         report["entries"].append(item)
         lines.append(

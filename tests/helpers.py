@@ -44,7 +44,6 @@ from gradalg.exactla import (
     sparse_rows,
     transpose,
 )
-from gradalg.afine import ClassificationEntry
 from gradalg.grading import GradedDerivations, Grading, universal_abelian_group
 from gradalg.lieroot import _proportional, _wadd, _wscale
 
@@ -1538,12 +1537,22 @@ def pointwise_admissible(alpha: GroupHom, uab) -> bool:
     return len(keys) == len(uab.support_order)
 
 
-def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[ClassificationEntry]:
+@dataclass(frozen=True)
+class OracleClassification:
+    source: int
+    alpha: GroupHom
+    grading: Grading
+    orbit: int
+    orbit_size: int
+
+
+def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[OracleClassification]:
     """Oracle for ``afine.classify_gradings``, its former body on
     ``GroupHom``s: every hom U -> G from the element-set listing
     (``filtered_homs``), admissibility through ``GroupHom.__call__``,
     orbits under ``GroupHom.compose`` matched by ``images()``, and each
-    representative's grading built by ``Grading`` from pushed-forward degrees."""
+    representative's grading built by ``Grading`` from pushed-forward
+    degrees, whose component dimensions an entry reports."""
     out = []
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
@@ -1569,7 +1578,7 @@ def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[Classification
         for orbit_id, orbit in enumerate(orbits):
             rep = orbit[0]
             induced = Grading(ugr.algebra, group, [rep(d) for d in ugr.degrees], ugr.basis_change)
-            out.append(ClassificationEntry(idx, rep, induced, orbit_id, len(orbit)))
+            out.append(OracleClassification(idx, rep, induced, orbit_id, len(orbit)))
     return out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from gradalg.abgroup import DEFAULT_CAP, FgAbGroup, GroupHom, Subgroup, torsion_and_free
 from gradalg import afine
+from gradalg import grading as grading_module
 from gradalg.afine import (
     _element_candidates,
     _is_nilpotent_subalgebra,
@@ -388,8 +389,9 @@ class TestClassification:
                     classify_gradings(sources, target)
                 continue
             got, want = classify_gradings(sources, target), grouphom_classify_gradings(sources, target)
-            assert [(e.source, e.alpha.matrix, e.orbit, e.orbit_size, e.grading.component_dims()) for e in got] == [
-                (e.source, e.alpha.matrix, e.orbit, e.orbit_size, e.grading.component_dims()) for e in want
+            # component dimensions compared as item lists: the report prints them in this order
+            assert [(e.source, e.alpha.matrix, e.orbit, e.orbit_size, list(e.component_dims.items())) for e in got] == [
+                (e.source, e.alpha.matrix, e.orbit, e.orbit_size, list(e.grading.component_dims().items())) for e in want
             ], target
             compared += 1
         assert compared >= 20
@@ -414,9 +416,28 @@ class TestClassification:
         results = classify_gradings([(gr, [])], g)
         # Z -> Z2 x Z2: all 4 homomorphisms admissible (free part separates)
         assert len(results) == 4
+        ugr = universal_abelian_group(gr).universal_grading(gr)
         for r in results:
-            assert r.grading.group == g
-            assert sum(c.dim for c in r.grading.components().values()) == 3
+            induced = induce(ugr, r.alpha)
+            assert induced.group == g
+            assert sum(c.dim for c in induced.components().values()) == 3
+            assert r.component_dims == induced.component_dims()
+
+    def test_builds_one_universal_grading_per_source_and_no_induced_grading(self, monkeypatch):
+        """cartan-sl4 into Z2 x Z4 x Z4 with its three Weyl generators: the
+        component dimensions are counted on the image tuples, so the only
+        regraded grading is the source's universal grading, and no Grading
+        is constructed."""
+        entry = get_catalog("cartan-sl4")
+        sources = [(entry.grading, weyl_on_uab(entry.grading, entry.weyl_on_group))]
+        assert len(sources[0][1]) == 3
+        regraded, constructed = [], []
+        regrade, init = grading_module._regraded, Grading.__init__
+        monkeypatch.setattr(grading_module, "_regraded", lambda *args: regraded.append(args) or regrade(*args))
+        monkeypatch.setattr(Grading, "__init__", lambda self, *args: constructed.append(args) or init(self, *args))
+        entries = classify_gradings(sources, FgAbGroup(0, [2, 4, 4]), cap=100000)
+        assert len(entries) == 1672
+        assert len(regraded) == len(sources) and constructed == []
 
     def test_weyl_orbit_fuses_sl2(self):
         entry = get_catalog("cartan-sl2")
