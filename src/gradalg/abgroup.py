@@ -99,9 +99,6 @@ class FgAbGroup:
         coords[i] = 1
         return self.element(coords)
 
-    def generators(self) -> list["GroupElement"]:
-        return [self.generator(i) for i in range(self.ngens)]
-
     def elements(self) -> list["GroupElement"]:
         """All elements; only for finite groups."""
         if not self.is_finite:
@@ -274,20 +271,10 @@ class GroupHom:
     def __setattr__(self, name, value):
         raise AttributeError("GroupHom is immutable")
 
-    @classmethod
-    def identity(cls, g: FgAbGroup) -> "GroupHom":
-        return cls(g, g, IntMatrix.identity(g.ngens))
-
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.owner != self.domain:
             raise ValueError("element outside the domain")
         return self.codomain.element(self.matrix.matvec(g.coords))
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        return GroupHom(inner.domain, self.codomain, self.matrix * inner.matrix)
 
     def images(self) -> tuple[tuple[int, ...], ...]:
         """The canonical coordinates of the canonical generators' images."""
@@ -311,12 +298,6 @@ class GroupHom:
 
     def __repr__(self) -> str:
         return f"GroupHom({self.domain!r} -> {self.codomain!r}, {self.matrix!r})"
-
-    def image(self) -> Subgroup:
-        return Subgroup.from_generators(
-            self.codomain,
-            [self(self.domain.generator(i)) for i in range(self.domain.ngens)],
-        )
 
     def kernel(self) -> Subgroup:
         """Kernel as a subgroup of the domain."""

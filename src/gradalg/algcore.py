@@ -3,7 +3,7 @@
 An algebra is a rational vector space with any number of multilinear
 operations, each stored as a sparse structure tensor.  Asserted flags
 (lie, associative) are verified exactly at construction time.  On top of
-this: derivation algebras (optionally preserving a family of subspaces),
+this: the Leibniz equations and inner derivations behind graded derivations,
 bracket spans, centralizers, the Killing and trace forms, a certificate
 that every derivation is inner, and a simplicity test.
 Subspaces are ``exactla.Subspace``, re-exported here; a centralizer is the
@@ -15,9 +15,8 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass
 from functools import wraps
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
@@ -32,7 +31,6 @@ from .exactla import (
     gauss_jordan,
     qdiv,
     rational,
-    sparse_nullspace,
     sparse_product,
 )
 
@@ -555,41 +553,6 @@ def _leibniz_row(n: int, val: Mapping[int, int], terms, j: int) -> dict[int, int
     return {k: c for k, c in row.items() if c}
 
 
-def _leibniz_rows(a: StructureAlgebra):
-    """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
-    unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
-    operation: the equations of ``_leibniz_keys``, key by key and, for
-    each key, output index by output index."""
-    n = a.dimension
-    for val, terms in _leibniz_keys(a):
-        for j in range(n):
-            if row := _leibniz_row(n, val, terms, j):
-                yield row
-
-
-def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
-    """Nonzero sparse rows forcing D to preserve each constraint subspace."""
-    for w in constraints:
-        # D preserves W iff q(D w) = 0 for every w in W and q vanishing on W
-        for q in w.annihilator():
-            for wvec in w.sparse_vectors():
-                yield {r * n + c: x * y for r, x in q.items() for c, y in wvec.items()}
-
-
-@dataclass(frozen=True)
-class DerivationAlgebra:
-    """Derivations of an algebra (optionally preserving subspaces):
-    a subspace of End(A) (n^2 coordinates, row-major) together with its
-    own Lie algebra structure under the commutator."""
-
-    space: Subspace
-    algebra: StructureAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
 def _has_inner_derivations(a: StructureAlgebra) -> bool:
     """``a`` has a single operation, binary, with a verified lie or associative
     flag: then each map x -> e_i x - x e_i is a derivation."""
@@ -622,24 +585,6 @@ def inner_derivations(a: StructureAlgebra, among: Container[int]) -> list[dict[i
         if vec := {k: x for k, x in by_basis[i].items() if x}:
             maps.append(vec)
     return maps
-
-
-def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) -> Subspace:
-    """All derivations of ``a`` (maps satisfying the k-ary Leibniz rule for
-    every operation) that preserve each constraint subspace, as a subspace
-    of End(A) in n^2 coordinates (row-major)."""
-    n = a.dimension
-    rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints))
-    return sparse_nullspace(n * n, rows)
-
-
-def derivation_algebra(
-    a: StructureAlgebra, constraints: Sequence[Subspace] | None = None
-) -> DerivationAlgebra:
-    """The derivation space of ``a`` (see ``derivation_space``) with its Lie
-    structure under the commutator."""
-    space = derivation_space(a, constraints or ())
-    return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", space))
 
 
 # ---------------------------------------------------------------------------

@@ -568,10 +568,8 @@ def _cmd_classify(ws, args) -> None:
             "component_dims": {str(k): v for k, v in e.component_dims.items()},
         }
         report["entries"].append(item)
-        lines.append(
-            f"  {src} orbit {e.orbit} (size {e.orbit_size}): "
-            f"dims {item['component_dims']}"
-        )
+        if not args.json:
+            lines.append(f"  {src} orbit {e.orbit} (size {e.orbit_size}): dims {item['component_dims']}")
     _emit(report, lines, args.json)
 
 

@@ -4,7 +4,7 @@
 class GradAlgError(Exception):
     """Base class for all errors raised by this package.  ``witness``,
     passed by keyword, is the data that shows the failure, when one is
-    carried (the flag, degree, automorphism and verification checks)."""
+    carried (the flag, degree and verification checks)."""
 
     def __init__(self, *args, witness=None):
         super().__init__(*args)
@@ -39,10 +39,6 @@ class FlagViolation(GradAlgError):
 
 class IncompatibleDegrees(GradAlgError):
     """A degree assignment violates grading compatibility; carries a witness."""
-
-
-class NotAutomorphism(GradAlgError):
-    """A supplied linear map is not an algebra automorphism."""
 
 
 class NotASubgroup(GradAlgError):

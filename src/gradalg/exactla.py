@@ -23,10 +23,11 @@ every presentation; an integer kernel is read off the column Hermite form of
 M stacked over I.  One immutable dense matrix class keeps the shape, with an
 explicit column count, so 0 x n and n x 0 matrices exist; ``RatMatrix``
 (rationals) and ``IntMatrix`` (exact integers) fix its entry type.  The dense
-``RatMatrix`` is for matrices that enter or leave the program; ``rref``,
-``rank``, ``solve`` and ``inverse`` on it are the dense API of tests and
-tracing.  Everything is exact; non-rational spectra raise NonSplitError
-instead of being approximated.
+``RatMatrix`` is for matrices that enter or leave the program, and for
+``nullspace``, the Cartan search's kernel of a dense power.  ``rref``,
+``solve`` and ``inverse`` on it stay because ``perfbench/tracer.py`` wraps
+them by name; the program calls none of them.  Everything is exact;
+non-rational spectra raise NonSplitError instead of being approximated.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class _DenseMatrix:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int):
-        return cls([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
@@ -119,9 +116,6 @@ class _DenseMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple]:
         return list(zip(*self.data)) if self.rows else [()] * self.cols
@@ -331,10 +325,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     reduced = gauss_jordan(sparse_rows(m.data), m.cols)
     rows = list(reduced.values()) + [{}] * (m.rows - len(reduced))
     return RatMatrix([[row.get(c, 0) for c in range(m.cols)] for row in rows], m.cols), tuple(reduced)
-
-
-def rank(m: RatMatrix) -> int:
-    return len(gauss_jordan(sparse_rows(m.data), m.cols))
 
 
 def _free_vectors(reduced: Mapping[int, Mapping[int, int]], ncols: int):

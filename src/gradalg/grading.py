@@ -6,8 +6,7 @@ Compatibility is verified exactly on the relation rows read once from the
 structure-tensor entries.
 On top: the universal abelian group of a grading, Weyl generators checked
 as permutations of the support and carried to it, induced gradings along
-group homomorphisms, per-degree derivation components, and verification
-of supplied graded maps (equivalences and isomorphisms).
+group homomorphisms, and per-degree derivation components.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -30,15 +28,8 @@ from .algcore import (
     memoized,
     subalgebra_structure,
 )
-from .errors import (
-    AxiomFailure,
-    IncompatibleDegrees,
-    NotAutomorphism,
-    ShapeError,
-    ValidationError,
-    VerificationFailure,
-)
-from .exactla import IntMatrix, RatMatrix, Rational, combine_rows, gauss_jordan, sparse_nullspace, sparse_rows
+from .errors import AxiomFailure, IncompatibleDegrees, ShapeError, ValidationError
+from .exactla import IntMatrix, RatMatrix, Rational, sparse_nullspace
 
 NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
@@ -453,7 +444,7 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
     ``_filed_equations`` when the first row of any degree is read, so a
     caller that reads none (every derivation inner) makes no pass over the
     ``_leibniz_keys`` pairs.  A row is built only when its degree's solve
-    reads it, in the order of ``_leibniz_rows`` (key by key, then j), and
+    reads it, in the order of ``_leibniz_keys`` (key by key, then j), and
     is checked then: a row whose unknowns span two degrees raises
     AxiomFailure.  On a validated grading none does, as every unknown of
     row (key, j) has degree deg j - sum(deg key)."""
@@ -600,83 +591,3 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
             sigma.append(g)
     return GradedDerivations(by_degree, by_degree[ident], tuple(sigma))
 
-
-# ---------------------------------------------------------------------------
-# Verification of supplied graded maps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedMapReport:
-    """Outcome of checking a linear map against two gradings."""
-
-    kind: str  # "isomorphism" | "equivalence" | "neither"
-    #: support bijection s -> gamma(s) (equivalence / isomorphism)
-    gamma: Mapping[GroupElement, GroupElement] | None
-    #: induced automorphism between the universal groups (equivalence)
-    uab_map: GroupHom | None
-
-
-def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dict[int, Rational]]:
-    """The sparse columns of phi, verified to be those of an automorphism:
-    invertible, with phi(op(e_key)) = op(phi(e_key)) on every basis key."""
-    n = algebra.dimension
-    cols = list(sparse_rows(zip(*phi.data)))
-    if phi.shape != (n, n) or len(gauss_jordan(cols, n)) != n:
-        raise NotAutomorphism("map is not invertible", witness=None)
-    for op in algebra.operations:
-        for key in product(range(n), repeat=op.arity):
-            if combine_rows(op.tensor.get(key, {}), cols) != op.apply([cols[i] for i in key]):
-                raise NotAutomorphism(
-                    f"map fails to preserve operation {op.name} on basis tuple {key}",
-                    witness=(op.name, key),
-                )
-    return cols
-
-
-def check_graded_map(phi: RatMatrix, src: Grading, dst: Grading) -> GradedMapReport:
-    """Verify that phi (in original coordinates) is an algebra automorphism
-    and classify it as a graded isomorphism, an equivalence, or neither."""
-    if src.algebra.dimension != dst.algebra.dimension:
-        raise ShapeError("gradings live on algebras of different dimension")
-    if src.group != dst.group:
-        raise ShapeError("gradings use different groups")
-    cols = _automorphism_columns(phi, src.algebra)
-    gamma: dict[GroupElement, GroupElement] = {}
-    for s in src.support:
-        image_vectors = [combine_rows(v, cols) for v in src.component(s).sparse_vectors()]
-        target = None
-        for t in dst.support:
-            if all(dst.component(t).contains(v) for v in image_vectors):
-                target = t
-                break
-        if target is None:
-            return GradedMapReport("neither", None, None)
-        gamma[s] = target
-    if len(set(gamma.values())) != len(gamma):
-        return GradedMapReport("neither", None, None)
-    if all(s == t for s, t in gamma.items()):
-        return GradedMapReport("isomorphism", gamma, _induced_uab_map(src, dst, gamma))
-    return GradedMapReport("equivalence", gamma, _induced_uab_map(src, dst, gamma))
-
-
-def _induced_uab_map(src: Grading, dst: Grading, gamma: Mapping) -> GroupHom:
-    """The automorphism w of the universal group with
-    iota'(gamma(s)) = w(iota(s)) for all support elements s."""
-    u_src = universal_abelian_group(src)
-    u_dst = universal_abelian_group(dst)
-    images = {s: u_dst.iota[gamma[s]] for s in u_src.support_order}
-    try:
-        w = u_src.hom_from_support_images(u_dst.group, images)
-    except ValueError as exc:
-        raise VerificationFailure(
-            "support bijection does not respect the universal relations"
-        ) from exc
-    if not w.is_isomorphism():
-        raise VerificationFailure(
-            "induced map between universal groups is not an isomorphism"
-        )
-    for s in u_src.support_order:
-        if w(u_src.iota[s]) != u_dst.iota[gamma[s]]:
-            raise VerificationFailure("induced universal map disagrees on the support")
-    return w

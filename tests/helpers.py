@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain, islice, permutations, product
 from math import gcd, lcm, prod
+from typing import Mapping, Sequence
 
 import sympy
 
@@ -13,7 +14,8 @@ from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
     Subspace,
-    _leibniz_rows,
+    _leibniz_keys,
+    _leibniz_row,
     algebra_from_matrices,
     centroid_dimension,
     int_field,
@@ -24,13 +26,16 @@ from gradalg.algcore import (
 from gradalg.errors import (
     AxiomFailure,
     FlagViolation,
+    GradAlgError,
     NonSplitError,
     NotDiagonalizableError,
     ShapeError,
+    VerificationFailure,
 )
 from gradalg.exactla import (
     IntMatrix,
     RatMatrix,
+    Rational,
     _pivot_coords,
     combine_rows,
     flat_operator,
@@ -159,7 +164,19 @@ def mat_from_flat(entries, rows: int, cols: int) -> RatMatrix:
     return RatMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
-zeros = RatMatrix.zeros
+def zeros(rows: int, cols: int, cls=RatMatrix):
+    """The rows x cols zero matrix of ``cls``."""
+    return cls([[0] * cols for _ in range(rows)], cols)
+
+
+def column(m, j: int) -> tuple:
+    """Column j of a dense matrix."""
+    return tuple(row[j] for row in m.data)
+
+
+def rank(m: RatMatrix) -> int:
+    """The rank of a dense matrix: the pivots of one elimination."""
+    return len(gauss_jordan(sparse_rows(m.data), m.cols))
 
 
 def diagonal(entries) -> RatMatrix:
@@ -320,7 +337,7 @@ def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.cols == 0 or b.cols == 0:
         return zeros(a.rows, 0)
     ker = dense_nullspace(hstack(a, b.scale(-1)))
-    cols = [matvec(a, ker.column(j)[: a.cols]) for j in range(ker.cols)]
+    cols = [matvec(a, column(ker, j)[: a.cols]) for j in range(ker.cols)]
     return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else zeros(a.rows, 0)
 
 
@@ -439,7 +456,7 @@ def per_degree_minimal_polynomial(m: RatMatrix) -> tuple:
         a = RatMatrix.from_columns(flat[:d], rows=n * n)
         x = solve(a, column_vector(flat[d]))
         if x is not None:
-            return tuple(-c for c in x.column(0)) + (Q(1),)
+            return tuple(-c for c in column(x, 0)) + (Q(1),)
     raise ValueError("no minimal polynomial of degree <= n")
 
 
@@ -730,7 +747,7 @@ def dense_rebase(alg: StructureAlgebra, basis: RatMatrix) -> list[dict]:
     for op in alg.operations:
         tensor = {}
         for key in product(range(n), repeat=op.arity):
-            val = dense_apply(op, [basis.column(i) for i in key], alg.dimension)
+            val = dense_apply(op, [column(basis, i) for i in key], alg.dimension)
             vec = {j: c for j, c in enumerate(subspace_coords(basis, val)) if c}
             if vec:
                 tensor[key] = vec
@@ -774,7 +791,7 @@ def subspace_coords(basis: RatMatrix, vec) -> tuple | None:
         return None
     if res.nullspace.cols:
         raise ShapeError("basis columns are dependent")
-    return res.particular.column(0)
+    return column(res.particular, 0)
 
 
 def fraction_coordinate_reader(size: int, vectors):
@@ -835,6 +852,58 @@ def leibniz_holds(alg: StructureAlgebra, d: RatMatrix) -> bool:
             if list(lhs) != list(rhs):
                 return False
     return True
+
+
+def _leibniz_rows(a: StructureAlgebra):
+    """Nonzero sparse equation rows ``{r*n + c: coefficient}`` in the n^2
+    unknowns D[r, c] forcing D to satisfy the Leibniz rule for every
+    operation: the equations of ``algcore._leibniz_keys``, key by key and,
+    for each key, output index by output index."""
+    n = a.dimension
+    for val, terms in _leibniz_keys(a):
+        for j in range(n):
+            if row := _leibniz_row(n, val, terms, j):
+                yield row
+
+
+def _stabilizer_rows(n: int, constraints: Sequence[Subspace]):
+    """Nonzero sparse rows forcing D to preserve each constraint subspace."""
+    for w in constraints:
+        # D preserves W iff q(D w) = 0 for every w in W and q vanishing on W
+        for q in w.annihilator():
+            for wvec in w.sparse_vectors():
+                yield {r * n + c: x * y for r, x in q.items() for c, y in wvec.items()}
+
+
+@dataclass(frozen=True)
+class DerivationAlgebra:
+    """Derivations of an algebra (optionally preserving subspaces):
+    a subspace of End(A) (n^2 coordinates, row-major) together with its
+    own Lie algebra structure under the commutator."""
+
+    space: Subspace
+    algebra: StructureAlgebra
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+
+def derivation_space(a: StructureAlgebra, constraints: Sequence[Subspace] = ()) -> Subspace:
+    """Oracle for ``grading.graded_derivations``: all derivations of ``a``
+    (maps satisfying the k-ary Leibniz rule for every operation) that
+    preserve each constraint subspace, as a subspace of End(A) in n^2
+    coordinates (row-major), by one full elimination with no known vectors."""
+    n = a.dimension
+    rows = chain(_leibniz_rows(a), _stabilizer_rows(n, constraints))
+    return sparse_nullspace(n * n, rows)
+
+
+def derivation_algebra(a: StructureAlgebra, constraints: Sequence[Subspace] | None = None) -> DerivationAlgebra:
+    """The derivation space of ``a`` (see ``derivation_space``) with its Lie
+    structure under the commutator."""
+    space = derivation_space(a, constraints or ())
+    return DerivationAlgebra(space, algebra_from_matrices(f"Der({a.name})", space))
 
 
 def dense_leibniz_rows(alg: StructureAlgebra):
@@ -1023,6 +1092,22 @@ def signed_permutation(grading: Grading, rng: random.Random) -> Grading:
         degrees[pos[i]] = d
     alg = StructureAlgebra(homog.name, n, ops, homog.flags)
     return Grading(alg, grading.group, degrees)
+
+
+def random_component_basis(grading: Grading, rng: random.Random) -> Grading:
+    """The grading in a random homogeneous basis: in each component, a random
+    invertible matrix with entries in {-2, ..., 2} over {1, 2, 3}, composed
+    with the grading's basis, then the basis vectors shuffled."""
+    vectors = []
+    for s in grading.support:
+        old = [grading.basis_change[i] for i in grading.indices_of_degree(s)]
+        k = len(old)
+        m = None
+        while m is None or rank(m) < k:
+            m = RatMatrix([[Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)] for _ in range(k)])
+        vectors += [(combine_rows(dict(enumerate(column(m, j))), old), s) for j in range(k)]
+    rng.shuffle(vectors)
+    return Grading(grading.algebra, grading.group, [d for _, d in vectors], [v for v, _ in vectors])
 
 
 def random_graded_algebra(rng: random.Random, ternary: bool = False):
@@ -1550,7 +1635,7 @@ def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[OracleClassifi
     """Oracle for ``afine.classify_gradings``, its former body on
     ``GroupHom``s: every hom U -> G from the element-set listing
     (``filtered_homs``), admissibility through ``GroupHom.__call__``,
-    orbits under ``GroupHom.compose`` matched by ``images()``, and each
+    orbits under ``compose`` matched by ``images()``, and each
     representative's grading built by ``Grading`` from pushed-forward
     degrees, whose component dimensions an entry reports."""
     out = []
@@ -1569,7 +1654,7 @@ def grouphom_classify_gradings(catalog, group: FgAbGroup) -> list[OracleClassifi
             while frontier:
                 cur = frontier.pop()
                 for w in weyl:
-                    j = position.get(cur.compose(w).images())
+                    j = position.get(compose(cur, w).images())
                     if j is not None and not placed[j]:
                         placed[j] = True
                         orbit.append(admissible[j])
@@ -1733,7 +1818,7 @@ def rational_section(u: IntMatrix, rows) -> IntMatrix:
     uinv = inverse(RatMatrix(u.data))
     cols = []
     for i in rows:
-        col = uinv.column(i)
+        col = column(uinv, i)
         if any(x.denominator != 1 for x in col):
             raise AxiomFailure("inverse of a unimodular matrix is not integral")
         cols.append([x.numerator for x in col])
@@ -1774,7 +1859,7 @@ def dense_root_coords(rep) -> dict:
         RatMatrix.from_columns(list(rep.simple_roots), rows=dim),
         RatMatrix.from_columns(list(rep.phi), rows=dim),
     )
-    return {} if sol is None else {a: sol.column(k) for k, a in enumerate(rep.phi)}
+    return {} if sol is None else {a: column(sol, k) for k, a in enumerate(rep.phi)}
 
 
 # ---------------------------------------------------------------------------
@@ -1868,9 +1953,31 @@ def opposite_tensor_verify_associative(self: StructureAlgebra) -> None:
         raise FlagViolation(f"associativity fails on basis triple ({i}, {j}, {k})", witness=(i, j, k))
 
 
+def generators(g: FgAbGroup) -> list[GroupElement]:
+    """The canonical generators of ``g``."""
+    return [g.generator(i) for i in range(g.ngens)]
+
+
+def identity_hom(g: FgAbGroup) -> GroupHom:
+    """The identity map of ``g``."""
+    return GroupHom(g, g, IntMatrix.identity(g.ngens))
+
+
+def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
+    """``outer`` after ``inner``."""
+    if inner.codomain != outer.domain:
+        raise ValueError("composition mismatch")
+    return GroupHom(inner.domain, outer.codomain, outer.matrix * inner.matrix)
+
+
+def image(hom: GroupHom) -> Subgroup:
+    """The image of ``hom``, generated by the images of the canonical generators."""
+    return Subgroup.from_generators(hom.codomain, [hom(x) for x in generators(hom.domain)])
+
+
 def full_subgroup(g: FgAbGroup) -> Subgroup:
     """The whole group ``g`` as a subgroup of itself."""
-    return Subgroup.from_generators(g, g.generators())
+    return Subgroup.from_generators(g, generators(g))
 
 
 def is_injective(hom: GroupHom) -> bool:
@@ -1881,7 +1988,7 @@ def is_injective(hom: GroupHom) -> bool:
 def image_is_whole_group(hom: GroupHom) -> bool:
     """Oracle for ``GroupHom.is_surjective``, its former body: the image
     subgroup, from the generators' images, equals the whole codomain."""
-    return hom.image() == full_subgroup(hom.codomain)
+    return image(hom) == full_subgroup(hom.codomain)
 
 
 def two_sided_isomorphism(hom: GroupHom) -> bool:
@@ -1930,6 +2037,91 @@ def conjugated_weyl_on_uab(grading: Grading, weyl) -> list[GroupHom]:
             raise ValueError("alpha is not surjective")
         images.append(alpha.domain.element(y[: alpha.domain.ngens]))
     inv = from_gen_images(alpha.codomain, alpha.domain, images)
-    if inv.compose(alpha) != GroupHom.identity(alpha.domain):
+    if compose(inv, alpha) != identity_hom(alpha.domain):
         raise ValueError("alpha is not injective")
-    return [inv.compose(w).compose(alpha) for w in weyl]
+    return [compose(compose(inv, w), alpha) for w in weyl]
+
+
+# ---------------------------------------------------------------------------
+# Verification of supplied graded maps
+# ---------------------------------------------------------------------------
+
+
+class NotAutomorphism(GradAlgError):
+    """A supplied linear map is not an algebra automorphism."""
+
+
+@dataclass(frozen=True)
+class GradedMapReport:
+    """Outcome of checking a linear map against two gradings."""
+
+    kind: str  # "isomorphism" | "equivalence" | "neither"
+    #: support bijection s -> gamma(s) (equivalence / isomorphism)
+    gamma: Mapping[GroupElement, GroupElement] | None
+    #: induced automorphism between the universal groups (equivalence)
+    uab_map: GroupHom | None
+
+
+def _automorphism_columns(phi: RatMatrix, algebra: StructureAlgebra) -> list[dict[int, Rational]]:
+    """The sparse columns of phi, verified to be those of an automorphism:
+    invertible, with phi(op(e_key)) = op(phi(e_key)) on every basis key."""
+    n = algebra.dimension
+    cols = list(sparse_rows(zip(*phi.data)))
+    if phi.shape != (n, n) or len(gauss_jordan(cols, n)) != n:
+        raise NotAutomorphism("map is not invertible", witness=None)
+    for op in algebra.operations:
+        for key in product(range(n), repeat=op.arity):
+            if combine_rows(op.tensor.get(key, {}), cols) != op.apply([cols[i] for i in key]):
+                raise NotAutomorphism(
+                    f"map fails to preserve operation {op.name} on basis tuple {key}",
+                    witness=(op.name, key),
+                )
+    return cols
+
+
+def check_graded_map(phi: RatMatrix, src: Grading, dst: Grading) -> GradedMapReport:
+    """Verify that phi (in original coordinates) is an algebra automorphism
+    and classify it as a graded isomorphism, an equivalence, or neither."""
+    if src.algebra.dimension != dst.algebra.dimension:
+        raise ShapeError("gradings live on algebras of different dimension")
+    if src.group != dst.group:
+        raise ShapeError("gradings use different groups")
+    cols = _automorphism_columns(phi, src.algebra)
+    gamma: dict[GroupElement, GroupElement] = {}
+    for s in src.support:
+        image_vectors = [combine_rows(v, cols) for v in src.component(s).sparse_vectors()]
+        target = None
+        for t in dst.support:
+            if all(dst.component(t).contains(v) for v in image_vectors):
+                target = t
+                break
+        if target is None:
+            return GradedMapReport("neither", None, None)
+        gamma[s] = target
+    if len(set(gamma.values())) != len(gamma):
+        return GradedMapReport("neither", None, None)
+    if all(s == t for s, t in gamma.items()):
+        return GradedMapReport("isomorphism", gamma, _induced_uab_map(src, dst, gamma))
+    return GradedMapReport("equivalence", gamma, _induced_uab_map(src, dst, gamma))
+
+
+def _induced_uab_map(src: Grading, dst: Grading, gamma: Mapping) -> GroupHom:
+    """The automorphism w of the universal group with
+    iota'(gamma(s)) = w(iota(s)) for all support elements s."""
+    u_src = universal_abelian_group(src)
+    u_dst = universal_abelian_group(dst)
+    images = {s: u_dst.iota[gamma[s]] for s in u_src.support_order}
+    try:
+        w = u_src.hom_from_support_images(u_dst.group, images)
+    except ValueError as exc:
+        raise VerificationFailure(
+            "support bijection does not respect the universal relations"
+        ) from exc
+    if not w.is_isomorphism():
+        raise VerificationFailure(
+            "induced map between universal groups is not an isomorphism"
+        )
+    for s in u_src.support_order:
+        if w(u_src.iota[s]) != u_dst.iota[gamma[s]]:
+            raise VerificationFailure("induced universal map disagrees on the support")
+    return w

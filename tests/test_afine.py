@@ -26,7 +26,7 @@ from gradalg.afine import (
 )
 from gradalg.algcore import algebra_from_matrices, subalgebra_structure
 from gradalg.catalog import catalog_names, get_catalog
-from gradalg.errors import AxiomFailure, CapExceeded
+from gradalg.errors import AxiomFailure, CapExceeded, NonSplitError
 from gradalg.exactla import IntMatrix, RatMatrix, Subspace, nullspace
 from gradalg.grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 
@@ -36,9 +36,11 @@ from helpers import (
     build_sl2_efh,
     element_order,
     grouphom_classify_gradings,
+    identity_hom,
     is_closed_subspace,
     matvec,
     pointwise_admissible,
+    random_component_basis,
     random_graded_algebra,
     random_hom,
     rows_matrix,
@@ -163,6 +165,20 @@ class TestToralRank:
         td = toral_rank(get_catalog("sl3-involution").grading)
         assert td.trank == 1
 
+    def test_sl3_involution_in_a_random_basis_keeps_its_group_invariants(self):
+        gr = get_catalog("sl3-involution").grading
+        rebased = random_component_basis(gr, random.Random(0))
+        assert rebased.basis_change != gr.basis_change
+        assert universal_abelian_group(rebased).group == FgAbGroup(0, [2])
+        assert rebased.component_dims() == gr.component_dims()
+        assert graded_derivations(rebased).total_dim() == 8
+
+    @pytest.mark.xfail(strict=True, raises=NonSplitError, reason="ROADMAP item 2")
+    def test_sl3_involution_in_a_random_basis_has_toral_rank_1(self):
+        # the catalog basis's value; the candidate stream finds no split Cartan subalgebra in this basis
+        rebased = random_component_basis(get_catalog("sl3-involution").grading, random.Random(0))
+        assert toral_rank(rebased).trank == 1
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -270,7 +286,7 @@ class TestCanonicalRefinement:
         assert len(res.refined.support) == len(gr.support)
         assert res.refined.group == FgAbGroup(0, (2, 2))
         assert res.refined.component_dims() == gr.component_dims()
-        assert res.coarsening == GroupHom.identity(gr.group)
+        assert res.coarsening == identity_hom(gr.group)
         assert set(res.weights.values()) == {()}
 
 
@@ -337,7 +353,7 @@ class TestAdmissibility:
         g = FgAbGroup(0, [2])
         alpha = GroupHom(uab.group, g, IntMatrix([[1, 0]]))
         assert not is_admissible(alpha.images(), g, uab)
-        iso = GroupHom.identity(uab.group)
+        iso = identity_hom(uab.group)
         assert is_admissible(iso.images(), uab.group, uab)
 
     @pytest.mark.parametrize("name", catalog_names())

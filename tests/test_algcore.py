@@ -21,15 +21,12 @@ from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
     Subspace,
-    _leibniz_rows,
     _symmetry,
     algebra_from_matrices,
     algebra_to_dict,
     build_algebra,
     centralizer,
     centroid_dimension,
-    derivation_algebra,
-    derivation_space,
     derivations_are_inner,
     inner_derivations,
     is_simple,
@@ -42,7 +39,7 @@ from gradalg.algcore import (
 from gradalg.abgroup import Subgroup
 from gradalg.afine import _element_candidates, canonical_refinement, toral_rank
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, Subspace, coordinate_reader, flat_operator, flat_vector, nullspace, rank, sparse_rows
+from gradalg.exactla import RatMatrix, Subspace, coordinate_reader, flat_operator, flat_vector, nullspace, sparse_rows
 from gradalg.grading import Grading, graded_derivations
 from gradalg.lieroot import root_graded_structure, verify_phi_grading
 
@@ -93,6 +90,11 @@ from helpers import (
     twisted_group_grading,
     unit,
     vectors,
+    column,
+    rank,
+    _leibniz_rows,
+    derivation_algebra,
+    derivation_space,
 )
 
 
@@ -1085,7 +1087,7 @@ def _dense_closed(alg, basis):
     """Whether every operation's value on the columns of ``basis`` is in
     their span, by the dense oracle."""
     return all(
-        subspace_coords(basis, dense_apply(op, [basis.column(i) for i in key], alg.dimension)) is not None
+        subspace_coords(basis, dense_apply(op, [column(basis, i) for i in key], alg.dimension)) is not None
         for op in alg.operations
         for key in product(range(basis.cols), repeat=op.arity)
     )

@@ -7,7 +7,9 @@ from gradalg.afine import is_almost_fine, toral_rank
 from gradalg.algcore import is_simple
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.errors import UnknownCatalogEntry
-from gradalg.grading import check_graded_map, universal_abelian_group, weyl_on_uab
+from gradalg.grading import universal_abelian_group, weyl_on_uab
+
+from helpers import check_graded_map
 
 
 def test_names_and_unknown():

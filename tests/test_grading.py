@@ -21,19 +21,16 @@ from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
     build_algebra,
-    derivation_algebra,
-    derivation_space,
     derivations_are_inner,
     inner_derivations,
     subalgebra_structure,
 )
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import parse_workspace
-from gradalg.errors import AxiomFailure, IncompatibleDegrees, NotAutomorphism, ShapeError, ValidationError
-from gradalg.exactla import IntMatrix, RatMatrix, Subspace, inverse, rank
+from gradalg.errors import AxiomFailure, IncompatibleDegrees, ShapeError, ValidationError
+from gradalg.exactla import IntMatrix, RatMatrix, Subspace, inverse
 from gradalg.grading import (
     Grading,
-    check_graded_map,
     graded_derivations,
     induce,
     universal_abelian_group,
@@ -74,6 +71,14 @@ from helpers import (
     unit,
     vectors,
     zeros,
+    rank,
+    generators,
+    identity_hom,
+    derivation_algebra,
+    derivation_space,
+    check_graded_map,
+    NotAutomorphism,
+    compose,
 )
 
 
@@ -369,7 +374,7 @@ class TestInduce:
         gr = TABLE_GRADINGS[name]()
         uab = universal_abelian_group(gr)
         ugr = uab.universal_grading(gr)
-        _check_induce_against_construction(gr, GroupHom.identity(gr.group))
+        _check_induce_against_construction(gr, identity_hom(gr.group))
         _check_induce_against_construction(ugr, uab.alpha)
         rng = random.Random(name)
         for target in INDUCE_TARGETS:
@@ -395,7 +400,7 @@ class TestInduce:
 
     def test_identity(self):
         gr = cartan_sl2()
-        same = induce(gr, GroupHom.identity(gr.group))
+        same = induce(gr, identity_hom(gr.group))
         assert same.degrees == gr.degrees
 
     def test_parity(self):
@@ -481,7 +486,7 @@ class TestWeylOnUab:
         entry = get_catalog(name)
         gens = entry.weyl_on_group
         words = [w for k in (1, 2, 3) for w in product(gens, repeat=k)]
-        _same_transport(entry.grading, [reduce(GroupHom.compose, w) for w in words])
+        _same_transport(entry.grading, [reduce(compose, w) for w in words])
 
     def test_no_smith_form_once_the_universal_group_is_known(self, monkeypatch):
         entry = get_catalog("cartan-sl4")
@@ -528,7 +533,7 @@ class TestWeylOnUab:
         gr = cartan_sl2()
         z2 = FgAbGroup(2, ())
         with pytest.raises(ShapeError):
-            weyl_permutation(gr, GroupHom.identity(z2))
+            weyl_permutation(gr, identity_hom(z2))
 
 
 class TestRelationTable:
@@ -651,7 +656,7 @@ def _components_checked(gr: Grading):
     assert gr.component_dims() == {s.coords: c.dim for s, c in eager.items()}
     assert all(gr.component(s) == c for s, c in eager.items())
     assert list(gr.components().items()) == list(eager.items())
-    off = [g for g in (gr.group.identity(), *gr.group.generators()) if g not in gr.support]
+    off = [g for g in (gr.group.identity(), *generators(gr.group)) if g not in gr.support]
     assert all(gr.component(g) == Subspace(gr.dimension, {}) for g in off)
 
 

@@ -12,7 +12,7 @@ import sympy
 
 from gradalg.abgroup import FgAbGroup, enumerate_subgroups
 from gradalg.afine import canonical_refinement, is_almost_fine, toral_rank
-from gradalg.algcore import StructureAlgebra, MultilinearOp, derivation_algebra
+from gradalg.algcore import StructureAlgebra, MultilinearOp
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.exactla import IntMatrix, RatMatrix, smith_normal_form
 from gradalg.grading import Grading, graded_derivations, universal_abelian_group
@@ -21,8 +21,10 @@ from helpers import (
     all_abelian_groups_up_to,
     build_sl2_efh,
     chain_repaired_smith_normal_form,
+    column,
     dense_graded_derivations,
     dense_nullspace,
+    derivation_algebra,
     full_subgroup,
     graded_parts,
     random_graded_algebra,
@@ -109,7 +111,7 @@ class TestDerivationsOracle:
             oracle = _dense_derivations(alg)
             assert computed.dim == oracle.cols, f"trial {trial}"
             for j in range(oracle.cols):
-                assert computed.contains(sparse(oracle.column(j))), f"trial {trial}"
+                assert computed.contains(sparse(column(oracle, j))), f"trial {trial}"
 
 
 class TestUniversalGroupSection:
