@@ -38,6 +38,7 @@ from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, bracket_
 from .errors import AxiomFailure, DegenerateRetryExhausted, NonSplitError
 from .exactla import (
     IntMatrix,
+    RatMatrix,
     Rational,
     column_hnf,
     combine_rows,
@@ -47,6 +48,7 @@ from .exactla import (
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
+    sparse_power,
 )
 from .grading import (
     Grading,
@@ -96,12 +98,13 @@ def _element_candidates(d: int, rng: random.Random):
 def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
     """Cartan subalgebras, lazily and in a deterministic order: the nilpotent
     Engel subalgebras ker (ad x)^d of candidate elements x, as every Engel
-    subalgebra is self-normalizing (Humphreys 15.1, Lemma A, any field)."""
+    subalgebra is self-normalizing (Humphreys 15.1, Lemma A, any field);
+    (ad x)^d is taken on sparse rows and made dense only for ``nullspace``."""
     d = alg.dimension
     produced = False
     for x in _element_candidates(d, rng):
-        adx = alg.ad_matrix(x)
-        nil = nullspace(adx.power(d))
+        power = sparse_power(alg.ad_rows(x), d)
+        nil = nullspace(RatMatrix([[row.get(j, 0) for j in range(d)] for row in power], d))
         if not _is_nilpotent_subalgebra(alg, nil):
             continue
         produced = True

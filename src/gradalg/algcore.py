@@ -21,7 +21,6 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import FlagViolation, ShapeError, VerificationFailure
 from .exactla import (
-    RatMatrix,
     Rational,
     Subspace,
     combine_rows,
@@ -204,11 +203,6 @@ class StructureAlgebra:
                 for j, c in vec.items():
                     rows[j][i] = rows[j].get(i, 0) + x[k] * c
         return [{i: c for i, c in row.items() if c} for row in rows]
-
-    def ad_matrix(self, x: Mapping[int, Rational]) -> RatMatrix:
-        """Matrix of y -> bracket(x, y) on the basis."""
-        n = self.dimension
-        return RatMatrix([[row.get(i, 0) for i in range(n)] for row in self.ad_rows(x)])
 
     # -- flag verification --------------------------------------------------
 

@@ -34,7 +34,7 @@ from typing import Mapping
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
 from .errors import AxiomFailure, UnknownCatalogEntry
-from .exactla import IntMatrix, RatMatrix, Rational, coordinate_reader, flat_vector, sparse_rows
+from .exactla import IntMatrix, RatMatrix, Rational, combine_rows, coordinate_reader, flat_vector
 from .grading import Grading
 
 
@@ -56,39 +56,33 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers
+# Matrix helpers: square matrices as the sparse rows the algebra layer works on
 # ---------------------------------------------------------------------------
 
 
-def _e(n: int, i: int, j: int, c=1) -> RatMatrix:
-    return RatMatrix([[c if (r, s) == (i, j) else 0 for s in range(n)] for r in range(n)])
+def _e(n: int, i: int, j: int, c=1) -> list[dict[int, Rational]]:
+    """The n x n matrix c E_ij."""
+    return [{j: c} if r == i else {} for r in range(n)]
 
 
-def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k][j * b.cols + l] = a[i, j] * b[k, l]
-    return RatMatrix(out)
+def _add(*mats: list[dict[int, Rational]]) -> list[dict[int, Rational]]:
+    """The sum of square matrices of one size."""
+    ones = dict.fromkeys(range(len(mats)), 1)
+    return [combine_rows(ones, rows) for rows in zip(*mats)]
 
 
-def _operators(mats: list[RatMatrix]) -> list[list[dict[int, Rational]]]:
-    """The matrix realizations as the sparse rows the algebra layer works on."""
-    return [list(sparse_rows(m.data)) for m in mats]
+def _kron(a: list[dict[int, Rational]], b: list[dict[int, Rational]]) -> list[dict[int, Rational]]:
+    """The Kronecker product of two square matrices."""
+    n = len(b)
+    return [{j * n + l: x * y for j, x in ra.items() for l, y in rb.items()} for ra in a for rb in b]
 
 
 # split quaternions, realized inside M_2(Q)
 _QUAT = {
-    "1": RatMatrix.identity(2),
-    "i": RatMatrix([[1, 0], [0, -1]]),
-    "j": RatMatrix([[0, 1], [1, 0]]),
-    "k": RatMatrix([[0, 1], [-1, 0]]),  # k = ij
+    "1": [{0: 1}, {1: 1}],
+    "i": [{0: 1}, {1: -1}],
+    "j": [{1: 1}, {0: 1}],
+    "k": [{1: 1}, {0: -1}],  # k = ij
 }
 _QUAT_DEG = {"1": (0, 0), "i": (1, 0), "j": (0, 1), "k": (1, 1)}
 _QUAT_CONJ_SIGN = {"1": 1, "i": -1, "j": -1, "k": -1}
@@ -103,8 +97,8 @@ def _cartan_sl(n: int) -> CatalogEntry:
     mats = [_e(n, i, j) for i in range(n) for j in range(n) if i != j]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
-        mats.append(_e(n, i, i) + _e(n, i + 1, i + 1, -1))
-    alg = algebra_from_matrices(f"sl{n}", _operators(mats), kind="lie", extra_flags=["aut_reductive"])
+        mats.append(_add(_e(n, i, i), _e(n, i + 1, i + 1, -1)))
+    alg = algebra_from_matrices(f"sl{n}", mats, kind="lie", extra_flags=["aut_reductive"])
     g = FgAbGroup(n - 1, ())
 
     def root_coords(i: int, j: int) -> list[int]:
@@ -154,7 +148,7 @@ def _cartan_sl(n: int) -> CatalogEntry:
 def _pauli_m2() -> CatalogEntry:
     mats = [_QUAT["1"], _QUAT["j"], _QUAT["k"], _QUAT["i"]]  # 1, x, y, z
     alg = algebra_from_matrices(
-        "pauli-m2", _operators(mats), kind="associative", extra_flags=["aut_reductive"]
+        "pauli-m2", mats, kind="associative", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2, 2])
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
@@ -186,24 +180,22 @@ def _b2_bases():
     """Matrix bases (inside M_4(Q)) for the skew algebra of M_2(H):
     the Z_2^3-homogeneous basis, its degrees, the Z_2^4-homogeneous
     basis, and its degrees."""
-    e11, e22 = _e(2, 0, 0), _e(2, 1, 1)
-    e12, e21 = _e(2, 0, 1), _e(2, 1, 0)
-    coarse: list[RatMatrix] = []
+    e11, e22, e12 = _e(2, 0, 0), _e(2, 1, 1), _e(2, 0, 1)
+    coarse = []
     coarse_deg: list[tuple[int, int, int]] = []
     for pos, posmat in ((0, e11), (1, e22)):
         for q in ("i", "j", "k"):
             coarse.append(_kron(posmat, _QUAT[q]))
             coarse_deg.append((0, *_QUAT_DEG[q]))
     for d in ("1", "i", "j", "k"):
-        m = _kron(e12, _QUAT[d]) - _kron(e21, _QUAT[d]).scale(_QUAT_CONJ_SIGN[d])
-        coarse.append(m)
+        coarse.append(_add(_kron(e12, _QUAT[d]), _kron(_e(2, 1, 0, -_QUAT_CONJ_SIGN[d]), _QUAT[d])))
         coarse_deg.append((1, *_QUAT_DEG[d]))
     # finer basis: symmetric position matrices tensor imaginary units,
-    # plus the antisymmetric position matrix tensor 1
-    eye, x = RatMatrix.identity(2), RatMatrix([[0, 1], [1, 0]])
-    y, z = RatMatrix([[0, 1], [-1, 0]]), RatMatrix([[1, 0], [0, -1]])
+    # plus the antisymmetric position matrix tensor 1; the position matrices
+    # I, x, y, z are the realizations of 1, j, k, i
+    eye, x, y, z = _QUAT["1"], _QUAT["j"], _QUAT["k"], _QUAT["i"]
     pos_deg = {"I": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
-    fine: list[RatMatrix] = []
+    fine = []
     fine_deg: list[tuple[int, int, int, int]] = []
     for pname, p in (("I", eye), ("x", x), ("z", z)):
         for q in ("i", "j", "k"):
@@ -217,13 +209,13 @@ def _b2_bases():
 def _b2_skew() -> CatalogEntry:
     coarse, coarse_deg, fine, fine_deg = _b2_bases()
     alg = algebra_from_matrices(
-        "b2-skew", _operators(coarse), kind="lie", extra_flags=["aut_reductive"]
+        "b2-skew", coarse, kind="lie", extra_flags=["aut_reductive"]
     )
     g3 = FgAbGroup(0, [2, 2, 2])
     grading = Grading(alg, g3, [g3.element(list(d)) for d in coarse_deg])
     # express the finer basis in the abstract coordinates
-    coords = coordinate_reader(16, [flat_vector(m) for m in _operators(coarse)])
-    cols = [coords(flat_vector(m)) for m in _operators(fine)]
+    coords = coordinate_reader(16, [flat_vector(m) for m in coarse])
+    cols = [coords(flat_vector(m)) for m in fine]
     if None in cols:
         raise AxiomFailure("b2-skew: the fine basis is not in the span of the coarse one")
     g4 = FgAbGroup(0, [2, 2, 2, 2])
@@ -252,7 +244,7 @@ def _b2_skew_assoc() -> CatalogEntry:
             for d in ("1", "i", "j", "k"):
                 mats.append(_kron(_e(2, i, j), _QUAT[d]))
                 degs.append(((i - j) % 2, *_QUAT_DEG[d]))
-    alg = algebra_from_matrices("b2-skew-assoc", _operators(mats), kind="associative")
+    alg = algebra_from_matrices("b2-skew-assoc", mats, kind="associative")
     g3 = FgAbGroup(0, [2, 2, 2])
     grading = Grading(alg, g3, [g3.element(list(d)) for d in degs])
     return CatalogEntry(
@@ -264,7 +256,7 @@ def _b2_skew_assoc() -> CatalogEntry:
 
 def _a3_fine() -> CatalogEntry:
     n = 4
-    mats: list[RatMatrix] = []
+    mats = []
     degs: list[list[int]] = []
 
     def vclass(i: int, j: int) -> list[int]:
@@ -273,17 +265,17 @@ def _a3_fine() -> CatalogEntry:
 
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append(_e(n, i, j) - _e(n, j, i))
+            mats.append(_add(_e(n, i, j), _e(n, j, i, -1)))
             degs.append([0] + vclass(i, j))
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append(_e(n, i, j) + _e(n, j, i))
+            mats.append(_add(_e(n, i, j), _e(n, j, i)))
             degs.append([1] + vclass(i, j))
     for i in range(n - 1):
-        mats.append(_e(n, i, i) + _e(n, i + 1, i + 1, -1))
+        mats.append(_add(_e(n, i, i), _e(n, i + 1, i + 1, -1)))
         degs.append([1, 0, 0, 0])
     alg = algebra_from_matrices(
-        "a3-fine", _operators(mats), kind="lie", extra_flags=["aut_reductive"]
+        "a3-fine", mats, kind="lie", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2, 2, 2, 2])
     grading = Grading(alg, g, [g.element(d) for d in degs])
@@ -314,19 +306,19 @@ def _a3_fine() -> CatalogEntry:
 def _sl3_involution() -> CatalogEntry:
     # fixed/anti-fixed basis of sl3 for X -> -S X^T S^{-1}, S antidiagonal
     even = [
-        _e(3, 0, 1) - _e(3, 1, 2),
-        _e(3, 1, 0) - _e(3, 2, 1),
-        _e(3, 0, 0) + _e(3, 2, 2, -1),
+        _add(_e(3, 0, 1), _e(3, 1, 2, -1)),
+        _add(_e(3, 1, 0), _e(3, 2, 1, -1)),
+        _add(_e(3, 0, 0), _e(3, 2, 2, -1)),
     ]
     odd = [
-        _e(3, 0, 1) + _e(3, 1, 2),
-        _e(3, 1, 0) + _e(3, 2, 1),
+        _add(_e(3, 0, 1), _e(3, 1, 2)),
+        _add(_e(3, 1, 0), _e(3, 2, 1)),
         _e(3, 0, 2),
         _e(3, 2, 0),
-        _e(3, 0, 0) + _e(3, 1, 1, -2) + _e(3, 2, 2),
+        _add(_e(3, 0, 0), _e(3, 1, 1, -2), _e(3, 2, 2)),
     ]
     alg = algebra_from_matrices(
-        "sl3-involution", _operators(even + odd), kind="lie", extra_flags=["aut_reductive"]
+        "sl3-involution", even + odd, kind="lie", extra_flags=["aut_reductive"]
     )
     g = FgAbGroup(0, [2])
     degrees = [g.element([0])] * 3 + [g.element([1])] * 5

@@ -113,7 +113,11 @@ def group_to_dict(g: FgAbGroup) -> dict:
 
 
 def _basis_columns(rows, n: int, gname: str) -> list[dict[int, Rational]]:
-    """The sparse columns of a grading's ``basis_change`` matrix, which must be n x n."""
+    """The sparse columns of a grading's ``basis_change``, a JSON array of n arrays of n entries: a
+    string or object row would be read by its characters or keys, so it is rejected by name."""
+    for row in rows if isinstance(rows, list) else [rows]:
+        if isinstance(row, (str, Mapping)):
+            raise ParseError(f"grading {gname!r}: 'basis_change': {row!r} is not a JSON array")
     try:
         m = RatMatrix([[rational_field(x, "entry") for x in row] for row in rows])
     except Exception as exc:

@@ -5,29 +5,31 @@ One scalar type, an exact rational ``int | Fraction`` in canonical form: an
 (``rational``, ``qdiv``); no float enters.  One vector format and one
 operator format: a vector is a sparse dict ``{index: scalar}`` with no zero
 entries, and an operator is the list of its sparse rows ``{column:
-scalar}``.  One sparse Gauss-Jordan elimination, fraction-free on integer
-rows, is behind every echelon form, kernel and solve over Q; one subspace
-type, ``Subspace``, keeps a canonical basis as sparse columns, read off one
-elimination (a kernel's, with the columns in decreasing order) or carried
-with none (``embed``, ``restrict``), and tested for a vector with none
-(``contains``); each condition "op x in a subspace" is one kernel, ``preimage``.
-One spectral routine, the generalized eigenspaces of an operator, is behind
-the simultaneous eigenspace decompositions of
-commuting operators and the Jordan-Chevalley semisimple part.  It runs block
-by block: an operator is the direct sum of its restrictions to the
-coordinate blocks it preserves (the connected components of its nonzero
-entries), a 1 x 1 block [a] is its own eigenvalue, eigenspace and semisimple
-part, and only a larger block goes through its minimal polynomial.  The Smith
-normal form U M V = S, kept as S, U and U^-1 (V is not built), is behind
-every presentation; an integer kernel is read off the column Hermite form of
-M stacked over I.  One immutable dense matrix class keeps the shape, with an
-explicit column count, so 0 x n and n x 0 matrices exist; ``RatMatrix``
-(rationals) and ``IntMatrix`` (exact integers) fix its entry type.  The dense
-``RatMatrix`` is for matrices that enter or leave the program, and for
-``nullspace``, the Cartan search's kernel of a dense power.  ``rref``,
-``solve`` and ``inverse`` on it stay because ``perfbench/tracer.py`` wraps
-them by name; the program calls none of them.  Everything is exact;
-non-rational spectra raise NonSplitError instead of being approximated.
+scalar}``, multiplied and raised to powers on them (``sparse_product``,
+``sparse_power``).  One sparse Gauss-Jordan elimination, fraction-free on
+integer rows, is behind every echelon form, kernel and solve over Q; one
+subspace type, ``Subspace``, keeps a canonical basis as sparse columns, read
+off one elimination (a kernel's, with the columns in decreasing order) or
+carried with none (``embed``, ``restrict``), and tested for a vector with
+none (``contains``); each condition "op x in a subspace" is one kernel,
+``preimage``.  One spectral routine, the generalized eigenspaces of an
+operator, is behind the simultaneous eigenspace decompositions of commuting
+operators and the Jordan-Chevalley semisimple part.  It runs block by block:
+an operator is the direct sum of its restrictions to the coordinate blocks
+it preserves (the connected components of its nonzero entries), a 1 x 1
+block [a] is its own eigenvalue, eigenspace and semisimple part, and only a
+larger block goes through its minimal polynomial.  The Smith normal form
+U M V = S, kept as S, U and U^-1 (V is not built), is behind every presentation;
+an integer kernel is read off the column Hermite form of M stacked over I.
+One immutable dense matrix class keeps the shape, with an explicit column
+count, so 0 x n and n x 0 matrices exist; ``RatMatrix`` (rationals, with no
+arithmetic but the product) and ``IntMatrix`` (exact integers) fix its entry
+type.  A ``RatMatrix`` remains only at the edges: the CLI's parse of a basis
+change, the catalog's ``algebra_maps``, the argument of ``nullspace`` and
+the return of ``grading._incremental_kernel`` (``perfbench/tracer.py`` reads
+both), and ``rref``, ``solve`` and ``inverse``, which the tracer wraps by
+name and the program never calls.  Everything is exact; non-rational spectra
+raise NonSplitError instead of being approximated.
 """
 
 from __future__ import annotations
@@ -153,37 +155,6 @@ class RatMatrix(_DenseMatrix):
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.data]})"
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ShapeError("shape mismatch in addition")
-        return RatMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "RatMatrix":
-        c = rational(c)
-        return RatMatrix([[c * x for x in row] for row in self.data], self.cols)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def power(self, k: int) -> "RatMatrix":
-        if not self.is_square():
-            raise ShapeError("power of a non-square matrix")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return RatMatrix.identity(self.rows) if result is None else result
-
 
 # ---------------------------------------------------------------------------
 # Echelon forms and linear solving
@@ -297,6 +268,19 @@ def sparse_product(a: Sequence[Mapping[int, Rational]], b: Sequence[Mapping[int,
     return [combine_rows(row, b) for row in a]
 
 
+def sparse_power(rows: Sequence[Mapping[int, Rational]], k: int) -> list[dict[int, Rational]]:
+    """The sparse rows of M^k for the square operator M with sparse rows ``rows``, by repeated
+    squaring (``sparse_product``); M^0 is the identity."""
+    power, base = [{i: 1} for i in range(len(rows))], list(rows)
+    while k:
+        if k & 1:
+            power = sparse_product(power, base)
+        k >>= 1
+        if k:
+            base = sparse_product(base, base)
+    return power
+
+
 def transpose(rows: Sequence[Mapping[int, Rational]], ncols: int) -> list[dict[int, Rational]]:
     """The sparse rows of the transpose: the columns of ``rows``, sparse."""
     out: list[dict[int, Rational]] = [{} for _ in range(ncols)]
@@ -360,7 +344,7 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ShapeError("inverse of a non-square matrix")
     try:
         return solve(m, RatMatrix.identity(m.rows))
@@ -699,10 +683,7 @@ def _generalized_eigenspaces(m: Sequence[Mapping[int, Rational]], roots: Sequenc
     spaces = []
     for lam in roots:
         shifted = [combine_rows({0: 1, 1: -lam}, [row, {i: 1}]) for i, row in enumerate(m)]
-        power = shifted
-        for _ in range(k - 1):
-            power = sparse_product(power, shifted)
-        spaces.append((lam, sparse_nullspace(n, power)))
+        spaces.append((lam, sparse_nullspace(n, sparse_power(shifted, k))))
     if sum(space.dim for _, space in spaces) != n:
         raise AxiomFailure("generalized eigenspaces do not fill the space")
     return spaces

@@ -36,8 +36,8 @@ NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
 def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
     """The canonical kernel basis of one degree's rows, as a dense matrix: the one per-degree
-    kernel routine of graded_derivations, called once per candidate degree.  perfbench/tracer.py
-    counts the per-degree kernels by this name and reads its column count.
+    kernel routine of graded_derivations, run for each candidate degree it cannot show is 0.
+    perfbench/tracer.py counts the per-degree kernels by this name and reads its column count.
 
     ``known`` are that degree's inner derivations, re-indexed to its unknowns: known kernel
     vectors.  ``rows`` None says they are the whole kernel (``derivations_are_inner``): their
@@ -559,10 +559,11 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     When every derivation is inner (``derivations_are_inner``: a semisimple
     Lie or associative algebra, certified once per algebra), D_g is the
     span of the inner derivations of degree g, and no Leibniz row is built
-    or read.  On a certified Lie algebra ad is injective (the center lies
-    in the Killing radical), so dim D_g = dim A_g is checked, and a
-    mismatch raises AxiomFailure.  Either way each D_g is the same
-    canonical ``Subspace``.
+    or read; D_g = 0, with no elimination, when g is not the identity and
+    has no inner derivation.  On a certified Lie algebra ad is injective
+    (the center lies in the Killing radical), so dim D_g = dim A_g is
+    checked, and a mismatch raises AxiomFailure.  Either way each D_g is
+    the same canonical ``Subspace``.
     """
     if within is not None and within.owner != grading.group:
         raise ShapeError("subgroup of a different group")
@@ -576,13 +577,16 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
     for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
-        kernel = _incremental_kernel(len(idxs), None if inner_only else stream, known)
-        if ad_dims is not None and kernel.cols != ad_dims.get(g.coords, 0):
+        if inner_only and not known and g != ident:
+            columns = []
+        else:
+            columns = _incremental_kernel(len(idxs), None if inner_only else stream, known).columns()
+        if ad_dims is not None and len(columns) != ad_dims.get(g.coords, 0):
             raise AxiomFailure(
-                f"the inner derivations of degree {g.coords} span {kernel.cols} dimensions, "
+                f"the inner derivations of degree {g.coords} span {len(columns)} dimensions, "
                 f"but ad is injective on the {ad_dims.get(g.coords, 0)}-dimensional component"
             )
-        embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in kernel.columns()]
+        embedded = [{idx: x for idx, x in zip(idxs, col) if x} for col in columns]
         # idxs is increasing, so the embedded basis is canonical, each vector's pivot its first index
         space = Subspace(n * n, {min(col): col for col in embedded})
         if space.dim or g == ident:

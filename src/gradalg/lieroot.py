@@ -45,8 +45,6 @@ from .errors import (
 from .exactla import Rational, coordinate_reader, qdiv, rational, simultaneous_eigenspaces, sparse_rows
 from .grading import Grading, universal_abelian_group
 
-Q = Fraction
-
 Weight = tuple[Rational, ...]
 
 
@@ -604,7 +602,7 @@ def root_graded_structure(
         )
     phi_prime = check.phi_prime
     # consistency of Phi' with the ambient root system
-    doubled = {a for a in report.phi if _wscale(Q(1, 2), a) in set(report.phi)}
+    doubled = {a for a in report.phi if _wscale(Fraction(1, 2), a) in set(report.phi)}
     expected_prime = tuple(sorted(set(report.phi) - doubled))
     if tuple(sorted(phi_prime)) != expected_prime:
         raise VerificationFailure(
@@ -627,7 +625,7 @@ def root_graded_structure(
         if r == 1:
             merged = True  # the natural module is the adjoint one: C joins B
         else:
-            highest["C"] = _wscale(Q(1, 2), highest["B"])
+            highest["C"] = _wscale(Fraction(1, 2), highest["B"])
     elif check.report.short_roots:
         highest["B"] = max(check.report.short_roots, key=dominance)
     # highest-weight vectors: {x in L(lam) : [g_plus, x] = 0}

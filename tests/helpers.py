@@ -3,8 +3,10 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import chain, islice, permutations, product
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 import sympy
@@ -193,6 +195,23 @@ def matvec(m: RatMatrix, v) -> tuple:
     return tuple(sum((a * Q(b) for a, b in zip(row, v)), Q(0)) for row in m.data)
 
 
+def mat_add(*ms: RatMatrix) -> RatMatrix:
+    """The entrywise sum of dense matrices of one shape."""
+    if len({m.shape for m in ms}) != 1:
+        raise ShapeError("shape mismatch in addition")
+    return RatMatrix([list(map(sum, zip(*rows))) for rows in zip(*(m.data for m in ms))], ms[0].cols)
+
+
+def mat_scale(m: RatMatrix, c) -> RatMatrix:
+    """The dense matrix c M."""
+    return RatMatrix([[Q(c) * x for x in row] for row in m.data], m.cols)
+
+
+def dense_power(m: RatMatrix, k: int) -> RatMatrix:
+    """Oracle for ``exactla.sparse_power``: M^k from k dense products ``*``, M^0 = I."""
+    return reduce(mul, [m] * k, RatMatrix.identity(m.rows))
+
+
 def mat_transpose(m: RatMatrix) -> RatMatrix:
     return RatMatrix(list(zip(*m.data))) if m.data else RatMatrix([])
 
@@ -336,7 +355,7 @@ def dense_subspace_intersection(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     a dense kernel basis (x, y) of [A | -B]."""
     if a.cols == 0 or b.cols == 0:
         return zeros(a.rows, 0)
-    ker = dense_nullspace(hstack(a, b.scale(-1)))
+    ker = dense_nullspace(hstack(a, mat_scale(b, -1)))
     cols = [matvec(a, column(ker, j)[: a.cols]) for j in range(ker.cols)]
     return dense_column_echelon(RatMatrix.from_columns(cols, rows=a.rows)) if cols else zeros(a.rows, 0)
 
@@ -369,7 +388,7 @@ def blocked_kernel(nunknowns: int, rows) -> RatMatrix:
 
 
 def dense_ad(a: StructureAlgebra, x) -> RatMatrix:
-    """Oracle for ``StructureAlgebra.ad_rows`` and ``ad_matrix`` at a dense
+    """Oracle for ``StructureAlgebra.ad_rows`` at a dense
     x: column j is ``dense_apply`` of the bracket on (x, e_j)."""
     n = a.dimension
     return RatMatrix.from_columns([dense_apply(a.binary_op(), [x, unit(j, n)], n) for j in range(n)], rows=n)
@@ -420,7 +439,7 @@ def random_lie_algebra(rng: random.Random) -> StructureAlgebra:
     pieces = {
         "sl2": sl_matrices(2),
         # the skew-symmetric 3 x 3 matrices: semisimple, not split over Q
-        "so3": [e_matrix(3, i, j) + e_matrix(3, j, i, -1) for i, j in ((0, 1), (0, 2), (1, 2))],
+        "so3": [mat_add(e_matrix(3, i, j), e_matrix(3, j, i, -1)) for i, j in ((0, 1), (0, 2), (1, 2))],
         "gl2": [e_matrix(2, i, j) for i in range(2) for j in range(2)],
         "aff1": [e_matrix(2, 0, 0), e_matrix(2, 0, 1)],
         "heis": [e_matrix(3, 0, 1), e_matrix(3, 1, 2), e_matrix(3, 0, 2)],
@@ -465,7 +484,7 @@ def poly_eval_matrix(poly, m: RatMatrix) -> RatMatrix:
     for c in reversed(list(poly)):
         acc = acc * m if not is_zero(acc) else acc
         if c:
-            acc = acc + RatMatrix.identity(m.rows).scale(c)
+            acc = mat_add(acc, mat_scale(RatMatrix.identity(m.rows), c))
     return acc
 
 
@@ -492,7 +511,7 @@ def newton_semisimple_part(m: RatMatrix) -> RatMatrix:
         val = poly_eval_matrix(pred, s)
         if is_zero(val):
             return s
-        s = s - inverse(poly_eval_matrix(dp, s)) * val
+        s = mat_add(s, mat_scale(inverse(poly_eval_matrix(dp, s)) * val, -1))
     if not is_zero(poly_eval_matrix(pred, s)):
         raise ValueError("Newton iteration failed to converge")
     return s
@@ -545,7 +564,7 @@ def kernel_eigen_split(basis: RatMatrix, op: RatMatrix) -> list:
     pieces = []
     total = 0
     for lam in roots:
-        ker = dense_nullspace(restricted - RatMatrix.identity(restricted.rows).scale(lam))
+        ker = dense_nullspace(mat_add(restricted, mat_scale(RatMatrix.identity(restricted.rows), -lam)))
         if ker.cols:
             pieces.append((lam, dense_column_echelon(basis * ker)))
             total += ker.cols
@@ -573,7 +592,7 @@ def sl_matrices(n: int) -> list[RatMatrix]:
     E_ii - E_{i+1,i+1}."""
     out = [e_matrix(n, i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
-        out.append(e_matrix(n, i, i) + e_matrix(n, i + 1, i + 1, -1))
+        out.append(mat_add(e_matrix(n, i, i), e_matrix(n, i + 1, i + 1, -1)))
     return out
 
 
@@ -823,7 +842,7 @@ def pairwise_matrix_tensor(matrices, kind: str):
     for i, j in product(range(len(matrices)), repeat=2):
         prod_m = matrices[i] * matrices[j]
         if kind == "lie":
-            prod_m = prod_m - matrices[j] * matrices[i]
+            prod_m = mat_add(prod_m, mat_scale(matrices[j] * matrices[i], -1))
         coords = subspace_coords(flat, flatten(prod_m))
         if coords is None:
             return None, (i, j)

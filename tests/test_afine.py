@@ -34,6 +34,7 @@ from helpers import (
     all_abelian_groups_up_to,
     build_m2_splitpauli,
     build_sl2_efh,
+    dense_power,
     element_order,
     grouphom_classify_gradings,
     identity_hom,
@@ -43,6 +44,7 @@ from helpers import (
     random_component_basis,
     random_graded_algebra,
     random_hom,
+    random_lie_algebra,
     rows_matrix,
     sl_involution_grading,
     sparse,
@@ -109,7 +111,7 @@ def engel_algebras() -> dict:
 
 
 def engel_subalgebra(alg, x) -> Subspace:
-    return nullspace(alg.ad_matrix(x).power(alg.dimension))
+    return nullspace(dense_power(rows_matrix(alg.ad_rows(x)), alg.dimension))
 
 
 class TestEngelCriterion:
@@ -142,6 +144,23 @@ class TestEngelCriterion:
                     if three_part_is_cartan(alg, e)
                 )
                 assert next(cartan_candidates(alg, random.Random(seed))) == first, (name, seed)
+
+    def test_every_candidates_engel_subalgebra_is_the_dense_powers(self, monkeypatch):
+        # with every subspace passed as nilpotent, the search yields E(x) for each candidate x in
+        # turn: (ad x)^d on sparse rows against d dense products, on the 21- and 10-dimensional
+        # D_e of two involution gradings, on random Lie algebras and in dimension 0
+        monkeypatch.setattr(afine, "_is_nilpotent_subalgebra", lambda alg, basis: True)
+        algebras = {"zero": algebra_from_matrices("zero", [])}
+        for n, alternating in ((6, True), (5, False)):
+            gr = sl_involution_grading(n, alternating)
+            d_e = graded_derivations(gr, Subgroup.from_generators(gr.group, [])).identity_part
+            algebras[f"sl{n}/D_e"] = algebra_from_matrices("commutators", d_e)
+        algebras.update((f"random-{seed}", random_lie_algebra(random.Random(seed))) for seed in range(4))
+        assert [algebras[k].dimension for k in ("zero", "sl6/D_e", "sl5/D_e")] == [0, 21, 10]
+        for name, alg in algebras.items():
+            xs = list(islice(_element_candidates(alg.dimension, random.Random(0)), 150))
+            found = list(islice(cartan_candidates(alg, random.Random(0)), 150))
+            assert found == [engel_subalgebra(alg, x) for x in xs], name
 
 
 class TestToralRank:

@@ -276,6 +276,17 @@ class TestParseErrors:
         assert code == 1
         assert "grading 'cartan-sl2': 'basis_change': bad matrix: ragged rows" in err
 
+    @pytest.mark.parametrize("matrix, bad", [(["10", "01"], "'10'"), ([[1, 0], "01"], "'01'")])
+    def test_basis_change_rows_must_be_arrays(self, tmp_path, capsys, matrix, bad):
+        # read character by character, the string rows ["10", "01"] would pass as the identity
+        grading = {"name": "g", "algebra": "a", "group": TRIVIAL_GROUP, "degrees": [[], []], "basis_change": [[1, 0], [0, 1]]}
+        doc = {"algebras": [_algebra_with("a", [])], "gradings": [grading]}
+        assert run(capsys, "validate", write_ws(tmp_path, doc))[0] == 0
+        doc["gradings"][0]["basis_change"] = matrix
+        code, out, err = run(capsys, "validate", write_ws(tmp_path, doc))
+        assert code == 1 and out == ""
+        assert err == f"error: grading 'g': 'basis_change': {bad} is not a JSON array\n"
+
     @pytest.mark.parametrize(
         "matrix",
         [

@@ -64,7 +64,7 @@ def test_main_prints_the_total_and_the_callers(monkeypatch, capsys):
 #: D_g of a semisimple algebra was the span of its inner derivations, with
 #: no Leibniz system; a change that eliminates again for a canonical basis
 #: it could read or write down, or for a fact a lemma gives, goes over
-ELIMINATION_BUDGET = {"lie": 611, "assoc": 156, "classify": 0}
+ELIMINATION_BUDGET = {"lie": 517, "assoc": 153, "classify": 0}
 
 
 @pytest.mark.parametrize("workload", sorted(ELIMINATION_BUDGET))
