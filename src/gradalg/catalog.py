@@ -20,8 +20,8 @@ Entries:
   X -> -S X^T S^{-1}, S antidiagonal.
 
 Weyl generators are given as automorphisms of the grading group G; where
-a rational algebra realization exists it is recorded in ``algebra_maps``
-and verified in the test suite.  For ``a3-fine`` the generator swapping
+a rational algebra realization exists, the test suite records and
+verifies it.  For ``a3-fine`` the generator swapping
 the two zero-component degrees has no rational realization (it requires
 a fourth root of unity), so it is supplied as a group-level assertion.
 """
@@ -34,7 +34,7 @@ from typing import Mapping
 from .abgroup import FgAbGroup, GroupHom
 from .algcore import algebra_from_matrices
 from .errors import AxiomFailure, UnknownCatalogEntry
-from .exactla import IntMatrix, RatMatrix, Rational, combine_rows, coordinate_reader, flat_vector
+from .exactla import IntMatrix, Rational, combine_rows, coordinate_reader, flat_vector
 from .grading import Grading
 
 
@@ -48,9 +48,6 @@ class CatalogEntry:
     weyl_complete: bool = False
     #: named companion gradings on the same algebra (e.g. a finer grading)
     companions: Mapping[str, Grading] = field(default_factory=dict)
-    #: named algebra automorphisms (original coordinates) realizing
-    #: equivalences; verified against the grading in the tests
-    algebra_maps: Mapping[str, RatMatrix] = field(default_factory=dict)
     #: recorded expected facts, re-checked by the test suite
     expected: Mapping[str, object] = field(default_factory=dict)
 
@@ -123,16 +120,11 @@ def _cartan_sl(n: int) -> CatalogEntry:
             col[k] -= a
             cols.append(col)
         weyl.append(GroupHom(g, g, IntMatrix.from_columns(cols, rows=n - 1)))
-    maps = {}
-    if n == 2:
-        # e <-> f, h -> -h realizes the nontrivial Weyl element
-        maps["weyl-flip"] = RatMatrix.from_columns([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     return CatalogEntry(
         f"cartan-sl{n}",
         grading,
         tuple(weyl),
         weyl_complete=(n == 2),
-        algebra_maps=maps,
         expected={
             "dimension": n * n - 1,
             "uab_free_rank": n - 1,
@@ -154,18 +146,11 @@ def _pauli_m2() -> CatalogEntry:
     degrees = [g.element([0, 0]), g.element([1, 0]), g.element([1, 1]), g.element([0, 1])]
     grading = Grading(alg, g, degrees)
     swap = GroupHom(g, g, IntMatrix([[0, 1], [1, 0]]))
-    maps = {
-        # 1 -> 1, x -> z, y -> -y, z -> x (conjugation by the Hadamard matrix)
-        "swap-xz": RatMatrix.from_columns(
-            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]]
-        )
-    }
     return CatalogEntry(
         "pauli-m2",
         grading,
         (swap,),
         weyl_complete=False,
-        algebra_maps=maps,
         expected={
             "dimension": 4,
             "uab_free_rank": 0,

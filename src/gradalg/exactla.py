@@ -25,10 +25,10 @@ One immutable dense matrix class keeps the shape, with an explicit column
 count, so 0 x n and n x 0 matrices exist; ``RatMatrix`` (rationals, with no
 arithmetic but the product) and ``IntMatrix`` (exact integers) fix its entry
 type.  A ``RatMatrix`` remains only at the edges: the CLI's parse of a basis
-change, the catalog's ``algebra_maps``, the argument of ``nullspace`` and
-the return of ``grading._incremental_kernel`` (``perfbench/tracer.py`` reads
-both), and ``rref``, ``solve`` and ``inverse``, which the tracer wraps by
-name and the program never calls.  Everything is exact; non-rational spectra
+change, the argument of ``nullspace`` and the return of
+``grading._incremental_kernel`` (``perfbench/tracer.py`` reads both), and
+``rref``, ``solve`` and ``inverse``, which the tracer wraps by name and the
+program never calls.  Everything is exact; non-rational spectra
 raise NonSplitError instead of being approximated.
 """
 
@@ -250,12 +250,13 @@ def _eliminate(target: dict[int, int], p: int, kept: Mapping[int, int]):
 def combine_rows(
     coeffs: Mapping[int, Rational], rows: Sequence[Mapping[int, Rational]]
 ) -> dict[int, Rational]:
-    """The sparse row sum over k of coeffs[k] * rows[k]."""
+    """The sparse row sum over k of coeffs[k] * rows[k], each entry canonical
+    (a sum of Fractions that is integral is returned as its ``int``)."""
     out: dict[int, Rational] = {}
     for k, c in coeffs.items():
         for j, x in rows[k].items():
             out[j] = out.get(j, 0) + c * x
-    return {j: x for j, x in out.items() if x}
+    return {j: x.numerator if type(x) is Fraction and x.denominator == 1 else x for j, x in out.items() if x}
 
 
 def sparse_rows(data: Iterable[Sequence[Rational]]):

@@ -29,7 +29,7 @@ from .algcore import (
     subalgebra_structure,
 )
 from .errors import AxiomFailure, IncompatibleDegrees, ShapeError, ValidationError
-from .exactla import IntMatrix, RatMatrix, Rational, sparse_nullspace
+from .exactla import IntMatrix, RatMatrix, Rational, coordinate_reader, sparse_nullspace
 
 NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
@@ -60,8 +60,10 @@ class Grading:
     of the support counts of ``key`` minus e_(label j) over the nonzero
     entries (key, j).  Each row must sum to 0 in the group
     (compatibility); they present the universal group.  A component is
-    spanned the first time it is read.  Invariants computed from a
-    grading, components among them, are memoized on it (``_memo``).
+    spanned the first time it is read; membership in the components is
+    read, not spanned (``coarse_labels`` reads a basis in this one's).
+    Invariants computed from a grading, components among them, are
+    memoized on it (``_memo``).
 
     The rewritten algebra is ``subalgebra_structure(algebra, basis_change)``,
     which is ``algebra`` itself for the unit columns and is otherwise
@@ -159,9 +161,6 @@ class Grading:
         """Component of degree g in the original coordinates (zero off the support)."""
         return Subspace.span(self.dimension, [self.basis_change[i] for i in self.indices_of_degree(g)])
 
-    def components(self) -> dict[GroupElement, Subspace]:
-        return {s: self.component(s) for s in self.support}
-
     def indices_of_degree(self, g: GroupElement) -> list[int]:
         """Homogeneous-basis indices with degree g."""
         s = self.support.index(g) if g in self.support else None
@@ -170,23 +169,32 @@ class Grading:
     def identity_component(self) -> Subspace:
         return self.component(self.group.identity())
 
-    def is_refinement_of(self, other: "Grading") -> bool:
-        """Both grade the same algebra (equal dimension, and equal arity and
-        structure constants per operation), and every component of ``self``
-        lies inside a component of ``other``: each basis column of ``self``
-        is read in the one that holds its degree's first column, with no span."""
+    def coarse_labels(self, other: "Grading") -> list[int] | None:
+        """For each support label of ``self``, the support label of the
+        component of ``other`` that holds it; None unless ``self`` refines
+        ``other``.  Both must grade the same algebra (equal dimension, and
+        equal arity and structure constants per operation).  Each basis
+        column of ``self`` is read in ``other``'s homogeneous basis (one
+        ``coordinate_reader``, with no span): its coordinates must lie on
+        the columns of one label of ``other``, the same for every column of
+        one degree of ``self``."""
         a, b = (
             (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (self, other)
         )
         if a != b:
-            return False
-        home: dict[int, Subspace | None] = {}
+            return None
+        coords = coordinate_reader(self.dimension, other.basis_change)
+        home: list[int | None] = [None] * len(self.support)
         for t, col in zip(self.labels, self.basis_change):
-            places = [home[t]] if t in home else other.components().values()
-            home[t] = next((c for c in places if c.contains(col)), None)
-            if home[t] is None:
-                return False
-        return True
+            places = {other.labels[i] for i in coords(col)}
+            if len(places) != 1 or home[t] not in (None, *places):
+                return None
+            home[t] = places.pop()
+        return home
+
+    def is_refinement_of(self, other: "Grading") -> bool:
+        """Every component of ``self`` lies inside a component of ``other`` (``coarse_labels``)."""
+        return self.coarse_labels(other) is not None
 
     def component_dims(self) -> dict[tuple[int, ...], int]:
         """Degree coords -> component dimension (plain data, for reports),
@@ -559,11 +567,11 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     When every derivation is inner (``derivations_are_inner``: a semisimple
     Lie or associative algebra, certified once per algebra), D_g is the
     span of the inner derivations of degree g, and no Leibniz row is built
-    or read; D_g = 0, with no elimination, when g is not the identity and
-    has no inner derivation.  On a certified Lie algebra ad is injective
-    (the center lies in the Killing radical), so dim D_g = dim A_g is
-    checked, and a mismatch raises AxiomFailure.  Either way each D_g is
-    the same canonical ``Subspace``.
+    or read; D_g = 0, with no elimination, when g has no inner derivation.
+    On a certified Lie algebra ad is injective (the center lies in the
+    Killing radical), so dim D_g = dim A_g is checked, and a mismatch
+    raises AxiomFailure.  Either way each D_g is the same canonical
+    ``Subspace``.
     """
     if within is not None and within.owner != grading.group:
         raise ShapeError("subgroup of a different group")
@@ -577,7 +585,7 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
     for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
-        if inner_only and not known and g != ident:
+        if inner_only and not known:
             columns = []
         else:
             columns = _incremental_kernel(len(idxs), None if inner_only else stream, known).columns()

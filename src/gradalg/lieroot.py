@@ -525,7 +525,8 @@ def root_graded_structure(
     _require_semisimple(alg)
     if not is_simple(alg):
         raise VerificationFailure("the ambient algebra is not simple")
-    if not refined.is_refinement_of(grading):
+    coarse = refined.coarse_labels(grading)
+    if coarse is None:
         raise NotARefinement("second grading does not refine the first")
     if not is_non_special(grading, seed=seed):
         raise VerificationFailure("the grading is special: no grading subalgebra")
@@ -563,11 +564,8 @@ def root_graded_structure(
     t_u, _ = torsion_and_free(uab.group)
     if pi.kernel().lattice != t_u.lattice:
         raise VerificationFailure("kernel of pi differs from the torsion of U")
-    # degrees in the coarse group: the refinement is checked, so one column names its component
-    delta_images = {
-        s: next(g for g in grading.support if grading.component(g).contains(cols[0])) for s, cols in columns.items()
-    }
-    delta = uab.hom_from_support_images(grading.group, delta_images)
+    # degrees in the coarse group: the coarse label of each refined component, read with the check
+    delta = uab.hom_from_support_images(grading.group, {s: grading.support[t] for s, t in zip(refined.support, coarse)})
     # section over the simple roots
     support_classes = {uab.iota[s]: s for s in refined.support}
     if section is None:

@@ -87,6 +87,16 @@ SU2_WORKSPACE = {
 }
 
 
+#: catalog entry name -> named algebra automorphisms (original coordinates,
+#: as the columns of a dense matrix) realizing equivalences of its grading
+CATALOG_ALGEBRA_MAPS = {
+    # e <-> f, h -> -h realizes the nontrivial Weyl element
+    "cartan-sl2": {"weyl-flip": RatMatrix.from_columns([[0, 1, 0], [1, 0, 0], [0, 0, -1]])},
+    # 1 -> 1, x -> z, y -> -y, z -> x (conjugation by the Hadamard matrix)
+    "pauli-m2": {"swap-xz": RatMatrix.from_columns([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]])},
+}
+
+
 # ---------------------------------------------------------------------------
 # Dense views of gradalg's sparse formats, for oracles and readable tests
 # ---------------------------------------------------------------------------
@@ -132,8 +142,14 @@ def eager_components(gr: Grading) -> dict:
     }
 
 
+def components(gr: Grading) -> dict:
+    """Every component of a grading, in support order, each spanned once
+    (``Grading.component``, memoized): the former ``Grading.components``."""
+    return {s: gr.component(s) for s in gr.support}
+
+
 def is_refinement_by_spans(fine: Grading, coarse: Grading) -> bool:
-    """Oracle for ``Grading.is_refinement_of`` (its former body): both grade
+    """Oracle for ``Grading.is_refinement_of`` (a former body): both grade
     the same algebra, and every component of ``fine``, spanned, lies inside
     a spanned component of ``coarse``."""
     a, b = (
@@ -141,6 +157,17 @@ def is_refinement_by_spans(fine: Grading, coarse: Grading) -> bool:
     )
     outer = eager_components(coarse).values()
     return a == b and all(any(oc.restrict(c) is not None for oc in outer) for c in eager_components(fine).values())
+
+
+def coarse_labels_by_spans(fine: Grading, coarse: Grading) -> list[int] | None:
+    """Oracle for ``Grading.coarse_labels``: None unless
+    ``is_refinement_by_spans``, else for each component of ``fine`` the
+    support label of the first component of ``coarse`` whose span holds its
+    first basis column (the search ``root_graded_structure`` made for delta)."""
+    if not is_refinement_by_spans(fine, coarse):
+        return None
+    firsts = [fine.basis_change[fine.labels.index(t)] for t in range(len(fine.support))]
+    return [next(t for t, g in enumerate(coarse.support) if coarse.component(g).contains(c)) for c in firsts]
 
 
 def vectors(space: Subspace) -> list[tuple]:

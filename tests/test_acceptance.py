@@ -26,6 +26,8 @@ from gradalg.lieroot import (
     verify_phi_grading,
 )
 
+from helpers import components
+
 
 @contextlib.contextmanager
 def criterion(label):
@@ -100,7 +102,7 @@ def test_criterion_4_bc1_extraction():
         assert cert.rank_uab == 0 and cert.trank == 1
         res = canonical_refinement(gr)
         assert res.refined.group == FgAbGroup(1, (2,))
-        comps = res.refined.components()
+        comps = components(res.refined)
         assert len(comps) == 8 and all(c.dim == 1 for c in comps.values())
         wd, rep = extract_root_system(gr)
         assert rep.type_label == "BC1" and not rep.reduced

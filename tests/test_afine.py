@@ -34,6 +34,7 @@ from helpers import (
     all_abelian_groups_up_to,
     build_m2_splitpauli,
     build_sl2_efh,
+    components,
     dense_power,
     element_order,
     grouphom_classify_gradings,
@@ -270,7 +271,7 @@ class TestCanonicalRefinement:
         res = canonical_refinement(parity_sl2())
         assert res.refined.group == FgAbGroup(1, (2,))
         assert len(res.refined.support) == 3
-        assert all(c.dim == 1 for c in res.refined.components().values())
+        assert all(c.dim == 1 for c in components(res.refined).values())
         assert res.refined.is_refinement_of(res.original)
         back = induce(res.refined, res.coarsening)
         assert back.component_dims() == res.original.component_dims()
@@ -280,7 +281,7 @@ class TestCanonicalRefinement:
         res = canonical_refinement(get_catalog("sl3-involution").grading)
         assert res.refined.group == FgAbGroup(1, (2,))
         assert len(res.refined.support) == 8
-        assert all(c.dim == 1 for c in res.refined.components().values())
+        assert all(c.dim == 1 for c in components(res.refined).values())
         # the odd part carries five distinct weights, the even part three
         parities = {}
         for deg in res.refined.support:
@@ -293,8 +294,8 @@ class TestCanonicalRefinement:
             a = canonical_refinement(gr, seed=0)
             b = canonical_refinement(gr, seed=17)
             assert a.refined.group == b.refined.group
-            assert sorted(c.dim for c in a.refined.components().values()) == sorted(
-                c.dim for c in b.refined.components().values()
+            assert sorted(c.dim for c in components(a.refined).values()) == sorted(
+                c.dim for c in components(b.refined).values()
             )
 
     def test_already_almost_fine_is_stable(self):
@@ -336,12 +337,12 @@ class TestEnumerateCoarsenings:
         orders = sorted(r.subgroup.order() for r in results)
         assert orders == [1, 2, 2, 2, 2, 2]
         # one order-2 quotient reproduces the coarse Z2^3 grading
-        coarse_dims = sorted(c.dim for c in entry.grading.components().values())
+        coarse_dims = sorted(c.dim for c in components(entry.grading).values())
         matches = [
             r
             for r in results
             if r.subgroup.order() == 2
-            and sorted(c.dim for c in r.grading.components().values()) == coarse_dims
+            and sorted(c.dim for c in components(r.grading).values()) == coarse_dims
         ]
         assert matches
 
@@ -455,7 +456,7 @@ class TestClassification:
         for r in results:
             induced = induce(ugr, r.alpha)
             assert induced.group == g
-            assert sum(c.dim for c in induced.components().values()) == 3
+            assert sum(c.dim for c in components(induced).values()) == 3
             assert r.component_dims == induced.component_dims()
 
     def test_builds_one_universal_grading_per_source_and_no_induced_grading(self, monkeypatch):

@@ -60,11 +60,23 @@ def test_main_prints_the_total_and_the_callers(monkeypatch, capsys):
 #: the eliminations of each workload's seed-0 round when L_e, the grading
 #: subalgebra g, D_e and Der(A) were re-based at the pivots of their
 #: Subspace, the Cartan search accepted a nilpotent Engel subalgebra with
-#: no normalizer, a supplied h was tested in L with one preimage, and each
+#: no normalizer, a supplied h was tested in L with one preimage, each
 #: D_g of a semisimple algebra was the span of its inner derivations, with
-#: no Leibniz system; a change that eliminates again for a canonical basis
-#: it could read or write down, or for a fact a lemma gives, goes over
-ELIMINATION_BUDGET = {"lie": 517, "assoc": 153, "classify": 0}
+#: no Leibniz system, and 0 with no elimination when it has none, and a
+#: refinement was read with one coordinate read and no component span; a
+#: change that eliminates again for a canonical basis it could read or
+#: write down, or for a fact a lemma gives, goes over
+ELIMINATION_BUDGET = {"lie": 472, "assoc": 109, "classify": 0}
+
+
+@pytest.mark.parametrize("workload", ["lie", "assoc"])
+def test_a_refinement_check_spans_no_component(workload):
+    # refine-canonical and root-graded read the refinement, and root-graded's delta, off coarse_labels
+    (jobs,) = tool.workloads.make_jobs(workload, 0, 1)
+    counts = tool.count_eliminations(jobs)
+    assert not any(k.startswith("grading.Grading.component <- grading.Grading.components") for k in counts), counts
+    assert "grading.Grading.component <- lieroot.root_graded_structure" not in counts, counts
+    assert any(k.startswith("grading.Grading.coarse_labels <- ") for k in counts), counts
 
 
 @pytest.mark.parametrize("workload", sorted(ELIMINATION_BUDGET))

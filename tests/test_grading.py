@@ -42,7 +42,9 @@ from helpers import (
     build_m2_splitpauli,
     build_sl2_efh,
     classical_cartan_grading,
+    coarse_labels_by_spans,
     columns_of,
+    components,
     conjugated_weyl_on_uab,
     dense_graded_derivations,
     dense_rebase,
@@ -62,6 +64,7 @@ from helpers import (
     per_entry_incompatibility,
     per_entry_relations,
     project,
+    random_component_basis,
     random_graded_algebra,
     random_hom,
     routed_leibniz_rows,
@@ -114,7 +117,7 @@ class TestValidate:
     def test_pauli_valid(self):
         gr = pauli_m2()
         assert len(gr.support) == 4
-        assert all(c.dim == 1 for c in gr.components().values())
+        assert all(c.dim == 1 for c in components(gr).values())
 
     def test_basis_change_z2_grading(self):
         alg = build_sl2_efh()
@@ -607,8 +610,8 @@ class TestRelationTable:
 
 
 def _refinement_pairs():
-    """(kind, fine, coarse) for each kind of input of ``is_refinement_of``."""
-    catalog = [get_catalog(name) for name in catalog_names() if name != "cartan-sl4"]
+    """(kind, fine, coarse) for each kind of input of ``coarse_labels``."""
+    catalog = [get_catalog(name) for name in catalog_names()]
     for entry in catalog:
         yield "refinement", canonical_refinement(entry.grading).refined, entry.grading
         for companion in entry.companions.values():
@@ -617,13 +620,19 @@ def _refinement_pairs():
     z2 = FgAbGroup(0, [2])
     c = columns_of(RatMatrix.from_columns([[0, 1, 0], [1, 0, 1], [1, 0, -1]]))
     yield "refinement", cartan_sl2(), Grading(build_sl2_efh(), z2, [z2.element([x]) for x in (0, 1, 1)], c)
+    rng = random.Random(43)
     for entry in catalog:
         gr = entry.grading
-        g = gr.group
-        # coarsenings: the degrees mod 2 in each generator, and all in one degree
-        for target in (FgAbGroup(0, [2] * g.ngens), FgAbGroup(0, ())):
-            images = [[int(i == j) for i in range(target.ngens)] for j in range(g.ngens)]
-            yield "coarsening", gr, induce(gr, hom_from_images(g, target, images))
+        # the same components: the grading by its universal group, and a random basis of each component
+        universal = universal_abelian_group(gr).universal_grading(gr)
+        yield "same components", universal, gr
+        yield "same components", random_component_basis(gr, rng), gr
+        # coarsenings of both: the degrees mod 2 in each generator, and all in one degree
+        for source in (gr, universal):
+            g = source.group
+            for target in (FgAbGroup(0, [2] * g.ngens), FgAbGroup(0, ())):
+                images = [[int(i == j) for i in range(target.ngens)] for j in range(g.ngens)]
+                yield "coarsening", source, induce(source, hom_from_images(g, target, images))
     # another basis: exp(ad e) shears h into h - 2e, so its components are not the Cartan grading's
     sl2 = cartan_sl2()
     phi = columns_of(RatMatrix.from_columns([[1, 0, 0], [-2, 1, 0], [-1, 1, 1]]))
@@ -633,23 +642,39 @@ def _refinement_pairs():
     yield "another algebra", Grading(abelian, gr.group, gr.degrees), gr
     zero = StructureAlgebra("zero", 0, [MultilinearOp("bracket", 2, {})], ["lie"])
     trivial = FgAbGroup(0, ())
-    yield "dimension 0", Grading(zero, trivial, []), Grading(StructureAlgebra("one", 1, [MultilinearOp("bracket", 2, {})], ["lie"]), trivial, [trivial.identity()])
+    yield "dimension 0", Grading(zero, trivial, []), Grading(zero, FgAbGroup(1, ()), [])
+    yield "another algebra", Grading(zero, trivial, []), Grading(StructureAlgebra("one", 1, [MultilinearOp("bracket", 2, {})], ["lie"]), trivial, [trivial.identity()])
 
 
 class TestRefinementReadsColumns:
-    """``Grading.is_refinement_of`` reads the finer grading's basis columns;
-    ``helpers.is_refinement_by_spans`` spans every component of both."""
+    """``Grading.coarse_labels`` reads the finer grading's basis columns in
+    the coarser one's basis; ``helpers.coarse_labels_by_spans`` spans every
+    component of both and searches the coarse ones."""
 
     def test_agrees_with_the_spanning_oracle(self):
         kinds = Counter()
+        # whether fine refines coarse, and whether coarse refines fine where the kind fixes it
+        expected = {
+            "refinement": (True,),
+            "coarsening": (True,),
+            "same components": (True, True),
+            "dimension 0": (True, True),
+            "another basis": (False, False),
+            "another algebra": (False, False),
+        }
         for kind, fine, coarse in _refinement_pairs():
             for a, b in ((fine, coarse), (coarse, fine), (fine, fine)):
-                assert a.is_refinement_of(b) == is_refinement_by_spans(a, b), (kind, a, b)
-            assert fine.is_refinement_of(coarse) == (kind in ("refinement", "coarsening")), kind
-            assert fine.is_refinement_of(fine)
-            kinds[kind] += 1
-        assert kinds["refinement"] >= 8 and kinds["coarsening"] >= 14, kinds
-        assert {"another basis", "another algebra", "dimension 0"} <= set(kinds)
+                labels = a.coarse_labels(b)
+                assert labels == coarse_labels_by_spans(a, b), (kind, a, b)
+                assert a.is_refinement_of(b) == (labels is not None) == is_refinement_by_spans(a, b), (kind, a, b)
+            assert fine.coarse_labels(fine) == list(range(len(fine.support)))
+            both = (fine.is_refinement_of(coarse), coarse.is_refinement_of(fine))
+            assert both[: len(expected[kind])] == expected[kind], kind
+            kinds[kind, both] += 1
+        # the swapped order of a proper refinement or coarsening refines nothing
+        assert kinds["refinement", (True, False)] >= 4 and kinds["coarsening", (True, False)] >= 20, kinds
+        assert kinds["same components", (True, True)] >= 16, kinds
+        assert {kind for kind, _ in kinds} == set(expected)
 
 
 def _components_checked(gr: Grading):
@@ -657,7 +682,7 @@ def _components_checked(gr: Grading):
     eager = eager_components(gr)
     assert gr.component_dims() == {s.coords: c.dim for s, c in eager.items()}
     assert all(gr.component(s) == c for s, c in eager.items())
-    assert list(gr.components().items()) == list(eager.items())
+    assert list(components(gr).items()) == list(eager.items())
     off = [g for g in (gr.group.identity(), *generators(gr.group)) if g not in gr.support]
     assert all(gr.component(g) == Subspace(gr.dimension, {}) for g in off)
 
@@ -742,7 +767,7 @@ class TestGradedDerivations:
         gr = cartan_sl2()
         gd = graded_derivations(gr)
         constrained = derivation_algebra(
-            gr.homog_algebra, constraints=list(gr.components().values())
+            gr.homog_algebra, constraints=list(components(gr).values())
         )
         assert gd.identity_part == constrained.space
 

@@ -10,7 +10,7 @@ from itertools import islice, product
 import pytest
 import sympy
 
-from gradalg import algcore, lieroot
+from gradalg import algcore, cli, lieroot
 from gradalg.abgroup import FgAbGroup
 from gradalg.afine import canonical_refinement, cartan_candidates
 from gradalg.algcore import Subspace, algebra_to_dict
@@ -38,6 +38,7 @@ from gradalg.lieroot import (
 from helpers import (
     cartan_matrix_of_vectors,
     classical_cartan_grading,
+    coarse_labels_by_spans,
     dense_ad,
     dense_power,
     dense_root_coords,
@@ -57,6 +58,7 @@ from helpers import (
     span_of,
     vectors,
 )
+from test_lie_pins import INPUTS as LIE_PIN_INPUTS
 
 
 def test_weight_ratios_and_scalings_are_canonical():
@@ -720,3 +722,29 @@ class TestCartanNumbers:
             self.assert_all_pairs_agree(phi, betas=phi + rng.sample(lattice, 8))
             rep = analyze_root_system(phi)
             assert rep.root_coords == dense_root_coords(rep)
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *sorted(LIE_PIN_INPUTS)])
+def test_delta_is_the_coarse_component_the_spans_find(name, tmp_path, capsys, monkeypatch):
+    """On every input of the golden table and the Lie pins, at both seeds,
+    ``root-graded``'s delta sends the class of each refined degree to the
+    coarse degree whose spanned component holds that refined component."""
+    real, checked = lieroot.root_graded_structure, []
+
+    def compared(gr, refined, *args, **kwargs):
+        res = real(gr, refined, *args, **kwargs)
+        iota = universal_abelian_group(refined).iota
+        searched = coarse_labels_by_spans(refined, gr)
+        assert [res.delta(iota[s]) for s in refined.support] == [gr.support[t] for t in searched]
+        checked.append(res)
+        return res
+
+    monkeypatch.setattr(cli, "root_graded_structure", compared)
+    if name in LIE_PIN_INPUTS:
+        path = workspace_of(tmp_path, LIE_PIN_INPUTS[name]())
+    else:
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(catalog_workspace(name)))
+    codes = [main(["root-graded", str(path), "--json", "--seed", str(seed)]) for seed in (0, 7)]
+    capsys.readouterr()
+    assert len(checked) == codes.count(0)

@@ -21,6 +21,7 @@ from helpers import (
     all_abelian_groups_up_to,
     build_sl2_efh,
     chain_repaired_smith_normal_form,
+    components,
     column,
     dense_graded_derivations,
     dense_nullspace,
@@ -200,7 +201,7 @@ class TestCanonicalRefinementTorusIndependence:
                 res = canonical_refinement(gr, seed=seed)
                 data = sorted(
                     (c.dim, res.coarsening(g).coords)
-                    for g, c in res.refined.components().items()
+                    for g, c in components(res.refined).items()
                 )
                 key = (res.refined.group, data,
                        universal_abelian_group(res.refined).group)
