@@ -396,7 +396,9 @@ def algebra_from_matrices(
     their sparse rows.  The commutator (kind="lie") or product
     (kind="associative") of two of them is read in their span by one
     ``coordinate_reader``, at the pivots of a ``Subspace`` or by one
-    elimination (VerificationFailure with witness (i, j) when not closed)."""
+    elimination (VerificationFailure with witness (i, j), the first such
+    ordered pair, when not closed).  A commutator is read for i < j only
+    and [b_j, b_i] stored as -[b_i, b_j]."""
     if isinstance(matrices, Subspace):
         size = math.isqrt(matrices.dim_ambient)
         coords = coordinate_reader(size * size, matrices)  # ShapeError unless the ambient is a square
@@ -404,9 +406,11 @@ def algebra_from_matrices(
     else:
         coords = coordinate_reader(len(matrices[0]) ** 2 if matrices else 0, [flat_vector(m) for m in matrices])
     n = len(matrices)
-    tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
+    products: dict[tuple[int, int], dict[int, Rational]] = {}
     for i in range(n):
-        for j in range(n):
+        # a commutator is antisymmetric: [b_i, b_i] = 0 and [b_j, b_i] = -[b_i, b_j], so only
+        # i < j is computed; the first pair that leaves the span is then still the first in order
+        for j in range(i + 1, n) if kind == "lie" else range(n):
             prod_m = flat_vector(sparse_product(matrices[i], matrices[j]))
             if kind == "lie":
                 prod_m = combine_rows({0: 1, 1: -1}, [prod_m, flat_vector(sparse_product(matrices[j], matrices[i]))])
@@ -416,7 +420,14 @@ def algebra_from_matrices(
                     f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j)
                 )
             if vec:
-                tensor[(i, j)] = vec
+                products[(i, j)] = vec
+    tensor = products
+    if kind == "lie":
+        # (j, i) stored as the negative of (i, j), the keys in the order of the loop over every ordered pair
+        tensor = {
+            (i, j): products[(i, j)] if i < j else {k: -x for k, x in products[(j, i)].items()}
+            for i, j in sorted([*products, *((j, i) for i, j in products)])
+        }
     flags = [kind] + list(extra_flags)
     return StructureAlgebra(name, n, [MultilinearOp("bracket" if kind == "lie" else "product", 2, tensor)], flags)
 

@@ -221,7 +221,10 @@ def _rational_row(row: dict[int, int], pivot: int) -> dict[int, Rational]:
 
 
 def _integer_row(row: Mapping[int, Rational]) -> dict[int, int]:
-    """The nonzero entries of a rational row times the lcm of their denominators."""
+    """The nonzero entries of a rational row times the lcm of their denominators:
+    the nonzero entries themselves when every entry is an int."""
+    if all(type(x) is int for x in row.values()):
+        return {c: x for c, x in row.items() if x}
     scale = math.lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
 

@@ -36,14 +36,15 @@ NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
 def _incremental_kernel(ncols: int, rows, known=()) -> RatMatrix:
     """The canonical kernel basis of one degree's rows, as a dense matrix: the one per-degree
-    kernel routine of graded_derivations, run for each candidate degree it cannot show is 0.
-    perfbench/tracer.py counts the per-degree kernels by this name and reads its column count.
+    kernel routine of graded_derivations, run for each degree that has a known vector or, on
+    the Leibniz path, a row.  perfbench/tracer.py counts the per-degree kernels by this name
+    and reads its column count.
 
     ``known`` are that degree's inner derivations, re-indexed to its unknowns: known kernel
     vectors.  ``rows`` None says they are the whole kernel (``derivations_are_inner``): their
-    span is returned and no row is read.  Otherwise ``sparse_nullspace`` stops eliminating at
-    ncols - dim span(known) pivots and returns their span when they can be the whole kernel;
-    the rows it reads are checked against them."""
+    span is returned, one elimination, and no row is read.  Otherwise ``sparse_nullspace``
+    stops eliminating at ncols - dim span(known) pivots and returns their span when they can
+    be the whole kernel; the rows it reads are checked against them."""
     kernel = Subspace.span(ncols, known) if rows is None else sparse_nullspace(ncols, rows, known)
     return RatMatrix.from_sparse_columns(kernel.sparse_vectors(), ncols)
 
@@ -435,7 +436,8 @@ class GradedDerivations:
 
 
 def _derivation_system(grading: Grading, within: Subgroup | None = None):
-    """The Leibniz system of ``graded_derivations``, split by degree:
+    """The Leibniz system of ``graded_derivations`` on an algebra that
+    ``derivations_are_inner`` does not certify, split by degree:
     (candidates, unknowns, rows, inner).  ``candidates`` are the possible
     degrees in ``within`` (all of them when it is None), sorted: the
     differences of support elements and the identity.
@@ -446,16 +448,16 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
     derivations of degrees outside ``within`` are not filed.
 
     Degrees are read from integer tables: the support label of each basis
-    vector and the |S| x |S| table of the candidate number of s - t (None
-    outside ``within``).  Only the inner derivations of the basis vectors
-    whose degree is a candidate are built.  The equations are filed by
-    ``_filed_equations`` when the first row of any degree is read, so a
-    caller that reads none (every derivation inner) makes no pass over the
-    ``_leibniz_keys`` pairs.  A row is built only when its degree's solve
-    reads it, in the order of ``_leibniz_keys`` (key by key, then j), and
-    is checked then: a row whose unknowns span two degrees raises
-    AxiomFailure.  On a validated grading none does, as every unknown of
-    row (key, j) has degree deg j - sum(deg key)."""
+    vector, the |S| x |S| table of the candidate number of s - t (None
+    outside ``within``) and the n^2 table of each unknown's candidate
+    number.  Only the inner derivations of the basis vectors whose degree
+    is a candidate are built.  The equations are filed once, by
+    ``_filed_equations``.  A row
+    is built only when its degree's solve reads it, in the order of
+    ``_leibniz_keys`` (key by key, then j), and is checked then: a row
+    whose unknowns span two degrees raises AxiomFailure.  On a validated
+    grading none does, as every unknown of row (key, j) has degree
+    deg j - sum(deg key)."""
     homog = grading.homog_algebra
     n = homog.dimension
     group = grading.group
@@ -492,12 +494,10 @@ def _derivation_system(grading: Grading, within: Subgroup | None = None):
             out[position[idx]] = coeff
         return out
 
-    filed: list[list[tuple]] = []  # filled by the first read of any degree's rows
+    filed = _filed_equations(homog, label, diff, degree_of, len(candidates))
 
     def rows(d: int):
         """The rows of degree number d, each built in that degree's unknowns when it is read."""
-        if not filed:
-            filed.extend(_filed_equations(homog, label, diff, degree_of, len(candidates)))
         for val, terms, js in filed[d]:
             for j in js:
                 if row := _leibniz_row(n, val, terms, j):
@@ -542,36 +542,109 @@ def _filed_equations(homog: StructureAlgebra, label, diff, degree_of, count: int
     return filed
 
 
+def _inner_parts(grading: Grading, within: Subgroup | None):
+    """The per-degree parts of ``graded_derivations`` on a certified algebra
+    (every derivation inner), read per support label with no degree table:
+    (g, unknowns, None, known) for the identity and for each support degree
+    g in ``within``, sorted, where ``known`` are the inner derivations of
+    degree g re-indexed to the positions in ``unknowns``, the flat unknowns
+    r*n + c with deg r = g + deg c, increasing.  A degree with no inner
+    derivation gets no unknowns.
+
+    Only the maps of the basis vectors whose degree is in ``within`` are
+    built, by one ``inner_derivations`` call.  Each is filed under the
+    degree of its first entry (r, c): the identity when r and c have one
+    label, else the label of deg r - deg c.  The unknowns of the identity
+    are the (r, c) of one label, read with no group arithmetic; those of
+    another degree g come from the label of s - g for each support label s,
+    computed only for a g that has a map.  Every entry must have its map's
+    degree: one that does not raises AxiomFailure."""
+    homog = grading.homog_algebra
+    n = homog.dimension
+    group = grading.group
+    support, label = grading.support, grading.labels
+    ident = group.identity()
+    # members[s]: the basis vectors of label s, increasing; rank[i]: the place of i among them
+    members: list[list[int]] = [[] for _ in support]
+    rank = [0] * n
+    for i, s in enumerate(label):
+        rank[i] = len(members[s])
+        members[s].append(i)
+    slot = {g.coords: t for t, g in enumerate(support)}
+    inside = {t for t, g in enumerate(support) if within is None or g == ident or within.contains(g)}
+    # degree coords -> the degree and its maps; the identity is there off the support too
+    known = {g.coords: (g, []) for g in [ident, *(support[t] for t in inside)]}
+    # degree coords -> (label of s - g for each support label s, unknowns, offset of each row's), at its first map
+    layout: dict[tuple[int, ...], tuple[list, list[int], list[int]]] = {}
+
+    def difference(r: int, c: int) -> tuple[int, ...]:
+        return group.reduce([x - y for x, y in zip(grading.degrees[r].coords, grading.degrees[c].coords)])
+
+    for vec in inner_derivations(homog, {i for i in range(n) if label[i] in inside}):
+        r, c = divmod(next(iter(vec)), n)
+        g = ident.coords if label[r] == label[c] else difference(r, c)
+        if g not in known:
+            raise AxiomFailure(f"an inner derivation has degree {g}, no support degree in the subgroup")
+        if g not in layout:
+            if g == ident.coords:
+                table = list(range(len(support)))
+            else:
+                table = [slot.get(group.reduce([x - y for x, y in zip(s.coords, g)])) for s in support]
+            # row r holds the unknowns (r, c) for the c of label table[label[r]], increasing
+            idxs, offsets = [], []
+            for row in range(n):
+                offsets.append(len(idxs))
+                if (b := table[label[row]]) is not None:
+                    idxs.extend(row * n + col for col in members[b])
+            layout[g] = table, idxs, offsets
+        table, _, offsets = layout[g]
+        local = {}
+        for idx, x in vec.items():
+            r, c = divmod(idx, n)
+            if table[label[r]] != label[c]:
+                raise AxiomFailure(f"an inner derivation mixes the derivation degrees {g} and {difference(r, c)}")
+            local[offsets[r] + rank[c]] = x
+        known[g][1].append(local)
+    return [(element, layout[g][1] if g in layout else [], None, maps) for g, (element, maps) in sorted(known.items())]
+
+
 @memoized
 def graded_derivations(grading: Grading, within: Subgroup | None = None) -> GradedDerivations:
-    """Compute D_g for every candidate degree g in the subgroup ``within``
-    of the grading group (every candidate when None) in one sparse pass.
+    """Compute D_g for every degree g in the subgroup ``within`` of the
+    grading group (every degree when None) that can carry a derivation.
     The identity is in every subgroup, so D_e is always computed; the
     toral rank reads D_e alone (``within`` trivial), the almost-fine
     coarsenings the degrees in the torsion of the universal group, and
     ``der`` every one.
 
     In the homogeneous basis the unknown D[r, c] (flat index r*n + c) has
-    degree deg r - deg c, and every Leibniz row (key, j) involves unknowns
-    of the single degree deg j - sum(deg key).  So D_g is the kernel of the
-    rows of degree g on its own unknowns {(r, c) : deg r = g + deg c},
-    embedded back into n^2 coordinates (``_derivation_system`` files the
-    rows by degree and builds each one when the solve reads it).  The
-    candidate degrees are the differences of support elements; the D_g
-    are independent and their direct sum is the whole derivation algebra.
-    The inner derivations (``inner_derivations``: one binary lie or
-    associative operation) are homogeneous, the one of e_i of degree
-    deg e_i; each is passed to its degree's solve as a known kernel
-    vector, so the solve stops once they can be the whole kernel.
+    degree deg r - deg c, so D_g lies on its own unknowns
+    {(r, c) : deg r = g + deg c} and is embedded back into n^2
+    coordinates; the D_g are independent and their direct sum is the whole
+    derivation algebra.  The inner derivations (``inner_derivations``: one
+    binary lie or associative operation) are homogeneous, the one of e_i of
+    degree deg e_i.
 
     When every derivation is inner (``derivations_are_inner``: a semisimple
     Lie or associative algebra, certified once per algebra), D_g is the
-    span of the inner derivations of degree g, and no Leibniz row is built
-    or read; D_g = 0, with no elimination, when g has no inner derivation.
+    span of the inner derivations of degree g, so only the support degrees
+    and the identity can be nonzero.  ``_inner_parts`` files the maps per
+    support label, with no table of degree differences and no Leibniz
+    equation; each degree's span is one ``_incremental_kernel`` with no
+    rows, and D_g = 0, with no elimination, when g has no inner derivation.
     On a certified Lie algebra ad is injective (the center lies in the
     Killing radical), so dim D_g = dim A_g is checked, and a mismatch
-    raises AxiomFailure.  Either way each D_g is the same canonical
-    ``Subspace``.
+    raises AxiomFailure.
+
+    Otherwise the candidate degrees are the differences of support
+    elements, and D_g is the kernel of the Leibniz rows of degree g: every
+    row (key, j) involves unknowns of the single degree
+    deg j - sum(deg key) (``_derivation_system`` files the rows by degree
+    and builds each one when the solve reads it).  The inner derivations
+    are passed to their degree's solve as known kernel vectors, so the
+    solve stops once they can be the whole kernel.  Either way each D_g is
+    the same canonical ``Subspace``, and ``by_degree`` and ``sigma`` are
+    in sorted degree order.
     """
     if within is not None and within.owner != grading.group:
         raise ShapeError("subgroup of a different group")
@@ -581,14 +654,18 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     # the same algebra re-based, with the same verified flags
     inner_only = derivations_are_inner(grading.algebra)
     ad_dims = grading.component_dims() if inner_only and "lie" in grading.algebra.flags else None
-    candidates, unknowns, rows, inner = _derivation_system(grading, within)
+    if inner_only:
+        parts = _inner_parts(grading, within)
+    else:
+        candidates, unknowns, rows, inner = _derivation_system(grading, within)
+        parts = zip(candidates, unknowns, rows, inner)
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
-    for g, idxs, stream, known in zip(candidates, unknowns, rows, inner):
+    for g, idxs, stream, known in parts:
         if inner_only and not known:
             columns = []
         else:
-            columns = _incremental_kernel(len(idxs), None if inner_only else stream, known).columns()
+            columns = _incremental_kernel(len(idxs), stream, known).columns()
         if ad_dims is not None and len(columns) != ad_dims.get(g.coords, 0):
             raise AxiomFailure(
                 f"the inner derivations of degree {g.coords} span {len(columns)} dimensions, "

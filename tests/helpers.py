@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import chain, islice, permutations, product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -40,7 +40,9 @@ from gradalg.exactla import (
     Rational,
     _pivot_coords,
     combine_rows,
+    coordinate_reader,
     flat_operator,
+    flat_vector,
     gauss_jordan,
     inverse,
     poly_normalize,
@@ -48,6 +50,7 @@ from gradalg.exactla import (
     rational_roots,
     solve,
     sparse_nullspace,
+    sparse_product,
     sparse_rows,
     transpose,
 )
@@ -877,6 +880,32 @@ def pairwise_matrix_tensor(matrices, kind: str):
         if vec:
             tensor[(i, j)] = vec
     return tensor, None
+
+
+def all_pairs_algebra_from_matrices(name: str, matrices, kind: str = "lie", extra_flags=()) -> StructureAlgebra:
+    """Oracle for ``algebra_from_matrices``: the same sparse products and
+    coordinate reads, over every ordered pair (i, j) of the operators,
+    commutators included, in lexicographic order; VerificationFailure with
+    the first pair whose product leaves the span."""
+    if isinstance(matrices, Subspace):
+        size = isqrt(matrices.dim_ambient)
+        coords = coordinate_reader(size * size, matrices)
+        matrices = [flat_operator(v, size) for v in matrices.sparse_vectors()]
+    else:
+        coords = coordinate_reader(len(matrices[0]) ** 2 if matrices else 0, [flat_vector(m) for m in matrices])
+    n = len(matrices)
+    tensor = {}
+    for i, j in product(range(n), repeat=2):
+        prod_m = flat_vector(sparse_product(matrices[i], matrices[j]))
+        if kind == "lie":
+            prod_m = combine_rows({0: 1, 1: -1}, [prod_m, flat_vector(sparse_product(matrices[j], matrices[i]))])
+        vec = coords(prod_m)
+        if vec is None:
+            raise VerificationFailure(f"span is not closed under the {kind} product on ({i}, {j})", witness=(i, j))
+        if vec:
+            tensor[(i, j)] = vec
+    flags = [kind] + list(extra_flags)
+    return StructureAlgebra(name, n, [MultilinearOp("bracket" if kind == "lie" else "product", 2, tensor)], flags)
 
 
 def leibniz_holds(alg: StructureAlgebra, d: RatMatrix) -> bool:

@@ -44,6 +44,8 @@ from gradalg.grading import Grading, graded_derivations
 from gradalg.lieroot import root_graded_structure, verify_phi_grading
 
 from helpers import (
+    op_rows,
+    all_pairs_algebra_from_matrices,
     is_canonical,
     build_m2,
     build_m2_splitpauli,
@@ -1002,6 +1004,59 @@ class TestAlgebraFromMatrices:
         assert calls
         for alg, matrices, kind in calls:
             assert alg.binary_op().tensor == pairwise_matrix_tensor(matrices, kind)[0]
+
+
+def _table(alg: StructureAlgebra) -> list:
+    """The structure constants with the order of their keys and entries."""
+    return [(key, list(vec.items())) for key, vec in alg.binary_op().tensor.items()]
+
+
+class TestHalfPairCommutators:
+    """``algebra_from_matrices`` reads a commutator for i < j only; the
+    loop over every ordered pair (``helpers.all_pairs_algebra_from_matrices``)
+    must give the same tensor, key for key, and the same witness."""
+
+    def check(self, matrices, kind="lie"):
+        try:
+            want = all_pairs_algebra_from_matrices("oracle", matrices, kind=kind)
+        except VerificationFailure as exc:
+            with pytest.raises(VerificationFailure) as got:
+                algebra_from_matrices("oracle", matrices, kind=kind)
+            assert got.value.witness == exc.witness and str(got.value) == str(exc)
+            return exc.witness
+        got = algebra_from_matrices("oracle", matrices, kind=kind)
+        assert _table(got) == _table(want) and got.flags == want.flags
+        return None
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_d_e_of_every_certified_catalog_grading(self, name):
+        gr = catalog.get_catalog(name).grading
+        assert derivations_are_inner(gr.algebra)
+        # D_e, the algebra toral_rank reads (0 on b2-skew), and the whole derivation algebra
+        for within in (Subgroup.from_generators(gr.group, []), None):
+            assert self.check(graded_derivations(gr, within).identity_part) is None
+        parts = [v for s in graded_derivations(gr).by_degree.values() for v in s.sparse_vectors()]
+        n = gr.dimension
+        assert self.check(Subspace.span(n * n, parts)) is None
+
+    def test_random_closed_spans(self):
+        for name, mats, kind in _closed_spans(random.Random(44)):
+            assert self.check([op_rows(m) for m in mats], kind) is None, name
+
+    def test_spans_that_are_not_closed(self):
+        rng = random.Random(45)
+        witnesses = set()
+        for trial in range(60):
+            d = rng.choice((2, 3))
+            units = [e_matrix(d, i, j) for i in range(d) for j in range(d)]
+            mats = rng.sample(units, rng.randint(2, d * d - 1))
+            for kind in ("lie", "associative"):
+                witness = self.check([op_rows(m) for m in mats], kind)
+                if kind == "lie" and witness is not None:
+                    # the first ordered pair outside the span is one with i < j
+                    assert witness[0] < witness[1]
+                    witnesses.add(witness)
+        assert len(witnesses) > 3
 
 
 class TestSubalgebraStructure:

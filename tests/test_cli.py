@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradalg import cli
-from gradalg.algcore import StructureAlgebra, algebra_to_dict
+from gradalg import cli, grading
+from gradalg.algcore import StructureAlgebra, algebra_to_dict, derivations_are_inner
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspace
 from gradalg.grading import Grading
 
 import golden
-from helpers import SU2_WORKSPACE, direct_sum_grading
+from helpers import SU2_WORKSPACE, direct_sum_grading, heisenberg_grading
 
 
 TRIVIAL_GROUP = {"free_rank": 0, "invariants": []}
@@ -983,6 +983,38 @@ class TestParserReuse:
         capsys.readouterr()
         info = cli._build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 10)
+
+
+class LeibnizSystemBuilt(Exception):
+    pass
+
+
+def _no_leibniz_system(*args, **kwargs):
+    raise LeibnizSystemBuilt
+
+
+class TestCertifiedPipelinesBuildNoLeibnizSystem:
+    """On a certified algebra (every derivation inner) the derivation
+    pipelines read D_g off the inner derivations: none builds the Leibniz
+    degree system of ``grading._derivation_system``."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("command", ["der", "trank", "almost-fine", "refine-canonical", "coarsen-enum"])
+    def test_catalog(self, name, command, tmp_path, capsys, monkeypatch):
+        assert derivations_are_inner(get_catalog(name).grading.algebra)
+        f = write_ws(tmp_path, catalog_workspace(name))
+        monkeypatch.setattr(grading, "_derivation_system", _no_leibniz_system)
+        code, out, _ = run(capsys, command, f, "--json")
+        assert code == 0 and json.loads(out)
+
+    def test_an_uncertified_algebra_builds_it(self, tmp_path, capsys, monkeypatch):
+        gr = heisenberg_grading()
+        assert not derivations_are_inner(gr.algebra)
+        doc = {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict("h", gr.algebra.name, gr)]}
+        f = write_ws(tmp_path, doc)
+        monkeypatch.setattr(grading, "_derivation_system", _no_leibniz_system)
+        with pytest.raises(LeibnizSystemBuilt):
+            run(capsys, "der", f)
 
 
 class TestInvariantsComputedOnce:

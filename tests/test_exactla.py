@@ -1642,6 +1642,31 @@ def test_integer_rows_scale_by_the_lcm_of_the_denominators():
     assert scaled == {0: 3, 2: -4, 5: 24} and all(type(x) is int for x in scaled.values())
 
 
+def _lcm_integer_row(row):
+    """``_integer_row`` with no int shortcut: every row scaled by the lcm of its denominators."""
+    scale = math.lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_integer_rows_match_the_lcm_scaling(kind):
+    rng = random.Random(f"integer-row-{kind}")
+    entries = {
+        "int": lambda: rng.choice((0, rng.randint(-9, 9), rng.randint(-10**20, 10**20))),
+        "fraction": lambda: Q(rng.randint(-9, 9), rng.randint(1, 12)),
+        "mixed": lambda: rng.choice((0, rng.randint(-9, 9), Q(rng.randint(-9, 9), rng.randint(1, 12)))),
+    }[kind]
+    for trial in range(300):
+        row = {c: entries() for c in rng.sample(range(20), rng.randint(0, 10))}
+        before = dict(row)
+        got = _integer_row(row)
+        assert got == _lcm_integer_row(row) and list(got) == list(_lcm_integer_row(row)), (kind, trial, row)
+        assert all(type(x) is int and x for x in got.values())
+        # a fresh dict: _integer_echelon reduces it in place
+        got[-1] = 1
+        assert row == before and -1 not in row
+
+
 def test_sources_use_no_floating_point():
     # exactness is the contract: no float conversions anywhere in the package
     for path in Path(gradalg.__file__).parent.glob("*.py"):

@@ -1096,6 +1096,96 @@ class TestInnerDerivationStop:
             graded_derivations(gr)
 
 
+def _table_path(gr: Grading, within: Subgroup | None = None):
+    """graded_derivations of a fresh copy of ``gr`` with the certificate
+    taken away: the degree tables of ``_derivation_system``, the inner
+    derivations passed as known kernel vectors to each degree's solve."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grading, "derivations_are_inner", lambda a: False)
+        return graded_derivations(_fresh(gr), within)
+
+
+def _per_label_sources():
+    """(id, builder) of certified gradings: every catalog grading, a random
+    homogeneous basis of each, sl_n with an involution, and sl2 + sl3."""
+    sources = {name: lambda name=name: _fresh(get_catalog(name).grading) for name in catalog_names()}
+    sources.update(
+        (f"{name}-random-basis", lambda name=name: random_component_basis(get_catalog(name).grading, random.Random(name)))
+        for name in catalog_names()
+    )
+    sources.update(
+        {
+            "sl3-orth": lambda: sl_involution_grading(3, alternating=False),
+            "sl4-orth": lambda: sl_involution_grading(4, alternating=False),
+            "sl4-symp": lambda: sl_involution_grading(4, alternating=True),
+            "sl2+sl3": lambda: direct_sum_grading(get_catalog("cartan-sl2").grading, get_catalog("cartan-sl3").grading),
+        }
+    )
+    return list(sources.items())
+
+
+class TestPerLabelDerivations:
+    """On a certified algebra ``graded_derivations`` reads each D_g per
+    support label (``_inner_parts``), with no degree table; it must give
+    what the table path gives, order included, for every subgroup."""
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _per_label_sources()])
+    def test_against_the_table_path(self, build, monkeypatch):
+        source = build()
+        assert derivations_are_inner(source.algebra)
+        for gr in (source, universal_abelian_group(source).universal_grading(source)):
+            for within in _subgroups(gr):
+                want = _table_path(gr, within)
+                with monkeypatch.context() as patch:
+                    patch.setattr(grading, "_derivation_system", None)
+                    patch.setattr(grading, "_filed_equations", None)
+                    got = graded_derivations(_fresh(gr), within)
+                assert list(got.by_degree.items()) == list(want.by_degree.items())
+                assert got.sigma == want.sigma and got.identity_part == want.identity_part
+
+    def test_a_zero_d_e_off_the_support(self):
+        # b2-skew has no identity component: D_e = 0 heads by_degree and is not in sigma
+        gr = _fresh(get_catalog("b2-skew").grading)
+        gd = graded_derivations(gr)
+        ident = gr.group.identity()
+        assert ident not in gr.support and next(iter(gd.by_degree)) == ident
+        assert gd.identity_part == Subspace(gr.dimension ** 2, {}) and ident not in gd.sigma
+        assert list(gd.by_degree)[1:] == list(gd.sigma) == list(gr.support)
+
+    def test_unknowns_are_read_per_label(self, monkeypatch):
+        # one span per support degree, each on the unknowns (r, c) with deg r = g + deg c
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        sizes = []
+        real = grading._incremental_kernel
+        monkeypatch.setattr(grading, "_incremental_kernel", lambda *args: sizes.append(args[0]) or real(*args))
+        graded_derivations(gr)
+        dims = gr.component_dims()
+        want = [
+            sum(dims[h.coords] * dims.get(gr.group.reduce([x + y for x, y in zip(g.coords, h.coords)]), 0) for h in gr.support)
+            for g in gr.support
+        ]
+        assert sizes == want
+
+    def test_an_inner_map_mixing_degrees_is_axiom_failure(self, monkeypatch):
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        n = gr.dimension
+        r, c = next((r, c) for r in range(n) for c in range(n) if gr.labels[r] != gr.labels[c])
+        e = gr.indices_of_degree(gr.group.identity())[0]
+        # first entry of degree 0, then one of another degree
+        mixed = {e * n + e: 1, r * n + c: 1}
+        monkeypatch.setattr(grading, "inner_derivations", lambda a, among: inner_derivations(a, among) + [mixed])
+        with pytest.raises(AxiomFailure, match="mixes the derivation degrees"):
+            graded_derivations(gr)
+
+    def test_an_inner_map_off_the_subgroup_is_axiom_failure(self, monkeypatch):
+        gr = _fresh(get_catalog("cartan-sl3").grading)
+        n = gr.dimension
+        r, c = next((r, c) for r in range(n) for c in range(n) if gr.labels[r] != gr.labels[c])
+        monkeypatch.setattr(grading, "inner_derivations", lambda a, among: inner_derivations(a, among) + [{r * n + c: 1}])
+        with pytest.raises(AxiomFailure, match="no support degree in the subgroup"):
+            graded_derivations(gr, Subgroup.from_generators(gr.group, []))
+
+
 def _streams(gr: Grading) -> dict:
     """Each candidate degree's Leibniz rows from ``_derivation_system``, drained."""
     candidates, _, rows, _ = grading._derivation_system(gr)
