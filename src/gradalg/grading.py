@@ -435,135 +435,41 @@ class GradedDerivations:
         return sum(s.dim for s in self.by_degree.values())
 
 
-def _derivation_system(grading: Grading, within: Subgroup | None = None):
-    """The Leibniz system of ``graded_derivations`` on an algebra that
-    ``derivations_are_inner`` does not certify, split by degree:
-    (candidates, unknowns, rows, inner).  ``candidates`` are the possible
-    degrees in ``within`` (all of them when it is None), sorted: the
-    differences of support elements and the identity.
-    For candidate number d, ``unknowns[d]`` lists the flat unknowns r*n + c
-    of that degree, increasing; ``rows[d]`` is a generator of its Leibniz
-    rows and ``inner[d]`` its inner derivations, both re-indexed to the
-    positions in ``unknowns[d]``.  Unknowns, equations and inner
-    derivations of degrees outside ``within`` are not filed.
+def _degree_parts(grading: Grading, within: Subgroup | None, certified: bool) -> list[tuple]:
+    """The per-degree parts of ``graded_derivations``: (g, unknowns, rows,
+    known) for each degree g that can carry a derivation, sorted.  The
+    unknowns of g are the flat r*n + c with deg r = g + deg c, increasing;
+    ``rows`` generates g's Leibniz rows and ``known`` lists g's inner
+    derivations, both re-indexed to the positions in the unknowns.  Only
+    the maps of the basis vectors whose degree is in ``within`` (all when
+    None) are built, by one ``inner_derivations`` call.
 
-    Degrees are read from integer tables: the support label of each basis
-    vector, the |S| x |S| table of the candidate number of s - t (None
-    outside ``within``) and the n^2 table of each unknown's candidate
-    number.  Only the inner derivations of the basis vectors whose degree
-    is a candidate are built.  The equations are filed once, by
-    ``_filed_equations``.  A row
-    is built only when its degree's solve reads it, in the order of
-    ``_leibniz_keys`` (key by key, then j), and is checked then: a row
-    whose unknowns span two degrees raises AxiomFailure.  On a validated
+    The degrees are read per support label.  Labels s and t have the
+    degree s - t, the identity when s = t with no group arithmetic, read
+    once per pair.  A degree's layout is built at its first use: the label
+    of s - g for each support label s, the unknowns, row r holding the
+    (r, c) whose c has the label of deg r - g, and each row's offset.
+
+    ``certified`` (``derivations_are_inner``): the degrees are the identity
+    and the support degrees in ``within``, ``rows`` is None, and a degree
+    with no inner derivation gets no unknowns.  Otherwise the degrees are
+    the differences of support labels in ``within`` and the identity, and
+    one pass over the ``_leibniz_keys`` pairs files each equation (key, j)
+    under the degree of D[j, a] for the first index a of op(key), or, when
+    op(key) = 0, of the first right-hand term that hits j.  A row is built
+    only when its degree's solve reads it, key by key, then j.
+
+    Each inner derivation is filed under the degree of its first entry,
+    which must be one of the degrees, and every entry of a map or row must
+    have its degree: one that does not raises AxiomFailure.  On a validated
     grading none does, as every unknown of row (key, j) has degree
     deg j - sum(deg key)."""
     homog = grading.homog_algebra
     n = homog.dimension
     group = grading.group
-    support = [s.coords for s in grading.support]
-    label = grading.labels
-    differences = [[group.reduce([x - y for x, y in zip(s, t)]) for t in support] for s in support]
-    candidates = sorted(
-        g
-        for g in {g for row in differences for g in row} | {group.identity().coords}
-        if within is None or within.contains(group.element(g))
-    )
-    number = {g: i for i, g in enumerate(candidates)}
-    diff = [[number.get(g) for g in row] for row in differences]
-    candidates = [group.element(g) for g in candidates]
-    # flat unknown r*n + c -> its candidate number and its position among that degree's unknowns
-    degree_of = [diff[label[r]][label[c]] for r in range(n) for c in range(n)]
-    unknowns: list[list[int]] = [[] for _ in candidates]
-    position = [0] * (n * n)
-    for k, d in enumerate(degree_of):
-        if d is not None:
-            position[k] = len(unknowns[d])
-            unknowns[d].append(k)
-
-    def local(vec, d: int, what: str) -> dict:
-        """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
-        out = {}
-        for idx, coeff in vec.items():
-            if degree_of[idx] != d:
-                r, c = divmod(idx, n)
-                raise AxiomFailure(
-                    f"{what} mixes the derivation degrees "
-                    f"{candidates[d].coords} and {differences[label[r]][label[c]]}"
-                )
-            out[position[idx]] = coeff
-        return out
-
-    filed = _filed_equations(homog, label, diff, degree_of, len(candidates))
-
-    def rows(d: int):
-        """The rows of degree number d, each built in that degree's unknowns when it is read."""
-        for val, terms, js in filed[d]:
-            for j in js:
-                if row := _leibniz_row(n, val, terms, j):
-                    yield local(row, d, "a Leibniz row")
-
-    inner: list[list[dict]] = [[] for _ in candidates]
-    # the inner derivation of e_i has degree deg e_i: only those of a candidate are built
-    for vec in inner_derivations(homog, {i for i in range(n) if support[label[i]] in number}):
-        if (d := degree_of[next(iter(vec))]) is not None:
-            inner[d].append(local(vec, d, "an inner derivation"))
-    return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
-
-
-def _filed_equations(homog: StructureAlgebra, label, diff, degree_of, count: int) -> list[list[tuple]]:
-    """One pass over the ``_leibniz_keys`` pairs of ``homog``, filing each
-    equation (key, j) under its candidate number (``_derivation_system``'s
-    tables): that of D[j, a] for the first index a of op(key), or, when
-    op(key) = 0, that of the first right-hand term that hits j.  Candidate
-    number d gets [(val, terms, js), ...], the output indices js of each
-    pair in increasing order."""
-    n = homog.dimension
-    members = [[i for i in range(n) if label[i] == s] for s in range(len(diff))]
-    filed: list[list[tuple]] = [[] for _ in range(count)]
-    for val, terms in _leibniz_keys(homog):
-        if val:
-            a0 = label[next(iter(val))]
-            for s, js in enumerate(members):
-                if (d := diff[s][a0]) is not None:
-                    filed[d].append((val, terms, js))
-        else:
-            first: dict[int, int | None] = {}
-            for it, entries in terms:
-                for b, vec in entries:
-                    for j in vec:
-                        first.setdefault(j, degree_of[b * n + it])
-            by_degree: dict[int, list[int]] = {}
-            for j in sorted(first):
-                if first[j] is not None:
-                    by_degree.setdefault(first[j], []).append(j)
-            for d, js in by_degree.items():
-                filed[d].append((val, terms, js))
-    return filed
-
-
-def _inner_parts(grading: Grading, within: Subgroup | None):
-    """The per-degree parts of ``graded_derivations`` on a certified algebra
-    (every derivation inner), read per support label with no degree table:
-    (g, unknowns, None, known) for the identity and for each support degree
-    g in ``within``, sorted, where ``known`` are the inner derivations of
-    degree g re-indexed to the positions in ``unknowns``, the flat unknowns
-    r*n + c with deg r = g + deg c, increasing.  A degree with no inner
-    derivation gets no unknowns.
-
-    Only the maps of the basis vectors whose degree is in ``within`` are
-    built, by one ``inner_derivations`` call.  Each is filed under the
-    degree of its first entry (r, c): the identity when r and c have one
-    label, else the label of deg r - deg c.  The unknowns of the identity
-    are the (r, c) of one label, read with no group arithmetic; those of
-    another degree g come from the label of s - g for each support label s,
-    computed only for a g that has a map.  Every entry must have its map's
-    degree: one that does not raises AxiomFailure."""
-    homog = grading.homog_algebra
-    n = homog.dimension
-    group = grading.group
     support, label = grading.support, grading.labels
-    ident = group.identity()
+    identity = group.identity()
+    ident = identity.coords
     # members[s]: the basis vectors of label s, increasing; rank[i]: the place of i among them
     members: list[list[int]] = [[] for _ in support]
     rank = [0] * n
@@ -571,22 +477,30 @@ def _inner_parts(grading: Grading, within: Subgroup | None):
         rank[i] = len(members[s])
         members[s].append(i)
     slot = {g.coords: t for t, g in enumerate(support)}
-    inside = {t for t, g in enumerate(support) if within is None or g == ident or within.contains(g)}
-    # degree coords -> the degree and its maps; the identity is there off the support too
-    known = {g.coords: (g, []) for g in [ident, *(support[t] for t in inside)]}
-    # degree coords -> (label of s - g for each support label s, unknowns, offset of each row's), at its first map
-    layout: dict[tuple[int, ...], tuple[list, list[int], list[int]]] = {}
+    differences: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def difference(r: int, c: int) -> tuple[int, ...]:
-        return group.reduce([x - y for x, y in zip(grading.degrees[r].coords, grading.degrees[c].coords)])
+    def difference(s: int, t: int) -> tuple[int, ...]:
+        if (s, t) not in differences:
+            differences[s, t] = ident if s == t else group.reduce([x - y for x, y in zip(support[s].coords, support[t].coords)])
+        return differences[s, t]
 
-    for vec in inner_derivations(homog, {i for i in range(n) if label[i] in inside}):
-        r, c = divmod(next(iter(vec)), n)
-        g = ident.coords if label[r] == label[c] else difference(r, c)
-        if g not in known:
-            raise AxiomFailure(f"an inner derivation has degree {g}, no support degree in the subgroup")
-        if g not in layout:
-            if g == ident.coords:
+    def inside(g: GroupElement) -> bool:
+        return within is None or g == identity or within.contains(g)
+
+    label_inside = [inside(g) for g in support]
+    if certified:
+        elements = [g for g, x in zip(support, label_inside) if x]
+    else:
+        pairs = {difference(s, t) for s in range(len(support)) for t in range(len(support))}
+        elements = [g for g in map(group.element, pairs) if inside(g)]
+    # degree coords -> the degree; the identity is there off the support too
+    degrees = {ident: identity} | {g.coords: g for g in elements}
+    # degree coords -> (label of s - g for each support label s, unknowns, offset of each row's)
+    layouts: dict[tuple[int, ...], tuple[list, list[int], list[int]]] = {}
+
+    def layout(g: tuple[int, ...]):
+        if g not in layouts:
+            if g == ident:
                 table = list(range(len(support)))
             else:
                 table = [slot.get(group.reduce([x - y for x, y in zip(s.coords, g)])) for s in support]
@@ -596,16 +510,58 @@ def _inner_parts(grading: Grading, within: Subgroup | None):
                 offsets.append(len(idxs))
                 if (b := table[label[row]]) is not None:
                     idxs.extend(row * n + col for col in members[b])
-            layout[g] = table, idxs, offsets
-        table, _, offsets = layout[g]
-        local = {}
+            layouts[g] = table, idxs, offsets
+        return layouts[g]
+
+    def local(vec, g: tuple[int, ...], what: str) -> dict:
+        """The sparse vector in flat unknowns, all of degree g, re-indexed to that degree's."""
+        table, _, offsets = layout(g)
+        out = {}
         for idx, x in vec.items():
             r, c = divmod(idx, n)
             if table[label[r]] != label[c]:
-                raise AxiomFailure(f"an inner derivation mixes the derivation degrees {g} and {difference(r, c)}")
-            local[offsets[r] + rank[c]] = x
-        known[g][1].append(local)
-    return [(element, layout[g][1] if g in layout else [], None, maps) for g, (element, maps) in sorted(known.items())]
+                raise AxiomFailure(f"{what} mixes the derivation degrees {g} and {difference(label[r], label[c])}")
+            out[offsets[r] + rank[c]] = x
+        return out
+
+    known: dict[tuple[int, ...], list[dict]] = {g: [] for g in degrees}
+    for vec in inner_derivations(homog, {i for i in range(n) if label_inside[label[i]]}):
+        r, c = divmod(next(iter(vec)), n)
+        if (g := difference(label[r], label[c])) not in known:
+            raise AxiomFailure(f"an inner derivation has degree {g}, no support degree in the subgroup")
+        known[g].append(local(vec, g, "an inner derivation"))
+
+    filed: dict[tuple[int, ...], list[tuple]] = {g: [] for g in degrees}
+    for val, terms in () if certified else _leibniz_keys(homog):
+        if val:
+            a0 = label[next(iter(val))]
+            for s, js in enumerate(members):
+                if (g := difference(s, a0)) in filed:
+                    filed[g].append((val, terms, js))
+        else:
+            first: dict[int, tuple[int, ...]] = {}
+            for it, entries in terms:
+                for b, vec in entries:
+                    for j in vec:
+                        first.setdefault(j, difference(label[b], label[it]))
+            by_degree: dict[tuple[int, ...], list[int]] = {}
+            for j in sorted(first):
+                if first[j] in filed:
+                    by_degree.setdefault(first[j], []).append(j)
+            for g, js in by_degree.items():
+                filed[g].append((val, terms, js))
+
+    def rows(g: tuple[int, ...]):
+        """The rows of degree g, each built in that degree's unknowns when it is read."""
+        for val, terms, js in filed[g]:
+            for j in js:
+                if row := _leibniz_row(n, val, terms, j):
+                    yield local(row, g, "a Leibniz row")
+
+    return [
+        (degrees[g], layout(g)[1] if known[g] or not certified else [], None if certified else rows(g), known[g])
+        for g in sorted(degrees)
+    ]
 
 
 @memoized
@@ -623,27 +579,27 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     coordinates; the D_g are independent and their direct sum is the whole
     derivation algebra.  The inner derivations (``inner_derivations``: one
     binary lie or associative operation) are homogeneous, the one of e_i of
-    degree deg e_i.
+    degree deg e_i.  ``_degree_parts`` lays out each degree's unknowns per
+    support label, one layout for both cases below, and files the inner
+    derivations and any Leibniz equations under their degrees.
 
     When every derivation is inner (``derivations_are_inner``: a semisimple
     Lie or associative algebra, certified once per algebra), D_g is the
     span of the inner derivations of degree g, so only the support degrees
-    and the identity can be nonzero.  ``_inner_parts`` files the maps per
-    support label, with no table of degree differences and no Leibniz
-    equation; each degree's span is one ``_incremental_kernel`` with no
-    rows, and D_g = 0, with no elimination, when g has no inner derivation.
-    On a certified Lie algebra ad is injective (the center lies in the
-    Killing radical), so dim D_g = dim A_g is checked, and a mismatch
-    raises AxiomFailure.
+    and the identity can be nonzero, and no Leibniz equation is filed.
+    Each degree's span is one ``_incremental_kernel`` with no rows, and
+    D_g = 0, with no elimination, when g has no inner derivation.  On a
+    certified Lie algebra ad is injective (the center lies in the Killing
+    radical), so dim D_g = dim A_g is checked, and a mismatch raises
+    AxiomFailure.
 
-    Otherwise the candidate degrees are the differences of support
-    elements, and D_g is the kernel of the Leibniz rows of degree g: every
-    row (key, j) involves unknowns of the single degree
-    deg j - sum(deg key) (``_derivation_system`` files the rows by degree
-    and builds each one when the solve reads it).  The inner derivations
-    are passed to their degree's solve as known kernel vectors, so the
-    solve stops once they can be the whole kernel.  Either way each D_g is
-    the same canonical ``Subspace``, and ``by_degree`` and ``sigma`` are
+    Otherwise the degrees are the differences of support elements, and D_g
+    is the kernel of the Leibniz rows of degree g: every row (key, j)
+    involves unknowns of the single degree deg j - sum(deg key), and each
+    is built when the solve reads it.  The inner derivations are passed to
+    their degree's solve as known kernel vectors, so the solve stops once
+    they can be the whole kernel.  Either way each D_g is the same
+    canonical ``Subspace``, and ``by_degree`` and ``sigma`` are
     in sorted degree order.
     """
     if within is not None and within.owner != grading.group:
@@ -652,20 +608,13 @@ def graded_derivations(grading: Grading, within: Subgroup | None = None) -> Grad
     ident = grading.group.identity()
     # certified on the algebra, whose Killing form lieroot reads too: the homogeneous copy is
     # the same algebra re-based, with the same verified flags
-    inner_only = derivations_are_inner(grading.algebra)
-    ad_dims = grading.component_dims() if inner_only and "lie" in grading.algebra.flags else None
-    if inner_only:
-        parts = _inner_parts(grading, within)
-    else:
-        candidates, unknowns, rows, inner = _derivation_system(grading, within)
-        parts = zip(candidates, unknowns, rows, inner)
+    certified = derivations_are_inner(grading.algebra)
+    ad_dims = grading.component_dims() if certified and "lie" in grading.algebra.flags else None
     by_degree: dict[GroupElement, Subspace] = {}
     sigma = []
-    for g, idxs, stream, known in parts:
-        if inner_only and not known:
-            columns = []
-        else:
-            columns = _incremental_kernel(len(idxs), stream, known).columns()
+    for g, idxs, stream, known in _degree_parts(grading, within, certified):
+        # a certified degree with no inner derivation is 0, with no elimination
+        columns = _incremental_kernel(len(idxs), stream, known).columns() if known or stream is not None else []
         if ad_dims is not None and len(columns) != ad_dims.get(g.coords, 0):
             raise AxiomFailure(
                 f"the inner derivations of degree {g.coords} span {len(columns)} dimensions, "

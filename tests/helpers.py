@@ -19,12 +19,15 @@ from gradalg.algcore import (
     _leibniz_keys,
     _leibniz_row,
     algebra_from_matrices,
+    algebra_to_dict,
     centroid_dimension,
+    inner_derivations,
     int_field,
     killing_form,
     rational_field,
     subalgebra_structure,
 )
+from gradalg.cli import grading_to_dict
 from gradalg.errors import (
     AxiomFailure,
     FlagViolation,
@@ -1107,13 +1110,121 @@ def dense_graded_derivations(grading: Grading) -> GradedDerivations:
     return GradedDerivations(by_degree, by_degree[ident], tuple(sigma))
 
 
+def table_derivation_system(grading: Grading, within: Subgroup | None = None):
+    """Oracle for ``grading._degree_parts`` on the Leibniz path (not
+    certified): the Leibniz system split by degree through integer tables,
+    (candidates, unknowns, rows, inner).  ``candidates`` are the possible
+    degrees in ``within`` (all of them when it is None), sorted: the
+    differences of support elements and the identity.
+    For candidate number d, ``unknowns[d]`` lists the flat unknowns r*n + c
+    of that degree, increasing; ``rows[d]`` is a generator of its Leibniz
+    rows and ``inner[d]`` its inner derivations, both re-indexed to the
+    positions in ``unknowns[d]``.  Unknowns, equations and inner
+    derivations of degrees outside ``within`` are not filed.
+
+    Degrees are read from integer tables: the support label of each basis
+    vector, the |S| x |S| table of the candidate number of s - t (None
+    outside ``within``) and the n^2 table of each unknown's candidate
+    number.  Only the inner derivations of the basis vectors whose degree
+    is a candidate are built.  The equations are filed once, by
+    ``_table_filed_equations``.  A row
+    is built only when its degree's solve reads it, in the order of
+    ``_leibniz_keys`` (key by key, then j), and is checked then: a row
+    whose unknowns span two degrees raises AxiomFailure.  On a validated
+    grading none does, as every unknown of row (key, j) has degree
+    deg j - sum(deg key)."""
+    homog = grading.homog_algebra
+    n = homog.dimension
+    group = grading.group
+    support = [s.coords for s in grading.support]
+    label = grading.labels
+    differences = [[group.reduce([x - y for x, y in zip(s, t)]) for t in support] for s in support]
+    candidates = sorted(
+        g
+        for g in {g for row in differences for g in row} | {group.identity().coords}
+        if within is None or within.contains(group.element(g))
+    )
+    number = {g: i for i, g in enumerate(candidates)}
+    diff = [[number.get(g) for g in row] for row in differences]
+    candidates = [group.element(g) for g in candidates]
+    # flat unknown r*n + c -> its candidate number and its position among that degree's unknowns
+    degree_of = [diff[label[r]][label[c]] for r in range(n) for c in range(n)]
+    unknowns: list[list[int]] = [[] for _ in candidates]
+    position = [0] * (n * n)
+    for k, d in enumerate(degree_of):
+        if d is not None:
+            position[k] = len(unknowns[d])
+            unknowns[d].append(k)
+
+    def local(vec, d: int, what: str) -> dict:
+        """The sparse vector in flat unknowns, all of degree number d, re-indexed to that degree's."""
+        out = {}
+        for idx, coeff in vec.items():
+            if degree_of[idx] != d:
+                r, c = divmod(idx, n)
+                raise AxiomFailure(
+                    f"{what} mixes the derivation degrees "
+                    f"{candidates[d].coords} and {differences[label[r]][label[c]]}"
+                )
+            out[position[idx]] = coeff
+        return out
+
+    filed = _table_filed_equations(homog, label, diff, degree_of, len(candidates))
+
+    def rows(d: int):
+        """The rows of degree number d, each built in that degree's unknowns when it is read."""
+        for val, terms, js in filed[d]:
+            for j in js:
+                if row := _leibniz_row(n, val, terms, j):
+                    yield local(row, d, "a Leibniz row")
+
+    inner: list[list[dict]] = [[] for _ in candidates]
+    # the inner derivation of e_i has degree deg e_i: only those of a candidate are built
+    for vec in inner_derivations(homog, {i for i in range(n) if support[label[i]] in number}):
+        if (d := degree_of[next(iter(vec))]) is not None:
+            inner[d].append(local(vec, d, "an inner derivation"))
+    return candidates, unknowns, [rows(d) for d in range(len(candidates))], inner
+
+
+def _table_filed_equations(homog: StructureAlgebra, label, diff, degree_of, count: int) -> list[list[tuple]]:
+    """One pass over the ``_leibniz_keys`` pairs of ``homog``, filing each
+    equation (key, j) under its candidate number (``table_derivation_system``'s
+    tables): that of D[j, a] for the first index a of op(key), or, when
+    op(key) = 0, that of the first right-hand term that hits j.  Candidate
+    number d gets [(val, terms, js), ...], the output indices js of each
+    pair in increasing order."""
+    n = homog.dimension
+    members = [[i for i in range(n) if label[i] == s] for s in range(len(diff))]
+    filed: list[list[tuple]] = [[] for _ in range(count)]
+    for val, terms in _leibniz_keys(homog):
+        if val:
+            a0 = label[next(iter(val))]
+            for s, js in enumerate(members):
+                if (d := diff[s][a0]) is not None:
+                    filed[d].append((val, terms, js))
+        else:
+            first: dict[int, int | None] = {}
+            for it, entries in terms:
+                for b, vec in entries:
+                    for j in vec:
+                        first.setdefault(j, degree_of[b * n + it])
+            by_degree: dict[int, list[int]] = {}
+            for j in sorted(first):
+                if first[j] is not None:
+                    by_degree.setdefault(first[j], []).append(j)
+            for d, js in by_degree.items():
+                filed[d].append((val, terms, js))
+    return filed
+
+
 def routed_leibniz_rows(grading: Grading) -> dict:
-    """Oracle for the per-degree row streams of ``grading._derivation_system``:
-    every Leibniz row of ``algcore._leibniz_rows`` generated first, then
-    each sent to the degree of its first unknown, deg r - deg c for D[r, c]
-    read by group arithmetic, and re-indexed to that degree's unknowns in
-    increasing flat order.  Candidate degree -> its rows, in generation
-    order; a row whose unknowns span two degrees raises AxiomFailure."""
+    """Oracle for the per-degree row streams of ``grading._degree_parts``
+    on the Leibniz path (and of ``table_derivation_system``): every Leibniz
+    row of ``_leibniz_rows`` generated first, then each sent to the degree
+    of its first unknown, deg r - deg c for D[r, c] read by group
+    arithmetic, and re-indexed to that degree's unknowns in increasing flat
+    order.  Candidate degree -> its rows, in generation order; a row whose
+    unknowns span two degrees raises AxiomFailure."""
     n = grading.dimension
     degrees = grading.degrees
     ident = grading.group.identity()
@@ -1465,6 +1576,36 @@ def heisenberg_grading() -> Grading:
     alg = StructureAlgebra("heisenberg", 3, [MultilinearOp("bracket", 2, tensor)], ["lie"])
     z2 = FgAbGroup(2, ())
     return Grading(alg, z2, [z2.element([1, 0]), z2.element([0, 1]), z2.element([1, 1])])
+
+
+def z_graded(alg: StructureAlgebra, degrees: list[int]) -> Grading:
+    z = FgAbGroup(1, ())
+    return Grading(alg, z, [z.element([d]) for d in degrees])
+
+
+def uncertified_gradings() -> dict[str, Grading]:
+    """Gradings of algebras that ``derivations_are_inner`` does not certify,
+    by name: the inputs of the Leibniz path of ``graded_derivations``.
+    Each is checked in as the workspace ``workspaces/<name>.json``, whose
+    reports ``golden.py`` pins beside the catalog's."""
+    units = [e_matrix(2, i, j) for i in range(2) for j in range(2)]
+    return {
+        # outer derivations in three degrees
+        "heisenberg": heisenberg_grading(),
+        # degenerate Killing form; the outer derivation maps the identity onto the center
+        "gl2-z": z_graded(from_matrices("gl2", units), [0, -1, 1, 0]),
+        # Q[e], e^2 = 0: commutative, so no inner derivation; e -> e is outer
+        "dual-numbers": z_graded(from_matrices("dual", [RatMatrix.identity(2), units[1]], kind="associative"), [0, 1]),
+        # upper triangular 2 x 2 matrices: degenerate trace form, every derivation inner
+        "t2": z_graded(from_matrices("t2", [units[0], units[1], units[3]], kind="associative"), [0, 1, 0]),
+        # a binary and a ternary operation, with derivations in the degrees -3, 0 and 3
+        "ternary-48": random_graded_algebra(random.Random(48), ternary=True),
+    }
+
+
+def workspace_of(name: str, gr: Grading) -> dict:
+    """The workspace document of one grading named ``name`` and its algebra."""
+    return {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict(name, gr.algebra.name, gr)]}
 
 
 # ---------------------------------------------------------------------------

@@ -995,15 +995,15 @@ def _no_leibniz_system(*args, **kwargs):
 
 class TestCertifiedPipelinesBuildNoLeibnizSystem:
     """On a certified algebra (every derivation inner) the derivation
-    pipelines read D_g off the inner derivations: none builds the Leibniz
-    degree system of ``grading._derivation_system``."""
+    pipelines read D_g off the inner derivations: none walks a key of the
+    Leibniz system (``grading._leibniz_keys``)."""
 
     @pytest.mark.parametrize("name", catalog_names())
     @pytest.mark.parametrize("command", ["der", "trank", "almost-fine", "refine-canonical", "coarsen-enum"])
     def test_catalog(self, name, command, tmp_path, capsys, monkeypatch):
         assert derivations_are_inner(get_catalog(name).grading.algebra)
         f = write_ws(tmp_path, catalog_workspace(name))
-        monkeypatch.setattr(grading, "_derivation_system", _no_leibniz_system)
+        monkeypatch.setattr(grading, "_leibniz_keys", _no_leibniz_system)
         code, out, _ = run(capsys, command, f, "--json")
         assert code == 0 and json.loads(out)
 
@@ -1012,7 +1012,7 @@ class TestCertifiedPipelinesBuildNoLeibnizSystem:
         assert not derivations_are_inner(gr.algebra)
         doc = {"algebras": [algebra_to_dict(gr.algebra)], "gradings": [grading_to_dict("h", gr.algebra.name, gr)]}
         f = write_ws(tmp_path, doc)
-        monkeypatch.setattr(grading, "_derivation_system", _no_leibniz_system)
+        monkeypatch.setattr(grading, "_leibniz_keys", _no_leibniz_system)
         with pytest.raises(LeibnizSystemBuilt):
             run(capsys, "der", f)
 

@@ -49,11 +49,9 @@ from helpers import (
     dense_graded_derivations,
     dense_rebase,
     direct_sum_grading,
-    e_matrix,
     eager_components,
     elementwise_hom_from_support_images,
     flatten,
-    from_matrices,
     graded_parts,
     mat_add,
     mat_from_flat,
@@ -70,6 +68,8 @@ from helpers import (
     routed_leibniz_rows,
     signed_permutation,
     sl_involution_grading,
+    table_derivation_system,
+    uncertified_gradings,
     sparse,
     span_of,
     twisted_group_grading,
@@ -845,10 +845,9 @@ class TestRoutedDerivations:
         # i_t = 1): its row for j = 0 is D[0, 0] - D[0, 1], filed under the degree 0 of
         # D[0, 0], but D[0, 1] has degree deg e - deg h = 1
         monkeypatch.setattr(grading, "_leibniz_keys", lambda a: iter([({0: 1}, [(1, [(0, {0: 1})])])]))
-        candidates, _, rows, _ = grading._derivation_system(gr)
-        ident = candidates.index(gr.group.identity())
+        streams = {g: rows for g, _, rows, _ in grading._degree_parts(gr, None, False)}
         with pytest.raises(AxiomFailure, match="mixes"):
-            next(rows[ident])
+            next(streams[gr.group.identity()])
         # it heads the stream of degree 0, whose solve reads it; with no known vectors the
         # rows D[j, 0] = 0 of the other degrees are solved without complaint first.  sl2 is
         # semisimple, so the Leibniz path is forced: certified, no row would be read
@@ -1098,11 +1097,21 @@ class TestInnerDerivationStop:
 
 def _table_path(gr: Grading, within: Subgroup | None = None):
     """graded_derivations of a fresh copy of ``gr`` with the certificate
-    taken away: the degree tables of ``_derivation_system``, the inner
-    derivations passed as known kernel vectors to each degree's solve."""
+    taken away and its parts from the degree tables of
+    ``helpers.table_derivation_system``: the inner derivations passed as
+    known kernel vectors to each degree's solve of its Leibniz rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grading, "derivations_are_inner", lambda a: False)
+        patch.setattr(grading, "_degree_parts", lambda gr, within, certified: list(zip(*table_derivation_system(gr, within))))
         return graded_derivations(_fresh(gr), within)
+
+
+class LeibnizKeysWalked(Exception):
+    pass
+
+
+def _no_leibniz_keys(a):
+    raise LeibnizKeysWalked
 
 
 def _per_label_sources():
@@ -1126,8 +1135,9 @@ def _per_label_sources():
 
 class TestPerLabelDerivations:
     """On a certified algebra ``graded_derivations`` reads each D_g per
-    support label (``_inner_parts``), with no degree table; it must give
-    what the table path gives, order included, for every subgroup."""
+    support label (``_degree_parts``), with no degree table and no Leibniz
+    key; it must give what the table path gives, order included, for
+    every subgroup."""
 
     @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _per_label_sources()])
     def test_against_the_table_path(self, build, monkeypatch):
@@ -1137,8 +1147,7 @@ class TestPerLabelDerivations:
             for within in _subgroups(gr):
                 want = _table_path(gr, within)
                 with monkeypatch.context() as patch:
-                    patch.setattr(grading, "_derivation_system", None)
-                    patch.setattr(grading, "_filed_equations", None)
+                    patch.setattr(grading, "_leibniz_keys", _no_leibniz_keys)
                     got = graded_derivations(_fresh(gr), within)
                 assert list(got.by_degree.items()) == list(want.by_degree.items())
                 assert got.sigma == want.sigma and got.identity_part == want.identity_part
@@ -1187,9 +1196,8 @@ class TestPerLabelDerivations:
 
 
 def _streams(gr: Grading) -> dict:
-    """Each candidate degree's Leibniz rows from ``_derivation_system``, drained."""
-    candidates, _, rows, _ = grading._derivation_system(gr)
-    return {g: list(stream) for g, stream in zip(candidates, rows)}
+    """Each degree's Leibniz rows from ``_degree_parts`` (not certified), drained."""
+    return {g: list(rows) for g, _, rows, _ in grading._degree_parts(gr, None, False)}
 
 
 class TestLazyLeibnizRows:
@@ -1228,8 +1236,7 @@ class TestLazyLeibnizRows:
     def test_rows_built_are_the_rows_read(self, monkeypatch):
         gr = _fresh(get_catalog("cartan-sl4").grading)
         routed = routed_leibniz_rows(gr)
-        candidates, unknowns, _, _ = grading._derivation_system(gr)
-        solved = [g for g, idxs in zip(candidates, unknowns) if idxs]
+        solved = [g for g, idxs, _, _ in grading._degree_parts(gr, None, False) if idxs]
         built, read = [], []
         real_row, real_solve = grading._leibniz_row, grading.sparse_nullspace
 
@@ -1267,28 +1274,17 @@ class TestLazyLeibnizRows:
         assert sum(read) == 262
 
 
-def _z_graded(alg: StructureAlgebra, degrees: list[int]) -> Grading:
-    z = FgAbGroup(1, ())
-    return Grading(alg, z, [z.element([d]) for d in degrees])
-
-
 def _uncertified_sources():
     """(grading, dim Der, dim span of the inner derivations) of algebras
-    that are not semisimple: no certificate, though T2 has only inner
-    derivations (the certificate is sufficient, not necessary)."""
-    units = [e_matrix(2, i, j) for i in range(2) for j in range(2)]
-    gl2 = from_matrices("gl2", units)
-    dual = from_matrices("dual", [RatMatrix.identity(2), units[1]], kind="associative")
-    t2 = from_matrices("t2", [units[0], units[1], units[3]], kind="associative")
+    that are not semisimple (``helpers.uncertified_gradings``): no
+    certificate, though T2 has only inner derivations (the certificate is
+    sufficient, not necessary)."""
+    gradings = uncertified_gradings()
     return [
-        # outer derivations in three degrees
-        pytest.param(heisenberg_grading(), 6, 2, id="heisenberg"),
-        # degenerate Killing form; the outer derivation maps the identity onto the center
-        pytest.param(_z_graded(gl2, [0, -1, 1, 0]), 4, 3, id="gl2"),
-        # Q[e], e^2 = 0: commutative, so no inner derivation; e -> e is outer
-        pytest.param(_z_graded(dual, [0, 1]), 1, 0, id="dual-numbers"),
-        # upper triangular 2 x 2 matrices: degenerate trace form, every derivation inner
-        pytest.param(_z_graded(t2, [0, 1, 0]), 2, 2, id="t2"),
+        pytest.param(gradings["heisenberg"], 6, 2, id="heisenberg"),
+        pytest.param(gradings["gl2-z"], 4, 3, id="gl2"),
+        pytest.param(gradings["dual-numbers"], 1, 0, id="dual-numbers"),
+        pytest.param(gradings["t2"], 2, 2, id="t2"),
     ]
 
 
@@ -1305,10 +1301,44 @@ class TestUncertifiedDerivations:
         gd = graded_derivations(gr)
         monkeypatch.undo()
         # one pass files the equations, and every candidate degree is solved from its rows
-        assert walks == [alg] and len(log) == len(grading._derivation_system(gr)[0])
+        assert walks == [alg] and len(log) == len(grading._degree_parts(gr, None, False))
         assert graded_parts(gd) == graded_parts(dense_graded_derivations(gr))
         assert gd.total_dim() == der_dim == derivation_space(alg).dim
         assert Subspace.span(n * n, inner_derivations(alg, range(n))).dim == inner_dim
+
+
+def _drained(parts) -> list:
+    """Each part (degree, unknowns, rows, known) with its rows drained, in order."""
+    return [(g, idxs, list(rows), known) for g, idxs, rows, known in parts]
+
+
+def _check_against_the_table_path(source: Grading) -> None:
+    """``_degree_parts`` on the Leibniz path against the degree tables of
+    ``table_derivation_system``, degree by degree, on ``source`` and its
+    universal grading, under every subgroup of ``_subgroups``."""
+    for gr in (source, universal_abelian_group(source).universal_grading(source)):
+        for within in _subgroups(gr):
+            want = _drained(zip(*table_derivation_system(gr, within)))
+            assert _drained(grading._degree_parts(gr, within, False)) == want
+
+
+class TestDegreePartsAgainstTheTablePath:
+    """On the Leibniz path the per-label layout of ``_degree_parts`` gives
+    the degree list, the unknowns, the rows, in order, and the known
+    vectors of the degree tables of ``helpers.table_derivation_system``."""
+
+    @pytest.mark.parametrize("name", sorted(uncertified_gradings()))
+    def test_uncertified_sources(self, name):
+        _check_against_the_table_path(uncertified_gradings()[name])
+
+    def test_random_gradings_with_a_ternary_operation(self):
+        rng = random.Random(4545)
+        for _ in range(20):
+            _check_against_the_table_path(random_graded_algebra(rng, ternary=True))
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _per_label_sources()])
+    def test_certified_sources_with_the_certificate_off(self, build):
+        _check_against_the_table_path(build())
 
 
 class TestCheckGradedMap:
