@@ -358,8 +358,9 @@ def enumerate_af_coarsenings(
     # E <= t_u meets Sigma only inside t_u, so only the degrees there are solved
     sigma = [s for s in graded_derivations(ugr, t_u).sigma if not s.is_identity()]
     candidates = enumerate_subgroups(t_u, cap=cap)
-    support_classes = [uab.iota[s] for s in uab.support_order]
-    diffs = {u - v for u in support_classes for v in support_classes}
+    if universal_only:
+        support_classes = [uab.iota[s] for s in uab.support_order]
+        diffs = {u - v for u in support_classes for v in support_classes}
     reductive = "aut_reductive" in grading.algebra.flags
     base_trank: int | None = None
     survivors: list[tuple[Subgroup, GroupHom, Grading, str]] = []

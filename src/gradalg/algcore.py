@@ -25,9 +25,11 @@ from .exactla import (
     Subspace,
     combine_rows,
     coordinate_reader,
+    coordinate_rows,
     flat_operator,
     flat_vector,
     gauss_jordan,
+    is_unit_basis,
     qdiv,
     rational,
     sparse_product,
@@ -439,23 +441,23 @@ def subalgebra_structure(
 ) -> StructureAlgebra:
     """The algebra ``a`` re-based on ``columns``: a ``Subspace``, on its
     canonical basis, or the sparse columns of an invertible basis change.
-    Its structure constants are each operation on the tuples of basis
-    vectors that a stored entry reaches, built in integers from those
-    entries (``_rebased``) and read in coordinates by ``coordinate_reader``:
-    at the pivots of a ``Subspace``, or by one elimination of the columns
-    (ValueError when they are dependent or their span is not closed under
-    an operation).  The flags (default: those of ``a``) are verified.
+    Its structure constants are built by ``_rebased`` from the stored
+    entries, each read once in coordinates by ``coordinate_rows``: at the
+    pivots of a ``Subspace``, or through one elimination of the columns,
+    which for an invertible basis is B^-1 (ValueError when the columns are
+    dependent or their span is not closed under an operation).  The flags
+    (default: those of ``a``) are verified.
 
-    The full subspace or the identity basis gives ``a`` itself when the
-    flags are among the verified flags of ``a``.  Any other result is
-    memoized on ``a`` per (basis, flags), so the gradings, inductions and
-    coarsenings sharing an algebra and a basis share one re-based copy."""
+    The full subspace or the unit basis (``is_unit_basis``) gives ``a``
+    itself when the flags are among the verified flags of ``a``.  Any
+    other result is memoized on ``a`` per (basis, flags), so the gradings,
+    inductions and coarsenings sharing an algebra and a basis share one
+    re-based copy."""
     use_flags = a.flags if flags is None else frozenset(flags)
-    n = a.dimension
+    if is_unit_basis(a.dimension, columns) and use_flags <= a.flags:
+        return a
     if not isinstance(columns, Subspace):
         columns = tuple(tuple(sorted(col.items())) for col in columns)
-    if columns in (Subspace.full(n), tuple(((i, 1),) for i in range(n))) and use_flags <= a.flags:
-        return a
     return _rebased(a, columns, use_flags)
 
 
@@ -463,15 +465,20 @@ def subalgebra_structure(
 def _rebased(a: StructureAlgebra, basis: Subspace | tuple, flags: frozenset) -> StructureAlgebra:
     """``subalgebra_structure`` on ``basis``, a ``Subspace`` or the columns as
     sorted item tuples.  Column t times the lcm s_t of its denominators is
-    an integer column, indexed by coordinate; each stored key of
-    ``op.int_tensor`` and each tuple of integer columns nonzero at its
-    indices add one term to op(s_t1 col_t1, ...) times ``op.denominator``.
-    That integer vector is read in coordinates and divided by those
-    scales; tuples that no stored key reaches have the value 0."""
+    an integer column, indexed by coordinate.  Reading is linear, so each
+    stored entry's value op(e_key), in integers times ``op.denominator``,
+    is read once by ``coordinate_rows`` (coordinates and residual times
+    L), and that read, times the product w of the integer columns' entries
+    at the key's indices, is added to op(s_t1 col_t1, ...) for each tuple
+    of columns nonzero there; tuples that no stored key reaches have the
+    value 0.  A value's residual must be 0 (it always is for an
+    invertible basis, which has none); its coordinates are divided by L,
+    ``op.denominator`` and the scales once."""
     columns = basis.sparse_vectors() if isinstance(basis, Subspace) else [dict(col) for col in basis]
     if any(not 0 <= i < a.dimension for col in columns for i in col):
         raise ShapeError("basis entries must lie in the algebra's dimension")
-    coords = coordinate_reader(a.dimension, basis if isinstance(basis, Subspace) else columns)
+    k = len(columns)
+    lcm, rows = coordinate_rows(a.dimension, basis if isinstance(basis, Subspace) else columns)
     scales = [math.lcm(*(x.denominator for x in col.values())) for col in columns]
     at: dict[int, list[tuple[int, int]]] = {}
     for t, (col, s) in enumerate(zip(columns, scales)):
@@ -481,21 +488,27 @@ def _rebased(a: StructureAlgebra, basis: Subspace | tuple, flags: frozenset) -> 
     for op in a.operations:
         values: dict[tuple[int, ...], dict[int, int]] = {}
         for key, vec in op.int_tensor.items():
-            for args in product(*(at.get(i, ()) for i in key)):
-                x = math.prod(y for _, y in args)
-                value = values.setdefault(tuple(t for t, _ in args), {})
-                for j, c in vec.items():
-                    value[j] = value.get(j, 0) + x * c
+            read = combine_rows(vec, rows)
+            reached = [((), 1)]
+            for i in key:
+                reached = [(ts + (t,), w * x) for ts, w in reached for t, x in at.get(i, ())]
+            for ts, w in reached:
+                value = values.setdefault(ts, {})
+                for t, y in read.items():
+                    value[t] = value.get(t, 0) + w * y
         tensor: dict[tuple[int, ...], dict[int, Rational]] = {}
         for ts in sorted(values):
-            vec = coords({j: c for j, c in values[ts].items() if c})
-            if vec is None:
+            value = values[ts]
+            if k < a.dimension and any(value[c] for c in value if c >= k):
                 raise ValueError("subspace is not closed under an operation")
+            d = op.denominator * lcm
+            for t in ts:
+                d *= scales[t]
+            vec = {t: x if d == 1 else qdiv(x, d) for t, x in sorted(value.items()) if x}
             if vec:
-                d = op.denominator * math.prod(scales[t] for t in ts)
-                tensor[ts] = vec if d == 1 else {j: qdiv(x, d) for j, x in vec.items()}
+                tensor[ts] = vec
         ops.append(MultilinearOp(op.name, op.arity, tensor))
-    return StructureAlgebra(f"{a.name}-sub", len(columns), ops, flags)
+    return StructureAlgebra(f"{a.name}-sub", k, ops, flags)
 
 
 # ---------------------------------------------------------------------------

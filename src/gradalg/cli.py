@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -748,6 +749,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             ws = parse_workspace(_load_docs(args.files))
             _COMMANDS[args.command](ws, args)
+        sys.stdout.flush()  # a report still buffered meets a closed pipe here, not at exit
+    except BrokenPipeError:
+        # the reader of the output (say ``head``) has gone: stop with no traceback,
+        # and point stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NonSplitError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2

@@ -501,32 +501,70 @@ def nullspace(a: RatMatrix) -> Subspace:
     return sparse_nullspace(a.cols, sparse_rows(a.data))
 
 
+def is_unit_basis(size: int, vectors: Subspace | Sequence[Mapping[int, Rational]]) -> bool:
+    """Whether ``vectors`` are the unit vectors e_0, ..., e_(size-1) of
+    Q^``size``, in order, or the ``Subspace`` they span: a basis in which
+    each vector is its own coordinates."""
+    if isinstance(vectors, Subspace):
+        return vectors.dim_ambient == vectors.dim == size
+    return len(vectors) == size and all(vec == {i: 1} for i, vec in enumerate(vectors))
+
+
+def coordinate_rows(size: int, vectors: Subspace | Sequence[Mapping[int, Rational]]) -> tuple[int, list[dict[int, int]]]:
+    """The reading in k vectors b_t as a linear map r, in integers: a scale
+    L and the sparse rows L r(e_i), i < ``size``, so L r(v) = sum_i v_i
+    rows[i].  r(v) holds the coordinates x of v at 0..k-1 and the residual
+    v - sum_t x_t b_t at k + c, 0 exactly when v is in the span.
+
+    A ``Subspace`` is read at its pivots, x_t = v[p_t] for its canonical
+    basis, L the lcm of its denominators.  Other vectors (ValueError when
+    they are dependent) take one ``_integer_echelon`` of [M | I], M the rows
+    ``vectors``: L [R | E] with E M = R, its rows scaled to the lcm L of
+    their pivot entries, so x = sum_p v_p E_p and the residual is
+    v - sum_p v_p R_p.  A basis of Q^``size`` has no residual: its rows are
+    its inverse."""
+    if isinstance(vectors, Subspace):
+        if vectors.dim_ambient != size:
+            raise ShapeError("ambient mismatch")
+        k, lcm = vectors.dim, math.lcm(*(x.denominator for col in vectors._columns for x in col.values()))
+        at_pivot = {
+            p: {t: lcm} | {k + c: -x.numerator * (lcm // x.denominator) for c, x in col.items() if c != p}
+            for t, (p, col) in enumerate(zip(vectors._pivots, vectors._columns))
+        }
+    else:
+        k = len(vectors)
+        echelon = _integer_echelon(({**row, size + t: 1} for t, row in enumerate(vectors)), size + k)
+        if any(p >= size for p in echelon):
+            raise ValueError("the basis vectors are linearly dependent")
+        lcm = math.lcm(*(row[p] for p, row in echelon.items()))
+        at_pivot = {}
+        for p, row in echelon.items():
+            f = lcm // row[p]
+            at_pivot[p] = {c - size: x * f for c, x in row.items() if c >= size}
+            at_pivot[p] |= {k + c: -x * f for c, x in row.items() if c < size and c != p}
+    return lcm, [at_pivot[i] if i in at_pivot else {k + i: lcm} for i in range(size)]
+
+
 def coordinate_reader(size: int, vectors: Subspace | Sequence[Mapping[int, Rational]]):
     """The map from a sparse vector of Q^``size`` to its sparse coordinates
     (sorted by index) in ``vectors``, or None when it is outside their span.
-    A ``Subspace`` of Q^``size`` is read at its pivots (``coords``).  Other
-    vectors (ValueError when they are dependent) take one ``_integer_echelon``
-    of [M | I], M the rows ``vectors``: L [R | E] with E M = R, its rows
-    scaled to the lcm L of their pivot entries; v in the span, times the lcm
-    d of its denominators, is L d [v | x] = sum_p d v_p L [R | E]_p for its
-    coordinates x, each divided exactly (``qdiv``)."""
+    A ``Subspace`` of Q^``size`` is read at its pivots (``coords``).  For
+    other vectors the vector times the lcm d of its denominators is read by
+    ``coordinate_rows``, in integers, and each coordinate divided by L d
+    exactly (``qdiv``)."""
     if isinstance(vectors, Subspace):
         if vectors.dim_ambient != size:
             raise ShapeError("ambient mismatch")
         return vectors.coords
-    reduced = _integer_echelon(({**row, size + k: 1} for k, row in enumerate(vectors)), size + len(vectors))
-    if any(p >= size for p in reduced):
-        raise ValueError("the basis vectors are linearly dependent")
-    lcm = math.lcm(*(row[p] for p, row in reduced.items()))
-    rows = {p: {c: x * (lcm // row[p]) for c, x in row.items()} for p, row in reduced.items()}
+    k = len(vectors)
+    lcm, rows = coordinate_rows(size, vectors)
 
     def coords(vec: Mapping[int, Rational]) -> dict[int, Rational] | None:
         d = math.lcm(*(x.denominator for x in vec.values()))
-        v = {c: x.numerator * (d // x.denominator) for c, x in vec.items() if x}
-        total = combine_rows({p: x for p, x in v.items() if p in rows}, rows)
-        if {c: x for c, x in total.items() if c < size} != {c: lcm * x for c, x in v.items()}:
+        total = combine_rows({c: x.numerator * (d // x.denominator) for c, x in vec.items() if x}, rows)
+        if any(t >= k for t in total):
             return None
-        return {c - size: qdiv(x, lcm * d) for c, x in sorted(total.items()) if c >= size}
+        return {t: qdiv(x, lcm * d) for t, x in sorted(total.items())}
 
     return coords
 

@@ -29,7 +29,7 @@ from .algcore import (
     subalgebra_structure,
 )
 from .errors import AxiomFailure, IncompatibleDegrees, ShapeError, ValidationError
-from .exactla import IntMatrix, RatMatrix, Rational, coordinate_reader, sparse_nullspace
+from .exactla import IntMatrix, RatMatrix, Rational, coordinate_reader, is_unit_basis, sparse_nullspace
 
 NOT_INVERTIBLE = "basis change must be an invertible n x n matrix"
 
@@ -176,18 +176,20 @@ class Grading:
         ``other``.  Both must grade the same algebra (equal dimension, and
         equal arity and structure constants per operation).  Each basis
         column of ``self`` is read in ``other``'s homogeneous basis (one
-        ``coordinate_reader``, with no span): its coordinates must lie on
-        the columns of one label of ``other``, the same for every column of
-        one degree of ``self``."""
+        ``coordinate_reader``, with no span, or, when ``other`` has the unit
+        basis, as the column itself, with no elimination): its coordinates
+        must lie on the columns of one label of ``other``, the same for
+        every column of one degree of ``self``."""
         a, b = (
             (g.algebra.dimension, [(op.arity, op.tensor) for op in g.algebra.operations]) for g in (self, other)
         )
         if a != b:
             return None
-        coords = coordinate_reader(self.dimension, other.basis_change)
+        unit = is_unit_basis(self.dimension, other.basis_change)
+        coords = None if unit else coordinate_reader(self.dimension, other.basis_change)
         home: list[int | None] = [None] * len(self.support)
         for t, col in zip(self.labels, self.basis_change):
-            places = {other.labels[i] for i in coords(col)}
+            places = {other.labels[i] for i in (col if unit else coords(col))}
             if len(places) != 1 or home[t] not in (None, *places):
                 return None
             home[t] = places.pop()
@@ -442,7 +444,8 @@ def _degree_parts(grading: Grading, within: Subgroup | None, certified: bool) ->
     ``rows`` generates g's Leibniz rows and ``known`` lists g's inner
     derivations, both re-indexed to the positions in the unknowns.  Only
     the maps of the basis vectors whose degree is in ``within`` (all when
-    None) are built, by one ``inner_derivations`` call.
+    None) are built, by one ``inner_derivations`` call; a support degree
+    is tested in ``within`` once, with no test in the trivial subgroup.
 
     The degrees are read per support label.  Labels s and t have the
     degree s - t, the identity when s = t with no group arithmetic, read
@@ -484,8 +487,11 @@ def _degree_parts(grading: Grading, within: Subgroup | None, certified: bool) ->
             differences[s, t] = ident if s == t else group.reduce([x - y for x, y in zip(support[s].coords, support[t].coords)])
         return differences[s, t]
 
+    # only the identity lies in the trivial subgroup (toral_rank's): no membership solve
+    trivial = within is not None and within.order() == 1
+
     def inside(g: GroupElement) -> bool:
-        return within is None or g == identity or within.contains(g)
+        return within is None or g == identity or not trivial and within.contains(g)
 
     label_inside = [inside(g) for g in support]
     if certified:

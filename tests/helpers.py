@@ -807,6 +807,42 @@ def dense_rebase(alg: StructureAlgebra, basis: RatMatrix) -> list[dict]:
     return tensors
 
 
+def per_tuple_rebase(a: StructureAlgebra, basis, flags) -> StructureAlgebra:
+    """Oracle for ``algcore._rebased``, the re-basing that read every value
+    on its own: each stored key and each tuple of integer-scaled columns
+    nonzero at its indices add one term to op(s_t1 col_t1, ...) times
+    ``op.denominator``, and each summed value is read in coordinates, at
+    the pivots of a ``Subspace`` or by ``fraction_coordinate_reader`` on
+    columns given as sorted item tuples (ValueError when they are dependent
+    or a value leaves their span), then divided by those scales."""
+    columns = basis.sparse_vectors() if isinstance(basis, Subspace) else [dict(col) for col in basis]
+    coords = basis.coords if isinstance(basis, Subspace) else fraction_coordinate_reader(a.dimension, columns)
+    scales = [lcm(*(x.denominator for x in col.values())) for col in columns]
+    at: dict[int, list[tuple[int, int]]] = {}
+    for t, (col, s) in enumerate(zip(columns, scales)):
+        for i, x in col.items():
+            at.setdefault(i, []).append((t, x.numerator * (s // x.denominator)))
+    ops = []
+    for op in a.operations:
+        values: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, vec in op.int_tensor.items():
+            for args in product(*(at.get(i, ()) for i in key)):
+                x = prod(y for _, y in args)
+                value = values.setdefault(tuple(t for t, _ in args), {})
+                for j, c in vec.items():
+                    value[j] = value.get(j, 0) + x * c
+        tensor = {}
+        for ts in sorted(values):
+            vec = coords({j: c for j, c in values[ts].items() if c})
+            if vec is None:
+                raise ValueError("subspace is not closed under an operation")
+            if vec:
+                d = op.denominator * prod(scales[t] for t in ts)
+                tensor[ts] = vec if d == 1 else {j: qdiv(x, d) for j, x in vec.items()}
+        ops.append(MultilinearOp(op.name, op.arity, tensor))
+    return StructureAlgebra(f"{a.name}-sub", len(columns), ops, flags)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Affine solution set of A X = B: a particular solution (or None if

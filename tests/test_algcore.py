@@ -39,7 +39,7 @@ from gradalg.algcore import (
 from gradalg.abgroup import Subgroup
 from gradalg.afine import _element_candidates, canonical_refinement, toral_rank
 from gradalg.errors import FlagViolation, ShapeError, VerificationFailure
-from gradalg.exactla import RatMatrix, Subspace, coordinate_reader, flat_operator, flat_vector, nullspace, sparse_rows
+from gradalg.exactla import RatMatrix, Subspace, combine_rows, coordinate_reader, flat_operator, flat_vector, nullspace, sparse_rows
 from gradalg.grading import Grading, graded_derivations
 from gradalg.lieroot import root_graded_structure, verify_phi_grading
 
@@ -83,6 +83,8 @@ from helpers import (
     mat_scale,
     mat_transpose,
     pairwise_matrix_tensor,
+    per_tuple_rebase,
+    random_component_basis,
     random_graded_algebra,
     random_lie_algebra,
     rows_matrix,
@@ -1205,6 +1207,125 @@ class TestRebasedOverStoredEntries:
                 if any(op.tensor for op in sub.operations):
                     seen.add("closed, nonzero product")
         assert seen == {"dependent", "not closed", "closed", "closed, nonzero product"}
+
+
+def _against_the_per_tuple_read(alg, basis, flags=()) -> str:
+    """``subalgebra_structure`` on ``basis``, columns or a ``Subspace``,
+    against ``helpers.per_tuple_rebase``, which reads every summed value
+    on its own: the same operations, key and index order included (but
+    for the unit basis), with canonical entries, or the same ValueError
+    text, which is returned."""
+    normalized = basis if isinstance(basis, Subspace) else tuple(tuple(sorted(col.items())) for col in basis)
+    try:
+        want = per_tuple_rebase(alg, normalized, frozenset(flags))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            subalgebra_structure(alg, basis, flags=flags)
+        return str(exc)
+    got = subalgebra_structure(alg, basis, flags=flags)
+    # the unit basis gives the algebra itself, in its own key order
+    order = (lambda tensor: tensor) if got is alg else _items
+    assert got.dimension == want.dimension
+    assert [(op.name, op.arity, order(op.tensor)) for op in got.operations] == [
+        (op.name, op.arity, order(op.tensor)) for op in want.operations
+    ]
+    assert all(is_canonical(c) for op in got.operations for v in op.tensor.values() for c in v.values())
+    return "nonzero" if any(op.tensor for op in got.operations) else "zero"
+
+
+def _signed_scaled_permutation(rng, n, scaled):
+    """Columns c_t e_(p(t)) for a random permutation p and signs c_t, times
+    random nonzero rationals when ``scaled``: the shape of a refinement's basis."""
+    perm = rng.sample(range(n), n)
+    return [{p: rng.choice((-1, 1)) * (_rational(rng) if scaled else 1)} for p in perm]
+
+
+class TestReadOncePerStoredProduct:
+    """``_rebased`` reads each stored product once through
+    ``coordinate_rows`` and spreads the read over the tuples of columns
+    that reach it; ``helpers.per_tuple_rebase`` sums each tuple's value
+    first and reads every value on its own."""
+
+    def test_every_catalog_grading_and_its_refinement(self):
+        names = []
+        for name in catalog.catalog_names():
+            entry = catalog.get_catalog(name)
+            for label, gr in [(name, entry.grading), *((f"{name}-{k}", g) for k, g in entry.companions.items())]:
+                refined = canonical_refinement(gr).refined
+                for g in (gr, refined):
+                    _against_the_per_tuple_read(g.algebra, g.basis_change, g.algebra.flags)
+                names.append(label)
+        assert "b2-skew-fine" in names and len(names) == len(catalog.catalog_names()) + 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_component_bases(self, seed):
+        rng = random.Random(seed)
+        for name in catalog.catalog_names():
+            gr = random_component_basis(catalog.get_catalog(name).grading, rng)
+            assert _against_the_per_tuple_read(gr.algebra, gr.basis_change, gr.algebra.flags) == "nonzero"
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_signed_and_scaled_permutations(self, scaled):
+        rng = random.Random(44 + scaled)
+        algebras = [catalog.get_catalog(name).grading.algebra for name in catalog.catalog_names()]
+        algebras += [random_graded_algebra(rng, ternary=True).algebra for _ in range(8)]
+        seen = {_against_the_per_tuple_read(alg, _signed_scaled_permutation(rng, alg.dimension, scaled), alg.flags) for alg in algebras}
+        assert "nonzero" in seen and seen <= {"zero", "nonzero"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fractional_invertible_bases_with_a_ternary_operation(self, seed):
+        rng = random.Random(seed)
+        alg = random_graded_algebra(rng, ternary=True).algebra
+        assert [op.arity for op in alg.operations] == [2, 3]
+        for _ in range(4):
+            _against_the_per_tuple_read(alg, columns_of(_sparse_invertible(rng, alg.dimension)))
+
+    def test_dimensions_0_and_1(self):
+        zero = StructureAlgebra("zero", 0, [MultilinearOp("product", 2, {})], ["associative"])
+        assert _against_the_per_tuple_read(zero, [], ["associative"]) == "zero"
+        assert subalgebra_structure(zero, []) is zero
+        ops = [MultilinearOp("product", 2, {(0, 0): {0: 2}}), MultilinearOp("triple", 3, {(0, 0, 0): {0: Q(1, 3)}})]
+        line = StructureAlgebra("line", 1, ops, [])
+        assert {_against_the_per_tuple_read(line, [{0: x}]) for x in (1, -1, Q(3, 2), Q(-2, 5), 6)} == {"nonzero"}
+        assert _against_the_per_tuple_read(line, []) == "zero"
+        for dependent in ([{}], [{0: 1}, {0: 2}]):
+            assert _against_the_per_tuple_read(line, dependent) == "the basis vectors are linearly dependent"
+
+    def test_dependent_square_bases(self):
+        rng = random.Random(12)
+        for name in catalog.catalog_names():
+            alg = catalog.get_catalog(name).grading.algebra
+            n = alg.dimension
+            cols = [{i: _rational(rng) for i in rng.sample(range(n), 2)} for _ in range(n - 1)]
+            cols.insert(rng.randrange(n), combine_rows({0: _rational(rng), 1: 1}, cols[:2]) if rng.random() < 0.5 else {})
+            assert _against_the_per_tuple_read(alg, cols) == "the basis vectors are linearly dependent"
+
+    def test_columns_and_subspaces_that_are_not_square(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for trial in range(60):
+            gr = random_graded_algebra(rng, ternary=True) if trial % 2 else catalog.get_catalog(rng.choice(TestRebasedOverStoredEntries.GRADINGS)).grading
+            n = gr.dimension
+            # the graded algebra in a random basis B, where its homogeneous e_i has the coordinates B^-1 e_i
+            basis = columns_of(_sparse_invertible(rng, n))
+            alg, homogeneous = subalgebra_structure(gr.homog_algebra, basis), coordinate_reader(n, basis)
+            kind = rng.choice(("closed", "random", "dependent"))
+            if kind == "closed":
+                # the homogeneous vectors whose degrees are multiples of one degree span a subalgebra
+                g = rng.choice(gr.degrees)
+                multiples = {(k * g).coords for k in range(-20, 21)}
+                cols = [homogeneous({i: 1}) for i, d in enumerate(gr.degrees) if d.coords in multiples]
+            else:
+                cols = [{i: _rational(rng) for i in range(n) if rng.random() < 0.4} for _ in range(rng.randint(1, n - 1))]
+                if kind == "dependent":
+                    cols.append(combine_rows({0: _rational(rng), len(cols) - 1: 1}, cols))
+            outcome = _against_the_per_tuple_read(alg, cols)
+            seen[outcome] += 1
+            if outcome != "the basis vectors are linearly dependent":
+                assert _against_the_per_tuple_read(alg, Subspace.span(n, cols)) == outcome
+        assert set(seen) == {
+            "the basis vectors are linearly dependent", "subspace is not closed under an operation", "zero", "nonzero"
+        }, seen
 
 
 def _same_algebra(got: StructureAlgebra, want: StructureAlgebra):

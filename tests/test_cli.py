@@ -623,6 +623,20 @@ def test_validate_cost_follows_the_stored_constants(tmp_path, dimension):
     assert "one degree per basis vector required" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [["catalog", "cartan-sl3"], ["refine-canonical", "-", "--json"]])
+def test_a_closed_pipe_ends_the_tool_quietly(argv):
+    # the reader of the report, say head, may have gone before the tool prints: exit 1, no traceback
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gradalg.cli", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    _, err = child.communicate(json.dumps(catalog_workspace("cartan-sl3")).encode() if "-" in argv else b"", timeout=60)
+    assert (child.returncode, err) == (1, b"")
+
+
 class TestHappyPaths:
     def test_validate(self, tmp_path, capsys):
         f = write_ws(tmp_path, catalog_workspace("pauli-m2"))

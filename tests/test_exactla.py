@@ -33,10 +33,12 @@ from gradalg.exactla import (
     column_hnf,
     combine_rows,
     coordinate_reader,
+    coordinate_rows,
     gauss_jordan,
     hnf_solve,
     integer_kernel,
     inverse,
+    is_unit_basis,
     minimal_polynomial,
     nullspace,
     qdiv,
@@ -625,6 +627,42 @@ class TestFractionFreeCoordinates:
         assert seen == {"dependent", "outside", "inside", "zero"}
 
 
+    def test_the_rows_read_coordinates_and_a_residual(self):
+        # coordinate_rows, the linear map behind coordinate_reader, on columns and on the Subspace
+        # they span: integer rows over one scale, a residual that is 0 exactly on the span, and
+        # no residual at all for a basis of the whole space
+        rng = random.Random(46)
+        seen = set()
+        for trial in range(300):
+            size = rng.choice((0, 1, 2, 3, 4, 6))
+            space = Subspace.span(size, random_row_stream(rng, size))
+            basis = space.sparse_vectors()
+            # another basis of the span: each canonical vector plus a multiple of the next
+            vectors = [combine_rows({t: 1, t + 1: random_entry(rng)}, basis + [{}]) for t in range(len(basis))]
+            for given, oracle in ((vectors, fraction_coordinate_reader(size, vectors)), (space, space.coords)):
+                lcm, rows = coordinate_rows(size, given)
+                assert len(rows) == size and all(type(x) is int for row in rows for x in row.values())
+                inside = combine_rows({t: random_entry(rng) for t in range(len(basis)) if rng.random() < 0.6}, basis)
+                outside = {c: random_entry(rng) for c in range(size) if rng.random() < 0.5}
+                for vec in ({}, inside, outside):
+                    read, want = combine_rows(vec, rows), oracle(vec)
+                    assert (want is None) == any(t >= len(basis) for t in read), f"trial {trial}"
+                    if want is not None:
+                        assert {t: qdiv(x, lcm) for t, x in sorted(read.items())} == want, f"trial {trial}"
+                    seen.add("outside" if want is None else "inside")
+                if len(basis) == size:
+                    assert all(t < size for row in rows for t in row)
+                    seen.add("square")
+        assert seen == {"inside", "outside", "square"}
+
+    def test_the_unit_basis(self):
+        assert is_unit_basis(3, [{0: 1}, {1: 1}, {2: Q(1)}]) and is_unit_basis(0, []) and is_unit_basis(0, ())
+        assert is_unit_basis(3, Subspace.full(3)) and is_unit_basis(2, Subspace.span(2, [{0: 1, 1: 1}, {1: 5}]))
+        for other in ([{1: 1}, {0: 1}], [{0: 1}, {1: 2}], [{0: 1}, {1: 1, 0: 0}], [{0: 1}], [{0: 1}, {1: 1}, {2: 1}]):
+            assert not is_unit_basis(2, other)
+        assert not is_unit_basis(2, Subspace.span(3, [{0: 1}, {1: 1}])) and not is_unit_basis(3, Subspace.full(2))
+
+
 def old_dense_product(a, b):
     """The dense product as it was summed before ``sum(map(mul, ...))``: a
     generator with a truth test on both factors of each term."""
@@ -927,18 +965,20 @@ class TestSubspaces:
         ops = [alg.ad_rows(v) for v in h.sparse_vectors()]
         split = eliminations(lambda: simultaneous_eigenspaces(ops, Subspace.full(8)))
         assert eliminations(lambda: lieroot.weight_decomposition.__wrapped__(alg, h)) == split
-        # a refinement check reads the fine basis in the coarse one: one elimination, and no component spanned
+        # a refinement check reads the fine basis in the coarse one, and spans no component: one
+        # elimination in a basis change, none in the unit basis, whose columns are their own coordinates
         entry = catalog.get_catalog("sl3-involution")
         fine = afine.canonical_refinement(entry.grading).refined
         spanning, fresh, coarse = (
             grading.Grading(g.algebra, g.group, g.degrees, g.basis_change) for g in (fine, fine, entry.grading)
         )
+        assert is_unit_basis(8, coarse.basis_change) and not is_unit_basis(8, fresh.basis_change)
         assert eliminations(lambda: components(spanning)) == len(fine.support)
         spanned = []
         monkeypatch.setattr(grading.Grading, "component", lambda gr, g: spanned.append(g))
-        assert eliminations(lambda: fresh.is_refinement_of(coarse)) == 1
+        assert eliminations(lambda: fresh.is_refinement_of(coarse)) == 0
         assert eliminations(lambda: coarse.is_refinement_of(fresh)) == 1
-        assert eliminations(lambda: fresh.coarse_labels(coarse)) == 1 and not spanned
+        assert eliminations(lambda: fresh.coarse_labels(coarse)) == 0 and not spanned
 
 
 class TestPolynomials:
@@ -1770,7 +1810,7 @@ def test_sources_solve_only_in_exactla():
 
 
 #: the builders that read coordinates in a basis, with the position and name of that argument
-_BASIS_ARGUMENT = {"coordinate_reader": (1, "vectors"), "subalgebra_structure": (1, "columns"), "algebra_from_matrices": (1, "matrices")}
+_BASIS_ARGUMENT = {"coordinate_reader": (1, "vectors"), "coordinate_rows": (1, "vectors"), "subalgebra_structure": (1, "columns"), "algebra_from_matrices": (1, "matrices")}
 
 
 def _bases_read_off_a_subspace(tree: ast.AST):
