@@ -2,15 +2,13 @@
 almost-fine coarsenings, admissibility, and classification of gradings by
 a fixed finite group up to isomorphism.
 
-The toral rank of a grading is realized in characteristic 0 through the
-Lie algebra D_e of degree-preserving derivations: a Cartan subalgebra of
-D_e is a nilpotent Engel subalgebra ker (ad x)^d of a candidate element x
-(every Engel subalgebra is self-normalizing), and the span of the
-Jordan semisimple parts of its basis is a maximal toral subalgebra t,
-whose dimension is the toral rank.  A grading is almost fine when the
-free rank of its universal abelian group equals its toral rank; the
-canonical refinement diagonalizes every component under t and grades the
-eigenspaces by the weight lattice.
+The toral rank of a grading is the dimension of a maximal torus of the Lie
+algebra D_e of degree-preserving derivations over the algebraic closure: the
+rank of the trace form tr(xy) of End(A) on any Cartan subalgebra of D_e,
+split or not.  A grading is almost fine when the free rank of its universal
+abelian group equals its toral rank; the canonical refinement diagonalizes
+every component under a split maximal torus and grades the eigenspaces by
+the weight lattice.
 """
 
 from __future__ import annotations
@@ -44,11 +42,13 @@ from .exactla import (
     combine_rows,
     flat_operator,
     flat_vector,
+    gauss_jordan,
     hnf_solve,
     nullspace,
     semisimple_part,
     simultaneous_eigenspaces,
     sparse_power,
+    sparse_product,
 )
 from .grading import (
     Grading,
@@ -110,9 +110,7 @@ def cartan_candidates(alg: StructureAlgebra, rng: random.Random):
         produced = True
         yield nil
     if not produced:
-        raise DegenerateRetryExhausted(
-            "no candidate element produced a Cartan subalgebra"
-        )
+        raise DegenerateRetryExhausted("no candidate element produced a Cartan subalgebra")
 
 
 def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
@@ -121,61 +119,59 @@ def split_cartan(small: StructureAlgebra, space: Subspace, seed: int, split):
     ``cartan_candidates(small, random.Random(seed))``, taken to ambient
     coordinates by that basis, on which ``split(H)`` does not raise
     NonSplitError; returns (H, split(H)).  When every candidate is
-    non-split, the last NonSplitError is re-raised (and when there is no
-    candidate at all, ``cartan_candidates`` raises DegenerateRetryExhausted)."""
-    nonsplit = None
+    non-split, a NonSplitError with the last one's message is raised (and
+    when there is no candidate, ``cartan_candidates`` raises
+    DegenerateRetryExhausted)."""
+    message = None
     for h_small in cartan_candidates(small, random.Random(seed)):
         h = space.embed(h_small)
         try:
             return h, split(h)
         except NonSplitError as exc:
-            nonsplit = exc
-    try:
-        raise nonsplit
-    finally:  # the traceback holds this frame, so the frame must not hold the error (a reference cycle)
-        del nonsplit
+            message = str(exc)
+    raise NonSplitError(message)
 
 
 @dataclass(frozen=True)
 class ToralData:
-    """Toral part of the degree-preserving derivations of a grading."""
+    """The toral rank of a grading and the algebras it is read on."""
 
-    #: dimension n of the graded algebra
-    dimension: int
     #: D_e inside End(A) (homogeneous coordinates, n^2 flat)
     d_e: Subspace
-    #: Cartan subalgebra of D_e, same coordinates
+    #: a Cartan subalgebra H of D_e, same coordinates
     cartan: Subspace
-    #: span of the semisimple parts of the Cartan basis
-    toral: Subspace
+    #: the dimension of a maximal torus of D_e over the algebraic closure
     trank: int
 
-    def toral_matrices(self) -> list[list[dict[int, Rational]]]:
-        """The canonical basis of t as operators, by sparse rows."""
-        n = self.dimension
-        return [flat_operator(v, n) for v in self.toral.sparse_vectors()]
+
+def _trace_form_rank(basis: Sequence[Mapping[int, Rational]], n: int) -> int:
+    """The rank of [tr(x y)] on the operators of ``basis``, flat n^2 vectors, where tr(x y) =
+    sum of x[a, b] y[b, a]; a 0 x 0 or 1 x 1 matrix is read with no elimination."""
+    gram = [
+        {j: t for j, y in enumerate(basis) if (t := sum(c * y.get(k % n * n + k // n, 0) for k, c in x.items()))}
+        for x in basis
+    ]
+    return sum(map(bool, gram)) if len(gram) < 2 else len(gauss_jordan(gram, len(gram)))
+
+
+def _toral_part(cartan: Subspace, n: int) -> Subspace:
+    """The span of the semisimple parts of the operators of ``cartan``, flat
+    n^2 vectors; NonSplitError when a spectrum is not rational."""
+    parts = [semisimple_part(flat_operator(v, n)) for v in cartan.sparse_vectors()]
+    return Subspace.span(n * n, map(flat_vector, parts))
 
 
 @memoized
 def toral_rank(grading: Grading, seed: int = DEFAULT_SEED) -> ToralData:
-    """Toral data of a grading: D_e, a Cartan subalgebra of it, and the
-    span t of the semisimple parts of the Cartan basis; trank = dim t.
-    Only D_e is solved: the derivation degrees within the trivial subgroup."""
-    n = grading.dimension
+    """D_e (the derivation degrees within the trivial subgroup), its first
+    Cartan subalgebra H, and trank, the rank of the trace form on H.  Over
+    the algebraic closure H = t + n, t a maximal torus and n the nilpotent
+    elements of H (Borel, GTM 126): the form vanishes on n, strictly
+    triangular where H is triangular, and is positive definite on t's
+    rational cocharacters, so its rank is dim t, split or not."""
     d_e = graded_derivations(grading, Subgroup.from_generators(grading.group, [])).identity_part
-    lie = algebra_from_matrices("commutators", d_e)
-
-    def toral_part(cartan: Subspace) -> Subspace:
-        # the span of the semisimple parts; NonSplitError when a spectrum is irrational
-        parts = [semisimple_part(flat_operator(v, n)) for v in cartan.sparse_vectors()]
-        return Subspace.span(n * n, map(flat_vector, parts))
-
-    cartan, toral = split_cartan(lie, d_e, seed, toral_part)
-    if (t_small := d_e.restrict(toral)) is None:
-        raise AxiomFailure("semisimple part left the derivation algebra")
-    if any(lie.bracket(x, y) for x in t_small.sparse_vectors() for y in t_small.sparse_vectors()):
-        raise AxiomFailure("toral part is not commutative")
-    return ToralData(n, d_e, cartan, toral, toral.dim)
+    cartan = d_e.embed(next(cartan_candidates(algebra_from_matrices("commutators", d_e), random.Random(seed))))
+    return ToralData(d_e, cartan, _trace_form_rank(cartan.sparse_vectors(), grading.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +199,7 @@ def is_almost_fine(grading: Grading, seed: int = DEFAULT_SEED) -> AlmostFineCert
         # shortcut: D_e consists of toral elements, so trank = dim D_e
         dim_de = td.d_e.dim
         if (rank_u == dim_de) != verdict:
-            raise AxiomFailure(
-                "reductive shortcut disagrees with the toral-rank test"
-            )
+            raise AxiomFailure("reductive shortcut disagrees with the toral-rank test")
     return AlmostFineCertificate(verdict, rank_u, td.trank, dim_de)
 
 
@@ -234,11 +228,23 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
     of degree g and weight coordinates w has degree (free part of g, w,
     torsion part of g), and the projection onto G drops w.
 
-    The result is almost fine with the same toral rank (verified)."""
+    The torus is spanned by the semisimple parts of the basis of ``toral_rank``'s
+    Cartan subalgebra, or of the first split one (NonSplitError when there is
+    none).  The result is almost fine with the same toral rank (verified)."""
     td = toral_rank(grading, seed=seed)
     n = grading.dimension
     r = td.trank
-    tmats = td.toral_matrices()
+    try:
+        toral = _toral_part(td.cartan, n)
+    except NonSplitError:
+        toral = split_cartan(algebra_from_matrices("commutators", td.d_e), td.d_e, seed, partial(_toral_part, n=n))[1]
+    tmats = [flat_operator(v, n) for v in toral.sparse_vectors()]
+    if td.d_e.restrict(toral) is None:
+        raise AxiomFailure("semisimple part left the derivation algebra")
+    if any(sparse_product(x, y) != sparse_product(y, x) for i, x in enumerate(tmats) for y in tmats[i + 1 :]):
+        raise AxiomFailure("toral part is not commutative")
+    if toral.dim != r:
+        raise AxiomFailure(f"the split torus has dimension {toral.dim}, the toral rank is {r}")
     # eigen-decompose every component in homogeneous coordinates
     pieces: list[tuple[GroupElement, tuple[Rational, ...], list[dict[int, Rational]]]] = []
     for g in grading.support:
@@ -282,9 +288,7 @@ def canonical_refinement(grading: Grading, seed: int = DEFAULT_SEED) -> Refineme
         raise AxiomFailure("projection does not recover the original grading")
     cert = is_almost_fine(refined, seed=seed)
     if not cert.almost_fine or cert.trank != td.trank:
-        raise AxiomFailure(
-            "canonical refinement is not almost fine of equal toral rank"
-        )
+        raise AxiomFailure("canonical refinement is not almost fine of equal toral rank")
     return RefinementResult(grading, refined, proj, weight_by_degree, td, cert)
 
 
@@ -362,7 +366,7 @@ def enumerate_af_coarsenings(
         support_classes = [uab.iota[s] for s in uab.support_order]
         diffs = {u - v for u in support_classes for v in support_classes}
     reductive = "aut_reductive" in grading.algebra.flags
-    base_trank: int | None = None
+    base_trank = None if reductive else toral_rank(grading, seed=seed).trank
     survivors: list[tuple[Subgroup, GroupHom, Grading, str]] = []
     for e in candidates:
         if any(e.contains(s) for s in sigma):
@@ -373,14 +377,9 @@ def enumerate_af_coarsenings(
                 continue
         quotient, qhom = quotient_by(uab.group, e)
         coarse = induce(ugr, qhom)
-        if reductive:
-            survivors.append((e, qhom, coarse, "reductive"))
-        else:
-            if base_trank is None:
-                base_trank = toral_rank(grading, seed=seed).trank
-            if toral_rank(coarse, seed=seed).trank != base_trank:
-                continue
-            survivors.append((e, qhom, coarse, "per-candidate"))
+        if not reductive and toral_rank(coarse, seed=seed).trank != base_trank:
+            continue
+        survivors.append((e, qhom, coarse, "reductive" if reductive else "per-candidate"))
     # orbit labelling under the supplied automorphisms of U
     orbits = _orbits([e for e, *_rest in survivors], _subgroup_image, weyl_generators)
     orbit_of = {e: k for k, orbit in enumerate(orbits) for e in orbit}

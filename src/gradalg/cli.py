@@ -20,8 +20,8 @@ the support onto itself, keeps each component's dimension and permutes the
 relations read off the nonzero products; ``grading.weyl_permutation`` checks
 the last three, and this module only adds the name of the entry to its message.
 
-Exit codes: 0 success, 1 input/validation error, 2 unsupported input
-(irrational spectra), 3 cap exceeded, 4 internal consistency failure.
+Exit codes: 0 success, 1 input/validation error, 2 unsupported input (no
+split torus or rational weights), 3 cap exceeded, 4 internal consistency failure.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, islice, permutations, product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 import sympy
 
+from gradalg import afine
 from gradalg.abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup
 from gradalg.algcore import (
     MultilinearOp,
@@ -57,7 +58,7 @@ from gradalg.exactla import (
     sparse_rows,
     transpose,
 )
-from gradalg.grading import GradedDerivations, Grading, universal_abelian_group
+from gradalg.grading import GradedDerivations, Grading, graded_derivations, universal_abelian_group
 from gradalg.lieroot import _proportional, _wadd, _wscale
 
 
@@ -2377,3 +2378,18 @@ def _induced_uab_map(src: Grading, dst: Grading, gamma: Mapping) -> GroupHom:
         if w(u_src.iota[s]) != u_dst.iota[gamma[s]]:
             raise VerificationFailure("induced universal map disagrees on the support")
     return w
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the toral rank
+# ---------------------------------------------------------------------------
+
+
+def split_toral_rank(grading: Grading, seed: int = 0) -> tuple[int, int]:
+    """Oracle for ``afine.toral_rank``: (dim t, dim H) for the first split
+    Cartan subalgebra H of D_e (``afine.split_cartan``) and the span t of the
+    semisimple parts of its basis; NonSplitError when no candidate is split."""
+    d_e = graded_derivations(grading, Subgroup.from_generators(grading.group, [])).identity_part
+    toral_part = partial(afine._toral_part, n=grading.dimension)
+    cartan, toral = afine.split_cartan(algebra_from_matrices("commutators", d_e), d_e, seed, toral_part)
+    return toral.dim, cartan.dim

@@ -26,14 +26,17 @@ from gradalg.afine import (
 )
 from gradalg.algcore import algebra_from_matrices, subalgebra_structure
 from gradalg.catalog import catalog_names, get_catalog
+from gradalg.cli import parse_workspace
 from gradalg.errors import AxiomFailure, CapExceeded, NonSplitError
-from gradalg.exactla import IntMatrix, RatMatrix, Subspace, nullspace
+from gradalg.exactla import IntMatrix, RatMatrix, Subspace, flat_operator, nullspace
 from gradalg.grading import Grading, graded_derivations, induce, universal_abelian_group, weyl_on_uab
 
 from helpers import (
+    SU2_WORKSPACE,
     all_abelian_groups_up_to,
     build_m2_splitpauli,
     build_sl2_efh,
+    classical_cartan_grading,
     components,
     dense_power,
     element_order,
@@ -49,9 +52,11 @@ from helpers import (
     rows_matrix,
     sl_involution_grading,
     sparse,
+    split_toral_rank,
     three_part_is_cartan,
     twisted_group_grading,
     two_elimination_normalizer,
+    uncertified_gradings,
     vectors,
 )
 
@@ -193,7 +198,6 @@ class TestToralRank:
         assert rebased.component_dims() == gr.component_dims()
         assert graded_derivations(rebased).total_dim() == 8
 
-    @pytest.mark.xfail(strict=True, raises=NonSplitError, reason="ROADMAP item 2")
     def test_sl3_involution_in_a_random_basis_has_toral_rank_1(self):
         # the catalog basis's value; the candidate stream finds no split Cartan subalgebra in this basis
         rebased = random_component_basis(get_catalog("sl3-involution").grading, random.Random(0))
@@ -209,37 +213,78 @@ class TestToralRank:
         ids=["b2-skew", "a3-fine", "tga3"],
     )
     def test_zero_d_e_takes_the_general_path(self, build):
-        # D_e = 0: the Cartan search yields the zero subalgebra, whose toral part is zero
+        # D_e = 0: the Cartan search yields the zero subalgebra, whose trace form has rank 0
         gr = build()
         td = toral_rank(gr)
         empty = Subspace(gr.dimension**2, {})
-        assert td == ToralData(gr.dimension, empty, empty, empty, 0)
+        assert td == ToralData(empty, empty, 0)
         # the toral rank solves D_e alone; the solve of every degree gives the same D_e
         assert td.d_e == graded_derivations(gr).identity_part
-        assert td.toral_matrices() == []
 
-    @pytest.mark.parametrize(
-        "toral, message",
-        [(lambda d_e: Subspace.full(d_e.dim_ambient), "left the derivation algebra"), (lambda d_e: d_e, "not commutative")],
-        ids=["outside-d_e", "not-commutative"],
-    )
-    def test_a_wrong_toral_part_is_an_axiom_failure(self, monkeypatch, toral, message):
-        # D_e of sl3 graded by the orthogonal involution is ad so3, which does not commute;
-        # t is read in D_e's coordinates and its brackets in D_e's structure constants
-        monkeypatch.setattr(afine, "split_cartan", lambda lie, d_e, seed, split: (d_e, toral(d_e)))
-        with pytest.raises(AxiomFailure, match=message):
-            toral_rank(sl_involution_grading(3, alternating=False))
 
-    def test_toral_matrices_commute_and_preserve_components(self):
-        gr = parity_sl2()
+def _catalog_inputs() -> dict:
+    """Every catalog grading and companion, and the universal grading of each."""
+    gradings = {}
+    for name in catalog_names():
+        entry = get_catalog(name)
+        gradings[name] = lambda entry=entry: entry.grading
+        for label in entry.companions:
+            gradings[f"{name}-{label}"] = lambda entry=entry, label=label: entry.companions[label]
+    universal = {f"{k}, universal": lambda b=b: universal_abelian_group(b()).universal_grading(b()) for k, b in gradings.items()}
+    return gradings | universal
+
+
+#: the inputs of the toral-rank oracle, by name
+TORAL_INPUTS = {
+    **_catalog_inputs(),
+    **{name: lambda name=name: uncertified_gradings()[name] for name in uncertified_gradings()},
+    **{
+        f"sl{n} {'symplectic' if alt else 'orthogonal'}": lambda n=n, alt=alt: sl_involution_grading(n, alt)
+        for n, alt in ((3, False), (4, False), (4, True), (5, False), (6, False), (6, True), (7, False), (8, False))
+    },
+    **{f"{kind}{r}": lambda kind=kind, r=r: classical_cartan_grading(kind, r) for kind, r in (("B", 2), ("C", 3), ("D", 4))},
+    **{f"random-{seed}": lambda seed=seed: random_graded_algebra(random.Random(seed)) for seed in range(40)},
+    **{f"random-ternary-{seed}": lambda seed=seed: random_graded_algebra(random.Random(seed), ternary=True) for seed in range(10)},
+    "sl3-involution, random basis": lambda: random_component_basis(get_catalog("sl3-involution").grading, random.Random(0)),
+    "sl4 symplectic, random basis": lambda: random_component_basis(sl_involution_grading(4, True), random.Random(0)),
+    "su2": lambda: parse_workspace([SU2_WORKSPACE]).pick_grading(None)[1],
+}
+
+#: (trank, dim H) of the inputs on which the split search raises NonSplitError,
+#: read in a basis adapted to a maximal torus: each D_e is reductive, so H is
+#: a torus; on random-13 the products vanish and D_e = gl5.  The search is not
+#: run on them: on a 2-core machine it fails after 29 s on sl6 symplectic and
+#: after 297 s on sl4 symplectic in a random basis
+ADAPTED = {
+    "sl6 symplectic": (3, 3),
+    "sl6 orthogonal": (3, 3),
+    "sl7 orthogonal": (3, 3),
+    "sl8 orthogonal": (4, 4),
+    "random-13": (5, 5),
+    "sl3-involution, random basis": (1, 1),
+    "sl4 symplectic, random basis": (2, 2),
+    "su2": (1, 1),
+}
+
+
+class TestTraceFormRank:
+    @pytest.mark.parametrize("name", sorted(TORAL_INPUTS))
+    def test_equals_the_split_search_or_the_adapted_basis(self, name):
+        gr = TORAL_INPUTS[name]()
         td = toral_rank(gr)
-        mats = [rows_matrix(m) for m in td.toral_matrices()]
-        for i, m in enumerate(mats):
-            assert all(m * other == other * m for other in mats[i + 1 :])
-            for g in gr.support:
-                comp = gr.component(g)
-                for v in vectors(comp):
-                    assert comp.contains(sparse(matvec(m, v)))
+        assert (td.trank, td.cartan.dim) == (ADAPTED[name] if name in ADAPTED else split_toral_rank(gr))
+
+    @pytest.mark.parametrize("name", ["sl3-involution, random basis", "su2"])
+    def test_the_split_search_fails_where_the_trace_form_answers(self, name):
+        with pytest.raises(NonSplitError, match="^spectrum is not rational$"):
+            split_toral_rank(TORAL_INPUTS[name]())
+
+    @pytest.mark.parametrize("seed, trank, dim_h", [(15, 2, 3), (25, 3, 4), (45, 1, 2)])
+    def test_a_nilpotent_part_of_h_counts_in_dim_h_and_not_in_trank(self, seed, trank, dim_h):
+        # the first Cartan subalgebra of D_e is not a torus; the split search agrees
+        gr = random_graded_algebra(random.Random(seed))
+        td = toral_rank(gr)
+        assert (td.trank, td.cartan.dim) == split_toral_rank(gr) == (trank, dim_h)
 
 
 class TestAlmostFine:
@@ -267,6 +312,53 @@ class TestAlmostFine:
 
 
 class TestCanonicalRefinement:
+    @pytest.mark.parametrize(
+        "toral, message",
+        [(lambda d_e: Subspace.full(d_e.dim_ambient), "left the derivation algebra"), (lambda d_e: d_e, "not commutative")],
+        ids=["outside-d_e", "not-commutative"],
+    )
+    def test_a_wrong_toral_part_is_an_axiom_failure(self, monkeypatch, toral, message):
+        # D_e of sl3 graded by the orthogonal involution is ad so3, which does not commute
+        gr = sl_involution_grading(3, alternating=False)
+        d_e = toral_rank(gr).d_e
+        monkeypatch.setattr(afine, "_toral_part", lambda cartan, n: toral(d_e))
+        with pytest.raises(AxiomFailure, match=message):
+            canonical_refinement(gr)
+
+    def test_a_torus_whose_dimension_is_not_the_toral_rank_is_an_axiom_failure(self, monkeypatch):
+        # the zero torus lies in D_e and commutes, but cartan-sl2 has toral rank 1
+        monkeypatch.setattr(afine, "_toral_part", lambda cartan, n: Subspace(n * n, {}))
+        with pytest.raises(AxiomFailure, match="^the split torus has dimension 0, the toral rank is 1$"):
+            canonical_refinement(cartan_sl2())
+
+    def test_toral_matrices_commute_and_preserve_components(self, monkeypatch):
+        gr = parity_sl2()
+        tori = []
+        monkeypatch.setattr(afine, "_toral_part", lambda cartan, n, real=afine._toral_part: tori.append(real(cartan, n)) or tori[-1])
+        canonical_refinement(gr)
+        (torus,) = tori
+        mats = [rows_matrix(flat_operator(v, gr.dimension)) for v in torus.sparse_vectors()]
+        assert len(mats) == 1
+        for i, m in enumerate(mats):
+            assert all(m * other == other * m for other in mats[i + 1 :])
+            for g in gr.support:
+                comp = gr.component(g)
+                for v in vectors(comp):
+                    assert comp.contains(sparse(matvec(m, v)))
+
+    def test_a_first_cartan_subalgebra_that_is_not_split_falls_back_to_the_split_search(self):
+        # the trivial grading of b2-skew's algebra: D_e = ad L, whose first Cartan candidate has an
+        # irrational spectrum; the torus is the first split candidate's, and the weights are those
+        # the split search gave when the toral rank ran it too: the root grading of B2
+        alg, trivial = get_catalog("b2-skew").grading.algebra, FgAbGroup(0, ())
+        gr = Grading(alg, trivial, [trivial.identity()] * alg.dimension)
+        with pytest.raises(NonSplitError):
+            afine._toral_part(toral_rank(gr).cartan, gr.dimension)
+        res = canonical_refinement(gr)
+        assert res.toral.trank == 2 and res.refined.group == FgAbGroup(2, ())
+        assert sorted(res.weights.values()) == [(-2, 1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (2, -1)]
+        assert res.refined.component_dims()[(0, 0)] == 2
+
     def test_parity_sl2(self):
         res = canonical_refinement(parity_sl2())
         assert res.refined.group == FgAbGroup(1, (2,))

@@ -23,7 +23,7 @@ from gradalg.cli import catalog_workspace, grading_to_dict, main, parse_workspac
 from gradalg.grading import Grading
 
 import golden
-from helpers import SU2_WORKSPACE, direct_sum_grading, heisenberg_grading
+from helpers import SU2_WORKSPACE, direct_sum_grading, heisenberg_grading, random_component_basis, workspace_of
 
 
 TRIVIAL_GROUP = {"free_rank": 0, "invariants": []}
@@ -835,6 +835,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "rootsys", f)
         assert code == 2
         assert "unsupported" in err
+
+    def test_su2_has_toral_rank_1(self, tmp_path, capsys):
+        # the compact form has no split torus; over the algebraic closure its maximal torus is a line
+        f = write_ws(tmp_path, SU2_WORKSPACE)
+        code, out, err = run(capsys, "trank", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {"dim_cartan": 1, "dim_d_e": 3, "grading": "trivial", "trank": 1}
+
+    def test_trank_and_almost_fine_answer_on_sl3_involution_in_a_random_basis(self, tmp_path, capsys):
+        # no Cartan candidate of D_e is split in this basis; the toral rank needs none
+        gr = random_component_basis(get_catalog("sl3-involution").grading, random.Random(0))
+        f = write_ws(tmp_path, workspace_of("sl3-involution", gr))
+        code, out, err = run(capsys, "trank", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {"dim_cartan": 1, "dim_d_e": 3, "grading": "sl3-involution", "trank": 1}
+        code, out, err = run(capsys, "almost-fine", f, "--json")
+        assert (code, err) == (0, "") and json.loads(out) == {
+            "almost_fine": False,
+            "dim_d_e": 3,
+            "grading": "sl3-involution",
+            "rank_uab": 0,
+            "trank": 1,
+        }
 
     @pytest.mark.parametrize("command", [["classify", "--target", '{"invariants": [2]}'], ["coarsen-enum"]])
     @pytest.mark.parametrize("source", ["sl3-involution by Z4", "zero product"])

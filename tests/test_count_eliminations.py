@@ -42,8 +42,10 @@ def test_two_cheap_jobs_are_counted_per_caller(monkeypatch):
     assert counts["grading._incremental_kernel <- grading.graded_derivations"] > 0
     # the bracket check of weight_decomposition reads containment, and the Cartan search runs no normalizer
     assert not any("weight_decomposition" in k or "normalizer" in k for k in counts)
-    # toral_rank ran, and read D_e's structure constants at its pivots with no elimination
-    assert counts["afine.toral_rank.<locals>.toral_part <- afine.split_cartan"] > 0
+    # toral_rank ran, canonical_refinement spanned the semisimple parts on its Cartan subalgebra, and
+    # toral_rank read D_e's structure constants at its pivots with no elimination
+    assert counts["afine.cartan_candidates <- afine.toral_rank"] > 0
+    assert counts["afine._toral_part <- afine.canonical_refinement"] > 0
     assert "algcore.algebra_from_matrices <- afine.toral_rank" not in counts, counts
 
 
@@ -64,10 +66,11 @@ def test_main_prints_the_total_and_the_callers(monkeypatch, capsys):
 #: D_g of a semisimple algebra was the span of its inner derivations, with
 #: no Leibniz system, and 0 with no elimination when it has none, and a
 #: refinement was read with one coordinate read and no component span, or
-#: with none against a unit basis; a change that eliminates again for a
-#: canonical basis it could read or write down, or for a fact a lemma
-#: gives, goes over
-ELIMINATION_BUDGET = {"lie": 458, "assoc": 106, "classify": 0}
+#: with none against a unit basis, and the toral rank was read off the trace
+#: form on the first Cartan subalgebra, a 0 x 0 or 1 x 1 form with no
+#: elimination; a change that eliminates again for a canonical basis it
+#: could read or write down, or for a fact a lemma gives, goes over
+ELIMINATION_BUDGET = {"lie": 437, "assoc": 87, "classify": 0}
 
 
 @pytest.mark.parametrize("workload", ["lie", "assoc"])

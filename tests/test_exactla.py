@@ -1440,9 +1440,10 @@ PIPELINE_GRADINGS = {
 
 
 class TestPipelineOperators:
-    """The operators that the toral rank (``toral_part``), the canonical
-    refinement and ``lieroot.weight_decomposition`` hand to ``exactla``,
-    recorded on real gradings, against the dense oracles."""
+    """The operators that the canonical refinement (the semisimple parts of
+    ``afine._toral_part`` and the joint eigenspaces) and
+    ``lieroot.weight_decomposition`` hand to ``exactla``, recorded on real
+    gradings, against the dense oracles."""
 
     @pytest.mark.parametrize("name", sorted(PIPELINE_GRADINGS))
     def test_recorded_operators_match_the_oracles(self, name, monkeypatch):
