@@ -32,7 +32,7 @@ from .abgroup import (
     quotient_by,
     torsion_and_free,
 )
-from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, bracket_span, memoized
+from .algcore import StructureAlgebra, Subspace, algebra_from_matrices, bracket_span, derivations_are_inner, memoized
 from .errors import AxiomFailure, DegenerateRetryExhausted, NonSplitError
 from .exactla import (
     IntMatrix,
@@ -302,8 +302,8 @@ class CoarseningEntry:
     subgroup: Subgroup
     quotient: GroupHom
     grading: Grading
-    #: "reductive" when certified wholesale by the reductive hypothesis,
-    #: otherwise "per-candidate" with the toral ranks compared directly
+    #: "reductive" when the algebra has the ``aut_reductive`` flag, otherwise
+    #: "per-candidate"; ``enumerate_af_coarsenings`` says which E it keeps
     certificate: str
     orbit: int
 
@@ -344,11 +344,10 @@ def enumerate_af_coarsenings(
     weyl_generators: Sequence[GroupHom] = (),
     universal_only: bool = False,
     cap: int = DEFAULT_CAP,
-    seed: int = DEFAULT_SEED,
 ) -> list[CoarseningEntry]:
-    """Almost-fine coarsenings of an almost fine grading, one per subgroup
-    E of the torsion of the universal group with E meeting the derivation
-    support Sigma only at the identity.
+    """Almost-fine coarsenings of an almost fine grading, one per subgroup E of t(U) meeting the derivation support
+    Sigma only at e (then D_e is unchanged), or meeting it, on an algebra whose Aut(A)o neither the ``aut_reductive``
+    flag nor ``derivations_are_inner`` shows reductive, with the grading's toral rank.  No step reads a seed.
 
     ``universal_only`` additionally requires E to be generated by its
     elements of the form u - v with u, v in the support.  Weyl generators
@@ -366,10 +365,10 @@ def enumerate_af_coarsenings(
         support_classes = [uab.iota[s] for s in uab.support_order]
         diffs = {u - v for u in support_classes for v in support_classes}
     reductive = "aut_reductive" in grading.algebra.flags
-    base_trank = None if reductive else toral_rank(grading, seed=seed).trank
+    decided = reductive or derivations_are_inner(grading.algebra)
     survivors: list[tuple[Subgroup, GroupHom, Grading, str]] = []
     for e in candidates:
-        if any(e.contains(s) for s in sigma):
+        if (meets := any(e.contains(s) for s in sigma)) and decided:
             continue
         if universal_only:
             gens = [x for x in e.elements() if x in diffs]
@@ -377,7 +376,7 @@ def enumerate_af_coarsenings(
                 continue
         quotient, qhom = quotient_by(uab.group, e)
         coarse = induce(ugr, qhom)
-        if not reductive and toral_rank(coarse, seed=seed).trank != base_trank:
+        if meets and toral_rank(coarse).trank != toral_rank(grading).trank:
             continue
         survivors.append((e, qhom, coarse, "reductive" if reductive else "per-candidate"))
     # orbit labelling under the supplied automorphisms of U
@@ -454,8 +453,7 @@ def classify_gradings(
     out: list[ClassificationEntry] = []
     for idx, (grading, weyl) in enumerate(catalog):
         uab = universal_abelian_group(grading)
-        ugr = uab.universal_grading(grading)  # rows sum to 0 in U, so under any alpha to 0 in G
-        classes = [ugr.support[t].coords for t in ugr.labels]  # the class in U of deg e_i
+        classes = [uab.iota[grading.support[t]].coords for t in grading.labels]  # the class in U of deg e_i
         admissible = [a for a in enumerate_homs(uab.group, group, cap=cap) if is_admissible(a, group, uab)]
         # the homs come in order of their images, so an orbit's representative has the least images
         orbits = _orbits(admissible, partial(_precompose, group), [w.matrix.columns() for w in weyl])

@@ -475,7 +475,6 @@ def _cmd_coarsen_enum(ws, args) -> None:
         weyl_generators=weyl_on_uab(gr, ws.weyl.get(name, [])),
         universal_only=args.universal_only,
         cap=args.cap,
-        seed=args.seed,
     )
     report = {"grading": name, "count": len(entries), "entries": []}
     lines = [f"almost-fine coarsenings of {name}: {len(entries)}"]

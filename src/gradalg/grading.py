@@ -71,7 +71,7 @@ class Grading:
     memoized on the algebra: gradings constructed on one algebra and
     basis share one re-based, flag-checked copy.  An induced grading
     (``induce``, ``UabResult.universal_grading(g)``, so every coarsening
-    and classified grading) is not constructed: ``_regraded`` builds its
+    and universal grading) is not constructed: ``_regraded`` builds its
     table from the source's and takes the source's algebra, basis and
     re-based copy; both paths set the fields through ``_fill``.
     """

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import sympy
 
 from gradalg import afine
-from gradalg.abgroup import FgAbGroup, GroupElement, GroupHom, Subgroup
+from gradalg.abgroup import DEFAULT_CAP, FgAbGroup, GroupElement, GroupHom, Subgroup, enumerate_subgroups, quotient_by, torsion_and_free
 from gradalg.algcore import (
     MultilinearOp,
     StructureAlgebra,
@@ -58,7 +58,7 @@ from gradalg.exactla import (
     sparse_rows,
     transpose,
 )
-from gradalg.grading import GradedDerivations, Grading, graded_derivations, universal_abelian_group
+from gradalg.grading import GradedDerivations, Grading, graded_derivations, induce, universal_abelian_group
 from gradalg.lieroot import _proportional, _wadd, _wscale
 
 
@@ -2393,3 +2393,40 @@ def split_toral_rank(grading: Grading, seed: int = 0) -> tuple[int, int]:
     toral_part = partial(afine._toral_part, n=grading.dimension)
     cartan, toral = afine.split_cartan(algebra_from_matrices("commutators", d_e), d_e, seed, toral_part)
     return toral.dim, cartan.dim
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the almost-fine coarsenings
+# ---------------------------------------------------------------------------
+
+
+def per_candidate_af_coarsenings(grading: Grading, weyl_generators=(), universal_only=False, cap=DEFAULT_CAP, seed=0):
+    """Oracle for ``afine.enumerate_af_coarsenings``, its former body: the
+    subgroups E of t(U) meeting the derivation support Sigma only at the
+    identity, each kept, unless the algebra has the ``aut_reductive`` flag,
+    only when the toral rank of its coarsening (at ``seed``) is the grading's."""
+    uab = universal_abelian_group(grading)
+    ugr = uab.universal_grading(grading)
+    t_u, _ = torsion_and_free(uab.group)
+    sigma = [s for s in graded_derivations(ugr, t_u).sigma if not s.is_identity()]
+    if universal_only:
+        support_classes = [uab.iota[s] for s in uab.support_order]
+        diffs = {u - v for u in support_classes for v in support_classes}
+    reductive = "aut_reductive" in grading.algebra.flags
+    base_trank = None if reductive else afine.toral_rank(grading, seed=seed).trank
+    survivors = []
+    for e in enumerate_subgroups(t_u, cap=cap):
+        if any(e.contains(s) for s in sigma):
+            continue
+        if universal_only:
+            gens = [x for x in e.elements() if x in diffs]
+            if Subgroup.from_generators(uab.group, gens) != e:
+                continue
+        _, qhom = quotient_by(uab.group, e)
+        coarse = induce(ugr, qhom)
+        if not reductive and afine.toral_rank(coarse, seed=seed).trank != base_trank:
+            continue
+        survivors.append((e, qhom, coarse, "reductive" if reductive else "per-candidate"))
+    orbits = afine._orbits([e for e, *_rest in survivors], afine._subgroup_image, weyl_generators)
+    orbit_of = {e: k for k, orbit in enumerate(orbits) for e in orbit}
+    return [afine.CoarseningEntry(e, qhom, coarse, cert, orbit_of[e]) for e, qhom, coarse, cert in survivors]

@@ -24,7 +24,7 @@ from gradalg.afine import (
     toral_rank,
     ToralData,
 )
-from gradalg.algcore import algebra_from_matrices, subalgebra_structure
+from gradalg.algcore import algebra_from_matrices, derivations_are_inner, subalgebra_structure
 from gradalg.catalog import catalog_names, get_catalog
 from gradalg.cli import parse_workspace
 from gradalg.errors import AxiomFailure, CapExceeded, NonSplitError
@@ -44,6 +44,7 @@ from helpers import (
     identity_hom,
     is_closed_subspace,
     matvec,
+    per_candidate_af_coarsenings,
     pointwise_admissible,
     random_component_basis,
     random_graded_algebra,
@@ -402,6 +403,34 @@ class TestCanonicalRefinement:
         assert set(res.weights.values()) == {()}
 
 
+def _d_e(gr: Grading) -> Subspace:
+    return graded_derivations(gr, Subgroup.from_generators(gr.group, [])).identity_part
+
+
+def _seeded_twisted_group_grading(k: int) -> Grading:
+    rng = random.Random(f"tga{k}")
+    return twisted_group_grading(k, [[rng.randrange(2) for _ in range(k)] for _ in range(k)])
+
+
+#: the inputs of the coarsening oracle, by name, as (grading, Weyl generators on U);
+#: random-13 is left out: its D_e is gl5, whose Cartan search takes seconds
+COARSENING_INPUTS = {
+    **{
+        name: lambda name=name: (get_catalog(name).grading, weyl_on_uab(get_catalog(name).grading, get_catalog(name).weyl_on_group))
+        for name in catalog_names()
+    },
+    **{
+        f"{name}-{label}": lambda name=name, label=label: (get_catalog(name).companions[label], [])
+        for name in catalog_names()
+        for label in get_catalog(name).companions
+    },
+    **{name: lambda name=name: (uncertified_gradings()[name], []) for name in uncertified_gradings()},
+    **{f"tga{k}": lambda k=k: (_seeded_twisted_group_grading(k), []) for k in (2, 3)},
+    **{f"random-{seed}": lambda seed=seed: (random_graded_algebra(random.Random(seed)), []) for seed in [*range(13), *range(14, 40), 50]},
+    **{f"random-ternary-{seed}": lambda seed=seed: (random_graded_algebra(random.Random(seed), ternary=True), []) for seed in range(10)},
+}
+
+
 class TestEnumerateCoarsenings:
     def test_pauli_only_trivial(self):
         # every nonzero class of Z2 x Z2 supports a derivation, so only the
@@ -449,6 +478,62 @@ class TestEnumerateCoarsenings:
         # the group symmetry swaps the two missing degrees, fusing the orbits
         assert nontrivial[0].orbit == nontrivial[1].orbit
         assert results[0].orbit != nontrivial[0].orbit or results[0].subgroup.order() == 2
+
+    def test_a_subgroup_meeting_sigma_is_listed_when_no_certificate_decides(self):
+        # random-50: 6-dimensional, graded by Z3 = U, no flags, D_e = 0 and a nilpotent derivation of
+        # degree 2; the trivial coarsening (E = Z3) has toral rank 0 = rank U, so it is almost fine
+        gr = random_graded_algebra(random.Random(50))
+        assert not gr.algebra.flags and not derivations_are_inner(gr.algebra)
+        assert universal_abelian_group(gr).group == FgAbGroup(0, [3])
+        entries = enumerate_af_coarsenings(gr)
+        assert [(e.subgroup.order(), e.certificate) for e in entries] == [(1, "per-candidate"), (3, "per-candidate")]
+        assert entries[1].grading.component_dims() == {(): 6}
+        assert is_almost_fine(entries[1].grading).almost_fine
+
+    @pytest.mark.parametrize("build", COARSENING_INPUTS.values(), ids=COARSENING_INPUTS.keys())
+    def test_against_the_per_candidate_oracle(self, build):
+        """Entries equal the former per-candidate loop's on a flagged or
+        certified algebra; on another, they contain them, and each extra
+        meets Sigma and is almost fine.  A kept E that misses Sigma leaves D_e as it is."""
+        gr, weyl = build()
+        got = enumerate_af_coarsenings(gr, weyl_generators=weyl)
+        want = per_candidate_af_coarsenings(gr, weyl_generators=weyl)
+        key = lambda e: (e.subgroup, e.quotient.codomain, e.quotient.matrix, list(e.grading.component_dims().items()), e.certificate)
+        uab = universal_abelian_group(gr)
+        t_u, _ = torsion_and_free(uab.group)
+        sigma = [s for s in graded_derivations(uab.universal_grading(gr), t_u).sigma if not s.is_identity()]
+        if "aut_reductive" in gr.algebra.flags or derivations_are_inner(gr.algebra):
+            assert [(*key(e), e.orbit) for e in got] == [(*key(e), e.orbit) for e in want]
+        else:
+            kept, wanted = list(map(key, got)), list(map(key, want))
+            assert all(k in kept for k in wanted)
+            for e in got:
+                if key(e) not in wanted:
+                    assert any(e.subgroup.contains(s) for s in sigma)
+                    assert is_almost_fine(e.grading).almost_fine
+        for e in got:
+            if not any(e.subgroup.contains(s) for s in sigma):
+                assert _d_e(e.grading) == _d_e(gr)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: twisted_group_grading(2, [[0, 1], [0, 0]]),
+            lambda: twisted_group_grading(3, [[1, 1, 0], [0, 0, 1], [0, 0, 1]]),
+            lambda: get_catalog("b2-skew-assoc").grading,
+        ],
+        ids=["tga2", "tga3", "b2-skew-assoc"],
+    )
+    def test_a_certified_algebra_takes_no_toral_rank(self, build, monkeypatch):
+        # unflagged, and every derivation is inner: Sigma alone decides each subgroup
+        gr = build()
+        assert "aut_reductive" not in gr.algebra.flags and derivations_are_inner(gr.algebra)
+
+        def no_toral_rank(*args, **kwargs):
+            raise AssertionError("toral_rank called")
+
+        monkeypatch.setattr(afine, "toral_rank", no_toral_rank)
+        assert enumerate_af_coarsenings(gr)
 
 
 class TestAdmissibility:
@@ -551,11 +636,11 @@ class TestClassification:
             assert sum(c.dim for c in components(induced).values()) == 3
             assert r.component_dims == induced.component_dims()
 
-    def test_builds_one_universal_grading_per_source_and_no_induced_grading(self, monkeypatch):
+    def test_regrades_and_constructs_no_grading(self, monkeypatch):
         """cartan-sl4 into Z2 x Z4 x Z4 with its three Weyl generators: the
-        component dimensions are counted on the image tuples, so the only
-        regraded grading is the source's universal grading, and no Grading
-        is constructed."""
+        component dimensions are counted on the image tuples, and the class
+        of each basis vector is read on iota, so no Grading is regraded or
+        constructed."""
         entry = get_catalog("cartan-sl4")
         sources = [(entry.grading, weyl_on_uab(entry.grading, entry.weyl_on_group))]
         assert len(sources[0][1]) == 3
@@ -565,7 +650,7 @@ class TestClassification:
         monkeypatch.setattr(Grading, "__init__", lambda self, *args: constructed.append(args) or init(self, *args))
         entries = classify_gradings(sources, FgAbGroup(0, [2, 4, 4]), cap=100000)
         assert len(entries) == 1672
-        assert len(regraded) == len(sources) and constructed == []
+        assert regraded == [] and constructed == []
 
     def test_weyl_orbit_fuses_sl2(self):
         entry = get_catalog("cartan-sl2")

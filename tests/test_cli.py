@@ -712,7 +712,7 @@ class TestHappyPaths:
         assert code == 0
         assert sum(e["orbit_size"] for e in rep["entries"]) == 4
 
-    def test_classify_rebases_each_algebra_and_basis_once(self, tmp_path, capsys, monkeypatch):
+    def test_classify_and_coarsen_enum_rebase_each_algebra_and_basis_once(self, tmp_path, capsys, monkeypatch):
         f = write_ws(tmp_path, catalog_workspace("cartan-sl3"))
         pairs, gradings, rebased, depth = set(), [], [], [0]
         grading_init, grading_fill, algebra_init = Grading.__init__, Grading._fill, StructureAlgebra.__init__
@@ -739,6 +739,14 @@ class TestHappyPaths:
         monkeypatch.setattr(Grading, "__init__", counting_grading_init)
         monkeypatch.setattr(StructureAlgebra, "__init__", counting_algebra_init)
         code, _, _ = run(capsys, "classify", f, "--target", '{"invariants": [2, 2]}', "--json")
+        # classify reads the classes on iota: the one parsed grading is the only one filled
+        assert code == 0
+        assert len(gradings) == len(pairs) == 1
+        assert len(rebased) <= len(pairs)
+        # coarsen-enum regrades the parsed grading (its universal grading and each coarsening)
+        for seen in (pairs, gradings, rebased):
+            seen.clear()
+        code, _, _ = run(capsys, "coarsen-enum", f, "--json")
         assert code == 0
         assert len(pairs) < len(gradings)
         assert len(rebased) <= len(pairs)

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from gradalg.catalog import catalog_names
-from golden import TABLE, WORKSPACES, changed_rows, entry_names
+from golden import COMMANDS, SEEDS, TABLE, WORKSPACES, changed_rows, entry_names
 from helpers import uncertified_gradings, workspace_of
 
 
@@ -35,3 +35,14 @@ def test_workspaces_are_the_uncertified_gradings():
     # the checked-in documents are those the helpers build today
     docs = {p.stem: json.loads(p.read_text()) for p in WORKSPACES.glob("*.json")}
     assert docs == {name: json.loads(json.dumps(workspace_of(name, gr))) for name, gr in uncertified_gradings().items()}
+
+
+#: the rows whose reports do not depend on ``--seed``: all but the split
+#: torus of the canonical refinement and the root systems
+SEED_FREE = [label for label in COMMANDS if label not in ("refine-canonical", "rootsys", "root-graded")]
+
+
+@pytest.mark.parametrize("label", SEED_FREE)
+def test_seed_free_rows_have_one_hash_per_entry(label):
+    table = json.loads(TABLE.read_text())
+    assert {name: len({rows[f"{label} {seed}"] for seed in SEEDS}) for name, rows in table.items()} == dict.fromkeys(table, 1)
